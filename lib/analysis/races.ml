@@ -1,13 +1,39 @@
 open Linear_layout
 
-(* Per-address access history since the last barrier. *)
-type history = {
-  writers : (int, int * int * int) Hashtbl.t;  (* addr -> instr, warp, lane *)
-  readers : (int, int * int) Hashtbl.t;  (* addr -> instr, warp *)
-}
+(* Addresses the program touches: [0, smem_elems) plus any out-of-range
+   address an ill-formed program uses, so the history below is a flat
+   array over that window. *)
+let addr_window (p : Gpusim.Isa.program) =
+  let lo = ref 0 and hi = ref p.Gpusim.Isa.smem_elems in
+  List.iter
+    (function
+      | Gpusim.Isa.St_shared { slots; addr; _ } | Gpusim.Isa.Ld_shared { slots; addr; _ } ->
+          let n = List.length slots in
+          Array.iter
+            (Array.iter (fun a ->
+                 lo := min !lo a;
+                 hi := max !hi (a + n)))
+            addr
+      | _ -> ())
+    p.Gpusim.Isa.body;
+  (!lo, !hi)
 
 let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
-  let h = { writers = Hashtbl.create 256; readers = Hashtbl.create 256 } in
+  (* Per-address access history since the last barrier, as flat arrays
+     indexed by [addr - lo]: the last writer (instruction, warp, lane)
+     and the first reader (instruction, warp); instruction [-1] = none.
+     A barrier clears only the cells touched since the previous one. *)
+  let lo, hi = addr_window p in
+  let n = hi - lo in
+  let w_idx = Array.make n (-1) and w_warp = Array.make n 0 and w_lane = Array.make n 0 in
+  let r_idx = Array.make n (-1) and r_warp = Array.make n 0 in
+  let touched = Array.make n 0 and n_touched = ref 0 in
+  let touch c =
+    if w_idx.(c) < 0 && r_idx.(c) < 0 then begin
+      touched.(!n_touched) <- c;
+      incr n_touched
+    end
+  in
   let diags = ref [] in
   (* One report per (kind, instruction pair): a single missing barrier
      would otherwise repeat once per lane. *)
@@ -15,71 +41,96 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
   let add key d =
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
-      diags := d :: !diags
+      diags := d () :: !diags
     end
   in
   let smem_since_bar = ref false in
-  let iter_addrs slots addr f =
-    for w = 0 to p.Gpusim.Isa.warps - 1 do
-      for l = 0 to p.Gpusim.Isa.lanes - 1 do
-        List.iteri (fun i _ -> f ~warp:w ~lane:l (addr.(w).(l) + i)) slots
-      done
-    done
-  in
   List.iteri
     (fun idx instr ->
       match instr with
       | Gpusim.Isa.Bar_sync ->
           if not !smem_since_bar then
-            add (`Bar idx)
-              (Diagnostics.warning ~code:"LL210" ~loc:(Diagnostics.Isa_instr idx)
-                 "redundant bar.sync: no shared-memory traffic since the previous \
-                  synchronization point");
-          Hashtbl.reset h.writers;
-          Hashtbl.reset h.readers;
+            add (`Bar idx) (fun () ->
+                Diagnostics.warning ~code:"LL210" ~loc:(Diagnostics.Isa_instr idx)
+                  "redundant bar.sync: no shared-memory traffic since the previous \
+                   synchronization point");
+          for i = 0 to !n_touched - 1 do
+            w_idx.(touched.(i)) <- -1;
+            r_idx.(touched.(i)) <- -1
+          done;
+          n_touched := 0;
           smem_since_bar := false
       | Gpusim.Isa.St_shared { slots; addr; byte_width = _ } ->
           smem_since_bar := true;
-          iter_addrs slots addr (fun ~warp ~lane a ->
-              (match Hashtbl.find_opt h.writers a with
-              | _ when duplicate_stores_benign -> ()
-              | Some (idx', warp', _) when warp' <> warp ->
+          let width = List.length slots in
+          for warp = 0 to p.Gpusim.Isa.warps - 1 do
+            for lane = 0 to p.Gpusim.Isa.lanes - 1 do
+              for i = 0 to width - 1 do
+                let a = addr.(warp).(lane) + i in
+                let c = a - lo in
+                let idx' = w_idx.(c) in
+                if idx' >= 0 && not duplicate_stores_benign then begin
+                  let warp' = w_warp.(c) and lane' = w_lane.(c) in
+                  if warp' <> warp then
+                    add
+                      (`Ww (idx', idx))
+                      (fun () ->
+                        Diagnostics.error ~code:"LL202" ~loc:(Diagnostics.Isa_instr idx)
+                          "write-write race on smem[%d]: warp %d (instr %d) and warp %d both \
+                           store with no intervening bar.sync"
+                          a warp' idx' warp)
+                  else if idx' = idx && lane' <> lane then
+                    add (`Wwl idx) (fun () ->
+                        Diagnostics.error ~code:"LL203" ~loc:(Diagnostics.Isa_instr idx)
+                          "lanes %d and %d of warp %d store to smem[%d] in the same \
+                           instruction: the committed value is undefined"
+                          lane' lane warp a)
+                end;
+                let ridx = r_idx.(c) in
+                if ridx >= 0 && r_warp.(c) <> warp then begin
+                  let warp' = r_warp.(c) in
                   add
-                    (`Ww (idx', idx))
-                    (Diagnostics.error ~code:"LL202" ~loc:(Diagnostics.Isa_instr idx)
-                       "write-write race on smem[%d]: warp %d (instr %d) and warp %d both \
-                        store with no intervening bar.sync"
-                       a warp' idx' warp)
-              | Some (idx', _, lane') when idx' = idx && lane' <> lane ->
-                  add (`Wwl idx)
-                    (Diagnostics.error ~code:"LL203" ~loc:(Diagnostics.Isa_instr idx)
-                       "lanes %d and %d of warp %d store to smem[%d] in the same \
-                        instruction: the committed value is undefined"
-                       lane' lane warp a)
-              | _ -> ());
-              (match Hashtbl.find_opt h.readers a with
-              | Some (idx', warp') when warp' <> warp ->
-                  add
-                    (`War (idx', idx))
-                    (Diagnostics.error ~code:"LL204" ~loc:(Diagnostics.Isa_instr idx)
-                       "write-after-read race on smem[%d]: warp %d stores over a value \
-                        warp %d loaded at instr %d with no intervening bar.sync"
-                       a warp warp' idx')
-              | _ -> ());
-              Hashtbl.replace h.writers a (idx, warp, lane))
+                    (`War (ridx, idx))
+                    (fun () ->
+                      Diagnostics.error ~code:"LL204" ~loc:(Diagnostics.Isa_instr idx)
+                        "write-after-read race on smem[%d]: warp %d stores over a value \
+                         warp %d loaded at instr %d with no intervening bar.sync"
+                        a warp warp' ridx)
+                end;
+                touch c;
+                w_idx.(c) <- idx;
+                w_warp.(c) <- warp;
+                w_lane.(c) <- lane
+              done
+            done
+          done
       | Gpusim.Isa.Ld_shared { slots; addr; byte_width = _ } ->
           smem_since_bar := true;
-          iter_addrs slots addr (fun ~warp ~lane:_ a ->
-              (match Hashtbl.find_opt h.writers a with
-              | Some (idx', warp', _) when warp' <> warp ->
+          let width = List.length slots in
+          for warp = 0 to p.Gpusim.Isa.warps - 1 do
+            for lane = 0 to p.Gpusim.Isa.lanes - 1 do
+              for i = 0 to width - 1 do
+                let a = addr.(warp).(lane) + i in
+                let c = a - lo in
+                let idx' = w_idx.(c) in
+                if idx' >= 0 && w_warp.(c) <> warp then begin
+                  let warp' = w_warp.(c) in
                   add
                     (`Raw (idx', idx))
-                    (Diagnostics.error ~code:"LL201" ~loc:(Diagnostics.Isa_instr idx)
-                       "read-after-write race on smem[%d]: warp %d loads a value stored \
-                        by warp %d (instr %d) with no intervening bar.sync"
-                       a warp warp' idx')
-              | _ -> ());
-              if not (Hashtbl.mem h.readers a) then Hashtbl.replace h.readers a (idx, warp))
+                    (fun () ->
+                      Diagnostics.error ~code:"LL201" ~loc:(Diagnostics.Isa_instr idx)
+                        "read-after-write race on smem[%d]: warp %d loads a value stored \
+                         by warp %d (instr %d) with no intervening bar.sync"
+                        a warp warp' idx')
+                end;
+                if r_idx.(c) < 0 then begin
+                  touch c;
+                  r_idx.(c) <- idx;
+                  r_warp.(c) <- warp
+                end
+              done
+            done
+          done
       | Gpusim.Isa.Mov _ | Gpusim.Isa.Sel _ | Gpusim.Isa.Scatter _ | Gpusim.Isa.Shfl_idx _
       | Gpusim.Isa.Bin _ ->
           ())

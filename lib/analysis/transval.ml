@@ -4,53 +4,26 @@ open Linear_layout
    made operational): every layout is a linear map over F2, so the map a
    lowered ISA program *actually implements* can be recovered by
    symbolic execution and compared against the map the plan *claims* by
-   Gaussian elimination.  Equality of affine F2 maps is decidable, and a
-   disagreement always has a counterexample of Hamming weight <= 1 (the
-   zero vector if the constants differ, a basis vector otherwise). *)
+   comparing the two maps point by point.  Equality of affine F2 maps is
+   decidable, and a disagreement always has a counterexample of Hamming
+   weight <= 1 (the zero vector if the constants differ, a basis vector
+   otherwise). *)
 
 module Affine = struct
-  type t = { in_bits : int; out_bits : int; cols : int array; const : int }
-
-  let apply t h =
-    let acc = ref t.const in
-    for k = 0 to t.in_bits - 1 do
-      if h land (1 lsl k) <> 0 then acc := !acc lxor t.cols.(k)
-    done;
-    !acc
+  type t = { in_bits : int; out_bits : int; cols : int array }
 
   let of_layout l =
     let f = Layout.Memo.flatten_outs l in
     {
       in_bits = Layout.total_in_bits f;
       out_bits = Layout.total_out_bits f;
-      cols = Array.init (Layout.total_in_bits f) (fun k -> Layout.apply_flat f (1 lsl k));
-      const = 0;
+      cols = F2.Bitmatrix.columns (Layout.to_matrix f);
     }
-
-  let of_fun ~in_bits ~out_bits f =
-    let const = f 0 in
-    let t =
-      { in_bits; out_bits; cols = Array.init in_bits (fun k -> f (1 lsl k) lxor const); const }
-    in
-    let rec go h =
-      if h >= 1 lsl in_bits then Ok t
-      else if f h <> apply t h then Error h
-      else go (h + 1)
-    in
-    go 0
-
-  let matrix t = F2.Bitmatrix.make ~rows:(max 1 t.out_bits) t.cols
-  let rank t = F2.Bitmatrix.echelon_rank (F2.Bitmatrix.factorize (matrix t))
-
-  let equal a b =
-    a.in_bits = b.in_bits && a.out_bits = b.out_bits && a.const = b.const
-    && F2.Bitmatrix.equal (matrix a) (matrix b)
 
   (* Minimal-weight input where the two maps disagree; [None] when they
      agree everywhere.  Weight <= 1 by linearity. *)
   let counterexample a b =
     if a.in_bits <> b.in_bits || a.out_bits <> b.out_bits then Some 0
-    else if a.const <> b.const then Some 0
     else
       let rec go k =
         if k >= a.in_bits then None
@@ -75,96 +48,99 @@ end
 
 let bot = -1
 
-type sym_state = { regs : int array array array; smem : int array }
+(* Register slot [s] of lane [l] in warp [w] lives at
+   [regs.((((w * lanes) + l) * slots) + s)]. *)
+type sym_state = { slots : int; regs : int array; smem : int array }
 
 let sym_state (p : Gpusim.Isa.program) ~slots =
   {
-    regs =
-      Array.init p.Gpusim.Isa.warps (fun _ ->
-          Array.init p.Gpusim.Isa.lanes (fun _ -> Array.make slots bot));
+    slots;
+    regs = Array.make (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots) bot;
     smem = Array.make p.Gpusim.Isa.smem_elems bot;
   }
 
+(* Slot indices are range-checked: an out-of-range slot would otherwise
+   address a neighbouring lane's registers.  The error is the one an
+   out-of-range array access raises. *)
+let slot st s = if s < 0 || s >= st.slots then invalid_arg "index out of bounds" else s
+
 let sym_run (p : Gpusim.Isa.program) st =
+  let warps = p.Gpusim.Isa.warps and lanes = p.Gpusim.Isa.lanes in
+  let regs = st.regs and smem = st.smem and slots = st.slots in
+  let threads = warps * lanes in
   let check_lane_table name a =
-    if
-      Array.length a <> p.Gpusim.Isa.warps
-      || Array.exists (fun row -> Array.length row <> p.Gpusim.Isa.lanes) a
-    then failwith (name ^ ": per-warp/lane table has wrong shape")
+    if Array.length a <> warps || Array.exists (fun row -> Array.length row <> lanes) a then
+      failwith (name ^ ": per-warp/lane table has wrong shape")
+  in
+  let shared name ~slots:sl ~addr ~store =
+    check_lane_table name addr;
+    let sl = Array.of_list sl in
+    for w = 0 to warps - 1 do
+      for l = 0 to lanes - 1 do
+        let base = ((w * lanes) + l) * slots in
+        for i = 0 to Array.length sl - 1 do
+          let a = addr.(w).(l) + i in
+          if a < 0 || a >= p.Gpusim.Isa.smem_elems then failwith (name ^ ": address out of range");
+          let r = base + slot st sl.(i) in
+          if store then smem.(a) <- regs.(r) else regs.(r) <- smem.(a)
+        done
+      done
+    done
   in
   List.iter
     (fun instr ->
       match instr with
       | Gpusim.Isa.Mov { dst; src } ->
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
-              st.regs.(w).(l).(dst) <- st.regs.(w).(l).(src)
+          if threads > 0 then begin
+            let dst = slot st dst and src = slot st src in
+            for t = 0 to threads - 1 do
+              regs.((t * slots) + dst) <- regs.((t * slots) + src)
             done
-          done
+          end
       | Gpusim.Isa.Sel { dst; src_slot } ->
           check_lane_table "sel" src_slot;
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
-              let s = src_slot.(w).(l) in
-              if s >= 0 then st.regs.(w).(l).(dst) <- st.regs.(w).(l).(s)
+          for w = 0 to warps - 1 do
+            for l = 0 to lanes - 1 do
+              let s = src_slot.(w).(l) and base = ((w * lanes) + l) * slots in
+              if s >= 0 then regs.(base + slot st dst) <- regs.(base + slot st s)
             done
           done
       | Gpusim.Isa.Scatter { src; dst_slot } ->
           check_lane_table "scatter" dst_slot;
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
-              let s = dst_slot.(w).(l) in
-              if s >= 0 then st.regs.(w).(l).(s) <- st.regs.(w).(l).(src)
+          for w = 0 to warps - 1 do
+            for l = 0 to lanes - 1 do
+              let s = dst_slot.(w).(l) and base = ((w * lanes) + l) * slots in
+              if s >= 0 then regs.(base + slot st s) <- regs.(base + slot st src)
             done
           done
       | Gpusim.Isa.Shfl_idx { dst; src; src_lane; keep } ->
           check_lane_table "shfl" src_lane;
           check_lane_table "shfl" keep;
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            let published =
-              Array.init p.Gpusim.Isa.lanes (fun l -> st.regs.(w).(l).(src))
-            in
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
+          let published = Array.make lanes bot in
+          for w = 0 to warps - 1 do
+            for l = 0 to lanes - 1 do
+              published.(l) <- regs.((((w * lanes) + l) * slots) + slot st src)
+            done;
+            for l = 0 to lanes - 1 do
               let s = src_lane.(w).(l) in
-              if s < 0 || s >= p.Gpusim.Isa.lanes then
-                failwith "shfl: source lane out of range";
-              if keep.(w).(l) then st.regs.(w).(l).(dst) <- published.(s)
+              if s < 0 || s >= lanes then failwith "shfl: source lane out of range";
+              if keep.(w).(l) then
+                regs.((((w * lanes) + l) * slots) + slot st dst) <- published.(s)
             done
           done
-      | Gpusim.Isa.St_shared { slots; addr; byte_width = _ } ->
-          check_lane_table "st.shared" addr;
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
-              List.iteri
-                (fun i slot ->
-                  let a = addr.(w).(l) + i in
-                  if a < 0 || a >= p.Gpusim.Isa.smem_elems then
-                    failwith "st.shared: address out of range";
-                  st.smem.(a) <- st.regs.(w).(l).(slot))
-                slots
-            done
-          done
-      | Gpusim.Isa.Ld_shared { slots; addr; byte_width = _ } ->
-          check_lane_table "ld.shared" addr;
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
-              List.iteri
-                (fun i slot ->
-                  let a = addr.(w).(l) + i in
-                  if a < 0 || a >= p.Gpusim.Isa.smem_elems then
-                    failwith "ld.shared: address out of range";
-                  st.regs.(w).(l).(slot) <- st.smem.(a))
-                slots
-            done
-          done
+      | Gpusim.Isa.St_shared { slots = sl; addr; byte_width = _ } ->
+          shared "st.shared" ~slots:sl ~addr ~store:true
+      | Gpusim.Isa.Ld_shared { slots = sl; addr; byte_width = _ } ->
+          shared "ld.shared" ~slots:sl ~addr ~store:false
       | Gpusim.Isa.Bin { op = _; dst; a = _; b = _ } ->
           (* Arithmetic destroys provenance: a conversion plan must never
              route payload data through it. *)
-          for w = 0 to p.Gpusim.Isa.warps - 1 do
-            for l = 0 to p.Gpusim.Isa.lanes - 1 do
-              st.regs.(w).(l).(dst) <- bot
+          if threads > 0 then begin
+            let dst = slot st dst in
+            for t = 0 to threads - 1 do
+              regs.((t * slots) + dst) <- bot
             done
-          done
+          end
       | Gpusim.Isa.Bar_sync -> ())
     p.Gpusim.Isa.body
 
@@ -187,95 +163,86 @@ let method_name = function Symbolic -> "symbolic" | Algebraic -> "algebraic"
    [w] holds the source hardware point [r | l<<rb | w<<(rb+lb)] — the
    same convention as {!Codegen.Lower.load_state}. *)
 let init_conversion st ~(map : Codegen.Lower.slot_map) ~lanes ~warps =
+  let src_regs = map.Codegen.Lower.src_regs in
   for w = 0 to warps - 1 do
     for l = 0 to lanes - 1 do
-      for r = 0 to map.Codegen.Lower.src_regs - 1 do
-        st.regs.(w).(l).(r) <-
-          r lor (l * map.Codegen.Lower.src_regs) lor (w * map.Codegen.Lower.src_regs * lanes)
+      let base = ((w * lanes) + l) * st.slots in
+      for r = 0 to src_regs - 1 do
+        st.regs.(base + slot st r) <- r lor (l * src_regs) lor (w * src_regs * lanes)
       done
     done
   done
 
-(* The shared core: symbolically execute [program], then require, for
-   every destination hardware point [h] (decoded with
-   {!Codegen.Lower.store_dist}'s convention), that the provenance [p] of
-   its register slot satisfies [src_flat p = want h].  [want] is the
-   logical element [h] must hold; broadcasting sources are handled for
-   free because any source point of the same element is acceptable. *)
-let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
-    (program : Gpusim.Isa.program) =
+let provenance ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
   let lanes = program.Gpusim.Isa.lanes and warps = program.Gpusim.Isa.warps in
   let dst_regs = map.Codegen.Lower.dst_regs in
-  let points = dst_regs * lanes * warps in
-  match
-    let st = sym_state program ~slots:map.Codegen.Lower.total_slots in
-    init_conversion st ~map ~lanes ~warps;
-    sym_run program st;
-    st
-  with
-  | exception Failure msg -> { mechanism; method_ = Symbolic; points; verdict = Failed msg }
-  | st -> (
-      let src_flat = Layout.Memo.flatten_outs src in
-      let prov h =
-        let r = h mod dst_regs in
-        let l = h / dst_regs mod lanes in
-        let w = h / (dst_regs * lanes) in
-        st.regs.(w).(l).(map.Codegen.Lower.dst_base + r)
+  let st = sym_state program ~slots:map.Codegen.Lower.total_slots in
+  init_conversion st ~map ~lanes ~warps;
+  sym_run program st;
+  let dst_base = map.Codegen.Lower.dst_base and slots = st.slots in
+  if dst_regs * lanes * warps > 0 then begin
+    ignore (slot st dst_base);
+    ignore (slot st (dst_base + dst_regs - 1))
+  end;
+  fun h -> st.regs.(((h / dst_regs) * slots) + dst_base + (h mod dst_regs))
+
+(* A linear map as byte-indexed image tables: [t.(c).(b)] is the image
+   of byte [b] at byte position [c] of the input, so an evaluation costs
+   one lookup and one XOR per input byte.  Each entry is filled by
+   linearity from the entry without its lowest bit.  Input bits at or
+   above the column count select nothing, as in {!F2.Bitmatrix.apply}. *)
+let byte_tables m =
+  let n = F2.Bitmatrix.cols m in
+  let t =
+    Array.init ((n + 7) / 8) (fun c ->
+        let t = Array.make 256 0 in
+        for b = 1 to 255 do
+          let k = (8 * c) + F2.Bitvec.ntz b in
+          t.(b) <- t.(b land (b - 1)) lxor if k < n then F2.Bitmatrix.column m k else 0
+        done;
+        t)
+  in
+  fun v ->
+    let acc = ref 0 in
+    for c = 0 to Array.length t - 1 do
+      acc := !acc lxor t.(c).((v lsr (8 * c)) land 255)
+    done;
+    !acc
+
+(* The shared core: require, for every destination hardware point [h],
+   that its provenance [p] satisfies [src_flat p = want h].  [want] is
+   the logical element [h] must hold; broadcasting sources are handled
+   for free because any source point of the same element is acceptable.
+
+   An unwritten point anywhere outranks a wrong one.  Otherwise one
+   numeric scan decides it: the first [h] with [got h <> want h] is the
+   answer, and it is also the minimal-weight witness whenever both maps
+   are affine: [d = got + want] is then affine, so [d 0 <> 0] makes [0]
+   the first mismatch, and otherwise the first mismatch is [2^k] for
+   the lowest [k] with [d (2^k) <> 0] — every [h < 2^k] lies in the span
+   of lower basis vectors, where [d] vanishes. *)
+let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
+    (program : Gpusim.Isa.program) =
+  let points = map.Codegen.Lower.dst_regs * program.Gpusim.Isa.lanes * program.Gpusim.Isa.warps in
+  let cert verdict = { mechanism; method_ = Symbolic; points; verdict } in
+  match provenance ~map program with
+  | exception Failure msg -> cert (Failed msg)
+  | prov -> (
+      let rec first bad h =
+        if h >= points then None else if bad h then Some h else first bad (h + 1)
       in
-      (* First undefined destination point, if any. *)
-      let rec undef h =
-        if h >= points then None else if prov h < 0 then Some h else undef (h + 1)
-      in
-      match undef 0 with
-      | Some h ->
-          {
-            mechanism;
-            method_ = Symbolic;
-            points;
-            verdict = Refuted { counterexample = h; got = None; want = want h };
-          }
+      match first (fun h -> prov h < 0) 0 with
+      | Some h -> cert (Refuted { counterexample = h; got = None; want = want h })
       | None -> (
-          let got h = Layout.apply_flat src_flat (prov h) in
-          let in_bits = Util.log2 points in
-          let out_bits = Layout.total_out_bits src_flat in
-          (* Fit the realized map as a canonical affine map and compare;
-             a weight-<=1 counterexample falls out when it is affine,
-             otherwise the first disagreeing point is reported. *)
-          let scan () =
-            let rec go h =
-              if h >= points then { mechanism; method_ = Symbolic; points; verdict = Proved }
-              else if got h <> want h then
-                {
-                  mechanism;
-                  method_ = Symbolic;
-                  points;
-                  verdict = Refuted { counterexample = h; got = Some (got h); want = want h };
-                }
-              else go (h + 1)
-            in
-            go 0
-          in
-          match
-            ( Affine.of_fun ~in_bits ~out_bits got,
-              Affine.of_fun ~in_bits ~out_bits want )
-          with
-          | Ok g, Ok w -> (
-              match Affine.counterexample g w with
-              | None -> { mechanism; method_ = Symbolic; points; verdict = Proved }
-              | Some h ->
-                  {
-                    mechanism;
-                    method_ = Symbolic;
-                    points;
-                    verdict =
-                      Refuted { counterexample = h; got = Some (got h); want = want h };
-                  })
-          | _ -> scan ()))
+          let got = byte_tables (Layout.to_matrix (Layout.Memo.flatten_outs src)) in
+          match first (fun h -> got (prov h) <> want h) 0 with
+          | None -> cert Proved
+          | Some h ->
+              cert (Refuted { counterexample = h; got = Some (got (prov h)); want = want h })))
 
 let certify_isa ~src ~dst ~map program =
-  let dst_flat = Layout.Memo.flatten_outs dst in
   check_program ~src ~map
-    ~want:(fun h -> Layout.apply_flat dst_flat h)
+    ~want:(byte_tables (Layout.to_matrix (Layout.Memo.flatten_outs dst)))
     ~mechanism:"isa" program
 
 (* Cross-CTA conversions spill through global memory and are executed
@@ -307,10 +274,11 @@ let certify_algebraic ~src ~dst ~mechanism =
       { mechanism; method_ = Algebraic; points; verdict = Proved }
     else begin
       F2.Bitmatrix.prepare ech;
+      let to_logical = Layout.apply_flat b in
       let rec go h =
         if h >= points then { mechanism; method_ = Algebraic; points; verdict = Proved }
         else
-          let want = Layout.apply_flat b h in
+          let want = to_logical h in
           match F2.Bitmatrix.solve_with ech want with
           | Some _ -> go (h + 1)
           | None ->
@@ -381,7 +349,7 @@ let certify_gather machine ~src ~index ~axis =
       { mechanism = "gather"; method_ = Symbolic; points = 0; verdict = Failed msg }
   | Ok (program, map) ->
       let l = src.Gpusim.Dist.layout in
-      let flat = Layout.Memo.flatten_outs l in
+      let to_logical = Layout.apply_flat (Layout.Memo.flatten_outs l) in
       let out_dims = Layout.out_dims l in
       let axis_size = Layout.out_size l (Dims.dim axis) in
       let t_idx =
@@ -390,7 +358,7 @@ let certify_gather machine ~src ~index ~axis =
         | Error e -> failwith ("Transval.certify_gather: " ^ e)
       in
       let want h =
-        let logical = Layout.apply_flat flat h in
+        let logical = to_logical h in
         let coords = Layout.unflatten_value out_dims logical in
         let idx = t_idx.(logical) land (axis_size - 1) in
         let coords' =

@@ -8,9 +8,17 @@
     symbolic execution over a provenance domain — every register slot
     and shared-memory cell holds the flattened source hardware point
     whose value it contains, or bottom — and compares it against the
-    claim by Gaussian elimination over F2.  The comparison is decidable
-    and a disagreement always yields a counterexample bit-vector of
-    Hamming weight at most 1 when the realized map is affine.
+    claim in one numeric scan over the destination points, at about one
+    table lookup and XOR per point.  The scan reports the first
+    unwritten point if there is one, else the first point [h] (in
+    numeric order) where the two maps disagree.  When both maps are
+    affine that point is also the minimal-weight witness an affine fit
+    would give — Hamming weight at most 1: with [d = got + want] affine,
+    [d 0 <> 0] makes [0] the first mismatch, and otherwise it is [2^k]
+    for the lowest [k] with [d (2^k) <> 0], since every [h < 2^k] lies
+    in the span of the lower basis vectors, where [d] vanishes.  So no
+    separate fit is needed, and non-affine realized maps take the same
+    path.
 
     Soundness: with the injective payload [value(hw) = hw] the concrete
     interpreter computes exactly the provenance function, so a [Proved]
@@ -23,27 +31,17 @@
 
 open Linear_layout
 
-(** Affine maps [h -> c + M h] over flattened F2 bit-vectors. *)
+(** Layout maps [h -> M h] over flattened F2 bit-vectors: affine maps
+    with a zero offset, since layouts are linear. *)
 module Affine : sig
-  type t = { in_bits : int; out_bits : int; cols : int array; const : int }
+  type t = { in_bits : int; out_bits : int; cols : int array }
 
-  val apply : t -> int -> int
-
-  (** The flattened (hardware -> logical) map of a layout; linear, so
-      [const = 0]. *)
+  (** The flattened (hardware -> logical) map of a layout. *)
   val of_layout : Layout.t -> t
 
-  (** Fit an affine map to [f] on the basis and verify the fit
-      exhaustively; [Error h] is the first input where [f] is not
-      affine. *)
-  val of_fun : in_bits:int -> out_bits:int -> (int -> int) -> (t, int) result
-
-  val matrix : t -> F2.Bitmatrix.t
-  val rank : t -> int
-  val equal : t -> t -> bool
-
   (** Minimal-weight input where two maps disagree ([None] when equal);
-      by linearity the witness is [0] or a basis vector. *)
+      by linearity the witness is [0] (differing shapes) or a basis
+      vector. *)
   val counterexample : t -> t -> int option
 end
 
@@ -71,6 +69,15 @@ type cert = {
 
 val method_name : method_ -> string
 val verdict_name : verdict -> string
+
+(** [provenance ~map program] symbolically executes [program] from the
+    canonical conversion pre-state and returns the lookup [h -> p]: for
+    every destination hardware point [h] (indexed with
+    {!Codegen.Lower.store_dist}'s convention), the flattened source point
+    [p] whose value it ends up holding, or [-1] when it is never written.
+    Raises [Failure] where the concrete interpreter would (malformed
+    tables, out-of-range addresses). *)
+val provenance : map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> int -> int
 
 (** Certify an arbitrary lowered program against claimed source and
     destination layouts: the pre-state follows

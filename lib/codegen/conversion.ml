@@ -59,15 +59,10 @@ let execute_algebraic plan (d : Gpusim.Dist.t) =
   (* For every destination hardware point, read the value from the
      source point holding the same logical element. *)
   let a = Layout.Memo.flatten_outs plan.src in
-  let a_pinv = Layout.Memo.pseudo_invert (Layout.flatten_ins a) in
-  let dst_flat = Layout.flatten_outs plan.dst in
+  let to_src = Layout.apply_flat (Layout.Memo.pseudo_invert (Layout.flatten_ins a)) in
+  let to_logical = Layout.apply_flat (Layout.flatten_outs plan.dst) in
   let n = 1 lsl Layout.total_in_bits plan.dst in
-  let data =
-    Array.init n (fun hw_dst ->
-        let logical = Layout.apply_flat dst_flat hw_dst in
-        let hw_src = Layout.apply_flat a_pinv logical in
-        d.Gpusim.Dist.data.(hw_src))
-  in
+  let data = Array.init n (fun hw_dst -> d.Gpusim.Dist.data.(to_src (to_logical hw_dst))) in
   { Gpusim.Dist.layout = plan.dst; data }
 
 let execute plan d =

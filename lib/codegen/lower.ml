@@ -13,10 +13,13 @@ let scatter_bits sel positions =
 (* Emit the stores or loads of one side of a shared-memory round trip:
    one vectorized instruction per non-vectorized register combination,
    with per-warp/lane element addresses computed through the memory
-   layout's inverse. *)
+   layout's inverse.  [mem_inv o flat] is linear, so the address of
+   (warp, lane, register) is the XOR of the images of its three parts:
+   one lane table and one warp table serve every instruction. *)
 let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_store =
   let flat = Layout.flatten_outs layout in
   let rb = Layout.in_bits layout Dims.register in
+  let lb = Layout.in_bits layout Dims.lane in
   let reg_cols = Array.of_list (Layout.flat_columns flat Dims.register) in
   let vec_pos =
     List.map
@@ -32,14 +35,19 @@ let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~
     List.filter (fun k -> not (List.mem k vec_pos)) (List.init rb Fun.id)
   in
   let reg_of ~group ~within = scatter_bits within vec_pos lor scatter_bits group other_idx in
-  let offset_of w l r =
-    let hw = r lor (l lsl rb) lor (w lsl (rb + Layout.in_bits layout Dims.lane)) in
-    Layout.apply_flat mem_inv (Layout.apply_flat flat hw)
+  let offset_of =
+    let to_logical = Layout.apply_flat flat and to_offset = Layout.apply_flat mem_inv in
+    fun hw -> to_offset (to_logical hw)
   in
+  let lane_img = Array.init lanes (fun l -> offset_of (l lsl rb)) in
+  let warp_img = Array.init warps (fun w -> offset_of (w lsl (rb + lb))) in
   List.init (1 lsl List.length other_idx) (fun g ->
       let slots = List.init (1 lsl List.length vec_pos) (fun c -> slot_base + reg_of ~group:g ~within:c) in
+      let reg_img = offset_of (reg_of ~group:g ~within:0) in
       let addr =
-        Array.init warps (fun w -> Array.init lanes (fun l -> offset_of w l (reg_of ~group:g ~within:0)))
+        Array.init warps (fun w ->
+            let rw = reg_img lxor warp_img.(w) in
+            Array.init lanes (fun l -> rw lxor lane_img.(l)))
       in
       if is_store then Gpusim.Isa.St_shared { slots; addr; byte_width }
       else Gpusim.Isa.Ld_shared { slots; addr; byte_width })
@@ -55,6 +63,7 @@ let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~st
   let rb_s = Layout.in_bits src Dims.register in
   let rb_d = Layout.in_bits dst Dims.register in
   let lb = Layout.in_bits src Dims.lane in
+  let to_src = Layout.apply_flat a_inv and to_dst = Layout.apply_flat b_inv in
   let v = List.length p.Shuffle.vec in
   let vig = F2.Subspace.span_elements (p.Shuffle.vec @ p.Shuffle.common_thr @ p.Shuffle.g) in
   let reps = F2.Subspace.span_elements p.Shuffle.ext in
@@ -66,19 +75,20 @@ let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~st
              let lane_tbl = Array.make_matrix warps lanes 0 in
              let keep = Array.make_matrix warps lanes false in
              let scat = Array.make_matrix warps lanes (-1) in
-             Array.iteri
-               (fun idx sp ->
-                 if idx land ((1 lsl v) - 1) = pv then begin
-                   let x = rep lxor sp in
-                   let r_s, l_s, w_s = split_hw ~rb:rb_s ~lb (Layout.apply_flat a_inv x) in
-                   let r_d, l_d, w_d = split_hw ~rb:rb_d ~lb (Layout.apply_flat b_inv x) in
-                   if w_s <> w_d then failwith "Lower: shuffle plan crosses warps";
-                   sel.(w_s).(l_s) <- src_base + r_s;
-                   lane_tbl.(w_d).(l_d) <- l_s;
-                   keep.(w_d).(l_d) <- true;
-                   scat.(w_d).(l_d) <- dst_base + r_d
-                 end)
-               vig;
+             (* The elements of payload [pv]: indices congruent to [pv]
+                modulo [2^v], in increasing order. *)
+             let idx = ref pv in
+             while !idx < Array.length vig do
+               let x = rep lxor vig.(!idx) in
+               let r_s, l_s, w_s = split_hw ~rb:rb_s ~lb (to_src x) in
+               let r_d, l_d, w_d = split_hw ~rb:rb_d ~lb (to_dst x) in
+               if w_s <> w_d then failwith "Lower: shuffle plan crosses warps";
+               sel.(w_s).(l_s) <- src_base + r_s;
+               lane_tbl.(w_d).(l_d) <- l_s;
+               keep.(w_d).(l_d) <- true;
+               scat.(w_d).(l_d) <- dst_base + r_d;
+               idx := !idx + (1 lsl v)
+             done;
              [
                Gpusim.Isa.Sel { dst = stage_send; src_slot = sel };
                Gpusim.Isa.Shfl_idx
@@ -241,7 +251,7 @@ let gather machine ~src ~index ~axis =
       let regs = 1 lsl rb in
       let lanes = 1 lsl lb in
       let warps = 1 lsl Layout.in_bits l Dims.warp in
-      let flat = Layout.flatten_outs l in
+      let to_logical = Layout.apply_flat (Layout.flatten_outs l) in
       let out_dims = Layout.out_dims l in
       let axis_size = Layout.out_size l (Dims.dim axis) in
       let t_idx =
@@ -253,7 +263,7 @@ let gather machine ~src ~index ~axis =
       let owners = Array.init warps (fun _ -> Hashtbl.create 256) in
       for hw = 0 to (regs * lanes * warps) - 1 do
         let w = hw lsr (rb + lb) in
-        let logical = Layout.apply_flat flat hw in
+        let logical = to_logical hw in
         if not (Hashtbl.mem owners.(w) logical) then
           Hashtbl.add owners.(w) logical (hw land (regs - 1), (hw lsr rb) land (lanes - 1))
       done;
@@ -268,7 +278,7 @@ let gather machine ~src ~index ~axis =
           Array.init warps (fun w ->
               Array.init lanes (fun lane ->
                   let hw = r_d lor (lane lsl rb) lor (w lsl (rb + lb)) in
-                  let logical = Layout.apply_flat flat hw in
+                  let logical = to_logical hw in
                   let coords = Layout.unflatten_value out_dims logical in
                   let idx = t_idx.(logical) land (axis_size - 1) in
                   let coords' =

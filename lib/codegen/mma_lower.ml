@@ -6,14 +6,14 @@ type violation = { warp : int; missing : string }
    presence), validating that duplicated copies agree. *)
 let warp_fragments (d : Gpusim.Dist.t) =
   let l = d.Gpusim.Dist.layout in
-  let flat = Layout.flatten_outs l in
+  let to_logical = Layout.apply_flat (Layout.flatten_outs l) in
   let rb = Layout.in_bits l Dims.register and lb = Layout.in_bits l Dims.lane in
   let warps = 1 lsl Layout.in_bits l Dims.warp in
   let tables = Array.init warps (fun _ -> Hashtbl.create 256) in
   Array.iteri
     (fun hw v ->
       let w = hw lsr (rb + lb) in
-      let logical = Layout.apply_flat flat hw in
+      let logical = to_logical hw in
       match Hashtbl.find_opt tables.(w) logical with
       | Some v' when v' <> v -> failwith "Mma_lower: disagreeing broadcast copies"
       | Some _ -> ()
@@ -30,24 +30,14 @@ let dims2 l =
    the last dimension is the fastest. *)
 let fl ~cols i j = (i * cols) + j
 
-let out_ownership out =
-  (* For each warp, the set of output coordinates it owns. *)
-  let flat = Layout.flatten_outs out in
-  let rb = Layout.in_bits out Dims.register and lb = Layout.in_bits out Dims.lane in
-  let warps = 1 lsl Layout.in_bits out Dims.warp in
-  let owned = Array.init warps (fun _ -> Hashtbl.create 256) in
-  for hw = 0 to (1 lsl Layout.total_in_bits out) - 1 do
-    Hashtbl.replace owned.(hw lsr (rb + lb)) (Layout.apply_flat flat hw) ()
-  done;
-  owned
-
-let fragment_presence l =
-  let flat = Layout.flatten_outs l in
+(* For each warp, the set of logical coordinates it holds. *)
+let ownership l =
+  let to_logical = Layout.apply_flat (Layout.flatten_outs l) in
   let rb = Layout.in_bits l Dims.register and lb = Layout.in_bits l Dims.lane in
   let warps = 1 lsl Layout.in_bits l Dims.warp in
   let owned = Array.init warps (fun _ -> Hashtbl.create 256) in
   for hw = 0 to (1 lsl Layout.total_in_bits l) - 1 do
-    Hashtbl.replace owned.(hw lsr (rb + lb)) (Layout.apply_flat flat hw) ()
+    Hashtbl.replace owned.(hw lsr (rb + lb)) (to_logical hw) ()
   done;
   owned
 
@@ -56,8 +46,8 @@ let check_ownership ~out ~lhs ~rhs =
   let m', k = dims2 lhs in
   let k', n' = dims2 rhs in
   if m <> m' || n <> n' || k <> k' then invalid_arg "Mma_lower: inconsistent shapes";
-  let out_w = out_ownership out in
-  let lhs_w = fragment_presence lhs and rhs_w = fragment_presence rhs in
+  let out_w = ownership out in
+  let lhs_w = ownership lhs and rhs_w = ownership rhs in
   let warps_out = Array.length out_w in
   if Array.length lhs_w <> warps_out || Array.length rhs_w <> warps_out then
     invalid_arg "Mma_lower: operand and output warp counts differ";
@@ -93,12 +83,12 @@ let execute_dot ~out a b ~mul ~add ~zero =
   let _, k = dims2 lhs in
   let _, n' = dims2 rhs in
   let frag_a = warp_fragments a and frag_b = warp_fragments b in
-  let flat = Layout.flatten_outs out in
+  let to_logical = Layout.apply_flat (Layout.flatten_outs out) in
   let rb = Layout.in_bits out Dims.register and lb = Layout.in_bits out Dims.lane in
   let data =
     Array.init (1 lsl Layout.total_in_bits out) (fun hw ->
         let w = hw lsr (rb + lb) in
-        let logical = Layout.apply_flat flat hw in
+        let logical = to_logical hw in
         let i = logical / n and j = logical mod n in
         let acc = ref zero in
         for kk = 0 to k - 1 do

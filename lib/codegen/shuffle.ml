@@ -68,8 +68,8 @@ let execute p (src_dist : Gpusim.Dist.t) =
   if not (Layout.equal src_dist.Gpusim.Dist.layout p.src) then
     failwith "Shuffle.execute: distribution does not match the plan's source layout";
   let a = Layout.Memo.flatten_outs p.src and b = Layout.Memo.flatten_outs p.dst in
-  let a_inv = Layout.Memo.invert (Layout.flatten_ins a)
-  and b_inv = Layout.Memo.invert (Layout.flatten_ins b) in
+  let to_src = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_ins a))
+  and to_dst = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_ins b)) in
   let dst = Array.make (1 lsl Layout.total_in_bits p.dst) 0 in
   let vig = Array.to_list (F2.Subspace.span_elements (p.vec @ p.common_thr @ p.g)) in
   let reps = F2.Subspace.span_elements p.ext in
@@ -82,7 +82,7 @@ let execute p (src_dist : Gpusim.Dist.t) =
       List.iter
         (fun s ->
           let x = rep lxor s in
-          let hw_src = Layout.apply_flat a_inv x and hw_dst = Layout.apply_flat b_inv x in
+          let hw_src = to_src x and hw_dst = to_dst x in
           dst.(hw_dst) <- src_dist.Gpusim.Dist.data.(hw_src);
           let payload = F2.Subspace.reduce vec_basis x in
           let note tbl thr =

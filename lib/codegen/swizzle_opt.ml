@@ -157,9 +157,9 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
          (base, 0) idxs)
   in
   let reg_of ~group ~within = scatter within vec_idx (scatter group other_idx 0) in
-  let offset_of lane r =
-    let hw = r lor (lane lsl reg_bits) in
-    Layout.apply_flat mem_inv (Layout.apply_flat flat hw)
+  let offset_of =
+    let to_logical = Layout.apply_flat flat and to_offset = Layout.apply_flat mem_inv in
+    fun lane r -> to_offset (to_logical (r lor (lane lsl reg_bits)))
   in
   let insts = 1 lsl List.length other_idx in
   let total = ref 0 in
@@ -190,13 +190,10 @@ let execute ~mem ~dst src_dist =
   | Error e -> failwith ("Swizzle_opt.execute: " ^ e)
   | Ok tensor ->
       let mem_flat = Layout.Memo.flatten_outs mem in
-      let smem = Array.make (Array.length tensor) 0 in
-      Array.iteri
-        (fun off _ -> smem.(off) <- tensor.(Layout.apply_flat mem_flat off))
-        smem;
-      let mem_inv = Layout.Memo.invert mem_flat in
-      Gpusim.Dist.init dst ~f:(fun logical ->
-          smem.(Layout.apply_flat mem_inv logical))
+      let to_logical = Layout.apply_flat mem_flat in
+      let smem = Array.init (Array.length tensor) (fun off -> tensor.(to_logical off)) in
+      let to_offset = Layout.apply_flat (Layout.Memo.invert mem_flat) in
+      Gpusim.Dist.init dst ~f:(fun logical -> smem.(to_offset logical))
 
 let cost machine t ~src ~dst ~byte_width =
   let c = Gpusim.Cost.zero () in

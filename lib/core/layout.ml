@@ -124,17 +124,14 @@ let apply l point =
   coords_to_assoc l.outs out
 
 let to_matrix l =
-  let cols = ref [] in
-  Array.iteri
-    (fun i (_, bits) ->
-      for k = 0 to bits - 1 do
-        cols := flatten l.outs l.bases.(i).(k) :: !cols
-      done;
-      ignore i)
-    l.ins;
-  F2.Bitmatrix.make ~rows:(total_bits l.outs) (Array.of_list (List.rev !cols))
+  F2.Bitmatrix.make ~rows:(total_bits l.outs)
+    (Array.concat (Array.to_list (Array.map (Array.map (flatten l.outs)) l.bases)))
 
-let apply_flat l v = F2.Bitmatrix.apply (to_matrix l) v
+(* The matrix is built when [apply_flat l] is partially applied, so a
+   caller hoisting [apply_flat l] out of a loop pays for it once. *)
+let apply_flat l =
+  let m = to_matrix l in
+  fun v -> F2.Bitmatrix.apply m v
 
 let flatten_value dims point =
   check_dims "flatten_value" dims;
@@ -697,7 +694,9 @@ module Memo = struct
       l
       (fun () -> free_variable_masks l)
 
-  let apply_flat l v = F2.Bitmatrix.apply (to_matrix l) v
+  let apply_flat l =
+    let m = to_matrix l in
+    fun v -> F2.Bitmatrix.apply m v
 end
 
 (* {1 Printing} *)

@@ -80,7 +80,15 @@ val flat_columns : t -> string -> int list
     (absent labels are 0) to [(out_label, index)] pairs. *)
 val apply : t -> (string * int) list -> (string * int) list
 
-(** [apply_flat l v] applies the layout to a canonically flattened input. *)
+(** [apply_flat l v] applies the layout to a canonically flattened input.
+    Input bits at or above {!total_in_bits} are ignored.
+
+    Cost model: partially applying [apply_flat l] builds [l]'s matrix
+    once (O(in bits x out dims)); each call of the resulting function is
+    an allocation-free {!F2.Bitmatrix.apply}, one shift-and-XOR step per
+    bit up to [v]'s highest set bit.  Per-point loops should therefore
+    hoist [let f = apply_flat l in ...] out of the loop; the fully
+    applied form [apply_flat l v] rebuilds the matrix on every call. *)
 val apply_flat : t -> int -> int
 
 (** The matrix of the layout under canonical flattening. *)
@@ -242,8 +250,9 @@ module Memo : sig
   val is_injective : t -> bool
   val is_invertible : t -> bool
 
-  (** [apply_flat l v] like {!Layout.apply_flat}, but the matrix is
-      built once per distinct layout instead of once per call. *)
+  (** [apply_flat l v] like {!Layout.apply_flat}, but the matrix comes
+      from {!to_matrix}'s memo table, so even the fully applied form
+      builds it only once per distinct layout. *)
   val apply_flat : t -> int -> int
 
   (** {2 Cache introspection} *)

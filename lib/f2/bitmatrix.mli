@@ -27,7 +27,9 @@ val get : t -> int -> int -> bool
 val identity : int -> t
 val zero : rows:int -> cols:int -> t
 
-(** [apply m v] is the matrix-vector product [m v] over [F2]. *)
+(** [apply m v] is the matrix-vector product [m v] over [F2].  Bits of
+    [v] at or above [cols m] are ignored.  Allocation-free, one step per
+    bit up to [v]'s highest selected bit. *)
 val apply : t -> Bitvec.t -> Bitvec.t
 
 (** [mul a b] is the matrix product [a b]; requires [cols a = rows b]. *)

@@ -6,11 +6,11 @@ let padded_offset ~cols ~pad i j = (i * (cols + pad)) + j
 let default_pad ~byte_width = max 1 (16 / byte_width)
 
 let measure machine ~dist ~addr_of ~byte_width =
-  let flat = Layout.flatten_outs dist in
+  let to_logical = Layout.apply_flat (Layout.flatten_outs dist) in
   let reg_bits = Layout.in_bits dist Dims.register in
   let lane_bits = Layout.in_bits dist Dims.lane in
   let regs = 1 lsl reg_bits and lanes = 1 lsl lane_bits in
-  let addr lane r = addr_of (Layout.apply_flat flat (r lor (lane lsl reg_bits))) in
+  let addr lane r = addr_of (to_logical (r lor (lane lsl reg_bits))) in
   let max_vec_elems =
     min regs (max 1 (machine.Gpusim.Machine.max_vec_bits / (8 * byte_width)))
   in

@@ -153,6 +153,38 @@ let gen_matrix =
 
 let arb_matrix = QCheck.make gen_matrix ~print:(Format.asprintf "%a" Bitmatrix.pp)
 
+(* Naive reference for [Bitmatrix.apply]: probe every column's input bit.
+   Columns at or past the word width have no input bit. *)
+let naive_apply a v =
+  let acc = ref 0 in
+  for j = 0 to Bitmatrix.cols a - 1 do
+    if j < Sys.int_size && (v lsr j) land 1 = 1 then acc := !acc lxor Bitmatrix.column a j
+  done;
+  !acc
+
+(* Any row count up to the 62-bit word limit (0 and 62 weighted in), 0
+   to 66 columns, and any input word, including bits above the column
+   count and the sign bit. *)
+let arb_apply_case =
+  let gen =
+    QCheck.Gen.(
+      let* rows =
+        frequency
+          [ (1, return 0); (2, return Bitvec.max_bits); (4, int_range 1 16); (2, int_range 17 61) ]
+      in
+      let* cols = frequency [ (1, return 0); (4, int_range 1 16); (2, int_range 17 66) ] in
+      let col = if rows = 0 then return 0 else map (fun c -> c land ((1 lsl rows) - 1)) int in
+      let* data = array_repeat cols col in
+      let* v = oneof [ int; int_bound 0xFFFF; map (fun c -> 1 lsl c) (int_range 0 61) ] in
+      return (Bitmatrix.make ~rows data, v))
+  in
+  QCheck.make gen ~print:(fun (a, v) ->
+      Format.asprintf "%dx%d %a@.v = %d" (Bitmatrix.rows a) (Bitmatrix.cols a) Bitmatrix.pp a v)
+
+let prop_apply_reference =
+  QCheck.Test.make ~name:"apply = naive bit-loop reference" ~count:1000 arb_apply_case
+    (fun (a, v) -> Bitmatrix.apply a v = naive_apply a v)
+
 let prop_solve_consistent =
   QCheck.Test.make ~name:"solve returns a valid preimage" ~count:500 arb_matrix (fun a ->
       let b = Bitmatrix.apply a ((1 lsl Bitmatrix.cols a) - 1) in
@@ -469,6 +501,7 @@ let () =
       ( "properties",
         q
           [
+            prop_apply_reference;
             prop_solve_consistent;
             prop_right_inverse;
             prop_kernel;

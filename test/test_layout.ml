@@ -300,6 +300,23 @@ let prop_apply_linear =
       let u = u land mask and v = v land mask in
       Layout.apply_flat l (u lxor v) = Layout.apply_flat l u lxor Layout.apply_flat l v)
 
+(* [apply_flat l], partially applied once, answers every point exactly as
+   the matrix does, and as the per-dimension [apply] on the unflattened
+   point; bits above the input width select nothing. *)
+let prop_apply_flat_partial =
+  QCheck.Test.make ~name:"partial apply_flat = Bitmatrix.apply (to_matrix l) = apply" ~count:200
+    (QCheck.pair arb_blocked (QCheck.make QCheck.Gen.(int_bound 1000)))
+    (fun (l, high) ->
+      let f = Layout.apply_flat l and m = Layout.to_matrix l in
+      let ins = Layout.in_dims l and outs = Layout.out_dims l in
+      let bits = Layout.total_in_bits l in
+      List.for_all
+        (fun v ->
+          f v = F2.Bitmatrix.apply m v
+          && f v = Layout.flatten_value outs (Layout.apply l (Layout.unflatten_value ins v))
+          && f (v lor (high lsl bits)) = f v)
+        (List.init (1 lsl bits) Fun.id))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "layout"
@@ -342,5 +359,6 @@ let () =
             prop_slice_surjective;
             prop_mul_divide;
             prop_apply_linear;
+            prop_apply_flat_partial;
           ] );
     ]

@@ -231,6 +231,126 @@ let prop_flipped_entry =
          concrete run read back against the mutated claim. *)
       verdict_matches_ground_truth ~src ~dst:dst' ~map program)
 
+(* {1 Differential against the fit-then-scan oracle} *)
+
+(* Both certifiers on the same artifact: identical verdict,
+   counterexample, got and want — or the same escaping exception. *)
+let same_cert ~src ~dst ~map program =
+  let run f = match f () with c -> Ok c | exception e -> Error (Printexc.to_string e) in
+  let got = run (fun () -> Analysis.Transval.certify_isa ~src ~dst ~map program) in
+  let want = run (fun () -> Transval_oracle.certify_isa ~src ~dst ~map program) in
+  got = want
+
+(* Rebuild the [k]-th instruction of class [select] with [f]; [None]
+   when the program has no such instruction. *)
+let mutate_nth ~select ~f k (p : Gpusim.Isa.program) =
+  let hits = List.filter select p.Gpusim.Isa.body in
+  match hits with
+  | [] -> None
+  | _ ->
+      let target = List.nth hits (k mod List.length hits) in
+      Some
+        {
+          p with
+          Gpusim.Isa.body =
+            List.concat_map (fun i -> if i == target then f i else [ i ]) p.Gpusim.Isa.body;
+        }
+
+let is_store = function Gpusim.Isa.St_shared _ -> true | _ -> false
+let is_scatter = function Gpusim.Isa.Scatter _ -> true | _ -> false
+
+let drop_store k p = mutate_nth ~select:is_store ~f:(fun _ -> []) k p
+
+(* Swap the addresses of two lanes of one store: an address permutation
+   that keeps every address in range. *)
+let permute_store_addr k p =
+  mutate_nth ~select:is_store
+    ~f:(function
+      | Gpusim.Isa.St_shared s ->
+          let addr = Array.map Array.copy s.addr in
+          let w = k mod Array.length addr in
+          let row = addr.(w) in
+          let l1 = k mod Array.length row and l2 = (k / 7) mod Array.length row in
+          let a = row.(l1) in
+          row.(l1) <- row.(l2);
+          row.(l2) <- a;
+          [ Gpusim.Isa.St_shared { s with addr } ]
+      | i -> [ i ])
+    k p
+
+(* Redirect one lane of a scatter to another destination slot, or
+   disable it. *)
+let clobber_scatter ~(map : Codegen.Lower.slot_map) k p =
+  mutate_nth ~select:is_scatter
+    ~f:(function
+      | Gpusim.Isa.Scatter s ->
+          let dst_slot = Array.map Array.copy s.dst_slot in
+          let w = k mod Array.length dst_slot in
+          let l = (k / 3) mod Array.length dst_slot.(w) in
+          dst_slot.(w).(l) <-
+            (if k mod 4 = 0 then -1
+             else map.Codegen.Lower.dst_base + ((k / 5) mod map.Codegen.Lower.dst_regs));
+          [ Gpusim.Isa.Scatter { s with dst_slot } ]
+      | i -> [ i ])
+    k p
+
+(* Route a payload slot through arithmetic at some point of the body. *)
+let bin_on_payload ~(map : Codegen.Lower.slot_map) k (p : Gpusim.Isa.program) =
+  let n = List.length p.Gpusim.Isa.body in
+  let at = k mod (n + 1) in
+  let slot = (k / 11) mod map.Codegen.Lower.total_slots in
+  let bin = Gpusim.Isa.Bin { op = `Add; dst = slot; a = slot; b = slot } in
+  Some
+    {
+      p with
+      Gpusim.Isa.body =
+        List.filteri (fun i _ -> i < at) p.Gpusim.Isa.body
+        @ (bin :: List.filteri (fun i _ -> i >= at) p.Gpusim.Isa.body);
+    }
+
+let prop_fault_differential name fault =
+  QCheck.Test.make ~name:(name ^ ": single scan = fit-then-scan oracle") ~count:60
+    QCheck.(pair arb_cta_pair (int_bound 100_000))
+    (fun (pair, k) ->
+      let src, dst = pair in
+      let program, map = lower_plan (plan_of pair) in
+      match fault ~map k program with
+      | None -> QCheck.assume_fail ()
+      | Some mutated -> same_cert ~src ~dst ~map mutated)
+
+let prop_flipped_differential =
+  QCheck.Test.make ~name:"flipped matrix: single scan = fit-then-scan oracle" ~count:60
+    QCheck.(pair arb_cta_pair (pair small_nat small_nat))
+    (fun (pair, (r, c)) ->
+      let src, dst = pair in
+      let program, map = lower_plan (plan_of pair) in
+      let dst' =
+        flip_bit dst ~row:(r mod Layout.total_out_bits dst) ~col:(c mod Layout.total_in_bits dst)
+      in
+      same_cert ~src ~dst:dst' ~map program)
+
+(* Every lowerable plan of the kernel suite on every machine, intact. *)
+let test_suite_differential () =
+  let checked = ref 0 in
+  List.iter
+    (fun (r : Suite_plans.row) ->
+      List.iter
+        (fun (plan : Codegen.Conversion.plan) ->
+          if Suite_plans.lowerable plan then begin
+            let program, map = Codegen.Lower.conversion r.Suite_plans.machine plan in
+            incr checked;
+            if
+              not
+                (same_cert ~src:plan.Codegen.Conversion.src ~dst:plan.Codegen.Conversion.dst ~map
+                   program)
+            then
+              Alcotest.failf "%s on %s (%s): certificates differ" r.Suite_plans.kernel
+                r.Suite_plans.machine.Gpusim.Machine.name r.Suite_plans.mode
+          end)
+        r.Suite_plans.plans)
+    (Suite_plans.rows () @ Suite_plans.pair_rows ());
+  check_bool "plans checked" true (!checked > 100)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "transval"
@@ -246,4 +366,16 @@ let () =
       ( "fault-injection",
         q [ prop_intact_plans_prove; prop_dropped_instr; prop_swapped_rounds; prop_flipped_entry ]
       );
+      ( "oracle-diff",
+        Alcotest.test_case "kernel suite, all machines" `Quick test_suite_differential
+        :: q
+             [
+               prop_fault_differential "dropped store" (fun ~map:_ k p -> drop_store k p);
+               prop_flipped_differential;
+               prop_fault_differential "permuted store address" (fun ~map:_ k p ->
+                   permute_store_addr k p);
+               prop_fault_differential "clobbered scatter slot" (fun ~map k p ->
+                   clobber_scatter ~map k p);
+               prop_fault_differential "bin on payload" (fun ~map k p -> bin_on_payload ~map k p);
+             ] );
     ]
