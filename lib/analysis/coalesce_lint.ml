@@ -18,29 +18,20 @@ let access machine ?loc ~op ~layout ~byte_width () =
     else []
   in
   (* Transaction audit of one warp: each instruction covers [achieved]
-     consecutive elements per lane; count the 32-byte sectors touched
-     and compare with the bytes actually moved. *)
+     consecutive elements per lane and touches the same number of
+     32-byte sectors ({!Gpusim.Coalesce.warp_sectors}); compare the
+     total with the bytes actually moved. *)
   let tx_lint =
-    let m = Layout.Memo.to_matrix (Layout.Memo.flatten_outs layout) in
-    let reg_bits = Layout.in_bits layout Dims.register in
-    let lanes = 1 lsl Layout.in_bits layout Dims.lane in
-    let insts = max 1 (max 1 regs / achieved) in
-    let tx = ref 0 in
-    for g = 0 to insts - 1 do
-      let accesses =
-        List.init lanes (fun lane ->
-            let hw = g * achieved lor (lane lsl reg_bits) in
-            (F2.Bitmatrix.apply m hw * byte_width, achieved * byte_width))
-      in
-      tx := !tx + Gpusim.Coalesce.transactions accesses
-    done;
+    let lanes = Layout.in_size layout Dims.lane in
+    let insts = max 1 (regs / achieved) in
+    let tx = insts * Gpusim.Coalesce.warp_sectors layout ~byte_width ~vec:achieved in
     let ideal_total = max insts ((insts * lanes * achieved * byte_width + 31) / 32) in
-    if !tx > ideal_total then
+    if tx > ideal_total then
       [
         Diagnostics.warning ~code:"LL402" ?loc
           "%s is uncoalesced: one warp touches %d 32-byte sectors where %d would move the \
            same bytes — lanes do not cover consecutive addresses"
-          op !tx ideal_total;
+          op tx ideal_total;
       ]
     else []
   in

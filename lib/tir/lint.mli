@@ -18,6 +18,10 @@
 
 open Linear_layout
 
+(** The per-instruction half of {!passes}: the [LL4xx] anchor and
+    [LL5xx] broadcast lints, in instruction order. *)
+val instruction_passes : Gpusim.Machine.t -> Program.t -> Diagnostics.t list
+
 (** [passes machine prog ~result] — [prog] must already have layouts
     assigned (i.e. [result = Engine.run ... prog] was called on it). *)
 val passes : Gpusim.Machine.t -> Program.t -> result:Pass.result -> Diagnostics.t list

@@ -7,12 +7,13 @@ let description =
    instruction and transaction counts"
 
 (* Every global access event recorded by [anchor] and [backward_remat]
-   is lowered here: the layout's flattened F2 matrix gives the byte
-   address of each (register, lane) pair, the machine's coalescer groups
-   them into transactions, and register materializations cost one ALU op
-   per register element.  Kept separate from the walks that planned the
-   accesses so the planning passes stay target-cost free and the per-op
-   coalescing work shows up in its own timing bucket. *)
+   is lowered here: the access is split into [regs / vec] vectorized
+   warp instructions, each touching the same number of 32-byte sectors
+   (one F2 rank of the layout's lane columns,
+   {!Gpusim.Coalesce.warp_sectors}), and register materializations cost
+   one ALU op per register element.  Kept separate from the walks that
+   planned the accesses so the planning passes stay target-cost free and
+   the per-op coalescing work shows up in its own timing bucket. *)
 let run (st : Pass.state) =
   List.iter
     (fun (a : Pass.access) ->

@@ -135,27 +135,13 @@ let vec_for (st : Pass.state) layout ~byte_width =
   | Pass.Legacy_mode -> legacy_vec layout
 
 (* Instruction and transaction counts for a warp-level global access
-   under the given vectorization, summed over all warps. *)
+   under the given vectorization, summed over all warps.  Every one of
+   the [regs / vec] instructions touches the same number of sectors
+   (see {!Gpusim.Coalesce.warp_sectors}). *)
 let global_access_counts layout ~byte_width ~vec =
-  (* Hoist the F2 matrix of the flattened layout: [apply] per address is
-     then a handful of word ops, and both the flatten and the matrix are
-     memoized across calls on the same layout. *)
-  let m = Layout.Memo.to_matrix (Layout.Memo.flatten_outs layout) in
-  let reg_bits = Layout.in_bits layout Dims.register in
-  let lane_bits = Layout.in_bits layout Dims.lane in
-  let warps = 1 lsl Layout.in_bits layout Dims.warp in
-  let regs = 1 lsl reg_bits in
-  let insts = max 1 (regs / vec) in
-  let tx = ref 0 in
-  for g = 0 to insts - 1 do
-    let accesses =
-      List.init (1 lsl lane_bits) (fun lane ->
-          let hw = (g * vec) lor (lane lsl reg_bits) in
-          (F2.Bitmatrix.apply m hw * byte_width, vec * byte_width))
-    in
-    tx := !tx + Gpusim.Coalesce.transactions accesses
-  done;
-  (insts * warps, !tx * warps)
+  let insts = max 1 (Layout.in_size layout Dims.register / vec) in
+  let warps = Layout.in_size layout Dims.warp in
+  (insts * warps, insts * Gpusim.Coalesce.warp_sectors layout ~byte_width ~vec * warps)
 
 (* Abstract time of converting [src] to [dst], used by the backward
    pass's remat-vs-convert and direct-store-vs-anchor comparisons. *)

@@ -63,7 +63,10 @@ val linear_vec : Gpusim.Machine.t -> Layout.t -> byte_width:int -> int
 val vec_for : Pass.state -> Layout.t -> byte_width:int -> int
 
 (** [(instructions, transactions)] for a global access of the layout
-    under the given vectorization, summed over all warps. *)
+    under the given vectorization, summed over all warps: [regs / vec]
+    instructions per warp, each touching
+    {!Gpusim.Coalesce.warp_sectors} sectors.  Raises
+    [Invalid_argument] on a non-aligned access (see there). *)
 val global_access_counts : Layout.t -> byte_width:int -> vec:int -> int * int
 
 (** Abstract time of a [src] -> [dst] conversion in the state's mode,

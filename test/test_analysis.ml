@@ -114,6 +114,58 @@ let test_perturbed_swizzle () =
   let ds = Analysis.Bank_check.swizzle m ~src ~dst ~byte_width s' in
   check_bool "perturbed swizzle -> LL301" true (has_code "LL301" ds)
 
+(* {1 Coalescing lints} *)
+
+let coalesce_lint op layout =
+  Analysis.Coalesce_lint.access m ~loc:(Diagnostics.Tir_instr 3) ~op ~layout ~byte_width:4 ()
+  |> List.map (Format.asprintf "%a" Diagnostics.pp)
+
+let test_under_vectorized_load () =
+  (* Each thread's four f32 registers run down a column of a row-major
+     tile: no two are adjacent in memory, so the 16-byte vector the
+     machine allows degrades to scalar loads.  The lanes still cover
+     whole rows, so the sector count is ideal. *)
+  let layout =
+    Blocked.make
+      {
+        shape = [| 64; 8 |];
+        size_per_thread = [| 4; 1 |];
+        threads_per_warp = [| 4; 8 |];
+        warps_per_cta = [| 4; 1 |];
+        order = [| 1; 0 |];
+      }
+  in
+  Alcotest.(check (list string))
+    "LL401 only"
+    [
+      "warning[LL401]: %3: load vectorizes at 1 x b32 but 4 x b32 is achievable: only 1 \
+       consecutive element(s) per thread — map the lowest register basis vectors to \
+       consecutive logical addresses (size_per_thread along the fastest-varying dimension)";
+    ]
+    (coalesce_lint "load" layout)
+
+let test_strided_store () =
+  (* Full 16-byte vectors, but consecutive lanes own consecutive rows
+     64 bytes apart: each of the four instructions touches 32 sectors
+     where 16 would move its 512 bytes. *)
+  let layout =
+    Blocked.make
+      {
+        shape = [| 128; 16 |];
+        size_per_thread = [| 1; 4 |];
+        threads_per_warp = [| 32; 1 |];
+        warps_per_cta = [| 4; 1 |];
+        order = [| 1; 0 |];
+      }
+  in
+  Alcotest.(check (list string))
+    "LL402 only"
+    [
+      "warning[LL402]: %3: store is uncoalesced: one warp touches 128 32-byte sectors where \
+       64 would move the same bytes — lanes do not cover consecutive addresses";
+    ]
+    (coalesce_lint "store" layout)
+
 (* {1 TIR wiring} *)
 
 let test_kernels_clean () =
@@ -262,6 +314,11 @@ let () =
           Alcotest.test_case "redundant barrier" `Quick test_redundant_barrier;
         ] );
       ("banks", [ Alcotest.test_case "perturbed swizzle" `Quick test_perturbed_swizzle ]);
+      ( "coalescing",
+        [
+          Alcotest.test_case "under-vectorized load (LL401)" `Quick test_under_vectorized_load;
+          Alcotest.test_case "strided store (LL402)" `Quick test_strided_store;
+        ] );
       ( "tir",
         [
           Alcotest.test_case "all kernels clean" `Quick test_kernels_clean;
