@@ -59,6 +59,31 @@ let sym_state (p : Gpusim.Isa.program) ~slots =
     smem = Array.make p.Gpusim.Isa.smem_elems bot;
   }
 
+(* The state [check_program] runs on: one grow-only pair of buffers per
+   domain, of which each run refills with [bot] and uses only the prefix
+   its program needs.  A fresh state for a PLAN-sized program is tens of
+   kilowords, allocated directly in the major heap; allocating it per
+   certificate paces a serving daemon's major collections into its
+   certifying requests.  Every bound below is checked against [slots]
+   and [smem_elems], never the buffer length, so cells beyond the prefix
+   are unreachable. *)
+type scratch = { mutable regs_buf : int array; mutable smem_buf : int array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { regs_buf = [||]; smem_buf = [||] })
+
+let reused_state (p : Gpusim.Isa.program) ~slots =
+  let sc = Domain.DLS.get scratch_key in
+  let prefix buf n =
+    if n < 0 || Array.length buf < n then Array.make n bot
+    else begin
+      Array.fill buf 0 n bot;
+      buf
+    end
+  in
+  sc.regs_buf <- prefix sc.regs_buf (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots);
+  sc.smem_buf <- prefix sc.smem_buf p.Gpusim.Isa.smem_elems;
+  { slots; regs = sc.regs_buf; smem = sc.smem_buf }
+
 (* Slot indices are range-checked: an out-of-range slot would otherwise
    address a neighbouring lane's registers.  The error is the one an
    out-of-range array access raises. *)
@@ -173,10 +198,9 @@ let init_conversion st ~(map : Codegen.Lower.slot_map) ~lanes ~warps =
     done
   done
 
-let provenance ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
+let run_provenance st ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
   let lanes = program.Gpusim.Isa.lanes and warps = program.Gpusim.Isa.warps in
   let dst_regs = map.Codegen.Lower.dst_regs in
-  let st = sym_state program ~slots:map.Codegen.Lower.total_slots in
   init_conversion st ~map ~lanes ~warps;
   sym_run program st;
   let dst_base = map.Codegen.Lower.dst_base and slots = st.slots in
@@ -185,6 +209,10 @@ let provenance ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
     ignore (slot st (dst_base + dst_regs - 1))
   end;
   fun h -> st.regs.(((h / dst_regs) * slots) + dst_base + (h mod dst_regs))
+
+(* The public lookup may outlive the call, so it owns a fresh state. *)
+let provenance ~map program =
+  run_provenance (sym_state program ~slots:map.Codegen.Lower.total_slots) ~map program
 
 (* A linear map as byte-indexed image tables: [t.(c).(b)] is the image
    of byte [b] at byte position [c] of the input, so an evaluation costs
@@ -225,7 +253,11 @@ let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
     (program : Gpusim.Isa.program) =
   let points = map.Codegen.Lower.dst_regs * program.Gpusim.Isa.lanes * program.Gpusim.Isa.warps in
   let cert verdict = { mechanism; method_ = Symbolic; points; verdict } in
-  match provenance ~map program with
+  (* [prov] reads the domain's reused state, so it is consumed before
+     this function returns and nothing below certifies re-entrantly. *)
+  match
+    run_provenance (reused_state program ~slots:map.Codegen.Lower.total_slots) ~map program
+  with
   | exception Failure msg -> cert (Failed msg)
   | prov -> (
       let rec first bad h =

@@ -6,12 +6,6 @@
     dimension [d] ([Dims.dim d]). *)
 val id : int -> in_dim:string -> int -> Layout.t
 
-(** [alloc acc ~hw ~d ~bits ~shape_bits] extends [acc] with [bits] basis
-    vectors of hardware dimension [hw] mapped identically onto the next
-    unused bits of logical dimension [d]; bits beyond the dimension's
-    size become zero (broadcast) columns. *)
-val alloc : Layout.t -> hw:string -> d:int -> bits:int -> shape_bits:int array -> Layout.t
-
 (** [cover ~base ~levels ~shape_bits ~order] extends [base] by
     allocating, for each [(hw_dim, bits_per_logical_dim)] level in turn
     and for each logical dimension in [order] (fastest first), identity
@@ -19,7 +13,10 @@ val alloc : Layout.t -> hw:string -> d:int -> bits:int -> shape_bits:int array -
     requested beyond the dimension's size become zero (broadcast)
     columns.  After all levels, any logical bits still uncovered are
     wrapped into extra {!Dims.register} basis vectors, again following
-    [order], so the result is always surjective onto the full shape. *)
+    [order], so the result is always surjective onto the full shape.
+
+    Cost: one {!Layout.make} for all new columns and at most one
+    {!Layout.mul} with [base], however many levels and dimensions. *)
 val cover :
   base:Layout.t ->
   levels:(string * int array) list ->

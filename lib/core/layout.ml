@@ -26,12 +26,14 @@ let check_dims what dims =
   List.iter (fun (d, bits) -> if bits < 0 then error "%s dim %s has negative bits" what d) dims;
   go (Dims.sort dims)
 
-let find_dim dims d =
+(* Position of [d] in [dims], [-1] when absent. *)
+let find_index dims d =
   let n = Array.length dims in
-  let rec go i = if i >= n then None else if fst dims.(i) = d then Some i else go (i + 1) in
+  let rec go i = if i >= n then -1 else if String.equal (fst dims.(i)) d then i else go (i + 1) in
   go 0
 
-let dim_bits dims d = match find_dim dims d with Some i -> snd dims.(i) | None -> 0
+let find_dim dims d = match find_index dims d with -1 -> None | i -> Some i
+let dim_bits dims d = match find_index dims d with -1 -> 0 | i -> snd dims.(i)
 
 let offset_of dims i =
   let acc = ref 0 in
@@ -81,8 +83,8 @@ let coords_to_assoc dims coords =
 
 let in_dims l = Array.to_list l.ins
 let out_dims l = Array.to_list l.outs
-let has_in_dim l d = find_dim l.ins d <> None
-let has_out_dim l d = find_dim l.outs d <> None
+let has_in_dim l d = find_index l.ins d >= 0
+let has_out_dim l d = find_index l.outs d >= 0
 let in_bits l d = dim_bits l.ins d
 let out_bits l d = dim_bits l.outs d
 let total_in_bits l = total_bits l.ins
@@ -191,49 +193,73 @@ let of_matrix ~ins ~outs m =
 
 (* {1 Algebra} *)
 
+(* Union of two canonically sorted dimension arrays, bits added on
+   shared names: one linear merge. *)
 let merge_dims a b =
-  (* Union of dimension lists with bits added on shared names. *)
-  let tbl = Hashtbl.create 8 in
-  Array.iter (fun (d, bits) -> Hashtbl.replace tbl d bits) a;
-  Array.iter
-    (fun (d, bits) ->
-      match Hashtbl.find_opt tbl d with
-      | Some prev -> Hashtbl.replace tbl d (prev + bits)
-      | None -> Hashtbl.replace tbl d bits)
-    b;
-  Hashtbl.fold (fun d bits acc -> (d, bits) :: acc) tbl [] |> Dims.sort |> Array.of_list
+  let na = Array.length a and nb = Array.length b in
+  if nb = 0 then a
+  else if na = 0 then b
+  else
+    let out = Array.make (na + nb) a.(0) in
+    let rec go i j k =
+      if i = na then begin
+        Array.blit b j out k (nb - j);
+        k + nb - j
+      end
+      else if j = nb then begin
+        Array.blit a i out k (na - i);
+        k + na - i
+      end
+      else
+        let da, ba = a.(i) and db, bb = b.(j) in
+        let c = Dims.compare da db in
+        if c < 0 then begin
+          out.(k) <- a.(i);
+          go (i + 1) j (k + 1)
+        end
+        else if c > 0 then begin
+          out.(k) <- b.(j);
+          go i (j + 1) (k + 1)
+        end
+        else begin
+          out.(k) <- (da, ba + bb);
+          go (i + 1) (j + 1) (k + 1)
+        end
+    in
+    let k = go 0 0 0 in
+    if k = na + nb then out else Array.sub out 0 k
+
+let is_empty l = Array.length l.ins = 0 && Array.length l.outs = 0
 
 let mul a b =
-  let ins = merge_dims a.ins b.ins and outs = merge_dims a.outs b.outs in
-  (* Shift of b's coordinates within each shared output dimension. *)
-  let shift_of d = dim_bits a.outs d in
-  let lift_image src_outs ~shift coords =
-    let out = Array.make (Array.length outs) 0 in
-    Array.iteri
-      (fun o (d, _) ->
-        match find_dim src_outs d with
-        | Some so -> out.(o) <- coords.(so) lsl (if shift then shift_of d else 0)
-        | None -> ())
-      outs;
-    out
-  in
-  let bases =
-    Array.map
-      (fun (d, _) ->
-        let from_a =
-          match find_dim a.ins d with
-          | Some i -> Array.map (lift_image a.outs ~shift:false) a.bases.(i)
-          | None -> [||]
-        in
-        let from_b =
-          match find_dim b.ins d with
-          | Some i -> Array.map (lift_image b.outs ~shift:true) b.bases.(i)
-          | None -> [||]
-        in
-        Array.append from_a from_b)
-      ins
-  in
-  { ins; outs; bases }
+  if is_empty a then b
+  else if is_empty b then a
+  else
+    let ins = merge_dims a.ins b.ins and outs = merge_dims a.outs b.outs in
+    (* Re-index an operand's images onto [outs]; b's coordinates shift
+       above a's bits within each shared output dimension.  The index
+       and shift tables are built once per operand. *)
+    let lift_image src_outs ~shift =
+      let src = Array.map (fun (d, _) -> find_index src_outs d) outs in
+      let sh = Array.map (fun (d, _) -> if shift then dim_bits a.outs d else 0) outs in
+      fun coords ->
+        Array.init (Array.length outs) (fun o ->
+            if src.(o) < 0 then 0 else coords.(src.(o)) lsl sh.(o))
+    in
+    let lift_a = lift_image a.outs ~shift:false and lift_b = lift_image b.outs ~shift:true in
+    let bases =
+      Array.map
+        (fun (d, _) ->
+          let from_a =
+            match find_index a.ins d with -1 -> [||] | i -> Array.map lift_a a.bases.(i)
+          in
+          let from_b =
+            match find_index b.ins d with -1 -> [||] | i -> Array.map lift_b b.bases.(i)
+          in
+          Array.append from_a from_b)
+        ins
+    in
+    { ins; outs; bases }
 
 let compose l2 l1 =
   Array.iter
@@ -444,7 +470,7 @@ let drop_trivial_dims l =
 
 (* {1 Predicates and analyses} *)
 
-let equal a b = a.ins = b.ins && a.outs = b.outs && a.bases = b.bases
+let equal a b = a == b || a.ins = b.ins && a.outs = b.outs && a.bases = b.bases
 let equivalent a b = equal (drop_trivial_dims a) (drop_trivial_dims b)
 let is_distributed l = is_surjective l && F2.Bitmatrix.is_permutation (to_matrix l)
 

@@ -105,7 +105,8 @@ val unflatten_value : (string * int) list -> int -> (string * int) list
 
 (** [mul a b] is the product layout (Definition 4.3): inputs and outputs
     are unions of the operands'; on dimensions both operands share, [a]
-    occupies the low bits and [b] the high bits. *)
+    occupies the low bits and [b] the high bits.  Dimension lists merge
+    linearly; [mul empty l] and [mul l empty] are [l] itself. *)
 val mul : t -> t -> t
 
 (** [compose l2 l1] is [l2 o l1] (Definition 4.2): every output

@@ -7,32 +7,40 @@ let reg_packing ~bitwidth =
     invalid_arg "Mma: bitwidth must divide 32"
   else Util.log2 (32 / bitwidth)
 
-(* Appendix, Proposition 9.2: lhs/output tile
+(* The tiles are constants: each depends only on the register packing
+   [log2(32/b)] (0 to 5 over the bitwidths dividing 32) or on [m], so
+   each is built once, eagerly, when the module initializes.  Eager
+   tables are safe to share across domains; [Lazy] is not.
+
+   Appendix, Proposition 9.2: lhs/output tile
    id_{log2(32/b)}^{Reg,1} x id_2^{Thr,1} x id_3^{Thr,0}
    x id_1^{Reg,0} x id_1^{Reg,1}. *)
-let lhs_tile ~bitwidth =
-  let k = reg_packing ~bitwidth in
-  fold_mul
-    [
-      id k ~in_dim:Dims.register 1;
-      id 2 ~in_dim:Dims.lane 1;
-      id 3 ~in_dim:Dims.lane 0;
-      id 1 ~in_dim:Dims.register 0;
-      id 1 ~in_dim:Dims.register 1;
-    ]
+let lhs_tiles =
+  Array.init 6 (fun k ->
+      fold_mul
+        [
+          id k ~in_dim:Dims.register 1;
+          id 2 ~in_dim:Dims.lane 1;
+          id 3 ~in_dim:Dims.lane 0;
+          id 1 ~in_dim:Dims.register 0;
+          id 1 ~in_dim:Dims.register 1;
+        ])
 
 (* The transpose of the lhs tile with half the registers per thread:
    id_{log2(32/b)}^{Reg,0} x id_2^{Thr,0} x id_3^{Thr,1} x id_1^{Reg,1}. *)
-let rhs_tile ~bitwidth =
-  let k = reg_packing ~bitwidth in
-  fold_mul
-    [
-      id k ~in_dim:Dims.register 0;
-      id 2 ~in_dim:Dims.lane 0;
-      id 3 ~in_dim:Dims.lane 1;
-      id 1 ~in_dim:Dims.register 1;
-    ]
+let rhs_tiles =
+  Array.init 6 (fun k ->
+      fold_mul
+        [
+          id k ~in_dim:Dims.register 0;
+          id 2 ~in_dim:Dims.lane 0;
+          id 3 ~in_dim:Dims.lane 1;
+          id 1 ~in_dim:Dims.register 1;
+        ])
 
+let wgmma_tiles = Array.map (fun t -> Layout.mul t (id 2 ~in_dim:Dims.warp 0)) lhs_tiles
+let lhs_tile ~bitwidth = lhs_tiles.(reg_packing ~bitwidth)
+let rhs_tile ~bitwidth = rhs_tiles.(reg_packing ~bitwidth)
 let output_tile ~bitwidth = lhs_tile ~bitwidth
 let operand_tile ~idx ~bitwidth =
   match idx with
@@ -40,28 +48,30 @@ let operand_tile ~idx ~bitwidth =
   | 1 -> rhs_tile ~bitwidth
   | _ -> invalid_arg "Mma.operand_tile: idx must be 0 or 1"
 
-let wgmma_output_tile ~bitwidth =
-  Layout.mul (lhs_tile ~bitwidth) (id 2 ~in_dim:Dims.warp 0)
+let wgmma_output_tile ~bitwidth = wgmma_tiles.(reg_packing ~bitwidth)
+
+let mfma16 =
+  fold_mul [ id 2 ~in_dim:Dims.register 0; id 4 ~in_dim:Dims.lane 1; id 2 ~in_dim:Dims.lane 0 ]
+
+let mfma32 =
+  fold_mul
+    [
+      id 2 ~in_dim:Dims.register 0;
+      id 5 ~in_dim:Dims.lane 1;
+      id 1 ~in_dim:Dims.lane 0;
+      id 2 ~in_dim:Dims.register 0;
+    ]
 
 let mfma_output_tile ~m =
   match m with
-  | 16 ->
-      fold_mul
-        [ id 2 ~in_dim:Dims.register 0; id 4 ~in_dim:Dims.lane 1; id 2 ~in_dim:Dims.lane 0 ]
-  | 32 ->
-      fold_mul
-        [
-          id 2 ~in_dim:Dims.register 0;
-          id 5 ~in_dim:Dims.lane 1;
-          id 1 ~in_dim:Dims.lane 0;
-          id 2 ~in_dim:Dims.register 0;
-        ]
+  | 16 -> mfma16
+  | 32 -> mfma32
   | _ -> invalid_arg "Mma.mfma_output_tile: m must be 16 or 32"
 
 (* Intel XMX (dpas) accumulator tile: a 16-lane subgroup holds an
    8 x 16 tile, one row per register. *)
-let xmx_output_tile () =
-  fold_mul [ id 4 ~in_dim:Dims.lane 1; id 3 ~in_dim:Dims.register 0 ]
+let xmx = fold_mul [ id 4 ~in_dim:Dims.lane 1; id 3 ~in_dim:Dims.register 0 ]
+let xmx_output_tile () = xmx
 
 let default_order n = Array.init n Fun.id
 

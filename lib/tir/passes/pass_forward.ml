@@ -1,7 +1,6 @@
 open Linear_layout
 
 let name = "forward_propagate"
-let default_blocked' = Pass_util.default_blocked
 
 let description =
   "propagate layouts through shape/compute ops, queue conversion requests, \
@@ -51,7 +50,7 @@ let run (st : Pass.state) =
     if st.Pass.mode = Pass.Legacy_mode && ins.Program.kind <> Legacy.Support.Blocked
     then begin
       let bl =
-        default_blocked' machine ~num_warps ~shape:ins.Program.shape
+        Pass_util.default_blocked machine ~num_warps ~shape:ins.Program.shape
           ~dtype:ins.Program.dtype
       in
       request ~foldable:false ~at:i ~src:i ~dst:bl ~dst_kind:Legacy.Support.Blocked ();
@@ -68,7 +67,7 @@ let run (st : Pass.state) =
           ()
       | Program.Store { src } ->
           let anchor =
-            default_blocked' machine ~num_warps ~shape ~dtype:ins.Program.dtype
+            Pass_util.default_blocked machine ~num_warps ~shape ~dtype:ins.Program.dtype
           in
           st.Pass.pending <-
             Pass.Store_decision
@@ -141,30 +140,19 @@ let run (st : Pass.state) =
               Printf.sprintf "dot %s x %s on %dx%dx%d has no legacy layout"
                 (Tensor_lib.Dtype.name a_dtype) (Tensor_lib.Dtype.name b_dtype) m n k
               :: st.Pass.unsupported;
-          let out_l, a_l, b_l =
+          let fits, out_l, a_l, b_l =
             Pass_util.dot_layouts machine ~num_warps ~m ~n ~k ~a_dtype ~b_dtype
           in
           let opk = Legacy.Support.Mma_input in
           request ~ldmatrix_ok:true ~at:i ~src:a ~dst:a_l ~dst_kind:opk ();
-          let b_smem_resident =
-            machine.Gpusim.Machine.has_wgmma
-            && Pass_util.dot_fits ~m ~n ~k
-                 ~a_bits:(Pass_util.mma_bitwidth a_dtype)
-                 ~b_bits:(Pass_util.mma_bitwidth b_dtype)
-          in
-          request ~ldmatrix_ok:true ~smem_resident:b_smem_resident ~at:i ~src:b
-            ~dst:b_l ~dst_kind:opk ();
+          request ~ldmatrix_ok:true
+            ~smem_resident:(machine.Gpusim.Machine.has_wgmma && fits)
+            ~at:i ~src:b ~dst:b_l ~dst_kind:opk ();
           (Program.instr prog a).Program.layout <- Some a_l;
           (Program.instr prog a).Program.kind <- opk;
           (Program.instr prog b).Program.layout <- Some b_l;
           (Program.instr prog b).Program.kind <- opk;
-          set i out_l
-            (if
-               Pass_util.dot_fits ~m ~n ~k
-                 ~a_bits:(Pass_util.mma_bitwidth a_dtype)
-                 ~b_bits:(Pass_util.mma_bitwidth b_dtype)
-             then Legacy.Support.Mma
-             else Legacy.Support.Blocked);
+          set i out_l (if fits then Legacy.Support.Mma else Legacy.Support.Blocked);
           st.Pass.total.Gpusim.Cost.mma <-
             st.Pass.total.Gpusim.Cost.mma + max 1 (m * n * k / (16 * 8 * 16) / num_warps)
       | Program.Reduce { src; axis } ->

@@ -99,7 +99,7 @@ let dot_layouts machine ~num_warps ~m ~n ~k ~a_dtype ~b_dtype =
        layout via blocked encodings (Section 6.1's point is that legacy
        cannot). *)
     let bl shape dt = default_blocked machine ~num_warps ~shape ~dtype:dt in
-    (bl [| m; n |] a_dtype, bl [| m; k |] a_dtype, bl [| k; n |] b_dtype)
+    (false, bl [| m; n |] a_dtype, bl [| m; k |] a_dtype, bl [| k; n |] b_dtype)
   else
     let out_tile =
       match machine.Gpusim.Machine.vendor with
@@ -115,7 +115,7 @@ let dot_layouts machine ~num_warps ~m ~n ~k ~a_dtype ~b_dtype =
     in
     let a = Mma.operand ~out_tile ~idx:0 ~bitwidth:a_bits ~warps ~shape:[| m; k |] () in
     let b = Mma.operand ~out_tile ~idx:1 ~bitwidth:b_bits ~warps ~shape:[| k; n |] () in
-    (out, a, b)
+    (true, out, a, b)
 
 (* Legacy vectorization: contiguity is only recognized within the
    fastest dimension (Section 5.1). *)

@@ -44,8 +44,10 @@ val mma_bitwidth : Tensor_lib.Dtype.t -> int
 (** Whether every tensor dimension holds at least one mma tile. *)
 val dot_fits : m:int -> n:int -> k:int -> a_bits:int -> b_bits:int -> bool
 
-(** [(out, a, b)] layouts for a dot of the given problem shape; blocked
-    fallbacks when the shape is below one mma tile. *)
+(** [(fits, out, a, b)] for a dot of the given problem shape: [fits] is
+    {!dot_fits} for the shape and the operands' mma bitwidths, and the
+    layouts are mma layouts when it holds, blocked fallbacks when the
+    shape is below one mma tile. *)
 val dot_layouts :
   Gpusim.Machine.t ->
   num_warps:int ->
@@ -54,7 +56,7 @@ val dot_layouts :
   k:int ->
   a_dtype:Tensor_lib.Dtype.t ->
   b_dtype:Tensor_lib.Dtype.t ->
-  Layout.t * Layout.t * Layout.t
+  bool * Layout.t * Layout.t * Layout.t
 
 val legacy_vec : Layout.t -> int
 val linear_vec : Gpusim.Machine.t -> Layout.t -> byte_width:int -> int

@@ -234,6 +234,53 @@ let prop_mma_operand_surjective =
       Layout.is_surjective (Mma.operand ~idx:0 ~bitwidth ~warps ~shape ())
       && Layout.is_surjective (Mma.operand ~idx:1 ~bitwidth ~warps ~shape ()))
 
+(* {1 Cover = fold-of-products oracle} *)
+
+(* Bases the constructors start from: nothing, or any MMA-family tile. *)
+let gen_base =
+  QCheck.Gen.(
+    let bitwidths = [ 1; 2; 4; 8; 16; 32 ] in
+    oneof
+      [
+        return Layout.empty;
+        map (fun bitwidth -> Mma.output_tile ~bitwidth) (oneofl bitwidths);
+        map (fun bitwidth -> Mma.operand_tile ~idx:1 ~bitwidth) (oneofl bitwidths);
+        map (fun bitwidth -> Mma.wgmma_output_tile ~bitwidth) (oneofl bitwidths);
+        oneofl [ Mma.mfma_output_tile ~m:16; Mma.mfma_output_tile ~m:32; Mma.xmx_output_tile () ];
+      ])
+
+(* Random levels over rank 1-3: hardware dimensions may repeat, and per
+   dimension bits range from 0 (zero-bit levels) past the shape (zero
+   columns from over-allocation). *)
+let arb_cover =
+  let gen =
+    QCheck.Gen.(
+      let* base = gen_base in
+      let* rank = int_range 1 3 in
+      let* shape_bits = array_repeat rank (int_bound 6) in
+      let* order = map Array.of_list (shuffle_l (List.init rank Fun.id)) in
+      let* levels =
+        list_size (int_bound 4)
+          (pair
+             (oneofl [ Dims.register; Dims.lane; Dims.warp; Dims.block ])
+             (array_repeat rank (int_bound 4)))
+      in
+      return (base, levels, shape_bits, order))
+  in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  QCheck.make gen ~print:(fun (base, levels, shape_bits, order) ->
+      Printf.sprintf "base:\n%s\nlevels: %s\nshape_bits: [%s] order: [%s]"
+        (Layout.to_string base)
+        (String.concat "; " (List.map (fun (hw, b) -> Printf.sprintf "%s [%s]" hw (ints b)) levels))
+        (ints shape_bits) (ints order))
+
+let prop_cover_matches_oracle =
+  QCheck.Test.make ~name:"cover = fold of 1-D products" ~count:500 arb_cover
+    (fun (base, levels, shape_bits, order) ->
+      Layout.equal
+        (Build.cover ~base ~levels ~shape_bits ~order)
+        (Layout_oracle.cover ~base ~levels ~shape_bits ~order))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "constructors"
@@ -271,4 +318,5 @@ let () =
             prop_mma_distributed;
             prop_mma_operand_surjective;
           ] );
+      ("oracle", q [ prop_cover_matches_oracle ]);
     ]

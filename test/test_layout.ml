@@ -317,6 +317,45 @@ let prop_apply_flat_partial =
           && f (v lor (high lsl bits)) = f v)
         (List.init (1 lsl bits) Fun.id))
 
+(* {1 Against the former product} *)
+
+(* Random layouts over overlapping label sets, so products share input
+   and output dimensions (and carry zero-bit ones). *)
+let gen_layout =
+  QCheck.Gen.(
+    let dims labels =
+      let* picked = shuffle_l labels in
+      let* n = int_bound (List.length labels) in
+      let* bits = list_repeat n (int_bound 3) in
+      return (List.combine (List.filteri (fun i _ -> i < n) picked) bits)
+    in
+    let* ins = dims [ Dims.register; Dims.lane; Dims.warp; Dims.block; "dim3"; "z" ] in
+    let* outs = dims [ "dim0"; "dim1"; "dim2"; "dim10"; "dim01"; Dims.flat; "x" ] in
+    let image = flatten_l (List.map (fun (o, b) -> map (fun c -> (o, c)) (int_bound ((1 lsl b) - 1))) outs) in
+    let* bases = flatten_l (List.map (fun (d, b) -> map (fun imgs -> (d, imgs)) (list_repeat b image)) ins) in
+    return (Layout.make ~ins ~outs ~bases))
+
+let arb_layout_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Layout.to_string a ^ "\nx\n" ^ Layout.to_string b)
+    QCheck.Gen.(pair gen_layout gen_layout)
+
+let prop_mul_matches_oracle =
+  QCheck.Test.make ~name:"mul = Hashtbl-merge product" ~count:500 arb_layout_pair (fun (a, b) ->
+      let p = Layout.mul a b in
+      Layout.in_dims p = Layout_oracle.merge_dims (Layout.in_dims a) (Layout.in_dims b)
+      && Layout.out_dims p = Layout_oracle.merge_dims (Layout.out_dims a) (Layout.out_dims b)
+      && Layout.equal p (Layout_oracle.mul a b))
+
+let prop_mul_empty =
+  QCheck.Test.make ~name:"mul empty l = l = mul l empty" ~count:200
+    (QCheck.make ~print:Layout.to_string gen_layout)
+    (fun l ->
+      Layout.equal (Layout.mul Layout.empty l) l
+      && Layout.equal (Layout.mul l Layout.empty) l
+      && Layout.equal (Layout_oracle.mul Layout.empty l) l
+      && Layout.equal (Layout_oracle.mul l Layout.empty) l)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "layout"
@@ -361,4 +400,5 @@ let () =
             prop_apply_linear;
             prop_apply_flat_partial;
           ] );
+      ("oracle", q [ prop_mul_matches_oracle; prop_mul_empty ]);
     ]

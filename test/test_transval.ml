@@ -351,6 +351,83 @@ let test_suite_differential () =
     (Suite_plans.rows () @ Suite_plans.pair_rows ());
   check_bool "plans checked" true (!checked > 100)
 
+(* {1 The reused symbolic state}
+
+   [certify_isa] runs on a per-domain state that only grows and is
+   refilled with bottom over the prefix each program uses.  A large
+   program leaves provenance in every cell it touched; a smaller one
+   certified next on the same domain must not see any of it — a dropped
+   store has to read back as never written, exactly as on the fresh
+   state the oracle allocates. *)
+
+let big_pair () =
+  let shape = [| 128; 128 |] in
+  let src = Blocked.default ~elems_per_thread:8 ~warp_size:32 ~num_warps:4 shape in
+  let dst =
+    Blocked.make
+      {
+        shape;
+        size_per_thread = [| 4; 1 |];
+        threads_per_warp = [| 8; 4 |];
+        warps_per_cta = [| 1; 4 |];
+        order = [| 0; 1 |];
+      }
+  in
+  (src, dst)
+
+let certify_big () =
+  let src, dst = big_pair () in
+  let program, map = lower_plan (plan_of (src, dst)) in
+  check_bool "large plan proved" true
+    ((Analysis.Transval.certify_isa ~src ~dst ~map program).Analysis.Transval.verdict
+    = Analysis.Transval.Proved)
+
+let test_large_then_small () =
+  let src, dst = smem_pair () in
+  let program, map = lower_plan (plan_of (src, dst)) in
+  List.iteri
+    (fun k mutated ->
+      certify_big ();
+      check_bool (Printf.sprintf "small plan after large (store %d dropped)" k) true
+        (same_cert ~src ~dst ~map mutated))
+    (program
+    :: List.filter_map
+         (fun k -> drop_store k program)
+         (List.init
+            (List.length (List.filter is_store program.Gpusim.Isa.body))
+            Fun.id))
+
+let prop_large_then_small =
+  QCheck.Test.make ~name:"after a large plan: single scan = fresh-state oracle" ~count:40
+    QCheck.(pair arb_cta_pair (int_bound 100_000))
+    (fun (pair, k) ->
+      let src, dst = pair in
+      let program, map = lower_plan (plan_of pair) in
+      match drop_store k program with
+      | None -> QCheck.assume_fail ()
+      | Some mutated ->
+          certify_big ();
+          same_cert ~src ~dst ~map mutated)
+
+(* Every kernel-suite plan certified on two domains at once gives the
+   certificates one domain gives. *)
+let test_suite_two_domains () =
+  let plans =
+    List.concat_map
+      (fun (r : Suite_plans.row) ->
+        List.map (fun plan -> (r.Suite_plans.machine, plan)) r.Suite_plans.plans)
+      (Suite_plans.rows () @ Suite_plans.pair_rows ())
+  in
+  let certify_all () =
+    List.map (fun (machine, plan) -> Analysis.Transval.certify_plan machine plan) plans
+  in
+  let one = certify_all () in
+  let d1 = Domain.spawn certify_all and d2 = Domain.spawn certify_all in
+  let two = [ Domain.join d1; Domain.join d2 ] in
+  check_bool "suite has symbolic certificates" true
+    (List.exists (fun c -> c.Analysis.Transval.method_ = Analysis.Transval.Symbolic) one);
+  List.iter (fun certs -> check_bool "2 domains = 1 domain" true (certs = one)) two
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "transval"
@@ -378,4 +455,10 @@ let () =
                    clobber_scatter ~map k p);
                prop_fault_differential "bin on payload" (fun ~map k p -> bin_on_payload ~map k p);
              ] );
+      ( "state-reuse",
+        [
+          Alcotest.test_case "large plan, then small faulty ones" `Quick test_large_then_small;
+          Alcotest.test_case "kernel suite on 2 domains = 1 domain" `Quick test_suite_two_domains;
+        ]
+        @ q [ prop_large_then_small ] );
     ]
