@@ -28,12 +28,13 @@ let flush_caches () =
      the "cold" variants would be served from the shared cache. *)
   Codegen.Shared_cache.clear ()
 
-(* {2 F2 substrate pairs}
+(* {2 F2 substrate rows}
 
    Deterministic xorshift matrices so every run (and every machine)
-   benches the same inputs; each pair below is (baseline, optimized)
-   over identical work, and the committed BENCH_*.json snapshots pin
-   the trajectory of the ratio. *)
+   benches the same inputs.  The factorize rows time the one eliminator
+   at two sizes; each pair after them is (baseline, optimized) over
+   identical work, and the committed BENCH_*.json snapshots pin the
+   trajectory of the ratio. *)
 
 let f2_rng seed =
   let state = ref (seed lor 1) in
@@ -65,37 +66,30 @@ let f2_invertible_matrix ~seed n =
   in
   F2.Bitmatrix.mul lower upper
 
-(* 62 = [Bitvec.max_bits], the single-word ceiling — the largest
-   matrix this representation admits and the headline m4rm size. *)
-let f2_sizes = [ 16; 32; 48; 62 ]
+(* 16 is the workload's size (its matrices have at most 18 rows or
+   columns); 62 = [Bitvec.max_bits] is the single-word ceiling, the
+   largest matrix this representation admits. *)
+let f2_sizes = [ 16; 62 ]
 
 let f2_tests () =
   let open Bechamel in
   let module BM = F2.Bitmatrix in
-  let pairs =
-    List.concat_map
+  let factorize =
+    List.map
       (fun n ->
         (* Each run factors a batch of 8 distinct matrices.  A single
-           fixed input lets the branch predictor memorize the pivot
-           baseline's data-dependent branch pattern across runs, which
+           fixed input lets the branch predictor memorize the
+           eliminator's data-dependent branch pattern across runs, which
            no planner workload ever exhibits: repeats of the same
            layout hit [Layout.Memo], so every factorization the
-           substrate actually performs is on a fresh matrix.  Both rows
-           of the pair cycle the same batch, so the ratio is a fair
-           same-work comparison; ns_per_run is for the whole batch. *)
+           substrate actually performs is on a fresh matrix.
+           ns_per_run is for the whole batch. *)
         let mats =
           Array.init 8 (fun i -> f2_random_matrix ~seed:(0x9E3779B9 + i) n)
         in
-        [
-          Test.make
-            ~name:(Printf.sprintf "f2/echelonize-pivot-%d" n)
-            (Staged.stage (fun () ->
-                 Array.iter (fun m -> ignore (BM.echelonize m)) mats));
-          Test.make
-            ~name:(Printf.sprintf "f2/echelonize-m4rm-%d" n)
-            (Staged.stage (fun () ->
-                 Array.iter (fun m -> ignore (BM.echelonize_m4rm m)) mats));
-        ])
+        Test.make
+          ~name:(Printf.sprintf "f2/factorize-%d" n)
+          (Staged.stage (fun () -> Array.iter (fun m -> ignore (BM.factorize m)) mats)))
       f2_sizes
   in
   let n = 48 in
@@ -105,14 +99,16 @@ let f2_tests () =
     Array.init 64 (fun _ -> next () land ((1 lsl n) - 1))
   in
   let inv = f2_invertible_matrix ~seed:0x5851F42D n in
-  pairs
+  factorize
   @ [
       (* One factorization serving 64 right-hand sides vs one
          elimination per side. *)
       Test.make ~name:"f2/solve-single-x64"
         (Staged.stage (fun () -> Array.iter (fun b -> ignore (BM.solve m b)) rhs));
-      Test.make ~name:"f2/solve-many-x64"
-        (Staged.stage (fun () -> ignore (BM.solve_many (BM.factorize m) rhs)));
+      Test.make ~name:"f2/solve-with-x64"
+        (Staged.stage (fun () ->
+             let e = BM.factorize m in
+             Array.iter (fun b -> ignore (BM.solve_with e b)) rhs));
       (* The planner cache-miss pattern: feasibility check + inverse as
          two eliminations (old) vs one shared factorization (new). *)
       Test.make ~name:"f2/pseudo-invert-unfactored"
@@ -325,7 +321,7 @@ let run_bechamel ?(quota = 0.25) ?json () =
          earlier rows leave large live heaps behind (warm planner
          caches, engine state), and a shared run taxes the
          allocation-heavier tests through slower minor collections —
-         measured as a reproducible ~40% inflation on the m4rm rows.
+         measured as a reproducible ~40% inflation on the F2 rows.
          Levelling the heap makes each row's number independent of
          where it sits in the suite. *)
       Gc.compact ();

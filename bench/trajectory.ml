@@ -5,16 +5,14 @@
    BENCH_NNN.json per PR that touched performance — and this tool is
    the CI gate that keeps the trajectory monotone: every row present in
    both files is reported, and the {e pinned} rows (the F2 substrate
-   pairs, which are deterministic enough for CI) must not regress by
+   rows, which are deterministic enough for CI) must not regress by
    more than the threshold. *)
 
 let pinned =
   [
-    "ll/f2/echelonize-m4rm-16";
-    "ll/f2/echelonize-m4rm-32";
-    "ll/f2/echelonize-m4rm-48";
-    "ll/f2/echelonize-m4rm-62";
-    "ll/f2/solve-many-x64";
+    "ll/f2/factorize-16";
+    "ll/f2/factorize-62";
+    "ll/f2/solve-with-x64";
     "ll/f2/pseudo-invert-factored";
   ]
 
@@ -107,11 +105,7 @@ let run baseline current threshold =
       | Some r -> Printf.printf "  %-40s %.2fx\n" label r
       | None -> Printf.printf "  %-40s (missing rows)\n" label)
     [
-      ("echelonize m4rm vs pivot @16", "ll/f2/echelonize-m4rm-16", "ll/f2/echelonize-pivot-16");
-      ("echelonize m4rm vs pivot @32", "ll/f2/echelonize-m4rm-32", "ll/f2/echelonize-pivot-32");
-      ("echelonize m4rm vs pivot @48", "ll/f2/echelonize-m4rm-48", "ll/f2/echelonize-pivot-48");
-      ("echelonize m4rm vs pivot @62", "ll/f2/echelonize-m4rm-62", "ll/f2/echelonize-pivot-62");
-      ("solve_many vs 64x solve", "ll/f2/solve-many-x64", "ll/f2/solve-single-x64");
+      ("solve_with vs 64x solve", "ll/f2/solve-with-x64", "ll/f2/solve-single-x64");
       ("pseudo-invert factored vs not", "ll/f2/pseudo-invert-factored",
        "ll/f2/pseudo-invert-unfactored");
       ("planner swizzle warm vs cold", "ll/figure2/optimal-swizzle-warm",

@@ -305,7 +305,6 @@ let certify_algebraic ~src ~dst ~mechanism =
     if F2.Bitmatrix.is_surjective_with ech then
       { mechanism; method_ = Algebraic; points; verdict = Proved }
     else begin
-      F2.Bitmatrix.prepare ech;
       let to_logical = Layout.apply_flat b in
       let rec go h =
         if h >= points then { mechanism; method_ = Algebraic; points; verdict = Proved }

@@ -240,7 +240,7 @@ module Memo : sig
       elimination per distinct layout, shared by {!invert},
       {!pseudo_invert} and the predicates below — and available to
       callers with their own batches of right-hand sides (pair it with
-      {!F2.Bitmatrix.solve_many} / {!F2.Bitmatrix.compose_many}). *)
+      {!F2.Bitmatrix.solve_with}). *)
   val echelon : t -> F2.Bitmatrix.echelon
 
   (** Predicates answered from {!echelon}'s cached factorization

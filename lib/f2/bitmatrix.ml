@@ -1,12 +1,14 @@
 type t = { rows : int; cols : Bitvec.t array }
 
-let make ~rows cols =
+let check_rows name rows =
   if rows < 0 || rows > Bitvec.max_bits then
     invalid_arg
       (Printf.sprintf
-         "Bitmatrix.make: %d rows exceed the %d-bit single-word limit (Sys.int_size = %d); \
-          use F2.Packed for wider matrices"
-         rows Bitvec.max_bits Sys.int_size);
+         "Bitmatrix.%s: %d rows exceed the %d-bit single-word limit (Sys.int_size = %d)" name
+         rows Bitvec.max_bits Sys.int_size)
+
+let make ~rows cols =
+  check_rows "make" rows;
   Array.iter
     (fun c ->
       if c lsr rows <> 0 then invalid_arg "Bitmatrix.make: column exceeds row count")
@@ -50,7 +52,7 @@ let transpose m =
   if n > Bitvec.max_bits then
     invalid_arg
       (Printf.sprintf
-         "Bitmatrix.transpose: %d columns exceed the %d-bit single-word limit; use F2.Packed"
+         "Bitmatrix.transpose: %d columns exceed the %d-bit single-word limit"
          n Bitvec.max_bits);
   let out = Array.make (max 1 m.rows) 0 in
   Array.iteri
@@ -70,6 +72,7 @@ let hconcat a b =
   { rows = a.rows; cols = Array.append a.cols b.cols }
 
 let block_diag a b =
+  check_rows "block_diag" (a.rows + b.rows);
   let shifted = Array.map (fun c -> c lsl a.rows) b.cols in
   { rows = a.rows + b.rows; cols = Array.append a.cols shifted }
 
@@ -100,41 +103,7 @@ let divide_left m a =
    ([pivot_val]/[pivot_comb]; 0 in [pivot_val] marks an empty slot — a
    pivot value always has its slot bit set, so 0 is never a pivot), so
    reducing a vector is a single downward scan.  [comb] records which
-   original columns were XOR-ed to obtain each value.
-
-   The same factorization can carry Method-of-Four-Russians lookup
-   tables: pivot slots are grouped into windows of [t_k] consecutive
-   bits, and for each window every 2^t_k pattern of those bits maps to
-   the accumulated (value, comb) XOR that the one-pivot-at-a-time
-   reduction would apply across the whole window — one table lookup
-   instead of up to [t_k] pivot steps.  Tables are an acceleration
-   only: they replay the naive reduction exactly (including its
-   stop-at-first-uncovered-bit rule), so every result — pivot values,
-   combinations, solutions, kernels — is bit-identical with and
-   without them.  The qcheck differential suite in [test_f2.ml] pins
-   this equivalence. *)
-
-type tables = {
-  t_k : int;  (** window width in bits, 1..8 *)
-  t_built : int array;
-      (** per-window pivot count at table-build time, or -1 for "no
-          table yet".  A window whose live pivot count moved past this
-          is stale: lookups then fall back to single pivot steps for
-          the missing pivots, which keeps stale tables exact. *)
-  t_debt : int array;
-      (** naive pivot steps spent crossing each window since its last
-          build — the amortization counter that triggers (re)builds
-          during elimination (see {!echelonize_m4rm}) *)
-  t_val : int array;  (** [(w lsl t_k) lor pattern] -> value XOR *)
-  t_comb : int array;
-  t_stop : int array;
-      (** bit position where the naive reduction halts inside the
-          window (its table knew no pivot there), or -1 when the whole
-          window pattern reduces away.  Kept as three flat arrays: an
-          interleaved stride-4 store was measured slower here — the
-          extra index shift costs more than locality buys while the
-          whole table set fits in L1. *)
-}
+   original columns were XOR-ed to obtain each value. *)
 
 type echelon = {
   e_rank : int;
@@ -144,8 +113,6 @@ type echelon = {
   e_src : int array;  (** the factored matrix's columns (defensive copy) *)
   pivot_val : int array;
   pivot_comb : int array;
-  mutable tables : tables option;
-      (** lazily built / refreshed M4RM tables; see {!prepare} *)
 }
 
 let echelon_rank e = e.e_rank
@@ -160,8 +127,8 @@ let echelon_pivots e =
   done;
   !out
 
-(* Reduce [v] (tracking [comb]) against unboxed pivot arrays: XOR away
-   the pivot stored at slot [msb v] until a set bit has no pivot (the
+(* Reduce [v] (tracking [comb]) against the pivot arrays: XOR away the
+   pivot stored at slot [msb v] until a set bit has no pivot (the
    stopping rule shared by every reduction in this module).  The slot
    index is always [< Array.length pval] because pivot values and the
    vectors reduced against them carry bits below [e_rows] only, so the
@@ -180,434 +147,45 @@ let reduce_flat pval pcomb v comb =
   done;
   (!v, !comb)
 
-(* Tabled reduction: walk the windows from the top one down.  A pivot's
-   most significant bit is its slot, so applying pivots from window [w]
-   never sets bits above [w] — once the windows above are clear they
-   stay clear, and each occupied window costs one table lookup (plus
-   exact fallbacks: a window without a table does single pivot steps,
-   and a stale entry that halts on a slot which has since gained a live
-   pivot applies that pivot from the live arrays and re-enters the
-   window).  Every branch replays the naive step sequence verbatim, so
-   the fixed point is bit-identical to {!reduce_flat}'s. *)
-let reduce_tabled t pval pcomb v comb =
-  if v = 0 then (v, comb)
-  else begin
-    let kk = t.t_k in
-    let mask = (1 lsl kk) - 1 in
-    let tv = t.t_val and tc = t.t_comb and ts = t.t_stop in
-    let w = ref (Bitvec.msb v / kk) in
-    let v = ref v and comb = ref comb in
-    let stop = ref false in
-    while (not !stop) && !w >= 0 do
-      let base = !w * kk in
-      let p = (!v lsr base) land mask in
-      if p = 0 then decr w
-      else if Array.unsafe_get t.t_built !w < 0 then begin
-        (* No table for this window yet: single naive step at the
-           window's top set bit (= [msb v], since higher windows are
-           clear). *)
-        let m = base + Bitvec.msb p in
-        let pv = Array.unsafe_get pval m in
-        if pv = 0 then stop := true
-        else begin
-          Array.unsafe_set t.t_debt !w (Array.unsafe_get t.t_debt !w + 1);
-          v := !v lxor pv;
-          comb := !comb lxor Array.unsafe_get pcomb m
-        end
-      end
-      else begin
-        let idx = (!w lsl kk) lor p in
-        v := !v lxor Array.unsafe_get tv idx;
-        comb := !comb lxor Array.unsafe_get tc idx;
-        let halt = Array.unsafe_get ts idx in
-        if halt < 0 then decr w (* the whole window pattern reduced away *)
-        else begin
-          (* The table believed slot [halt] uncovered; a pivot inserted
-             after the build covers the staleness exactly. *)
-          let pv = Array.unsafe_get pval halt in
-          if pv = 0 then stop := true
-          else begin
-            Array.unsafe_set t.t_debt !w (Array.unsafe_get t.t_debt !w + 1);
-            v := !v lxor pv;
-            comb := !comb lxor Array.unsafe_get pcomb halt
-          end
-        end
-      end
-    done;
-    (!v, !comb)
-  end
-
-let reduce_best tables pval pcomb v comb =
-  match tables with
-  | None -> reduce_flat pval pcomb v comb
-  | Some t -> reduce_tabled t pval pcomb v comb
-
-(* (Re)build window [w]'s lookup table from the current pivots.  Entry
-   [p] is defined by recursion on the naive reduction: clear the top
-   set bit of [p] with its pivot (whose in-window bits are all at or
-   below that bit, so the reduced pattern is strictly smaller and
-   already tabled), or record the halt position.  Iterating slots
-   bottom-up and, per slot [b], the patterns whose top bit is [b]
-   visits patterns in increasing order with no per-entry bit search;
-   the unchecked accesses stay in bounds because every index is
-   [off + p] with [p <= mask].  Patterns with bits at or above the row
-   count are unreachable (reduced vectors carry bits below [e_rows])
-   and keep their zero initialization. *)
-let build_window t pval pcomb ~w =
-  let kk = t.t_k in
-  let base = w * kk in
-  let off = w lsl kk in
-  let mask = (1 lsl kk) - 1 in
-  let tv = t.t_val and tc = t.t_comb and ts = t.t_stop in
-  Array.unsafe_set tv off 0;
-  Array.unsafe_set tc off 0;
-  Array.unsafe_set ts off (-1);
-  let count = ref 0 in
-  let hi = min kk (Array.length pval - base) in
-  (* A full window never halts — every entry's chain ends at the empty
-     pattern — so its halt column is uniformly -1: already true on a
-     first build (-1 is the fresh-table initialization) and restorable
-     with one flat fill on a rebuild over a stale partial table.
-     Either way the live loops below then skip halt entries entirely,
-     which makes the once-per-window fill build (the common case for
-     full-rank matrices) the cheapest build form.  *)
-  let virgin = Array.unsafe_get t.t_built w < 0 in
-  let fullwin =
-    let all = ref (hi > 0) in
-    for b = 0 to hi - 1 do
-      if Array.unsafe_get pval (base + b) = 0 then all := false
-    done;
-    !all
-  in
-  if fullwin && not virgin then Array.fill ts off (1 lsl kk) (-1);
-  for b = 0 to hi - 1 do
-    let slot = base + b in
-    let pv = Array.unsafe_get pval slot in
-    if pv = 0 then begin
-      (* Value and combination entries under an empty top slot are
-         invariantly zero: they start zero and, pivot slots being
-         write-once, every earlier build of this window saw the slot
-         empty too and wrote zero.  Only the halt position needs
-         setting, and only on the first build (later builds see the
-         slot still empty, so the halt entry is already in place). *)
-      if virgin then
-        for p = 1 lsl b to (1 lsl (b + 1)) - 1 do
-          Array.unsafe_set ts (off + p) slot
-        done
-    end
-    else begin
-      incr count;
-      let pc = Array.unsafe_get pcomb slot in
-      let pw = (pv lsr base) land mask in
-      if fullwin then
-        for p = 1 lsl b to (1 lsl (b + 1)) - 1 do
-          let idx = off + p in
-          let p' = p lxor pw in
-          Array.unsafe_set tv idx (pv lxor Array.unsafe_get tv (off + p'));
-          Array.unsafe_set tc idx (pc lxor Array.unsafe_get tc (off + p'))
-        done
-      else
-        for p = 1 lsl b to (1 lsl (b + 1)) - 1 do
-          let idx = off + p in
-          let p' = p lxor pw in
-          Array.unsafe_set tv idx (pv lxor Array.unsafe_get tv (off + p'));
-          Array.unsafe_set tc idx (pc lxor Array.unsafe_get tc (off + p'));
-          Array.unsafe_set ts idx (Array.unsafe_get ts (off + p'))
-        done
-    end
-  done;
-  t.t_debt.(w) <- 0;
-  t.t_built.(w) <- !count
-
-(* Auto-selected window width: M4RI's ~0.75 log2 heuristic clamped to
-   the 62-bit single-word regime.  Small matrices keep narrow windows
-   so table construction never dominates. *)
-let auto_k rows = if rows <= 20 then 3 else 4
-
-let fresh_tables ~rows ~k =
-  let kk = max 1 (min 8 k) in
-  let wins = max 1 ((max 1 rows + kk - 1) / kk) in
-  {
-    t_k = kk;
-    t_built = Array.make wins (-1);
-    t_debt = Array.make wins 0;
-    t_val = Array.make (wins lsl kk) 0;
-    t_comb = Array.make (wins lsl kk) 0;
-    t_stop = Array.make (wins lsl kk) (-1);
-  }
-
-let live_window_count pval ~kk ~w =
-  let base = w * kk in
-  let count = ref 0 in
-  for b = base to min (base + kk) (Array.length pval) - 1 do
-    if pval.(b) <> 0 then incr count
-  done;
-  !count
-
-(* Build (or refresh) every window table from the final pivot set.
-   Idempotent and cheap when nothing changed: a window is rebuilt only
-   when its live pivot count differs from the count at build time
-   (pivots are only ever added, never removed or replaced). *)
-let prepare e =
-  let t =
-    match e.tables with
-    | Some t -> t
-    | None ->
-        let t = fresh_tables ~rows:e.e_rows ~k:(auto_k e.e_rows) in
-        e.tables <- Some t;
-        t
-  in
-  for w = 0 to Array.length t.t_built - 1 do
-    if t.t_built.(w) <> live_window_count e.pivot_val ~kk:t.t_k ~w then
-      build_window t e.pivot_val e.pivot_comb ~w
-  done
-
-(* {2 The two elimination algorithms} *)
-
-(* Reference pivot-at-a-time elimination: the historical algorithm,
-   kept verbatim as the baseline half of the m4rm-vs-pivot benchmark
-   pair and as the semantic reference the differential suite compares
-   against.  Pivots live in a boxed option array exactly as before. *)
-let reduce_pivots pivots v comb =
-  let v = ref v and comb = ref comb in
-  let k = ref (Bitvec.msb !v) in
-  let reduced = ref false in
-  while !k >= 0 && not !reduced do
-    match pivots.(!k) with
-    | Some (pv, pc) ->
-        v := !v lxor pv;
-        comb := !comb lxor pc;
-        while !k >= 0 && not (Bitvec.bit !v !k) do
-          decr k
-        done
-    | None -> reduced := true
-  done;
-  (!v, !comb)
-
-let guard_comb_width name m =
-  if cols m > Bitvec.max_bits then
+(* One left-to-right pass: reduce each column against the pivots of the
+   columns before it; a non-zero remainder becomes the pivot of its
+   most significant bit.  Combinations are tracked in one word, hence
+   the column limit. *)
+let factorize m =
+  let n = cols m in
+  if n > Bitvec.max_bits then
     invalid_arg
       (Printf.sprintf
-         "Bitmatrix.%s: %d columns exceed the %d-bit combination-tracking limit; use \
-          F2.Packed for wider matrices"
-         name (cols m) Bitvec.max_bits)
-
-let echelonize m =
-  guard_comb_width "echelonize" m;
-  let pivots = Array.make (max 1 m.rows) None in
-  let rank = ref 0 in
-  let pivot_cols = ref 0 in
-  Array.iteri
-    (fun j c ->
-      let v, comb = reduce_pivots pivots c (Bitvec.unit j) in
-      if v <> 0 then begin
-        pivots.(Bitvec.msb v) <- Some (v, comb);
-        pivot_cols := !pivot_cols lor (1 lsl j);
-        incr rank
-      end)
-    m.cols;
-  let n = Array.length pivots in
-  let pivot_val = Array.make n 0 and pivot_comb = Array.make n 0 in
-  Array.iteri
-    (fun k p ->
-      match p with
-      | Some (pv, pc) ->
-          pivot_val.(k) <- pv;
-          pivot_comb.(k) <- pc
-      | None -> ())
-    pivots;
+         "Bitmatrix.factorize: %d columns exceed the %d-bit combination-tracking limit" n
+         Bitvec.max_bits);
+  let slots = max 1 m.rows in
+  let pivot_val = Array.make slots 0 and pivot_comb = Array.make slots 0 in
+  let rank = ref 0 and pivot_cols = ref 0 in
+  for j = 0 to n - 1 do
+    let v, comb = reduce_flat pivot_val pivot_comb (Array.unsafe_get m.cols j) (1 lsl j) in
+    if v <> 0 then begin
+      let slot = Bitvec.msb v in
+      pivot_val.(slot) <- v;
+      pivot_comb.(slot) <- comb;
+      pivot_cols := !pivot_cols lor (1 lsl j);
+      incr rank
+    end
+  done;
   {
     e_rank = !rank;
     e_rows = m.rows;
-    e_cols = cols m;
+    e_cols = n;
     e_pivot_cols = !pivot_cols;
     e_src = Array.copy m.cols;
     pivot_val;
     pivot_comb;
-    tables = None;
   }
-
-(* Table-driven (Method of Four Russians) elimination.  Columns are
-   processed in the same left-to-right order as {!echelonize} and every
-   reduction replays the naive step sequence (via the exact table
-   fallbacks above), so the resulting factorization — pivot values,
-   combinations, rank, pivot columns — is identical; only the cost per
-   reduced column drops from one XOR per pivot to one lookup per
-   window.  Two triggers pay for a window's 2^k-entry build: the window
-   filling (every slot holds a pivot — the table then never goes stale,
-   pivot slots being write-once), or the window's accumulated naive
-   steps exceeding the build cost (the [t_debt] counter).  The second
-   trigger is the amortization guarantee: table construction never
-   costs more than the naive work it replaces, so rank-deficient
-   matrices — whose windows may never fill — still table their busy
-   windows and degrade gracefully elsewhere. *)
-let echelonize_m4rm ?k m =
-  guard_comb_width "echelonize_m4rm" m;
-  let rows = m.rows in
-  let kk = max 1 (min 8 (match k with Some k -> k | None -> auto_k rows)) in
-  let n = max 1 rows in
-  let pivot_val = Array.make n 0 and pivot_comb = Array.make n 0 in
-  let t = fresh_tables ~rows ~k:kk in
-  (* Live pivots per window, against each window's slot capacity. *)
-  let wins = Array.length t.t_built in
-  let pivn = Array.make wins 0 in
-  let capacity w = min kk (n - (w * kk)) in
-  let tv = t.t_val and tc = t.t_comb and ts = t.t_stop in
-  let tb = t.t_built and td = t.t_debt in
-  let mask = (1 lsl kk) - 1 in
-  (* Count of windows holding a table; once every window has one the
-     per-column walk drops its table-presence test entirely. *)
-  let nbuilt = ref 0 in
-  (* Set whenever a naive step charged debt somewhere — the amortized
-     rebuild scan below only runs then, so debt-free factorizations
-     (every steady-state column) never pay for it. *)
-  let debt_dirty = ref false in
-  let rank = ref 0 in
-  let pivot_cols = ref 0 in
-  let ncols = Array.length m.cols in
-  for j = 0 to ncols - 1 do
-    (* The window-walking reduction of {!reduce_tabled}, inlined with
-       the table arrays hoisted and the window base kept as a running
-       counter — this loop is the whole cost of the factorization, and
-       the differential suite pins it against the boxed reference. *)
-    let v = ref (Array.unsafe_get m.cols j) and comb = ref (1 lsl j) in
-    if !v <> 0 && !nbuilt = wins then begin
-      (* Steady state: every window is tabled, so the walk is pure
-         lookups (plus the exact stale-halt fallback).  For a full-rank
-         62x62 matrix this loop carries most columns. *)
-      let w = ref (Bitvec.msb !v / kk) in
-      let base = ref (!w * kk) in
-      let stop = ref false in
-      while (not !stop) && !w >= 0 do
-        let p = (!v lsr !base) land mask in
-        if p = 0 then begin
-          decr w;
-          base := !base - kk
-        end
-        else begin
-          let idx = (!w lsl kk) lor p in
-          v := !v lxor Array.unsafe_get tv idx;
-          comb := !comb lxor Array.unsafe_get tc idx;
-          let halt = Array.unsafe_get ts idx in
-          if halt < 0 then begin
-            decr w;
-            base := !base - kk
-          end
-          else begin
-            let pv = Array.unsafe_get pivot_val halt in
-            if pv = 0 then stop := true
-            else begin
-              Array.unsafe_set td !w (Array.unsafe_get td !w + 1);
-              debt_dirty := true;
-              v := !v lxor pv;
-              comb := !comb lxor Array.unsafe_get pivot_comb halt
-            end
-          end
-        end
-      done
-    end
-    else if !v <> 0 then begin
-      let w = ref (Bitvec.msb !v / kk) in
-      let base = ref (!w * kk) in
-      let stop = ref false in
-      while (not !stop) && !w >= 0 do
-        let p = (!v lsr !base) land mask in
-        if p = 0 then begin
-          decr w;
-          base := !base - kk
-        end
-        else if Array.unsafe_get tb !w < 0 then begin
-          let slot = !base + Bitvec.msb p in
-          let pv = Array.unsafe_get pivot_val slot in
-          if pv = 0 then stop := true
-          else begin
-            Array.unsafe_set td !w (Array.unsafe_get td !w + 1);
-            debt_dirty := true;
-            v := !v lxor pv;
-            comb := !comb lxor Array.unsafe_get pivot_comb slot
-          end
-        end
-        else begin
-          let idx = (!w lsl kk) lor p in
-          v := !v lxor Array.unsafe_get tv idx;
-          comb := !comb lxor Array.unsafe_get tc idx;
-          let halt = Array.unsafe_get ts idx in
-          if halt < 0 then begin
-            decr w;
-            base := !base - kk
-          end
-          else begin
-            let pv = Array.unsafe_get pivot_val halt in
-            if pv = 0 then stop := true
-            else begin
-              Array.unsafe_set td !w (Array.unsafe_get td !w + 1);
-              debt_dirty := true;
-              v := !v lxor pv;
-              comb := !comb lxor Array.unsafe_get pivot_comb halt
-            end
-          end
-        end
-      done
-    end;
-    if !v <> 0 then begin
-      let slot = Bitvec.msb !v in
-      pivot_val.(slot) <- !v;
-      pivot_comb.(slot) <- !comb;
-      pivot_cols := !pivot_cols lor (1 lsl j);
-      incr rank;
-      let w = slot / kk in
-      pivn.(w) <- pivn.(w) + 1;
-      (* Build early (2 pivots already amortize a 2^k build at these
-         window widths) and again when the window fills — the filled
-         table is final, pivot slots being write-once.  (Building only
-         at fill was measured slower: the naive steps every column
-         spends crossing not-yet-tabled windows outweigh the saved
-         builds.) *)
-      if pivn.(w) = 2 || pivn.(w) = capacity w then begin
-        if Array.unsafe_get tb w < 0 then incr nbuilt;
-        build_window t pivot_val pivot_comb ~w
-      end
-    end;
-    (* Amortized (re)builds: a window that cost more naive steps than a
-       table build since its last build gets (re)tabled.  Checked every
-       few columns — deferral only delays the build by a bounded number
-       of extra naive steps. *)
-    if !debt_dirty && j land 3 = 3 then begin
-      debt_dirty := false;
-      for w = 0 to wins - 1 do
-        if Array.unsafe_get td w >= 1 lsl (kk - 1)
-           && Array.unsafe_get tb w < Array.unsafe_get pivn w
-        then begin
-          if Array.unsafe_get tb w < 0 then incr nbuilt;
-          build_window t pivot_val pivot_comb ~w
-        end
-      done
-    end
-  done;
-  {
-    e_rank = !rank;
-    e_rows = rows;
-    e_cols = cols m;
-    e_pivot_cols = !pivot_cols;
-    e_src = Array.copy m.cols;
-    pivot_val;
-    pivot_comb;
-    tables = Some t;
-  }
-
-(* The production entry point: table-driven elimination with the
-   auto-selected window width.  [echelonize] remains the reference. *)
-let factorize m = echelonize_m4rm m
 
 (* {2 Solving against a factorization} *)
 
 let solve_with e b =
-  let v, comb = reduce_best e.tables e.pivot_val e.pivot_comb b 0 in
+  let v, comb = reduce_flat e.pivot_val e.pivot_comb b 0 in
   if v = 0 then Some comb else None
-
-let solve_many e bs =
-  prepare e;
-  Array.map (fun b -> solve_with e b) bs
 
 let solve m b = solve_with (factorize m) b
 
@@ -617,13 +195,10 @@ let kernel_with e =
      combination) reaches zero and yields the unique kernel vector
      supported on the pivot columns plus itself — exactly what the
      incremental replay used to produce, one elimination cheaper. *)
-  prepare e;
   let ker = ref [] in
   for j = Array.length e.e_src - 1 downto 0 do
     if e.e_pivot_cols land (1 lsl j) = 0 then begin
-      let v, comb =
-        reduce_best e.tables e.pivot_val e.pivot_comb e.e_src.(j) (Bitvec.unit j)
-      in
+      let v, comb = reduce_flat e.pivot_val e.pivot_comb e.e_src.(j) (Bitvec.unit j) in
       assert (v = 0);
       ker := comb :: !ker
     end
@@ -661,7 +236,6 @@ let is_permutation m =
 let right_inverse_with e =
   if not (is_surjective_with e) then
     invalid_arg "Bitmatrix.right_inverse: matrix is not surjective";
-  prepare e;
   let cols_out =
     Array.init e.e_rows (fun i ->
         match solve_with e (Bitvec.unit i) with
@@ -679,21 +253,6 @@ let inverse_with e =
 let inverse m =
   if m.rows <> cols m then invalid_arg "Bitmatrix.inverse: not square";
   right_inverse m
-
-let solve_matrix e b =
-  if b.rows <> e.e_rows then invalid_arg "Bitmatrix.solve_matrix: dimension mismatch";
-  prepare e;
-  let n = cols b in
-  let out = Array.make n 0 in
-  let ok = ref true in
-  for j = 0 to n - 1 do
-    match solve_with e b.cols.(j) with
-    | Some x -> out.(j) <- x
-    | None -> ok := false
-  done;
-  if !ok then Some { rows = e.e_cols; cols = out } else None
-
-let compose_many e bs = Array.map (fun b -> solve_matrix e b) bs
 
 let equal a b = a.rows = b.rows && a.cols = b.cols
 

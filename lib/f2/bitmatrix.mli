@@ -10,7 +10,7 @@ type t
     [Invalid_argument] if a column has a set bit at or above [rows], or
     if [rows] exceeds {!Bitvec.max_bits} (62 on 64-bit platforms) —
     oversized dimensions used to wrap silently through out-of-range
-    shifts; they now fail loudly.  Use {!Packed} for wider matrices. *)
+    shifts; they now fail loudly. *)
 val make : rows:int -> Bitvec.t array -> t
 
 val rows : t -> int
@@ -35,6 +35,8 @@ val apply : t -> Bitvec.t -> Bitvec.t
 (** [mul a b] is the matrix product [a b]; requires [cols a = rows b]. *)
 val mul : t -> t -> t
 
+(** [transpose m]; raises [Invalid_argument] when [cols m] exceeds
+    {!Bitvec.max_bits}, since the columns become rows. *)
 val transpose : t -> t
 
 (** [hconcat a b] places the columns of [b] after those of [a];
@@ -42,7 +44,8 @@ val transpose : t -> t
 val hconcat : t -> t -> t
 
 (** [block_diag a b] is [[a 0; 0 b]], the matrix of the product layout
-    (Definition 4.3 of the paper). *)
+    (Definition 4.3 of the paper).  Raises [Invalid_argument], as {!make}
+    does, when [rows a + rows b] exceeds {!Bitvec.max_bits}. *)
 val block_diag : t -> t -> t
 
 (** [divide_left m a] is the unique [b] with [m = block_diag a b] if [m]
@@ -67,32 +70,18 @@ val is_zero : t -> bool
 val is_permutation : t -> bool
 
 (** The result of one Gaussian elimination: an MSB-indexed pivot table
-    with combination tracking, optionally carrying Method-of-Four-
-    Russians lookup tables (see {!prepare}).  Computing it once and
-    solving many right-hand sides against it costs one elimination
-    total instead of one per side — the pattern {!right_inverse} uses
-    internally and callers with batches of RHS should use too, via
-    {!solve_many} / {!compose_many}. *)
+    with combination tracking.  Computing it once and solving many
+    right-hand sides against it costs one elimination total instead of
+    one per side — the pattern {!right_inverse} uses internally and
+    callers with batches of right-hand sides should use too, via
+    {!solve_with}. *)
 type echelon
 
-(** [echelonize m] runs one-pivot-at-a-time Gaussian elimination: the
-    reference algorithm, kept as the baseline of the m4rm-vs-pivot
-    benchmark pair.  Production callers should prefer {!factorize}. *)
-val echelonize : t -> echelon
-
-(** [echelonize_m4rm ?k m] runs table-driven (Method of Four Russians)
-    elimination: pivot slots are grouped into windows of [k] bits
-    (auto-selected from the matrix size when omitted, clamped to
-    [1..8]) and each window precomputes the 2^k XOR-combinations of its
-    pivots, so reducing a column costs one table lookup per window
-    instead of one XOR per pivot.  The resulting factorization is
-    bit-identical to {!echelonize}'s — same rank, pivot values,
-    combinations, solutions and kernels (a qcheck differential suite
-    pins this) — so it is a drop-in replacement everywhere. *)
-val echelonize_m4rm : ?k:int -> t -> echelon
-
-(** [factorize m] is the production elimination: {!echelonize_m4rm}
-    with the auto-selected window width. *)
+(** [factorize m] runs Gaussian elimination over [m]'s columns, left to
+    right, reducing each against the pivots found so far.  Raises
+    [Invalid_argument] when [cols m] exceeds {!Bitvec.max_bits}: the
+    combination of original columns behind each pivot is tracked in one
+    word. *)
 val factorize : t -> echelon
 
 val echelon_rank : echelon -> int
@@ -112,21 +101,9 @@ val is_invertible_with : echelon -> bool
     introspection. *)
 val echelon_pivots : echelon -> (Bitvec.t * Bitvec.t) list
 
-(** [prepare ech] builds (or refreshes) the factorization's M4RM
-    lookup tables so subsequent solves cost one lookup per window
-    instead of one XOR per pivot.  Idempotent and cheap when already
-    prepared; {!solve_many}, {!right_inverse_with} and
-    {!compose_many} call it for you. *)
-val prepare : echelon -> unit
-
 (** [solve_with ech b] solves against a precomputed factorization, with
     the same zero-free-variable convention as {!solve}. *)
 val solve_with : echelon -> Bitvec.t -> Bitvec.t option
-
-(** [solve_many ech bs] solves every right-hand side against one
-    factorization (building its lookup tables once):
-    [solve_many ech bs = Array.map (solve_with ech) bs], batched. *)
-val solve_many : echelon -> Bitvec.t array -> Bitvec.t option array
 
 (** [solve m b] finds [x] with [m x = b], setting all free variables to
     zero so the solution has minimal support among the coset of solutions
@@ -149,17 +126,6 @@ val inverse : t -> t
 
 (** [inverse_with ech] as {!inverse}, against an existing factorization. *)
 val inverse_with : echelon -> t
-
-(** [solve_matrix ech b] is the matrix [x] with [a x = b] (zero free
-    variables), where [a] is the factored matrix — i.e. the
-    composition [a⁻¹ ∘ b] generalized to non-square [a]. [None] when
-    some column of [b] is outside the image. *)
-val solve_matrix : echelon -> t -> t option
-
-(** [compose_many ech bs] left-divides every matrix in [bs] by the
-    factored matrix against one factorization:
-    [compose_many ech bs = Array.map (solve_matrix ech) bs], batched. *)
-val compose_many : echelon -> t array -> t option array
 
 (** Basis of the kernel (null space) of the map. *)
 val kernel : t -> Bitvec.t list

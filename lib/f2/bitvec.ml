@@ -12,8 +12,7 @@ let unit k =
   if k < 0 || k >= max_bits then
     invalid_arg
       (Printf.sprintf
-         "Bitvec.unit: coordinate %d out of range (single-word F2 vectors hold %d bits; use \
-          F2.Packed for wider spaces)"
+         "Bitvec.unit: coordinate %d out of range (single-word F2 vectors hold %d bits)"
          k max_bits)
   else 1 lsl k
 let bit v k = v land (1 lsl k) <> 0

@@ -12,7 +12,7 @@ val zero : t
 (** Number of usable coordinates in a single-word vector:
     [Sys.int_size - 1], i.e. 62 on 64-bit platforms.  Operations that
     mint a coordinate at or past this width raise [Invalid_argument]
-    instead of silently wrapping; use {!Packed} for wider spaces. *)
+    instead of silently wrapping. *)
 val max_bits : int
 
 (** [unit k] is the basis vector [e_k]. Raises [Invalid_argument] when

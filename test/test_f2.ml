@@ -225,7 +225,7 @@ let prop_intersection_dim =
 (* {2 Echelon reference model}
 
    The list-of-pivots Gaussian elimination that the MSB-indexed
-   [echelonize] replaced, kept as an executable specification: both
+   [factorize] replaced, kept as an executable specification: both
    only ever reduce by the pivot whose MSB matches the current value,
    so they must agree bit for bit. *)
 
@@ -251,10 +251,21 @@ let ref_solve a b =
   let v, comb = ref_reduce (ref_pivots a) b 0 in
   if v = 0 then Some comb else None
 
+(* A column that reduces to zero against the pivots of the columns
+   before it yields one kernel vector: its own unit combined with the
+   pivots it was reduced by. *)
+let ref_kernel a =
+  let pivots = ref [] and ker = ref [] in
+  for j = 0 to Bitmatrix.cols a - 1 do
+    let v, comb = ref_reduce !pivots (Bitmatrix.column a j) (Bitvec.unit j) in
+    if v <> 0 then pivots := (Bitvec.msb v, (v, comb)) :: !pivots else ker := comb :: !ker
+  done;
+  List.rev !ker
+
 let prop_echelon_rank_matches_reference =
   QCheck.Test.make ~name:"indexed echelon rank = reference rank" ~count:500 arb_matrix
     (fun a ->
-      Bitmatrix.echelon_rank (Bitmatrix.echelonize a) = List.length (ref_pivots a))
+      Bitmatrix.echelon_rank (Bitmatrix.factorize a) = List.length (ref_pivots a))
 
 let prop_solve_matches_reference =
   QCheck.Test.make ~name:"indexed solve = reference solve (all RHS)" ~count:100 arb_matrix
@@ -265,7 +276,7 @@ let prop_solve_matches_reference =
 
 let prop_solve_with_multi_rhs =
   QCheck.Test.make ~name:"one echelonize serves every RHS" ~count:100 arb_matrix (fun a ->
-      let e = Bitmatrix.echelonize a in
+      let e = Bitmatrix.factorize a in
       List.for_all
         (fun b -> Bitmatrix.solve_with e b = Bitmatrix.solve a b)
         (Bitvec.all (Bitmatrix.rows a)))
@@ -294,15 +305,13 @@ let prop_intersection_members =
       Subspace.intersection a b
       |> List.for_all (fun v -> Subspace.mem a v && Subspace.mem b v))
 
-(* {2 M4RM differential suite}
+(* {2 Factorize against the reference}
 
-   [echelonize_m4rm] must be bit-identical to the one-pivot-at-a-time
-   [echelonize] — same rank, same pivot (value, combination) pairs, same
-   solutions and kernels — because the golden tables downstream pin
-   exact solver outputs.  The generator deliberately covers the window
-   machinery (tall matrices spanning several k-bit windows) and the
-   degenerate shapes (zero columns, duplicated columns, rank
-   deficiency) where table bookkeeping is easiest to get wrong. *)
+   [factorize] must be bit-identical to the list reference — same rank,
+   same pivot (value, combination) pairs, same solutions and kernels —
+   because the golden tables downstream pin exact solver outputs.  The
+   generator covers tall matrices and the degenerate shapes (zero
+   columns, duplicated columns, rank deficiency). *)
 
 let gen_matrix_struct =
   QCheck.Gen.(
@@ -339,48 +348,25 @@ let arb_matrix_rhs =
       Format.asprintf "%a with rhs [%s]" Bitmatrix.pp a
         (String.concat "; " (Array.to_list (Array.map string_of_int bs))))
 
-let prop_m4rm_rank =
-  QCheck.Test.make ~name:"m4rm rank = pivot rank" ~count:1000 arb_matrix_struct (fun a ->
-      Bitmatrix.echelon_rank (Bitmatrix.echelonize_m4rm a)
-      = Bitmatrix.echelon_rank (Bitmatrix.echelonize a))
+let prop_factorize_rank =
+  QCheck.Test.make ~name:"factorize rank = reference rank" ~count:1000 arb_matrix_struct
+    (fun a -> Bitmatrix.echelon_rank (Bitmatrix.factorize a) = List.length (ref_pivots a))
 
-let prop_m4rm_pivots =
-  QCheck.Test.make ~name:"m4rm pivots = pivot pivots (values and combinations)" ~count:1000
-    arb_matrix_struct (fun a ->
-      Bitmatrix.echelon_pivots (Bitmatrix.echelonize_m4rm a)
-      = Bitmatrix.echelon_pivots (Bitmatrix.echelonize a))
+let prop_factorize_pivots =
+  QCheck.Test.make ~name:"factorize pivots = reference pivots (values and combinations)"
+    ~count:1000 arb_matrix_struct (fun a ->
+      Bitmatrix.echelon_pivots (Bitmatrix.factorize a)
+      = List.map snd (List.sort compare (ref_pivots a)))
 
-let prop_m4rm_solve =
-  QCheck.Test.make ~name:"m4rm solve = pivot solve (random and image RHS)" ~count:1000
-    arb_matrix_rhs (fun (a, bs) ->
-      let em = Bitmatrix.echelonize_m4rm a and ep = Bitmatrix.echelonize a in
-      Array.for_all (fun b -> Bitmatrix.solve_with em b = Bitmatrix.solve_with ep b) bs)
-
-let prop_m4rm_kernel =
-  QCheck.Test.make ~name:"m4rm kernel = pivot kernel" ~count:1000 arb_matrix_struct (fun a ->
-      Bitmatrix.kernel_with (Bitmatrix.echelonize_m4rm a)
-      = Bitmatrix.kernel_with (Bitmatrix.echelonize a))
-
-let prop_m4rm_k_sweep =
-  QCheck.Test.make ~name:"m4rm pivots invariant across window widths k" ~count:200
-    arb_matrix_struct (fun a ->
-      let want = Bitmatrix.echelon_pivots (Bitmatrix.echelonize a) in
-      List.for_all
-        (fun k -> Bitmatrix.echelon_pivots (Bitmatrix.echelonize_m4rm ~k a) = want)
-        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-
-let prop_solve_many =
-  QCheck.Test.make ~name:"solve_many = map solve" ~count:1000 arb_matrix_rhs (fun (a, bs) ->
+let prop_factorize_solve =
+  QCheck.Test.make ~name:"factorize solve = reference solve (random and image RHS)"
+    ~count:1000 arb_matrix_rhs (fun (a, bs) ->
       let e = Bitmatrix.factorize a in
-      Bitmatrix.solve_many e bs = Array.map (Bitmatrix.solve a) bs)
+      Array.for_all (fun b -> Bitmatrix.solve_with e b = ref_solve a b) bs)
 
-let prop_prepare_idempotent =
-  QCheck.Test.make ~name:"prepare is idempotent" ~count:1000 arb_matrix_rhs (fun (a, bs) ->
-      let e = Bitmatrix.factorize a in
-      let before = Array.map (Bitmatrix.solve_with e) bs in
-      Bitmatrix.prepare e;
-      Bitmatrix.prepare e;
-      Array.map (Bitmatrix.solve_with e) bs = before)
+let prop_factorize_kernel =
+  QCheck.Test.make ~name:"factorize kernel = reference kernel" ~count:1000 arb_matrix_struct
+    (fun a -> Bitmatrix.kernel_with (Bitmatrix.factorize a) = ref_kernel a)
 
 let prop_right_inverse_with =
   QCheck.Test.make ~name:"right_inverse_with = right_inverse on surjective maps" ~count:1000
@@ -389,66 +375,6 @@ let prop_right_inverse_with =
       let x = Bitmatrix.right_inverse_with (Bitmatrix.factorize a) in
       Bitmatrix.equal x (Bitmatrix.right_inverse a)
       && Bitmatrix.is_identity (Bitmatrix.mul a x))
-
-let prop_compose_many =
-  let gen =
-    QCheck.Gen.(
-      let* a = gen_matrix_struct in
-      let rows = Bitmatrix.rows a in
-      let* n = int_range 1 4 in
-      let* bs =
-        list_repeat n
-          (let* c = int_range 1 6 in
-           let* data = list_repeat c (int_bound ((1 lsl rows) - 1)) in
-           return (Bitmatrix.make ~rows (Array.of_list data)))
-      in
-      return (a, Array.of_list bs))
-  in
-  QCheck.Test.make ~name:"compose_many = map solve_matrix, and solutions compose back"
-    ~count:1000
-    (QCheck.make gen ~print:(fun (a, _) -> Format.asprintf "%a" Bitmatrix.pp a))
-    (fun (a, bs) ->
-      let e = Bitmatrix.factorize a in
-      let got = Bitmatrix.compose_many e bs in
-      got = Array.map (Bitmatrix.solve_matrix e) bs
-      && Array.for_all2
-           (fun x b ->
-             match x with Some x -> Bitmatrix.equal (Bitmatrix.mul a x) b | None -> true)
-           got bs)
-
-(* {2 Packed differential} *)
-
-let prop_packed_rank =
-  QCheck.Test.make ~name:"Packed.rank = Bitmatrix.rank" ~count:1000 arb_matrix_struct
-    (fun a -> Packed.rank (Packed.of_bitmatrix a) = Bitmatrix.rank a)
-
-let prop_packed_roundtrip =
-  QCheck.Test.make ~name:"Packed round-trips through Bitmatrix" ~count:1000 arb_matrix_struct
-    (fun a -> Bitmatrix.equal (Packed.to_bitmatrix (Packed.of_bitmatrix a)) a)
-
-let test_packed_wide () =
-  (* Past the 62-bit single-word ceiling: 80x130 with a shifted diagonal. *)
-  let p = Packed.make ~rows:80 ~cols:130 in
-  check_int "rows" 80 (Packed.rows p);
-  check_int "cols" 130 (Packed.cols p);
-  check_bool "fresh is zero" true (Packed.is_zero p);
-  for i = 0 to 79 do Packed.set p i (i + 40) true done;
-  check_bool "get set bit" true (Packed.get p 7 47);
-  check_bool "get clear bit" false (Packed.get p 7 46);
-  check_int "rank of shifted diagonal" 80 (Packed.rank p);
-  (* xor_rows is an involution; swap_rows twice is the identity. *)
-  let q = Packed.copy p in
-  Packed.xor_rows q ~src:0 ~dst:1;
-  check_bool "xor changed row" false (Packed.equal q p);
-  Packed.xor_rows q ~src:0 ~dst:1;
-  check_bool "xor undone" true (Packed.equal q p);
-  Packed.swap_rows q 3 59;
-  Packed.swap_rows q 3 59;
-  check_bool "swap undone" true (Packed.equal q p);
-  (* Duplicating a row drops the rank by one. *)
-  let r = Packed.copy p in
-  for j = 0 to 129 do Packed.set r 5 j (Packed.get r 6 j) done;
-  check_int "duplicate row rank" 79 (Packed.rank r)
 
 (* {2 Width guards} *)
 
@@ -467,7 +393,11 @@ let test_width_guards () =
   let wide = Bitmatrix.make ~rows:Bitvec.max_bits [| 1 lsl (Bitvec.max_bits - 1) |] in
   check_int "wide rank" 1 (Bitmatrix.rank wide);
   expect_invalid "transpose past max_bits columns" (fun () ->
-      Bitmatrix.transpose (Bitmatrix.zero ~rows:2 ~cols:(Bitvec.max_bits + 1)))
+      Bitmatrix.transpose (Bitmatrix.zero ~rows:2 ~cols:(Bitvec.max_bits + 1)));
+  let forty = Bitmatrix.identity 40 in
+  expect_invalid "block_diag past max_bits rows" (fun () -> Bitmatrix.block_diag forty forty);
+  expect_invalid "factorize past max_bits columns" (fun () ->
+      Bitmatrix.factorize (Bitmatrix.zero ~rows:2 ~cols:(Bitvec.max_bits + 1)))
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -490,7 +420,6 @@ let () =
           Alcotest.test_case "permutation predicate" `Quick test_permutation;
           Alcotest.test_case "width guards" `Quick test_width_guards;
         ] );
-      ("packed", [ Alcotest.test_case "wide matrices" `Quick test_packed_wide ]);
       ( "subspace",
         [
           Alcotest.test_case "echelon basis" `Quick test_subspace_basis;
@@ -514,20 +443,14 @@ let () =
             prop_solve_with_multi_rhs;
             prop_transpose_involution;
             prop_transpose_entries;
+            prop_right_inverse_with;
           ] );
-      ( "m4rm differential",
+      ( "echelon reference",
         q
           [
-            prop_m4rm_rank;
-            prop_m4rm_pivots;
-            prop_m4rm_solve;
-            prop_m4rm_kernel;
-            prop_m4rm_k_sweep;
-            prop_solve_many;
-            prop_prepare_idempotent;
-            prop_right_inverse_with;
-            prop_compose_many;
-            prop_packed_rank;
-            prop_packed_roundtrip;
+            prop_factorize_rank;
+            prop_factorize_pivots;
+            prop_factorize_solve;
+            prop_factorize_kernel;
           ] );
     ]
