@@ -195,6 +195,88 @@ let test_kernel_stats_nontrivial () =
   in
   check_int "vector_add has no converts" 0 r2.Engine.converts
 
+(* {1 Pass certificates}
+
+   Mutate the pass state after [Certify.take_snapshot], the way a buggy
+   pass would, and pin the LL62x refutation with its witness. *)
+
+(* A dot program after [anchor] and [forward_propagate]: every value has
+   a layout and the dot's operand conversions are pending. *)
+let propagated_dot () =
+  let p = Program.create () in
+  let a = Program.load p ~shape:[| 64; 64 |] ~dtype:Tensor_lib.Dtype.F16 () in
+  let b = Program.load p ~shape:[| 64; 64 |] ~dtype:Tensor_lib.Dtype.F16 () in
+  let d = Program.dot p ~a ~b ~acc:Tensor_lib.Dtype.F32 in
+  ignore (Program.store p d);
+  let st = Pass.init m ~mode:Pass.Linear p in
+  List.iter (fun (module P : Pass.PASS) -> P.run st) [ Passes.anchor; Passes.forward_propagate ];
+  (st, a, d)
+
+let certify_mutant mutate =
+  let st, a, d = propagated_dot () in
+  let snap = Certify.take_snapshot st in
+  mutate st ~a ~d;
+  let cert, diags = Certify.certify_pass ~pass:"mutant" snap st in
+  check_int "refuted count" (List.length diags) cert.Certify.refuted;
+  List.map
+    (fun (g : Linear_layout.Diagnostics.t) ->
+      (g.Linear_layout.Diagnostics.code, g.Linear_layout.Diagnostics.message))
+    diags
+
+let check_diags = Alcotest.(check (list (pair string string)))
+
+let test_certify_unrecorded_relayout () =
+  let diags =
+    certify_mutant (fun st ~a ~d:_ ->
+        let ins = Program.instr st.Pass.prog a in
+        let l = Option.get ins.Program.layout in
+        (* Move the top hardware bit onto a different element; the
+           lower columns, and so the witness, are left alone. *)
+        let open Linear_layout in
+        let cols = F2.Bitmatrix.columns (Layout.to_matrix l) in
+        let top = Array.length cols - 1 in
+        cols.(top) <- cols.(top) lxor cols.(0);
+        ins.Program.layout <-
+          Some
+            (Layout.of_matrix ~ins:(Layout.in_dims l) ~outs:(Layout.out_dims l)
+               (F2.Bitmatrix.make ~rows:(Layout.total_out_bits l) cols)))
+  in
+  check_diags "LL620"
+    [
+      ( "LL620",
+        "pass mutant changed the layout of %0 without a recorded conversion: hardware point \
+         0b100000000000 maps to different logical elements" );
+    ]
+    diags
+
+let test_certify_dropped_assignment () =
+  let diags =
+    certify_mutant (fun st ~a:_ ~d -> (Program.instr st.Pass.prog d).Program.layout <- None)
+  in
+  check_diags "LL621" [ ("LL621", "pass mutant dropped the layout assignment of %2") ] diags
+
+let test_certify_dropped_conversion () =
+  let diags =
+    certify_mutant (fun st ~a ~d:_ ->
+        let dropped = ref false in
+        st.Pass.pending <-
+          List.filter
+            (function
+              | Pass.Convert r when r.Pass.src = a && not !dropped ->
+                  dropped := true;
+                  false
+              | _ -> true)
+            st.Pass.pending;
+        check_bool "a conversion was pending" true !dropped)
+  in
+  check_diags "LL622"
+    [
+      ( "LL622",
+        "pass mutant dropped the conversion request for %0 without justification: hardware \
+         point 0b000000000010 still disagrees" );
+    ]
+    diags
+
 let () =
   Alcotest.run "tir"
     (Shuffle_support.maybe_shuffle
@@ -220,5 +302,14 @@ let () =
           Alcotest.test_case "all kernels run in both modes" `Quick test_all_kernels_run_both_modes;
           Alcotest.test_case "linear never slower" `Quick test_linear_never_slower_overall;
           Alcotest.test_case "stats are nontrivial" `Quick test_kernel_stats_nontrivial;
+        ] );
+      ( "certify",
+        [
+          Alcotest.test_case "unrecorded relayout fires LL620" `Quick
+            test_certify_unrecorded_relayout;
+          Alcotest.test_case "dropped assignment fires LL621" `Quick
+            test_certify_dropped_assignment;
+          Alcotest.test_case "dropped conversion fires LL622" `Quick
+            test_certify_dropped_conversion;
         ] );
     ])
