@@ -3,7 +3,7 @@ open Linear_layout
 let access machine ?loc ~op ~layout ~byte_width () =
   let cap = max 1 (machine.Gpusim.Machine.max_vec_bits / (8 * byte_width)) in
   let regs = Layout.in_size layout Dims.register in
-  let achieved = min (Layout.Memo.num_consecutive layout ~in_dim:Dims.register) cap in
+  let achieved = min (Layout.num_consecutive layout ~in_dim:Dims.register) cap in
   let achievable = min regs cap in
   let vec_lint =
     if achieved < achievable then
@@ -13,7 +13,7 @@ let access machine ?loc ~op ~layout ~byte_width () =
            element(s) per thread — map the lowest register basis vectors to consecutive \
            logical addresses (size_per_thread along the fastest-varying dimension)"
           op achieved (8 * byte_width) achievable (8 * byte_width)
-          (Layout.Memo.num_consecutive layout ~in_dim:Dims.register);
+          (Layout.num_consecutive layout ~in_dim:Dims.register);
       ]
     else []
   in

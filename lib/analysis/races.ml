@@ -142,9 +142,9 @@ let span_of_map l =
     (List.concat_map (fun (d, _) -> Layout.flat_columns l d) (Layout.in_dims l))
 
 let alias_dim ~mem ~src ~dst =
-  let mem_inv = Layout.Memo.invert (Layout.Memo.flatten_outs mem) in
+  let mem_inv = Layout.Memo.invert (Layout.flatten_outs mem) in
   let addr_span layout =
-    span_of_map (Layout.Memo.compose mem_inv (Layout.Memo.flatten_outs layout))
+    span_of_map (Layout.Memo.compose mem_inv (Layout.flatten_outs layout))
   in
   F2.Subspace.dim (F2.Subspace.intersection (addr_span src) (addr_span dst))
 

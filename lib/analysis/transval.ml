@@ -9,30 +9,6 @@ open Linear_layout
    weight <= 1 (the zero vector if the constants differ, a basis vector
    otherwise). *)
 
-module Affine = struct
-  type t = { in_bits : int; out_bits : int; cols : int array }
-
-  let of_layout l =
-    let f = Layout.Memo.flatten_outs l in
-    {
-      in_bits = Layout.total_in_bits f;
-      out_bits = Layout.total_out_bits f;
-      cols = F2.Bitmatrix.columns (Layout.to_matrix f);
-    }
-
-  (* Minimal-weight input where the two maps disagree; [None] when they
-     agree everywhere.  Weight <= 1 by linearity. *)
-  let counterexample a b =
-    if a.in_bits <> b.in_bits || a.out_bits <> b.out_bits then Some 0
-    else
-      let rec go k =
-        if k >= a.in_bits then None
-        else if a.cols.(k) <> b.cols.(k) then Some (1 lsl k)
-        else go (k + 1)
-      in
-      go 0
-end
-
 (* {1 Symbolic provenance evaluator}
 
    Every register slot and shared-memory cell holds either the flattened
@@ -266,7 +242,7 @@ let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
       match first (fun h -> prov h < 0) 0 with
       | Some h -> cert (Refuted { counterexample = h; got = None; want = want h })
       | None -> (
-          let got = byte_tables (Layout.to_matrix (Layout.Memo.flatten_outs src)) in
+          let got = byte_tables (Layout.to_matrix src) in
           match first (fun h -> got (prov h) <> want h) 0 with
           | None -> cert Proved
           | Some h ->
@@ -274,7 +250,7 @@ let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
 
 let certify_isa ~src ~dst ~map program =
   check_program ~src ~map
-    ~want:(byte_tables (Layout.to_matrix (Layout.Memo.flatten_outs dst)))
+    ~want:(byte_tables (Layout.to_matrix dst))
     ~mechanism:"isa" program
 
 (* Cross-CTA conversions spill through global memory and are executed
@@ -282,30 +258,36 @@ let certify_isa ~src ~dst ~map program =
    point [h] reads source point [pseudo_invert(src_flat)(dst_flat h)].
    That is correct by construction whenever the two layouts cover the
    same logical space and the source is surjective onto it — both
-   decidable by elimination on the F2 matrices. *)
+   decidable by elimination on the F2 matrices.  The logical space is
+   the labelled output dims without the 0-bit ones: equal bit totals
+   are not enough, as an 8x4 and a 4x8 tensor show. *)
 let certify_algebraic ~src ~dst ~mechanism =
-  let a = Layout.Memo.flatten_outs src and b = Layout.Memo.flatten_outs dst in
   let points = 1 lsl Layout.total_in_bits dst in
-  if Layout.out_dims a <> Layout.out_dims b then
+  let space l = List.filter (fun (_, bits) -> bits > 0) (Layout.out_dims l) in
+  if space src <> space dst then
+    let show l =
+      String.concat "x" (List.map (fun (d, n) -> Printf.sprintf "%s:%d" d n) (space l))
+    in
     {
       mechanism;
       method_ = Algebraic;
       points;
       verdict =
         Failed
-          (Printf.sprintf "layouts cover different logical spaces (%s vs %s)"
-             (String.concat "x" (List.map (fun (d, n) -> Printf.sprintf "%s:%d" d n) (Layout.out_dims a)))
-             (String.concat "x" (List.map (fun (d, n) -> Printf.sprintf "%s:%d" d n) (Layout.out_dims b))));
+          (Printf.sprintf "layouts cover different logical spaces (%s vs %s)" (show src)
+             (show dst));
     }
   else
-    let ech = Layout.Memo.echelon a in
+    (* Keyed on the flattened map, so sources that differ only in
+       their output labels share one factorization. *)
+    let ech = Layout.Memo.echelon (Layout.flatten_outs src) in
     (* A surjective source solves every right-hand side, so the
        per-point scan below cannot refute — prove in O(1) from the
        factorization's rank (the verdict is identical by construction). *)
     if F2.Bitmatrix.is_surjective_with ech then
       { mechanism; method_ = Algebraic; points; verdict = Proved }
     else begin
-      let to_logical = Layout.apply_flat b in
+      let to_logical = Layout.apply_flat dst in
       let rec go h =
         if h >= points then { mechanism; method_ = Algebraic; points; verdict = Proved }
         else
@@ -380,7 +362,7 @@ let certify_gather machine ~src ~index ~axis =
       { mechanism = "gather"; method_ = Symbolic; points = 0; verdict = Failed msg }
   | Ok (program, map) ->
       let l = src.Gpusim.Dist.layout in
-      let to_logical = Layout.apply_flat (Layout.Memo.flatten_outs l) in
+      let to_logical = Layout.apply_flat l in
       let out_dims = Layout.out_dims l in
       let axis_size = Layout.out_size l (Dims.dim axis) in
       let t_idx =

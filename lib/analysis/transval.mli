@@ -31,20 +31,6 @@
 
 open Linear_layout
 
-(** Layout maps [h -> M h] over flattened F2 bit-vectors: affine maps
-    with a zero offset, since layouts are linear. *)
-module Affine : sig
-  type t = { in_bits : int; out_bits : int; cols : int array }
-
-  (** The flattened (hardware -> logical) map of a layout. *)
-  val of_layout : Layout.t -> t
-
-  (** Minimal-weight input where two maps disagree ([None] when equal);
-      by linearity the witness is [0] (differing shapes) or a basis
-      vector. *)
-  val counterexample : t -> t -> int option
-end
-
 type refutation = {
   counterexample : int;  (** flattened destination hardware point *)
   got : int option;  (** logical element actually held; [None] = never written *)

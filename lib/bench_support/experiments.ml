@@ -144,9 +144,7 @@ let table3 () =
         let legacy_bits = Legacy.Contig.vector_bits params ~byte_width:bw ~max_bits:128 in
         let linear_bits =
           Codegen.Simd.max_vector_bits
-            (Layout.rename_out
-               (Layout.flatten_outs (Blocked.make params))
-               ~old_name:Dims.flat ~new_name:Dims.offset)
+            (Layout.flatten_outs ~name:Dims.offset (Blocked.make params))
             ~byte_width:bw ~max_bits:128
         in
         ( Printf.sprintf "[%d,%d] x %s" rows_n k (Tensor_lib.Dtype.name dtype),
@@ -181,24 +179,19 @@ let shapes4 = [ [| 128; 16 |]; [| 128; 128 |]; [| 32; 128 |]; [| 32; 32 |]; [| 1
    expressible only as a linear layout. *)
 let custom_layout shape =
   let base = Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:4 shape in
-  let flat = Layout.flatten_outs base in
-  let cols d = Layout.flat_columns flat d in
+  let cols d = Layout.flat_columns base d in
   let reg = cols Dims.register and lane = cols Dims.lane and warp = cols Dims.warp in
   let permuted = List.rev reg @ List.rev lane @ warp in
   let d = Layout.total_out_bits base in
-  let mem_like =
-    Layout.of_matrix
-      ~ins:
-        [
-          (Dims.register, List.length reg);
-          (Dims.lane, List.length lane);
-          (Dims.warp, List.length warp);
-        ]
-      ~outs:[ (Dims.flat, d) ]
-      (F2.Bitmatrix.make ~rows:d (Array.of_list permuted))
-  in
-  Layout.reshape_outs mem_like
-    (Array.to_list (Array.mapi (fun i s -> (Dims.dim i, Util.log2 s)) shape))
+  Layout.of_matrix
+    ~ins:
+      [
+        (Dims.register, List.length reg);
+        (Dims.lane, List.length lane);
+        (Dims.warp, List.length warp);
+      ]
+    ~outs:(Array.to_list (Array.mapi (fun i s -> (Dims.dim i, Util.log2 s)) shape))
+    (F2.Bitmatrix.make ~rows:d (Array.of_list permuted))
 
 let layout_families =
   [
@@ -452,9 +445,8 @@ let figure6 () =
    result is a valid linear layout but not a legacy layout, so legacy
    Triton must round-trip through (padded) shared memory. *)
 let lane_register_swap l ~swaps =
-  let flat = Layout.flatten_outs l in
-  let reg = Array.of_list (Layout.flat_columns flat Dims.register) in
-  let lane = Array.of_list (Layout.flat_columns flat Dims.lane) in
+  let reg = Array.of_list (Layout.flat_columns l Dims.register) in
+  let lane = Array.of_list (Layout.flat_columns l Dims.lane) in
   for s = 0 to swaps - 1 do
     if s < Array.length reg && s < Array.length lane then begin
       let t = reg.(s) in
@@ -462,23 +454,19 @@ let lane_register_swap l ~swaps =
       lane.(s) <- t
     end
   done;
-  let warp = Layout.flat_columns flat Dims.warp in
+  let warp = Layout.flat_columns l Dims.warp in
   let d = Layout.total_out_bits l in
   let m =
     F2.Bitmatrix.make ~rows:d (Array.of_list (Array.to_list reg @ Array.to_list lane @ warp))
   in
-  let flat' =
-    Layout.of_matrix
-      ~ins:
-        [
-          (Dims.register, Array.length reg);
-          (Dims.lane, Array.length lane);
-          (Dims.warp, List.length warp);
-        ]
-      ~outs:[ (Dims.flat, d) ]
-      m
-  in
-  Layout.reshape_outs flat' (Layout.out_dims l)
+  Layout.of_matrix
+    ~ins:
+      [
+        (Dims.register, Array.length reg);
+        (Dims.lane, Array.length lane);
+        (Dims.warp, List.length warp);
+      ]
+    ~outs:(Layout.out_dims l) m
 
 let figure7 () =
   let machine = gh200 in

@@ -11,7 +11,7 @@ type mechanism =
 type plan = { src : Layout.t; dst : Layout.t; byte_width : int; mechanism : mechanism }
 
 let conversion_map ~src ~dst =
-  let a = Layout.Memo.flatten_outs src and b = Layout.Memo.flatten_outs dst in
+  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
   Layout.Memo.compose (Layout.Memo.pseudo_invert b) a
 
 let mechanism_name = function
@@ -34,8 +34,7 @@ let plan machine ~src ~dst ~byte_width =
   let mech =
     if Layout.equal src dst then No_op
     else
-      let a = Layout.Memo.flatten_outs src and b = Layout.Memo.flatten_outs dst in
-      let same d = Layout.Memo.flat_columns a d = Layout.Memo.flat_columns b d in
+      let same d = Layout.flat_columns src d = Layout.flat_columns dst d in
       if same Dims.lane && same Dims.warp && same Dims.block then Register_permute
       else if not (same Dims.block) then Global_roundtrip
       else
@@ -58,9 +57,9 @@ let plan machine ~src ~dst ~byte_width =
 let execute_algebraic plan (d : Gpusim.Dist.t) =
   (* For every destination hardware point, read the value from the
      source point holding the same logical element. *)
-  let a = Layout.Memo.flatten_outs plan.src in
+  let a = Layout.flatten_outs plan.src in
   let to_src = Layout.apply_flat (Layout.Memo.pseudo_invert (Layout.flatten_ins a)) in
-  let to_logical = Layout.apply_flat (Layout.flatten_outs plan.dst) in
+  let to_logical = Layout.apply_flat plan.dst in
   let n = 1 lsl Layout.total_in_bits plan.dst in
   let data = Array.init n (fun hw_dst -> d.Gpusim.Dist.data.(to_src (to_logical hw_dst))) in
   { Gpusim.Dist.layout = plan.dst; data }
@@ -101,7 +100,7 @@ let cost machine plan =
          ldmatrix/stmatrix tile divides the register-to-offset map
          (Section 5.3) and the machine has the instruction. *)
       let byte_width = plan.byte_width in
-      let mem_inv = Layout.Memo.invert (Layout.Memo.flatten_outs s.Swizzle_opt.mem) in
+      let mem_inv = Layout.Memo.invert (Layout.flatten_outs s.Swizzle_opt.mem) in
       let c = Gpusim.Cost.zero () in
       let side ~layout ~predicted ~matrix_cap =
         let warps = 1 lsl Layout.in_bits layout Dims.warp in
@@ -112,7 +111,7 @@ let cost machine plan =
         let matrix_ok =
           matrix_cap
           && Simd.can_use_ldmatrix
-               (Layout.Memo.compose mem_inv (Layout.Memo.flatten_outs layout))
+               (Layout.Memo.compose mem_inv (Layout.flatten_outs layout))
                ~byte_width
         in
         if matrix_ok then begin

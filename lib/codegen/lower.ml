@@ -17,10 +17,9 @@ let scatter_bits sel positions =
    (warp, lane, register) is the XOR of the images of its three parts:
    one lane table and one warp table serve every instruction. *)
 let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_store =
-  let flat = Layout.flatten_outs layout in
   let rb = Layout.in_bits layout Dims.register in
   let lb = Layout.in_bits layout Dims.lane in
-  let reg_cols = Array.of_list (Layout.flat_columns flat Dims.register) in
+  let reg_cols = Array.of_list (Layout.flat_columns layout Dims.register) in
   let vec_pos =
     List.map
       (fun v ->
@@ -36,7 +35,7 @@ let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~
   in
   let reg_of ~group ~within = scatter_bits within vec_pos lor scatter_bits group other_idx in
   let offset_of =
-    let to_logical = Layout.apply_flat flat and to_offset = Layout.apply_flat mem_inv in
+    let to_logical = Layout.apply_flat layout and to_offset = Layout.apply_flat mem_inv in
     fun hw -> to_offset (to_logical hw)
   in
   let lane_img = Array.init lanes (fun l -> offset_of (l lsl rb)) in
@@ -57,13 +56,11 @@ let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~
    destination written to [dst_base..]. *)
 let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~stage_recv ~warps
     ~lanes =
-  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
-  let a_inv = Layout.invert (Layout.flatten_ins a) in
-  let b_inv = Layout.invert (Layout.flatten_ins b) in
   let rb_s = Layout.in_bits src Dims.register in
   let rb_d = Layout.in_bits dst Dims.register in
   let lb = Layout.in_bits src Dims.lane in
-  let to_src = Layout.apply_flat a_inv and to_dst = Layout.apply_flat b_inv in
+  let to_src = Layout.apply_flat (Layout.invert src)
+  and to_dst = Layout.apply_flat (Layout.invert dst) in
   let v = List.length p.Shuffle.vec in
   let vig = F2.Subspace.span_elements (p.Shuffle.vec @ p.Shuffle.common_thr @ p.Shuffle.g) in
   let reps = F2.Subspace.span_elements p.Shuffle.ext in
@@ -138,7 +135,7 @@ let conversion machine (plan : Conversion.plan) =
            same image (lane and warp contributions agree by
            classification). *)
         let slot_images layout regs =
-          let cols = Array.of_list (Layout.flat_columns (Layout.flatten_outs layout) Dims.register) in
+          let cols = Array.of_list (Layout.flat_columns layout Dims.register) in
           Array.init regs (fun slot ->
               let acc = ref 0 in
               Array.iteri (fun k c -> if slot land (1 lsl k) <> 0 then acc := !acc lxor c) cols;
@@ -193,7 +190,7 @@ let conversion machine (plan : Conversion.plan) =
           "Lower: cross-CTA conversions spill through global memory; the warp-level ISA does \
            not model the grid"
     | Conversion.Shared_memory sw ->
-        let mem_inv = Layout.invert (Layout.flatten_outs sw.Swizzle_opt.mem) in
+        let mem_inv = Layout.invert sw.Swizzle_opt.mem in
         shared_side ~machine ~mem_inv ~layout:src ~slot_base:0 ~vec:sw.Swizzle_opt.vec
           ~byte_width:plan.Conversion.byte_width ~warps ~lanes ~is_store:true
         @ [ Gpusim.Isa.Bar_sync ]
@@ -251,7 +248,7 @@ let gather machine ~src ~index ~axis =
       let regs = 1 lsl rb in
       let lanes = 1 lsl lb in
       let warps = 1 lsl Layout.in_bits l Dims.warp in
-      let to_logical = Layout.apply_flat (Layout.flatten_outs l) in
+      let to_logical = Layout.apply_flat l in
       let out_dims = Layout.out_dims l in
       let axis_size = Layout.out_size l (Dims.dim axis) in
       let t_idx =

@@ -6,7 +6,7 @@ type violation = { warp : int; missing : string }
    presence), validating that duplicated copies agree. *)
 let warp_fragments (d : Gpusim.Dist.t) =
   let l = d.Gpusim.Dist.layout in
-  let to_logical = Layout.apply_flat (Layout.flatten_outs l) in
+  let to_logical = Layout.apply_flat l in
   let rb = Layout.in_bits l Dims.register and lb = Layout.in_bits l Dims.lane in
   let warps = 1 lsl Layout.in_bits l Dims.warp in
   let tables = Array.init warps (fun _ -> Hashtbl.create 256) in
@@ -32,7 +32,7 @@ let fl ~cols i j = (i * cols) + j
 
 (* For each warp, the set of logical coordinates it holds. *)
 let ownership l =
-  let to_logical = Layout.apply_flat (Layout.flatten_outs l) in
+  let to_logical = Layout.apply_flat l in
   let rb = Layout.in_bits l Dims.register and lb = Layout.in_bits l Dims.lane in
   let warps = 1 lsl Layout.in_bits l Dims.warp in
   let owned = Array.init warps (fun _ -> Hashtbl.create 256) in
@@ -83,7 +83,7 @@ let execute_dot ~out a b ~mul ~add ~zero =
   let _, k = dims2 lhs in
   let _, n' = dims2 rhs in
   let frag_a = warp_fragments a and frag_b = warp_fragments b in
-  let to_logical = Layout.apply_flat (Layout.flatten_outs out) in
+  let to_logical = Layout.apply_flat out in
   let rb = Layout.in_bits out Dims.register and lb = Layout.in_bits out Dims.lane in
   let data =
     Array.init (1 lsl Layout.total_in_bits out) (fun hw ->

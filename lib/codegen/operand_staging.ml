@@ -31,8 +31,8 @@ let try_candidate machine ~src ~dst ~byte_width ~vec ~per_phase ~max_phase mem =
   try
     let mem_to_reg =
       Layout.Memo.compose
-        (Layout.Memo.invert (Layout.Memo.flatten_outs mem))
-        (Layout.Memo.flatten_outs dst)
+        (Layout.Memo.invert (Layout.flatten_outs mem))
+        (Layout.flatten_outs dst)
     in
     let uses_ldmatrix =
       machine.Gpusim.Machine.has_ldmatrix && Simd.can_use_ldmatrix mem_to_reg ~byte_width

@@ -11,16 +11,16 @@ type t = {
   shuffles_per_round : int;
 }
 
-let nonzero_cols l d = List.filter (fun c -> c <> 0) (Layout.Memo.flat_columns l d)
+let nonzero_cols l d = List.filter (fun c -> c <> 0) (Layout.flat_columns l d)
 let set_diff a b = List.filter (fun x -> not (List.mem x b)) a
 let set_inter a b = List.filter (fun x -> List.mem x b) a
 
 let plan machine ~src ~dst ~byte_width =
-  let a = Layout.Memo.flatten_outs src and b = Layout.Memo.flatten_outs dst in
+  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
   if Layout.out_dims a <> Layout.out_dims b then Error "layouts cover different logical spaces"
-  else if Layout.Memo.flat_columns a Dims.warp <> Layout.Memo.flat_columns b Dims.warp then
+  else if Layout.flat_columns a Dims.warp <> Layout.flat_columns b Dims.warp then
     Error "conversion crosses warps"
-  else if Layout.Memo.flat_columns a Dims.block <> Layout.Memo.flat_columns b Dims.block then
+  else if Layout.flat_columns a Dims.block <> Layout.flat_columns b Dims.block then
     Error "conversion crosses CTAs"
   else if not (Layout.Memo.is_invertible a && Layout.Memo.is_invertible b) then
     Error "broadcasting layouts need the shared-memory path"
@@ -67,7 +67,7 @@ let thread_of_hw layout hw = hw lsr Layout.in_bits layout Dims.register
 let execute p (src_dist : Gpusim.Dist.t) =
   if not (Layout.equal src_dist.Gpusim.Dist.layout p.src) then
     failwith "Shuffle.execute: distribution does not match the plan's source layout";
-  let a = Layout.Memo.flatten_outs p.src and b = Layout.Memo.flatten_outs p.dst in
+  let a = Layout.flatten_outs p.src and b = Layout.flatten_outs p.dst in
   let to_src = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_ins a))
   and to_dst = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_ins b)) in
   let dst = Array.make (1 lsl Layout.total_in_bits p.dst) 0 in

@@ -10,7 +10,7 @@ type t = {
   load_wavefronts : int;
 }
 
-let nonzero_cols l d = List.filter (fun c -> c <> 0) (Layout.Memo.flat_columns l d)
+let nonzero_cols l d = List.filter (fun c -> c <> 0) (Layout.flat_columns l d)
 let set_diff a b = List.filter (fun x -> not (List.mem x b)) a
 let set_inter a b = List.filter (fun x -> List.mem x b) a
 let take n l = List.filteri (fun i _ -> i < n) l
@@ -45,13 +45,13 @@ let predict_wavefronts machine ~vec ~seg ~dist ~byte_width =
   ignore machine;
   let vec_bits = List.length vec in
   let n = banks_per_access ~vec_bits ~byte_width in
-  let thr = nonzero_cols (Layout.Memo.flatten_outs dist) Dims.lane in
+  let thr = nonzero_cols dist Dims.lane in
   let bank_thr = drop_last (Util.log2 n) thr in
   let inter = F2.Subspace.intersection (vec @ seg) bank_thr in
   n * (1 lsl List.length inter)
 
 let optimal machine ~src ~dst ~byte_width =
-  let a = Layout.Memo.flatten_outs src and b = Layout.Memo.flatten_outs dst in
+  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
   if Layout.out_dims a <> Layout.out_dims b then
     invalid_arg "Swizzle_opt.optimal: layouts cover different logical spaces";
   let d = Layout.total_out_bits a in
@@ -133,15 +133,14 @@ let optimal machine ~src ~dst ~byte_width =
   }
 
 let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
-  let flat = Layout.Memo.flatten_outs dist in
-  let mem_inv = Layout.Memo.invert (Layout.Memo.flatten_outs mem) in
+  let mem_inv = Layout.Memo.invert (Layout.flatten_outs mem) in
   let reg_bits = Layout.in_bits dist Dims.register in
   let lane_bits = Layout.in_bits dist Dims.lane in
   (* One instruction covers the same register slots in every lane
      (SIMT): the vectorized registers are those whose columns lie in the
      vectorization basis, the remaining register bits enumerate the
      instructions. *)
-  let reg_cols = Array.of_list (Layout.flat_columns flat Dims.register) in
+  let reg_cols = Array.of_list (Layout.flat_columns dist Dims.register) in
   let vec_idx =
     List.filter (fun k -> List.mem reg_cols.(k) vec) (List.init reg_bits Fun.id)
   in
@@ -158,7 +157,7 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
   in
   let reg_of ~group ~within = scatter within vec_idx (scatter group other_idx 0) in
   let offset_of =
-    let to_logical = Layout.apply_flat flat and to_offset = Layout.apply_flat mem_inv in
+    let to_logical = Layout.apply_flat dist and to_offset = Layout.apply_flat mem_inv in
     fun lane r -> to_offset (to_logical (r lor (lane lsl reg_bits)))
   in
   let insts = 1 lsl List.length other_idx in
@@ -189,10 +188,9 @@ let execute ~mem ~dst src_dist =
   match Gpusim.Dist.to_logical src_dist with
   | Error e -> failwith ("Swizzle_opt.execute: " ^ e)
   | Ok tensor ->
-      let mem_flat = Layout.Memo.flatten_outs mem in
-      let to_logical = Layout.apply_flat mem_flat in
+      let to_logical = Layout.apply_flat mem in
       let smem = Array.init (Array.length tensor) (fun off -> tensor.(to_logical off)) in
-      let to_offset = Layout.apply_flat (Layout.Memo.invert mem_flat) in
+      let to_offset = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_outs mem)) in
       Gpusim.Dist.init dst ~f:(fun logical -> smem.(to_offset logical))
 
 let cost machine t ~src ~dst ~byte_width =

@@ -4,15 +4,10 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 (* Invariants:
    - [ins] and [outs] are sorted by [Dims.compare] and duplicate-free;
-   - [bases.(i)] has [snd ins.(i)] entries, each an array indexed like
-     [outs], with entry [o] < [2 ^ snd outs.(o)];
-   - the first dimension in canonical order occupies the low bits of
-     flattened values. *)
-type t = {
-  ins : (string * int) array;
-  outs : (string * int) array;
-  bases : int array array array;
-}
+   - [m] is the layout's matrix under the canonical flattening: one
+     column per input bit and one row per output bit, the first
+     dimension in canonical order occupying the low bits. *)
+type t = { ins : (string * int) array; outs : (string * int) array; m : F2.Bitmatrix.t }
 
 (* {1 Internal helpers} *)
 
@@ -42,42 +37,82 @@ let offset_of dims i =
   done;
   !acc
 
+(* [offset_of] for every dimension at once. *)
+let offsets dims = Array.init (Array.length dims) (offset_of dims)
 let total_bits dims = Array.fold_left (fun acc (_, b) -> acc + b) 0 dims
 
-let flatten dims coords =
-  (* [coords] indexed like [dims]. *)
-  let acc = ref 0 and pos = ref 0 in
-  Array.iteri
-    (fun o (_, bits) ->
-      acc := !acc lor (coords.(o) lsl !pos);
-      pos := !pos + bits)
-    dims;
-  !acc
+(* The flat value of [(label, coordinate)] pairs over [dims]: absent
+   labels are 0, and a label given twice XORs its coordinates. *)
+let flat_of_assoc what dims assoc =
+  List.fold_left
+    (fun acc (d, v) ->
+      match find_index dims d with
+      | -1 ->
+          if v <> 0 then error "%s: unknown dimension %s" what d;
+          acc
+      | o ->
+          let bits = snd dims.(o) in
+          if v lsr bits <> 0 then
+            error "%s: coordinate %d out of range for %s (%d bits)" what v d bits;
+          acc lxor (v lsl offset_of dims o))
+    0 assoc
 
-let unflatten dims v =
-  let pos = ref 0 in
-  Array.map
-    (fun (_, bits) ->
-      let c = F2.Bitvec.extract v ~pos:!pos ~len:bits in
-      pos := !pos + bits;
-      c)
-    dims
+(* The [(label, coordinate)] pair of every dimension of [dims] in the
+   flat value [v]. *)
+let assoc_of_flat dims v =
+  let rec go o pos =
+    if o = Array.length dims then []
+    else
+      let d, bits = dims.(o) in
+      (d, F2.Bitvec.extract v ~pos ~len:bits) :: go (o + 1) (pos + bits)
+  in
+  go 0 0
 
-let assoc_to_coords what dims assoc =
-  let coords = Array.make (Array.length dims) 0 in
-  List.iter
-    (fun (d, v) ->
-      match find_dim dims d with
-      | Some o ->
-          if v lsr snd dims.(o) <> 0 then
-            error "%s: coordinate %d out of range for %s (%d bits)" what v d (snd dims.(o));
-          coords.(o) <- coords.(o) lxor v
-      | None -> if v <> 0 then error "%s: unknown dimension %s" what d)
-    assoc;
-  coords
+let column l j = F2.Bitmatrix.column l.m j
 
-let coords_to_assoc dims coords =
-  Array.to_list dims |> List.mapi (fun o (d, _) -> (d, coords.(o)))
+(* The columns of input dimension [i], which starts at bit [off]. *)
+let dim_columns l i ~off = Array.init (snd l.ins.(i)) (fun k -> column l (off + k))
+let with_columns l ~ins cols = { l with ins; m = F2.Bitmatrix.make ~rows:(total_bits l.outs) cols }
+
+(* ORs each [(pos, len, dst_pos)] field of [c], moved to [dst_pos],
+   into [acc]. *)
+let rec move_all c acc = function
+  | [] -> acc
+  | (pos, len, dst_pos) :: rest ->
+      move_all c (acc lor (F2.Bitvec.extract c ~pos ~len lsl dst_pos)) rest
+
+(* The column map that carries each output field of [src] to the field
+   [target d] of [dst], [shift d] bits above that field's start; fields
+   whose target is absent from [dst] are dropped.  [None] when every
+   field stays where it is. *)
+let move_fields ?(target = Fun.id) ?(shift = fun _ -> 0) src dst =
+  let moved = ref false in
+  let rec moves o pos =
+    if o = Array.length src then []
+    else
+      let d, len = src.(o) in
+      let rest = moves (o + 1) (pos + len) in
+      match find_index dst (target d) with
+      | _ when len = 0 -> rest
+      | -1 ->
+          moved := true;
+          rest
+      | o' ->
+          let dst_pos = offset_of dst o' + shift d in
+          if dst_pos <> pos then moved := true;
+          (pos, len, dst_pos) :: rest
+  in
+  let moves = moves 0 0 in
+  if !moved then Some (fun c -> move_all c 0 moves) else None
+
+(* [l] with its outputs relabelled as [outs], every column moved by
+   [move] (see {!move_fields}). *)
+let relabel_outs l outs move =
+  match move with
+  | None -> { l with outs }
+  | Some f ->
+      let cols = Array.init (F2.Bitmatrix.cols l.m) (fun j -> f (column l j)) in
+      { l with outs; m = F2.Bitmatrix.make ~rows:(total_bits outs) cols }
 
 (* {1 Observation} *)
 
@@ -92,81 +127,75 @@ let total_out_bits l = total_bits l.outs
 let in_size l d = 1 lsl in_bits l d
 let out_size l d = 1 lsl out_bits l d
 
-let basis_coords l d k =
+let basis_flat l d k =
   match find_dim l.ins d with
   | None -> error "basis: no input dimension %s" d
   | Some i ->
       if k < 0 || k >= snd l.ins.(i) then error "basis: index %d out of range for %s" k d;
-      l.bases.(i).(k)
+      column l (offset_of l.ins i + k)
 
-let basis l d k =
-  coords_to_assoc l.outs (basis_coords l d k) |> List.filter (fun (_, c) -> c <> 0)
-
-let basis_flat l d k = flatten l.outs (basis_coords l d k)
+let basis l d k = List.filter (fun (_, c) -> c <> 0) (assoc_of_flat l.outs (basis_flat l d k))
 
 let flat_columns l d =
   match find_dim l.ins d with
   | None -> []
-  | Some i -> Array.to_list l.bases.(i) |> List.map (flatten l.outs)
+  | Some i ->
+      let off = offset_of l.ins i in
+      List.init (snd l.ins.(i)) (fun k -> column l (off + k))
 
 let apply l point =
-  let out = Array.make (Array.length l.outs) 0 in
+  let out = ref 0 in
   List.iter
     (fun (d, v) ->
       match find_dim l.ins d with
       | Some i ->
-          if v lsr snd l.ins.(i) <> 0 then
-            error "apply: index %d out of range for %s (%d bits)" v d (snd l.ins.(i));
-          for k = 0 to snd l.ins.(i) - 1 do
-            if F2.Bitvec.bit v k then
-              Array.iteri (fun o c -> out.(o) <- out.(o) lxor c) l.bases.(i).(k)
+          let bits = snd l.ins.(i) and off = offset_of l.ins i in
+          if v lsr bits <> 0 then error "apply: index %d out of range for %s (%d bits)" v d bits;
+          for k = 0 to bits - 1 do
+            if F2.Bitvec.bit v k then out := !out lxor column l (off + k)
           done
       | None -> if v <> 0 then error "apply: unknown input dimension %s" d)
     point;
-  coords_to_assoc l.outs out
+  assoc_of_flat l.outs !out
 
-let to_matrix l =
-  F2.Bitmatrix.make ~rows:(total_bits l.outs)
-    (Array.concat (Array.to_list (Array.map (Array.map (flatten l.outs)) l.bases)))
-
-(* The matrix is built when [apply_flat l] is partially applied, so a
-   caller hoisting [apply_flat l] out of a loop pays for it once. *)
-let apply_flat l =
-  let m = to_matrix l in
-  fun v -> F2.Bitmatrix.apply m v
+let to_matrix l = l.m
+let apply_flat l = F2.Bitmatrix.apply l.m
 
 let flatten_value dims point =
   check_dims "flatten_value" dims;
   let dims = Array.of_list (Dims.sort dims) in
-  flatten dims (assoc_to_coords "flatten_value" dims point)
+  flat_of_assoc "flatten_value" dims point
 
 let unflatten_value dims v =
   check_dims "unflatten_value" dims;
   let dims = Array.of_list (Dims.sort dims) in
-  coords_to_assoc dims (unflatten dims v)
+  assoc_of_flat dims v
 
 (* {1 Construction} *)
 
-let empty = { ins = [||]; outs = [||]; bases = [||] }
+let empty = { ins = [||]; outs = [||]; m = F2.Bitmatrix.zero ~rows:0 ~cols:0 }
 
 let make ~ins ~outs ~bases =
   check_dims "input" ins;
   check_dims "output" outs;
   let ins = Array.of_list (Dims.sort ins) and outs = Array.of_list (Dims.sort outs) in
-  let base_table =
-    Array.map
-      (fun (d, bits) ->
-        let images = try List.assoc d bases with Not_found -> [] in
-        if List.length images <> bits then
-          error "make: dimension %s needs %d basis images, got %d" d bits (List.length images);
-        Array.of_list (List.map (assoc_to_coords "make" outs) images))
-      ins
-  in
+  let cols = Array.make (total_bits ins) 0 and j = ref 0 in
+  Array.iter
+    (fun (d, bits) ->
+      let images = try List.assoc d bases with Not_found -> [] in
+      if List.length images <> bits then
+        error "make: dimension %s needs %d basis images, got %d" d bits (List.length images);
+      List.iter
+        (fun img ->
+          cols.(!j) <- flat_of_assoc "make" outs img;
+          incr j)
+        images)
+    ins;
   List.iter
     (fun (d, _) ->
       if find_dim ins d = None then error "make: bases given for unknown input dimension %s" d)
     bases;
-  { ins; outs; bases = base_table }
+  { ins; outs; m = F2.Bitmatrix.make ~rows:(total_bits outs) cols }
 
 let identity1d bits ~in_dim ~out_dim =
   make ~ins:[ (in_dim, bits) ] ~outs:[ (out_dim, bits) ]
@@ -182,14 +211,7 @@ let of_matrix ~ins ~outs m =
   let ins = Array.of_list (Dims.sort ins) and outs = Array.of_list (Dims.sort outs) in
   if F2.Bitmatrix.cols m <> total_bits ins then error "of_matrix: column count mismatch";
   if F2.Bitmatrix.rows m <> total_bits outs then error "of_matrix: row count mismatch";
-  let bases =
-    Array.mapi
-      (fun i (_, bits) ->
-        let off = offset_of ins i in
-        Array.init bits (fun k -> unflatten outs (F2.Bitmatrix.column m (off + k))))
-      ins
-  in
-  { ins; outs; bases }
+  { ins; outs; m }
 
 (* {1 Algebra} *)
 
@@ -236,30 +258,27 @@ let mul a b =
   else if is_empty b then a
   else
     let ins = merge_dims a.ins b.ins and outs = merge_dims a.outs b.outs in
-    (* Re-index an operand's images onto [outs]; b's coordinates shift
-       above a's bits within each shared output dimension.  The index
-       and shift tables are built once per operand. *)
-    let lift_image src_outs ~shift =
-      let src = Array.map (fun (d, _) -> find_index src_outs d) outs in
-      let sh = Array.map (fun (d, _) -> if shift then dim_bits a.outs d else 0) outs in
-      fun coords ->
-        Array.init (Array.length outs) (fun o ->
-            if src.(o) < 0 then 0 else coords.(src.(o)) lsl sh.(o))
+    (* Within each shared dimension, a's columns and output bits come
+       first and b's follow above them. *)
+    let lift l ~shift = Option.value ~default:Fun.id (move_fields ~shift l.outs outs) in
+    let lift_a = lift a ~shift:(fun _ -> 0) and lift_b = lift b ~shift:(dim_bits a.outs) in
+    let cols = Array.make (total_bits ins) 0 and j = ref 0 in
+    let take l lift d =
+      match find_index l.ins d with
+      | -1 -> ()
+      | i ->
+          let off = offset_of l.ins i in
+          for k = 0 to snd l.ins.(i) - 1 do
+            cols.(!j) <- lift (column l (off + k));
+            incr j
+          done
     in
-    let lift_a = lift_image a.outs ~shift:false and lift_b = lift_image b.outs ~shift:true in
-    let bases =
-      Array.map
-        (fun (d, _) ->
-          let from_a =
-            match find_index a.ins d with -1 -> [||] | i -> Array.map lift_a a.bases.(i)
-          in
-          let from_b =
-            match find_index b.ins d with -1 -> [||] | i -> Array.map lift_b b.bases.(i)
-          in
-          Array.append from_a from_b)
-        ins
-    in
-    { ins; outs; bases }
+    Array.iter
+      (fun (d, _) ->
+        take a lift_a d;
+        take b lift_b d)
+      ins;
+    { ins; outs; m = F2.Bitmatrix.make ~rows:(total_bits outs) cols }
 
 let compose l2 l1 =
   Array.iter
@@ -269,26 +288,23 @@ let compose l2 l1 =
                corresponding input of the outer layout (%d bits)"
           d bits (dim_bits l2.ins d))
     l1.outs;
-  let image coords =
-    let point = coords_to_assoc l1.outs coords in
-    assoc_to_coords "compose" l2.outs (apply l2 point)
-  in
-  { ins = l1.ins; outs = l2.outs; bases = Array.map (Array.map image) l1.bases }
+  let lift = Option.value ~default:Fun.id (move_fields l1.outs l2.ins) in
+  let cols = Array.init (F2.Bitmatrix.cols l1.m) (fun j -> apply_flat l2 (lift (column l1 j))) in
+  { ins = l1.ins; outs = l2.outs; m = F2.Bitmatrix.make ~rows:(total_bits l2.outs) cols }
 
-let is_surjective l = F2.Bitmatrix.is_surjective (to_matrix l)
-let is_injective l = F2.Bitmatrix.is_injective (to_matrix l)
-let is_invertible l = F2.Bitmatrix.is_invertible (to_matrix l)
+let is_surjective l = F2.Bitmatrix.is_surjective l.m
+let is_injective l = F2.Bitmatrix.is_injective l.m
+let is_invertible l = F2.Bitmatrix.is_invertible l.m
 
 (* Both inversions factor once and reuse that factorization for the
-   feasibility check and the inverse itself — previously each paid two
-   eliminations (predicate + inverse). *)
+   feasibility check and the inverse itself. *)
 let invert l =
-  let ech = F2.Bitmatrix.factorize (to_matrix l) in
+  let ech = F2.Bitmatrix.factorize l.m in
   if not (F2.Bitmatrix.is_invertible_with ech) then error "invert: layout is not invertible";
   of_matrix ~ins:(out_dims l) ~outs:(in_dims l) (F2.Bitmatrix.inverse_with ech)
 
 let pseudo_invert l =
-  let ech = F2.Bitmatrix.factorize (to_matrix l) in
+  let ech = F2.Bitmatrix.factorize l.m in
   if not (F2.Bitmatrix.is_surjective_with ech) then
     error "pseudo_invert: layout is not surjective";
   of_matrix ~ins:(out_dims l) ~outs:(in_dims l) (F2.Bitmatrix.right_inverse_with ech)
@@ -296,151 +312,101 @@ let pseudo_invert l =
 let divide_left l t =
   let exception No in
   try
-    Array.iter
-      (fun (d, bits) -> if in_bits l d < bits then raise No)
-      t.ins;
-    Array.iter
-      (fun (d, bits) -> if out_bits l d < bits then raise No)
-      t.outs;
-    (* Check the block structure label-wise. *)
-    let tile_out_bits d = dim_bits t.outs d in
-    let check_column in_dim k =
-      (* The basis [k] of [in_dim] in [l], compared against the tile. *)
-      let coords = basis_coords l in_dim k in
-      let within_tile = k < dim_bits t.ins in_dim in
-      Array.iteri
-        (fun o (d, _) ->
-          let c = coords.(o) in
-          let tb = tile_out_bits d in
-          if within_tile then begin
-            let expected =
-              match find_dim t.ins in_dim with
-              | Some i -> (
-                  match find_dim t.outs d with Some o' -> t.bases.(i).(k).(o') | None -> 0)
-              | None -> 0
-            in
-            if c <> expected then raise No
-          end
-          else if c land ((1 lsl tb) - 1) <> 0 then raise No)
-        l.outs
+    Array.iter (fun (d, bits) -> if in_bits l d < bits then raise No) t.ins;
+    Array.iter (fun (d, bits) -> if out_bits l d < bits then raise No) t.outs;
+    (* Check the block structure label-wise: the tile's columns, moved
+       onto [l]'s output fields, must match, and every other column
+       must clear the tile's low bits of each field. *)
+    let out_off = offsets l.outs and tile_bits d = dim_bits t.outs d in
+    let tile_mask =
+      Array.fold_left ( lor ) 0
+        (Array.mapi (fun o (d, _) -> ((1 lsl tile_bits d) - 1) lsl out_off.(o)) l.outs)
     in
-    Array.iter (fun (d, bits) -> for k = 0 to bits - 1 do check_column d k done) l.ins;
+    let lift = Option.value ~default:Fun.id (move_fields t.outs l.outs) in
+    Array.iteri
+      (fun i (d, bits) ->
+        let off = offset_of l.ins i and t_i = find_index t.ins d in
+        for k = 0 to bits - 1 do
+          let c = column l (off + k) in
+          if k < dim_bits t.ins d then begin
+            if c <> lift (column t (offset_of t.ins t_i + k)) then raise No
+          end
+          else if c land tile_mask <> 0 then raise No
+        done)
+      l.ins;
     (* Quotient: strip the tile's bits from inputs and outputs. *)
+    let q_outs = Array.map (fun (d, bits) -> (d, bits - tile_bits d)) l.outs in
+    let q_off = offsets q_outs in
+    let strip c =
+      Array.fold_left ( lor ) 0
+        (Array.mapi
+           (fun o (d, len) ->
+             F2.Bitvec.extract c ~pos:(out_off.(o) + tile_bits d) ~len lsl q_off.(o))
+           q_outs)
+    in
     let q_ins =
       Array.to_list l.ins
       |> List.map (fun (d, bits) -> (d, bits - dim_bits t.ins d))
       |> List.filter (fun (_, bits) -> bits > 0)
     in
-    let q_outs = Array.to_list l.outs |> List.map (fun (d, bits) -> (d, bits - tile_out_bits d)) in
-    let q_bases =
+    let q_cols =
       Array.to_list l.ins
-      |> List.filter_map (fun (d, bits) ->
-             let skip = dim_bits t.ins d in
-             if bits - skip <= 0 then None
-             else
-               Some
-                 ( d,
-                   List.init (bits - skip) (fun k ->
-                       let coords = basis_coords l d (skip + k) in
-                       Array.to_list l.outs
-                       |> List.map (fun (od, _) ->
-                              let o = Option.get (find_dim l.outs od) in
-                              (od, coords.(o) lsr tile_out_bits od))) ))
+      |> List.mapi (fun i (d, bits) ->
+             let skip = dim_bits t.ins d and off = offset_of l.ins i in
+             Array.init (bits - skip) (fun k -> strip (column l (off + skip + k))))
     in
-    Some (make ~ins:q_ins ~outs:q_outs ~bases:q_bases)
+    Some
+      {
+        ins = Array.of_list q_ins;
+        outs = q_outs;
+        m = F2.Bitmatrix.make ~rows:(total_bits q_outs) (Array.concat q_cols);
+      }
   with No -> None
 
 (* {1 Dimension surgery} *)
 
 let select_ins l keep =
-  let keep_idx =
-    Array.to_list l.ins
-    |> List.mapi (fun i (d, _) -> (i, d))
-    |> List.filter (fun (_, d) -> List.mem d keep)
+  let off = offsets l.ins in
+  let kept =
+    List.filter (fun i -> List.mem (fst l.ins.(i)) keep) (List.init (Array.length l.ins) Fun.id)
   in
-  {
-    l with
-    ins = Array.of_list (List.map (fun (i, _) -> l.ins.(i)) keep_idx);
-    bases = Array.of_list (List.map (fun (i, _) -> l.bases.(i)) keep_idx);
-  }
+  with_columns l
+    ~ins:(Array.of_list (List.map (fun i -> l.ins.(i)) kept))
+    (Array.concat (List.map (fun i -> dim_columns l i ~off:off.(i)) kept))
 
 let remove_in_dim l d =
   select_ins l (List.filter (fun x -> x <> d) (List.map fst (in_dims l)))
 
 let project_outs l keep =
-  let keep_idx =
-    Array.to_list l.outs
-    |> List.mapi (fun o (d, _) -> (o, d))
-    |> List.filter (fun (_, d) -> List.mem d keep)
-  in
-  let outs = Array.of_list (List.map (fun (o, _) -> l.outs.(o)) keep_idx) in
-  let project coords = Array.of_list (List.map (fun (o, _) -> coords.(o)) keep_idx) in
-  { l with outs; bases = Array.map (Array.map project) l.bases }
+  let outs = Array.of_list (List.filter (fun (d, _) -> List.mem d keep) (out_dims l)) in
+  relabel_outs l outs (move_fields l.outs outs)
 
 let remove_out_dim l d =
   project_outs l (List.filter (fun x -> x <> d) (List.map fst (out_dims l)))
 
-let rename_dims dims ~old_name ~new_name =
-  Array.to_list dims
-  |> List.map (fun (d, bits) -> ((if d = old_name then new_name else d), bits))
+(* Relabel every output dimension [d] as [target d] at once. *)
+let rename_outs l target =
+  let renamed = List.map (fun (d, bits) -> (target d, bits)) (out_dims l) in
+  check_dims "output" renamed;
+  let outs = Array.of_list (Dims.sort renamed) in
+  relabel_outs l outs (move_fields ~target l.outs outs)
 
 let rename_out l ~old_name ~new_name =
   if not (has_out_dim l old_name) then error "rename_out: no dimension %s" old_name;
   if has_out_dim l new_name then error "rename_out: dimension %s already exists" new_name;
-  let outs = rename_dims l.outs ~old_name ~new_name in
-  let bases =
-    Array.to_list l.ins
-    |> List.mapi (fun i (d, _) ->
-           (d, Array.to_list l.bases.(i) |> List.map (fun coords ->
-                    List.combine (List.map fst outs)
-                      (Array.to_list coords))))
-  in
-  make ~ins:(in_dims l) ~outs ~bases
-
-let rename_in l ~old_name ~new_name =
-  if not (has_in_dim l old_name) then error "rename_in: no dimension %s" old_name;
-  if has_in_dim l new_name then error "rename_in: dimension %s already exists" new_name;
-  let ins = rename_dims l.ins ~old_name ~new_name in
-  let bases =
-    ins
-    |> List.mapi (fun i (d, _) ->
-           (d, Array.to_list l.bases.(i) |> List.map (fun coords ->
-                    coords_to_assoc l.outs coords)))
-  in
-  make ~ins ~outs:(out_dims l) ~bases
+  rename_outs l (fun d -> if d = old_name then new_name else d)
 
 let exchange_out_names l spec =
-  let target d = match List.assoc_opt d spec with Some d' -> d' | None -> d in
-  let outs = Array.to_list l.outs |> List.map (fun (d, bits) -> (target d, bits)) in
-  let bases =
-    Array.to_list l.ins
-    |> List.mapi (fun i (d, _) ->
-           ( d,
-             Array.to_list l.bases.(i)
-             |> List.map (fun coords ->
-                    Array.to_list l.outs
-                    |> List.mapi (fun o (od, _) -> (target od, coords.(o)))) ))
-  in
-  make ~ins:(in_dims l) ~outs ~bases
+  rename_outs l (fun d -> match List.assoc_opt d spec with Some d' -> d' | None -> d)
 
-let flatten_outs ?(name = Dims.flat) l =
-  let outs = [| (name, total_bits l.outs) |] in
-  { l with outs; bases = Array.map (Array.map (fun c -> [| flatten l.outs c |])) l.bases }
-
-let flatten_ins ?(name = Dims.flat) l =
-  let bases = Array.concat (Array.to_list l.bases) in
-  { l with ins = [| (name, total_bits l.ins) |]; bases = [| bases |] }
+let flatten_outs ?(name = Dims.flat) l = { l with outs = [| (name, total_bits l.outs) |] }
+let flatten_ins ?(name = Dims.flat) l = { l with ins = [| (name, total_bits l.ins) |] }
 
 let reshape_outs l outs =
   check_dims "reshape_outs" outs;
   if total_bits (Array.of_list outs) <> total_bits l.outs then
     error "reshape_outs: total bits mismatch";
-  of_matrix ~ins:(in_dims l) ~outs (to_matrix l)
-
-let reshape_ins l ins =
-  check_dims "reshape_ins" ins;
-  if total_bits (Array.of_list ins) <> total_bits l.ins then error "reshape_ins: total bits mismatch";
-  of_matrix ~ins ~outs:(out_dims l) (to_matrix l)
+  { l with outs = Array.of_list (Dims.sort outs) }
 
 let resize_in l d bits =
   match find_dim l.ins d with
@@ -450,15 +416,18 @@ let resize_in l d bits =
         let zero = make ~ins:[ (d, bits) ] ~outs:[] ~bases:[ (d, List.init bits (fun _ -> [])) ] in
         mul l zero
   | Some i ->
-      let cur = snd l.ins.(i) in
-      let ins = Array.copy l.ins and bases = Array.copy l.bases in
+      let cur = snd l.ins.(i) and off = offset_of l.ins i in
+      let ins = Array.copy l.ins in
       ins.(i) <- (d, bits);
-      bases.(i) <-
-        (if bits <= cur then Array.sub l.bases.(i) 0 bits
-         else
-           Array.append l.bases.(i)
-             (Array.init (bits - cur) (fun _ -> Array.make (Array.length l.outs) 0)));
-      { l with ins; bases }
+      (* Keep the first [min cur bits] columns of [d], pad with zero
+         columns up to [bits], then the later dimensions. *)
+      with_columns l ~ins
+        (Array.init
+           (F2.Bitmatrix.cols l.m - cur + bits)
+           (fun j ->
+             if j < off + min cur bits then column l j
+             else if j < off + bits then 0
+             else column l (j - bits + cur)))
 
 let drop_trivial_dims l =
   let l =
@@ -470,39 +439,35 @@ let drop_trivial_dims l =
 
 (* {1 Predicates and analyses} *)
 
-let equal a b = a == b || a.ins = b.ins && a.outs = b.outs && a.bases = b.bases
+let equal a b = a == b || a.ins = b.ins && a.outs = b.outs && F2.Bitmatrix.equal a.m b.m
 let equivalent a b = equal (drop_trivial_dims a) (drop_trivial_dims b)
-let is_distributed l = is_surjective l && F2.Bitmatrix.is_permutation (to_matrix l)
+let is_distributed l = is_surjective l && F2.Bitmatrix.is_permutation l.m
 
 let is_memory l =
   is_invertible l
-  && Array.for_all
-       (fun c -> c <> 0 && F2.Bitvec.popcount c <= 2)
-       (F2.Bitmatrix.columns (to_matrix l))
+  && Array.for_all (fun c -> c <> 0 && F2.Bitvec.popcount c <= 2) (F2.Bitmatrix.columns l.m)
 
-let is_trivial_on l dims =
-  List.for_all (fun d -> List.for_all (fun c -> c = 0) (flat_columns l d)) dims
-
-let kernel l = F2.Bitmatrix.kernel (to_matrix l)
+let kernel l = F2.Bitmatrix.kernel l.m
 
 let free_variable_masks l =
-  let pivots = ref [] in
+  let pivots = ref [] and off = offsets l.ins in
   Array.to_list l.ins
   |> List.mapi (fun i (d, bits) ->
          let mask = ref 0 in
          for k = 0 to bits - 1 do
-           let v = flatten l.outs l.bases.(i).(k) in
+           let v = column l (off.(i) + k) in
            if F2.Subspace.independent_from !pivots v then pivots := v :: !pivots
            else mask := !mask lor (1 lsl k)
          done;
          (d, !mask))
 
 let num_consecutive l ~in_dim =
-  let rec go k = function
-    | c :: rest when c = 1 lsl k -> go (k + 1) rest
-    | _ -> 1 lsl k
-  in
-  go 0 (flat_columns l in_dim)
+  match find_index l.ins in_dim with
+  | -1 -> 1
+  | i ->
+      let off = offset_of l.ins i and bits = snd l.ins.(i) in
+      let rec go k = if k < bits && column l (off + k) = 1 lsl k then go (k + 1) else 1 lsl k in
+      go 0
 
 (* {1 Memoization} *)
 
@@ -512,24 +477,28 @@ let num_consecutive l ~in_dim =
    parallel autotuner — each own a private cache and never contend. *)
 module Memo = struct
   (* A cheap structural hash: FNV-style fold over the dimension lists
-     and basis coordinates.  Polymorphic [Hashtbl.hash] stops after a
-     bounded number of nodes, which collides badly on layouts differing
-     only deep in [bases]; this visits every coordinate (layouts are
-     small: tens of ints). *)
+     and every output coordinate of every column.  Polymorphic
+     [Hashtbl.hash] stops after a bounded number of nodes, which
+     collides badly on layouts differing only in late columns; this
+     visits all of them (layouts are small: tens of ints). *)
   let hash l =
     let h = ref 0x811c9dc5 in
     let mix x = h := (!h lxor x) * 0x01000193 land max_int in
-    Array.iter
-      (fun (d, b) ->
-        mix (Hashtbl.hash (d : string));
-        mix b)
-      l.ins;
-    Array.iter
-      (fun (d, b) ->
-        mix (Hashtbl.hash (d : string));
-        mix b)
-      l.outs;
-    Array.iter (Array.iter (Array.iter mix)) l.bases;
+    let mix_dims =
+      Array.iter (fun (d, b) ->
+          mix (Hashtbl.hash (d : string));
+          mix b)
+    in
+    mix_dims l.ins;
+    mix_dims l.outs;
+    for j = 0 to F2.Bitmatrix.cols l.m - 1 do
+      let c = column l j and pos = ref 0 in
+      for o = 0 to Array.length l.outs - 1 do
+        let bits = snd l.outs.(o) in
+        mix (F2.Bitvec.extract c ~pos:!pos ~len:bits);
+        pos := !pos + bits
+      done
+    done;
     !h
 
   module H1 = Hashtbl.Make (struct
@@ -546,13 +515,6 @@ module Memo = struct
     let hash (a, b) = (hash a * 0x01000193) lxor hash b
   end)
 
-  module HS = Hashtbl.Make (struct
-    type nonrec t = t * string
-
-    let equal (a1, s1) (a2, s2) = String.equal s1 s2 && equal a1 a2
-    let hash (a, s) = hash a lxor Hashtbl.hash s
-  end)
-
   type stats = { mutable hits : int; mutable misses : int }
 
   type tables = {
@@ -561,11 +523,7 @@ module Memo = struct
     compose_t : t H2.t;
     invert_t : t H1.t;
     pseudo_invert_t : t H1.t;
-    flatten_outs_t : t HS.t;
-    flat_columns_t : int list HS.t;
-    num_consecutive_t : int HS.t;
     free_masks_t : (string * int) list H1.t;
-    matrix_t : F2.Bitmatrix.t H1.t;
     echelon_t : F2.Bitmatrix.echelon H1.t;
   }
 
@@ -576,11 +534,7 @@ module Memo = struct
       compose_t = H2.create 256;
       invert_t = H1.create 64;
       pseudo_invert_t = H1.create 64;
-      flatten_outs_t = HS.create 256;
-      flat_columns_t = HS.create 256;
-      num_consecutive_t = HS.create 64;
       free_masks_t = H1.create 64;
-      matrix_t = H1.create 256;
       echelon_t = H1.create 128;
     }
 
@@ -600,11 +554,7 @@ module Memo = struct
     H2.reset tb.compose_t;
     H1.reset tb.invert_t;
     H1.reset tb.pseudo_invert_t;
-    HS.reset tb.flatten_outs_t;
-    HS.reset tb.flat_columns_t;
-    HS.reset tb.num_consecutive_t;
     H1.reset tb.free_masks_t;
-    H1.reset tb.matrix_t;
     H1.reset tb.echelon_t
 
   (* Canonical representative without touching the counters — used to
@@ -660,23 +610,13 @@ module Memo = struct
   let compose l2 l1 =
     memo_layout H2.find_opt H2.add (fun tb -> tb.compose_t) (l2, l1) (fun () -> compose l2 l1)
 
-  let to_matrix_fwd = to_matrix
-
-  let rec to_matrix l =
-    memo_value H1.find_opt H1.add (fun tb -> tb.matrix_t) l (fun () -> to_matrix_fwd l)
-
   (* The memoized factorization: one elimination per distinct layout,
-     shared by [invert], [pseudo_invert] and the predicates below.  A
+     shared by [invert], [pseudo_invert] and [is_invertible].  A
      planner cache miss that checks invertibility and then inverts pays
      one elimination total, not one per question. *)
-  and echelon l =
-    memo_value H1.find_opt H1.add
-      (fun tb -> tb.echelon_t)
-      l
-      (fun () -> F2.Bitmatrix.factorize (to_matrix l))
+  let echelon l =
+    memo_value H1.find_opt H1.add (fun tb -> tb.echelon_t) l (fun () -> F2.Bitmatrix.factorize l.m)
 
-  let is_surjective l = F2.Bitmatrix.is_surjective_with (echelon l)
-  let is_injective l = F2.Bitmatrix.is_injective_with (echelon l)
   let is_invertible l = F2.Bitmatrix.is_invertible_with (echelon l)
 
   let invert l =
@@ -699,30 +639,11 @@ module Memo = struct
           error "pseudo_invert: layout is not surjective";
         of_matrix ~ins:(out_dims l) ~outs:(in_dims l) (F2.Bitmatrix.right_inverse_with ech))
 
-  let flatten_outs ?(name = Dims.flat) l =
-    memo_layout HS.find_opt HS.add
-      (fun tb -> tb.flatten_outs_t)
-      (l, name)
-      (fun () -> flatten_outs ~name l)
-
-  let flat_columns l d =
-    memo_value HS.find_opt HS.add (fun tb -> tb.flat_columns_t) (l, d) (fun () -> flat_columns l d)
-
-  let num_consecutive l ~in_dim =
-    memo_value HS.find_opt HS.add
-      (fun tb -> tb.num_consecutive_t)
-      (l, in_dim)
-      (fun () -> num_consecutive l ~in_dim)
-
   let free_variable_masks l =
     memo_value H1.find_opt H1.add
       (fun tb -> tb.free_masks_t)
       l
       (fun () -> free_variable_masks l)
-
-  let apply_flat l =
-    let m = to_matrix l in
-    fun v -> F2.Bitmatrix.apply m v
 end
 
 (* {1 Printing} *)
@@ -743,7 +664,7 @@ let pp ppf l =
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
            pp_image)
-        (List.init bits (fun k -> coords_to_assoc l.outs l.bases.(i).(k)));
+        (List.init bits (fun k -> assoc_of_flat l.outs (basis_flat l d k)));
       if i < Array.length l.ins - 1 then Format.fprintf ppf "@,")
     l.ins;
   Format.fprintf ppf "@,outs: %a@]"

@@ -10,7 +10,14 @@
     Dimension lists are canonicalized with {!Dims.compare}; the first
     dimension in canonical order occupies the least-significant bits of
     the flattened representation.  Two layouts over the same labeled
-    spaces therefore always flatten compatibly. *)
+    spaces therefore always flatten compatibly.
+
+    A layout stores its labelled dimensions and its matrix under that
+    flattening (Section 4): one {!F2.Bitvec.t} column per input bit.
+    Reading the matrix ({!to_matrix}, {!flat_columns}, {!apply_flat})
+    costs no rebuild, and relabelling the outputs or inputs as a whole
+    ({!flatten_outs}, {!flatten_ins}, {!reshape_outs}) leaves the matrix
+    untouched. *)
 
 type t
 
@@ -41,9 +48,9 @@ val make :
   bases:(string * (string * int) list list) list ->
   t
 
-(** [of_matrix ~ins ~outs m] unflattens a bit-matrix whose column [j]
+(** [of_matrix ~ins ~outs m] labels a bit-matrix whose column [j]
     (resp. row [i]) corresponds to bit [j] of the canonically flattened
-    input (resp. output). *)
+    input (resp. output).  The layout holds [m] itself. *)
 val of_matrix : ins:(string * int) list -> outs:(string * int) list -> F2.Bitmatrix.t -> t
 
 (** {1 Observation} *)
@@ -83,15 +90,12 @@ val apply : t -> (string * int) list -> (string * int) list
 (** [apply_flat l v] applies the layout to a canonically flattened input.
     Input bits at or above {!total_in_bits} are ignored.
 
-    Cost model: partially applying [apply_flat l] builds [l]'s matrix
-    once (O(in bits x out dims)); each call of the resulting function is
-    an allocation-free {!F2.Bitmatrix.apply}, one shift-and-XOR step per
-    bit up to [v]'s highest set bit.  Per-point loops should therefore
-    hoist [let f = apply_flat l in ...] out of the loop; the fully
-    applied form [apply_flat l v] rebuilds the matrix on every call. *)
+    Cost model: [apply_flat l v] is {!F2.Bitmatrix.apply} on the stored
+    matrix — allocation-free, one shift-and-XOR step per bit up to [v]'s
+    highest set bit.  Partial and full application cost the same. *)
 val apply_flat : t -> int -> int
 
-(** The matrix of the layout under canonical flattening. *)
+(** The matrix of the layout under canonical flattening: a field read. *)
 val to_matrix : t -> F2.Bitmatrix.t
 
 (** [flatten_value dims point] packs per-dimension coordinates into the
@@ -140,7 +144,6 @@ val remove_in_dim : t -> string -> t
 val project_outs : t -> string list -> t
 
 val remove_out_dim : t -> string -> t
-val rename_in : t -> old_name:string -> new_name:string -> t
 val rename_out : t -> old_name:string -> new_name:string -> t
 
 (** [exchange_out_names l spec] relabels output dimensions simultaneously
@@ -148,7 +151,9 @@ val rename_out : t -> old_name:string -> new_name:string -> t
 val exchange_out_names : t -> (string * string) list -> t
 
 (** Replace output dimensions by a single dimension (default label
-    {!Dims.flat}) holding the canonical flattening. *)
+    {!Dims.flat}) holding the canonical flattening.  The matrix is
+    unchanged, so {!to_matrix}, {!apply_flat} and {!flat_columns} give
+    the same answers on [flatten_outs l] as on [l]. *)
 val flatten_outs : ?name:string -> t -> t
 
 val flatten_ins : ?name:string -> t -> t
@@ -156,8 +161,6 @@ val flatten_ins : ?name:string -> t -> t
 (** [reshape_outs l outs] reinterprets the flattened output bits
     according to a new dimension list with the same total bits. *)
 val reshape_outs : t -> (string * int) list -> t
-
-val reshape_ins : t -> (string * int) list -> t
 
 (** [resize_in l d bits] grows (with zero columns, i.e. broadcasting) or
     shrinks (dropping high basis vectors) an input dimension. *)
@@ -183,10 +186,6 @@ val is_distributed : t -> bool
 (** Definition 4.14: invertible with columns of 1 or 2 set bits. *)
 val is_memory : t -> bool
 
-(** [is_trivial_on l dims] holds when each listed input dimension is
-    absent or has only zero columns. *)
-val is_trivial_on : t -> string list -> bool
-
 (** Basis of the kernel, flattened: differences between hardware points
     holding the same tensor element (broadcasting structure, §5.1). *)
 val kernel : t -> int list
@@ -206,19 +205,24 @@ val num_consecutive : t -> in_dim:string -> int
 (** {1 Memoization}
 
     Layouts are immutable, so every operation is a pure function of its
-    arguments and memo results never need invalidation.  [Memo] mirrors
-    the hot operations of the plain API behind per-domain
-    ([Domain.DLS]) hash tables keyed by a cheap structural hash: two
-    structurally equal layouts built independently (as the engine does
-    per instruction) share one cache entry.  Layout-valued results are
-    hash-consed through {!Memo.intern}'s table.
+    arguments and memo results never need invalidation.  [Memo] caches
+    the operations that eliminate or compose — {!Memo.compose},
+    {!Memo.invert}, {!Memo.pseudo_invert}, {!Memo.echelon} and
+    {!Memo.free_variable_masks} — behind per-domain ([Domain.DLS]) hash
+    tables keyed by a cheap structural hash: two structurally equal
+    layouts built independently (as the engine does per instruction)
+    share one cache entry.  Reading the matrix needs no cache: use the
+    plain {!to_matrix}, {!flat_columns} and {!num_consecutive}.
+    Layout-valued results are hash-consed through {!Memo.intern}'s
+    table.
 
     Each OCaml 5 domain owns a private set of tables — the parallel
     autotuner's worker domains warm their own caches and never contend
     — so counters and [clear] act on the calling domain only. *)
 module Memo : sig
-  (** Cheap structural hash visiting every dimension and basis
-      coordinate (unlike polymorphic [Hashtbl.hash], which truncates). *)
+  (** Cheap structural hash visiting every dimension and every output
+      coordinate of every column (unlike polymorphic [Hashtbl.hash],
+      which truncates). *)
   val hash : t -> int
 
   (** Canonical representative: structurally equal layouts intern to
@@ -230,31 +234,18 @@ module Memo : sig
   val compose : t -> t -> t
   val invert : t -> t
   val pseudo_invert : t -> t
-  val flatten_outs : ?name:string -> t -> t
-  val flat_columns : t -> string -> int list
-  val num_consecutive : t -> in_dim:string -> int
   val free_variable_masks : t -> (string * int) list
-  val to_matrix : t -> F2.Bitmatrix.t
 
   (** [echelon l] is the memoized factorization of [l]'s matrix: one
       elimination per distinct layout, shared by {!invert},
-      {!pseudo_invert} and the predicates below — and available to
-      callers with their own batches of right-hand sides (pair it with
+      {!pseudo_invert} and {!is_invertible} — and available to callers
+      with their own batches of right-hand sides (pair it with
       {!F2.Bitmatrix.solve_with}). *)
   val echelon : t -> F2.Bitmatrix.echelon
 
-  (** Predicates answered from {!echelon}'s cached factorization
+  (** Invertibility answered from {!echelon}'s cached factorization
       instead of a fresh elimination per call. *)
-
-  val is_surjective : t -> bool
-
-  val is_injective : t -> bool
   val is_invertible : t -> bool
-
-  (** [apply_flat l v] like {!Layout.apply_flat}, but the matrix comes
-      from {!to_matrix}'s memo table, so even the fully applied form
-      builds it only once per distinct layout. *)
-  val apply_flat : t -> int -> int
 
   (** {2 Cache introspection} *)
 

@@ -18,7 +18,7 @@ let transactions accesses =
    count is then [2^rank] of the lane columns shifted down to sector
    granularity. *)
 let warp_sectors layout ~byte_width ~vec =
-  let m = Layout.Memo.to_matrix (Layout.Memo.flatten_outs layout) in
+  let m = Layout.to_matrix layout in
   let reg_bits = Layout.in_bits layout Dims.register in
   let lane_bits = Layout.in_bits layout Dims.lane in
   let w = vec * byte_width in

@@ -4,7 +4,7 @@ type t = { layout : Layout.t; data : int array }
 
 let init layout ~f =
   let n = 1 lsl Layout.total_in_bits layout in
-  let to_logical = Layout.apply_flat (Layout.flatten_outs layout) in
+  let to_logical = Layout.apply_flat layout in
   { layout; data = Array.init n (fun hw -> f (to_logical hw)) }
 
 let size d = Array.length d.data
@@ -12,7 +12,7 @@ let get d hw = d.data.(hw)
 let set d hw v = d.data.(hw) <- v
 
 let to_logical d =
-  let to_logical = Layout.apply_flat (Layout.flatten_outs d.layout) in
+  let to_logical = Layout.apply_flat d.layout in
   let out = Array.make (1 lsl Layout.total_out_bits d.layout) min_int in
   let err = ref None in
   Array.iteri
@@ -31,7 +31,7 @@ let to_logical d =
       else Ok out
 
 let consistent_with d ~f =
-  let to_logical = Layout.apply_flat (Layout.flatten_outs d.layout) in
+  let to_logical = Layout.apply_flat d.layout in
   let ok = ref true in
   Array.iteri (fun hw v -> if v <> f (to_logical hw) then ok := false) d.data;
   !ok

@@ -6,7 +6,7 @@ let padded_offset ~cols ~pad i j = (i * (cols + pad)) + j
 let default_pad ~byte_width = max 1 (16 / byte_width)
 
 let measure machine ~dist ~addr_of ~byte_width =
-  let to_logical = Layout.apply_flat (Layout.flatten_outs dist) in
+  let to_logical = Layout.apply_flat dist in
   let reg_bits = Layout.in_bits dist Dims.register in
   let lane_bits = Layout.in_bits dist Dims.lane in
   let regs = 1 lsl reg_bits and lanes = 1 lsl lane_bits in

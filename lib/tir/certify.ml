@@ -1,5 +1,4 @@
 open Linear_layout
-module Affine = Analysis.Transval.Affine
 
 (* {1 Per-pass certification}
 
@@ -48,6 +47,22 @@ let take_snapshot (st : Pass.state) =
 
 let pp_witness ppf (h, bits) = F2.Bitvec.pp ~width:(max 1 bits) ppf h
 
+(* Minimal-weight hardware point where the flattened maps of [a] and [b]
+   disagree; [None] when the matrices are equal.  By linearity the
+   witness is [0] when the shapes differ and the first differing basis
+   vector otherwise. *)
+let counterexample a b =
+  let ma = Layout.to_matrix a and mb = Layout.to_matrix b in
+  let n = F2.Bitmatrix.cols ma in
+  if n <> F2.Bitmatrix.cols mb || F2.Bitmatrix.rows ma <> F2.Bitmatrix.rows mb then Some 0
+  else
+    let rec go j =
+      if j >= n then None
+      else if F2.Bitmatrix.column ma j <> F2.Bitmatrix.column mb j then Some (1 lsl j)
+      else go (j + 1)
+    in
+    go 0
+
 (* Added requests with source [i] form a rewrite system over layouts
    (src_layout -> dst); an in-place re-layout from [a] to [b] is
    justified iff [b] is reachable from [a] through it.  The closure
@@ -93,7 +108,7 @@ let diff_layouts ~pass snap (st : Pass.state) ~added =
       | Some a, Some b when not (Layout.equal a b) ->
           if reachable ~added ~src:i a b then incr relayouts
           else begin
-            match Affine.counterexample (Affine.of_layout a) (Affine.of_layout b) with
+            match counterexample a b with
             | None ->
                 (* Same flattened map: a pure relabeling of the logical
                    dims, semantically the identity. *)
@@ -127,10 +142,7 @@ let diff_pending ~pass snap (st : Pass.state) ~added =
             let folded =
               (* [simplify]: structurally equal layouts need no code. *)
               Layout.equal r.Pass.src_layout r.Pass.dst
-              || Affine.counterexample
-                   (Affine.of_layout r.Pass.src_layout)
-                   (Affine.of_layout r.Pass.dst)
-                 = None
+              || counterexample r.Pass.src_layout r.Pass.dst = None
             in
             let remat_swapped =
               List.exists
@@ -144,9 +156,7 @@ let diff_pending ~pass snap (st : Pass.state) ~added =
             else
               let h =
                 Option.value ~default:0
-                  (Affine.counterexample
-                     (Affine.of_layout r.Pass.src_layout)
-                     (Affine.of_layout r.Pass.dst))
+                  (counterexample r.Pass.src_layout r.Pass.dst)
               in
               refute ~loc:(Diagnostics.Tir_instr r.Pass.at)
                 "pass %s dropped the conversion request for %%%d without \

@@ -233,7 +233,7 @@ let run (st : Pass.state) =
           legacy_normalize src;
           let l = layout_of src in
           let outs = Array.to_list (Array.mapi (fun d s -> (Dims.dim d, Util.log2 s)) shape) in
-          set i (Layout.reshape_outs (Layout.flatten_outs l) outs) (kind_of src)
+          set i (Layout.reshape_outs l outs) (kind_of src)
       | Program.Gather { src; index; axis } ->
           let l = layout_of src in
           request ~at:i ~src:index ~dst:l ~dst_kind:(kind_of src) ();

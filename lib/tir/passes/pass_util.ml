@@ -120,14 +120,14 @@ let dot_layouts machine ~num_warps ~m ~n ~k ~a_dtype ~b_dtype =
 (* Legacy vectorization: contiguity is only recognized within the
    fastest dimension (Section 5.1). *)
 let legacy_vec layout =
-  let consec = Layout.Memo.num_consecutive layout ~in_dim:Dims.register in
+  let consec = Layout.num_consecutive layout ~in_dim:Dims.register in
   match Layout.out_dims layout with
   | (_, cols_bits) :: _ :: _ when cols_bits > 0 -> min consec (1 lsl cols_bits)
   | _ -> consec
 
 let linear_vec machine layout ~byte_width =
   let cap = machine.Gpusim.Machine.max_vec_bits / (8 * byte_width) in
-  min (Layout.Memo.num_consecutive layout ~in_dim:Dims.register) (max 1 cap)
+  min (Layout.num_consecutive layout ~in_dim:Dims.register) (max 1 cap)
 
 let vec_for (st : Pass.state) layout ~byte_width =
   match st.Pass.mode with

@@ -51,37 +51,11 @@ let prop_memo_pseudo_invert =
       let l = Layout.resize_in l Dims.register 3 in
       Layout.equal (Layout.Memo.pseudo_invert l) (Layout.pseudo_invert l))
 
-let prop_memo_flatten_outs =
-  QCheck.Test.make ~name:"Memo.flatten_outs = flatten_outs" ~count:200 arb_perm (fun l ->
-      Layout.equal (Layout.Memo.flatten_outs l) (Layout.flatten_outs l))
-
-let prop_memo_flat_columns =
-  QCheck.Test.make ~name:"Memo.flat_columns = flat_columns" ~count:200 arb_perm (fun l ->
-      let flat = Layout.flatten_outs l in
-      List.for_all
-        (fun d -> Layout.Memo.flat_columns flat d = Layout.flat_columns flat d)
-        [ Dims.register; Dims.lane; Dims.warp ])
-
-let prop_memo_num_consecutive =
-  QCheck.Test.make ~name:"Memo.num_consecutive = num_consecutive" ~count:200 arb_perm
-    (fun l ->
-      Layout.Memo.num_consecutive l ~in_dim:Dims.register
-      = Layout.num_consecutive l ~in_dim:Dims.register)
-
 let prop_memo_free_masks =
   QCheck.Test.make ~name:"Memo.free_variable_masks = free_variable_masks" ~count:200
     arb_perm (fun l ->
       let l = Sliced.make l ~dim:1 in
       Layout.Memo.free_variable_masks l = Layout.free_variable_masks l)
-
-let prop_memo_to_matrix =
-  QCheck.Test.make ~name:"Memo.to_matrix / apply_flat = plain" ~count:200 arb_perm
-    (fun l ->
-      let flat = Layout.flatten_outs l in
-      F2.Bitmatrix.equal (Layout.Memo.to_matrix flat) (Layout.to_matrix flat)
-      && List.for_all
-           (fun v -> Layout.Memo.apply_flat flat v = Layout.apply_flat flat v)
-           [ 0; 1; 17; (1 lsl Layout.total_in_bits flat) - 1 ])
 
 let prop_intern_hash_consing =
   QCheck.Test.make ~name:"intern is idempotent and canonicalizing" ~count:200 arb_perm
@@ -181,11 +155,7 @@ let () =
             prop_memo_compose;
             prop_memo_invert;
             prop_memo_pseudo_invert;
-            prop_memo_flatten_outs;
-            prop_memo_flat_columns;
-            prop_memo_num_consecutive;
             prop_memo_free_masks;
-            prop_memo_to_matrix;
             prop_intern_hash_consing;
           ] );
       ( "plan-cache",

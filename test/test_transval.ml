@@ -428,6 +428,22 @@ let test_suite_two_domains () =
     (List.exists (fun c -> c.Analysis.Transval.method_ = Analysis.Transval.Symbolic) one);
   List.iter (fun certs -> check_bool "2 domains = 1 domain" true (certs = one)) two
 
+(* Layouts over the same number of logical bits but different tensor
+   shapes, 8x4 and 4x8: a global round trip between them has no map to
+   certify. *)
+let test_roundtrip_different_shapes () =
+  let id bits in_dim d = Layout.identity1d bits ~in_dim ~out_dim:(Dims.dim d) in
+  let src = Layout.mul (id 2 Dims.register 1) (id 3 Dims.lane 0)
+  and dst = Layout.mul (id 3 Dims.register 1) (id 2 Dims.lane 0) in
+  let plan =
+    { Codegen.Conversion.src; dst; byte_width = 4; mechanism = Codegen.Conversion.Global_roundtrip }
+  in
+  match (Analysis.Transval.certify_plan m plan).Analysis.Transval.verdict with
+  | Analysis.Transval.Failed msg ->
+      Alcotest.(check string)
+        "message" "layouts cover different logical spaces (dim1:2xdim0:3 vs dim1:3xdim0:2)" msg
+  | v -> Alcotest.failf "expected Failed, got %s" (Analysis.Transval.verdict_name v)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "transval"
@@ -439,6 +455,8 @@ let () =
             test_dropped_store_refuted;
           Alcotest.test_case "flipped matrix refuted + replay" `Quick
             test_flipped_matrix_refuted;
+          Alcotest.test_case "round trip between shapes fails" `Quick
+            test_roundtrip_different_shapes;
         ] );
       ( "fault-injection",
         q [ prop_intact_plans_prove; prop_dropped_instr; prop_swapped_rounds; prop_flipped_entry ]
