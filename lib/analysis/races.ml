@@ -170,21 +170,9 @@ let phase_check ~alias (p : Gpusim.Isa.program) =
   in
   scan 0 None p.Gpusim.Isa.body
 
-let check_plan machine (plan : Codegen.Conversion.plan) =
-  (* Same guard as {!Static_cost.lower_plan} and {!Transval}: plans
-     whose CTA shapes differ between the two sides have no warp-level
-     lowering — the engine executes them algebraically, so there is no
-     instruction stream to race-check. *)
-  let cta_mismatch =
-    let src = plan.Codegen.Conversion.src and dst = plan.Codegen.Conversion.dst in
-    Layout.in_size src Dims.lane <> Layout.in_size dst Dims.lane
-    || Layout.in_size src Dims.warp <> Layout.in_size dst Dims.warp
-  in
+let check_lowered (plan : Codegen.Conversion.plan) program =
   match plan.Codegen.Conversion.mechanism with
-  | Codegen.Conversion.Global_roundtrip -> []
-  | _ when cta_mismatch -> []
   | Codegen.Conversion.Shared_memory sw ->
-      let program, _ = Codegen.Lower.conversion machine plan in
       let alias =
         alias_dim ~mem:sw.Codegen.Swizzle_opt.mem ~src:plan.Codegen.Conversion.src
           ~dst:plan.Codegen.Conversion.dst
@@ -196,6 +184,12 @@ let check_plan machine (plan : Codegen.Conversion.plan) =
          broadcast lint reports the redundancy at the value's source. *)
       let duplicate_stores_benign = Layout.is_invertible sw.Codegen.Swizzle_opt.mem in
       phase_check ~alias program @ check ~duplicate_stores_benign program
-  | _ ->
-      let program, _ = Codegen.Lower.conversion machine plan in
-      check program
+  | _ -> check program
+
+(* Plans with no warp-level lowering ({!Static_cost.lower_plan}'s guard:
+   global round trips, CTA-shape mismatches) are executed
+   algebraically, so there is no instruction stream to race-check. *)
+let check_plan machine plan =
+  match Static_cost.lower_plan machine plan with
+  | None -> []
+  | Some (program, _) -> check_lowered plan program

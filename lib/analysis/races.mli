@@ -44,8 +44,13 @@ val check : ?duplicate_stores_benign:bool -> Gpusim.Isa.program -> Diagnostics.t
     barrier is always required between the phases. *)
 val alias_dim : mem:Layout.t -> src:Layout.t -> dst:Layout.t -> int
 
-(** Lower a conversion plan and check it.  Combines the algebraic
-    phase check ([LL205], from the plan's layouts alone) with the exact
-    instruction-level dataflow.  Cross-CTA plans ([Global_roundtrip])
-    do not lower to the warp ISA and yield no diagnostics. *)
+(** [check_lowered plan program] checks [program], the lowering of
+    [plan].  Combines the algebraic phase check ([LL205], from the
+    plan's layouts alone) with the exact instruction-level dataflow. *)
+val check_lowered : Codegen.Conversion.plan -> Gpusim.Isa.program -> Diagnostics.t list
+
+(** [check_plan machine plan] lowers the plan through
+    {!Static_cost.lower_plan} and runs {!check_lowered}.  Plans with no
+    warp-level lowering (global round trips, CTA-shape mismatches)
+    yield no diagnostics. *)
 val check_plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> Diagnostics.t list

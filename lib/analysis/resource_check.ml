@@ -28,42 +28,53 @@ let lane_tables = function
   | Isa.St_shared { addr; _ } | Isa.Ld_shared { addr; _ } -> [ addr ]
   | Isa.Mov _ | Isa.Bin _ | Isa.Bar_sync -> []
 
-(* Iterate the in-range shared-memory element offsets of a store/load;
-   [oob] receives each out-of-range one. *)
-let iter_elems (p : Isa.program) ~slots ~addr ~oob f =
+(* Iterate the in-range shared-memory element offsets of a store/load,
+   warp by warp, lane by lane, slot by slot. *)
+let iter_elems (p : Isa.program) ~slots ~addr f =
   let n = List.length slots in
   for w = 0 to p.Isa.warps - 1 do
     for l = 0 to p.Isa.lanes - 1 do
       for i = 0 to n - 1 do
         let a = addr.(w).(l) + i in
-        if a < 0 || a >= p.Isa.smem_elems then oob a else f a
+        if a >= 0 && a < p.Isa.smem_elems then f a
       done
     done
   done
 
-type agg = { mutable lanes : int; mutable flagged : int }
+(* The first out-of-range element offset of a store/load in
+   [iter_elems]'s order.  A lane touches [a0 .. a0 + n - 1], so its
+   first out-of-range element, if any, is [a0] when negative and
+   otherwise the first one at or past the end. *)
+let first_oob (p : Isa.program) ~slots ~addr =
+  let n = List.length slots and e = p.Isa.smem_elems in
+  let bad = ref None in
+  if n > 0 then
+    for w = 0 to p.Isa.warps - 1 do
+      for l = 0 to p.Isa.lanes - 1 do
+        let a0 = addr.(w).(l) in
+        if !bad = None then
+          if a0 < 0 then bad := Some a0 else if a0 + n > e then bad := Some (max a0 e)
+      done
+    done;
+  !bad
 
-let bump tbl key flagged =
-  let a =
-    match Hashtbl.find_opt tbl key with
-    | Some a -> a
-    | None ->
-        let a = { lanes = 0; flagged = 0 } in
-        Hashtbl.add tbl key a;
-        a
-  in
-  a.lanes <- a.lanes + 1;
-  if flagged then a.flagged <- a.flagged + 1
+(* The error-severity checks, each run once.  [skip] marks malformed
+   instructions (LL800), which the dataflow of [program] excludes;
+   [structural] holds LL800/LL807 in instruction order; [oob.(i)] is
+   instruction [i]'s LL801, kept per instruction so [program] can emit
+   it where the shared-memory walk reaches [i]. *)
+type error_pass = {
+  skip : bool array;
+  structural : Diagnostics.t list;
+  oob : Diagnostics.t option array;
+}
 
-let program machine ?(live_in = []) ?live_out (p : Isa.program) =
-  let body = Array.of_list p.Isa.body in
+let error_pass (p : Isa.program) body =
   let n = Array.length body in
-  let diags = ref [] in
-  let emit d = diags := d :: !diags in
   let loc i = Diagnostics.Isa_instr i in
-  (* LL800 / LL807: structural validity; malformed instructions are
-     excluded from the dataflow below. *)
   let skip = Array.make n false in
+  let structural = ref [] in
+  let emit d = structural := d :: !structural in
   Array.iteri
     (fun i instr ->
       if List.exists (fun t -> not (shape_ok p t)) (lane_tables instr) then begin
@@ -90,43 +101,92 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
               !bad
         | _ -> ())
     body;
-  (* Shared memory, forward: bounds, footprint, read-before-store,
-     region def/use extents. *)
+  let oob =
+    Array.mapi
+      (fun i instr ->
+        let report name ~slots ~addr =
+          Option.map
+            (fun a ->
+              Diagnostics.error ~code:"LL801" ~loc:(loc i)
+                "%s: element offset %d out of range (program declares %d elements)" name a
+                p.Isa.smem_elems)
+            (first_oob p ~slots ~addr)
+        in
+        if skip.(i) then None
+        else
+          match instr with
+          | Isa.St_shared { slots; addr; _ } -> report "st.shared" ~slots ~addr
+          | Isa.Ld_shared { slots; addr; _ } -> report "ld.shared" ~slots ~addr
+          | _ -> None)
+      body
+  in
+  { skip; structural = List.rev !structural; oob }
+
+let errors (p : Isa.program) =
+  let e = error_pass p (Array.of_list p.Isa.body) in
+  e.structural @ List.filter_map Fun.id (Array.to_list e.oob)
+
+(* Per-(instruction, slot) verdict of the register dataflow, one byte
+   per cell at [i * nslots + s]: [unseen] until some lane observes the
+   cell, [all_flagged] while every observing lane flagged it, [mixed]
+   once one did not.  A finding fires exactly on [all_flagged].  Each
+   cell enters [all_flagged] from [unseen] at most once; [cands] lists
+   those cells, so the report reads them instead of scanning the
+   table. *)
+let unseen = '\000'
+let all_flagged = '\001'
+let mixed = '\002'
+
+let bump tbl cands k flagged =
+  if not flagged then Bytes.set tbl k mixed
+  else if Bytes.get tbl k = unseen then begin
+    Bytes.set tbl k all_flagged;
+    cands := k :: !cands
+  end
+
+let rec iter_slots f i = function
+  | [] -> ()
+  | s :: tl ->
+      f i s;
+      iter_slots f i tl
+
+let program machine ?(live_in = []) ?live_out (p : Isa.program) =
+  let body = Array.of_list p.Isa.body in
+  let n = Array.length body in
+  let loc i = Diagnostics.Isa_instr i in
+  (* LL800 / LL807 / LL801: the error checks, shared with [errors];
+     malformed instructions are excluded from the dataflow below. *)
+  let e = error_pass p body in
+  let skip = e.skip in
+  let diags = ref (List.rev e.structural) in
+  let emit d = diags := d :: !diags in
+  (* Shared memory, forward: footprint, read-before-store, region
+     def/use extents, with each instruction's LL801 in place. *)
   let stored = Array.make (max 1 p.Isa.smem_elems) false in
   let touched = Array.make (max 1 p.Isa.smem_elems) false in
-  let first_def = Array.make (max 1 p.Isa.smem_elems) None in
-  let last_use = Array.make (max 1 p.Isa.smem_elems) None in
+  (* Per element: the first storing and the last loading instruction,
+     [max_int] / [-1] when there is none. *)
+  let first_def = Array.make (max 1 p.Isa.smem_elems) max_int in
+  let last_use = Array.make (max 1 p.Isa.smem_elems) (-1) in
   let footprint = ref 0 in
   Array.iteri
     (fun i instr ->
-      if not skip.(i) then
-        let oob_example = ref None in
-        let oob a = if !oob_example = None then oob_example := Some a in
-        let report_oob name =
-          Option.iter
-            (fun a ->
-              emit
-                (Diagnostics.error ~code:"LL801" ~loc:(loc i)
-                   "%s: element offset %d out of range (program declares %d elements)" name
-                   a p.Isa.smem_elems))
-            !oob_example
-        in
+      if not skip.(i) then begin
+        Option.iter emit e.oob.(i);
         match instr with
         | Isa.St_shared { slots; addr; byte_width } ->
-            iter_elems p ~slots ~addr ~oob (fun a ->
+            iter_elems p ~slots ~addr (fun a ->
                 stored.(a) <- true;
                 touched.(a) <- true;
-                if first_def.(a) = None then first_def.(a) <- Some i;
-                footprint := max !footprint ((a + 1) * byte_width));
-            report_oob "st.shared"
+                if first_def.(a) = max_int then first_def.(a) <- i;
+                footprint := max !footprint ((a + 1) * byte_width))
         | Isa.Ld_shared { slots; addr; byte_width } ->
             let unwritten = ref None in
-            iter_elems p ~slots ~addr ~oob (fun a ->
+            iter_elems p ~slots ~addr (fun a ->
                 touched.(a) <- true;
-                last_use.(a) <- Some i;
+                last_use.(a) <- i;
                 footprint := max !footprint ((a + 1) * byte_width);
                 if (not stored.(a)) && !unwritten = None then unwritten := Some a);
-            report_oob "ld.shared";
             Option.iter
               (fun a ->
                 emit
@@ -135,7 +195,8 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
                       (interpreter state is zero-initialised)"
                      a))
               !unwritten
-        | _ -> ())
+        | _ -> ()
+      end)
     body;
   if !footprint > machine.Gpusim.Machine.smem_bytes then
     emit
@@ -149,15 +210,15 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
     if not skip.(i) then
       match body.(i) with
       | Isa.Ld_shared { slots; addr; _ } ->
-          iter_elems p ~slots ~addr ~oob:ignore (fun a -> will_read.(a) <- true)
+          iter_elems p ~slots ~addr (fun a -> will_read.(a) <- true)
       | Isa.St_shared { slots; addr; _ } ->
           let read = ref false in
-          iter_elems p ~slots ~addr ~oob:ignore (fun a -> if will_read.(a) then read := true);
+          iter_elems p ~slots ~addr (fun a -> if will_read.(a) then read := true);
           if not !read then
             emit
               (Diagnostics.warning ~code:"LL804" ~loc:(loc i)
                  "st.shared is dead: no element it writes is loaded again");
-          iter_elems p ~slots ~addr ~oob:ignore (fun a -> will_read.(a) <- false)
+          iter_elems p ~slots ~addr (fun a -> will_read.(a) <- false)
       | _ -> ()
   done;
   (* Registers.  Per-lane exact dataflow; LL805/LL806 fire only when
@@ -214,105 +275,104 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
           | _ -> None)
       body
   in
-  let iter_uses i instr w l f =
-    match instr with
-    | Isa.Mov { src; _ } -> f src
+  (* [f i s] for every slot instruction [i] reads (resp. writes) in lane
+     [l] of warp [w]; the callbacks are built once, outside the lane
+     loops. *)
+  let iter_uses i w l f =
+    match body.(i) with
+    | Isa.Mov { src; _ } -> f i src
     | Isa.Sel { src_slot; _ } ->
         let s = src_slot.(w).(l) in
-        if s >= 0 then f s
-    | Isa.Scatter { src; dst_slot } -> if dst_slot.(w).(l) >= 0 then f src
+        if s >= 0 then f i s
+    | Isa.Scatter { src; dst_slot } -> if dst_slot.(w).(l) >= 0 then f i src
     | Isa.Shfl_idx { src; _ } -> (
-        match served.(i) with Some t when t.(w).(l) -> f src | _ -> ())
-    | Isa.St_shared { slots; _ } -> List.iter f slots
+        match served.(i) with Some t when t.(w).(l) -> f i src | _ -> ())
+    | Isa.St_shared { slots; _ } -> iter_slots f i slots
     | Isa.Ld_shared _ -> ()
     | Isa.Bin { a; b; _ } ->
-        f a;
-        f b
+        f i a;
+        f i b
     | Isa.Bar_sync -> ()
   in
-  let iter_defs _i instr w l f =
-    match instr with
-    | Isa.Mov { dst; _ } -> f dst
-    | Isa.Sel { dst; src_slot } -> if src_slot.(w).(l) >= 0 then f dst
+  let iter_defs i w l f =
+    match body.(i) with
+    | Isa.Mov { dst; _ } -> f i dst
+    | Isa.Sel { dst; src_slot } -> if src_slot.(w).(l) >= 0 then f i dst
     | Isa.Scatter { dst_slot; _ } ->
         let s = dst_slot.(w).(l) in
-        if s >= 0 then f s
-    | Isa.Shfl_idx { dst; keep; _ } -> if keep.(w).(l) then f dst
-    | Isa.Ld_shared { slots; _ } -> List.iter f slots
+        if s >= 0 then f i s
+    | Isa.Shfl_idx { dst; keep; _ } -> if keep.(w).(l) then f i dst
+    | Isa.Ld_shared { slots; _ } -> iter_slots f i slots
     | Isa.St_shared _ | Isa.Bar_sync -> ()
-    | Isa.Bin { dst; _ } -> f dst
+    | Isa.Bin { dst; _ } -> f i dst
   in
-  let undef_uses : (int * int, agg) Hashtbl.t = Hashtbl.create 16 in
-  let dead_defs : (int * int, agg) Hashtbl.t = Hashtbl.create 16 in
+  let undef_uses = Bytes.make (n * nslots) unseen and undef_cands = ref [] in
+  let dead_defs = Bytes.make (n * nslots) unseen and dead_cands = ref [] in
   let defined = Array.make (max 1 nslots) false in
   let live = Array.make (max 1 nslots) false in
-  let peak = ref 0 in
+  let count = ref 0 and peak = ref 0 in
+  let set_live s v =
+    if live.(s) <> v then begin
+      live.(s) <- v;
+      count := !count + if v then 1 else -1
+    end
+  in
+  let use_fwd i s = bump undef_uses undef_cands ((i * nslots) + s) (not defined.(s)) in
+  let def_fwd _ s = defined.(s) <- true in
+  let def_dead i s = bump dead_defs dead_cands ((i * nslots) + s) (not live.(s)) in
+  let def_bwd _ s = set_live s false in
+  let use_bwd _ s = set_live s true in
   for w = 0 to p.Isa.warps - 1 do
     for l = 0 to p.Isa.lanes - 1 do
       (* Forward: use before def (LL805). *)
       Array.fill defined 0 nslots false;
       List.iter (fun s -> defined.(s) <- true) live_in;
-      Array.iteri
-        (fun i instr ->
-          if not skip.(i) then begin
-            iter_uses i instr w l (fun s -> bump undef_uses (i, s) (not defined.(s)));
-            iter_defs i instr w l (fun s -> defined.(s) <- true)
-          end)
-        body;
+      for i = 0 to n - 1 do
+        if not skip.(i) then begin
+          iter_uses i w l use_fwd;
+          iter_defs i w l def_fwd
+        end
+      done;
       (* Backward: dead writes (LL806) + peak pressure. *)
       Array.fill live 0 nslots false;
-      let count = ref 0 in
-      let set_live s v =
-        if live.(s) <> v then begin
-          live.(s) <- v;
-          count := !count + (if v then 1 else -1)
-        end
-      in
+      count := 0;
       Option.iter (List.iter (fun s -> set_live s true)) live_out;
       if !count > !peak then peak := !count;
       for i = n - 1 downto 0 do
         if not skip.(i) then begin
-          (match live_out with
-          | None -> ()
-          | Some _ ->
-              iter_defs i body.(i) w l (fun s -> bump dead_defs (i, s) (not live.(s))));
-          iter_defs i body.(i) w l (fun s -> set_live s false);
-          iter_uses i body.(i) w l (fun s -> set_live s true);
+          if live_out <> None then iter_defs i w l def_dead;
+          iter_defs i w l def_bwd;
+          iter_uses i w l use_bwd;
           if !count > !peak then peak := !count
         end
       done
     done
   done;
-  let collect tbl make =
-    Hashtbl.fold
-      (fun (i, s) a acc -> if a.lanes > 0 && a.flagged = a.lanes then (i, s) :: acc else acc)
-      tbl []
-    |> List.sort compare
-    |> List.iter (fun (i, s) -> emit (make i s))
+  (* Findings in (instruction, slot) order, the order of [i * nslots + s]. *)
+  let collect tbl cands make =
+    List.sort compare !cands
+    |> List.iter (fun k ->
+           if Bytes.get tbl k = all_flagged then emit (make (k / nslots) (k mod nslots)))
   in
-  collect undef_uses (fun i s ->
+  collect undef_uses undef_cands (fun i s ->
       Diagnostics.warning ~code:"LL805" ~loc:(loc i)
         "slot r%d is read before any definition (interpreter registers are \
          zero-initialised)"
         s);
-  collect dead_defs (fun i s ->
+  collect dead_defs dead_cands (fun i s ->
       Diagnostics.warning ~code:"LL806" ~loc:(loc i)
         "write to slot r%d is dead: never read before overwrite or program end" s);
   (* Maximal contiguous touched runs, with def/use extents. *)
   let regions = ref [] in
   let flush lo hi =
-    let fd = ref None and lu = ref None in
+    let fd = ref max_int and lu = ref (-1) in
     for a = lo to hi do
-      (match (!fd, first_def.(a)) with
-      | None, d -> fd := d
-      | Some x, Some d -> fd := Some (min x d)
-      | Some _, None -> ());
-      match (!lu, last_use.(a)) with
-      | None, u -> lu := u
-      | Some x, Some u -> lu := Some (max x u)
-      | Some _, None -> ()
+      fd := min !fd first_def.(a);
+      lu := max !lu last_use.(a)
     done;
-    regions := { first_elem = lo; last_elem = hi; first_def = !fd; last_use = !lu } :: !regions
+    let first_def = if !fd = max_int then None else Some !fd in
+    let last_use = if !lu < 0 then None else Some !lu in
+    regions := { first_elem = lo; last_elem = hi; first_def; last_use } :: !regions
   in
   let run_start = ref None in
   for a = 0 to p.Isa.smem_elems - 1 do
@@ -335,15 +395,15 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
     peak_live_slots = !peak;
   }
 
+let lowered machine (prog, (sm : Codegen.Lower.slot_map)) =
+  let live_in = List.init sm.Codegen.Lower.src_regs Fun.id in
+  let live_out =
+    List.init sm.Codegen.Lower.dst_regs (fun r -> sm.Codegen.Lower.dst_base + r)
+  in
+  program machine ~live_in ~live_out prog
+
 let plan machine (pl : Codegen.Conversion.plan) =
-  match Static_cost.lower_plan machine pl with
-  | None -> None
-  | Some (prog, sm) ->
-      let live_in = List.init sm.Codegen.Lower.src_regs Fun.id in
-      let live_out =
-        List.init sm.Codegen.Lower.dst_regs (fun r -> sm.Codegen.Lower.dst_base + r)
-      in
-      Some (program machine ~live_in ~live_out prog)
+  Option.map (lowered machine) (Static_cost.lower_plan machine pl)
 
 let pp ppf r =
   Format.fprintf ppf "footprint %d B, peak %d live slots" r.footprint_bytes

@@ -29,7 +29,13 @@
     slot at that instruction.  Reads of never-written slots observe the
     interpreter's zero-initialised registers — code may rely on that
     (e.g. the scan lowering's zero slot), which is what [live_in] is
-    for. *)
+    for.  The dataflow keeps one byte per (instruction, slot) cell, so
+    its cost is linear in instructions x slots x lanes, with no
+    hashing.
+
+    Every LL805/LL806 finding is a warning.  Callers that compare only
+    error counts (the layout search's lint gate) use {!errors}, which
+    skips the dataflow. *)
 
 open Linear_layout
 
@@ -51,6 +57,14 @@ type report = {
           live register slots *)
 }
 
+(** [errors p] is the error-severity subset of {!program}'s
+    diagnostics ([LL800], [LL801], [LL807]), in the same order, without
+    the shared-memory extents or the register dataflow.  [program] runs
+    these same checks first, so
+    [errors p = Diagnostics.errors (program m ?live_in ?live_out p).diagnostics]
+    for every machine and liveness. *)
+val errors : Gpusim.Isa.program -> Diagnostics.t list
+
 (** [program machine ?live_in ?live_out p] analyzes a raw program.
     [live_in] lists slots holding meaningful data on entry (reads
     before any store are then legitimate); defaults to none.
@@ -63,6 +77,11 @@ val program :
   ?live_out:int list ->
   Gpusim.Isa.program ->
   report
+
+(** [lowered machine (p, slot_map)] is {!program} on an already lowered
+    conversion, with the slot map's source registers as [live_in] and
+    destination registers as [live_out]. *)
+val lowered : Gpusim.Machine.t -> Gpusim.Isa.program * Codegen.Lower.slot_map -> report
 
 (** [plan machine p] lowers the conversion plan (guarded exactly as
     {!Static_cost.lower_plan}; [None] when there is no warp-level

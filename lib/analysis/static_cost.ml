@@ -63,8 +63,7 @@ let warp_wavefronts machine ~bytes ~byte_width (addr_row : int array) =
   done;
   let period = nb * wb in
   if lanes = 0 || period <= 0 || !mn < 0 then
-    Gpusim.Banks.wavefronts machine
-      (List.init lanes (fun l -> { Gpusim.Banks.addr = row.(l); bytes }))
+    Gpusim.Banks.wavefronts_row machine ~byte_width:1 ~bytes row
   else begin
     let shift = !mn / period * period in
     if shift > 0 then
@@ -76,10 +75,7 @@ let warp_wavefronts machine ~bytes ~byte_width (addr_row : int array) =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
     | None ->
-        let v =
-          Gpusim.Banks.wavefronts machine
-            (List.init lanes (fun l -> { Gpusim.Banks.addr = row.(l); bytes }))
-        in
+        let v = Gpusim.Banks.wavefronts_row machine ~byte_width:1 ~bytes row in
         Hashtbl.add tbl key v;
         v
   end
@@ -148,8 +144,9 @@ let analyze machine (p : Isa.program) =
   end;
   { total; per_instr; estimate }
 
-let differential machine ~slots (p : Isa.program) =
-  let static_total = cost machine p in
+(* LL810 on a divergence between an already computed static cost and a
+   fresh interpreter run of the same program. *)
+let check_against_interpreter machine ~slots (p : Isa.program) static_total =
   let interp = Isa.run machine p (Isa.make_state p ~slots) in
   if static_total = interp then []
   else
@@ -158,6 +155,8 @@ let differential machine ~slots (p : Isa.program) =
         "static cost diverges from interpreted cost: static %a vs interpreted %a"
         Gpusim.Cost.pp static_total Gpusim.Cost.pp interp;
     ]
+
+let differential machine ~slots p = check_against_interpreter machine ~slots p (cost machine p)
 
 type lowered = {
   program : Isa.program;
@@ -191,18 +190,20 @@ let plan machine (pl : Codegen.Conversion.plan) =
 (* The layout-search objective hook: the exact cost of the plan's
    lowered instruction stream, with the static≡dynamic differential
    asserted per plan so a search can never rank candidates with a
-   mispriced stream. *)
+   mispriced stream.  The static cost is computed once and is both the
+   differential's left-hand side and the returned price. *)
 let reprice_conversion machine (pl : Codegen.Conversion.plan) =
   match lower_plan machine pl with
   | None -> None
   | Some (program, sm) ->
+      let c = cost machine program in
       let slots = sm.Codegen.Lower.total_slots in
-      (match differential machine ~slots program with
+      (match check_against_interpreter machine ~slots program c with
       | [] -> ()
       | d :: _ ->
           failwith
             (Format.asprintf "Static_cost.reprice_conversion: %a" Diagnostics.pp d));
-      Some (cost machine program)
+      Some c
 
 let pp ppf t =
   Format.fprintf ppf "static cost %a = %.2f units@," Gpusim.Cost.pp t.total t.estimate;

@@ -8,14 +8,20 @@
     contract (enforced by the test suite's 216-row golden table and
     qcheck differential):
 
-    {v Static_cost.cost m p = Gpusim.Isa.run m p (make_state p) v}
+    {v Static_cost.cost m p = Gpusim.Isa.run m p (make_state p ~slots) v}
 
     cost-for-cost, for every well-formed program.  Malformed programs
     raise [Failure] with the same messages the interpreter would (wrong
     lane-table shape, shuffle source lane or shared-memory address out
     of range), so the equation extends to the failure modes; the
     graceful LL8xx reporting of the same conditions lives in
-    {!Resource_check}. *)
+    {!Resource_check}.
+
+    Both sides price shared-memory accesses with the one bank model of
+    {!Gpusim.Banks}.  Only this side memoizes wavefront counts (per
+    address row, normalized to the bank period); the interpreter never
+    reads that memo, so the differential compares two independent
+    computations. *)
 
 open Linear_layout
 
@@ -66,10 +72,12 @@ val plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> lowered option
 
 (** The layout-search objective hook: the exact static cost of the
     plan's lowered instruction stream, [None] when the plan has no
-    warp-level lowering (keep the planner cost then).  The
-    static≡dynamic differential is asserted per plan ([Failure] on any
-    LL810 divergence), so search rankings are backed by the proven
-    pricing. *)
+    warp-level lowering (keep the planner cost then).  The static cost
+    is computed once; before it is returned it is held against one
+    {!Gpusim.Isa.run} of the same program on a fresh state — the
+    static≡dynamic differential, asserted per plan ([Failure] with the
+    LL810 diagnostic on any divergence) — so search rankings are
+    backed by the proven pricing. *)
 val reprice_conversion :
   Gpusim.Machine.t -> Codegen.Conversion.plan -> Gpusim.Cost.t option
 

@@ -258,12 +258,12 @@ let certify_isa ~src ~dst ~map program =
    point [h] reads source point [pseudo_invert(src_flat)(dst_flat h)].
    That is correct by construction whenever the two layouts cover the
    same logical space and the source is surjective onto it — both
-   decidable by elimination on the F2 matrices.  The logical space is
-   the labelled output dims without the 0-bit ones: equal bit totals
-   are not enough, as an 8x4 and a 4x8 tensor show. *)
+   decidable by elimination on the F2 matrices.  The logical spaces are
+   compared with their labels ({!Layout.logical_space}): equal bit
+   totals are not enough, as an 8x4 and a 4x8 tensor show. *)
 let certify_algebraic ~src ~dst ~mechanism =
   let points = 1 lsl Layout.total_in_bits dst in
-  let space l = List.filter (fun (_, bits) -> bits > 0) (Layout.out_dims l) in
+  let space = Layout.logical_space in
   if space src <> space dst then
     let show l =
       String.concat "x" (List.map (fun (d, n) -> Printf.sprintf "%s:%d" d n) (space l))

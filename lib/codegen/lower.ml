@@ -209,25 +209,23 @@ let conversion machine (plan : Conversion.plan) =
 
 let load_state program map (d : Gpusim.Dist.t) =
   let st = Gpusim.Isa.make_state program ~slots:map.total_slots in
-  let lanes = program.Gpusim.Isa.lanes in
-  for w = 0 to program.Gpusim.Isa.warps - 1 do
-    for l = 0 to lanes - 1 do
-      for r = 0 to map.src_regs - 1 do
-        let hw = r lor (l * map.src_regs) lor (w * map.src_regs * lanes) in
-        st.Gpusim.Isa.regs.(w).(l).(r) <- Gpusim.Dist.get d hw
-      done
+  let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  (* Source hardware point [r | t * src_regs] sits in slot [r] of thread
+     [t = w * lanes + l]. *)
+  for t = 0 to threads - 1 do
+    for r = 0 to map.src_regs - 1 do
+      st.Gpusim.Isa.regs.((t * map.total_slots) + r) <-
+        Gpusim.Dist.get d (r lor (t * map.src_regs))
     done
   done;
   st
 
 let store_dist map ~dst (st : Gpusim.Isa.state) =
-  let lanes = Array.length st.Gpusim.Isa.regs.(0) in
+  let slots = st.Gpusim.Isa.slots in
+  let threads = if slots = 0 then 0 else Array.length st.Gpusim.Isa.regs / slots in
   let data =
-    Array.init (map.dst_regs * lanes * Array.length st.Gpusim.Isa.regs) (fun hw ->
-        let r = hw mod map.dst_regs in
-        let l = hw / map.dst_regs mod lanes in
-        let w = hw / (map.dst_regs * lanes) in
-        st.Gpusim.Isa.regs.(w).(l).(map.dst_base + r))
+    Array.init (map.dst_regs * threads) (fun hw ->
+        st.Gpusim.Isa.regs.(((hw / map.dst_regs) * slots) + map.dst_base + (hw mod map.dst_regs)))
   in
   { Gpusim.Dist.layout = dst; data }
 

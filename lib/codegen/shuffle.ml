@@ -17,7 +17,8 @@ let set_inter a b = List.filter (fun x -> List.mem x b) a
 
 let plan machine ~src ~dst ~byte_width =
   let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
-  if Layout.out_dims a <> Layout.out_dims b then Error "layouts cover different logical spaces"
+  if Layout.logical_space src <> Layout.logical_space dst then
+    Error "layouts cover different logical spaces"
   else if Layout.flat_columns a Dims.warp <> Layout.flat_columns b Dims.warp then
     Error "conversion crosses warps"
   else if Layout.flat_columns a Dims.block <> Layout.flat_columns b Dims.block then

@@ -51,9 +51,9 @@ let predict_wavefronts machine ~vec ~seg ~dist ~byte_width =
   n * (1 lsl List.length inter)
 
 let optimal machine ~src ~dst ~byte_width =
-  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
-  if Layout.out_dims a <> Layout.out_dims b then
+  if Layout.logical_space src <> Layout.logical_space dst then
     invalid_arg "Swizzle_opt.optimal: layouts cover different logical spaces";
+  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
   let d = Layout.total_out_bits a in
   let a_reg = nonzero_cols a Dims.register and b_reg = nonzero_cols b Dims.register in
   let a_thr = nonzero_cols a Dims.lane and b_thr = nonzero_cols b Dims.lane in
@@ -147,40 +147,59 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
   let other_idx =
     List.filter (fun k -> not (List.mem k vec_idx)) (List.init reg_bits Fun.id)
   in
-  let vec_elems = 1 lsl List.length vec_idx in
-  let scatter sel idxs base =
-    fst
-      (List.fold_left
-         (fun (acc, i) k ->
-           ((if sel land (1 lsl i) <> 0 then acc lor (1 lsl k) else acc), i + 1))
-         (base, 0) idxs)
+  (* The offset of (lane, register) is linear in the hardware index
+     [r lor (lane lsl reg_bits)] (§5.4), so it is the XOR of a lane
+     image and a register image.  [images bits] tabulates the offset
+     image of every combination of the hardware bits [bits], bit [i] of
+     the table index standing for hardware bit [List.nth bits i]. *)
+  let images bits =
+    let t = Array.make (1 lsl List.length bits) 0 in
+    List.iteri
+      (fun i k ->
+        let img = Layout.apply_flat mem_inv (Layout.apply_flat dist (1 lsl k)) in
+        let h = 1 lsl i in
+        for x = 0 to h - 1 do
+          t.(x lor h) <- t.(x) lxor img
+        done)
+      bits;
+    t
   in
-  let reg_of ~group ~within = scatter within vec_idx (scatter group other_idx 0) in
-  let offset_of =
-    let to_logical = Layout.apply_flat dist and to_offset = Layout.apply_flat mem_inv in
-    fun lane r -> to_offset (to_logical (r lor (lane lsl reg_bits)))
-  in
-  let insts = 1 lsl List.length other_idx in
+  let lane_img = images (List.init lane_bits (fun j -> reg_bits + j)) in
+  let within_img = images vec_idx and group_img = images other_idx in
+  let lanes = Array.length lane_img and vec_elems = Array.length within_img in
+  let insts = Array.length group_img in
+  let reg_img = Array.make vec_elems 0 in
+  let offsets = Array.make vec_elems 0 in
+  let row = Array.make lanes 0 in
   let total = ref 0 in
   for g = 0 to insts - 1 do
-    let accesses =
-      List.init (1 lsl lane_bits) (fun lane ->
-          let offsets =
-            List.init vec_elems (fun v -> offset_of lane (reg_of ~group:g ~within:v))
-            |> List.sort compare
-          in
-          let base = List.hd offsets in
-          (* The vectorized registers must map onto consecutive aligned
-             offsets; the planner guarantees this for its own memory
-             layouts. *)
-          List.iteri
-            (fun i o ->
-              if o <> base + i then
-                invalid_arg "Swizzle_opt.simulate_wavefronts: access is not contiguous")
-            offsets;
-          { Gpusim.Banks.addr = base * byte_width; bytes = vec_elems * byte_width })
-    in
-    total := !total + Gpusim.Banks.wavefronts machine accesses
+    for v = 0 to vec_elems - 1 do
+      reg_img.(v) <- group_img.(g) lxor within_img.(v)
+    done;
+    for lane = 0 to lanes - 1 do
+      (* Insertion-sort the lane's offsets into the reused array. *)
+      let li = lane_img.(lane) in
+      for v = 0 to vec_elems - 1 do
+        let o = li lxor reg_img.(v) in
+        let j = ref (v - 1) in
+        while !j >= 0 && offsets.(!j) > o do
+          offsets.(!j + 1) <- offsets.(!j);
+          decr j
+        done;
+        offsets.(!j + 1) <- o
+      done;
+      (* The vectorized registers must map onto consecutive aligned
+         offsets; the planner guarantees this for its own memory
+         layouts. *)
+      let base = offsets.(0) in
+      for i = 1 to vec_elems - 1 do
+        if offsets.(i) <> base + i then
+          invalid_arg "Swizzle_opt.simulate_wavefronts: access is not contiguous"
+      done;
+      row.(lane) <- base
+    done;
+    total :=
+      !total + Gpusim.Banks.wavefronts_row machine ~byte_width ~bytes:(vec_elems * byte_width) row
   done;
   (!total, insts)
 

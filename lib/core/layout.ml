@@ -118,6 +118,7 @@ let relabel_outs l outs move =
 
 let in_dims l = Array.to_list l.ins
 let out_dims l = Array.to_list l.outs
+let logical_space l = List.filter (fun (_, bits) -> bits > 0) (out_dims l)
 let has_in_dim l d = find_index l.ins d >= 0
 let has_out_dim l d = find_index l.outs d >= 0
 let in_bits l d = dim_bits l.ins d

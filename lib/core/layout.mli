@@ -57,6 +57,12 @@ val of_matrix : ins:(string * int) list -> outs:(string * int) list -> F2.Bitmat
 
 val in_dims : t -> (string * int) list
 val out_dims : t -> (string * int) list
+
+(** The labelled output dims without the 0-bit ones: the logical space
+    a layout covers.  Two layouts describe the same tensor exactly when
+    their logical spaces are equal; equal bit totals are not enough, as
+    an 8x4 and a 4x8 tensor show. *)
+val logical_space : t -> (string * int) list
 val has_in_dim : t -> string -> bool
 val has_out_dim : t -> string -> bool
 

@@ -15,6 +15,13 @@ type access = { addr : int; bytes : int }
     order. *)
 val wavefronts : Machine.t -> access list -> int
 
+(** [wavefronts_row machine ~byte_width ~bytes row] is {!wavefronts} on
+    the accesses [{addr = row.(l) * byte_width; bytes}] for every lane
+    [l], without building them: [row] holds one warp's per-lane element
+    offsets, as an ISA shared-memory instruction's address table does.
+    Both functions run the same bank model. *)
+val wavefronts_row : Machine.t -> byte_width:int -> bytes:int -> int array -> int
+
 (** [conflict_free machine accesses] holds when each 128-byte phase
     completes in a single wavefront. *)
 val conflict_free : Machine.t -> access list -> bool

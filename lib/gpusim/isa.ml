@@ -9,17 +9,10 @@ type instr =
   | Bar_sync
 
 type program = { warps : int; lanes : int; smem_elems : int; body : instr list }
-type state = { regs : int array array array; smem : int array }
+type state = { slots : int; regs : int array; smem : int array }
 
 let make_state p ~slots =
-  {
-    regs = Array.init p.warps (fun _ -> Array.init p.lanes (fun _ -> Array.make slots 0));
-    smem = Array.make p.smem_elems 0;
-  }
-
-let accesses_of ~slots ~addr ~byte_width p w =
-  List.init p.lanes (fun lane ->
-      { Banks.addr = addr.(w).(lane) * byte_width; bytes = List.length slots * byte_width })
+  { slots; regs = Array.make (p.warps * p.lanes * slots) 0; smem = Array.make p.smem_elems 0 }
 
 let instr_class = function
   | Mov _ -> "mov"
@@ -36,96 +29,102 @@ let run machine p st =
   (* One flag read for the whole run keeps the per-instruction overhead
      at a single branch when nothing is observing. *)
   let obs = Obs.enabled () in
+  let warps = p.warps and lanes = p.lanes in
+  let threads = warps * lanes in
+  let slots = st.slots and regs = st.regs and smem = st.smem in
+  (* Slot [s] of thread [t = w * lanes + l] is [regs.(t * slots + s)].
+     Slots are range-checked: an out-of-range slot must raise, not reach
+     a neighbouring lane's registers. *)
+  let slot s = if s < 0 || s >= slots then invalid_arg "index out of bounds" else s in
   let check_lane_table name a =
     if
-      Array.length a <> p.warps
-      || Array.exists (fun row -> Array.length row <> p.lanes) a
+      Array.length a <> warps
+      || Array.exists (fun row -> Array.length row <> lanes) a
     then failwith (name ^ ": per-warp/lane table has wrong shape")
+  in
+  let published = Array.make lanes 0 in
+  let shared name ~slots:sl ~addr ~byte_width ~store =
+    check_lane_table name addr;
+    let sl = Array.of_list sl in
+    let n = Array.length sl in
+    for w = 0 to warps - 1 do
+      let row = addr.(w) in
+      for l = 0 to lanes - 1 do
+        let base = ((w * lanes) + l) * slots and a0 = row.(l) in
+        for i = 0 to n - 1 do
+          let a = a0 + i in
+          if a < 0 || a >= p.smem_elems then failwith (name ^ ": address out of range");
+          let r = base + slot sl.(i) in
+          if store then smem.(a) <- regs.(r) else regs.(r) <- smem.(a)
+        done
+      done;
+      cost.Cost.smem_wavefronts <-
+        cost.Cost.smem_wavefronts
+        + Banks.wavefronts_row machine ~byte_width ~bytes:(n * byte_width) row
+    done;
+    cost.Cost.smem_insts <- cost.Cost.smem_insts + warps
   in
   List.iter
     (fun instr ->
       if obs then Obs.Metrics.incr ("isa.instr." ^ instr_class instr);
       match instr with
       | Mov { dst; src } ->
-          for w = 0 to p.warps - 1 do
-            for l = 0 to p.lanes - 1 do
-              st.regs.(w).(l).(dst) <- st.regs.(w).(l).(src)
+          if threads > 0 then begin
+            let dst = slot dst and src = slot src in
+            for t = 0 to threads - 1 do
+              regs.((t * slots) + dst) <- regs.((t * slots) + src)
             done
-          done;
-          cost.Cost.alu <- cost.Cost.alu + p.warps
+          end;
+          cost.Cost.alu <- cost.Cost.alu + warps
       | Sel { dst; src_slot } ->
           check_lane_table "sel" src_slot;
-          for w = 0 to p.warps - 1 do
-            for l = 0 to p.lanes - 1 do
-              let s = src_slot.(w).(l) in
-              if s >= 0 then st.regs.(w).(l).(dst) <- st.regs.(w).(l).(s)
+          for w = 0 to warps - 1 do
+            for l = 0 to lanes - 1 do
+              let s = src_slot.(w).(l) and base = ((w * lanes) + l) * slots in
+              if s >= 0 then regs.(base + slot dst) <- regs.(base + slot s)
             done
           done;
-          cost.Cost.alu <- cost.Cost.alu + (2 * p.warps)
+          cost.Cost.alu <- cost.Cost.alu + (2 * warps)
       | Scatter { src; dst_slot } ->
           check_lane_table "scatter" dst_slot;
-          for w = 0 to p.warps - 1 do
-            for l = 0 to p.lanes - 1 do
-              let s = dst_slot.(w).(l) in
-              if s >= 0 then st.regs.(w).(l).(s) <- st.regs.(w).(l).(src)
+          for w = 0 to warps - 1 do
+            for l = 0 to lanes - 1 do
+              let s = dst_slot.(w).(l) and base = ((w * lanes) + l) * slots in
+              if s >= 0 then regs.(base + slot s) <- regs.(base + slot src)
             done
           done;
-          cost.Cost.alu <- cost.Cost.alu + (2 * p.warps)
+          cost.Cost.alu <- cost.Cost.alu + (2 * warps)
       | Shfl_idx { dst; src; src_lane; keep } ->
           check_lane_table "shfl" src_lane;
           check_lane_table "shfl" keep;
-          for w = 0 to p.warps - 1 do
+          for w = 0 to warps - 1 do
             (* All lanes publish, then all lanes receive: read the
                published values before any write. *)
-            let published = Array.init p.lanes (fun l -> st.regs.(w).(l).(src)) in
-            for l = 0 to p.lanes - 1 do
+            for l = 0 to lanes - 1 do
+              published.(l) <- regs.((((w * lanes) + l) * slots) + slot src)
+            done;
+            for l = 0 to lanes - 1 do
               let s = src_lane.(w).(l) in
-              if s < 0 || s >= p.lanes then failwith "shfl: source lane out of range";
-              if keep.(w).(l) then st.regs.(w).(l).(dst) <- published.(s)
+              if s < 0 || s >= lanes then failwith "shfl: source lane out of range";
+              if keep.(w).(l) then
+                regs.((((w * lanes) + l) * slots) + slot dst) <- published.(s)
             done
           done;
-          cost.Cost.shuffles <- cost.Cost.shuffles + p.warps;
-          cost.Cost.alu <- cost.Cost.alu + p.warps
-      | St_shared { slots; addr; byte_width } ->
-          check_lane_table "st.shared" addr;
-          for w = 0 to p.warps - 1 do
-            for l = 0 to p.lanes - 1 do
-              List.iteri
-                (fun i slot ->
-                  let a = addr.(w).(l) + i in
-                  if a < 0 || a >= p.smem_elems then failwith "st.shared: address out of range";
-                  st.smem.(a) <- st.regs.(w).(l).(slot))
-                slots
-            done;
-            cost.Cost.smem_wavefronts <-
-              cost.Cost.smem_wavefronts
-              + Banks.wavefronts machine (accesses_of ~slots ~addr ~byte_width p w)
-          done;
-          cost.Cost.smem_insts <- cost.Cost.smem_insts + p.warps
-      | Ld_shared { slots; addr; byte_width } ->
-          check_lane_table "ld.shared" addr;
-          for w = 0 to p.warps - 1 do
-            for l = 0 to p.lanes - 1 do
-              List.iteri
-                (fun i slot ->
-                  let a = addr.(w).(l) + i in
-                  if a < 0 || a >= p.smem_elems then failwith "ld.shared: address out of range";
-                  st.regs.(w).(l).(slot) <- st.smem.(a))
-                slots
-            done;
-            cost.Cost.smem_wavefronts <-
-              cost.Cost.smem_wavefronts
-              + Banks.wavefronts machine (accesses_of ~slots ~addr ~byte_width p w)
-          done;
-          cost.Cost.smem_insts <- cost.Cost.smem_insts + p.warps
+          cost.Cost.shuffles <- cost.Cost.shuffles + warps;
+          cost.Cost.alu <- cost.Cost.alu + warps
+      | St_shared { slots = sl; addr; byte_width } ->
+          shared "st.shared" ~slots:sl ~addr ~byte_width ~store:true
+      | Ld_shared { slots = sl; addr; byte_width } ->
+          shared "ld.shared" ~slots:sl ~addr ~byte_width ~store:false
       | Bin { op; dst; a; b } ->
-          let f = match op with `Add -> ( + ) | `Max -> max in
-          for w = 0 to p.warps - 1 do
-            for l = 0 to p.lanes - 1 do
-              st.regs.(w).(l).(dst) <- f st.regs.(w).(l).(a) st.regs.(w).(l).(b)
+          if threads > 0 then begin
+            let dst = slot dst and a = slot a and b = slot b in
+            for t = 0 to threads - 1 do
+              let x = regs.((t * slots) + a) and y = regs.((t * slots) + b) in
+              regs.((t * slots) + dst) <- (match op with `Add -> x + y | `Max -> max x y)
             done
-          done;
-          cost.Cost.alu <- cost.Cost.alu + p.warps
+          end;
+          cost.Cost.alu <- cost.Cost.alu + warps
       | Bar_sync -> cost.Cost.barriers <- cost.Cost.barriers + 1)
     p.body;
   if obs then

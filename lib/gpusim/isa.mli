@@ -44,17 +44,25 @@ type instr =
 
 type program = { warps : int; lanes : int; smem_elems : int; body : instr list }
 
-(** Mutable CTA state. *)
+(** Mutable CTA state.  The register file is one flat array: slot [s]
+    of lane [l] in warp [w] is [regs.(((w * lanes) + l) * slots + s)],
+    the layout of [Analysis.Transval]'s symbolic state. *)
 type state = {
-  regs : int array array array;  (** [warp].[lane].[slot] *)
+  slots : int;  (** register slots per lane *)
+  regs : int array;
   smem : int array;
 }
 
+(** [make_state program ~slots] is a zeroed state sized for [program]:
+    [warps * lanes * slots] registers and [smem_elems] shared
+    elements. *)
 val make_state : program -> slots:int -> state
 
 (** [run machine program state] executes and returns accumulated
-    costs.  Raises [Failure] on malformed programs (e.g. out-of-range
-    slots or addresses). *)
+    costs.  Raises [Failure] on malformed programs (wrong lane-table
+    shape, out-of-range shuffle source lane or shared-memory address)
+    and [Invalid_argument] on an out-of-range slot.  Each warp's
+    shared-memory access is priced by {!Banks.wavefronts_row}. *)
 val run : Machine.t -> program -> state -> Cost.t
 
 (** Short class name of an instruction ("mov", "shfl", "st_shared",

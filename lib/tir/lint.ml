@@ -65,22 +65,37 @@ let instruction_passes machine prog =
     (Program.instrs prog);
   List.rev !diags
 
-let conversion_passes machine (result : Pass.result) =
+(* Per materialized conversion: bank certification, then the race and
+   resource checks on the plan's one lowering ([None] when the plan has
+   no warp-level lowering), located at the conversion's instruction.
+   [resource] picks the full report or only its errors. *)
+let per_conversion machine (result : Pass.result) ~resource =
   List.concat_map
     (fun (c : Pass.conversion_info) ->
       match c.Pass.plan with
       | None -> []
       | Some plan ->
-          let resource =
-            match Analysis.Resource_check.plan machine plan with
-            | None -> []
-            | Some r -> r.Analysis.Resource_check.diagnostics
+          let races, resource =
+            match Analysis.Static_cost.lower_plan machine plan with
+            | None -> ([], [])
+            | Some ((program, _) as low) ->
+                (Analysis.Races.check_lowered plan program, resource low)
           in
-          Analysis.Bank_check.conversion machine plan
-          @ Analysis.Races.check_plan machine plan
-          @ resource
+          Analysis.Bank_check.conversion machine plan @ races @ resource
           |> List.map (Diagnostics.with_loc (Diagnostics.Tir_instr c.Pass.at)))
     result.Pass.conversions
 
+let conversion_passes machine result =
+  per_conversion machine result ~resource:(fun low ->
+      (Analysis.Resource_check.lowered machine low).Analysis.Resource_check.diagnostics)
+
 let passes machine prog ~result =
   instruction_passes machine prog @ conversion_passes machine result
+
+(* The LL4xx/LL5xx instruction lints only warn, so the errors of
+   [passes] all come from the conversions, and there the resource
+   check's errors need no register dataflow. *)
+let errors machine _prog ~result =
+  per_conversion machine result ~resource:(fun (program, _) ->
+      Analysis.Resource_check.errors program)
+  |> Diagnostics.errors

@@ -11,7 +11,11 @@
     Per materialized conversion (from {!Pass.conversion_info.plan} —
     the type {!Engine.conversion_info} re-exports):
     - the bank-conflict certifier {!Analysis.Bank_check} ([LL3xx]);
-    - the race/barrier checker {!Analysis.Races} ([LL2xx]).
+    - the race/barrier checker {!Analysis.Races} ([LL2xx]);
+    - the resource checker {!Analysis.Resource_check} ([LL8xx]).
+
+    Each conversion is lowered once ({!Analysis.Static_cost.lower_plan})
+    and the race and resource checks share that program.
 
     Diagnostics that carry no finer location are attributed to the
     conversion's instruction. *)
@@ -25,3 +29,12 @@ val instruction_passes : Gpusim.Machine.t -> Program.t -> Diagnostics.t list
 (** [passes machine prog ~result] — [prog] must already have layouts
     assigned (i.e. [result = Engine.run ... prog] was called on it). *)
 val passes : Gpusim.Machine.t -> Program.t -> result:Pass.result -> Diagnostics.t list
+
+(** [errors machine prog ~result] is
+    [Diagnostics.errors (passes machine prog ~result)], computed without
+    the checks that only warn: the instruction lints ([LL4xx]/[LL5xx]
+    have no error severity) and {!Analysis.Resource_check}'s register
+    dataflow ([LL805]/[LL806]).  Every error-severity check still runs —
+    bank certification, races and the resource errors — on one lowering
+    per conversion.  The layout search's lint gate uses it. *)
+val errors : Gpusim.Machine.t -> Program.t -> result:Pass.result -> Diagnostics.t list

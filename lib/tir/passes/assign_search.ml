@@ -79,17 +79,15 @@ let rec take k = function
   | [] -> []
   | x :: tl -> if k <= 0 then [] else x :: take (k - 1) tl
 
-let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
-  let beam = max 1 params.beam in
-  let span =
-    Obs.Span.enter "search/beam" ~attrs:[ ("beam", string_of_int beam) ]
+let pipeline st =
+  let (_ : Pass_manager.report) =
+    Pass_manager.run (Pass_manager.config Passes.default) st
   in
-  let pipeline st =
-    let (_ : Pass_manager.report) =
-      Pass_manager.run (Pass_manager.config Passes.default) st
-    in
-    ()
-  in
+  ()
+
+(* Beam exploration: the greedy root, the short-list to re-price (root
+   excluded), and the explored/pruned counts. *)
+let explore machine ~mode ?num_warps ?trace ~beam ~domains prog =
   let eval script =
     let p = Program.copy prog in
     let st =
@@ -139,7 +137,7 @@ let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
     | _ ->
         let scripts = Array.of_list child_scripts in
         let children =
-          Par_eval.map ~domains:params.domains (Array.length scripts) (fun i ->
+          Par_eval.map ~domains (Array.length scripts) (fun i ->
               eval scripts.(i))
           |> Array.to_list
         in
@@ -172,10 +170,23 @@ let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
     |> take (max beam 4)
     |> List.filter (fun e -> e != root)
   in
-  let lint_errors e =
-    List.length
-      (Linear_layout.Diagnostics.errors (Lint.passes machine e.prog ~result:e.result))
+  (root, shortlist, !explored, !pruned)
+
+let shortlist machine ~mode ?num_warps ?(params = default_params) prog =
+  let root, shortlist, _, _ =
+    explore machine ~mode ?num_warps ~beam:(max 1 params.beam) ~domains:params.domains prog
   in
+  List.map (fun (e : entry) -> (e.script, e.prog, e.result)) (root :: shortlist)
+
+let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
+  let beam = max 1 params.beam in
+  let span =
+    Obs.Span.enter "search/beam" ~attrs:[ ("beam", string_of_int beam) ]
+  in
+  let root, shortlist, explored, pruned =
+    explore machine ~mode ?num_warps ?trace ~beam ~domains:params.domains prog
+  in
+  let lint_errors e = List.length (Lint.errors machine e.prog ~result:e.result) in
   let baseline_lint = lazy (lint_errors root) in
   let score e = (objective machine e.result, e.model_cost) in
   let root_score = score root in
@@ -201,8 +212,8 @@ let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
   let stats =
     {
       sites = Array.length winner.choices;
-      explored = !explored;
-      pruned = !pruned;
+      explored;
+      pruned;
       greedy_cost = fst root_score;
       best_cost = fst !best_score;
     }

@@ -44,6 +44,19 @@ val chooser_of_script : int list -> Strategy.t
     stream (see {!Analysis.Static_cost.reprice_conversion}). *)
 val objective : Gpusim.Machine.t -> Pass.result -> float
 
+(** [shortlist machine ~mode ?num_warps ?params prog] runs the beam
+    exploration of {!run} and returns the candidates {!run} re-prices
+    and lint-gates, greedy root first: each as its script, the private
+    program copy it was evaluated on, and its pipeline result.  [prog]
+    is not modified. *)
+val shortlist :
+  Gpusim.Machine.t ->
+  mode:Pass.mode ->
+  ?num_warps:int ->
+  ?params:params ->
+  Program.t ->
+  (int list * Program.t * Pass.result) list
+
 val run :
   Gpusim.Machine.t ->
   mode:Pass.mode ->

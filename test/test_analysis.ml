@@ -178,6 +178,80 @@ let test_kernels_clean () =
         (Diagnostics.errors ds = []))
     Tir.Kernels.all
 
+(* {1 The search's lint gate}
+
+   [Lint.errors] must equal the error subset of [Lint.passes]: on every
+   suite triple's linear-mode engine result, on the same results with
+   every shared-memory plan carrying a wrong wavefront prediction (the
+   suite itself lints error-free, so that injection is what makes the
+   comparison see LL301s), and on every candidate the beam-1 search
+   short-lists on MI250, the search-tune machine. *)
+
+let lint_errors_agree what machine prog result =
+  let want = Diagnostics.errors (Tir.Lint.passes machine prog ~result) in
+  if Tir.Lint.errors machine prog ~result <> want then
+    Alcotest.failf "%s: Lint.errors differs from the errors of Lint.passes" what;
+  List.length want
+
+(* [r] with every shared-memory plan's store prediction off by one;
+   [None] when [r] has no shared-memory plan. *)
+let mispredict (r : Tir.Engine.result) =
+  let shared = ref false in
+  let plan (p : Codegen.Conversion.plan) =
+    match p.Codegen.Conversion.mechanism with
+    | Codegen.Conversion.Shared_memory s ->
+        shared := true;
+        let wrong = s.Codegen.Swizzle_opt.store_wavefronts + 1 in
+        let s = { s with Codegen.Swizzle_opt.store_wavefronts = wrong } in
+        { p with Codegen.Conversion.mechanism = Codegen.Conversion.Shared_memory s }
+    | _ -> p
+  in
+  let conversions =
+    List.map
+      (fun (c : Tir.Engine.conversion_info) ->
+        { c with Tir.Engine.plan = Option.map plan c.Tir.Engine.plan })
+      r.Tir.Engine.conversions
+  in
+  if !shared then Some { r with Tir.Engine.conversions } else None
+
+let suite_triples machines f =
+  List.iter
+    (fun (machine : Gpusim.Machine.t) ->
+      List.iter
+        (fun (k : Tir.Kernels.kernel) ->
+          let what = k.Tir.Kernels.name ^ "/" ^ machine.Gpusim.Machine.name in
+          f machine what (k.Tir.Kernels.build ~size:(List.hd k.Tir.Kernels.sizes)))
+        Tir.Kernels.all)
+    machines
+
+let test_lint_errors_suite () =
+  let injected = ref 0 in
+  suite_triples Gpusim.Machine.all_with_extras (fun machine what prog ->
+      let result = Tir.Engine.run machine ~mode:Tir.Engine.Linear prog in
+      ignore (lint_errors_agree what machine prog result);
+      Option.iter
+        (fun wrong ->
+          injected := !injected + lint_errors_agree (what ^ " mispredicted") machine prog wrong)
+        (mispredict result));
+  check_bool "injected predictions are reported" true (!injected > 50)
+
+let test_lint_errors_shortlist () =
+  let entries = ref 0 and errors = ref 0 in
+  suite_triples [ Gpusim.Machine.mi250 ] (fun machine what prog ->
+      List.iter
+        (fun (script, prog, result) ->
+          incr entries;
+          let script = String.concat "," (List.map string_of_int script) in
+          errors :=
+            !errors
+            + lint_errors_agree (Printf.sprintf "%s script [%s]" what script) machine prog result)
+        (Tir.Assign_search.shortlist machine ~mode:Tir.Engine.Linear
+           ~params:{ Tir.Assign_search.beam = 1; domains = 1 }
+           prog));
+  check_bool "short-lists hold more than the greedy roots" true
+    (!entries > List.length Tir.Kernels.all);
+  check_bool "some candidates trip the gate" true (!errors > 0)
+
 let test_run_and_validate_analyze () =
   let k = Tir.Kernels.find "softmax" in
   let prog = k.Tir.Kernels.build ~size:(List.hd k.Tir.Kernels.sizes) in
@@ -324,6 +398,10 @@ let () =
           Alcotest.test_case "all kernels clean" `Quick test_kernels_clean;
           Alcotest.test_case "run_and_validate ~analyze" `Quick test_run_and_validate_analyze;
           Alcotest.test_case "validate codes" `Quick test_validate_codes;
+          Alcotest.test_case "Lint.errors = errors of Lint.passes, suite" `Quick
+            test_lint_errors_suite;
+          Alcotest.test_case "Lint.errors = errors of Lint.passes, search short-lists" `Quick
+            test_lint_errors_shortlist;
         ] );
       ( "properties",
         [ q prop_plans_race_clean; q prop_certifier_agrees; q prop_raw_checker_exact ] );

@@ -117,7 +117,28 @@ let test_shuffle_identity_is_trivial () =
      registers keep rounds low. *)
   check_int "no exchanges needed" 0 (List.length p.Codegen.Shuffle.g)
 
+(* Same number of logical bits, different tensors: an 8x4 (dim0 x dim1)
+   and a 4x8 one.  Comparing only bit totals would accept the pair. *)
+let transposed_shapes () =
+  let id bits in_dim d = Layout.identity1d bits ~in_dim ~out_dim:(Dims.dim d) in
+  ( Layout.mul (id 2 Dims.register 1) (id 3 Dims.lane 0),
+    Layout.mul (id 3 Dims.register 1) (id 2 Dims.lane 0) )
+
+let test_shuffle_rejects_other_shape () =
+  let src, dst = transposed_shapes () in
+  match Codegen.Shuffle.plan m ~src ~dst ~byte_width:4 with
+  | Ok _ -> Alcotest.fail "an 8x4 to 4x8 conversion must be rejected"
+  | Error e -> Alcotest.(check string) "reason" "layouts cover different logical spaces" e
+
 (* {1 Swizzle_opt} *)
+
+let test_swizzle_rejects_other_shape () =
+  let src, dst = transposed_shapes () in
+  match Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width:4 with
+  | _ -> Alcotest.fail "an 8x4 to 4x8 swizzle must be rejected"
+  | exception Invalid_argument e ->
+      Alcotest.(check string)
+        "reason" "Swizzle_opt.optimal: layouts cover different logical spaces" e
 
 let per_inst_check name s ~dist ~byte_width ~expected_free =
   let total, insts =
@@ -435,6 +456,48 @@ let prop_swizzle_never_worse_than_row_major =
          wavefronts (transaction count already reflects width). *)
       opt <= naive)
 
+(* The table-driven bank simulator equals its per-element oracle
+   (test/swizzle_oracle.ml) on the optimal, the row-major and a
+   column-permuted memory layout, for the optimal's vectorization, none,
+   and every register column (often non-contiguous: both must then
+   raise the same error). *)
+let prop_simulate_matches_oracle =
+  QCheck.Test.make ~name:"table-driven simulate_wavefronts = per-element oracle" ~count:80
+    (QCheck.pair arb_layout_pair_same_warp
+       (QCheck.make QCheck.Gen.(pair (oneofl [ 1; 2; 4 ]) (int_bound 10000))))
+    (fun ((src, dst), (byte_width, seed)) ->
+      let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width in
+      let shape =
+        Array.of_list (List.map (fun (_, b) -> 1 lsl b) (List.rev (Layout.out_dims src)))
+      in
+      let d = Layout.total_out_bits (Layout.flatten_outs src) in
+      let permuted =
+        List.init d (fun k -> 1 lsl k)
+        |> List.mapi (fun i c -> (Hashtbl.hash (seed + (i * 31)), c))
+        |> List.sort compare |> List.map snd
+        |> Shared.of_basis_columns ~shape
+      in
+      let run f ~mem ~dist ~vec =
+        match f m ~mem ~dist ~byte_width ~vec with
+        | r -> Ok r
+        | exception Invalid_argument msg -> Error msg
+      in
+      List.for_all
+        (fun mem ->
+          List.for_all
+            (fun dist ->
+              List.for_all
+                (fun vec ->
+                  run Codegen.Swizzle_opt.simulate_wavefronts ~mem ~dist ~vec
+                  = run Swizzle_oracle.simulate_wavefronts ~mem ~dist ~vec)
+                [
+                  s.Codegen.Swizzle_opt.vec;
+                  [];
+                  List.filter (fun c -> c <> 0) (Layout.flat_columns dist Dims.register);
+                ])
+            [ src; dst ])
+        [ s.Codegen.Swizzle_opt.mem; Shared.row_major ~shape; permuted ])
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "codegen"
@@ -453,12 +516,14 @@ let () =
           Alcotest.test_case "mma to blocked" `Quick test_shuffle_mma_to_blocked;
           Alcotest.test_case "rejects cross-warp" `Quick test_shuffle_rejects_cross_warp;
           Alcotest.test_case "identity is trivial" `Quick test_shuffle_identity_is_trivial;
+          Alcotest.test_case "rejects 8x4 to 4x8" `Quick test_shuffle_rejects_other_shape;
         ] );
       ( "swizzle",
         [
           Alcotest.test_case "transpose f32 conflict-free" `Quick test_swizzle_transpose_f32;
           Alcotest.test_case "beats unswizzled" `Quick test_swizzle_beats_unswizzled;
           Alcotest.test_case "execute correct" `Quick test_swizzle_execute_correct;
+          Alcotest.test_case "rejects 8x4 to 4x8" `Quick test_swizzle_rejects_other_shape;
         ] );
       ( "staging",
         [
@@ -484,5 +549,6 @@ let () =
             prop_swizzle_prediction_matches_simulation;
             prop_swizzle_never_worse_than_row_major;
             prop_swizzle_optimality_sampled;
+            prop_simulate_matches_oracle;
           ] );
     ])

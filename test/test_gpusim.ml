@@ -110,6 +110,35 @@ let test_machines () =
   check_bool "mi250 no ldmatrix" false Gpusim.Machine.mi250.has_ldmatrix;
   check_int "three platforms" 3 (List.length Gpusim.Machine.all)
 
+(* [wavefronts_row] reads a per-lane element-offset row; on the access
+   records that row stands for, it must agree with [wavefronts] — the
+   same bank model behind both.  Rows include repeats (broadcasts),
+   strided conflicts and negative offsets. *)
+let prop_row_matches_records =
+  let gen =
+    QCheck.Gen.(
+      let* machine = oneofl Gpusim.Machine.all_with_extras in
+      let* byte_width = oneofl [ 1; 2; 4; 8; 16 ] in
+      let* vec = oneofl [ 1; 2; 4 ] in
+      let* lanes = int_range 0 64 in
+      let* stride = oneofl [ 0; 1; 2; 8; 32; 33; 64 ] in
+      let* row =
+        array_repeat lanes
+          (oneof [ int_range (-64) 4096; map (fun k -> k * stride) (int_bound 64) ])
+      in
+      return (machine, byte_width, vec * byte_width, row))
+  in
+  let print (machine, byte_width, bytes, row) =
+    Printf.sprintf "%s byte_width=%d bytes=%d row=[%s]" machine.Gpusim.Machine.name byte_width
+      bytes
+      (String.concat ";" (Array.to_list (Array.map string_of_int row)))
+  in
+  QCheck.Test.make ~name:"wavefronts_row = wavefronts on the same accesses" ~count:500
+    (QCheck.make gen ~print) (fun (machine, byte_width, bytes, row) ->
+      Gpusim.Banks.wavefronts_row machine ~byte_width ~bytes row
+      = Gpusim.Banks.wavefronts machine
+          (Array.to_list (Array.map (fun a -> access (a * byte_width) bytes) row)))
+
 let () =
   Alcotest.run "gpusim"
     [
@@ -121,6 +150,7 @@ let () =
           Alcotest.test_case "two-way conflict" `Quick test_two_way_conflict;
           Alcotest.test_case "vectorized phases" `Quick test_vectorized_phases;
           Alcotest.test_case "vectorized conflicts" `Quick test_vectorized_conflicting;
+          QCheck_alcotest.to_alcotest prop_row_matches_records;
         ] );
       ("coalesce", [ Alcotest.test_case "transactions" `Quick test_coalesce ]);
       ( "dist",

@@ -16,12 +16,17 @@ let blocked ?(warps = [| 1; 1 |]) ?(order = [| 1; 0 |]) ~spt ~tpw shape =
 
 let tiny_program body = { Gpusim.Isa.warps = 1; lanes = 4; smem_elems = 16; body }
 
+(* Slot [s] of lane [l] in the single warp of a [tiny_program] state. *)
+let reg (st : Gpusim.Isa.state) l s = st.Gpusim.Isa.regs.((l * st.Gpusim.Isa.slots) + s)
+let set_reg (st : Gpusim.Isa.state) l s v = st.Gpusim.Isa.regs.((l * st.Gpusim.Isa.slots) + s) <- v
+let lanes4 f = List.iter f [ 0; 1; 2; 3 ]
+
 let test_isa_mov () =
   let p = tiny_program [ Gpusim.Isa.Mov { dst = 1; src = 0 } ] in
   let st = Gpusim.Isa.make_state p ~slots:2 in
-  Array.iteri (fun l regs -> regs.(0) <- 100 + l) st.Gpusim.Isa.regs.(0);
+  lanes4 (fun l -> set_reg st l 0 (100 + l));
   ignore (Gpusim.Isa.run m p st);
-  check_int "lane 2 copied" 102 st.Gpusim.Isa.regs.(0).(2).(1)
+  check_int "lane 2 copied" 102 (reg st 2 1)
 
 let test_isa_shfl () =
   (* Rotate values one lane to the left. *)
@@ -29,10 +34,10 @@ let test_isa_shfl () =
   let keep = [| Array.make 4 true |] in
   let p = tiny_program [ Gpusim.Isa.Shfl_idx { dst = 1; src = 0; src_lane; keep } ] in
   let st = Gpusim.Isa.make_state p ~slots:2 in
-  Array.iteri (fun l regs -> regs.(0) <- 10 * l) st.Gpusim.Isa.regs.(0);
+  lanes4 (fun l -> set_reg st l 0 (10 * l));
   let cost = Gpusim.Isa.run m p st in
-  check_int "lane0 got lane1" 10 st.Gpusim.Isa.regs.(0).(0).(1);
-  check_int "lane3 got lane0" 0 st.Gpusim.Isa.regs.(0).(3).(1);
+  check_int "lane0 got lane1" 10 (reg st 0 1);
+  check_int "lane3 got lane0" 0 (reg st 3 1);
   check_int "one shuffle" 1 cost.Gpusim.Cost.shuffles
 
 let test_isa_sel_scatter () =
@@ -43,14 +48,14 @@ let test_isa_sel_scatter () =
       [ Gpusim.Isa.Sel { dst = 2; src_slot = sel }; Gpusim.Isa.Scatter { src = 2; dst_slot = scat } ]
   in
   let st = Gpusim.Isa.make_state p ~slots:3 in
-  Array.iteri (fun l regs -> regs.(0) <- l + 1) st.Gpusim.Isa.regs.(0);
-  Array.iter (fun regs -> regs.(1) <- -1) st.Gpusim.Isa.regs.(0);
+  lanes4 (fun l -> set_reg st l 0 (l + 1));
+  lanes4 (fun l -> set_reg st l 1 (-1));
   ignore (Gpusim.Isa.run m p st);
-  check_int "lane0 scattered" 1 st.Gpusim.Isa.regs.(0).(0).(1);
+  check_int "lane0 scattered" 1 (reg st 0 1);
   (* Lane 1's select was skipped, so its stage register still holds the
      initial 0 that the scatter then commits. *)
-  check_int "lane1 commits stale stage" 0 st.Gpusim.Isa.regs.(0).(1).(1);
-  check_int "lane2 scatter skipped" (-1) st.Gpusim.Isa.regs.(0).(2).(1)
+  check_int "lane1 commits stale stage" 0 (reg st 1 1);
+  check_int "lane2 scatter skipped" (-1) (reg st 2 1)
 
 let test_isa_smem_roundtrip () =
   let addr = [| [| 0; 2; 4; 6 |] |] in
@@ -63,15 +68,13 @@ let test_isa_smem_roundtrip () =
       ]
   in
   let st = Gpusim.Isa.make_state p ~slots:4 in
-  Array.iteri
-    (fun l regs ->
-      regs.(0) <- 100 + l;
-      regs.(1) <- 200 + l)
-    st.Gpusim.Isa.regs.(0);
+  lanes4 (fun l ->
+      set_reg st l 0 (100 + l);
+      set_reg st l 1 (200 + l));
   let cost = Gpusim.Isa.run m p st in
   (* Slot order in the load is swapped: slot 3 gets the first element. *)
-  check_int "lane1 slot3" 101 st.Gpusim.Isa.regs.(0).(1).(3);
-  check_int "lane1 slot2" 201 st.Gpusim.Isa.regs.(0).(1).(2);
+  check_int "lane1 slot3" 101 (reg st 1 3);
+  check_int "lane1 slot2" 201 (reg st 1 2);
   check_int "barrier" 1 cost.Gpusim.Cost.barriers;
   check_int "two smem insts" 2 cost.Gpusim.Cost.smem_insts;
   check_bool "conflict-free" true (cost.Gpusim.Cost.smem_wavefronts = 2)

@@ -468,6 +468,87 @@ let test_plan_analysis_clean () =
   | Some r ->
       check_bool "no errors" false (Diagnostics.has_errors r.Resource_check.diagnostics)
 
+(* [Resource_check.errors] is the error subset of [program], in order,
+   without the dataflow.  Fault-inject raw fuzz programs and a lowered
+   plan: a truncated lane table (LL800), a shared-memory address past
+   the end (LL801) and a shuffle source lane out of range (LL807), one
+   to three faults per program; the fuzz programs also carry LL803-805
+   warnings, which [errors] must leave out without reordering the
+   rest. *)
+let inject st (p : Isa.program) =
+  let body = Array.of_list p.Isa.body in
+  let n = Array.length body in
+  let lanes = p.Isa.lanes and warps = p.Isa.warps in
+  let fault i =
+    match (Random.State.int st 3, body.(i)) with
+    | 0, Isa.Sel { dst; src_slot } ->
+        Isa.Sel { dst; src_slot = Array.sub src_slot 0 (warps - 1) }
+    | 0, Isa.Scatter { src; dst_slot } ->
+        Isa.Scatter { src; dst_slot = Array.map (fun r -> Array.sub r 0 (lanes / 2)) dst_slot }
+    | 1, Isa.St_shared { slots; addr; byte_width } ->
+        let past_end w l = if l = lanes - 1 then p.Isa.smem_elems else addr.(w).(l) in
+        Isa.St_shared { slots; byte_width; addr = tbl warps lanes past_end }
+    | 1, Isa.Ld_shared { slots; addr; byte_width } ->
+        let negative w l = if l = 0 then -1 - w else addr.(w).(l) in
+        Isa.Ld_shared { slots; byte_width; addr = tbl warps lanes negative }
+    | _, Isa.Shfl_idx { dst; src; src_lane; keep } ->
+        let beyond w l = if l = 1 then lanes + w else src_lane.(w).(l) in
+        Isa.Shfl_idx { dst; src; keep; src_lane = tbl warps lanes beyond }
+    | _, instr -> instr
+  in
+  for _ = 1 to 1 + Random.State.int st 3 do
+    let i = Random.State.int st (max 1 n) in
+    if n > 0 then body.(i) <- fault i
+  done;
+  { p with Isa.body = Array.to_list body }
+
+let check_errors_subset what p =
+  List.iter
+    (fun (live_in, live_out) ->
+      let full = (Resource_check.program m ~live_in ?live_out p).Resource_check.diagnostics in
+      if Resource_check.errors p <> Diagnostics.errors full then
+        Alcotest.failf "%s: errors differ from the report's error subset" what)
+    [ ([], None); ([ 0 ], Some [ 1; 2 ]) ];
+  Resource_check.errors p <> []
+
+let test_errors_subset_fault_injected () =
+  let st = Random.State.make [| fuzz_seed + 2 |] in
+  let faulty = ref 0 and warned = ref 0 in
+  for i = 1 to 200 do
+    let p, _ = fuzz_isa_program st in
+    let p = inject st p in
+    let what =
+      Printf.sprintf "fuzz #%d (replay with STATIC_COST_FUZZ_SEED=%d)" i fuzz_seed
+    in
+    if check_errors_subset what p then incr faulty;
+    if
+      List.exists
+        (fun (d : Diagnostics.t) -> d.Diagnostics.severity = Diagnostics.Warning)
+        (Resource_check.program m p).Resource_check.diagnostics
+    then incr warned
+  done;
+  check_bool "faults were injected" true (!faulty > 50);
+  check_bool "warnings interleave" true (!warned > 50);
+  let blocked ~spt ~tpw ~warps order =
+    Blocked.make
+      {
+        shape = [| 16; 16 |];
+        size_per_thread = spt;
+        threads_per_warp = tpw;
+        warps_per_cta = warps;
+        order;
+      }
+  in
+  let src = blocked ~spt:[| 1; 4 |] ~tpw:[| 8; 4 |] ~warps:[| 2; 1 |] [| 1; 0 |] in
+  let dst = blocked ~spt:[| 4; 1 |] ~tpw:[| 4; 8 |] ~warps:[| 1; 2 |] [| 0; 1 |] in
+  match Static_cost.lower_plan m (Codegen.Conversion.plan m ~src ~dst ~byte_width:4) with
+  | None -> Alcotest.fail "expected a lowerable plan"
+  | Some (prog, _) ->
+      check_bool "lowered plan is error-free" false (check_errors_subset "lowered" prog);
+      for i = 1 to 50 do
+        ignore (check_errors_subset (Printf.sprintf "lowered + faults #%d" i) (inject st prog))
+      done
+
 (* {1 The satellite fixes} *)
 
 let test_gmem_inst_pricing () =
@@ -554,6 +635,8 @@ let () =
              Alcotest.test_case "predicated lanes, no false positives" `Quick
                test_predicated_lanes_no_false_positives;
              Alcotest.test_case "lowered plan is clean" `Quick test_plan_analysis_clean;
+             Alcotest.test_case "errors = error subset of program, fault-injected" `Quick
+               test_errors_subset_fault_injected;
            ] );
          ( "satellites",
            [
