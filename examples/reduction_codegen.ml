@@ -44,7 +44,7 @@ let () =
   let cost = Gpusim.Isa.run machine program st in
   Format.printf "interpreter cost: %a@.@." Gpusim.Cost.pp cost;
 
-  let out = Codegen.Lower.store_dist map ~dst:result_layout st in
+  let out = Codegen.Lower.store_dist program map ~dst:result_layout st in
   (match Gpusim.Dist.to_logical out with
   | Ok sums ->
       Printf.printf "row sums (every broadcast copy agreed): %s ...\n"

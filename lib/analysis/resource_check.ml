@@ -15,51 +15,21 @@ type report = {
   peak_live_slots : int;
 }
 
-let shape_ok (p : Isa.program) a =
-  Array.length a = p.Isa.warps
-  && Array.for_all (fun row -> Array.length row = p.Isa.lanes) a
-
-(* Lane tables of an instruction, for the LL800 shape gate. *)
-let lane_tables = function
-  | Isa.Sel { src_slot; _ } -> [ src_slot ]
-  | Isa.Scatter { dst_slot; _ } -> [ dst_slot ]
-  | Isa.Shfl_idx { src_lane; keep; _ } ->
-      [ src_lane; Array.map (Array.map Bool.to_int) keep ]
-  | Isa.St_shared { addr; _ } | Isa.Ld_shared { addr; _ } -> [ addr ]
-  | Isa.Mov _ | Isa.Bin _ | Isa.Bar_sync -> []
-
-(* Iterate the in-range shared-memory element offsets of a store/load,
-   warp by warp, lane by lane, slot by slot. *)
+(* Iterate the shared-memory element offsets of a well-formed
+   store/load, warp by warp, lane by lane, slot by slot. *)
 let iter_elems (p : Isa.program) ~slots ~addr f =
   let n = List.length slots in
   for w = 0 to p.Isa.warps - 1 do
     for l = 0 to p.Isa.lanes - 1 do
       for i = 0 to n - 1 do
-        let a = addr.(w).(l) + i in
-        if a >= 0 && a < p.Isa.smem_elems then f a
+        f (addr.(w).(l) + i)
       done
     done
   done
 
-(* The first out-of-range element offset of a store/load in
-   [iter_elems]'s order.  A lane touches [a0 .. a0 + n - 1], so its
-   first out-of-range element, if any, is [a0] when negative and
-   otherwise the first one at or past the end. *)
-let first_oob (p : Isa.program) ~slots ~addr =
-  let n = List.length slots and e = p.Isa.smem_elems in
-  let bad = ref None in
-  if n > 0 then
-    for w = 0 to p.Isa.warps - 1 do
-      for l = 0 to p.Isa.lanes - 1 do
-        let a0 = addr.(w).(l) in
-        if !bad = None then
-          if a0 < 0 then bad := Some a0 else if a0 + n > e then bad := Some (max a0 e)
-      done
-    done;
-  !bad
-
-(* The error-severity checks, each run once.  [skip] marks malformed
-   instructions (LL800), which the dataflow of [program] excludes;
+(* The error-severity checks: each instruction's {!Isa.fault}, the
+   interpreter's own malformation rule, run once.  [skip] marks
+   malformed instructions, which the dataflow of [program] excludes;
    [structural] holds LL800/LL807 in instruction order; [oob.(i)] is
    instruction [i]'s LL801, kept per instruction so [program] can emit
    it where the shared-memory walk reaches [i]. *)
@@ -73,53 +43,33 @@ let error_pass (p : Isa.program) body =
   let n = Array.length body in
   let loc i = Diagnostics.Isa_instr i in
   let skip = Array.make n false in
+  let oob = Array.make n None in
   let structural = ref [] in
   let emit d = structural := d :: !structural in
   Array.iteri
     (fun i instr ->
-      if List.exists (fun t -> not (shape_ok p t)) (lane_tables instr) then begin
-        skip.(i) <- true;
-        emit
-          (Diagnostics.error ~code:"LL800" ~loc:(loc i)
-             "%s: per-warp/lane table has wrong shape (expected %dx%d)"
-             (Isa.instr_class instr) p.Isa.warps p.Isa.lanes)
-      end
-      else
-        match instr with
-        | Isa.Shfl_idx { src_lane; _ } ->
-            let bad = ref None in
-            Array.iter
-              (Array.iter (fun s ->
-                   if (s < 0 || s >= p.Isa.lanes) && !bad = None then bad := Some s))
-              src_lane;
-            Option.iter
-              (fun s ->
-                emit
-                  (Diagnostics.error ~code:"LL807" ~loc:(loc i)
-                     "shuffle source lane %d out of range (program has %d lanes)" s
-                     p.Isa.lanes))
-              !bad
-        | _ -> ())
+      match Isa.fault p instr with
+      | None -> ()
+      | Some f -> (
+          skip.(i) <- true;
+          match f with
+          | Isa.Shape ->
+              emit
+                (Diagnostics.error ~code:"LL800" ~loc:(loc i)
+                   "%s: per-warp/lane table has wrong shape (expected %dx%d)"
+                   (Isa.instr_class instr) p.Isa.warps p.Isa.lanes)
+          | Isa.Source_lane s ->
+              emit
+                (Diagnostics.error ~code:"LL807" ~loc:(loc i)
+                   "shuffle source lane %d out of range (program has %d lanes)" s p.Isa.lanes)
+          | Isa.Address a ->
+              oob.(i) <-
+                Some
+                  (Diagnostics.error ~code:"LL801" ~loc:(loc i)
+                     "%s: element offset %d out of range (program declares %d elements)"
+                     (match instr with Isa.St_shared _ -> "st.shared" | _ -> "ld.shared")
+                     a p.Isa.smem_elems)))
     body;
-  let oob =
-    Array.mapi
-      (fun i instr ->
-        let report name ~slots ~addr =
-          Option.map
-            (fun a ->
-              Diagnostics.error ~code:"LL801" ~loc:(loc i)
-                "%s: element offset %d out of range (program declares %d elements)" name a
-                p.Isa.smem_elems)
-            (first_oob p ~slots ~addr)
-        in
-        if skip.(i) then None
-        else
-          match instr with
-          | Isa.St_shared { slots; addr; _ } -> report "st.shared" ~slots ~addr
-          | Isa.Ld_shared { slots; addr; _ } -> report "ld.shared" ~slots ~addr
-          | _ -> None)
-      body
-  in
   { skip; structural = List.rev !structural; oob }
 
 let errors (p : Isa.program) =
@@ -171,8 +121,8 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
   let footprint = ref 0 in
   Array.iteri
     (fun i instr ->
+      Option.iter emit e.oob.(i);
       if not skip.(i) then begin
-        Option.iter emit e.oob.(i);
         match instr with
         | Isa.St_shared { slots; addr; byte_width } ->
             iter_elems p ~slots ~addr (fun a ->
@@ -268,7 +218,7 @@ let program machine ?(live_in = []) ?live_out (p : Isa.program) =
               for w = 0 to p.Isa.warps - 1 do
                 for l = 0 to p.Isa.lanes - 1 do
                   let s = src_lane.(w).(l) in
-                  if keep.(w).(l) && s >= 0 && s < p.Isa.lanes then t.(w).(s) <- true
+                  if keep.(w).(l) then t.(w).(s) <- true
                 done
               done;
               Some t

@@ -22,6 +22,11 @@
     - [LL806] (warning): register write is dead
     - [LL807] (error): shuffle source lane out of range
 
+    The three errors are {!Gpusim.Isa.fault}, the interpreter's own
+    malformation rule, so a program has none of them exactly when
+    {!Gpusim.Isa.run} executes it without [Failure].  Malformed
+    instructions are left out of the dataflow behind the warnings.
+
     Per-lane predication (Sel/Scatter skip lanes, shuffles keep subsets)
     means a slot can be defined in one lane and not another; to stay
     false-positive-free on such lowerings, LL805/LL806 fire only when

@@ -4,32 +4,6 @@ module Isa = Gpusim.Isa
 type attribution = { index : int; class_ : string; cost : Gpusim.Cost.t }
 type t = { total : Gpusim.Cost.t; per_instr : attribution list; estimate : float }
 
-(* The checks below reproduce the interpreter's failure modes verbatim
-   (same conditions, same messages), so [cost] and [Isa.run] agree even
-   on malformed programs: both raise, or both return equal counters. *)
-let check_lane_table (p : Isa.program) name a =
-  if
-    Array.length a <> p.Isa.warps
-    || Array.exists (fun row -> Array.length row <> p.Isa.lanes) a
-  then failwith (name ^ ": per-warp/lane table has wrong shape")
-
-let check_smem_addr (p : Isa.program) name ~slots ~addr =
-  (* The interpreter touches [a0 + i] for each vector slot i and fails
-     on the first out-of-range element; the raise/no-raise decision is
-     equivalent to a per-lane range check on the whole span, which is
-     what matters for parity (the exception aborts the run either
-     way). *)
-  let n = List.length slots in
-  if n > 0 then
-    Array.iter
-      (fun row ->
-        Array.iter
-          (fun a0 ->
-            if a0 < 0 || a0 + n - 1 >= p.Isa.smem_elems then
-              failwith (name ^ ": address out of range"))
-          row)
-      addr
-
 (* {2 Wavefront memoization}
 
    [Banks.wavefronts] depends only on [bank_bytes], [num_banks] and the
@@ -81,37 +55,19 @@ let warp_wavefronts machine ~bytes ~byte_width (addr_row : int array) =
   end
 
 (* Accumulate one instruction's cost into [c]; mirrors the increments of
-   [Isa.run] case by case. *)
+   [Isa.run] case by case.  A malformed instruction raises the
+   interpreter's [Failure] ({!Isa.fault}), so [cost] and [Isa.run] agree
+   even on malformed programs: both raise, or both return equal
+   counters. *)
 let add_instr machine (p : Isa.program) c instr =
+  Option.iter (fun f -> failwith (Isa.fault_message instr f)) (Isa.fault p instr);
   match instr with
   | Isa.Mov _ | Isa.Bin _ -> c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + p.Isa.warps
-  | Isa.Sel { src_slot; _ } ->
-      check_lane_table p "sel" src_slot;
-      c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + (2 * p.Isa.warps)
-  | Isa.Scatter { dst_slot; _ } ->
-      check_lane_table p "scatter" dst_slot;
-      c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + (2 * p.Isa.warps)
-  | Isa.Shfl_idx { src_lane; keep; _ } ->
-      check_lane_table p "shfl" src_lane;
-      check_lane_table p "shfl" keep;
-      Array.iter
-        (Array.iter (fun s ->
-             if s < 0 || s >= p.Isa.lanes then failwith "shfl: source lane out of range"))
-        src_lane;
+  | Isa.Sel _ | Isa.Scatter _ -> c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + (2 * p.Isa.warps)
+  | Isa.Shfl_idx _ ->
       c.Gpusim.Cost.shuffles <- c.Gpusim.Cost.shuffles + p.Isa.warps;
       c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + p.Isa.warps
-  | Isa.St_shared { slots; addr; byte_width } ->
-      check_lane_table p "st.shared" addr;
-      check_smem_addr p "st.shared" ~slots ~addr;
-      let bytes = List.length slots * byte_width in
-      for w = 0 to p.Isa.warps - 1 do
-        c.Gpusim.Cost.smem_wavefronts <-
-          c.Gpusim.Cost.smem_wavefronts + warp_wavefronts machine ~bytes ~byte_width addr.(w)
-      done;
-      c.Gpusim.Cost.smem_insts <- c.Gpusim.Cost.smem_insts + p.Isa.warps
-  | Isa.Ld_shared { slots; addr; byte_width } ->
-      check_lane_table p "ld.shared" addr;
-      check_smem_addr p "ld.shared" ~slots ~addr;
+  | Isa.St_shared { slots; addr; byte_width } | Isa.Ld_shared { slots; addr; byte_width } ->
       let bytes = List.length slots * byte_width in
       for w = 0 to p.Isa.warps - 1 do
         c.Gpusim.Cost.smem_wavefronts <-
@@ -164,23 +120,14 @@ type lowered = {
   analysis : t;
 }
 
-(* Same guard as the engine's executor and Transval: global round trips
-   are algebraic by design, and plans whose CTA shapes differ between
-   the two sides (e.g. post-reduction layouts with fewer live lane
-   bits) have no warp-level lowering. *)
+(* Plans with no warp-level lowering ({!Codegen.Lower.lowerable}) are
+   executed algebraically and have no stream to price. *)
 let lower_plan machine (pl : Codegen.Conversion.plan) =
-  let src = pl.Codegen.Conversion.src and dst = pl.Codegen.Conversion.dst in
-  let cta_mismatch =
-    Layout.in_size src Dims.lane <> Layout.in_size dst Dims.lane
-    || Layout.in_size src Dims.warp <> Layout.in_size dst Dims.warp
-  in
-  match pl.Codegen.Conversion.mechanism with
-  | Codegen.Conversion.Global_roundtrip -> None
-  | _ when cta_mismatch -> None
-  | _ -> (
-      match Codegen.Lower.conversion machine pl with
-      | exception Failure _ -> None
-      | program, slots -> Some (program, slots))
+  if not (Codegen.Lower.lowerable pl) then None
+  else
+    match Codegen.Lower.conversion machine pl with
+    | exception Failure _ -> None
+    | program, slots -> Some (program, slots)
 
 let plan machine (pl : Codegen.Conversion.plan) =
   match lower_plan machine pl with

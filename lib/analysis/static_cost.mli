@@ -10,11 +10,12 @@
 
     {v Static_cost.cost m p = Gpusim.Isa.run m p (make_state p ~slots) v}
 
-    cost-for-cost, for every well-formed program.  Malformed programs
-    raise [Failure] with the same messages the interpreter would (wrong
+    cost-for-cost, for every well-formed program.  Malformation is not
+    re-derived here: an instruction with a {!Gpusim.Isa.fault} (wrong
     lane-table shape, shuffle source lane or shared-memory address out
-    of range), so the equation extends to the failure modes; the
-    graceful LL8xx reporting of the same conditions lives in
+    of range) raises [Failure] with {!Gpusim.Isa.fault_message}, the
+    interpreter's own message, so the equation extends to the failure
+    modes; the graceful LL8xx reporting of the same faults lives in
     {!Resource_check}.
 
     Both sides price shared-memory accesses with the one bank model of
@@ -58,10 +59,11 @@ type lowered = {
   analysis : t;
 }
 
-(** [lower_plan m plan] is {!Codegen.Lower.conversion} behind the same
-    guard the engine uses: [None] for plans with no warp-level lowering
-    (global round trips, CTA-shape mismatches, lowering failures) —
-    those are executed algebraically and carry only planner costs. *)
+(** [lower_plan m plan] is {!Codegen.Lower.conversion} behind
+    {!Codegen.Lower.lowerable}, the guard the engine and the certifier
+    use: [None] for plans with no warp-level lowering (global round
+    trips, CTA-shape mismatches) and for lowering failures — those are
+    executed algebraically and carry only planner costs. *)
 val lower_plan :
   Gpusim.Machine.t ->
   Codegen.Conversion.plan ->

@@ -13,137 +13,58 @@ open Linear_layout
 
    Every register slot and shared-memory cell holds either the flattened
    source hardware index whose value it contains, or [bot] (undefined /
-   opaque).  Running the pseudo-ISA over this domain mirrors
-   {!Gpusim.Isa.run} instruction by instruction; [Bin] results are
-   opaque (conversions never compute).  The domain is exact for
-   data-movement programs: with the injective test payload
-   [value(hw) = hw], the concrete interpreter and the provenance
-   evaluator compute the same function, so a plan is correct iff every
-   destination point's provenance maps to the required logical
-   element. *)
+   opaque).  The evaluator is the interpreter itself, {!Gpusim.Isa.exec},
+   run on this domain: [Bin] writes [bot], because arithmetic destroys
+   provenance and a conversion plan must never route payload data
+   through it.  The domain is exact for data-movement programs: with the
+   injective test payload [value(hw) = hw], the concrete interpreter and
+   the provenance evaluator compute the same function, so a plan is
+   correct iff every destination point's provenance maps to the required
+   logical element. *)
 
 let bot = -1
+let opaque _ _ _ = bot
 
-(* Register slot [s] of lane [l] in warp [w] lives at
-   [regs.((((w * lanes) + l) * slots) + s)]. *)
-type sym_state = { slots : int; regs : int array; smem : int array }
-
-let sym_state (p : Gpusim.Isa.program) ~slots =
-  {
-    slots;
-    regs = Array.make (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots) bot;
-    smem = Array.make p.Gpusim.Isa.smem_elems bot;
-  }
-
-(* The state [check_program] runs on: one grow-only pair of buffers per
-   domain, of which each run refills with [bot] and uses only the prefix
-   its program needs.  A fresh state for a PLAN-sized program is tens of
-   kilowords, allocated directly in the major heap; allocating it per
-   certificate paces a serving daemon's major collections into its
-   certifying requests.  Every bound below is checked against [slots]
-   and [smem_elems], never the buffer length, so cells beyond the prefix
+(* A state whose cells all hold [bot]: fresh, or the prefix of this
+   domain's grow-only buffers.  A fresh state for a PLAN-sized program
+   is tens of kilowords, allocated directly in the major heap;
+   allocating it per certificate paces a serving daemon's major
+   collections into its certifying requests.  The interpreter bounds
+   every access by the program's [warps * lanes * slots] and
+   [smem_elems], never by the buffer length, so cells beyond the prefix
    are unreachable. *)
 type scratch = { mutable regs_buf : int array; mutable smem_buf : int array }
 
 let scratch_key = Domain.DLS.new_key (fun () -> { regs_buf = [||]; smem_buf = [||] })
 
-let reused_state (p : Gpusim.Isa.program) ~slots =
+let bot_state ~reuse (p : Gpusim.Isa.program) ~slots =
   let sc = Domain.DLS.get scratch_key in
-  let prefix buf n =
-    if n < 0 || Array.length buf < n then Array.make n bot
+  let cells buf n =
+    if (not reuse) || n < 0 || Array.length buf < n then Array.make n bot
     else begin
       Array.fill buf 0 n bot;
       buf
     end
   in
-  sc.regs_buf <- prefix sc.regs_buf (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots);
-  sc.smem_buf <- prefix sc.smem_buf p.Gpusim.Isa.smem_elems;
-  { slots; regs = sc.regs_buf; smem = sc.smem_buf }
+  let regs = cells sc.regs_buf (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots) in
+  let smem = cells sc.smem_buf p.Gpusim.Isa.smem_elems in
+  if reuse then begin
+    sc.regs_buf <- regs;
+    sc.smem_buf <- smem
+  end;
+  { Gpusim.Isa.slots; regs; smem }
 
-(* Slot indices are range-checked: an out-of-range slot would otherwise
-   address a neighbouring lane's registers.  The error is the one an
-   out-of-range array access raises. *)
-let slot st s = if s < 0 || s >= st.slots then invalid_arg "index out of bounds" else s
+(* Run [program] from the canonical conversion pre-state — every source
+   slot holds its own hardware point ({!Codegen.Lower.fill_src}) — and
+   read the destination points back ({!Codegen.Lower.read_dst}). *)
+let run_provenance ~reuse ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
+  let st = bot_state ~reuse program ~slots:map.Codegen.Lower.total_slots in
+  Codegen.Lower.fill_src program map st Fun.id;
+  Gpusim.Isa.exec ~bin:opaque program st;
+  Codegen.Lower.read_dst program map st
 
-let sym_run (p : Gpusim.Isa.program) st =
-  let warps = p.Gpusim.Isa.warps and lanes = p.Gpusim.Isa.lanes in
-  let regs = st.regs and smem = st.smem and slots = st.slots in
-  let threads = warps * lanes in
-  let check_lane_table name a =
-    if Array.length a <> warps || Array.exists (fun row -> Array.length row <> lanes) a then
-      failwith (name ^ ": per-warp/lane table has wrong shape")
-  in
-  let shared name ~slots:sl ~addr ~store =
-    check_lane_table name addr;
-    let sl = Array.of_list sl in
-    for w = 0 to warps - 1 do
-      for l = 0 to lanes - 1 do
-        let base = ((w * lanes) + l) * slots in
-        for i = 0 to Array.length sl - 1 do
-          let a = addr.(w).(l) + i in
-          if a < 0 || a >= p.Gpusim.Isa.smem_elems then failwith (name ^ ": address out of range");
-          let r = base + slot st sl.(i) in
-          if store then smem.(a) <- regs.(r) else regs.(r) <- smem.(a)
-        done
-      done
-    done
-  in
-  List.iter
-    (fun instr ->
-      match instr with
-      | Gpusim.Isa.Mov { dst; src } ->
-          if threads > 0 then begin
-            let dst = slot st dst and src = slot st src in
-            for t = 0 to threads - 1 do
-              regs.((t * slots) + dst) <- regs.((t * slots) + src)
-            done
-          end
-      | Gpusim.Isa.Sel { dst; src_slot } ->
-          check_lane_table "sel" src_slot;
-          for w = 0 to warps - 1 do
-            for l = 0 to lanes - 1 do
-              let s = src_slot.(w).(l) and base = ((w * lanes) + l) * slots in
-              if s >= 0 then regs.(base + slot st dst) <- regs.(base + slot st s)
-            done
-          done
-      | Gpusim.Isa.Scatter { src; dst_slot } ->
-          check_lane_table "scatter" dst_slot;
-          for w = 0 to warps - 1 do
-            for l = 0 to lanes - 1 do
-              let s = dst_slot.(w).(l) and base = ((w * lanes) + l) * slots in
-              if s >= 0 then regs.(base + slot st s) <- regs.(base + slot st src)
-            done
-          done
-      | Gpusim.Isa.Shfl_idx { dst; src; src_lane; keep } ->
-          check_lane_table "shfl" src_lane;
-          check_lane_table "shfl" keep;
-          let published = Array.make lanes bot in
-          for w = 0 to warps - 1 do
-            for l = 0 to lanes - 1 do
-              published.(l) <- regs.((((w * lanes) + l) * slots) + slot st src)
-            done;
-            for l = 0 to lanes - 1 do
-              let s = src_lane.(w).(l) in
-              if s < 0 || s >= lanes then failwith "shfl: source lane out of range";
-              if keep.(w).(l) then
-                regs.((((w * lanes) + l) * slots) + slot st dst) <- published.(s)
-            done
-          done
-      | Gpusim.Isa.St_shared { slots = sl; addr; byte_width = _ } ->
-          shared "st.shared" ~slots:sl ~addr ~store:true
-      | Gpusim.Isa.Ld_shared { slots = sl; addr; byte_width = _ } ->
-          shared "ld.shared" ~slots:sl ~addr ~store:false
-      | Gpusim.Isa.Bin { op = _; dst; a = _; b = _ } ->
-          (* Arithmetic destroys provenance: a conversion plan must never
-             route payload data through it. *)
-          if threads > 0 then begin
-            let dst = slot st dst in
-            for t = 0 to threads - 1 do
-              regs.((t * slots) + dst) <- bot
-            done
-          end
-      | Gpusim.Isa.Bar_sync -> ())
-    p.Gpusim.Isa.body
+(* The public lookup may outlive the call, so it owns a fresh state. *)
+let provenance ~map program = run_provenance ~reuse:false ~map program
 
 (* {1 Certificates} *)
 
@@ -159,36 +80,6 @@ type cert = {
 }
 
 let method_name = function Symbolic -> "symbolic" | Algebraic -> "algebraic"
-
-(* Load the canonical conversion pre-state: slot [r] of lane [l] in warp
-   [w] holds the source hardware point [r | l<<rb | w<<(rb+lb)] — the
-   same convention as {!Codegen.Lower.load_state}. *)
-let init_conversion st ~(map : Codegen.Lower.slot_map) ~lanes ~warps =
-  let src_regs = map.Codegen.Lower.src_regs in
-  for w = 0 to warps - 1 do
-    for l = 0 to lanes - 1 do
-      let base = ((w * lanes) + l) * st.slots in
-      for r = 0 to src_regs - 1 do
-        st.regs.(base + slot st r) <- r lor (l * src_regs) lor (w * src_regs * lanes)
-      done
-    done
-  done
-
-let run_provenance st ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
-  let lanes = program.Gpusim.Isa.lanes and warps = program.Gpusim.Isa.warps in
-  let dst_regs = map.Codegen.Lower.dst_regs in
-  init_conversion st ~map ~lanes ~warps;
-  sym_run program st;
-  let dst_base = map.Codegen.Lower.dst_base and slots = st.slots in
-  if dst_regs * lanes * warps > 0 then begin
-    ignore (slot st dst_base);
-    ignore (slot st (dst_base + dst_regs - 1))
-  end;
-  fun h -> st.regs.(((h / dst_regs) * slots) + dst_base + (h mod dst_regs))
-
-(* The public lookup may outlive the call, so it owns a fresh state. *)
-let provenance ~map program =
-  run_provenance (sym_state program ~slots:map.Codegen.Lower.total_slots) ~map program
 
 (* A linear map as byte-indexed image tables: [t.(c).(b)] is the image
    of byte [b] at byte position [c] of the input, so an evaluation costs
@@ -231,9 +122,7 @@ let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
   let cert verdict = { mechanism; method_ = Symbolic; points; verdict } in
   (* [prov] reads the domain's reused state, so it is consumed before
      this function returns and nothing below certifies re-entrantly. *)
-  match
-    run_provenance (reused_state program ~slots:map.Codegen.Lower.total_slots) ~map program
-  with
+  match run_provenance ~reuse:true ~map program with
   | exception Failure msg -> cert (Failed msg)
   | prov -> (
       let rec first bad h =
@@ -308,38 +197,23 @@ let certify_algebraic ~src ~dst ~mechanism =
 let certify_plan machine (plan : Codegen.Conversion.plan) =
   let mechanism = Codegen.Conversion.mechanism_name plan.Codegen.Conversion.mechanism in
   let src = plan.Codegen.Conversion.src and dst = plan.Codegen.Conversion.dst in
-  let cta_mismatch =
-    Layout.in_size src Dims.lane <> Layout.in_size dst Dims.lane
-    || Layout.in_size src Dims.warp <> Layout.in_size dst Dims.warp
-  in
   let cert =
-    match plan.Codegen.Conversion.mechanism with
-    | Codegen.Conversion.Global_roundtrip ->
-        certify_algebraic ~src:plan.Codegen.Conversion.src ~dst:plan.Codegen.Conversion.dst
-          ~mechanism
-    | _ when cta_mismatch ->
-        (* {!Codegen.Lower.conversion} has no warp-level lowering when
-           the CTA shapes differ (e.g. a post-reduction layout with
-           fewer live lane bits): the engine executes those plans
-           algebraically, so that is the artifact to certify. *)
-        certify_algebraic ~src:plan.Codegen.Conversion.src ~dst:plan.Codegen.Conversion.dst
-          ~mechanism
-    | _ -> (
-        match Codegen.Lower.conversion machine plan with
-        | exception Failure msg ->
-            {
-              mechanism;
-              method_ = Symbolic;
-              points = 1 lsl Layout.total_in_bits plan.Codegen.Conversion.dst;
-              verdict = Failed ("lowering failed: " ^ msg);
-            }
-        | program, map ->
-            {
-              (certify_isa ~src:plan.Codegen.Conversion.src ~dst:plan.Codegen.Conversion.dst
-                 ~map program)
-              with
-              mechanism;
-            })
+    if not (Codegen.Lower.lowerable plan) then
+      (* Global round trips, and plans whose CTA shapes differ (e.g. a
+         post-reduction layout with fewer live lane bits), have no
+         warp-level lowering: the engine executes them algebraically,
+         so that is the artifact to certify. *)
+      certify_algebraic ~src ~dst ~mechanism
+    else
+      match Codegen.Lower.conversion machine plan with
+      | exception Failure msg ->
+          {
+            mechanism;
+            method_ = Symbolic;
+            points = 1 lsl Layout.total_in_bits dst;
+            verdict = Failed ("lowering failed: " ^ msg);
+          }
+      | program, map -> { (certify_isa ~src ~dst ~map program) with mechanism }
   in
   if Obs.enabled () then begin
     Obs.Metrics.incr "transval.certificates.checked";

@@ -5,9 +5,10 @@
     layout to a destination layout, i.e. to implement the conversion map
     [pseudo_invert(flatten dst) . flatten src].  This module recovers
     the map a lowered {!Gpusim.Isa} program {e actually} implements by
-    symbolic execution over a provenance domain — every register slot
-    and shared-memory cell holds the flattened source hardware point
-    whose value it contains, or bottom — and compares it against the
+    running the interpreter's {!Gpusim.Isa.exec} over a provenance
+    domain — every register slot and shared-memory cell holds the
+    flattened source hardware point whose value it contains, or bottom,
+    and [Bin] writes bottom — and compares it against the
     claim in one numeric scan over the destination points, at about one
     table lookup and XOR per point.  The scan reports the first
     unwritten point if there is one, else the first point [h] (in
@@ -56,29 +57,32 @@ type cert = {
 val method_name : method_ -> string
 val verdict_name : verdict -> string
 
-(** [provenance ~map program] symbolically executes [program] from the
-    canonical conversion pre-state and returns the lookup [h -> p]: for
-    every destination hardware point [h] (indexed with
-    {!Codegen.Lower.store_dist}'s convention), the flattened source point
-    [p] whose value it ends up holding, or [-1] when it is never written.
-    Raises [Failure] where the concrete interpreter would (malformed
-    tables, out-of-range addresses). *)
+(** [provenance ~map program] runs {!Gpusim.Isa.exec} on [program]
+    from the canonical conversion pre-state ({!Codegen.Lower.fill_src}
+    with every source point holding its own index) and returns the
+    lookup [h -> p] ({!Codegen.Lower.read_dst}): for every destination
+    hardware point [h], the flattened source point [p] whose value it
+    ends up holding, or [-1] when it is never written.  Raises exactly
+    what the concrete interpreter raises: [Failure] on a
+    {!Gpusim.Isa.fault}, [Invalid_argument] on an out-of-range slot. *)
 val provenance : map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> int -> int
 
 (** Certify an arbitrary lowered program against claimed source and
-    destination layouts: the pre-state follows
-    {!Codegen.Lower.load_state}'s slot convention, the post-state is
-    read back with {!Codegen.Lower.store_dist}'s. *)
+    destination layouts: the pre-state is loaded with
+    {!Codegen.Lower.fill_src}, the post-state read back with
+    {!Codegen.Lower.read_dst} — the convention of
+    {!Codegen.Lower.load_state} and {!Codegen.Lower.store_dist}.  A
+    program the interpreter rejects with [Failure msg] is [Failed msg]. *)
 val certify_isa :
   src:Layout.t -> dst:Layout.t -> map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> cert
 
 (** Certify a conversion plan: lowers it with {!Codegen.Lower.conversion}
     and runs the symbolic checker (register permutes, warp shuffles —
     plain and broadcast-compressed — and swizzled shared-memory round
-    trips, including their vectorized ld/st addressing); cross-CTA
-    global round trips have no warp-level lowering and are proved
-    algebraically.  Increments the [transval.certificates.*] metrics
-    when observability is enabled. *)
+    trips, including their vectorized ld/st addressing); plans that are
+    not {!Codegen.Lower.lowerable} (cross-CTA global round trips,
+    CTA-shape mismatches) are proved algebraically.  Increments the
+    [transval.certificates.*] metrics when observability is enabled. *)
 val certify_plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> cert
 
 (** Certify a lowered warp-shuffle gather against the index-dependent

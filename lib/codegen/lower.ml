@@ -111,14 +111,21 @@ let extract_slot kept j =
        (fun (acc, i) k -> ((if j land (1 lsl k) <> 0 then acc lor (1 lsl i) else acc), i + 1))
        (0, 0) kept)
 
+let same_cta src dst =
+  Layout.in_size src Dims.lane = Layout.in_size dst Dims.lane
+  && Layout.in_size src Dims.warp = Layout.in_size dst Dims.warp
+
+let lowerable (plan : Conversion.plan) =
+  (match plan.Conversion.mechanism with Conversion.Global_roundtrip -> false | _ -> true)
+  && same_cta plan.Conversion.src plan.Conversion.dst
+
 let conversion machine (plan : Conversion.plan) =
   let src = plan.Conversion.src and dst = plan.Conversion.dst in
   let src_regs = Layout.in_size src Dims.register in
   let dst_regs = Layout.in_size dst Dims.register in
   let lanes = Layout.in_size src Dims.lane in
   let warps = Layout.in_size src Dims.warp in
-  if Layout.in_size dst Dims.lane <> lanes || Layout.in_size dst Dims.warp <> warps then
-    failwith "Lower.conversion: source and destination CTAs differ";
+  if not (same_cta src dst) then failwith "Lower.conversion: source and destination CTAs differ";
   let map =
     { src_regs; dst_base = src_regs; dst_regs; total_slots = src_regs + dst_regs + 2 }
   in
@@ -207,33 +214,46 @@ let conversion machine (plan : Conversion.plan) =
   in
   ({ Gpusim.Isa.warps; lanes; smem_elems; body }, { map with total_slots = map.total_slots + extra })
 
-let load_state program map (d : Gpusim.Dist.t) =
-  let st = Gpusim.Isa.make_state program ~slots:map.total_slots in
+(* Slots are range-checked once, as the interpreter checks them: an
+   out-of-range slot must raise, not reach a neighbouring lane's
+   registers. *)
+let check_slots (st : Gpusim.Isa.state) ~threads ~first ~count =
+  if threads > 0 && count > 0 && (first < 0 || first + count > st.Gpusim.Isa.slots) then
+    invalid_arg "index out of bounds"
+
+let fill_src (program : Gpusim.Isa.program) map (st : Gpusim.Isa.state) f =
   let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  let slots = st.Gpusim.Isa.slots in
+  check_slots st ~threads ~first:0 ~count:map.src_regs;
   (* Source hardware point [r | t * src_regs] sits in slot [r] of thread
      [t = w * lanes + l]. *)
   for t = 0 to threads - 1 do
     for r = 0 to map.src_regs - 1 do
-      st.Gpusim.Isa.regs.((t * map.total_slots) + r) <-
-        Gpusim.Dist.get d (r lor (t * map.src_regs))
+      st.Gpusim.Isa.regs.((t * slots) + r) <- f (r lor (t * map.src_regs))
     done
-  done;
+  done
+
+let read_dst (program : Gpusim.Isa.program) map (st : Gpusim.Isa.state) =
+  let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  let slots = st.Gpusim.Isa.slots and regs = st.Gpusim.Isa.regs in
+  check_slots st ~threads ~first:map.dst_base ~count:map.dst_regs;
+  fun h -> regs.(((h / map.dst_regs) * slots) + map.dst_base + (h mod map.dst_regs))
+
+let load_state program map (d : Gpusim.Dist.t) =
+  let st = Gpusim.Isa.make_state program ~slots:map.total_slots in
+  fill_src program map st (Gpusim.Dist.get d);
   st
 
-let store_dist map ~dst (st : Gpusim.Isa.state) =
-  let slots = st.Gpusim.Isa.slots in
-  let threads = if slots = 0 then 0 else Array.length st.Gpusim.Isa.regs / slots in
-  let data =
-    Array.init (map.dst_regs * threads) (fun hw ->
-        st.Gpusim.Isa.regs.(((hw / map.dst_regs) * slots) + map.dst_base + (hw mod map.dst_regs)))
-  in
+let store_dist (program : Gpusim.Isa.program) map ~dst st =
+  let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  let data = Array.init (map.dst_regs * threads) (read_dst program map st) in
   { Gpusim.Dist.layout = dst; data }
 
 let run machine plan d =
   let program, map = conversion machine plan in
   let st = load_state program map d in
   let cost = Gpusim.Isa.run machine program st in
-  (store_dist map ~dst:plan.Conversion.dst st, cost)
+  (store_dist program map ~dst:plan.Conversion.dst st, cost)
 
 let gather machine ~src ~index ~axis =
   ignore machine;

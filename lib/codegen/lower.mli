@@ -21,20 +21,41 @@ type slot_map = {
   total_slots : int;
 }
 
+(** [lowerable plan] holds when [plan] has a warp-level lowering: it is
+    not a [Global_roundtrip] and both layouts have the same lane and
+    warp sizes.  {!conversion} raises [Failure] on every other plan;
+    those are executed algebraically. *)
+val lowerable : Conversion.plan -> bool
+
 (** [conversion machine plan] lowers a {!Conversion.plan}.  The emitted
     program's shape (warps/lanes) comes from the plan's layouts.
-    Raises [Failure] on plans whose layouts broadcast across lanes in a
-    way the lowering does not support (the planner's shared path always
-    works). *)
+    Raises [Failure] on plans that are not {!lowerable} and on plans
+    whose layouts broadcast across lanes in a way the lowering does not
+    support (the planner's shared path always works). *)
 val conversion : Gpusim.Machine.t -> Conversion.plan -> Gpusim.Isa.program * slot_map
 
-(** [load_state program map ~src dist] builds interpreter state with
-    the source slots filled from a distributed tensor. *)
+(** [fill_src program map state f] writes [f hw] into the slot that
+    holds source hardware point [hw]: point [r | t * src_regs] goes to
+    slot [r] of thread [t = warp * lanes + lane].  The thread count
+    comes from [program].  Raises [Invalid_argument] when the source
+    slots do not fit [state.slots]. *)
+val fill_src : Gpusim.Isa.program -> slot_map -> Gpusim.Isa.state -> (int -> int) -> unit
+
+(** [read_dst program map state] reads destination hardware point [h]:
+    slot [dst_base + h mod dst_regs] of thread [h / dst_regs].  Raises
+    [Invalid_argument] (on partial application) when the destination
+    slots do not fit [state.slots]. *)
+val read_dst : Gpusim.Isa.program -> slot_map -> Gpusim.Isa.state -> int -> int
+
+(** [load_state program map dist] builds interpreter state with the
+    source slots filled from a distributed tensor ({!fill_src}). *)
 val load_state : Gpusim.Isa.program -> slot_map -> Gpusim.Dist.t -> Gpusim.Isa.state
 
-(** [store_dist map ~dst state] reads the destination slots back into a
-    distributed tensor over layout [dst]. *)
-val store_dist : slot_map -> dst:Layout.t -> Gpusim.Isa.state -> Gpusim.Dist.t
+(** [store_dist program map ~dst state] reads the destination slots of
+    every thread of [program] back into a distributed tensor over
+    layout [dst] ({!read_dst}). *)
+val store_dist :
+  Gpusim.Isa.program -> slot_map -> dst:Layout.t -> Gpusim.Isa.state -> Gpusim.Dist.t
 
 (** Convenience: lower, execute, and return the converted data plus the
     interpreter-accounted cost — used by tests to cross-check the

@@ -24,108 +24,189 @@ let instr_class = function
   | Bin _ -> "bin"
   | Bar_sync -> "bar"
 
+type fault = Shape | Address of int | Source_lane of int
+
+let bad_shape p a =
+  Array.length a <> p.warps || Array.exists (fun row -> Array.length row <> p.lanes) a
+
+(* The first out-of-range source lane, in (warp, lane) order. *)
+let first_lane p src_lane =
+  let rec go w l =
+    if w >= p.warps then None
+    else if l >= p.lanes then go (w + 1) 0
+    else
+      let s = src_lane.(w).(l) in
+      if s < 0 || s >= p.lanes then Some (Source_lane s, (w * p.lanes) + l) else go w (l + 1)
+  in
+  go 0 0
+
+(* The first out-of-range element, in (warp, lane, element) order.  A
+   lane touches [a0 .. a0 + n - 1]: its first out-of-range element is
+   [a0] when negative, otherwise the first one at or past the end. *)
+let first_addr p ~n addr =
+  let e = p.smem_elems in
+  let rec go w l =
+    if w >= p.warps then None
+    else if l >= p.lanes then go (w + 1) 0
+    else
+      let a0 = addr.(w).(l) and t = (w * p.lanes) + l in
+      if a0 < 0 then Some (Address a0, t * n)
+      else if a0 + n > e then
+        let i = max 0 (e - a0) in
+        Some (Address (a0 + i), (t * n) + i)
+      else go w (l + 1)
+  in
+  go 0 0
+
+(* The first fault of [instr] with its position in the interpreter's
+   loop order: a shape fault comes before anything moves, an address at
+   its index in (warp, lane, element) order, a source lane at
+   [warp * lanes + lane]. *)
+let locate p = function
+  | Sel { src_slot = t; _ } | Scatter { dst_slot = t; _ } ->
+      if bad_shape p t then Some (Shape, 0) else None
+  | Shfl_idx { src_lane; keep; _ } ->
+      if bad_shape p src_lane || bad_shape p keep then Some (Shape, 0)
+      else first_lane p src_lane
+  | St_shared { slots; addr; _ } | Ld_shared { slots; addr; _ } ->
+      if bad_shape p addr then Some (Shape, 0)
+      else
+        let n = List.length slots in
+        if n = 0 then None else first_addr p ~n addr
+  | Mov _ | Bin _ | Bar_sync -> None
+
+let fault p instr = Option.map fst (locate p instr)
+
+let fault_message instr f =
+  let name =
+    match instr with
+    | St_shared _ -> "st.shared"
+    | Ld_shared _ -> "ld.shared"
+    | _ -> instr_class instr
+  in
+  match f with
+  | Shape -> name ^ ": per-warp/lane table has wrong shape"
+  | Address _ -> name ^ ": address out of range"
+  | Source_lane _ -> name ^ ": source lane out of range"
+
+(* Slots are range-checked: an out-of-range slot must raise, not reach
+   a neighbouring lane's registers. *)
+let slot st s = if s < 0 || s >= st.slots then invalid_arg "index out of bounds" else s
+
+(* The data movement of a shared-memory store or load; it fails with
+   [msg] on reaching element position [stop]. *)
+let shared p st ~stop ~msg ~slots:sl ~addr ~store =
+  let lanes = p.lanes and slots = st.slots and regs = st.regs and smem = st.smem in
+  let sl = Array.of_list sl in
+  let n = Array.length sl in
+  for w = 0 to p.warps - 1 do
+    let row = addr.(w) in
+    for l = 0 to lanes - 1 do
+      let t = (w * lanes) + l in
+      let base = t * slots and a0 = row.(l) in
+      for i = 0 to n - 1 do
+        if (t * n) + i = stop then failwith msg;
+        let a = a0 + i and r = base + slot st sl.(i) in
+        if store then smem.(a) <- regs.(r) else regs.(r) <- smem.(a)
+      done
+    done
+  done
+
+(* Execute one instruction.  A fault found by [locate] raises its
+   [Failure] where the loop reaches it, so a slot error earlier in the
+   same loop still raises first, as [Invalid_argument].  [published] is
+   a [lanes]-long buffer for shuffles. *)
+let step ~bin p st published instr =
+  let warps = p.warps and lanes = p.lanes in
+  let threads = warps * lanes in
+  let slots = st.slots and regs = st.regs in
+  let stop, msg =
+    match locate p instr with
+    | None -> (max_int, "")
+    | Some (Shape, _) -> failwith (fault_message instr Shape)
+    | Some (f, pos) -> (pos, fault_message instr f)
+  in
+  match instr with
+  | Mov { dst; src } ->
+      if threads > 0 then begin
+        let dst = slot st dst and src = slot st src in
+        for t = 0 to threads - 1 do
+          regs.((t * slots) + dst) <- regs.((t * slots) + src)
+        done
+      end
+  | Sel { dst; src_slot } ->
+      for w = 0 to warps - 1 do
+        for l = 0 to lanes - 1 do
+          let s = src_slot.(w).(l) and base = ((w * lanes) + l) * slots in
+          if s >= 0 then regs.(base + slot st dst) <- regs.(base + slot st s)
+        done
+      done
+  | Scatter { src; dst_slot } ->
+      for w = 0 to warps - 1 do
+        for l = 0 to lanes - 1 do
+          let s = dst_slot.(w).(l) and base = ((w * lanes) + l) * slots in
+          if s >= 0 then regs.(base + slot st s) <- regs.(base + slot st src)
+        done
+      done
+  | Shfl_idx { dst; src; src_lane; keep } ->
+      for w = 0 to warps - 1 do
+        (* All lanes publish, then all lanes receive: read the published
+           values before any write. *)
+        for l = 0 to lanes - 1 do
+          published.(l) <- regs.((((w * lanes) + l) * slots) + slot st src)
+        done;
+        for l = 0 to lanes - 1 do
+          if (w * lanes) + l = stop then failwith msg;
+          if keep.(w).(l) then
+            regs.((((w * lanes) + l) * slots) + slot st dst) <- published.(src_lane.(w).(l))
+        done
+      done
+  | St_shared { slots = sl; addr; byte_width = _ } ->
+      shared p st ~stop ~msg ~slots:sl ~addr ~store:true
+  | Ld_shared { slots = sl; addr; byte_width = _ } ->
+      shared p st ~stop ~msg ~slots:sl ~addr ~store:false
+  | Bin { op; dst; a; b } ->
+      if threads > 0 then begin
+        let dst = slot st dst and a = slot st a and b = slot st b in
+        for t = 0 to threads - 1 do
+          regs.((t * slots) + dst) <- bin op regs.((t * slots) + a) regs.((t * slots) + b)
+        done
+      end
+  | Bar_sync -> ()
+
+let exec ~bin p st =
+  let published = Array.make p.lanes 0 in
+  List.iter (step ~bin p st published) p.body
+
+(* Accumulate one instruction's cost. *)
+let price machine p cost = function
+  | Mov _ | Bin _ -> cost.Cost.alu <- cost.Cost.alu + p.warps
+  | Sel _ | Scatter _ -> cost.Cost.alu <- cost.Cost.alu + (2 * p.warps)
+  | Shfl_idx _ ->
+      cost.Cost.shuffles <- cost.Cost.shuffles + p.warps;
+      cost.Cost.alu <- cost.Cost.alu + p.warps
+  | St_shared { slots; addr; byte_width } | Ld_shared { slots; addr; byte_width } ->
+      let bytes = List.length slots * byte_width in
+      for w = 0 to p.warps - 1 do
+        cost.Cost.smem_wavefronts <-
+          cost.Cost.smem_wavefronts + Banks.wavefronts_row machine ~byte_width ~bytes addr.(w)
+      done;
+      cost.Cost.smem_insts <- cost.Cost.smem_insts + p.warps
+  | Bar_sync -> cost.Cost.barriers <- cost.Cost.barriers + 1
+
+let arith op x y = match op with `Add -> x + y | `Max -> max x y
+
 let run machine p st =
   let cost = Cost.zero () in
   (* One flag read for the whole run keeps the per-instruction overhead
      at a single branch when nothing is observing. *)
   let obs = Obs.enabled () in
-  let warps = p.warps and lanes = p.lanes in
-  let threads = warps * lanes in
-  let slots = st.slots and regs = st.regs and smem = st.smem in
-  (* Slot [s] of thread [t = w * lanes + l] is [regs.(t * slots + s)].
-     Slots are range-checked: an out-of-range slot must raise, not reach
-     a neighbouring lane's registers. *)
-  let slot s = if s < 0 || s >= slots then invalid_arg "index out of bounds" else s in
-  let check_lane_table name a =
-    if
-      Array.length a <> warps
-      || Array.exists (fun row -> Array.length row <> lanes) a
-    then failwith (name ^ ": per-warp/lane table has wrong shape")
-  in
-  let published = Array.make lanes 0 in
-  let shared name ~slots:sl ~addr ~byte_width ~store =
-    check_lane_table name addr;
-    let sl = Array.of_list sl in
-    let n = Array.length sl in
-    for w = 0 to warps - 1 do
-      let row = addr.(w) in
-      for l = 0 to lanes - 1 do
-        let base = ((w * lanes) + l) * slots and a0 = row.(l) in
-        for i = 0 to n - 1 do
-          let a = a0 + i in
-          if a < 0 || a >= p.smem_elems then failwith (name ^ ": address out of range");
-          let r = base + slot sl.(i) in
-          if store then smem.(a) <- regs.(r) else regs.(r) <- smem.(a)
-        done
-      done;
-      cost.Cost.smem_wavefronts <-
-        cost.Cost.smem_wavefronts
-        + Banks.wavefronts_row machine ~byte_width ~bytes:(n * byte_width) row
-    done;
-    cost.Cost.smem_insts <- cost.Cost.smem_insts + warps
-  in
+  let published = Array.make p.lanes 0 in
   List.iter
     (fun instr ->
       if obs then Obs.Metrics.incr ("isa.instr." ^ instr_class instr);
-      match instr with
-      | Mov { dst; src } ->
-          if threads > 0 then begin
-            let dst = slot dst and src = slot src in
-            for t = 0 to threads - 1 do
-              regs.((t * slots) + dst) <- regs.((t * slots) + src)
-            done
-          end;
-          cost.Cost.alu <- cost.Cost.alu + warps
-      | Sel { dst; src_slot } ->
-          check_lane_table "sel" src_slot;
-          for w = 0 to warps - 1 do
-            for l = 0 to lanes - 1 do
-              let s = src_slot.(w).(l) and base = ((w * lanes) + l) * slots in
-              if s >= 0 then regs.(base + slot dst) <- regs.(base + slot s)
-            done
-          done;
-          cost.Cost.alu <- cost.Cost.alu + (2 * warps)
-      | Scatter { src; dst_slot } ->
-          check_lane_table "scatter" dst_slot;
-          for w = 0 to warps - 1 do
-            for l = 0 to lanes - 1 do
-              let s = dst_slot.(w).(l) and base = ((w * lanes) + l) * slots in
-              if s >= 0 then regs.(base + slot s) <- regs.(base + slot src)
-            done
-          done;
-          cost.Cost.alu <- cost.Cost.alu + (2 * warps)
-      | Shfl_idx { dst; src; src_lane; keep } ->
-          check_lane_table "shfl" src_lane;
-          check_lane_table "shfl" keep;
-          for w = 0 to warps - 1 do
-            (* All lanes publish, then all lanes receive: read the
-               published values before any write. *)
-            for l = 0 to lanes - 1 do
-              published.(l) <- regs.((((w * lanes) + l) * slots) + slot src)
-            done;
-            for l = 0 to lanes - 1 do
-              let s = src_lane.(w).(l) in
-              if s < 0 || s >= lanes then failwith "shfl: source lane out of range";
-              if keep.(w).(l) then
-                regs.((((w * lanes) + l) * slots) + slot dst) <- published.(s)
-            done
-          done;
-          cost.Cost.shuffles <- cost.Cost.shuffles + warps;
-          cost.Cost.alu <- cost.Cost.alu + warps
-      | St_shared { slots = sl; addr; byte_width } ->
-          shared "st.shared" ~slots:sl ~addr ~byte_width ~store:true
-      | Ld_shared { slots = sl; addr; byte_width } ->
-          shared "ld.shared" ~slots:sl ~addr ~byte_width ~store:false
-      | Bin { op; dst; a; b } ->
-          if threads > 0 then begin
-            let dst = slot dst and a = slot a and b = slot b in
-            for t = 0 to threads - 1 do
-              let x = regs.((t * slots) + a) and y = regs.((t * slots) + b) in
-              regs.((t * slots) + dst) <- (match op with `Add -> x + y | `Max -> max x y)
-            done
-          end;
-          cost.Cost.alu <- cost.Cost.alu + warps
-      | Bar_sync -> cost.Cost.barriers <- cost.Cost.barriers + 1)
+      step ~bin:arith p st published instr;
+      price machine p cost instr)
     p.body;
   if obs then
     Obs.Metrics.observe "isa.cost.estimate"

@@ -45,8 +45,9 @@ type instr =
 type program = { warps : int; lanes : int; smem_elems : int; body : instr list }
 
 (** Mutable CTA state.  The register file is one flat array: slot [s]
-    of lane [l] in warp [w] is [regs.(((w * lanes) + l) * slots + s)],
-    the layout of [Analysis.Transval]'s symbolic state. *)
+    of lane [l] in warp [w] is [regs.(((w * lanes) + l) * slots + s)].
+    Every bound comes from the program and [slots], never from the
+    array lengths, so a longer buffer may back a smaller program. *)
 type state = {
   slots : int;  (** register slots per lane *)
   regs : int array;
@@ -58,11 +59,33 @@ type state = {
     elements. *)
 val make_state : program -> slots:int -> state
 
-(** [run machine program state] executes and returns accumulated
-    costs.  Raises [Failure] on malformed programs (wrong lane-table
-    shape, out-of-range shuffle source lane or shared-memory address)
-    and [Invalid_argument] on an out-of-range slot.  Each warp's
-    shared-memory access is priced by {!Banks.wavefronts_row}. *)
+(** How an instruction is malformed: a per-warp/lane table that is not
+    [warps x lanes], the first out-of-range shared-memory element
+    offset in (warp, lane, element) order, or the first out-of-range
+    shuffle source lane in (warp, lane) order. *)
+type fault = Shape | Address of int | Source_lane of int
+
+(** [fault program instr] is [instr]'s first fault, or [None] when the
+    interpreter can execute it (slot ranges aside).  This is the one
+    definition of a malformed instruction: {!exec} raises on it, and
+    the static pricer and the LL800/LL801/LL807 checks report it. *)
+val fault : program -> instr -> fault option
+
+(** The [Failure] message {!exec} raises for a fault of [instr]. *)
+val fault_message : instr -> fault -> string
+
+(** [exec ~bin program state] executes [program] on [state]: the data
+    movement, with [bin op x y] as the value [Bin] writes.  Raises
+    [Failure (fault_message instr f)] at the first {!fault} and
+    [Invalid_argument] on an out-of-range slot, whichever the
+    (warp, lane, element) loop reaches first. *)
+val exec : bin:([ `Add | `Max ] -> int -> int -> int) -> program -> state -> unit
+
+(** [run machine program state] is {!exec} with [Bin] computing [+] or
+    [max], and returns the accumulated costs.  Each warp's
+    shared-memory access is priced by {!Banks.wavefronts_row}.  With
+    observability enabled it counts [isa.instr.<class>] per instruction
+    and observes [isa.cost.estimate]. *)
 val run : Machine.t -> program -> state -> Cost.t
 
 (** Short class name of an instruction ("mov", "shfl", "st_shared",

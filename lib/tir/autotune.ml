@@ -6,44 +6,10 @@ let run_config machine ~mode ?(strategy = Engine.Greedy) ~build ~size cfg =
   let prog = build ~size in
   Engine.run machine ~mode ~num_warps:cfg.num_warps ~strategy prog
 
-type rank = [ `Model | `Static | `Interp ]
-
-(* The ranking functional.  [`Model] prices a result by the planners'
-   cost model ({!Engine.time}).  [`Static] re-prices every conversion
-   that has a warp-level lowering with the exact static cost of its
-   instruction stream — this is the layout-search objective
-   ({!Assign_search.objective}, LL810-asserted per plan); [`Interp]
-   does the same by actually interpreting the stream.  The two are
-   provably equal, so they always rank identically; [`Static] is the
-   executable stepping stone to layout search without interpreter
-   runs.  Conversions with no lowering (legacy round trips, cross-CTA
-   plans) keep their model cost. *)
-let candidate_time ?(rank = `Model) machine (r : Engine.result) =
-  match rank with
-  | `Model -> Engine.time machine r
-  | `Static -> Assign_search.objective machine r
-  | `Interp ->
-      List.fold_left
-        (fun t (c : Engine.conversion_info) ->
-          match c.Engine.plan with
-          | None -> t
-          | Some plan -> (
-              match Analysis.Static_cost.lower_plan machine plan with
-              | None -> t
-              | Some (prog, sm) ->
-                  let slots = sm.Codegen.Lower.total_slots in
-                  let measured =
-                    Gpusim.Isa.run machine prog (Gpusim.Isa.make_state prog ~slots)
-                  in
-                  t
-                  -. Gpusim.Cost.estimate machine c.Engine.conv_cost
-                  +. Gpusim.Cost.estimate machine measured))
-        (Engine.time machine r) r.Engine.conversions
-
 (* Configurations are evaluated through {!Par_eval.map} (round-robin by
    index, merged in index order) and reduced with a strict [<], so the
    winner — and every tie-break — is identical for any domain count. *)
-let best ?(domains = 1) ?(rank = `Model) ?strategy machine ~mode ~build ~size =
+let best ?(domains = 1) ?strategy machine ~mode ~build ~size =
   let configs = Array.of_list default_configs in
   let n = Array.length configs in
   if n = 0 then invalid_arg "Autotune.best: no configurations";
@@ -53,7 +19,7 @@ let best ?(domains = 1) ?(rank = `Model) ?strategy machine ~mode ~build ~size =
         ~attrs:[ ("num_warps", string_of_int configs.(i).num_warps) ]
     in
     let r = run_config machine ~mode ?strategy ~build ~size configs.(i) in
-    let t = candidate_time ~rank machine r in
+    let t = Engine.time machine r in
     Obs.Span.exit span ~attrs:[ ("time", Printf.sprintf "%.6f" t) ];
     (t, (configs.(i), r))
   in

@@ -6,25 +6,9 @@ type config = { num_warps : int }
 
 val default_configs : config list
 
-(** How a candidate's result is priced:
-    - [`Model] (default): the planners' cost model, {!Engine.time};
-    - [`Static]: conversions with a warp-level lowering are re-priced
-      with the exact static cost of their instruction streams
-      ({!Analysis.Static_cost}), with a differential assertion that the
-      static cost equals what the interpreter would account (raises
-      [Failure] on divergence — i.e. on an analyzer bug);
-    - [`Interp]: the same, but by interpreting each stream on concrete
-      state — the expensive ground truth [`Static] replaces.
-
-    [`Static] and [`Interp] therefore always pick the same winner. *)
-type rank = [ `Model | `Static | `Interp ]
-
-(** [candidate_time ?rank machine result] is the scalar the search
-    minimizes. *)
-val candidate_time : ?rank:rank -> Gpusim.Machine.t -> Engine.result -> float
-
 (** [best machine ~mode ~build ~size] runs the layout engine under each
-    configuration and returns the cheapest one with its result.
+    configuration and returns the one whose result the planners' cost
+    model ({!Engine.time}) prices cheapest, with its result.
 
     [domains] (default 1) evaluates configurations on that many OCaml 5
     domains through {!Par_eval.map}.  Configurations are assigned
@@ -36,7 +20,6 @@ val candidate_time : ?rank:rank -> Gpusim.Machine.t -> Engine.result -> float
     strategy each candidate runs under (default [Engine.Greedy]). *)
 val best :
   ?domains:int ->
-  ?rank:rank ->
   ?strategy:Engine.strategy ->
   Gpusim.Machine.t ->
   mode:Engine.mode ->

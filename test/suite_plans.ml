@@ -56,11 +56,4 @@ let pair_rows () =
 
 (* Plans with a warp-level lowering: the guard {!Analysis.Transval.certify_plan}
    applies before calling {!Codegen.Lower.conversion}. *)
-let lowerable (plan : Codegen.Conversion.plan) =
-  let open Linear_layout in
-  let src = plan.Codegen.Conversion.src and dst = plan.Codegen.Conversion.dst in
-  (match plan.Codegen.Conversion.mechanism with
-  | Codegen.Conversion.Global_roundtrip -> false
-  | _ -> true)
-  && Layout.in_size src Dims.lane = Layout.in_size dst Dims.lane
-  && Layout.in_size src Dims.warp = Layout.in_size dst Dims.warp
+let lowerable = Codegen.Lower.lowerable

@@ -82,6 +82,39 @@ let test_same_instr_lane_overlap () =
   check_bool "two lanes, one address, one instruction -> LL203" true
     (has_code "LL203" (Analysis.Races.check p))
 
+let test_war_flagged () =
+  (* Warp 1 loads smem[1], then warp 0 stores over it with no barrier
+     in between. *)
+  let ld =
+    Gpusim.Isa.Ld_shared { slots = [ 0 ]; addr = [| [| 0 |]; [| 1 |] |]; byte_width = 4 }
+  and st =
+    Gpusim.Isa.St_shared { slots = [ 1 ]; addr = [| [| 1 |]; [| 2 |] |]; byte_width = 4 }
+  in
+  let check body =
+    Analysis.Races.check { Gpusim.Isa.warps = 2; lanes = 1; smem_elems = 4; body }
+    |> List.map (fun (d : Diagnostics.t) -> d.Diagnostics.code)
+  in
+  Alcotest.(check (list string)) "cross-warp WAR -> LL204 only" [ "LL204" ] (check [ ld; st ]);
+  Alcotest.(check (list string))
+    "with a barrier, no race" [] (check [ ld; Gpusim.Isa.Bar_sync; st ])
+
+let test_phase_check () =
+  (* The plan-level check sees a store phase followed by a load phase
+     with the barrier between them deleted. *)
+  let plan = smem_plan () in
+  let program, _ = Codegen.Lower.conversion m plan in
+  check_bool "intact plan passes the phase check" false
+    (has_code "LL205" (Analysis.Races.check_lowered plan program));
+  let stripped =
+    {
+      program with
+      Gpusim.Isa.body =
+        List.filter (fun i -> i <> Gpusim.Isa.Bar_sync) program.Gpusim.Isa.body;
+    }
+  in
+  check_bool "deleted barrier -> LL205" true
+    (has_code "LL205" (Analysis.Races.check_lowered plan stripped))
+
 let test_redundant_barrier () =
   let p =
     { Gpusim.Isa.warps = 1; lanes = 32; smem_elems = 4; body = [ Gpusim.Isa.Bar_sync ] }
@@ -385,6 +418,8 @@ let () =
           Alcotest.test_case "dropped barrier" `Quick test_dropped_barrier;
           Alcotest.test_case "waw flagged and suppressed" `Quick test_waw_flagged_and_suppressed;
           Alcotest.test_case "same-instr lane overlap" `Quick test_same_instr_lane_overlap;
+          Alcotest.test_case "cross-warp WAR -> LL204" `Quick test_war_flagged;
+          Alcotest.test_case "deleted phase barrier -> LL205" `Quick test_phase_check;
           Alcotest.test_case "redundant barrier" `Quick test_redundant_barrier;
         ] );
       ("banks", [ Alcotest.test_case "perturbed swizzle" `Quick test_perturbed_swizzle ]);

@@ -87,6 +87,38 @@ let test_isa_bounds () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "out-of-range store must fail"
 
+(* A fault and an out-of-range slot in one instruction: whichever the
+   (warp, lane, element) loop reaches first raises, the slot as
+   [Invalid_argument], the fault as its [Failure]. *)
+let test_isa_first_error () =
+  let raised body =
+    let p = tiny_program body in
+    match Gpusim.Isa.run m p (Gpusim.Isa.make_state p ~slots:2) with
+    | _ -> "none"
+    | exception Failure msg -> msg
+    | exception Invalid_argument _ -> "slot"
+  in
+  let store slots addr = Gpusim.Isa.St_shared { slots; addr = [| addr |]; byte_width = 4 } in
+  let shfl ~dst lane keep_lane =
+    Gpusim.Isa.Shfl_idx
+      {
+        dst;
+        src = 0;
+        src_lane = [| Array.init 4 (fun l -> if l = lane then 9 else l) |];
+        keep = [| Array.init 4 (fun l -> l = keep_lane) |];
+      }
+  in
+  let check what want body = Alcotest.(check string) what want (raised body) in
+  check "slot at lane 0 before address at lane 1" "slot" [ store [ 5 ] [| 0; 100; 0; 0 |] ];
+  check "address of element 1 before its slot" "st.shared: address out of range"
+    [ store [ 0; 5 ] [| 15; 0; 0; 0 |] ];
+  check "bad source lane 1 before the kept lane 2" "shfl: source lane out of range"
+    [ shfl ~dst:7 1 2 ];
+  check "kept lane 2 before bad source lane 3" "slot" [ shfl ~dst:7 3 2 ];
+  check "unkept lanes never check the destination slot" "none" [ shfl ~dst:7 (-1) (-1) ];
+  check "wrong shape before any slot" "ld.shared: per-warp/lane table has wrong shape"
+    [ Gpusim.Isa.Ld_shared { slots = [ 5 ]; addr = [| [| 0 |] |]; byte_width = 4 } ]
+
 (* {1 Lowering} *)
 
 let roundtrip ?(byte_width = 4) ~src ~dst () =
@@ -224,7 +256,7 @@ let test_lower_gather () =
   | Ok (program, map) ->
       let st = Codegen.Lower.load_state program map src in
       let cost = Gpusim.Isa.run m program st in
-      let got = Codegen.Lower.store_dist map ~dst:l st in
+      let got = Codegen.Lower.store_dist program map ~dst:l st in
       let expected = Codegen.Gather.execute ~src ~index ~axis in
       check_bool "lowered gather equals reference" true
         (got.Gpusim.Dist.data = expected.Gpusim.Dist.data);
@@ -243,7 +275,7 @@ let test_lower_reduce () =
   let program, map, sliced = Codegen.Lower.reduce m ~src:d ~axis in
   let st = Codegen.Lower.load_state program map d in
   let cost = Gpusim.Isa.run m program st in
-  let out = Codegen.Lower.store_dist map ~dst:sliced st in
+  let out = Codegen.Lower.store_dist program map ~dst:sliced st in
   (* Reference row sums. *)
   let rows = 16 and cols = 64 in
   let expected = Array.make rows 0 in
@@ -266,7 +298,7 @@ let test_lower_reduce_warp_local () =
   let program, map, sliced = Codegen.Lower.reduce m ~src:d ~axis:1 in
   let st = Codegen.Lower.load_state program map d in
   let cost = Gpusim.Isa.run m program st in
-  let out = Codegen.Lower.store_dist map ~dst:sliced st in
+  let out = Codegen.Lower.store_dist program map ~dst:sliced st in
   let rows = 16 and cols = 32 in
   let expected = Array.make rows 0 in
   for i = 0 to rows - 1 do
@@ -283,7 +315,7 @@ let test_lower_reduce_max () =
   let program, map, sliced = Codegen.Lower.reduce ~op:`Max m ~src:d ~axis:1 in
   let st = Codegen.Lower.load_state program map d in
   ignore (Gpusim.Isa.run m program st);
-  let out = Codegen.Lower.store_dist map ~dst:sliced st in
+  let out = Codegen.Lower.store_dist program map ~dst:sliced st in
   let rows = 16 and cols = 64 in
   let expected = Array.make rows min_int in
   for i = 0 to rows - 1 do
@@ -304,7 +336,7 @@ let test_lower_scan () =
   | Ok (program, map) ->
       let st = Codegen.Lower.load_state program map d in
       let cost = Gpusim.Isa.run m program st in
-      let out = Codegen.Lower.store_dist map ~dst:l st in
+      let out = Codegen.Lower.store_dist program map ~dst:l st in
       let cols = 32 in
       let expected logical =
         let i = logical / cols and j = logical mod cols in
@@ -396,7 +428,7 @@ let prop_lowered_gather_correct =
           | Ok (program, map) ->
               let st = Codegen.Lower.load_state program map src in
               ignore (Gpusim.Isa.run m program st);
-              let got = Codegen.Lower.store_dist map ~dst:l st in
+              let got = Codegen.Lower.store_dist program map ~dst:l st in
               let expected = Codegen.Gather.execute ~src ~index ~axis:0 in
               got.Gpusim.Dist.data = expected.Gpusim.Dist.data))
 
@@ -434,6 +466,7 @@ let () =
           Alcotest.test_case "sel/scatter" `Quick test_isa_sel_scatter;
           Alcotest.test_case "smem roundtrip" `Quick test_isa_smem_roundtrip;
           Alcotest.test_case "bounds checking" `Quick test_isa_bounds;
+          Alcotest.test_case "first fault or slot error raises" `Quick test_isa_first_error;
         ] );
       ( "lowering",
         [

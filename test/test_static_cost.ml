@@ -549,6 +549,33 @@ let test_errors_subset_fault_injected () =
         ignore (check_errors_subset (Printf.sprintf "lowered + faults #%d" i) (inject st prog))
       done
 
+(* Malformation parity: on raw fuzz programs with one to three injected
+   faults (the [inject] kinds above), the interpreter, the static
+   pricer, the certifier and the LL8xx error pass agree on whether a
+   program is malformed, and the first three on the message. *)
+let prop_malformation_parity =
+  QCheck.Test.make ~name:"run, cost, certify_isa and errors agree on malformation" ~count:300
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let p, slots = fuzz_isa_program st in
+      let p = inject st p in
+      let failure f = match f () with _ -> None | exception Failure msg -> Some msg in
+      let run = failure (fun () -> Isa.run m p (Isa.make_state p ~slots)) in
+      let static = failure (fun () -> Static_cost.cost m p) in
+      let map =
+        { Codegen.Lower.src_regs = 1; dst_base = 1; dst_regs = 1; total_slots = slots }
+      in
+      let layout = Layout.identity1d 1 ~in_dim:Dims.register ~out_dim:(Dims.dim 0) in
+      let certified =
+        match
+          (Analysis.Transval.certify_isa ~src:layout ~dst:layout ~map p).Analysis.Transval.verdict
+        with
+        | Analysis.Transval.Failed msg -> Some msg
+        | Analysis.Transval.Proved | Analysis.Transval.Refuted _ -> None
+      in
+      static = run && certified = run && (Resource_check.errors p = []) = (run = None))
+
 (* {1 The satellite fixes} *)
 
 let test_gmem_inst_pricing () =
@@ -577,27 +604,6 @@ let test_count_classes () =
   check_int "loads" 1 c.Isa.shared_loads;
   check_int "bins" 1 c.Isa.bins;
   check_int "barriers" 1 c.Isa.barriers
-
-(* {1 Autotune ranking} *)
-
-let test_autotune_static_matches_interp () =
-  List.iter
-    (fun (k : Tir.Kernels.kernel) ->
-      let build = k.Tir.Kernels.build and size = List.hd k.Tir.Kernels.sizes in
-      let cfg_s, r_s =
-        Tir.Autotune.best ~rank:`Static m ~mode:Tir.Engine.Linear ~build ~size
-      in
-      let cfg_i, r_i =
-        Tir.Autotune.best ~rank:`Interp m ~mode:Tir.Engine.Linear ~build ~size
-      in
-      check_int
-        (k.Tir.Kernels.name ^ ": same winner")
-        cfg_i.Tir.Autotune.num_warps cfg_s.Tir.Autotune.num_warps;
-      Alcotest.(check (float 1e-9))
-        (k.Tir.Kernels.name ^ ": same candidate time")
-        (Tir.Autotune.candidate_time ~rank:`Interp m r_i)
-        (Tir.Autotune.candidate_time ~rank:`Static m r_s))
-    Tir.Kernels.all
 
 let () =
   Alcotest.run "static_cost"
@@ -637,15 +643,11 @@ let () =
              Alcotest.test_case "lowered plan is clean" `Quick test_plan_analysis_clean;
              Alcotest.test_case "errors = error subset of program, fault-injected" `Quick
                test_errors_subset_fault_injected;
+             QCheck_alcotest.to_alcotest prop_malformation_parity;
            ] );
          ( "satellites",
            [
              Alcotest.test_case "gmem_insts pricing" `Quick test_gmem_inst_pricing;
              Alcotest.test_case "count_classes" `Quick test_count_classes;
-           ] );
-         ( "autotune",
-           [
-             Alcotest.test_case "rank `Static = rank `Interp winners" `Quick
-               test_autotune_static_matches_interp;
            ] );
        ])

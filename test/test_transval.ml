@@ -24,7 +24,7 @@ let diff_out ~src ~dst ~map program =
   let d = Gpusim.Dist.init src ~f:payload in
   let st = Codegen.Lower.load_state program map d in
   let (_ : Gpusim.Cost.t) = Gpusim.Isa.run m program st in
-  Codegen.Lower.store_dist map ~dst st
+  Codegen.Lower.store_dist program map ~dst st
 
 let diff_correct ~src ~dst ~map program =
   match diff_out ~src ~dst ~map program with
@@ -117,20 +117,20 @@ let test_intact_proved () =
   check_bool "certify_plan proves too" true
     (cert.Analysis.Transval.verdict = Analysis.Transval.Proved)
 
+(* Index of the first shared-memory store. *)
+let first_store (p : Gpusim.Isa.program) =
+  let rec find i = function
+    | Gpusim.Isa.St_shared _ :: _ -> i
+    | _ :: rest -> find (i + 1) rest
+    | [] -> Alcotest.fail "no St_shared in smem lowering"
+  in
+  find 0 p.Gpusim.Isa.body
+
 let test_dropped_store_refuted () =
   let src, dst = smem_pair () in
   let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
   let program, map = lower_plan plan in
-  let k =
-    (* Index of the first shared-memory store. *)
-    let rec find i = function
-      | Gpusim.Isa.St_shared _ :: _ -> i
-      | _ :: rest -> find (i + 1) rest
-      | [] -> Alcotest.fail "no St_shared in smem lowering"
-    in
-    find 0 program.Gpusim.Isa.body
-  in
-  let mutated = drop_instr k program in
+  let mutated = drop_instr (first_store program) program in
   (match (Analysis.Transval.certify_isa ~src ~dst ~map mutated).Analysis.Transval.verdict with
   | Analysis.Transval.Refuted r ->
       check_bool "counterexample replays concretely" true
@@ -155,6 +155,46 @@ let test_flipped_matrix_refuted () =
   | v ->
       Alcotest.failf "expected a refutation, got %s"
         (Analysis.Transval.verdict_name v))
+
+(* Each LL6xx code fires from one fault: a flipped claimed matrix entry
+   (a wrong element, LL650), a dropped store or a [Bin] on the
+   destination (a point never written, LL651) and a plan whose lowering
+   fails (LL652).  The shared-memory
+   plan forced to a register permutation has destination registers no
+   source register supplies, so [Lower.conversion] raises. *)
+let test_diagnostic_codes () =
+  let codes cert =
+    List.map (fun (d : Diagnostics.t) -> d.Diagnostics.code) (Analysis.Transval.diagnostics cert)
+  in
+  let check_codes what want cert = Alcotest.(check (list string)) what want (codes cert) in
+  let src, dst = smem_pair () in
+  let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
+  let program, map = lower_plan plan in
+  check_codes "intact plan" [] (Analysis.Transval.certify_isa ~src ~dst ~map program);
+  check_codes "flipped matrix" [ "LL650" ]
+    (Analysis.Transval.certify_isa ~src ~dst:(flip_bit dst ~row:2 ~col:1) ~map program);
+  check_codes "dropped store" [ "LL651" ]
+    (Analysis.Transval.certify_isa ~src ~dst ~map (drop_instr (first_store program) program));
+  (* Arithmetic never forges a provenance: a destination slot that goes
+     through [Bin] reads as never written. *)
+  let d = map.Codegen.Lower.dst_base in
+  check_codes "bin on a destination slot" [ "LL651" ]
+    (Analysis.Transval.certify_isa ~src ~dst ~map
+       {
+         program with
+         Gpusim.Isa.body =
+           program.Gpusim.Isa.body @ [ Gpusim.Isa.Bin { op = `Add; dst = d; a = d; b = d } ];
+       });
+  let forced = { plan with Codegen.Conversion.mechanism = Codegen.Conversion.Register_permute } in
+  let cert = Analysis.Transval.certify_plan m forced in
+  check_codes "failed lowering" [ "LL652" ] cert;
+  Alcotest.(check string)
+    "LL652 message"
+    "plan could not be certified (register permutation): lowering failed: Lower: register \
+     permutation has no source for a slot"
+    (match Analysis.Transval.diagnostics cert with
+    | [ d ] -> d.Diagnostics.message
+    | _ -> "")
 
 (* {1 Properties} *)
 
@@ -457,6 +497,7 @@ let () =
             test_flipped_matrix_refuted;
           Alcotest.test_case "round trip between shapes fails" `Quick
             test_roundtrip_different_shapes;
+          Alcotest.test_case "LL650/LL651/LL652 fire" `Quick test_diagnostic_codes;
         ] );
       ( "fault-injection",
         q [ prop_intact_plans_prove; prop_dropped_instr; prop_swapped_rounds; prop_flipped_entry ]
