@@ -55,16 +55,17 @@ let bot_state ~reuse (p : Gpusim.Isa.program) ~slots =
   { Gpusim.Isa.slots; regs; smem }
 
 (* Run [program] from the canonical conversion pre-state — every source
-   slot holds its own hardware point ({!Codegen.Lower.fill_src}) — and
-   read the destination points back ({!Codegen.Lower.read_dst}). *)
+   slot holds its own hardware point ({!Codegen.Lower.fill_src}). *)
 let run_provenance ~reuse ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
   let st = bot_state ~reuse program ~slots:map.Codegen.Lower.total_slots in
   Codegen.Lower.fill_src program map st Fun.id;
   Gpusim.Isa.exec ~bin:opaque program st;
-  Codegen.Lower.read_dst program map st
+  st
 
-(* The public lookup may outlive the call, so it owns a fresh state. *)
-let provenance ~map program = run_provenance ~reuse:false ~map program
+(* The public lookup may outlive the call, so it owns a fresh state;
+   destination points are read back with {!Codegen.Lower.read_dst}. *)
+let provenance ~map program =
+  Codegen.Lower.read_dst program map (run_provenance ~reuse:false ~map program)
 
 (* {1 Certificates} *)
 
@@ -81,65 +82,86 @@ type cert = {
 
 let method_name = function Symbolic -> "symbolic" | Algebraic -> "algebraic"
 
-(* A linear map as byte-indexed image tables: [t.(c).(b)] is the image
-   of byte [b] at byte position [c] of the input, so an evaluation costs
-   one lookup and one XOR per input byte.  Each entry is filled by
-   linearity from the entry without its lowest bit.  Input bits at or
-   above the column count select nothing, as in {!F2.Bitmatrix.apply}. *)
-let byte_tables m =
-  let n = F2.Bitmatrix.cols m in
-  let t =
-    Array.init ((n + 7) / 8) (fun c ->
-        let t = Array.make 256 0 in
-        for b = 1 to 255 do
-          let k = (8 * c) + F2.Bitvec.ntz b in
-          t.(b) <- t.(b land (b - 1)) lxor if k < n then F2.Bitmatrix.column m k else 0
-        done;
-        t)
-  in
-  fun v ->
-    let acc = ref 0 in
-    for c = 0 to Array.length t - 1 do
-      acc := !acc lxor t.(c).((v lsr (8 * c)) land 255)
-    done;
-    !acc
+(* [image_table m ~lo n] holds the images under [m] of [x lsl lo] for
+   every [x < n]: split at a power of two [2^lo], a linear map's value
+   at [h] is [lo_table.(h land (2^lo - 1)) lxor hi_table.(h lsr lo)],
+   two lookups and one XOR.  Each entry is filled by linearity from the
+   entry without its lowest bit.  Input bits at or above the column
+   count select nothing, as in {!F2.Bitmatrix.apply}. *)
+let image_table m ~lo n =
+  let cols = F2.Bitmatrix.cols m in
+  let t = Array.make n 0 in
+  for x = 1 to n - 1 do
+    let k = lo + F2.Bitvec.ntz x in
+    t.(x) <- (t.(x land (x - 1)) lxor if k < cols then F2.Bitmatrix.column m k else 0)
+  done;
+  t
 
-(* The shared core: require, for every destination hardware point [h],
-   that its provenance [p] satisfies [src_flat p = want h].  [want] is
-   the logical element [h] must hold; broadcasting sources are handled
-   for free because any source point of the same element is acceptable.
+(* The shared core: require, for every destination hardware point
+   [h = r + t * dst_regs] (slot [dst_base + r] of thread [t]), that its
+   provenance [p] satisfies [src_flat p = want h].  [want] is the
+   logical element [h] must hold; broadcasting sources are handled for
+   free because any source point of the same element is acceptable.
+   The source map is split at the source register count, as
+   {!Codegen.Lower.fill_src} lays points out, so [src_flat p] is one
+   lookup per half.
 
-   An unwritten point anywhere outranks a wrong one.  Otherwise one
-   numeric scan decides it: the first [h] with [got h <> want h] is the
-   answer, and it is also the minimal-weight witness whenever both maps
-   are affine: [d = got + want] is then affine, so [d 0 <> 0] makes [0]
-   the first mismatch, and otherwise the first mismatch is [2^k] for
-   the lowest [k] with [d (2^k) <> 0] — every [h < 2^k] lies in the span
-   of lower basis vectors, where [d] vanishes. *)
+   An unwritten point anywhere outranks a wrong one.  Otherwise the
+   first [h] with [got h <> want h] is the answer, and it is also the
+   minimal-weight witness whenever both maps are affine: [d = got +
+   want] is then affine, so [d 0 <> 0] makes [0] the first mismatch,
+   and otherwise the first mismatch is [2^k] for the lowest [k] with
+   [d (2^k) <> 0] — every [h < 2^k] lies in the span of lower basis
+   vectors, where [d] vanishes.  One walk over the destination slots,
+   threads outer and slots inner, visits [h] in increasing order and
+   decides both. *)
 let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
     (program : Gpusim.Isa.program) =
-  let points = map.Codegen.Lower.dst_regs * program.Gpusim.Isa.lanes * program.Gpusim.Isa.warps in
+  let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  let dst_regs = map.Codegen.Lower.dst_regs and src_regs = map.Codegen.Lower.src_regs in
+  let points = dst_regs * threads in
   let cert verdict = { mechanism; method_ = Symbolic; points; verdict } in
-  (* [prov] reads the domain's reused state, so it is consumed before
-     this function returns and nothing below certifies re-entrantly. *)
+  (* The state is the domain's reused one, so it is consumed before this
+     function returns and nothing below certifies re-entrantly. *)
   match run_provenance ~reuse:true ~map program with
   | exception Failure msg -> cert (Failed msg)
-  | prov -> (
-      let rec first bad h =
-        if h >= points then None else if bad h then Some h else first bad (h + 1)
-      in
-      match first (fun h -> prov h < 0) 0 with
-      | Some h -> cert (Refuted { counterexample = h; got = None; want = want h })
-      | None -> (
-          let got = byte_tables (Layout.to_matrix src) in
-          match first (fun h -> got (prov h) <> want h) 0 with
-          | None -> cert Proved
-          | Some h ->
-              cert (Refuted { counterexample = h; got = Some (got (prov h)); want = want h })))
+  | st ->
+      (* Applied for its slot-range check only. *)
+      let (_ : int -> int) = Codegen.Lower.read_dst program map st in
+      let m = Layout.to_matrix src and rb = Util.log2 src_regs in
+      let gr = image_table m ~lo:0 src_regs and gt = image_table m ~lo:rb threads in
+      let got p = gr.(p land (src_regs - 1)) lxor gt.(p lsr rb) in
+      let slots = st.Gpusim.Isa.slots and regs = st.Gpusim.Isa.regs in
+      let unwritten = ref (-1) and wrong = ref (-1) and wrong_p = ref 0 in
+      (try
+         for t = 0 to threads - 1 do
+           let base = (t * slots) + map.Codegen.Lower.dst_base and h = t * dst_regs in
+           for r = 0 to dst_regs - 1 do
+             let p = regs.(base + r) in
+             if p < 0 then begin
+               unwritten := h + r;
+               raise Exit
+             end
+             else if !wrong < 0 && got p <> want (h + r) then begin
+               wrong := h + r;
+               wrong_p := p
+             end
+           done
+         done
+       with Exit -> ());
+      if !unwritten >= 0 then
+        cert (Refuted { counterexample = !unwritten; got = None; want = want !unwritten })
+      else if !wrong >= 0 then
+        cert (Refuted { counterexample = !wrong; got = Some (got !wrong_p); want = want !wrong })
+      else cert Proved
 
-let certify_isa ~src ~dst ~map program =
+let certify_isa ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
+  let m = Layout.to_matrix dst and dst_regs = map.Codegen.Lower.dst_regs in
+  let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  let rb = Util.log2 dst_regs in
+  let wr = image_table m ~lo:0 dst_regs and wt = image_table m ~lo:rb threads in
   check_program ~src ~map
-    ~want:(byte_tables (Layout.to_matrix dst))
+    ~want:(fun h -> wr.(h land (dst_regs - 1)) lxor wt.(h lsr rb))
     ~mechanism:"isa" program
 
 (* Cross-CTA conversions spill through global memory and are executed
@@ -226,34 +248,34 @@ let certify_plan machine (plan : Codegen.Conversion.plan) =
 
 (* Gather plans are index-dependent: destination point [h] must hold the
    source element at [h]'s logical coordinates with the gathered axis
-   replaced by the index tensor's value there.  The spec is not affine
-   in general (it depends on the index data), so the checker falls back
-   to the exhaustive scan. *)
+   replaced by the index tensor's value there.  The spec is not linear
+   in general (it depends on the index data), so it has no split tables:
+   the scan asks for it point by point. *)
+let certify_gather_isa ~src ~index ~axis ~map program =
+  let to_logical = Layout.apply_flat src in
+  let out_dims = Layout.out_dims src in
+  let axis_size = Layout.out_size src (Dims.dim axis) in
+  let t_idx =
+    match Gpusim.Dist.to_logical index with
+    | Ok t -> t
+    | Error e -> failwith ("Transval.certify_gather: " ^ e)
+  in
+  let want h =
+    let logical = to_logical h in
+    let coords = Layout.unflatten_value out_dims logical in
+    let idx = t_idx.(logical) land (axis_size - 1) in
+    let coords' = List.map (fun (d, c) -> (d, if d = Dims.dim axis then idx else c)) coords in
+    Layout.flatten_value out_dims coords'
+  in
+  check_program ~src ~map ~want ~mechanism:"gather" program
+
 let certify_gather machine ~src ~index ~axis =
   match Codegen.Lower.gather machine ~src ~index ~axis with
   | Error msg -> { mechanism = "gather"; method_ = Symbolic; points = 0; verdict = Failed msg }
   | exception Failure msg ->
       { mechanism = "gather"; method_ = Symbolic; points = 0; verdict = Failed msg }
   | Ok (program, map) ->
-      let l = src.Gpusim.Dist.layout in
-      let to_logical = Layout.apply_flat l in
-      let out_dims = Layout.out_dims l in
-      let axis_size = Layout.out_size l (Dims.dim axis) in
-      let t_idx =
-        match Gpusim.Dist.to_logical index with
-        | Ok t -> t
-        | Error e -> failwith ("Transval.certify_gather: " ^ e)
-      in
-      let want h =
-        let logical = to_logical h in
-        let coords = Layout.unflatten_value out_dims logical in
-        let idx = t_idx.(logical) land (axis_size - 1) in
-        let coords' =
-          List.map (fun (d, c) -> (d, if d = Dims.dim axis then idx else c)) coords
-        in
-        Layout.flatten_value out_dims coords'
-      in
-      { (check_program ~src:l ~map ~want ~mechanism:"gather" program) with mechanism = "gather" }
+      certify_gather_isa ~src:src.Gpusim.Dist.layout ~index ~axis ~map program
 
 (* {1 Diagnostics} *)
 

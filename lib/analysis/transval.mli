@@ -9,10 +9,13 @@
     domain — every register slot and shared-memory cell holds the
     flattened source hardware point whose value it contains, or bottom,
     and [Bin] writes bottom — and compares it against the
-    claim in one numeric scan over the destination points, at about one
-    table lookup and XOR per point.  The scan reports the first
-    unwritten point if there is one, else the first point [h] (in
-    numeric order) where the two maps disagree.  When both maps are
+    claim in one walk over the destination slots, threads outer and
+    slots inner, which visits the destination points [h] in increasing
+    order.  Both layouts are linear, so each is evaluated from split
+    tables — a register-part and a thread-part image table, two lookups
+    and one XOR per point.  The walk reports the first unwritten point
+    if there is one, else the first point [h] where the two maps
+    disagree.  When both maps are
     affine that point is also the minimal-weight witness an affine fit
     would give — Hamming weight at most 1: with [d = got + want] affine,
     [d 0 <> 0] makes [0] the first mismatch, and otherwise it is [2^k]
@@ -69,10 +72,12 @@ val provenance : map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> int -> int
 
 (** Certify an arbitrary lowered program against claimed source and
     destination layouts: the pre-state is loaded with
-    {!Codegen.Lower.fill_src}, the post-state read back with
-    {!Codegen.Lower.read_dst} — the convention of
-    {!Codegen.Lower.load_state} and {!Codegen.Lower.store_dist}.  A
-    program the interpreter rejects with [Failure msg] is [Failed msg]. *)
+    {!Codegen.Lower.fill_src}, the post-state read back under
+    {!Codegen.Lower.read_dst}'s slot convention (and its slot-range
+    check) — the convention of {!Codegen.Lower.load_state} and
+    {!Codegen.Lower.store_dist}.  [map.src_regs] and [map.dst_regs]
+    must be powers of two, as every lowering makes them.  A program the
+    interpreter rejects with [Failure msg] is [Failed msg]. *)
 val certify_isa :
   src:Layout.t -> dst:Layout.t -> map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> cert
 
@@ -88,9 +93,22 @@ val certify_plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> cert
 (** Certify a lowered warp-shuffle gather against the index-dependent
     gather semantics (destination point [h] holds the source element at
     [h]'s coordinates with the gathered axis replaced by the index
-    value). *)
+    value).  The claim is not linear in the index data, so the walk
+    evaluates it point by point instead of from split tables. *)
 val certify_gather :
   Gpusim.Machine.t -> src:Gpusim.Dist.t -> index:Gpusim.Dist.t -> axis:int -> cert
+
+(** [certify_gather_isa ~src ~index ~axis ~map program] certifies an
+    already lowered gather program against the same semantics, with the
+    source layout [src] and the slot convention of {!certify_isa}.
+    {!certify_gather} is {!Codegen.Lower.gather} followed by this. *)
+val certify_gather_isa :
+  src:Layout.t ->
+  index:Gpusim.Dist.t ->
+  axis:int ->
+  map:Codegen.Lower.slot_map ->
+  Gpusim.Isa.program ->
+  cert
 
 (** Render a certificate as LL6xx diagnostics: [LL650] wrong element at
     a destination point, [LL651] destination point never written,

@@ -2,8 +2,6 @@ open Linear_layout
 
 type slot_map = { src_regs : int; dst_base : int; dst_regs : int; total_slots : int }
 
-let split_hw ~rb ~lb hw = (hw land ((1 lsl rb) - 1), (hw lsr rb) land ((1 lsl lb) - 1), hw lsr (rb + lb))
-
 let scatter_bits sel positions =
   List.fold_left
     (fun (acc, i) pos -> ((if sel land (1 lsl i) <> 0 then acc lor (1 lsl pos) else acc), i + 1))
@@ -16,7 +14,7 @@ let scatter_bits sel positions =
    layout's inverse.  [mem_inv o flat] is linear, so the address of
    (warp, lane, register) is the XOR of the images of its three parts:
    one lane table and one warp table serve every instruction. *)
-let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_store =
+let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_store =
   let rb = Layout.in_bits layout Dims.register in
   let lb = Layout.in_bits layout Dims.lane in
   let reg_cols = Array.of_list (Layout.flat_columns layout Dims.register) in
@@ -53,7 +51,13 @@ let shared_side ~machine:_ ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~
 
 (* Emit the Sel/Shfl/Scatter rounds of a warp-shuffle plan, with the
    source value in slots [src_base..] of [src]'s register order and the
-   destination written to [dst_base..]. *)
+   destination written to [dst_base..].  Round ([rep], payload [pv])
+   moves the elements [rep lxor vig.(i)] for the [i] congruent to [pv]
+   modulo [2^v]; the inverse layouts are linear, so each element's
+   source and destination hardware points are the XOR of [rep]'s image
+   and [vig.(i)]'s, each computed once.  A round touches few warps, so
+   every warp it does not touch shares one default row per table
+   kind; programs are never mutated, so the sharing is invisible. *)
 let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~stage_recv ~warps
     ~lanes =
   let rb_s = Layout.in_bits src Dims.register in
@@ -63,36 +67,49 @@ let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~st
   and to_dst = Layout.apply_flat (Layout.invert dst) in
   let v = List.length p.Shuffle.vec in
   let vig = F2.Subspace.span_elements (p.Shuffle.vec @ p.Shuffle.common_thr @ p.Shuffle.g) in
+  let vig_src = Array.map to_src vig and vig_dst = Array.map to_dst vig in
   let reps = F2.Subspace.span_elements p.Shuffle.ext in
-  Array.to_list reps
-  |> List.concat_map (fun rep ->
-         List.concat_map
-           (fun pv ->
-             let sel = Array.make_matrix warps lanes (-1) in
-             let lane_tbl = Array.make_matrix warps lanes 0 in
-             let keep = Array.make_matrix warps lanes false in
-             let scat = Array.make_matrix warps lanes (-1) in
-             (* The elements of payload [pv]: indices congruent to [pv]
-                modulo [2^v], in increasing order. *)
-             let idx = ref pv in
-             while !idx < Array.length vig do
-               let x = rep lxor vig.(!idx) in
-               let r_s, l_s, w_s = split_hw ~rb:rb_s ~lb (to_src x) in
-               let r_d, l_d, w_d = split_hw ~rb:rb_d ~lb (to_dst x) in
-               if w_s <> w_d then failwith "Lower: shuffle plan crosses warps";
-               sel.(w_s).(l_s) <- src_base + r_s;
-               lane_tbl.(w_d).(l_d) <- l_s;
-               keep.(w_d).(l_d) <- true;
-               scat.(w_d).(l_d) <- dst_base + r_d;
-               idx := !idx + (1 lsl v)
-             done;
-             [
-               Gpusim.Isa.Sel { dst = stage_send; src_slot = sel };
-               Gpusim.Isa.Shfl_idx
-                 { dst = stage_recv; src = stage_send; src_lane = lane_tbl; keep };
-               Gpusim.Isa.Scatter { src = stage_recv; dst_slot = scat };
-             ])
-           (List.init (1 lsl v) Fun.id))
+  let no_slot = Array.make lanes (-1)
+  and lane_zero = Array.make lanes 0
+  and kept_none = Array.make lanes false in
+  (* Row [w] of [tbl], made private to it on first use. *)
+  let row tbl w default =
+    if tbl.(w) != default then tbl.(w)
+    else
+      let r = Array.copy default in
+      tbl.(w) <- r;
+      r
+  in
+  let body = ref [] in
+  Array.iter
+    (fun rep ->
+      let rep_src = to_src rep and rep_dst = to_dst rep in
+      for pv = 0 to (1 lsl v) - 1 do
+        let sel = Array.make warps no_slot in
+        let lane_tbl = Array.make warps lane_zero in
+        let keep = Array.make warps kept_none in
+        let scat = Array.make warps no_slot in
+        let i = ref pv in
+        while !i < Array.length vig do
+          let hs = rep_src lxor vig_src.(!i) and hd = rep_dst lxor vig_dst.(!i) in
+          let w = hs lsr (rb_s + lb) in
+          if w <> hd lsr (rb_d + lb) then failwith "Lower: shuffle plan crosses warps";
+          let l_s = (hs lsr rb_s) land ((1 lsl lb) - 1)
+          and l_d = (hd lsr rb_d) land ((1 lsl lb) - 1) in
+          (row sel w no_slot).(l_s) <- src_base + (hs land ((1 lsl rb_s) - 1));
+          (row lane_tbl w lane_zero).(l_d) <- l_s;
+          (row keep w kept_none).(l_d) <- true;
+          (row scat w no_slot).(l_d) <- dst_base + (hd land ((1 lsl rb_d) - 1));
+          i := !i + (1 lsl v)
+        done;
+        body :=
+          Gpusim.Isa.Scatter { src = stage_recv; dst_slot = scat }
+          :: Gpusim.Isa.Shfl_idx { dst = stage_recv; src = stage_send; src_lane = lane_tbl; keep }
+          :: Gpusim.Isa.Sel { dst = stage_send; src_slot = sel }
+          :: !body
+      done)
+    reps;
+  List.rev !body
 
 (* Slot index arithmetic for register compression: [kept] lists the
    non-free register bit positions in increasing order. *)
@@ -119,7 +136,7 @@ let lowerable (plan : Conversion.plan) =
   (match plan.Conversion.mechanism with Conversion.Global_roundtrip -> false | _ -> true)
   && same_cta plan.Conversion.src plan.Conversion.dst
 
-let conversion machine (plan : Conversion.plan) =
+let conversion _machine (plan : Conversion.plan) =
   let src = plan.Conversion.src and dst = plan.Conversion.dst in
   let src_regs = Layout.in_size src Dims.register in
   let dst_regs = Layout.in_size dst Dims.register in
@@ -198,10 +215,10 @@ let conversion machine (plan : Conversion.plan) =
            not model the grid"
     | Conversion.Shared_memory sw ->
         let mem_inv = Layout.invert sw.Swizzle_opt.mem in
-        shared_side ~machine ~mem_inv ~layout:src ~slot_base:0 ~vec:sw.Swizzle_opt.vec
+        shared_side ~mem_inv ~layout:src ~slot_base:0 ~vec:sw.Swizzle_opt.vec
           ~byte_width:plan.Conversion.byte_width ~warps ~lanes ~is_store:true
         @ [ Gpusim.Isa.Bar_sync ]
-        @ shared_side ~machine ~mem_inv ~layout:dst ~slot_base:map.dst_base
+        @ shared_side ~mem_inv ~layout:dst ~slot_base:map.dst_base
             ~vec:sw.Swizzle_opt.vec ~byte_width:plan.Conversion.byte_width ~warps ~lanes
             ~is_store:false
   in

@@ -10,7 +10,11 @@
     [0 .. src_regs-1] (register [r] of the source layout in slot [r]);
     the destination value lands in slots
     [dst_base .. dst_base + dst_regs - 1]; two staging slots follow for
-    shuffle traffic. *)
+    shuffle traffic.  [src_regs] and [dst_regs] are powers of two.
+
+    Emitted programs may share table rows: a warp-shuffle round gives
+    every warp it does not touch one default row per table kind.  This
+    relies on {!Gpusim.Isa} programs never being mutated. *)
 
 open Linear_layout
 

@@ -89,89 +89,137 @@ let fault_message instr f =
   | Address _ -> name ^ ": address out of range"
   | Source_lane _ -> name ^ ": source lane out of range"
 
-(* Slots are range-checked: an out-of-range slot must raise, not reach
-   a neighbouring lane's registers. *)
-let slot st s = if s < 0 || s >= st.slots then invalid_arg "index out of bounds" else s
+(* The largest entry of a per-warp/lane table, or [-1]. *)
+let table_max t =
+  let m = ref (-1) in
+  for w = 0 to Array.length t - 1 do
+    let row = t.(w) in
+    for l = 0 to Array.length row - 1 do
+      if row.(l) > !m then m := row.(l)
+    done
+  done;
+  !m
 
-(* The data movement of a shared-memory store or load; it fails with
-   [msg] on reaching element position [stop]. *)
-let shared p st ~stop ~msg ~slots:sl ~addr ~store =
+(* The position of the first kept lane, in (warp, lane) order, or
+   [max_int]. *)
+let first_kept p keep =
+  let rec go w l =
+    if w >= p.warps then max_int
+    else if l >= p.lanes then go (w + 1) 0
+    else if keep.(w).(l) then (w * p.lanes) + l
+    else go w (l + 1)
+  in
+  go 0 0
+
+(* The position of [instr]'s first out-of-range slot operand in the
+   interpreter's (warp, lane, element) order, or [max_int] when every
+   operand a lane uses is in range; an operand no lane uses never
+   fails.  A shuffle's [src] fails at [-1]: every lane of warp 0
+   publishes it before any lane receives.  [Sel] and [Scatter] have no
+   positional fault to order against, so any position will do.  Slots
+   are range-checked so that an out-of-range slot raises instead of
+   reaching a neighbouring lane's registers. *)
+let first_bad_slot p st instr =
+  let bad s = s < 0 || s >= st.slots in
+  let threads = p.warps * p.lanes in
+  match instr with
+  | Mov { dst; src } -> if threads > 0 && (bad dst || bad src) then 0 else max_int
+  | Bin { dst; a; b; _ } -> if threads > 0 && (bad dst || bad a || bad b) then 0 else max_int
+  | Sel { dst = fixed; src_slot = t } | Scatter { src = fixed; dst_slot = t } ->
+      (* A lane uses both operands when its entry is not negative. *)
+      if table_max t >= if bad fixed then 0 else st.slots then 0 else max_int
+  | Shfl_idx { dst; src; keep; _ } ->
+      if threads > 0 && bad src then -1 else if bad dst then first_kept p keep else max_int
+  | St_shared { slots = sl; _ } | Ld_shared { slots = sl; _ } ->
+      let rec go i = function [] -> max_int | s :: rest -> if bad s then i else go (i + 1) rest in
+      if threads > 0 then go 0 sl else max_int
+  | Bar_sync -> max_int
+
+(* Raise where [instr] fails, if it does: a shape fault before anything
+   moves, else the earlier of its {!locate} fault and its first
+   out-of-range slot operand, the fault winning a tie: at one position,
+   the fault is met before the operand is read. *)
+let check p st instr =
+  match locate p instr with
+  | Some (Shape, _) -> failwith (fault_message instr Shape)
+  | loc -> (
+      let at = match loc with Some (_, pos) -> pos | None -> max_int in
+      if first_bad_slot p st instr < at then invalid_arg "index out of bounds";
+      match loc with Some (f, _) -> failwith (fault_message instr f) | None -> ())
+
+(* The data movement of a shared-memory store or load. *)
+let shared p st ~slots:sl ~addr ~store =
   let lanes = p.lanes and slots = st.slots and regs = st.regs and smem = st.smem in
   let sl = Array.of_list sl in
-  let n = Array.length sl in
   for w = 0 to p.warps - 1 do
     let row = addr.(w) in
     for l = 0 to lanes - 1 do
-      let t = (w * lanes) + l in
-      let base = t * slots and a0 = row.(l) in
-      for i = 0 to n - 1 do
-        if (t * n) + i = stop then failwith msg;
-        let a = a0 + i and r = base + slot st sl.(i) in
-        if store then smem.(a) <- regs.(r) else regs.(r) <- smem.(a)
+      let base = ((w * lanes) + l) * slots and a0 = row.(l) in
+      for i = 0 to Array.length sl - 1 do
+        let r = base + sl.(i) in
+        if store then smem.(a0 + i) <- regs.(r) else regs.(r) <- smem.(a0 + i)
       done
     done
   done
 
-(* Execute one instruction.  A fault found by [locate] raises its
-   [Failure] where the loop reaches it, so a slot error earlier in the
-   same loop still raises first, as [Invalid_argument].  [published] is
-   a [lanes]-long buffer for shuffles. *)
+(* Execute one instruction: {!check} it, then move data with no
+   per-element check.  A failing instruction moves nothing.
+   [published] is a [lanes]-long buffer for shuffles. *)
 let step ~bin p st published instr =
+  check p st instr;
   let warps = p.warps and lanes = p.lanes in
   let threads = warps * lanes in
   let slots = st.slots and regs = st.regs in
-  let stop, msg =
-    match locate p instr with
-    | None -> (max_int, "")
-    | Some (Shape, _) -> failwith (fault_message instr Shape)
-    | Some (f, pos) -> (pos, fault_message instr f)
-  in
   match instr with
   | Mov { dst; src } ->
-      if threads > 0 then begin
-        let dst = slot st dst and src = slot st src in
-        for t = 0 to threads - 1 do
-          regs.((t * slots) + dst) <- regs.((t * slots) + src)
-        done
-      end
+      for t = 0 to threads - 1 do
+        regs.((t * slots) + dst) <- regs.((t * slots) + src)
+      done
   | Sel { dst; src_slot } ->
       for w = 0 to warps - 1 do
+        let row = src_slot.(w) in
         for l = 0 to lanes - 1 do
-          let s = src_slot.(w).(l) and base = ((w * lanes) + l) * slots in
-          if s >= 0 then regs.(base + slot st dst) <- regs.(base + slot st s)
+          let s = row.(l) in
+          if s >= 0 then
+            let base = ((w * lanes) + l) * slots in
+            regs.(base + dst) <- regs.(base + s)
         done
       done
   | Scatter { src; dst_slot } ->
       for w = 0 to warps - 1 do
+        let row = dst_slot.(w) in
         for l = 0 to lanes - 1 do
-          let s = dst_slot.(w).(l) and base = ((w * lanes) + l) * slots in
-          if s >= 0 then regs.(base + slot st s) <- regs.(base + slot st src)
+          let s = row.(l) in
+          if s >= 0 then
+            let base = ((w * lanes) + l) * slots in
+            regs.(base + s) <- regs.(base + src)
         done
       done
   | Shfl_idx { dst; src; src_lane; keep } ->
       for w = 0 to warps - 1 do
-        (* All lanes publish, then all lanes receive: read the published
-           values before any write. *)
+        (* All lanes publish, then all lanes receive: the warp's first
+           kept lane reads every published value before any write.  A
+           warp that keeps no lane moves nothing. *)
+        let base = w * lanes * slots and from = src_lane.(w) and keep = keep.(w) in
+        let unpublished = ref true in
         for l = 0 to lanes - 1 do
-          published.(l) <- regs.((((w * lanes) + l) * slots) + slot st src)
-        done;
-        for l = 0 to lanes - 1 do
-          if (w * lanes) + l = stop then failwith msg;
-          if keep.(w).(l) then
-            regs.((((w * lanes) + l) * slots) + slot st dst) <- published.(src_lane.(w).(l))
+          if keep.(l) then begin
+            if !unpublished then begin
+              for l' = 0 to lanes - 1 do
+                published.(l') <- regs.(base + (l' * slots) + src)
+              done;
+              unpublished := false
+            end;
+            regs.(base + (l * slots) + dst) <- published.(from.(l))
+          end
         done
       done
-  | St_shared { slots = sl; addr; byte_width = _ } ->
-      shared p st ~stop ~msg ~slots:sl ~addr ~store:true
-  | Ld_shared { slots = sl; addr; byte_width = _ } ->
-      shared p st ~stop ~msg ~slots:sl ~addr ~store:false
+  | St_shared { slots = sl; addr; byte_width = _ } -> shared p st ~slots:sl ~addr ~store:true
+  | Ld_shared { slots = sl; addr; byte_width = _ } -> shared p st ~slots:sl ~addr ~store:false
   | Bin { op; dst; a; b } ->
-      if threads > 0 then begin
-        let dst = slot st dst and a = slot st a and b = slot st b in
-        for t = 0 to threads - 1 do
-          regs.((t * slots) + dst) <- bin op regs.((t * slots) + a) regs.((t * slots) + b)
-        done
-      end
+      for t = 0 to threads - 1 do
+        regs.((t * slots) + dst) <- bin op regs.((t * slots) + a) regs.((t * slots) + b)
+      done
   | Bar_sync -> ()
 
 let exec ~bin p st =

@@ -10,7 +10,13 @@
 
     Register files are indexed by {e slot}: slot [r] of lane [l] of
     warp [w].  Memory operands are element offsets scaled by the
-    instruction's element byte width. *)
+    instruction's element byte width.
+
+    Instruction tables are never mutated after construction: the
+    interpreter, the static pricer, the resource and race checks and
+    the certifier only read them, so a lowering may share one row
+    between tables or between instructions.  Code that derives a faulty
+    program from a lowered one copies the tables it changes first. *)
 
 type instr =
   | Mov of { dst : int; src : int }
@@ -75,10 +81,19 @@ val fault : program -> instr -> fault option
 val fault_message : instr -> fault -> string
 
 (** [exec ~bin program state] executes [program] on [state]: the data
-    movement, with [bin op x y] as the value [Bin] writes.  Raises
-    [Failure (fault_message instr f)] at the first {!fault} and
-    [Invalid_argument] on an out-of-range slot, whichever the
-    (warp, lane, element) loop reaches first. *)
+    movement, with [bin op x y] as the value [Bin] writes.  Each
+    instruction is checked once before it moves anything:
+    + a [Shape] fault raises [Failure (fault_message instr Shape)];
+    + otherwise, of the instruction's other {!fault} and its first
+      out-of-range slot operand, the one at the earlier position in
+      (warp, lane, element) order raises — [Failure (fault_message instr
+      f)] or [Invalid_argument "index out of bounds"] — the fault when
+      both sit at the same position.  A shuffle's [src] slot counts as
+      read by every lane of warp 0 before any lane receives; an operand
+      no lane uses ([Sel]/[Scatter] lanes with a negative entry,
+      shuffle lanes not kept, a CTA with no threads) never fails.
+    A failing instruction leaves [state] as the instructions before it
+    left it. *)
 val exec : bin:([ `Add | `Max ] -> int -> int -> int) -> program -> state -> unit
 
 (** [run machine program state] is {!exec} with [Bin] computing [+] or

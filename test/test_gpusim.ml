@@ -139,6 +139,85 @@ let prop_row_matches_records =
       = Gpusim.Banks.wavefronts machine
           (Array.to_list (Array.map (fun a -> access (a * byte_width) bytes) row)))
 
+(* {1 The interpreter against its per-element oracle} *)
+
+module Isa = Gpusim.Isa
+
+let arith op x y = match op with `Add -> x + y | `Max -> max x y
+
+(* Run [exec] on a state whose every register and shared cell holds a
+   distinct value, so any move shows; the outcome is the final state or
+   the exception raised, constructor and message. *)
+let outcome exec (p : Isa.program) ~slots =
+  let st = Isa.make_state p ~slots in
+  Array.iteri (fun i _ -> st.Isa.regs.(i) <- i + 1) st.Isa.regs;
+  Array.iteri (fun i _ -> st.Isa.smem.(i) <- -(i + 1)) st.Isa.smem;
+  match exec ~bin:arith p st with
+  | () -> Ok (st.Isa.regs, st.Isa.smem)
+  | exception e -> Error (Printexc.to_string e)
+
+let same_outcome p ~slots = outcome Isa.exec p ~slots = outcome Isa_oracle.exec p ~slots
+
+(* Raw fuzz programs with [Isa.fault]s injected, some at the first
+   positions an instruction reaches, then out-of-range register
+   operands, sometimes on a CTA with no threads. *)
+let faulty_program seed =
+  let st = Random.State.make [| seed |] in
+  let p, slots = Isa_fuzz.fuzz_isa_program st in
+  let p = if Random.State.bool st then Isa_fuzz.inject st p else p in
+  let p = if Random.State.bool st then Isa_fuzz.early_fault st p else p in
+  let p = Isa_fuzz.bad_registers st ~slots p in
+  let p = if Random.State.int st 6 = 0 then Isa_fuzz.empty_cta st p else p in
+  (p, slots)
+
+let prop_exec_matches_oracle =
+  QCheck.Test.make ~name:"exec = per-element oracle on faulty programs" ~count:1000
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let p, slots = faulty_program seed in
+      same_outcome p ~slots)
+
+(* The fuzz above reaches every outcome: clean runs, faults and slot
+   errors. *)
+let test_exec_outcomes_covered () =
+  let ok = ref 0 and failure = ref 0 and invalid = ref 0 in
+  for seed = 0 to 999 do
+    let p, slots = faulty_program seed in
+    if not (same_outcome p ~slots) then Alcotest.failf "seed %d: exec <> oracle" seed;
+    match outcome Isa.exec p ~slots with
+    | Ok _ -> incr ok
+    | Error e when String.starts_with ~prefix:"Failure" e -> incr failure
+    | Error _ -> incr invalid
+  done;
+  check_bool "clean runs" true (!ok > 50);
+  check_bool "faults" true (!failure > 50);
+  check_bool "slot errors" true (!invalid > 50)
+
+(* Every instruction kind with an out-of-range register operand that it
+   never uses, because it touches no lane: the run completes. *)
+let test_unused_bad_operand () =
+  let tbl warps lanes v = Array.make_matrix warps lanes v in
+  let program ~warps ~lanes instr = { Isa.warps; lanes; smem_elems = 8; body = [ instr ] } in
+  let no_threads instr = [ program ~warps:0 ~lanes:4 (instr 0 4); program ~warps:2 ~lanes:0 (instr 2 0) ] in
+  let cases =
+    no_threads (fun _ _ -> Isa.Mov { dst = 9; src = 0 })
+    @ no_threads (fun _ _ -> Isa.Bin { op = `Add; dst = 0; a = -1; b = 0 })
+    @ no_threads (fun w l -> Isa.St_shared { slots = [ 9 ]; addr = tbl w l 0; byte_width = 4 })
+    @ no_threads (fun w l -> Isa.Ld_shared { slots = [ -2 ]; addr = tbl w l 0; byte_width = 4 })
+    @ [
+        program ~warps:2 ~lanes:4 (Isa.Sel { dst = 9; src_slot = tbl 2 4 (-1) });
+        program ~warps:2 ~lanes:4 (Isa.Scatter { src = -3; dst_slot = tbl 2 4 (-1) });
+        program ~warps:2 ~lanes:4
+          (Isa.Shfl_idx { dst = 9; src = 0; src_lane = tbl 2 4 0; keep = tbl 2 4 false });
+      ]
+  in
+  List.iteri
+    (fun i p ->
+      check_bool (Printf.sprintf "case %d completes" i) true
+        (Result.is_ok (outcome Isa.exec p ~slots:4));
+      check_bool (Printf.sprintf "case %d = oracle" i) true (same_outcome p ~slots:4))
+    cases
+
 let () =
   Alcotest.run "gpusim"
     [
@@ -162,5 +241,11 @@ let () =
         [
           Alcotest.test_case "cost model" `Quick test_cost_model;
           Alcotest.test_case "platforms" `Quick test_machines;
+        ] );
+      ( "isa",
+        [
+          Alcotest.test_case "fuzz outcomes covered" `Quick test_exec_outcomes_covered;
+          Alcotest.test_case "unused bad operand" `Quick test_unused_bad_operand;
+          QCheck_alcotest.to_alcotest prop_exec_matches_oracle;
         ] );
     ]

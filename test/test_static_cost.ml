@@ -147,67 +147,8 @@ let test_fuzz_engine_lowered () =
       r.Tir.Engine.conversions
   done
 
-(* Raw random ISA programs exercising every instruction class with
-   valid immediates. *)
-let tbl warps lanes f = Array.init warps (fun w -> Array.init lanes (fun l -> f w l))
-
-let fuzz_isa_program st =
-  let warps = 1 + Random.State.int st 4 in
-  let lanes = [| 8; 16; 32 |].(Random.State.int st 3) in
-  let smem_elems = 64 + Random.State.int st 512 in
-  let slots = 4 + Random.State.int st 8 in
-  let slot () = Random.State.int st slots in
-  let steps = 3 + Random.State.int st 12 in
-  let body =
-    List.init steps (fun _ ->
-        match Random.State.int st 8 with
-        | 0 -> Isa.Mov { dst = slot (); src = slot () }
-        | 1 ->
-            Isa.Sel
-              {
-                dst = slot ();
-                src_slot =
-                  tbl warps lanes (fun _ _ ->
-                      if Random.State.bool st then slot () else -1);
-              }
-        | 2 ->
-            Isa.Scatter
-              {
-                src = slot ();
-                dst_slot =
-                  tbl warps lanes (fun _ _ ->
-                      if Random.State.bool st then slot () else -1);
-              }
-        | 3 ->
-            Isa.Shfl_idx
-              {
-                dst = slot ();
-                src = slot ();
-                src_lane = tbl warps lanes (fun _ _ -> Random.State.int st lanes);
-                keep = tbl warps lanes (fun _ _ -> Random.State.bool st);
-              }
-        | 4 | 5 ->
-            let nvec = 1 lsl Random.State.int st 2 in
-            let base = slot () in
-            let slots_l = List.init nvec (fun i -> (base + i) mod slots) in
-            let addr =
-              tbl warps lanes (fun _ _ -> Random.State.int st (smem_elems - nvec + 1))
-            in
-            let byte_width = [| 1; 2; 4 |].(Random.State.int st 3) in
-            if Random.State.bool st then
-              Isa.St_shared { slots = slots_l; addr; byte_width }
-            else Isa.Ld_shared { slots = slots_l; addr; byte_width }
-        | 6 ->
-            Isa.Bin
-              {
-                op = (if Random.State.bool st then `Add else `Max);
-                dst = slot ();
-                a = slot ();
-                b = slot ();
-              }
-        | _ -> Isa.Bar_sync)
-  in
-  ({ Isa.warps; lanes; smem_elems; body }, slots)
+let tbl = Isa_fuzz.tbl
+let fuzz_isa_program = Isa_fuzz.fuzz_isa_program
 
 let test_fuzz_raw_isa () =
   let st = Random.State.make [| fuzz_seed + 1 |] in
@@ -475,32 +416,7 @@ let test_plan_analysis_clean () =
    to three faults per program; the fuzz programs also carry LL803-805
    warnings, which [errors] must leave out without reordering the
    rest. *)
-let inject st (p : Isa.program) =
-  let body = Array.of_list p.Isa.body in
-  let n = Array.length body in
-  let lanes = p.Isa.lanes and warps = p.Isa.warps in
-  let fault i =
-    match (Random.State.int st 3, body.(i)) with
-    | 0, Isa.Sel { dst; src_slot } ->
-        Isa.Sel { dst; src_slot = Array.sub src_slot 0 (warps - 1) }
-    | 0, Isa.Scatter { src; dst_slot } ->
-        Isa.Scatter { src; dst_slot = Array.map (fun r -> Array.sub r 0 (lanes / 2)) dst_slot }
-    | 1, Isa.St_shared { slots; addr; byte_width } ->
-        let past_end w l = if l = lanes - 1 then p.Isa.smem_elems else addr.(w).(l) in
-        Isa.St_shared { slots; byte_width; addr = tbl warps lanes past_end }
-    | 1, Isa.Ld_shared { slots; addr; byte_width } ->
-        let negative w l = if l = 0 then -1 - w else addr.(w).(l) in
-        Isa.Ld_shared { slots; byte_width; addr = tbl warps lanes negative }
-    | _, Isa.Shfl_idx { dst; src; src_lane; keep } ->
-        let beyond w l = if l = 1 then lanes + w else src_lane.(w).(l) in
-        Isa.Shfl_idx { dst; src; keep; src_lane = tbl warps lanes beyond }
-    | _, instr -> instr
-  in
-  for _ = 1 to 1 + Random.State.int st 3 do
-    let i = Random.State.int st (max 1 n) in
-    if n > 0 then body.(i) <- fault i
-  done;
-  { p with Isa.body = Array.to_list body }
+let inject = Isa_fuzz.inject
 
 let check_errors_subset what p =
   List.iter

@@ -484,6 +484,164 @@ let test_roundtrip_different_shapes () =
         "message" "layouts cover different logical spaces (dim1:2xdim0:3 vs dim1:3xdim0:2)" msg
   | v -> Alcotest.failf "expected Failed, got %s" (Analysis.Transval.verdict_name v)
 
+(* {1 Gather certificates} *)
+
+(* A gather that stays within each warp: lanes on the feature dim, the
+   gathered rows covered by registers and a few lanes; the index is a
+   data-dependent row permutation. *)
+let gather_case () =
+  let l =
+    Blocked.make
+      {
+        shape = [| 16; 8 |];
+        size_per_thread = [| 2; 1 |];
+        threads_per_warp = [| 8; 4 |];
+        warps_per_cta = [| 1; 2 |];
+        order = [| 1; 0 |];
+      }
+  in
+  let src = Gpusim.Dist.init l ~f:Fun.id in
+  let index = Gpusim.Dist.init l ~f:(fun v -> (v * 5) + 3) in
+  (l, src, index)
+
+(* The certificate a per-point scan gives, from the provenance lookup
+   and the reference gather ([Gather.execute] on the payload
+   [value = logical element]): the first unwritten point if any, else
+   the first point holding the wrong element. *)
+let reference_gather_cert ~src ~index ~axis ~map program =
+  let l = src.Gpusim.Dist.layout in
+  let want = (Codegen.Gather.execute ~src ~index ~axis).Gpusim.Dist.data in
+  let points = Array.length want in
+  let cert verdict =
+    { Analysis.Transval.mechanism = "gather"; method_ = Analysis.Transval.Symbolic; points; verdict }
+  in
+  let prov = Analysis.Transval.provenance ~map program in
+  let got h = Layout.apply_flat l (prov h) in
+  let rec first bad h = if h >= points then None else if bad h then Some h else first bad (h + 1) in
+  match first (fun h -> prov h < 0) 0 with
+  | Some h ->
+      cert (Analysis.Transval.Refuted { counterexample = h; got = None; want = want.(h) })
+  | None -> (
+      match first (fun h -> got h <> want.(h)) 0 with
+      | None -> cert Analysis.Transval.Proved
+      | Some h ->
+          cert
+            (Analysis.Transval.Refuted { counterexample = h; got = Some (got h); want = want.(h) }))
+
+let test_gather_proved () =
+  let l, src, index = gather_case () in
+  (match Codegen.Gather.plan l ~axis:0 with
+  | Codegen.Gather.Warp_shuffle _ -> ()
+  | Codegen.Gather.Shared_fallback -> Alcotest.fail "expected an in-warp gather");
+  let cert = Analysis.Transval.certify_gather m ~src ~index ~axis:0 in
+  check_bool "gather proved" true (cert.Analysis.Transval.verdict = Analysis.Transval.Proved);
+  Alcotest.(check int) "points" (Gpusim.Dist.size src) cert.Analysis.Transval.points;
+  match Codegen.Lower.gather m ~src ~index ~axis:0 with
+  | Error e -> Alcotest.fail e
+  | Ok (program, map) ->
+      check_bool "reference scan agrees" true
+        (Analysis.Transval.certify_gather_isa ~src:l ~index ~axis:0 ~map program
+        = reference_gather_cert ~src ~index ~axis:0 ~map program)
+
+(* One clobbered [Scatter] slot per case: every scatter of the program
+   in turn, its first committing lane redirected to the next
+   destination slot or disabled. *)
+let test_gather_clobbered_refuted () =
+  let l, src, index = gather_case () in
+  match Codegen.Lower.gather m ~src ~index ~axis:0 with
+  | Error e -> Alcotest.fail e
+  | Ok (program, map) ->
+      let scatters = List.length (List.filter is_scatter program.Gpusim.Isa.body) in
+      check_bool "program has scatters" true (scatters > 0);
+      let clobber k = function
+        | Gpusim.Isa.Scatter s ->
+            let dst_slot = Array.map Array.copy s.dst_slot in
+            let w = ref 0 in
+            while not (Array.exists (fun v -> v >= 0) dst_slot.(!w)) do incr w done;
+            let row = dst_slot.(!w) and l = ref 0 in
+            while row.(!l) < 0 do incr l done;
+            let d = row.(!l) - map.Codegen.Lower.dst_base in
+            row.(!l) <-
+              (if k mod 2 = 0 then
+                 map.Codegen.Lower.dst_base + ((d + 1) mod map.Codegen.Lower.dst_regs)
+               else -1);
+            [ Gpusim.Isa.Scatter { s with dst_slot } ]
+        | i -> [ i ]
+      in
+      for k = 0 to (2 * scatters) - 1 do
+        let mutated = Option.get (mutate_nth ~select:is_scatter ~f:(clobber k) (k / 2) program) in
+        let cert = Analysis.Transval.certify_gather_isa ~src:l ~index ~axis:0 ~map mutated in
+        (match cert.Analysis.Transval.verdict with
+        | Analysis.Transval.Refuted _ -> ()
+        | v ->
+            Alcotest.failf "clobber %d: expected a refutation, got %s" k
+              (Analysis.Transval.verdict_name v));
+        if cert <> reference_gather_cert ~src ~index ~axis:0 ~map mutated then
+          Alcotest.failf "clobber %d: certificate differs from the reference scan" k
+      done
+
+(* The intact program claimed against other index data moves the wrong
+   elements: refuted at a written point, as the reference scan says. *)
+let test_gather_other_index_refuted () =
+  let l, src, index = gather_case () in
+  match Codegen.Lower.gather m ~src ~index ~axis:0 with
+  | Error e -> Alcotest.fail e
+  | Ok (program, map) -> (
+      let index = Gpusim.Dist.init l ~f:(fun v -> (v * 3) + 1) in
+      let cert = Analysis.Transval.certify_gather_isa ~src:l ~index ~axis:0 ~map program in
+      check_bool "reference scan agrees" true
+        (cert = reference_gather_cert ~src ~index ~axis:0 ~map program);
+      match cert.Analysis.Transval.verdict with
+      | Analysis.Transval.Refuted { got = Some _; _ } -> ()
+      | v -> Alcotest.failf "expected a wrong element, got %s" (Analysis.Transval.verdict_name v))
+
+(* {1 Programs are never mutated}
+
+   Instruction tables may share rows (the shuffle lowering gives every
+   warp a round does not touch one immutable default row), which is
+   sound only because no consumer writes to a program.  Run every
+   consumer over every lowered suite program and compare the program
+   with a deep copy taken before. *)
+
+let copy_program (p : Gpusim.Isa.program) =
+  let t a = Array.map Array.copy a in
+  let instr = function
+    | Gpusim.Isa.Sel s -> Gpusim.Isa.Sel { s with src_slot = t s.src_slot }
+    | Gpusim.Isa.Scatter s -> Gpusim.Isa.Scatter { s with dst_slot = t s.dst_slot }
+    | Gpusim.Isa.Shfl_idx s -> Gpusim.Isa.Shfl_idx { s with src_lane = t s.src_lane; keep = t s.keep }
+    | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = t s.addr }
+    | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = t s.addr }
+    | (Gpusim.Isa.Mov _ | Gpusim.Isa.Bin _ | Gpusim.Isa.Bar_sync) as i -> i
+  in
+  { p with Gpusim.Isa.body = List.map instr p.Gpusim.Isa.body }
+
+let test_programs_not_mutated () =
+  let checked = ref 0 in
+  List.iter
+    (fun (r : Suite_plans.row) ->
+      let machine = r.Suite_plans.machine in
+      List.iter
+        (fun (plan : Codegen.Conversion.plan) ->
+          if Suite_plans.lowerable plan then begin
+            let program, map = Codegen.Lower.conversion machine plan in
+            let before = copy_program program in
+            let slots = map.Codegen.Lower.total_slots in
+            ignore (Gpusim.Isa.run machine program (Gpusim.Isa.make_state program ~slots));
+            ignore (Analysis.Static_cost.cost machine program);
+            ignore (Analysis.Resource_check.program machine program);
+            ignore (Analysis.Races.check_lowered plan program);
+            ignore
+              (Analysis.Transval.certify_isa ~src:plan.Codegen.Conversion.src
+                 ~dst:plan.Codegen.Conversion.dst ~map program);
+            incr checked;
+            if program <> before then
+              Alcotest.failf "%s on %s (%s): a consumer mutated the program" r.Suite_plans.kernel
+                machine.Gpusim.Machine.name r.Suite_plans.mode
+          end)
+        r.Suite_plans.plans)
+    (Suite_plans.rows () @ Suite_plans.pair_rows ());
+  check_bool "plans checked" true (!checked > 100)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "transval"
@@ -498,6 +656,11 @@ let () =
           Alcotest.test_case "round trip between shapes fails" `Quick
             test_roundtrip_different_shapes;
           Alcotest.test_case "LL650/LL651/LL652 fire" `Quick test_diagnostic_codes;
+          Alcotest.test_case "gather proved" `Quick test_gather_proved;
+          Alcotest.test_case "clobbered gather scatter refuted" `Quick
+            test_gather_clobbered_refuted;
+          Alcotest.test_case "gather against other index data refuted" `Quick
+            test_gather_other_index_refuted;
         ] );
       ( "fault-injection",
         q [ prop_intact_plans_prove; prop_dropped_instr; prop_swapped_rounds; prop_flipped_entry ]
@@ -514,6 +677,9 @@ let () =
                    clobber_scatter ~map k p);
                prop_fault_differential "bin on payload" (fun ~map k p -> bin_on_payload ~map k p);
              ] );
+      ( "immutability",
+        [ Alcotest.test_case "consumers leave suite programs intact" `Quick test_programs_not_mutated ]
+      );
       ( "state-reuse",
         [
           Alcotest.test_case "large plan, then small faulty ones" `Quick test_large_then_small;
