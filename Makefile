@@ -12,7 +12,7 @@ bench:
 examples:
 	@for e in quickstart transpose_kernel mixed_precision conversion_explorer \
 	          attention_engine layout_gallery reduction_codegen; do \
-	  echo "== $$e =="; dune exec examples/$$e.exe; done
+	  echo "== $$e =="; dune exec examples/$$e.exe || exit 1; done
 
 outputs:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt

@@ -159,15 +159,13 @@ let bench_tests () =
     Test.make ~name:"table5/mma-operand-construct"
       (Staged.stage (fun () ->
            ignore (Mma.operand ~idx:0 ~bitwidth:16 ~warps:[| 4; 1 |] ~shape:[| 64; 64 |] ())));
-    (* Figure 2: optimal swizzle search, cold (caches flushed every run)
-       vs warm (hits the plan cache). *)
+    (* Figure 2: optimal swizzle search, cold (memo tables flushed every
+       run).  A warm plan-cache hit is timed by
+       conversion/plan+classify-warm. *)
     Test.make ~name:"figure2/optimal-swizzle-cold"
       (Staged.stage (fun () ->
            flush_caches ();
-           ignore (Codegen.Plan_cache.swizzle machine ~src ~dst ~byte_width:2)));
-    Test.make ~name:"figure2/optimal-swizzle-warm"
-      (Staged.stage (fun () ->
-           ignore (Codegen.Plan_cache.swizzle machine ~src ~dst ~byte_width:2)));
+           ignore (Codegen.Swizzle_opt.optimal machine ~src ~dst ~byte_width:2)));
     (* Figure 6: mxfp4 quantization (the software-emulation payload). *)
     Test.make ~name:"figure6/mxfp4-quantize"
       (let xs = Array.init 1024 (fun i -> Float.of_int (i mod 97) /. 7.) in

@@ -108,8 +108,8 @@ let run baseline current threshold =
       ("solve_with vs 64x solve", "ll/f2/solve-with-x64", "ll/f2/solve-single-x64");
       ("pseudo-invert factored vs not", "ll/f2/pseudo-invert-factored",
        "ll/f2/pseudo-invert-unfactored");
-      ("planner swizzle warm vs cold", "ll/figure2/optimal-swizzle-warm",
-       "ll/figure2/optimal-swizzle-cold");
+      ("conversion plan warm vs cold", "ll/conversion/plan+classify-warm",
+       "ll/conversion/plan+classify-cold");
       ("static cost vs interpretation (gemm)", "ll/static-cost-vs-interp-gemm/static",
        "ll/static-cost-vs-interp-gemm/interp");
     ];

@@ -937,10 +937,7 @@ let serve_trace () =
     (fun (m : Gpusim.Machine.t) ->
       List.filter_map
         (fun (k : Tir.Kernels.kernel) ->
-          if
-            (k.Tir.Kernels.needs_wgmma && not m.has_wgmma)
-            || (k.Tir.Kernels.needs_large_smem && m.smem_bytes < 128 * 1024)
-          then None
+          if not (Tir.Kernels.runs_on m k) then None
           else
             Some
               (Printf.sprintf "ENGINE\nkernel=%s\nmachine=%s\nmode=linear"

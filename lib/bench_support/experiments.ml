@@ -519,17 +519,13 @@ let figure8 () =
 
 (* {1 Figure 9 and Table 6: kernel suite} *)
 
-let skip_kernel (machine : Gpusim.Machine.t) (k : Tir.Kernels.kernel) =
-  (k.Tir.Kernels.needs_wgmma && not machine.has_wgmma)
-  || (k.Tir.Kernels.needs_large_smem && machine.smem_bytes < 128 * 1024)
-
 let figure9 () =
   let results =
     List.concat_map
       (fun machine ->
         List.concat_map
           (fun k ->
-            if skip_kernel machine k then []
+            if not (Tir.Kernels.runs_on machine k) then []
             else
               List.map
                 (fun size ->

@@ -10,10 +10,6 @@ type mechanism =
 
 type plan = { src : Layout.t; dst : Layout.t; byte_width : int; mechanism : mechanism }
 
-let conversion_map ~src ~dst =
-  let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
-  Layout.Memo.compose (Layout.Memo.pseudo_invert b) a
-
 let mechanism_name = function
   | No_op -> "no-op"
   | Register_permute -> "register permutation"

@@ -34,10 +34,6 @@ type plan = { src : Layout.t; dst : Layout.t; byte_width : int; mechanism : mech
 
 val plan : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> plan
 
-(** The conversion map [B^+ o A] from source hardware indices to
-    destination hardware indices (both flattened over logical space). *)
-val conversion_map : src:Layout.t -> dst:Layout.t -> Layout.t
-
 val mechanism_name : mechanism -> string
 
 (** Stable snake_case identifier, used in metric names

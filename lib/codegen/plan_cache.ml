@@ -14,8 +14,6 @@ type stats = { mutable hits : int; mutable misses : int }
 type tables = {
   stats : stats;
   conv : Conversion.plan H.t;
-  shuf : (Shuffle.t, string) result H.t;
-  swiz : Swizzle_opt.t H.t;
   stage : Operand_staging.t option H.t;
 }
 
@@ -23,8 +21,6 @@ let fresh () =
   {
     stats = { hits = 0; misses = 0 };
     conv = H.create 128;
-    shuf = H.create 64;
-    swiz = H.create 64;
     stage = H.create 64;
   }
 
@@ -41,8 +37,6 @@ let reset_stats () =
 let clear () =
   let tb = tables () in
   H.reset tb.conv;
-  H.reset tb.shuf;
-  H.reset tb.swiz;
   H.reset tb.stage
 
 (* Machines are identified by name: the built-in configurations all
@@ -83,20 +77,6 @@ let conversion machine ~src ~dst ~byte_width =
     (fun tb -> tb.conv)
     Shared_cache.find_conversion Shared_cache.add_conversion k
     (fun () -> Conversion.plan machine ~src:k.src ~dst:k.dst ~byte_width)
-
-let shuffle machine ~src ~dst ~byte_width =
-  let k = key_of machine ~src ~dst ~byte_width in
-  cached
-    (fun tb -> tb.shuf)
-    Shared_cache.find_shuffle Shared_cache.add_shuffle k
-    (fun () -> Shuffle.plan machine ~src:k.src ~dst:k.dst ~byte_width)
-
-let swizzle machine ~src ~dst ~byte_width =
-  let k = key_of machine ~src ~dst ~byte_width in
-  cached
-    (fun tb -> tb.swiz)
-    Shared_cache.find_swizzle Shared_cache.add_swizzle k
-    (fun () -> Swizzle_opt.optimal machine ~src:k.src ~dst:k.dst ~byte_width)
 
 let staging machine ~src ~dst ~byte_width =
   let k = key_of machine ~src ~dst ~byte_width in

@@ -1,9 +1,12 @@
-(** Two-level cache of conversion, shuffle, swizzle and staging plans,
-    keyed by [(machine, src, dst, byte_width)].
+(** Two-level cache of conversion and operand-staging plans, keyed by
+    [(machine, src, dst, byte_width)].
 
     Planning a single conversion runs several Gaussian eliminations and
     a swizzle search; the layout engine and the autotuner re-plan
     byte-identical conversions once per program edge per configuration.
+    These are the only two kinds the pipeline requests: the shuffle and
+    swizzle planners run inside {!Conversion.plan}, and their results
+    are cached as the mechanism of the conversion plan.
 
     The cache has two levels:
 
@@ -30,15 +33,6 @@ open Linear_layout
 (** Cached {!Conversion.plan}. *)
 val conversion :
   Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> Conversion.plan
-
-(** Cached {!Shuffle.plan} (errors are cached too: a conversion that
-    cannot shuffle won't re-derive why). *)
-val shuffle :
-  Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> (Shuffle.t, string) result
-
-(** Cached {!Swizzle_opt.optimal}. *)
-val swizzle :
-  Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> Swizzle_opt.t
 
 (** Cached {!Operand_staging.plan}. *)
 val staging :

@@ -1,6 +1,6 @@
 open Linear_layout
 
-let version = 1
+let version = 2
 let magic = "LLPLANSTORE"
 
 type cert = { method_ : string; points : int; verdict : string }
@@ -12,8 +12,8 @@ let empty_report = { loaded = 0; rejected = 0; diags = [] }
 
    One entry per line, fields separated by tabs.  Layout literals (the
    {!Parse} grammar) contain neither tabs nor newlines; free-form
-   strings (machine names, cached planner error messages) are
-   percent-escaped so they cannot either. *)
+   strings (machine names, certificate fields) are percent-escaped so
+   they cannot either. *)
 
 let escape s =
   if String.for_all (fun c -> c <> '\t' && c <> '\n' && c <> '\r' && c <> '%') s then s
@@ -215,25 +215,6 @@ let dec_key c =
   let dst = dec_layout (next c) in
   { Shared_cache.Key.machine; src; dst; byte_width }
 
-(* Shuffle and swizzle entries are certified through the conversion
-   plan they stage: the certifier sees exactly the mechanism the cache
-   would hand the lowerer. *)
-let wrap_shuffle (k : Shared_cache.Key.t) sh =
-  {
-    Conversion.src = sh.Shuffle.src;
-    dst = sh.Shuffle.dst;
-    byte_width = k.Shared_cache.Key.byte_width;
-    mechanism = Conversion.Warp_shuffle sh;
-  }
-
-let wrap_swizzle (k : Shared_cache.Key.t) sw =
-  {
-    Conversion.src = k.Shared_cache.Key.src;
-    dst = k.Shared_cache.Key.dst;
-    byte_width = k.Shared_cache.Key.byte_width;
-    mechanism = Conversion.Shared_memory sw;
-  }
-
 (* {1 Integrity} *)
 
 (* FNV-1a folded into OCaml's 63-bit int range; strong enough to catch
@@ -252,18 +233,13 @@ let atomic_write path contents =
 
 (* {1 Save} *)
 
-let save ?certify path =
+let save ~certify path =
   (* Snapshot under the stripe locks first; certify (which may lower
      and symbolically execute plans) strictly outside them. *)
   let convs = Shared_cache.fold_conversions (fun k v acc -> (k, v) :: acc) [] in
-  let shufs = Shared_cache.fold_shuffles (fun k v acc -> (k, v) :: acc) [] in
-  let swizs = Shared_cache.fold_swizzles (fun k v acc -> (k, v) :: acc) [] in
   let stages = Shared_cache.fold_stagings (fun k v acc -> (k, v) :: acc) [] in
   let stamp (k : Shared_cache.Key.t) plan =
-    enc_cert
-      (match certify with
-      | None -> None
-      | Some f -> f ~machine:k.Shared_cache.Key.machine plan)
+    enc_cert (certify ~machine:k.Shared_cache.Key.machine plan)
   in
   let buf = Buffer.create 4096 in
   let count = ref 0 in
@@ -276,15 +252,6 @@ let save ?certify path =
     (fun (k, (p : Conversion.plan)) ->
       line (("conv" :: key_fields k) @ enc_mech p.Conversion.mechanism @ stamp k p))
     convs;
-  List.iter
-    (fun (k, r) ->
-      match r with
-      | Ok sh -> line (("shuf" :: key_fields k) @ ("ok" :: enc_shuffle sh) @ stamp k (wrap_shuffle k sh))
-      | Error e -> line (("shuf" :: key_fields k) @ [ "err"; escape e; "nocert" ]))
-    shufs;
-  List.iter
-    (fun (k, sw) -> line (("swiz" :: key_fields k) @ enc_swizzle sw @ stamp k (wrap_swizzle k sw)))
-    swizs;
   List.iter (fun (k, st) -> line (("stage" :: key_fields k) @ enc_staging st)) stages;
   let body = Buffer.contents buf in
   atomic_write path (Printf.sprintf "%s %d %d %x\n%s" magic version !count (checksum body) body);
@@ -313,28 +280,13 @@ let decode_entry line =
               mechanism = mech;
             },
             ct )
-    | "shuf" -> (
-        match next c with
-        | "ok" ->
-            let sh = dec_shuffle c in
-            let ct = dec_cert c in
-            `Shuf_ok (k, sh, ct)
-        | "err" ->
-            let e = unescape (next c) in
-            let (_ : cert option) = dec_cert c in
-            `Shuf_err (k, e)
-        | t -> failwith ("unknown shuffle tag " ^ t))
-    | "swiz" ->
-        let sw = dec_swizzle c in
-        let ct = dec_cert c in
-        `Swiz (k, sw, ct)
     | "stage" -> `Stage (k, dec_staging c)
     | t -> failwith ("unknown entry tag " ^ t)
   in
   if c.pos <> Array.length c.fields then failwith "trailing fields";
   e
 
-let load ?verify path =
+let load ~verify path =
   if not (Sys.file_exists path) then empty_report
   else
     match In_channel.with_open_bin path In_channel.input_all with
@@ -377,14 +329,11 @@ let load ?verify path =
                           diags := d :: !diags
                         in
                         let admit_cert (k : Shared_cache.Key.t) plan stored =
-                          match verify with
-                          | None -> true
-                          | Some f -> (
-                              match stored with
-                              | Some ct ->
-                                  ct.verdict = "proved"
-                                  && f ~machine:k.Shared_cache.Key.machine plan ct
-                              | None -> false)
+                          match stored with
+                          | Some ct ->
+                              ct.verdict = "proved"
+                              && verify ~machine:k.Shared_cache.Key.machine plan ct
+                          | None -> false
                         in
                         let ll902 k what =
                           Diagnostics.warning ~code:"LL902"
@@ -403,24 +352,6 @@ let load ?verify path =
                                   incr loaded
                                 end
                                 else reject (ll902 k "conversion plan")
-                            | `Shuf_ok (k, sh, ct) ->
-                                if admit_cert k (wrap_shuffle k sh) ct then begin
-                                  Shared_cache.add_shuffle k (Ok sh);
-                                  incr loaded
-                                end
-                                else reject (ll902 k "shuffle plan")
-                            | `Shuf_err (k, e) ->
-                                (* A cached negative result carries no
-                                   certificate; integrity is the
-                                   checksum's job. *)
-                                Shared_cache.add_shuffle k (Error e);
-                                incr loaded
-                            | `Swiz (k, sw, ct) ->
-                                if admit_cert k (wrap_swizzle k sw) ct then begin
-                                  Shared_cache.add_swizzle k sw;
-                                  incr loaded
-                                end
-                                else reject (ll902 k "swizzle plan")
                             | `Stage (k, st) ->
                                 let structurally_ok =
                                   match st with

@@ -30,8 +30,6 @@ let stripe_count = 16
 type stripe = {
   lock : Mutex.t;
   conv : Conversion.plan H.t;
-  shuf : (Shuffle.t, string) result H.t;
-  swiz : Swizzle_opt.t H.t;
   stage : Operand_staging.t option H.t;
   mutable hits : int;
   mutable misses : int;
@@ -43,8 +41,6 @@ let stripes =
       {
         lock = Mutex.create ();
         conv = H.create 32;
-        shuf = H.create 16;
-        swiz = H.create 16;
         stage = H.create 16;
         hits = 0;
         misses = 0;
@@ -82,10 +78,6 @@ let add sel k v =
 
 let find_conversion k = find (fun s -> s.conv) k
 let add_conversion k v = add (fun s -> s.conv) k v
-let find_shuffle k = find (fun s -> s.shuf) k
-let add_shuffle k v = add (fun s -> s.shuf) k v
-let find_swizzle k = find (fun s -> s.swiz) k
-let add_swizzle k v = add (fun s -> s.swiz) k v
 let find_staging k = find (fun s -> s.stage) k
 let add_staging k v = add (fun s -> s.stage) k v
 
@@ -93,15 +85,11 @@ let fold sel f acc =
   Array.fold_left (fun acc s -> locked s (fun () -> H.fold f (sel s) acc)) acc stripes
 
 let fold_conversions f acc = fold (fun s -> s.conv) f acc
-let fold_shuffles f acc = fold (fun s -> s.shuf) f acc
-let fold_swizzles f acc = fold (fun s -> s.swiz) f acc
 let fold_stagings f acc = fold (fun s -> s.stage) f acc
 
 let length () =
   Array.fold_left
-    (fun acc s ->
-      locked s (fun () ->
-          acc + H.length s.conv + H.length s.shuf + H.length s.swiz + H.length s.stage))
+    (fun acc s -> locked s (fun () -> acc + H.length s.conv + H.length s.stage))
     0 stripes
 
 type stats = { hits : int; misses : int; inserts : int }
@@ -132,7 +120,5 @@ let clear () =
     (fun s ->
       locked s (fun () ->
           H.reset s.conv;
-          H.reset s.shuf;
-          H.reset s.swiz;
           H.reset s.stage))
     stripes

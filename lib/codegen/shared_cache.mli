@@ -6,11 +6,12 @@
     one engine worker (or preloaded from a {!Plan_store} file) is
     visible to all of them.  The table is split into {!stripe_count}
     stripes selected by the existing FNV structural key hash; each
-    stripe is a mutex-guarded hash table with its own hit/miss/insert
-    counters.  Critical sections are a single probe or insert, and the
-    L1 in front absorbs all repeat lookups, so the stripes only see
-    each domain's first miss per key — the read-mostly pattern the
-    striping is sized for.
+    stripe holds two mutex-guarded hash tables (conversion plans and
+    operand-staging plans, the two kinds {!Plan_cache} serves) with
+    one set of hit/miss/insert counters.  Critical sections are a
+    single probe or insert, and the L1 in front absorbs all repeat
+    lookups, so the stripes only see each domain's first miss per key
+    — the read-mostly pattern the striping is sized for.
 
     Plans depend only on immutable layouts and the machine description
     (identified by its [name]), so entries never need invalidation;
@@ -41,10 +42,6 @@ val stripe_count : int
 
 val find_conversion : Key.t -> Conversion.plan option
 val add_conversion : Key.t -> Conversion.plan -> unit
-val find_shuffle : Key.t -> (Shuffle.t, string) result option
-val add_shuffle : Key.t -> (Shuffle.t, string) result -> unit
-val find_swizzle : Key.t -> Swizzle_opt.t option
-val add_swizzle : Key.t -> Swizzle_opt.t -> unit
 val find_staging : Key.t -> Operand_staging.t option option
 val add_staging : Key.t -> Operand_staging.t option -> unit
 
@@ -54,8 +51,6 @@ val add_staging : Key.t -> Operand_staging.t option -> unit
     call back into this module. *)
 
 val fold_conversions : (Key.t -> Conversion.plan -> 'a -> 'a) -> 'a -> 'a
-val fold_shuffles : (Key.t -> (Shuffle.t, string) result -> 'a -> 'a) -> 'a -> 'a
-val fold_swizzles : (Key.t -> Swizzle_opt.t -> 'a -> 'a) -> 'a -> 'a
 val fold_stagings : (Key.t -> Operand_staging.t option -> 'a -> 'a) -> 'a -> 'a
 
 (** Entries across all stripes and kinds. *)

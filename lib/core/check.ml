@@ -1,13 +1,5 @@
 type severity = Diagnostics.severity = Error | Warning
 
-type issue = Diagnostics.t = {
-  code : string;
-  severity : severity;
-  loc : Diagnostics.loc;
-  message : string;
-  pass : string option;
-}
-
 let err ~code fmt = Diagnostics.error ~code fmt
 let warn ~code fmt = Diagnostics.warning ~code fmt
 

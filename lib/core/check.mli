@@ -16,30 +16,21 @@
 
 type severity = Diagnostics.severity = Error | Warning
 
-(** Deprecated alias: new code should use {!Diagnostics.t} directly. *)
-type issue = Diagnostics.t = {
-  code : string;
-  severity : severity;
-  loc : Diagnostics.loc;
-  message : string;
-  pass : string option;
-}
-
 (** Check the distributed-layout characterization (Definition 4.10):
     surjective, every column at most one set bit, no repeated non-zero
     columns.  Warnings flag zero (broadcast) columns, which are legal
     but often unintended. *)
-val distributed : Layout.t -> issue list
+val distributed : Layout.t -> Diagnostics.t list
 
 (** Check the memory-layout characterization (Definition 4.14):
     invertible, columns with 1 or 2 set bits. *)
-val memory : Layout.t -> issue list
+val memory : Layout.t -> Diagnostics.t list
 
 (** Check that two distributed layouts can be converted into each other
     within a CTA: same logical space, same lane/warp footprint. *)
-val convertible : src:Layout.t -> dst:Layout.t -> issue list
+val convertible : src:Layout.t -> dst:Layout.t -> Diagnostics.t list
 
-val errors : issue list -> issue list
+val errors : Diagnostics.t list -> Diagnostics.t list
 
 (** Deprecated alias for {!Diagnostics.pp_list}. *)
-val pp : Format.formatter -> issue list -> unit
+val pp : Format.formatter -> Diagnostics.t list -> unit

@@ -275,25 +275,6 @@ let run machine ~mode ?num_warps ?trace ?chooser prog =
         diags = st.Pass.diags @ plan_diags;
       })
 
-(* {1 Rendering} *)
-
-let pp ppf r =
-  Format.fprintf ppf "%-20s %9s %10s %7s@." "pass" "relayouts" "discharged" "refuted";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "%-20s %9d %10d %7d@." c.pass c.relayouts c.discharged
-        c.refuted)
-    r.pass_certs;
-  List.iter
-    (fun (at, (c : Analysis.Transval.cert)) ->
-      Format.fprintf ppf "plan %%%-3d %-24s %-9s %6d points  %s@." at c.mechanism
-        (Analysis.Transval.method_name c.Analysis.Transval.method_)
-        c.Analysis.Transval.points
-        (Analysis.Transval.verdict_name c.Analysis.Transval.verdict))
-    r.plan_certs;
-  Format.fprintf ppf "status: %s@." (status r);
-  match cert_errors r with [] -> () | errs -> Diagnostics.pp_list ppf errs
-
 let to_json ~kernel ~machine r =
   let e = Diagnostics.json_escape in
   let pass c =

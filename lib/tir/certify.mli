@@ -81,8 +81,6 @@ val run :
   Program.t ->
   report
 
-val pp : Format.formatter -> report -> unit
-
 (** One JSON object per engine run, the CI [certificates.json] row
     format. *)
 val to_json : kernel:string -> machine:string -> report -> string

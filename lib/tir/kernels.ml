@@ -326,3 +326,6 @@ let find name =
   match List.find_opt (fun k -> k.name = name) all with
   | Some k -> k
   | None -> invalid_arg ("Kernels.find: unknown kernel " ^ name)
+
+let runs_on (m : Gpusim.Machine.t) k =
+  (m.has_wgmma || not k.needs_wgmma) && (m.smem_bytes >= 128 * 1024 || not k.needs_large_smem)

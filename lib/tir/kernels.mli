@@ -18,3 +18,11 @@ type kernel = {
 
 val all : kernel list
 val find : string -> kernel
+
+(** [runs_on machine k]: the machine has every feature [k] needs —
+    wgmma if [needs_wgmma], at least 128 KiB of shared memory if
+    [needs_large_smem].  The experiment harness and the serve trace
+    skip the pairs for which it is false.  The server's ENGINE verb
+    checks only the wgmma half, because its replies are pinned by the
+    serve golden. *)
+val runs_on : Gpusim.Machine.t -> kernel -> bool

@@ -60,12 +60,6 @@ let site_at = function
   | Remat_or_convert r -> r.remat_site_at
   | Store_direct_or_anchor s -> s.store_site_at
 
-let site_name = function
-  | Anchor _ -> "anchor"
-  | Elementwise_tie _ -> "elementwise-tie"
-  | Remat_or_convert _ -> "remat-or-convert"
-  | Store_direct_or_anchor _ -> "store-direct-or-anchor"
-
 (* A strategy observes one site at a time, in pipeline order, and
    commits a candidate index in [0, arity site).  It may keep private
    state across sites of one run (the replay chooser does), so a fresh

@@ -55,7 +55,6 @@ type site =
 val arity : site -> int
 
 val site_at : site -> Program.id
-val site_name : site -> string
 
 (** A strategy commits a candidate index in [\[0, arity site)] for each
     site, observed in pipeline order.  It may keep private state across

@@ -148,10 +148,6 @@ let scan t src ~axis ~reverse =
   if axis < 0 || axis >= Array.length s.shape then invalid_arg "Program.scan: bad axis";
   add t (Scan { src; axis; reverse }) ~shape:s.shape ~dtype:s.dtype
 
-let insert_convert t src ~dtype =
-  let s = instr t src in
-  add t (Convert { src }) ~shape:s.shape ~dtype
-
 let count t pred =
   let n = ref 0 in
   Array.iter (fun i -> if pred i.node then incr n) (instrs t);

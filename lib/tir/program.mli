@@ -69,9 +69,6 @@ val join : t -> a:id -> b:id -> id
 val split : t -> id -> half:int -> id
 val scan : t -> id -> axis:int -> reverse:bool -> id
 
-(** Used by the engine only. *)
-val insert_convert : t -> id -> dtype:Tensor_lib.Dtype.t -> id
-
 (** Counts of IR ops by category, for the Table 6 style statistics. *)
 val count : t -> (node -> bool) -> int
 

@@ -1,9 +1,6 @@
 open Linear_layout
 
-type issue = Diagnostics.t
-
 let program = Verifier.program
-let pp = Diagnostics.pp_list
 
 exception Invalid of Diagnostics.t list
 

@@ -6,9 +6,6 @@
 
 open Linear_layout
 
-type issue = Diagnostics.t
-(** @deprecated alias kept for callers of the pre-diagnostics API. *)
-
 val program : Program.t -> Diagnostics.t list
 (** Alias of {!Verifier.program}. *)
 
@@ -46,6 +43,3 @@ val run_and_validate :
   ?analyze:bool ->
   Program.t ->
   Engine.result
-
-(** @deprecated use {!Linear_layout.Diagnostics.pp_list}. *)
-val pp : Format.formatter -> Diagnostics.t list -> unit

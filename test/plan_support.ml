@@ -67,16 +67,10 @@ let plan_equal (a : Codegen.Conversion.plan) (b : Codegen.Conversion.plan) =
   && a.Codegen.Conversion.byte_width = b.Codegen.Conversion.byte_width
   && mechanism_equal a.Codegen.Conversion.mechanism b.Codegen.Conversion.mechanism
 
-let shuffle_result_equal a b =
-  match (a, b) with
-  | Ok a, Ok b -> shuffle_equal a b
-  | Error a, Error b -> String.equal a b
-  | _ -> false
-
 (* A deterministic pool of CTA-wide blocked pairs (the test_transval
    family): same CTA shape on both sides so every mechanism has a
-   warp-level lowering, varied enough to hit no-op, register-permute,
-   shuffle and shared-memory plans. *)
+   warp-level lowering.  On GH200 they plan as no-op or shared memory;
+   {!mechanism_pairs} below adds inputs for the other mechanisms. *)
 let cta_pairs () =
   let mk ~spt1 ~ord ~wpc =
     let spt = if ord.(0) = 1 then [| 1; spt1 |] else [| spt1; 1 |] in
@@ -101,3 +95,44 @@ let cta_pairs () =
   in
   List.concat_map (fun a -> List.filteri (fun i _ -> i mod 5 = 0) (List.map (fun b -> (a, b)) layouts)) layouts
   |> List.filteri (fun i _ -> i mod 4 = 0)
+
+(* Inputs that reach every conversion mechanism on GH200 at byte width
+   4: the CTA-wide pairs above (no-op, shared memory) plus a one-warp
+   mma accumulator to blocked exchange (warp shuffle), each as given
+   and with one broadcast register bit grown on both sides (the
+   compressed shuffle, as in suite_plans); each source against itself
+   with its register bases reversed (register permutation); and two
+   Cga.distribute grids that split one tensor across CTAs along
+   different axes (global round trip). *)
+let mechanism_pairs () =
+  let grow l = Layout.resize_in l Dims.register (Layout.in_bits l Dims.register + 1) in
+  let reverse_registers l =
+    Layout.make ~ins:(Layout.in_dims l) ~outs:(Layout.out_dims l)
+      ~bases:
+        (List.map
+           (fun (d, bits) ->
+             let images = List.init bits (Layout.basis l d) in
+             (d, if d = Dims.register then List.rev images else images))
+           (Layout.in_dims l))
+  in
+  let in_warp =
+    ( Mma.output ~bitwidth:32 ~warps:[| 1; 1 |] ~shape:[| 16; 16 |] (),
+      Blocked.make
+        {
+          shape = [| 16; 16 |];
+          size_per_thread = [| 1; 8 |];
+          threads_per_warp = [| 16; 2 |];
+          warps_per_cta = [| 1; 1 |];
+          order = [| 1; 0 |];
+        } )
+  in
+  let blocked shape = Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:4 shape in
+  let cross_cta =
+    ( Cga.distribute (blocked [| 64; 64 |]) ~blocks:[| 4; 1 |] ~shape:[| 256; 64 |],
+      Cga.distribute (blocked [| 256; 16 |]) ~blocks:[| 1; 4 |] ~shape:[| 256; 64 |] )
+  in
+  let local = in_warp :: cta_pairs () in
+  local
+  @ List.map (fun (src, dst) -> (grow src, grow dst)) local
+  @ List.map (fun (src, _) -> (src, reverse_registers src)) local
+  @ [ cross_cta ]

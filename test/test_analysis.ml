@@ -306,6 +306,104 @@ let test_validate_codes () =
   check_bool "rendered exception carries the instruction id" true
     (contains rendered (Printf.sprintf "%%%d" t))
 
+(* {1 Verifier codes: one corrupted instruction layout each} *)
+
+let fires_at code at ds =
+  List.exists
+    (fun (d : Diagnostics.t) ->
+      d.Diagnostics.code = code && d.Diagnostics.loc = Diagnostics.Tir_instr at)
+    ds
+
+(* Rebuild [l] with the basis image of input bit [(d, k)] replaced by
+   [f d k image]. *)
+let map_bases l f =
+  Layout.make ~ins:(Layout.in_dims l) ~outs:(Layout.out_dims l)
+    ~bases:
+      (List.map
+         (fun (d, bits) -> (d, List.init bits (fun k -> f d k (Layout.basis l d k))))
+         (Layout.in_dims l))
+
+(* Zero the first basis image that moves logical dimension [dim]: the
+   layout keeps its shape but loses one bit of rank. *)
+let drop_column l dim =
+  let hit = ref false in
+  map_bases l (fun _ _ img ->
+      if (not !hit) && List.exists (fun (o, v) -> o = dim && v <> 0) img then begin
+        hit := true;
+        []
+      end
+      else img)
+
+(* Exchange the first register and the first lane basis image. *)
+let swap_register_lane l =
+  let reg = Layout.basis l Dims.register 0 and lane = Layout.basis l Dims.lane 0 in
+  map_bases l (fun d k img ->
+      if k = 0 && d = Dims.register then lane else if k = 0 && d = Dims.lane then reg else img)
+
+let set_layout p at l = (Tir.Program.instr p at).Tir.Program.layout <- l
+let layout_of p at = Option.get (Tir.Program.instr p at).Tir.Program.layout
+
+(* [build p] adds instructions after a [16 x 16] load and returns the
+   instruction to inspect; [corrupt p x at] then rewrites one layout of
+   the engine's assignment. *)
+let verifier_fires code ~build ~corrupt () =
+  let p = Tir.Program.create () in
+  let x = Tir.Program.load p ~shape:[| 16; 16 |] ~dtype:Tensor_lib.Dtype.F32 () in
+  let at = build p x in
+  ignore (Tir.Program.store p at);
+  ignore (Tir.Engine.run m ~mode:Tir.Engine.Linear p);
+  check_bool "the engine's assignment verifies" true (Tir.Validate.program p = []);
+  corrupt p x at;
+  check_bool (code ^ " at the corrupted instruction") true (fires_at code at (Tir.Validate.program p))
+
+let exp_of p x = Tir.Program.elementwise p ~name:"exp" [ x ]
+
+let test_ll601 = verifier_fires "LL601" ~build:exp_of ~corrupt:(fun p _ at -> set_layout p at None)
+
+let test_ll602 =
+  verifier_fires "LL602" ~build:exp_of ~corrupt:(fun p _ at ->
+      set_layout p at
+        (Some (Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:4 [| 32; 16 |])))
+
+let test_ll603 =
+  verifier_fires "LL603" ~build:exp_of ~corrupt:(fun p _ at ->
+      set_layout p at (Some (drop_column (layout_of p at) (Dims.dim 0))))
+
+let test_ll606 =
+  verifier_fires "LL606"
+    ~build:(fun p x -> Tir.Program.reshape p x ~shape:[| 256 |])
+    ~corrupt:(fun p _ at -> set_layout p at (Some (swap_register_lane (layout_of p at))))
+
+(* A rank-deficient source under an expand_dims: the (intact) result
+   has more rank than its input. *)
+let test_ll607 =
+  verifier_fires "LL607"
+    ~build:(fun p x -> Tir.Program.expand_dims p x ~axis:0)
+    ~corrupt:(fun p x _ -> set_layout p x (Some (drop_column (layout_of p x) (Dims.dim 0))))
+
+(* A lane of the reduction result reads a row no lane of the input's
+   slice holds. *)
+let test_ll608 =
+  verifier_fires "LL608"
+    ~build:(fun p x -> Tir.Program.reduce p x ~axis:1)
+    ~corrupt:(fun p x at ->
+      let held =
+        Layout.flat_columns (Layout.remove_out_dim (layout_of p x) (Dims.dim 1)) Dims.lane
+      in
+      let row = List.find (fun v -> not (List.mem v held)) (List.init 15 succ) in
+      set_layout p at
+        (Some
+           (map_bases (layout_of p at) (fun d k img ->
+                if d = Dims.lane && k = 0 then [ (Dims.dim 0, row) ] else img))))
+
+let test_ll609 =
+  verifier_fires "LL609"
+    ~build:(fun p x ->
+      let col = Tir.Program.reduce p x ~axis:1 in
+      let col = Tir.Program.expand_dims p col ~axis:1 in
+      Tir.Program.broadcast p col ~shape:[| 16; 16 |])
+    ~corrupt:(fun p _ at -> set_layout p at (Some (drop_column (layout_of p at) (Dims.dim 0))))
+
 (* {1 Properties} *)
 
 (* Random CTA-wide blocked pairs: warps tile the tensor differently on
@@ -433,6 +531,13 @@ let () =
           Alcotest.test_case "all kernels clean" `Quick test_kernels_clean;
           Alcotest.test_case "run_and_validate ~analyze" `Quick test_run_and_validate_analyze;
           Alcotest.test_case "validate codes" `Quick test_validate_codes;
+          Alcotest.test_case "no layout fires LL601" `Quick test_ll601;
+          Alcotest.test_case "wrong shape fires LL602" `Quick test_ll602;
+          Alcotest.test_case "lost rank fires LL603" `Quick test_ll603;
+          Alcotest.test_case "reshaped matrix fires LL606" `Quick test_ll606;
+          Alcotest.test_case "expand above its input's rank fires LL607" `Quick test_ll607;
+          Alcotest.test_case "reduction off the slice fires LL608" `Quick test_ll608;
+          Alcotest.test_case "broadcast losing its input fires LL609" `Quick test_ll609;
           Alcotest.test_case "Lint.errors = errors of Lint.passes, suite" `Quick
             test_lint_errors_suite;
           Alcotest.test_case "Lint.errors = errors of Lint.passes, search short-lists" `Quick

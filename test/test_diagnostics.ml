@@ -71,7 +71,7 @@ let test_check_broadcast_warns () =
   in
   let issues = Check.distributed l in
   check_bool "broadcast warnings" true
-    (List.exists (fun i -> i.Check.severity = Check.Warning) issues);
+    (List.exists (fun i -> i.Diagnostics.severity = Check.Warning) issues);
   check_int "no errors" 0 (List.length (Check.errors issues))
 
 let test_check_bad_columns () =
@@ -84,7 +84,7 @@ let test_check_bad_columns () =
   in
   let issues = Check.errors (Check.distributed l) in
   check_bool "two-bit column reported" true
-    (List.exists (fun i -> contains i.Check.message "2 set bits") issues);
+    (List.exists (fun i -> contains i.Diagnostics.message "2 set bits") issues);
   (* Duplicated columns. *)
   let dup =
     Layout.make
@@ -98,7 +98,7 @@ let test_check_bad_columns () =
   in
   check_bool "duplicate reported" true
     (List.exists
-       (fun i -> contains i.Check.message "both map to")
+       (fun i -> contains i.Diagnostics.message "both map to")
        (Check.errors (Check.distributed dup)))
 
 let test_check_not_surjective () =
@@ -110,7 +110,7 @@ let test_check_not_surjective () =
   in
   let issues = Check.errors (Check.distributed l) in
   check_bool "missing element named" true
-    (List.exists (fun i -> contains i.Check.message "not surjective") issues)
+    (List.exists (fun i -> contains i.Diagnostics.message "not surjective") issues)
 
 let test_check_memory () =
   check_int "row major clean" 0

@@ -91,25 +91,6 @@ let test_plan_cache_agrees () =
   (* The cached plan is the very object computed on the miss. *)
   Alcotest.(check bool) "physically shared" true (cached == again)
 
-let test_plan_cache_swizzle_shuffle () =
-  let src = bench_src () and dst = bench_dst () in
-  let direct = Codegen.Swizzle_opt.optimal machine ~src ~dst ~byte_width:2 in
-  let cached = Codegen.Plan_cache.swizzle machine ~src ~dst ~byte_width:2 in
-  Alcotest.(check bool)
-    "same swizzled memory layout" true
-    (Layout.equal direct.Codegen.Swizzle_opt.mem cached.Codegen.Swizzle_opt.mem);
-  Alcotest.(check int)
-    "same store wavefronts" direct.Codegen.Swizzle_opt.store_wavefronts
-    cached.Codegen.Swizzle_opt.store_wavefronts;
-  let s_direct = Codegen.Shuffle.plan machine ~src ~dst ~byte_width:2 in
-  let s_cached = Codegen.Plan_cache.shuffle machine ~src ~dst ~byte_width:2 in
-  Alcotest.(check bool)
-    "shuffle plan agrees" true
-    (match (s_direct, s_cached) with
-    | Ok a, Ok b -> a.Codegen.Shuffle.rounds = b.Codegen.Shuffle.rounds
-    | Error a, Error b -> String.equal a b
-    | _ -> false)
-
 (* {1 Engine-level cache traffic} *)
 
 let test_engine_memo_hits () =
@@ -161,7 +142,6 @@ let () =
       ( "plan-cache",
         [
           Alcotest.test_case "conversion agrees with direct plan" `Quick test_plan_cache_agrees;
-          Alcotest.test_case "swizzle and shuffle agree" `Quick test_plan_cache_swizzle_shuffle;
         ] );
       ( "engine",
         [

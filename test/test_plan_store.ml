@@ -1,5 +1,6 @@
-(* The disk plan store (Codegen.Plan_store): codec round-trips over all
-   four plan kinds, and fault injection in the style of test_transval —
+(* The disk plan store (Codegen.Plan_store): codec round-trips over both
+   plan kinds (conversion plans of every mechanism, and operand-staging
+   plans), and fault injection in the style of test_transval —
    truncated, bit-flipped and version-bumped files must load as misses
    with the right LL-coded warning, and a stored certificate that no
    longer verifies (checked here with the real Analysis.Transval) must
@@ -11,6 +12,7 @@ let m = Gpusim.Machine.gh200
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let pairs = Plan_support.cta_pairs ()
+let mechanism_pairs = Plan_support.mechanism_pairs ()
 
 let fresh_start () =
   Codegen.Plan_cache.clear ();
@@ -33,6 +35,10 @@ let has_code code (r : Codegen.Plan_store.load_report) =
 (* The lying certifier: stamps "proved" without looking. *)
 let fake_proved ~machine:_ _ =
   Some { Codegen.Plan_store.method_ = "symbolic"; points = 0; verdict = "proved" }
+
+(* The trusting verifier: admits whatever the stored certificate says
+   was proved. *)
+let trust ~machine:_ _ _ = true
 
 (* The real thing, as the server uses it. *)
 let transval_verify ~machine plan (_ : Codegen.Plan_store.cert) =
@@ -63,55 +69,68 @@ let transval_certify ~machine plan =
           verdict = Analysis.Transval.verdict_name c.Analysis.Transval.verdict;
         }
 
-(* Populate all four kinds for a pair through the public cache API. *)
+(* Populate both kinds for a pair through the public cache API. *)
 let populate (src, dst) byte_width =
   let p = Codegen.Plan_cache.conversion m ~src ~dst ~byte_width in
-  let sh = Codegen.Plan_cache.shuffle m ~src ~dst ~byte_width in
-  let sw = Codegen.Plan_cache.swizzle m ~src ~dst ~byte_width in
   let st = Codegen.Plan_cache.staging m ~src ~dst ~byte_width in
-  (p, sh, sw, st)
+  (p, st)
 
 (* {1 Round trip} *)
 
-let prop_roundtrip =
-  QCheck.Test.make ~name:"save/load round-trips all four plan kinds" ~count:30
-    QCheck.(pair small_nat small_nat)
-    (fun (i, j) ->
-      let src, dst = List.nth pairs (i mod List.length pairs) in
-      let byte_width = [| 2; 4; 8 |].(j mod 3) in
-      fresh_start ();
-      let p, sh, sw, st = populate (src, dst) byte_width in
-      let path = tmpfile () in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let written = Codegen.Plan_store.save path in
-          Codegen.Shared_cache.clear ();
-          let r = Codegen.Plan_store.load path in
-          let k = key ~src ~dst ~byte_width in
-          let got_conv = Codegen.Shared_cache.find_conversion k in
-          let got_sh = Codegen.Shared_cache.find_shuffle k in
-          let got_sw = Codegen.Shared_cache.find_swizzle k in
-          let got_st = Codegen.Shared_cache.find_staging k in
-          written = 4
-          && r.Codegen.Plan_store.loaded = 4
-          && r.Codegen.Plan_store.rejected = 0
-          && r.Codegen.Plan_store.diags = []
-          && (match got_conv with
-             | Some p' -> Plan_support.plan_equal p p'
-             | None -> false)
-          && (match got_sh with
-             | Some sh' -> Plan_support.shuffle_result_equal sh sh'
-             | None -> false)
-          && (match got_sw with
-             | Some sw' -> Plan_support.swizzle_equal sw sw'
-             | None -> false)
-          &&
-          match got_st with Some st' -> Plan_support.staging_equal st st' | None -> false))
+(* Every pair of the mechanism pool at every byte width, in one file:
+   each mechanism (and so both the shuffle and the swizzle codec) and
+   each staging plan goes through its line and comes back field for
+   field. *)
+let test_roundtrip () =
+  fresh_start ();
+  let entries =
+    List.concat_map
+      (fun byte_width ->
+        List.map
+          (fun (src, dst) -> (key ~src ~dst ~byte_width, populate (src, dst) byte_width))
+          mechanism_pairs)
+      [ 2; 4; 8 ]
+  in
+  let slug (p : Codegen.Conversion.plan) =
+    Codegen.Conversion.mechanism_slug p.Codegen.Conversion.mechanism
+  in
+  Alcotest.(check (list string))
+    "the pool reaches every mechanism"
+    [
+      "global_roundtrip";
+      "noop";
+      "register_permute";
+      "shared_memory";
+      "warp_shuffle";
+      "warp_shuffle_compressed";
+    ]
+    (List.sort_uniq compare (List.map (fun (_, (p, _)) -> slug p) entries));
+  let n = Codegen.Shared_cache.length () in
+  let path = tmpfile () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_int "one line per entry" n (Codegen.Plan_store.save ~certify:fake_proved path);
+      Codegen.Shared_cache.clear ();
+      let r = Codegen.Plan_store.load ~verify:trust path in
+      check_int "every entry admitted" n r.Codegen.Plan_store.loaded;
+      check_int "none rejected" 0 r.Codegen.Plan_store.rejected;
+      check_int "no diagnostics" 0 (List.length r.Codegen.Plan_store.diags));
+  List.iter
+    (fun (k, (p, st)) ->
+      check_bool (slug p ^ " plan restored") true
+        (match Codegen.Shared_cache.find_conversion k with
+        | Some p' -> Plan_support.plan_equal p p'
+        | None -> false);
+      check_bool "staging plan restored" true
+        (match Codegen.Shared_cache.find_staging k with
+        | Some st' -> Plan_support.staging_equal st st'
+        | None -> false))
+    entries
 
 let test_missing_file_is_cold_start () =
   fresh_start ();
-  let r = Codegen.Plan_store.load "/nonexistent/ll_plan_store_missing.tsv" in
+  let r = Codegen.Plan_store.load ~verify:trust "/nonexistent/ll_plan_store_missing.tsv" in
   check_int "loaded" 0 r.Codegen.Plan_store.loaded;
   check_int "rejected" 0 r.Codegen.Plan_store.rejected;
   check_int "no diagnostics" 0 (List.length r.Codegen.Plan_store.diags)
@@ -131,7 +150,7 @@ let saved_store ?(certify = fake_proved) () =
   path
 
 let expect_whole_file_miss what code path =
-  let r = Codegen.Plan_store.load path in
+  let r = Codegen.Plan_store.load ~verify:trust path in
   check_int (what ^ ": nothing loaded") 0 r.Codegen.Plan_store.loaded;
   check_bool (what ^ ": " ^ code ^ " warning") true (has_code code r);
   check_bool (what ^ ": warnings only") true
@@ -183,27 +202,26 @@ let test_verify_rejects_all () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let r = Codegen.Plan_store.load ~verify:(fun ~machine:_ _ _ -> false) path in
-      (* Certified kinds (conversion, shuffle-ok, swizzle) are rejected;
-         staging and cached shuffle errors carry no certificate and pass
-         on integrity + structure. *)
-      check_bool "certified entries rejected" true (r.Codegen.Plan_store.rejected > 0);
+      (* Conversion plans are rejected; staging plans carry no
+         certificate and pass on integrity + structure. *)
+      check_int "every conversion rejected" 3 r.Codegen.Plan_store.rejected;
       check_bool "LL902 warning" true (has_code "LL902" r);
       check_bool "no conversion admitted" true
         (Codegen.Shared_cache.fold_conversions (fun _ _ _ -> false) true);
-      check_bool "no swizzle admitted" true
-        (Codegen.Shared_cache.fold_swizzles (fun _ _ _ -> false) true))
+      check_int "staging plans admitted" 3 r.Codegen.Plan_store.loaded)
 
 let test_uncertified_rejected_when_verifying () =
   fresh_start ();
-  let (_ : _ * _ * _ * _) = populate (List.hd pairs) 4 in
+  let (_ : _ * _) = populate (List.hd pairs) 4 in
   let path = tmpfile () in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (* Saved without a certifier: a verifying load must not trust it. *)
-      let (_ : int) = Codegen.Plan_store.save path in
+      (* Saved by a certifier that declines every plan: even a trusting
+         verifier must not admit an entry with no certificate. *)
+      let (_ : int) = Codegen.Plan_store.save ~certify:(fun ~machine:_ _ -> None) path in
       Codegen.Shared_cache.clear ();
-      let r = Codegen.Plan_store.load ~verify:(fun ~machine:_ _ _ -> true) path in
+      let r = Codegen.Plan_store.load ~verify:trust path in
       check_bool "uncertified conversion rejected" true (r.Codegen.Plan_store.rejected > 0);
       check_bool "LL902 warning" true (has_code "LL902" r))
 
@@ -242,7 +260,7 @@ let test_transval_rejects_tampered_plan () =
 
 let test_transval_roundtrip_admits_good_plans () =
   fresh_start ();
-  let (_ : _ * _ * _ * _) = populate (List.nth pairs 2) 4 in
+  let (_ : _ * _) = populate (List.nth pairs 2) 4 in
   let path = tmpfile () in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -250,7 +268,7 @@ let test_transval_roundtrip_admits_good_plans () =
       let (_ : int) = Codegen.Plan_store.save ~certify:transval_certify path in
       Codegen.Shared_cache.clear ();
       let r = Codegen.Plan_store.load ~verify:transval_verify path in
-      check_int "all entries re-proved and admitted" 4 r.Codegen.Plan_store.loaded;
+      check_int "all entries re-proved and admitted" 2 r.Codegen.Plan_store.loaded;
       check_int "none rejected" 0 r.Codegen.Plan_store.rejected)
 
 let test_atomic_save_leaves_no_temp () =
@@ -268,23 +286,23 @@ let test_atomic_save_leaves_no_temp () =
       in
       check_int "no temp files left behind" 0 (List.length leftovers);
       (* And the rename really landed: the file loads clean. *)
-      let r = Codegen.Plan_store.load path in
+      let r = Codegen.Plan_store.load ~verify:trust path in
       check_int "rejected" 0 r.Codegen.Plan_store.rejected;
       check_bool "loaded" true (r.Codegen.Plan_store.loaded > 0))
 
 let () =
-  let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "plan_store"
     (Shuffle_support.maybe_shuffle
        [
          ( "codec",
-           q [ prop_roundtrip ]
-           @ [
-               Alcotest.test_case "missing file is a clean cold start" `Quick
-                 test_missing_file_is_cold_start;
-               Alcotest.test_case "atomic save leaves no temp file" `Quick
-                 test_atomic_save_leaves_no_temp;
-             ] );
+           [
+             Alcotest.test_case "save/load round-trips conversion and staging plans" `Quick
+               test_roundtrip;
+             Alcotest.test_case "missing file is a clean cold start" `Quick
+               test_missing_file_is_cold_start;
+             Alcotest.test_case "atomic save leaves no temp file" `Quick
+               test_atomic_save_leaves_no_temp;
+           ] );
          ( "fault-injection",
            [
              Alcotest.test_case "truncated file loads as a miss (LL900)" `Quick test_truncated;

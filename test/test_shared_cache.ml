@@ -104,22 +104,20 @@ let test_l1_falls_through_to_l2 () =
   let s3 = Codegen.Shared_cache.stats () in
   check_int "L1 hit does not probe the L2" s2.Codegen.Shared_cache.hits s3.Codegen.Shared_cache.hits
 
-let test_all_kinds_cached () =
+let test_both_kinds_cached () =
   fresh_start ();
   let src, dst = List.hd pairs in
-  let sh = Codegen.Plan_cache.shuffle m ~src ~dst ~byte_width:4 in
-  let sw = Codegen.Plan_cache.swizzle m ~src ~dst ~byte_width:4 in
+  let p = Codegen.Plan_cache.conversion m ~src ~dst ~byte_width:4 in
   let st = Codegen.Plan_cache.staging m ~src ~dst ~byte_width:4 in
   Codegen.Plan_cache.clear ();
   let misses_before = (Codegen.Shared_cache.stats ()).Codegen.Shared_cache.misses in
-  let sh2 = Codegen.Plan_cache.shuffle m ~src ~dst ~byte_width:4 in
-  let sw2 = Codegen.Plan_cache.swizzle m ~src ~dst ~byte_width:4 in
+  let p2 = Codegen.Plan_cache.conversion m ~src ~dst ~byte_width:4 in
   let st2 = Codegen.Plan_cache.staging m ~src ~dst ~byte_width:4 in
   let misses_after = (Codegen.Shared_cache.stats ()).Codegen.Shared_cache.misses in
-  check_int "no re-planning for any plan kind" misses_before misses_after;
-  check_bool "shuffle survives the L2" true (Plan_support.shuffle_result_equal sh sh2);
-  check_bool "swizzle survives the L2" true (Plan_support.swizzle_equal sw sw2);
-  check_bool "staging survives the L2" true (Plan_support.staging_equal st st2)
+  check_int "no re-planning for either plan kind" misses_before misses_after;
+  check_bool "conversion survives the L2" true (Plan_support.plan_equal p p2);
+  check_bool "staging survives the L2" true (Plan_support.staging_equal st st2);
+  check_int "one entry per kind" 2 (Codegen.Shared_cache.length ())
 
 (* {1 Stripe statistics merge like Obs.Metrics} *)
 
@@ -183,8 +181,8 @@ let () =
            [
              Alcotest.test_case "L1 falls through to L2, planner runs once" `Quick
                test_l1_falls_through_to_l2;
-             Alcotest.test_case "all four plan kinds round through the L2" `Quick
-               test_all_kinds_cached;
+             Alcotest.test_case "both plan kinds round through the L2" `Quick
+               test_both_kinds_cached;
              Alcotest.test_case "stats () folds the stripes" `Quick test_stats_is_stripe_fold;
            ] );
          ( "stats-merge",

@@ -110,6 +110,20 @@ let test_all_kernels_run_both_modes () =
         [ Engine.Linear; Engine.Legacy_mode ])
     Kernels.all
 
+let test_runs_on () =
+  let runs name (mc : Gpusim.Machine.t) = Kernels.runs_on mc (Kernels.find name) in
+  List.iter
+    (fun (mc : Gpusim.Machine.t) -> check_bool ("gemm on " ^ mc.name) true (runs "gemm" mc))
+    Gpusim.Machine.all_with_extras;
+  (* 128 KiB is the shared-memory threshold: PVC sits exactly on it. *)
+  check_bool "flex_attention on GH200" true (runs "flex_attention" Gpusim.Machine.gh200);
+  check_bool "flex_attention on PVC" true (runs "flex_attention" Gpusim.Machine.pvc);
+  check_bool "flex_attention on RTX4090" false (runs "flex_attention" Gpusim.Machine.rtx4090);
+  check_bool "flex_attention on MI250" false (runs "flex_attention" Gpusim.Machine.mi250);
+  let wgmma_kernel = { (Kernels.find "gemm") with Kernels.needs_wgmma = true } in
+  check_bool "wgmma kernel on GH200" true (Kernels.runs_on Gpusim.Machine.gh200 wgmma_kernel);
+  check_bool "wgmma kernel on MI250" false (Kernels.runs_on Gpusim.Machine.mi250 wgmma_kernel)
+
 let test_linear_never_slower_overall () =
   (* Across the kernel suite, the linear engine should not lose to the
      legacy one (Figure 9's speedups are >= ~1.0x). *)
@@ -300,6 +314,7 @@ let () =
       ( "kernels",
         [
           Alcotest.test_case "all kernels run in both modes" `Quick test_all_kernels_run_both_modes;
+          Alcotest.test_case "runs_on checks wgmma and shared memory" `Quick test_runs_on;
           Alcotest.test_case "linear never slower" `Quick test_linear_never_slower_overall;
           Alcotest.test_case "stats are nontrivial" `Quick test_kernel_stats_nontrivial;
         ] );
