@@ -13,9 +13,9 @@ let pinned =
     (* kernel, machine, mode, static_cost *)
     ("gemm", "RTX4090", "linear", 1784.0);
     ("gemm", "GH200", "linear", 1784.0);
-    ("attention_bwd", "GH200", "linear", 4536.0);
-    ("attention_bwd", "MI250", "linear", 1960.0);
-    ("rope", "PVC", "linear", 15360.0);
+    ("attention_bwd", "GH200", "linear", 3096.0);
+    ("attention_bwd", "MI250", "linear", 1144.0);
+    ("rope", "PVC", "linear", 3840.0);
   ]
 
 (* The artifact is a single JSON line of rows in fixed key order

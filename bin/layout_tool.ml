@@ -142,10 +142,18 @@ let convert machine shape src_kind dst_kind spt tpw warps order bitwidth byte_wi
   Printf.printf "estimated cost: %.0f units\n" (Gpusim.Cost.estimate machine c);
   let legacy = Legacy.Convert.cost machine ~src ~dst ~byte_width in
   Printf.printf "legacy (padded shared) cost: %.0f units\n" (Gpusim.Cost.estimate machine legacy);
-  (* Verify on data. *)
-  let d = Gpusim.Dist.init src ~f:(fun i -> i) in
-  let ok = Gpusim.Dist.consistent_with (Codegen.Conversion.execute plan d) ~f:(fun i -> i) in
-  Printf.printf "verified on simulated data: %b\n" ok
+  (* Verify: run the lowered program on data, or prove a plan without
+     a warp-level lowering (a global round trip) algebraically. *)
+  if Codegen.Lower.lowerable plan then begin
+    let d = Gpusim.Dist.init src ~f:(fun i -> i) in
+    let d', _ = Codegen.Lower.run machine plan d in
+    Printf.printf "verified on simulated data: %b\n"
+      (Gpusim.Dist.consistent_with d' ~f:(fun i -> i))
+  end
+  else
+    Printf.printf "proved algebraically: %b\n"
+      ((Analysis.Transval.certify_plan machine plan).Analysis.Transval.verdict
+      = Analysis.Transval.Proved)
 
 let convert_cmd =
   Cmd.v (Cmd.info "convert" ~doc:"Plan a layout conversion.")

@@ -1,7 +1,7 @@
 (* Explore conversion planning (Section 5.4): for several pairs of
    layouts over the same tensor, show which mechanism the planner
    picks — no-op, register permutation, warp shuffles, or shared memory
-   with an optimal swizzle — execute it on concrete data, and compare
+   with an optimal swizzle — run its lowered program on concrete data, and compare
    its cost against the legacy padded-scratch path.
 
    Run with: dune exec examples/conversion_explorer.exe *)
@@ -37,9 +37,9 @@ let explore name ~src ~dst ~byte_width =
   let legacy = Gpusim.Cost.estimate machine (Legacy.Convert.cost machine ~src ~dst ~byte_width) in
   Printf.printf "cost: linear %.0f vs legacy(shared+padding) %.0f -> %.2fx\n" cost legacy
     (legacy /. Float.max cost 1e-9);
-  (* Execute and verify. *)
+  (* Run the lowered program and verify. *)
   let d = Gpusim.Dist.init src ~f:(fun i -> i lxor 0x2a) in
-  let d' = Codegen.Conversion.execute plan d in
+  let d', _ = Codegen.Lower.run machine plan d in
   assert (Gpusim.Dist.consistent_with d' ~f:(fun i -> i lxor 0x2a));
   print_endline "verified on simulated data"
 

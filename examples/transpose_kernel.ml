@@ -66,9 +66,12 @@ let () =
     (Legacy.Convert.scratch_bytes ~src ~byte_width)
     (tm * tn * byte_width);
 
-  (* Correctness: run the conversion on concrete data. *)
+  (* Correctness: run the lowered conversion on concrete data. *)
+  let plan =
+    { Codegen.Conversion.src; dst; byte_width; mechanism = Codegen.Conversion.Shared_memory s }
+  in
   let d = Gpusim.Dist.init src ~f:(fun i -> (i * 31) land 0xff) in
-  let d' = Codegen.Swizzle_opt.execute ~mem:s.Codegen.Swizzle_opt.mem ~dst d in
+  let d', _ = Codegen.Lower.run machine plan d in
   if Gpusim.Dist.consistent_with d' ~f:(fun i -> (i * 31) land 0xff) then
     print_endline "\nconversion verified: every element landed where the read layout expects it"
   else failwith "conversion mismatch"

@@ -164,9 +164,10 @@ let certify_isa ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.
     ~want:(fun h -> wr.(h land (dst_regs - 1)) lxor wt.(h lsr rb))
     ~mechanism:"isa" program
 
-(* Cross-CTA conversions spill through global memory and are executed
-   algebraically ({!Codegen.Conversion.execute_algebraic}): destination
-   point [h] reads source point [pseudo_invert(src_flat)(dst_flat h)].
+(* Cross-CTA conversions spill through global memory, which the
+   warp-level ISA does not model, so the plan itself is the artifact:
+   destination point [h] reads source point
+   [pseudo_invert(src_flat)(dst_flat h)].
    That is correct by construction whenever the two layouts cover the
    same logical space and the source is surjective onto it — both
    decidable by elimination on the F2 matrices.  The logical spaces are
@@ -223,8 +224,8 @@ let certify_plan machine (plan : Codegen.Conversion.plan) =
     if not (Codegen.Lower.lowerable plan) then
       (* Global round trips, and plans whose CTA shapes differ (e.g. a
          post-reduction layout with fewer live lane bits), have no
-         warp-level lowering: the engine executes them algebraically,
-         so that is the artifact to certify. *)
+         warp-level lowering: the conversion map itself is the
+         artifact to certify. *)
       certify_algebraic ~src ~dst ~mechanism
     else
       match Codegen.Lower.conversion machine plan with

@@ -50,30 +50,6 @@ let plan machine ~src ~dst ~byte_width =
   Obs.Metrics.incr ("codegen.conversion." ^ mechanism_slug mech);
   { src; dst; byte_width; mechanism = mech }
 
-let execute_algebraic plan (d : Gpusim.Dist.t) =
-  (* For every destination hardware point, read the value from the
-     source point holding the same logical element. *)
-  let a = Layout.flatten_outs plan.src in
-  let to_src = Layout.apply_flat (Layout.Memo.pseudo_invert (Layout.flatten_ins a)) in
-  let to_logical = Layout.apply_flat plan.dst in
-  let n = 1 lsl Layout.total_in_bits plan.dst in
-  let data = Array.init n (fun hw_dst -> d.Gpusim.Dist.data.(to_src (to_logical hw_dst))) in
-  { Gpusim.Dist.layout = plan.dst; data }
-
-let execute plan d =
-  match plan.mechanism with
-  | No_op -> { d with Gpusim.Dist.layout = plan.dst }
-  | Warp_shuffle p -> Shuffle.execute p d
-  | Warp_shuffle_compressed inner ->
-      (* Compress into the shuffle's source layout, exchange the
-         representatives on the real executor, then re-broadcast from
-         the shuffle's destination into the duplicate registers. *)
-      let compressed = execute_algebraic { plan with dst = inner.Shuffle.src; mechanism = No_op } d in
-      let compressed = { compressed with Gpusim.Dist.layout = inner.Shuffle.src } in
-      let shuffled = Shuffle.execute inner compressed in
-      execute_algebraic { plan with src = inner.Shuffle.dst; mechanism = No_op } shuffled
-  | Register_permute | Shared_memory _ | Global_roundtrip -> execute_algebraic plan d
-
 let cost machine plan =
   match plan.mechanism with
   | No_op -> Gpusim.Cost.zero ()

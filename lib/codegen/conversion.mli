@@ -40,9 +40,4 @@ val mechanism_name : mechanism -> string
     ([codegen.conversion.<slug>]). *)
 val mechanism_slug : mechanism -> string
 
-(** Move the data.  Uses the true shuffle executor for warp-shuffle
-    plans (validating shuffle semantics) and the algebraic path
-    otherwise. *)
-val execute : plan -> Gpusim.Dist.t -> Gpusim.Dist.t
-
 val cost : Gpusim.Machine.t -> plan -> Gpusim.Cost.t

@@ -51,13 +51,19 @@ let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_s
 
 (* Emit the Sel/Shfl/Scatter rounds of a warp-shuffle plan, with the
    source value in slots [src_base..] of [src]'s register order and the
-   destination written to [dst_base..].  Round ([rep], payload [pv])
-   moves the elements [rep lxor vig.(i)] for the [i] congruent to [pv]
-   modulo [2^v]; the inverse layouts are linear, so each element's
-   source and destination hardware points are the XOR of [rep]'s image
-   and [vig.(i)]'s, each computed once.  A round touches few warps, so
-   every warp it does not touch shares one default row per table
-   kind; programs are never mutated, so the sharing is invisible. *)
+   destination written to [dst_base..].  Both layouts have the same warp
+   columns W (§5.4), so a warp column moves an element's source and
+   destination points to the same register and lane of another warp:
+   every warp's round is a translate of warp 0's.  The rounds range over
+   span(R') x payload element, where R' completes V u I u G u W to a
+   basis, and each round builds one row per table kind that every warp
+   shares.  Round ([rep], payload [pv]) moves the elements
+   [rep lxor vig.(i)] for the [i] congruent to [pv] modulo [2^v], and
+   their warp translates; the inverse layouts are linear, so each
+   element's source and destination hardware points are the XOR of
+   [rep]'s image and [vig.(i)]'s, each computed once.  A round in which
+   two elements claim one lane's Sel, Shfl or Scatter cell is not a warp
+   shuffle: it raises [Failure]. *)
 let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~stage_recv ~warps
     ~lanes =
   let rb_s = Layout.in_bits src Dims.register in
@@ -66,46 +72,47 @@ let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~st
   let to_src = Layout.apply_flat (Layout.invert src)
   and to_dst = Layout.apply_flat (Layout.invert dst) in
   let v = List.length p.Shuffle.vec in
-  let vig = F2.Subspace.span_elements (p.Shuffle.vec @ p.Shuffle.common_thr @ p.Shuffle.g) in
+  let vig_basis = p.Shuffle.vec @ p.Shuffle.common_thr @ p.Shuffle.g in
+  let vig = F2.Subspace.span_elements vig_basis in
   let vig_src = Array.map to_src vig and vig_dst = Array.map to_dst vig in
-  let reps = F2.Subspace.span_elements p.Shuffle.ext in
-  let no_slot = Array.make lanes (-1)
-  and lane_zero = Array.make lanes 0
-  and kept_none = Array.make lanes false in
-  (* Row [w] of [tbl], made private to it on first use. *)
-  let row tbl w default =
-    if tbl.(w) != default then tbl.(w)
-    else
-      let r = Array.copy default in
-      tbl.(w) <- r;
-      r
+  let warp_cols = List.filter (fun c -> c <> 0) (Layout.flat_columns src Dims.warp) in
+  let reps =
+    F2.Subspace.span_elements
+      (F2.Subspace.complete_basis ~dim:(Layout.total_out_bits src) (vig_basis @ warp_cols))
   in
   let body = ref [] in
   Array.iter
     (fun rep ->
       let rep_src = to_src rep and rep_dst = to_dst rep in
       for pv = 0 to (1 lsl v) - 1 do
-        let sel = Array.make warps no_slot in
-        let lane_tbl = Array.make warps lane_zero in
-        let keep = Array.make warps kept_none in
-        let scat = Array.make warps no_slot in
+        let sel = Array.make lanes (-1) and lane_tbl = Array.make lanes 0 in
+        let keep = Array.make lanes false and scat = Array.make lanes (-1) in
         let i = ref pv in
         while !i < Array.length vig do
           let hs = rep_src lxor vig_src.(!i) and hd = rep_dst lxor vig_dst.(!i) in
-          let w = hs lsr (rb_s + lb) in
-          if w <> hd lsr (rb_d + lb) then failwith "Lower: shuffle plan crosses warps";
+          if hs lsr (rb_s + lb) <> hd lsr (rb_d + lb) then
+            failwith "Lower: shuffle plan crosses warps";
           let l_s = (hs lsr rb_s) land ((1 lsl lb) - 1)
           and l_d = (hd lsr rb_d) land ((1 lsl lb) - 1) in
-          (row sel w no_slot).(l_s) <- src_base + (hs land ((1 lsl rb_s) - 1));
-          (row lane_tbl w lane_zero).(l_d) <- l_s;
-          (row keep w kept_none).(l_d) <- true;
-          (row scat w no_slot).(l_d) <- dst_base + (hd land ((1 lsl rb_d) - 1));
+          if sel.(l_s) >= 0 || keep.(l_d) then
+            failwith "Lower: a lane sends or receives two payloads in one shuffle round";
+          sel.(l_s) <- src_base + (hs land ((1 lsl rb_s) - 1));
+          lane_tbl.(l_d) <- l_s;
+          keep.(l_d) <- true;
+          scat.(l_d) <- dst_base + (hd land ((1 lsl rb_d) - 1));
           i := !i + (1 lsl v)
         done;
+        let every_warp row = Array.make warps row in
         body :=
-          Gpusim.Isa.Scatter { src = stage_recv; dst_slot = scat }
-          :: Gpusim.Isa.Shfl_idx { dst = stage_recv; src = stage_send; src_lane = lane_tbl; keep }
-          :: Gpusim.Isa.Sel { dst = stage_send; src_slot = sel }
+          Gpusim.Isa.Scatter { src = stage_recv; dst_slot = every_warp scat }
+          :: Gpusim.Isa.Shfl_idx
+               {
+                 dst = stage_recv;
+                 src = stage_send;
+                 src_lane = every_warp lane_tbl;
+                 keep = every_warp keep;
+               }
+          :: Gpusim.Isa.Sel { dst = stage_send; src_slot = every_warp sel }
           :: !body
       done)
     reps;

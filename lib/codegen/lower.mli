@@ -4,7 +4,9 @@
     (register permutations, shuffle rounds, swizzled shared-memory
     round trips) becomes an inspectable instruction stream that the
     {!Gpusim.Isa} interpreter executes on concrete register files and
-    shared memory.
+    shared memory.  It is the one executor of conversion plans: data
+    moves through {!run}, and {!Analysis.Transval} certifies the same
+    programs.
 
     Slot convention: the source value occupies slots
     [0 .. src_regs-1] (register [r] of the source layout in slot [r]);
@@ -12,9 +14,13 @@
     [dst_base .. dst_base + dst_regs - 1]; two staging slots follow for
     shuffle traffic.  [src_regs] and [dst_regs] are powers of two.
 
-    Emitted programs may share table rows: a warp-shuffle round gives
-    every warp it does not touch one default row per table kind.  This
-    relies on {!Gpusim.Isa} programs never being mutated. *)
+    Warp shuffles follow Section 5.4 (Figure 4): the two layouts have the
+    same warp columns W, so every warp's round is a translate of warp
+    0's.  One round is emitted per element of span(R') x payload
+    element, where R' completes V u I u G u W to a basis, and all warps
+    run it: each per-warp table of a round holds one row that every
+    warp shares.  This relies on {!Gpusim.Isa} programs never being
+    mutated. *)
 
 open Linear_layout
 
@@ -28,14 +34,17 @@ type slot_map = {
 (** [lowerable plan] holds when [plan] has a warp-level lowering: it is
     not a [Global_roundtrip] and both layouts have the same lane and
     warp sizes.  {!conversion} raises [Failure] on every other plan;
-    those are executed algebraically. *)
+    {!Analysis.Transval.certify_plan} proves those algebraically. *)
 val lowerable : Conversion.plan -> bool
 
 (** [conversion machine plan] lowers a {!Conversion.plan}.  The emitted
     program's shape (warps/lanes) comes from the plan's layouts.
-    Raises [Failure] on plans that are not {!lowerable} and on plans
+    Raises [Failure] on plans that are not {!lowerable}, on plans
     whose layouts broadcast across lanes in a way the lowering does not
-    support (the planner's shared path always works). *)
+    support (the planner's shared path always works), and on a shuffle
+    plan that is not a warp shuffle: one whose round has two elements
+    claiming one lane's Sel, Shfl or Scatter cell (a lane would send or
+    receive two payloads). *)
 val conversion : Gpusim.Machine.t -> Conversion.plan -> Gpusim.Isa.program * slot_map
 
 (** [fill_src program map state f] writes [f hw] into the slot that
@@ -61,9 +70,9 @@ val load_state : Gpusim.Isa.program -> slot_map -> Gpusim.Dist.t -> Gpusim.Isa.s
 val store_dist :
   Gpusim.Isa.program -> slot_map -> dst:Layout.t -> Gpusim.Isa.state -> Gpusim.Dist.t
 
-(** Convenience: lower, execute, and return the converted data plus the
-    interpreter-accounted cost — used by tests to cross-check the
-    algebraic executors and cost estimates. *)
+(** [run machine plan dist] lowers [plan], executes the program on
+    [dist] with {!Gpusim.Isa.run}, and returns the converted data plus
+    the interpreter-accounted cost.  Raises what {!conversion} raises. *)
 val run :
   Gpusim.Machine.t -> Conversion.plan -> Gpusim.Dist.t -> Gpusim.Dist.t * Gpusim.Cost.t
 

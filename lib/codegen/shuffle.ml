@@ -61,51 +61,6 @@ let plan machine ~src ~dst ~byte_width =
 
 let total_shuffles p = p.rounds * p.shuffles_per_round
 
-(* Split a flattened hardware index into (register, lane+warp) parts;
-   registers occupy the low bits in canonical order. *)
-let thread_of_hw layout hw = hw lsr Layout.in_bits layout Dims.register
-
-let execute p (src_dist : Gpusim.Dist.t) =
-  if not (Layout.equal src_dist.Gpusim.Dist.layout p.src) then
-    failwith "Shuffle.execute: distribution does not match the plan's source layout";
-  let a = Layout.flatten_outs p.src and b = Layout.flatten_outs p.dst in
-  let to_src = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_ins a))
-  and to_dst = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_ins b)) in
-  let dst = Array.make (1 lsl Layout.total_in_bits p.dst) 0 in
-  let vig = Array.to_list (F2.Subspace.span_elements (p.vec @ p.common_thr @ p.g)) in
-  let reps = F2.Subspace.span_elements p.ext in
-  let vec_basis = p.vec in
-  Array.iter
-    (fun rep ->
-      (* Check the round is a legal warp shuffle: per thread, exactly one
-         vectorized payload sent and one received. *)
-      let sends = Hashtbl.create 64 and recvs = Hashtbl.create 64 in
-      List.iter
-        (fun s ->
-          let x = rep lxor s in
-          let hw_src = to_src x and hw_dst = to_dst x in
-          dst.(hw_dst) <- src_dist.Gpusim.Dist.data.(hw_src);
-          let payload = F2.Subspace.reduce vec_basis x in
-          let note tbl thr =
-            let prev = match Hashtbl.find_opt tbl thr with Some l -> l | None -> [] in
-            if not (List.mem payload prev) then Hashtbl.replace tbl thr (payload :: prev)
-          in
-          note sends (thread_of_hw p.src hw_src);
-          note recvs (thread_of_hw p.dst hw_dst))
-        vig;
-      Hashtbl.iter
-        (fun _ payloads ->
-          if List.length payloads <> 1 then
-            failwith "Shuffle.execute: a thread sends more than one payload per round")
-        sends;
-      Hashtbl.iter
-        (fun _ payloads ->
-          if List.length payloads <> 1 then
-            failwith "Shuffle.execute: a thread receives more than one payload per round")
-        recvs)
-    reps;
-  { Gpusim.Dist.layout = p.dst; data = dst }
-
 let cost p =
   let c = Gpusim.Cost.zero () in
   c.Gpusim.Cost.shuffles <- total_shuffles p;

@@ -8,7 +8,11 @@
     basis, [G = { e_i xor f_i }] pairs up the differing thread bases,
     and [R] extends [V u I u G] to a basis of the whole space.  Each
     round exchanges the affine subspace [R(i) xor span(V u I u G)], one
-    vectorized element per thread. *)
+    vectorized element per thread.
+
+    This module plans and prices; {!Lower.conversion} emits the rounds
+    as ISA code, where R's warp part becomes the warps running each
+    round side by side, and {!Lower.run} executes it. *)
 
 open Linear_layout
 
@@ -30,12 +34,6 @@ val plan : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int ->
 
 (** Total shuffle instructions per warp. *)
 val total_shuffles : t -> int
-
-(** [execute plan dist] moves the data and returns it in the
-    destination layout, checking on the way that every round is a valid
-    warp shuffle (each lane sends exactly one vectorized payload and
-    receives exactly one).  Raises [Failure] if the plan is unsound. *)
-val execute : t -> Gpusim.Dist.t -> Gpusim.Dist.t
 
 (** Event counts for the cost model. *)
 val cost : t -> Gpusim.Cost.t

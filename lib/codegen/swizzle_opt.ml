@@ -203,15 +203,6 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
   done;
   (!total, insts)
 
-let execute ~mem ~dst src_dist =
-  match Gpusim.Dist.to_logical src_dist with
-  | Error e -> failwith ("Swizzle_opt.execute: " ^ e)
-  | Ok tensor ->
-      let to_logical = Layout.apply_flat mem in
-      let smem = Array.init (Array.length tensor) (fun off -> tensor.(to_logical off)) in
-      let to_offset = Layout.apply_flat (Layout.Memo.invert (Layout.flatten_outs mem)) in
-      Gpusim.Dist.init dst ~f:(fun logical -> smem.(to_offset logical))
-
 let cost machine t ~src ~dst ~byte_width =
   let c = Gpusim.Cost.zero () in
   let insts dist =

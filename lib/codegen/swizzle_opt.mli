@@ -46,12 +46,6 @@ val simulate_wavefronts :
   vec:int list ->
   int * int
 
-(** Round-trip a distributed tensor through shared memory laid out by
-    [mem] (store from [src], barrier, load into [dst]); returns the
-    re-distributed data for correctness checks. *)
-val execute :
-  mem:Layout.t -> dst:Layout.t -> Gpusim.Dist.t -> Gpusim.Dist.t
-
 (** Cost of a full conversion through shared memory with this plan:
     per-warp stores + barrier + loads, each instruction costing its
     wavefronts. *)

@@ -523,7 +523,6 @@ module Memo = struct
     interned : t H1.t;
     compose_t : t H2.t;
     invert_t : t H1.t;
-    pseudo_invert_t : t H1.t;
     free_masks_t : (string * int) list H1.t;
     echelon_t : F2.Bitmatrix.echelon H1.t;
   }
@@ -534,7 +533,6 @@ module Memo = struct
       interned = H1.create 256;
       compose_t = H2.create 256;
       invert_t = H1.create 64;
-      pseudo_invert_t = H1.create 64;
       free_masks_t = H1.create 64;
       echelon_t = H1.create 128;
     }
@@ -554,7 +552,6 @@ module Memo = struct
     H1.reset tb.interned;
     H2.reset tb.compose_t;
     H1.reset tb.invert_t;
-    H1.reset tb.pseudo_invert_t;
     H1.reset tb.free_masks_t;
     H1.reset tb.echelon_t
 
@@ -612,7 +609,7 @@ module Memo = struct
     memo_layout H2.find_opt H2.add (fun tb -> tb.compose_t) (l2, l1) (fun () -> compose l2 l1)
 
   (* The memoized factorization: one elimination per distinct layout,
-     shared by [invert], [pseudo_invert] and [is_invertible].  A
+     shared by [invert] and [is_invertible].  A
      planner cache miss that checks invertibility and then inverts pays
      one elimination total, not one per question. *)
   let echelon l =
@@ -629,16 +626,6 @@ module Memo = struct
         if not (F2.Bitmatrix.is_invertible_with ech) then
           error "invert: layout is not invertible";
         of_matrix ~ins:(out_dims l) ~outs:(in_dims l) (F2.Bitmatrix.inverse_with ech))
-
-  let pseudo_invert l =
-    memo_layout H1.find_opt H1.add
-      (fun tb -> tb.pseudo_invert_t)
-      l
-      (fun () ->
-        let ech = echelon l in
-        if not (F2.Bitmatrix.is_surjective_with ech) then
-          error "pseudo_invert: layout is not surjective";
-        of_matrix ~ins:(out_dims l) ~outs:(in_dims l) (F2.Bitmatrix.right_inverse_with ech))
 
   let free_variable_masks l =
     memo_value H1.find_opt H1.add

@@ -213,7 +213,7 @@ val num_consecutive : t -> in_dim:string -> int
     Layouts are immutable, so every operation is a pure function of its
     arguments and memo results never need invalidation.  [Memo] caches
     the operations that eliminate or compose — {!Memo.compose},
-    {!Memo.invert}, {!Memo.pseudo_invert}, {!Memo.echelon} and
+    {!Memo.invert}, {!Memo.echelon} and
     {!Memo.free_variable_masks} — behind per-domain ([Domain.DLS]) hash
     tables keyed by a cheap structural hash: two structurally equal
     layouts built independently (as the engine does per instruction)
@@ -239,12 +239,11 @@ module Memo : sig
 
   val compose : t -> t -> t
   val invert : t -> t
-  val pseudo_invert : t -> t
   val free_variable_masks : t -> (string * int) list
 
   (** [echelon l] is the memoized factorization of [l]'s matrix: one
-      elimination per distinct layout, shared by {!invert},
-      {!pseudo_invert} and {!is_invertible} — and available to callers
+      elimination per distinct layout, shared by {!invert} and
+      {!is_invertible} — and available to callers
       with their own batches of right-hand sides (pair it with
       {!F2.Bitmatrix.solve_with}). *)
   val echelon : t -> F2.Bitmatrix.echelon

@@ -15,7 +15,7 @@
     Instruction tables are never mutated after construction: the
     interpreter, the static pricer, the resource and race checks and
     the certifier only read them, so a lowering may share one row
-    between tables or between instructions.  Code that derives a faulty
+    between warps, tables or instructions.  Code that derives a faulty
     program from a lowered one copies the tables it changes first. *)
 
 type instr =

@@ -147,6 +147,99 @@ let test_perturbed_swizzle () =
   let ds = Analysis.Bank_check.swizzle m ~src ~dst ~byte_width s' in
   check_bool "perturbed swizzle -> LL301" true (has_code "LL301" ds)
 
+(* [ds] holds a [code] diagnostic of [severity] at [loc]. *)
+let fires code severity loc ds =
+  List.exists
+    (fun (d : Diagnostics.t) ->
+      d.Diagnostics.code = code && d.Diagnostics.severity = severity && d.Diagnostics.loc = loc)
+    ds
+
+(* A memory layout of [mem]'s shape whose offset bits 0 and 1 both map
+   to element 1: not invertible, so it fails the memory
+   characterization (Definition 4.14). *)
+let aliasing mem =
+  let shape = Array.of_list (List.map (fun (_, bits) -> 1 lsl bits) (Layout.out_dims mem)) in
+  Shared.of_basis_columns ~shape (1 :: List.init (Layout.total_in_bits mem - 1) (fun i -> 1 lsl i))
+
+let test_malformed_memory () =
+  let src, dst = smem_pair () in
+  let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width:4 in
+  let swizzle mem =
+    Analysis.Bank_check.swizzle m ~src ~dst ~byte_width:4 { s with Codegen.Swizzle_opt.mem }
+  in
+  check_bool "the optimal swizzle's memory layout is well formed" false
+    (has_code "LL304" (swizzle s.Codegen.Swizzle_opt.mem));
+  check_bool "aliased swizzle memory -> LL304 error" true
+    (fires "LL304" Diagnostics.Error (Diagnostics.Plan "swizzle")
+       (swizzle (aliasing s.Codegen.Swizzle_opt.mem)));
+  let staging =
+    match
+      Codegen.Operand_staging.plan m
+        ~src:(Blocked.default ~elems_per_thread:8 ~warp_size:32 ~num_warps:4 [| 128; 64 |])
+        ~dst:(Mma.operand ~idx:0 ~bitwidth:16 ~warps:[| 4; 1 |] ~shape:[| 128; 64 |] ())
+        ~byte_width:2
+    with
+    | Some st -> st
+    | None -> Alcotest.fail "expected an operand-staging plan"
+  in
+  check_bool "the staging plan certifies" true (Analysis.Bank_check.staging m staging = []);
+  let mem = aliasing staging.Codegen.Operand_staging.mem in
+  check_bool "aliased staging memory -> LL303 error" true
+    (fires "LL303" Diagnostics.Error (Diagnostics.Plan "operand staging")
+       (Analysis.Bank_check.staging m { staging with Codegen.Operand_staging.mem }))
+
+(* On MI250's 64-lane wavefronts, the optimal swizzle of this 1-D pair
+   loads its 2-byte elements in 2 wavefronts per instruction against a
+   conflict-free 1: the bound is certified, and it is above one
+   wavefront per phase.  (Its store side is one of the MI250 cases
+   where the simulator measures twice the Lemma 9.4 prediction, which
+   is LL301's business, not this test's.) *)
+let test_optimum_above_one_wavefront () =
+  let mi250 = Gpusim.Machine.mi250 in
+  let layout ~regs ~lanes =
+    let cols = List.map (fun c -> [ (Dims.dim 0, c) ]) in
+    Layout.make
+      ~ins:[ (Dims.register, List.length regs); (Dims.lane, List.length lanes) ]
+      ~outs:[ (Dims.dim 0, 8) ]
+      ~bases:[ (Dims.register, cols regs); (Dims.lane, cols lanes) ]
+  in
+  let src = layout ~regs:[ 8; 4 ] ~lanes:[ 1; 2; 32; 16; 64; 128 ] in
+  let dst = layout ~regs:[ 4; 128 ] ~lanes:[ 64; 32; 2; 8; 16; 1 ] in
+  let s = Codegen.Swizzle_opt.optimal mi250 ~src ~dst ~byte_width:2 in
+  Alcotest.(check int) "optimal load wavefronts" 2 s.Codegen.Swizzle_opt.load_wavefronts;
+  let ds = Analysis.Bank_check.swizzle mi250 ~src ~dst ~byte_width:2 s in
+  match List.filter (fun (d : Diagnostics.t) -> d.Diagnostics.code = "LL302") ds with
+  | [ d ] ->
+      check_bool "LL302 warning on the swizzle plan's load side" true
+        (fires "LL302" Diagnostics.Warning (Diagnostics.Plan "swizzle") [ d ]
+        && contains d.Diagnostics.message "load side")
+  | l -> Alcotest.failf "expected one LL302, got %d" (List.length l)
+
+(* {1 Broadcast redundancy} *)
+
+let test_broadcast_lint () =
+  (* Lane bit 1 and the warp bit index copies of the same elements. *)
+  let layout =
+    Layout.make
+      ~ins:[ (Dims.register, 1); (Dims.lane, 2); (Dims.warp, 1) ]
+      ~outs:[ (Dims.dim 0, 2) ]
+      ~bases:
+        [
+          (Dims.register, [ [ (Dims.dim 0, 1) ] ]);
+          (Dims.lane, [ [ (Dims.dim 0, 2) ]; [] ]);
+          (Dims.warp, [ [] ]);
+        ]
+  in
+  let loc = Diagnostics.Tir_instr 3 in
+  let lint reduced_later = Analysis.Broadcast_lint.value ~loc ~op:"exp" ~reduced_later layout in
+  let ds = lint false in
+  Alcotest.(check (list string))
+    "free lane and warp bits" [ "LL501"; "LL502" ]
+    (List.map (fun (d : Diagnostics.t) -> d.Diagnostics.code) ds);
+  check_bool "LL501 warning at the instruction" true (fires "LL501" Diagnostics.Warning loc ds);
+  check_bool "LL502 warning at the instruction" true (fires "LL502" Diagnostics.Warning loc ds);
+  check_bool "a later reduction deduplicates the copies" true (lint true = [])
+
 (* {1 Coalescing lints} *)
 
 let coalesce_lint op layout =
@@ -520,7 +613,19 @@ let () =
           Alcotest.test_case "deleted phase barrier -> LL205" `Quick test_phase_check;
           Alcotest.test_case "redundant barrier" `Quick test_redundant_barrier;
         ] );
-      ("banks", [ Alcotest.test_case "perturbed swizzle" `Quick test_perturbed_swizzle ]);
+      ( "banks",
+        [
+          Alcotest.test_case "perturbed swizzle" `Quick test_perturbed_swizzle;
+          Alcotest.test_case "malformed memory layout (LL303, LL304)" `Quick
+            test_malformed_memory;
+          Alcotest.test_case "optimum above one wavefront (LL302)" `Quick
+            test_optimum_above_one_wavefront;
+        ] );
+      ( "broadcast",
+        [
+          Alcotest.test_case "free lane and warp bits (LL501, LL502)" `Quick
+            test_broadcast_lint;
+        ] );
       ( "coalescing",
         [
           Alcotest.test_case "under-vectorized load (LL401)" `Quick test_under_vectorized_load;

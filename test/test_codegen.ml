@@ -63,6 +63,19 @@ let test_vectorizable_register_bits () =
 
 let unwrap = function Ok x -> x | Error e -> Alcotest.fail e
 
+(* Run a conversion plan's lowered program on [d]. *)
+let run_plan plan d = fst (Codegen.Lower.run m plan d)
+
+let run_shuffle (p : Codegen.Shuffle.t) d =
+  run_plan
+    {
+      Codegen.Conversion.src = p.Codegen.Shuffle.src;
+      dst = p.Codegen.Shuffle.dst;
+      byte_width = 4;
+      mechanism = Codegen.Conversion.Warp_shuffle p;
+    }
+    d
+
 let test_shuffle_small () =
   (* An 8-element vector: src interleaves lanes at stride 2, dst at
      stride 1 — the Figure 4 style exchange. *)
@@ -89,7 +102,7 @@ let test_shuffle_small () =
   let p = unwrap (Codegen.Shuffle.plan m ~src ~dst ~byte_width:4) in
   check_bool "rounds is a power of two" true (p.Codegen.Shuffle.rounds > 0);
   let d = Gpusim.Dist.init src ~f:(fun i -> 100 + i) in
-  let d' = Codegen.Shuffle.execute p d in
+  let d' = run_shuffle p d in
   check_bool "data lands in dst layout" true
     (Gpusim.Dist.consistent_with d' ~f:(fun i -> 100 + i))
 
@@ -99,7 +112,7 @@ let test_shuffle_mma_to_blocked () =
   let dst = blocked ~spt:[| 1; 8 |] ~tpw:[| 16; 2 |] [| 16; 16 |] in
   let p = unwrap (Codegen.Shuffle.plan m ~src ~dst ~byte_width:4) in
   let d = Gpusim.Dist.init src ~f:(fun i -> i * 3) in
-  let d' = Codegen.Shuffle.execute p d in
+  let d' = run_shuffle p d in
   check_bool "converted" true (Gpusim.Dist.consistent_with d' ~f:(fun i -> i * 3));
   check_bool "dst layout" true (Layout.equal d'.Gpusim.Dist.layout dst)
 
@@ -188,7 +201,10 @@ let test_swizzle_execute_correct () =
   let dst = blocked ~warps:[| 4; 1 |] ~spt:[| 1; 4 |] ~tpw:[| 8; 4 |] [| 32; 32 |] in
   let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width:4 in
   let d = Gpusim.Dist.init src ~f:(fun i -> i + 11) in
-  let d' = Codegen.Swizzle_opt.execute ~mem:s.Codegen.Swizzle_opt.mem ~dst d in
+  let plan =
+    { Codegen.Conversion.src; dst; byte_width = 4; mechanism = Codegen.Conversion.Shared_memory s }
+  in
+  let d' = run_plan plan d in
   check_bool "converted" true (Gpusim.Dist.consistent_with d' ~f:(fun i -> i + 11))
 
 (* {1 Operand staging (mma swizzle + ldmatrix)} *)
@@ -255,7 +271,7 @@ let test_conversion_execute_all_paths () =
   let check_path src dst =
     let p = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
     let d = Gpusim.Dist.init src ~f:(fun i -> i * 13 + 1) in
-    let d' = Codegen.Conversion.execute p d in
+    let d' = run_plan p d in
     check_bool
       (Codegen.Conversion.mechanism_name p.mechanism)
       true
@@ -363,7 +379,7 @@ let prop_shuffle_moves_data =
       | Error _ -> QCheck.assume_fail ()
       | Ok p ->
           let d = Gpusim.Dist.init src ~f:(fun i -> i lxor 0x55) in
-          let d' = Codegen.Shuffle.execute p d in
+          let d' = run_shuffle p d in
           Gpusim.Dist.consistent_with d' ~f:(fun i -> i lxor 0x55))
 
 let prop_conversion_execute =
@@ -371,7 +387,7 @@ let prop_conversion_execute =
     arb_layout_pair_same_warp (fun (src, dst) ->
       let p = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
       let d = Gpusim.Dist.init src ~f:(fun i -> i + 7) in
-      Gpusim.Dist.consistent_with (Codegen.Conversion.execute p d) ~f:(fun i -> i + 7))
+      Gpusim.Dist.consistent_with (run_plan p d) ~f:(fun i -> i + 7))
 
 let prop_swizzle_prediction_matches_simulation =
   QCheck.Test.make ~name:"Lemma 9.4: predicted wavefronts = simulated" ~count:60

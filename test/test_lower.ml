@@ -227,15 +227,98 @@ let test_lower_compressed_shuffle () =
   | mech ->
       Alcotest.failf "expected compressed shuffle, got %s"
         (Codegen.Conversion.mechanism_name mech));
-  (* Algebraic executor. *)
-  let d = Gpusim.Dist.init src ~f:(fun i -> i + 100) in
-  check_bool "algebraic execute" true
-    (Gpusim.Dist.consistent_with (Codegen.Conversion.execute plan d) ~f:(fun i -> i + 100));
   (* Lowered instruction stream. *)
+  let d = Gpusim.Dist.init src ~f:(fun i -> i + 100) in
   let d', cost = Codegen.Lower.run m plan d in
   check_bool "lowered execute" true (Gpusim.Dist.consistent_with d' ~f:(fun i -> i + 100));
   check_bool "used shuffles, not shared memory" true
     (cost.Gpusim.Cost.shuffles > 0 && cost.Gpusim.Cost.smem_insts = 0)
+
+(* A shuffle plan whose round sends two payloads into one lane is not a
+   warp shuffle: with G replaced by E, the round over span(I u E) sends
+   destination lane 0 both element 0 and element 4.  The lowering must
+   reject it rather than let the second write win, and the certifier
+   reports the rejection as LL652. *)
+let test_lower_shuffle_two_payloads_per_lane () =
+  let src =
+    Layout.make
+      ~ins:[ (Dims.register, 1); (Dims.lane, 2) ]
+      ~outs:[ (Dims.dim 0, 3) ]
+      ~bases:
+        [
+          (Dims.register, [ [ (Dims.dim 0, 1) ] ]);
+          (Dims.lane, [ [ (Dims.dim 0, 2) ]; [ (Dims.dim 0, 4) ] ]);
+        ]
+  in
+  let dst =
+    Layout.make
+      ~ins:[ (Dims.register, 1); (Dims.lane, 2) ]
+      ~outs:[ (Dims.dim 0, 3) ]
+      ~bases:
+        [
+          (Dims.register, [ [ (Dims.dim 0, 4) ] ]);
+          (Dims.lane, [ [ (Dims.dim 0, 1) ]; [ (Dims.dim 0, 2) ] ]);
+        ]
+  in
+  let p =
+    match Codegen.Shuffle.plan m ~src ~dst ~byte_width:4 with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  check_bool "G pairs lane 4 with lane 1" true (p.Codegen.Shuffle.g = [ 5 ]);
+  let broken = { p with Codegen.Shuffle.g = [ 4 ] } in
+  let plan =
+    {
+      Codegen.Conversion.src;
+      dst;
+      byte_width = 4;
+      mechanism = Codegen.Conversion.Warp_shuffle broken;
+    }
+  in
+  (match Codegen.Lower.conversion m plan with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a lane receiving two payloads in one round must fail to lower");
+  let cert = Analysis.Transval.certify_plan m plan in
+  check_bool "LL652" true
+    (List.exists
+       (fun (d : Diagnostics.t) -> d.Diagnostics.code = "LL652")
+       (Analysis.Transval.diagnostics cert))
+
+(* §5.4: the warp columns of the two layouts agree, so every warp runs
+   the same round.  Each Sel/Shfl_idx/Scatter of a suite shuffle program
+   has one row for all warps and moves at least one lane, and with
+   4-byte elements the program's shuffles are the model's. *)
+let test_warp_uniform_rounds () =
+  let uniform t = Array.for_all (fun row -> row = t.(0)) t in
+  let checked = ref 0 in
+  List.iter
+    (fun (r : Suite_plans.row) ->
+      let machine = r.Suite_plans.machine in
+      List.iter
+        (fun (plan : Codegen.Conversion.plan) ->
+          match plan.Codegen.Conversion.mechanism with
+          | Codegen.Conversion.Warp_shuffle _ | Codegen.Conversion.Warp_shuffle_compressed _ ->
+              incr checked;
+              let program, _ = Codegen.Lower.conversion machine plan in
+              List.iter
+                (function
+                  | Gpusim.Isa.Sel { src_slot = t; _ } | Gpusim.Isa.Scatter { dst_slot = t; _ } ->
+                      check_bool "slot row shared by all warps" true (uniform t);
+                      check_bool "slot row moves a lane" true (Array.exists (fun s -> s >= 0) t.(0))
+                  | Gpusim.Isa.Shfl_idx { src_lane; keep; _ } ->
+                      check_bool "lane row shared by all warps" true
+                        (uniform src_lane && uniform keep);
+                      check_bool "shuffle keeps a lane" true (Array.exists Fun.id keep.(0))
+                  | _ -> ())
+                program.Gpusim.Isa.body;
+              if plan.Codegen.Conversion.byte_width = 4 then
+                check_int "static shuffles = model shuffles"
+                  (Codegen.Conversion.cost machine plan).Gpusim.Cost.shuffles
+                  (Analysis.Static_cost.cost machine program).Gpusim.Cost.shuffles
+          | _ -> ())
+        r.Suite_plans.plans)
+    (Suite_plans.rows () @ Suite_plans.pair_rows ());
+  check_bool "the suite has shuffle plans" true (!checked > 0)
 
 let test_lower_gather () =
   (* A gather staying within the warp: lanes on the feature dim, the
@@ -443,18 +526,6 @@ let prop_lowered_conversion_correct =
       let d', _ = Codegen.Lower.run m plan d in
       Gpusim.Dist.consistent_with d' ~f:(fun i -> i lxor 0x1234))
 
-let prop_lowered_matches_algebraic_executor =
-  QCheck.Test.make ~name:"lowered result equals algebraic execute" ~count:60 arb_pair
-    (fun (src, dst) ->
-      QCheck.assume
-        (Layout.in_size src Dims.warp = Layout.in_size dst Dims.warp
-        && Layout.in_size src Dims.lane = Layout.in_size dst Dims.lane);
-      let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
-      let d = Gpusim.Dist.init src ~f:(fun i -> i * 5) in
-      let via_isa, _ = Codegen.Lower.run m plan d in
-      let via_algebra = Codegen.Conversion.execute plan d in
-      via_isa.Gpusim.Dist.data = via_algebra.Gpusim.Dist.data)
-
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "lower"
@@ -479,6 +550,9 @@ let () =
           Alcotest.test_case "printing" `Quick test_program_printing;
           Alcotest.test_case "gather" `Quick test_lower_gather;
           Alcotest.test_case "compressed shuffle" `Quick test_lower_compressed_shuffle;
+          Alcotest.test_case "two payloads per lane fail to lower" `Quick
+            test_lower_shuffle_two_payloads_per_lane;
+          Alcotest.test_case "warp-uniform shuffle rounds" `Quick test_warp_uniform_rounds;
           Alcotest.test_case "reduce all-axes" `Quick test_lower_reduce;
           Alcotest.test_case "reduce warp-local" `Quick test_lower_reduce_warp_local;
           Alcotest.test_case "reduce max" `Quick test_lower_reduce_max;
@@ -490,7 +564,6 @@ let () =
         q
           [
             prop_lowered_conversion_correct;
-            prop_lowered_matches_algebraic_executor;
             prop_lowered_gather_correct;
           ] );
     ]

@@ -98,17 +98,17 @@ addmm|RTX4090|linear|4 204|529d338df5e8464318c5a37f1425f02e
 addmm|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 bmm|RTX4090|linear|3 107|788b6ddcb18257d54082af79cd7fd46e
 bmm|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-template_attention|RTX4090|linear|6 532|5d744968dd01a933f1a67b5fd25f7c83
+template_attention|RTX4090|linear|6 244|e2b888dd7f8c1b528ee6bffd71da2b92
 template_attention|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-flex_attention|RTX4090|linear|6 532|5d744968dd01a933f1a67b5fd25f7c83
+flex_attention|RTX4090|linear|6 244|e2b888dd7f8c1b528ee6bffd71da2b92
 flex_attention|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-attention_bwd|RTX4090|linear|7 537|e7d476d4ce3c7af58d2d83116dc86351
+attention_bwd|RTX4090|linear|7 249|27655b8fbdcb07b11917fc9b4c6ee6b0
 attention_bwd|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|RTX4090|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 gather_gemv|RTX4090|linear|1 65|2f36fd8958fc6414190c045e8575a47e
 gather_gemv|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-rope|RTX4090|linear|2 1536|1250db1b96b36b606fdce7851b53c591
+rope|RTX4090|linear|2 384|dddbf20bd406362bf80f456aae4f988b
 rope|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 embedding|RTX4090|linear|1 129|5dd6be0ce890904dd9e8737f3edaf3b5
 embedding|RTX4090|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
@@ -152,17 +152,17 @@ addmm|GH200|linear|4 204|529d338df5e8464318c5a37f1425f02e
 addmm|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 bmm|GH200|linear|3 107|788b6ddcb18257d54082af79cd7fd46e
 bmm|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-template_attention|GH200|linear|6 532|5d744968dd01a933f1a67b5fd25f7c83
+template_attention|GH200|linear|6 244|e2b888dd7f8c1b528ee6bffd71da2b92
 template_attention|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-flex_attention|GH200|linear|6 532|5d744968dd01a933f1a67b5fd25f7c83
+flex_attention|GH200|linear|6 244|e2b888dd7f8c1b528ee6bffd71da2b92
 flex_attention|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-attention_bwd|GH200|linear|7 537|e7d476d4ce3c7af58d2d83116dc86351
+attention_bwd|GH200|linear|7 249|27655b8fbdcb07b11917fc9b4c6ee6b0
 attention_bwd|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|GH200|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 gather_gemv|GH200|linear|1 65|2f36fd8958fc6414190c045e8575a47e
 gather_gemv|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-rope|GH200|linear|2 1536|1250db1b96b36b606fdce7851b53c591
+rope|GH200|linear|2 384|dddbf20bd406362bf80f456aae4f988b
 rope|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 embedding|GH200|linear|1 129|5dd6be0ce890904dd9e8737f3edaf3b5
 embedding|GH200|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
@@ -206,17 +206,17 @@ addmm|MI250|linear|1 65|b288bd76579247cecccbe8bc44d58255
 addmm|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 bmm|MI250|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 bmm|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-template_attention|MI250|linear|2 192|2c037f96b8374a21d7510be4293ade4f
+template_attention|MI250|linear|2 48|165990dec14be99c9212f13a52409c43
 template_attention|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-flex_attention|MI250|linear|2 192|2c037f96b8374a21d7510be4293ade4f
+flex_attention|MI250|linear|2 48|165990dec14be99c9212f13a52409c43
 flex_attention|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-attention_bwd|MI250|linear|3 217|6882f6a0786fcc223994eacea388096c
+attention_bwd|MI250|linear|3 73|d1d4a860a88c4364ff78f8e4cafebd45
 attention_bwd|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|MI250|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 gather_gemv|MI250|linear|2 43|cf72d5ed7111c8b4de07b99c64efcc97
 gather_gemv|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-rope|MI250|linear|2 768|bdcca23d0c21196e93dd852e76147951
+rope|MI250|linear|2 192|94580cb659ac32af517e04862b94f799
 rope|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 embedding|MI250|linear|1 65|f26c35711bc2499a93a62c24d2476afe
 embedding|MI250|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
@@ -260,17 +260,17 @@ addmm|PVC|linear|1 129|267563554359778a055b22c208fa06f6
 addmm|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 bmm|PVC|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 bmm|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-template_attention|PVC|linear|2 768|dd4b0fe7b6ee7951139bb9af4f721feb
+template_attention|PVC|linear|2 192|85a6933bbb6214eefaa8662367ffc8ee
 template_attention|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-flex_attention|PVC|linear|2 768|dd4b0fe7b6ee7951139bb9af4f721feb
+flex_attention|PVC|linear|2 192|85a6933bbb6214eefaa8662367ffc8ee
 flex_attention|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-attention_bwd|PVC|linear|2 768|dd4b0fe7b6ee7951139bb9af4f721feb
+attention_bwd|PVC|linear|2 192|85a6933bbb6214eefaa8662367ffc8ee
 attention_bwd|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|PVC|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 welford|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 gather_gemv|PVC|linear|1 129|ce10e76fe64b44bf49005f7913e22b0d
 gather_gemv|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-rope|PVC|linear|2 3072|512f4ea1a123fdeca1deea932033bb0b
+rope|PVC|linear|2 768|75c18b0cfa2090cae668a5719e70893f
 rope|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 embedding|PVC|linear|1 257|47664a132c4deb635ab8bae5456935ec
 embedding|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
@@ -282,7 +282,7 @@ rms_norm|PVC|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 rms_norm|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 cross_entropy|PVC|linear|2 514|6d8ad13a02afa90a0f645b4e312a049b
 cross_entropy|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
-fused_linear_cross_entropy|PVC|linear|2 12288|bd51b72e2dd222553f9d1e158c907779
+fused_linear_cross_entropy|PVC|linear|2 3072|5e91a4e7475d4c3511c2c3dcb52dfc0a
 fused_linear_cross_entropy|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e
 cumsum|PVC|linear|0 0|d41d8cd98f00b204e9800998ecf8427e
 cumsum|PVC|legacy|0 0|d41d8cd98f00b204e9800998ecf8427e

@@ -45,12 +45,6 @@ let prop_memo_invert =
   QCheck.Test.make ~name:"Memo.invert = invert" ~count:200 arb_perm (fun l ->
       Layout.equal (Layout.Memo.invert l) (Layout.invert l))
 
-let prop_memo_pseudo_invert =
-  QCheck.Test.make ~name:"Memo.pseudo_invert = pseudo_invert" ~count:200 arb_perm (fun l ->
-      (* Forget a register bit to exercise the non-invertible path. *)
-      let l = Layout.resize_in l Dims.register 3 in
-      Layout.equal (Layout.Memo.pseudo_invert l) (Layout.pseudo_invert l))
-
 let prop_memo_free_masks =
   QCheck.Test.make ~name:"Memo.free_variable_masks = free_variable_masks" ~count:200
     arb_perm (fun l ->
@@ -135,7 +129,6 @@ let () =
           [
             prop_memo_compose;
             prop_memo_invert;
-            prop_memo_pseudo_invert;
             prop_memo_free_masks;
             prop_intern_hash_consing;
           ] );

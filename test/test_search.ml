@@ -60,17 +60,17 @@ addmm|RTX4090|linear|89504.0000 87192.0000|0,0,0,1
 addmm|RTX4090|legacy|93472.0000 90456.0000|0,0,0,1
 bmm|RTX4090|linear|18424.0000 18360.0000|0,2
 bmm|RTX4090|legacy|19672.0000 19672.0000|
-template_attention|RTX4090|linear|20636.0000 20500.0000|0,1,0,2
+template_attention|RTX4090|linear|19196.0000 19060.0000|0,1,0,2
 template_attention|RTX4090|legacy|21832.0000 21434.0000|0,0,0,0,1,1
-flex_attention|RTX4090|linear|20644.0000 20508.0000|0,1,0,2
+flex_attention|RTX4090|linear|19204.0000 19068.0000|0,1,0,2
 flex_attention|RTX4090|legacy|21840.0000 21442.0000|0,0,0,0,1,1
-attention_bwd|RTX4090|linear|19160.0000 18120.0000|0,1,2,1
+attention_bwd|RTX4090|linear|17720.0000 17400.0000|0,1,2,1
 attention_bwd|RTX4090|legacy|21256.0000 20482.0000|0,0,0,1
 welford|RTX4090|linear|35360.0000 35360.0000|
 welford|RTX4090|legacy|37852.0000 36178.0000|0,1
 gather_gemv|RTX4090|linear|69880.0000 67696.0000|2,0,2
 gather_gemv|RTX4090|legacy|81862.0000 78526.0000|2,0,2
-rope|RTX4090|linear|32368.0000 28528.0000|0,0,1
+rope|RTX4090|linear|26608.0000 25648.0000|0,0,1
 rope|RTX4090|legacy|28128.0000 26120.0000|1,0,1
 embedding|RTX4090|linear|136968.0000 132608.0000|2
 embedding|RTX4090|legacy|159768.0000 153104.0000|2
@@ -114,17 +114,17 @@ addmm|GH200|linear|58784.0000 56472.0000|0,0,0,1
 addmm|GH200|legacy|59168.0000 56152.0000|0,0,0,1
 bmm|GH200|linear|12280.0000 12216.0000|0,2
 bmm|GH200|legacy|11736.0000 11736.0000|
-template_attention|GH200|linear|14492.0000 14348.0000|0,2,0,2
+template_attention|GH200|linear|13052.0000 12908.0000|0,2,0,2
 template_attention|GH200|legacy|13896.0000 13498.0000|0,0,0,0,1,1
-flex_attention|GH200|linear|14500.0000 14356.0000|0,2,0,2
+flex_attention|GH200|linear|13060.0000 12916.0000|0,2,0,2
 flex_attention|GH200|legacy|13904.0000 13506.0000|0,0,0,0,1,1
-attention_bwd|GH200|linear|13784.0000 12736.0000|0,2,2,1
+attention_bwd|GH200|linear|12344.0000 12016.0000|0,2,2,1
 attention_bwd|GH200|legacy|13192.0000 12418.0000|0,0,0,1
 welford|GH200|linear|23072.0000 23072.0000|
 welford|GH200|legacy|25564.0000 23890.0000|0,1
 gather_gemv|GH200|linear|45256.0000 43072.0000|2,0,2
 gather_gemv|GH200|legacy|57262.0000 53926.0000|2,0,2
-rope|GH200|linear|23152.0000 19312.0000|0,0,1
+rope|GH200|linear|17392.0000 16432.0000|0,0,1
 rope|GH200|legacy|18912.0000 16904.0000|1,0,1
 embedding|GH200|linear|87816.0000 83456.0000|2
 embedding|GH200|legacy|110616.0000 103952.0000|2
@@ -168,17 +168,17 @@ addmm|MI250|linear|80400.0000 80008.0000|0,2,0,1
 addmm|MI250|legacy|82048.0000 79512.0000|0,0,0,1
 bmm|MI250|linear|16508.0000 16240.0000|0,1
 bmm|MI250|legacy|17448.0000 17448.0000|
-template_attention|MI250|linear|18766.0000 18204.0000|0,1,0,1
+template_attention|MI250|linear|17950.0000 17388.0000|0,1,0,1
 template_attention|MI250|legacy|19218.0000 18892.0000|0,0,0,0,1,1
-flex_attention|MI250|linear|18770.0000 18208.0000|0,1,0,1
+flex_attention|MI250|linear|17954.0000 17392.0000|0,1,0,1
 flex_attention|MI250|legacy|19222.0000 18896.0000|0,0,0,0,1,1
-attention_bwd|MI250|linear|18590.0000 17762.0000|0,1,1,1
+attention_bwd|MI250|linear|17774.0000 17198.0000|0,1,1
 attention_bwd|MI250|legacy|18882.0000 18176.0000|0,0,0,1
 welford|MI250|linear|29928.0000 29928.0000|
 welford|MI250|legacy|32420.0000 31026.0000|0,1
 gather_gemv|MI250|linear|66992.0000 59424.0000|2,0,2
 gather_gemv|MI250|legacy|67170.0000 64086.0000|2,0,2
-rope|MI250|linear|25912.0000 23736.0000|0,0,1
+rope|MI250|linear|22648.0000 22104.0000|0,0,1
 rope|MI250|legacy|24568.0000 22664.0000|1,0,1
 embedding|MI250|linear|121736.0000 115456.0000|2
 embedding|MI250|legacy|132120.0000 125712.0000|2
@@ -222,17 +222,17 @@ addmm|PVC|linear|71096.0000 70328.0000|0,0,0,1
 addmm|PVC|legacy|77856.0000 72856.0000|0,0,0,1
 bmm|PVC|linear|14272.0000 14272.0000|
 bmm|PVC|legacy|16408.0000 16408.0000|
-template_attention|PVC|linear|20248.0000 16184.0000|0,2,0,0,1
+template_attention|PVC|linear|17368.0000 16184.0000|0,2,0,0,1
 template_attention|PVC|legacy|19796.0000 19238.0000|0,0,0,0,1,1
-flex_attention|PVC|linear|20264.0000 16200.0000|0,2,0,0,1
+flex_attention|PVC|linear|17384.0000 16200.0000|0,2,0,0,1
 flex_attention|PVC|legacy|19812.0000 19254.0000|0,0,0,0,1,1
-attention_bwd|PVC|linear|18944.0000 16968.0000|0,2,0,1
+attention_bwd|PVC|linear|16064.0000 15528.0000|0,2,0,1
 attention_bwd|PVC|legacy|19604.0000 18294.0000|0,0,0,1
 welford|PVC|linear|29104.0000 29104.0000|
 welford|PVC|legacy|32076.0000 30002.0000|0,1
 gather_gemv|PVC|linear|56312.0000 51952.0000|2,0,2
 gather_gemv|PVC|legacy|78294.0000 74702.0000|2,0,2
-rope|PVC|linear|34016.0000 20456.0000|1
+rope|PVC|linear|22496.0000 20456.0000|1
 rope|PVC|legacy|25008.0000 20360.0000|1,0,1
 embedding|PVC|linear|110088.0000 101376.0000|2
 embedding|PVC|legacy|149528.0000 142352.0000|2
@@ -244,7 +244,7 @@ rms_norm|PVC|linear|26952.0000 26952.0000|
 rms_norm|PVC|legacy|28438.0000 28314.0000|0,1
 cross_entropy|PVC|linear|75592.0000 66368.0000|0,1
 cross_entropy|PVC|legacy|82142.0000 75434.0000|0,1
-fused_linear_cross_entropy|PVC|linear|130560.0000 99840.0000|0,0,1
+fused_linear_cross_entropy|PVC|linear|84480.0000 76800.0000|0,0,1
 fused_linear_cross_entropy|PVC|legacy|126526.0000 119818.0000|0,0,1
 cumsum|PVC|linear|30048.0000 30048.0000|
 cumsum|PVC|legacy|30048.0000 30048.0000|
