@@ -54,6 +54,74 @@ let warp_wavefronts machine ~bytes ~byte_width (addr_row : int array) =
         v
   end
 
+(* {2 Per-plan verdicts}
+
+   A conversion plan is an immutable value, and the plan caches hand
+   out one physically shared value per key, so what the layout search
+   asks of a plan — its re-price under the LL810 differential, and its
+   location-free bank, race and resource errors — is a fixed property
+   of that value.  Each field is computed on first demand and read on
+   every later one, from a per-domain ephemeron table keyed by the
+   physical identity of the plan and of the machine: an entry lives as
+   long as its plan does, so it goes when the plan caches drop the
+   plan, and a plan built outside the caches is a fresh key that
+   misses.  No lowered program is kept, only the price and the
+   diagnostics.  A raised [Failure] is never stored: the next demand
+   recomputes it and raises again. *)
+type verdict = {
+  mutable price : Gpusim.Cost.t option option;
+  mutable errors : Diagnostics.t list option;
+}
+
+module Verdicts =
+  Ephemeron.K2.Make
+    (struct
+      type t = Codegen.Conversion.plan
+
+      let equal = ( == )
+
+      let hash (p : t) =
+        (Layout.Memo.hash p.Codegen.Conversion.src * 31)
+        lxor Layout.Memo.hash p.Codegen.Conversion.dst
+        lxor p.Codegen.Conversion.byte_width
+    end)
+    (struct
+      type t = Gpusim.Machine.t
+
+      let equal = ( == )
+      let hash (m : t) = Hashtbl.hash m.Gpusim.Machine.name
+    end)
+
+let verdicts : verdict Verdicts.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Verdicts.create 64)
+
+(* Read the field [get] of the plan's verdict, or [compute] it and
+   [set] it on a miss. *)
+let verdict_field ~get ~set machine plan compute =
+  let tbl = Domain.DLS.get verdicts in
+  let v =
+    match Verdicts.find_opt tbl (plan, machine) with
+    | Some v -> v
+    | None ->
+        let v = { price = None; errors = None } in
+        Verdicts.replace tbl (plan, machine) v;
+        v
+  in
+  match get v with
+  | Some x ->
+      if Obs.enabled () then Obs.Metrics.incr "analysis.plan_verdicts.hits";
+      x
+  | None ->
+      if Obs.enabled () then Obs.Metrics.incr "analysis.plan_verdicts.misses";
+      let x = compute () in
+      set v x;
+      x
+
+let plan_errors machine plan compute =
+  verdict_field machine plan compute
+    ~get:(fun v -> v.errors)
+    ~set:(fun v e -> v.errors <- Some e)
+
 (* Accumulate one instruction's cost into [c]; mirrors the increments of
    [Isa.run] case by case.  A malformed instruction raises the
    interpreter's [Failure] ({!Isa.fault}), so [cost] and [Isa.run] agree
@@ -138,19 +206,26 @@ let plan machine (pl : Codegen.Conversion.plan) =
    lowered instruction stream, with the static≡dynamic differential
    asserted per plan so a search can never rank candidates with a
    mispriced stream.  The static cost is computed once and is both the
-   differential's left-hand side and the returned price. *)
+   differential's left-hand side and the returned price; it is stored
+   as the plan's verdict, and [Cost.t] being mutable, every caller gets
+   its own copy. *)
 let reprice_conversion machine (pl : Codegen.Conversion.plan) =
-  match lower_plan machine pl with
-  | None -> None
-  | Some (program, sm) ->
-      let c = cost machine program in
-      let slots = sm.Codegen.Lower.total_slots in
-      (match check_against_interpreter machine ~slots program c with
-      | [] -> ()
-      | d :: _ ->
-          failwith
-            (Format.asprintf "Static_cost.reprice_conversion: %a" Diagnostics.pp d));
-      Some c
+  verdict_field machine pl
+    ~get:(fun v -> v.price)
+    ~set:(fun v p -> v.price <- Some p)
+    (fun () ->
+      match lower_plan machine pl with
+      | None -> None
+      | Some (program, sm) ->
+          let c = cost machine program in
+          let slots = sm.Codegen.Lower.total_slots in
+          (match check_against_interpreter machine ~slots program c with
+          | [] -> ()
+          | d :: _ ->
+              failwith
+                (Format.asprintf "Static_cost.reprice_conversion: %a" Diagnostics.pp d));
+          Some c)
+  |> Option.map (fun c -> Gpusim.Cost.scale c 1)
 
 let pp ppf t =
   Format.fprintf ppf "static cost %a = %.2f units@," Gpusim.Cost.pp t.total t.estimate;

@@ -22,7 +22,12 @@
     {!Gpusim.Banks}.  Only this side memoizes wavefront counts (per
     address row, normalized to the bank period); the interpreter never
     reads that memo, so the differential compares two independent
-    computations. *)
+    computations.
+
+    Beside the wavefront memo sits one per-plan verdict table: the
+    layout search's re-price ({!reprice_conversion}) and lint errors
+    ({!plan_errors}) of a conversion plan are computed once per plan,
+    machine and domain, and read on every later request. *)
 
 open Linear_layout
 
@@ -79,8 +84,37 @@ val plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> lowered option
     {!Gpusim.Isa.run} of the same program on a fresh state — the
     static≡dynamic differential, asserted per plan ([Failure] with the
     LL810 diagnostic on any divergence) — so search rankings are
-    backed by the proven pricing. *)
+    backed by the proven pricing.
+
+    The price is the plan's verdict: it is computed once per plan,
+    machine and domain, and every later call on the same plan value
+    (the one the plan caches hand out) returns a fresh copy of it
+    without lowering again — see {!plan_errors} for the table.  A
+    [Failure] is never stored, so a diverging plan raises on every
+    call. *)
 val reprice_conversion :
   Gpusim.Machine.t -> Codegen.Conversion.plan -> Gpusim.Cost.t option
+
+(** {2 Per-plan verdicts}
+
+    A per-domain ephemeron table keyed by the physical identity ([==])
+    of a plan and of a machine holds two verdicts per plan, each filled
+    on first demand: the {!reprice_conversion} price and the plan's
+    location-free error diagnostics.  An entry lives as long as its
+    plan, so it is freed once the plan caches drop the plan; a plan
+    built outside the caches is a fresh key and misses.  No lowered
+    program is stored.  Every read of a stored field counts
+    [analysis.plan_verdicts.hits], every computation
+    [analysis.plan_verdicts.misses] (when {!Obs.enabled}).
+
+    [plan_errors m plan compute] is the stored error verdict of [plan]
+    on [m], [compute ()] on the first demand.  [compute] must be a pure
+    function of the plan and the machine: the lint gate passes the
+    plan's bank, race and resource errors. *)
+val plan_errors :
+  Gpusim.Machine.t ->
+  Codegen.Conversion.plan ->
+  (unit -> Diagnostics.t list) ->
+  Diagnostics.t list
 
 val pp : Format.formatter -> t -> unit

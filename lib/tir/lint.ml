@@ -65,37 +65,42 @@ let instruction_passes machine prog =
     (Program.instrs prog);
   List.rev !diags
 
-(* Per materialized conversion: bank certification, then the race and
-   resource checks on the plan's one lowering ([None] when the plan has
-   no warp-level lowering), located at the conversion's instruction.
-   [resource] picks the full report or only its errors. *)
-let per_conversion machine (result : Pass.result) ~resource =
+(* One plan's checks: bank certification, then the race and resource
+   checks on the plan's one lowering ([None] when the plan has no
+   warp-level lowering).  [resource] picks the full report or only its
+   errors. *)
+let plan_checks machine plan ~resource =
+  let races, resource =
+    match Analysis.Static_cost.lower_plan machine plan with
+    | None -> ([], [])
+    | Some ((program, _) as low) -> (Analysis.Races.check_lowered plan program, resource low)
+  in
+  Analysis.Bank_check.conversion machine plan @ races @ resource
+
+(* Per materialized conversion: [check]'s diagnostics of its plan,
+   located at the conversion's instruction. *)
+let per_conversion (result : Pass.result) check =
   List.concat_map
     (fun (c : Pass.conversion_info) ->
       match c.Pass.plan with
       | None -> []
       | Some plan ->
-          let races, resource =
-            match Analysis.Static_cost.lower_plan machine plan with
-            | None -> ([], [])
-            | Some ((program, _) as low) ->
-                (Analysis.Races.check_lowered plan program, resource low)
-          in
-          Analysis.Bank_check.conversion machine plan @ races @ resource
-          |> List.map (Diagnostics.with_loc (Diagnostics.Tir_instr c.Pass.at)))
+          check plan |> List.map (Diagnostics.with_loc (Diagnostics.Tir_instr c.Pass.at)))
     result.Pass.conversions
 
-let conversion_passes machine result =
-  per_conversion machine result ~resource:(fun low ->
-      (Analysis.Resource_check.lowered machine low).Analysis.Resource_check.diagnostics)
-
 let passes machine prog ~result =
-  instruction_passes machine prog @ conversion_passes machine result
+  instruction_passes machine prog
+  @ per_conversion result (fun plan ->
+        plan_checks machine plan ~resource:(fun low ->
+            (Analysis.Resource_check.lowered machine low).Analysis.Resource_check.diagnostics))
 
 (* The LL4xx/LL5xx instruction lints only warn, so the errors of
    [passes] all come from the conversions, and there the resource
-   check's errors need no register dataflow. *)
-let errors machine _prog ~result =
-  per_conversion machine result ~resource:(fun (program, _) ->
-      Analysis.Resource_check.errors program)
-  |> Diagnostics.errors
+   check's errors need no register dataflow.  A plan's errors are its
+   stored verdict after the first demand. *)
+let errors machine ~result =
+  per_conversion result (fun plan ->
+      Analysis.Static_cost.plan_errors machine plan (fun () ->
+          plan_checks machine plan ~resource:(fun (program, _) ->
+              Analysis.Resource_check.errors program)
+          |> Diagnostics.errors))

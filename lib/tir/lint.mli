@@ -15,7 +15,8 @@
     - the resource checker {!Analysis.Resource_check} ([LL8xx]).
 
     Each conversion is lowered once ({!Analysis.Static_cost.lower_plan})
-    and the race and resource checks share that program.
+    and the race and resource checks share that program; {!errors}
+    reuses each plan's stored verdict instead.
 
     Diagnostics that carry no finer location are attributed to the
     conversion's instruction. *)
@@ -30,11 +31,16 @@ val instruction_passes : Gpusim.Machine.t -> Program.t -> Diagnostics.t list
     assigned (i.e. [result = Engine.run ... prog] was called on it). *)
 val passes : Gpusim.Machine.t -> Program.t -> result:Pass.result -> Diagnostics.t list
 
-(** [errors machine prog ~result] is
-    [Diagnostics.errors (passes machine prog ~result)], computed without
+(** [errors machine ~result] is
+    [Diagnostics.errors (passes machine prog ~result)] for the program
+    [prog] that [result] assigned, computed without
     the checks that only warn: the instruction lints ([LL4xx]/[LL5xx]
     have no error severity) and {!Analysis.Resource_check}'s register
     dataflow ([LL805]/[LL806]).  Every error-severity check still runs —
     bank certification, races and the resource errors — on one lowering
-    per conversion.  The layout search's lint gate uses it. *)
-val errors : Gpusim.Machine.t -> Program.t -> result:Pass.result -> Diagnostics.t list
+    per plan.  A plan's errors carry no location and depend only on the
+    plan and the machine, so they are its verdict
+    ({!Analysis.Static_cost.plan_errors}): computed once per plan per
+    domain, then read on every later call and relocated to each
+    conversion.  The layout search's lint gate uses it. *)
+val errors : Gpusim.Machine.t -> result:Pass.result -> Diagnostics.t list

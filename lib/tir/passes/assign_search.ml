@@ -186,7 +186,7 @@ let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
   let root, shortlist, explored, pruned =
     explore machine ~mode ?num_warps ?trace ~beam ~domains:params.domains prog
   in
-  let lint_errors e = List.length (Lint.errors machine e.prog ~result:e.result) in
+  let lint_errors e = List.length (Lint.errors machine ~result:e.result) in
   let baseline_lint = lazy (lint_errors root) in
   let score e = (objective machine e.result, e.model_cost) in
   let root_score = score root in

@@ -10,7 +10,12 @@
     the short-list, so the winner's objective is never above greedy's;
     a short-list candidate is additionally vetoed when it has more
     error-severity {!Lint} findings than the greedy baseline, so search
-    never trades analyzer cleanliness for cost. *)
+    never trades analyzer cleanliness for cost.
+
+    Both the re-price and the lint gate read per-plan verdicts (see
+    {!Analysis.Static_cost.plan_errors}): each conversion plan the
+    plan caches hand out is priced and checked once per domain, and a
+    repeated search over warm caches computes no check again. *)
 
 type params = { beam : int; domains : int }
 
@@ -41,7 +46,8 @@ val chooser_of_script : int list -> Strategy.t
 
 (** The search objective: planner model cost with every lowerable
     conversion re-priced by the exact static cost of its lowered
-    stream (see {!Analysis.Static_cost.reprice_conversion}). *)
+    stream (see {!Analysis.Static_cost.reprice_conversion}, which
+    computes each plan's price once). *)
 val objective : Gpusim.Machine.t -> Pass.result -> float
 
 (** [shortlist machine ~mode ?num_warps ?params prog] runs the beam

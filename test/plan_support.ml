@@ -136,3 +136,13 @@ let mechanism_pairs () =
   @ List.map (fun (src, dst) -> (grow src, grow dst)) local
   @ List.map (fun (src, _) -> (src, reverse_registers src)) local
   @ [ cross_cta ]
+
+(* [verdict_counts f] runs [f] with metrics on and returns its result
+   with the per-plan verdict hits and misses it counted
+   ({!Analysis.Static_cost.plan_errors}); shared by the search and
+   static-cost suites. *)
+let verdict_counts f =
+  let count name = Obs.Metrics.counter_value ("analysis.plan_verdicts." ^ name) in
+  let hits = count "hits" and misses = count "misses" in
+  let r = Obs.with_enabled f in
+  (r, count "hits" - hits, count "misses" - misses)

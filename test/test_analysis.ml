@@ -315,7 +315,7 @@ let test_kernels_clean () =
 
 let lint_errors_agree what machine prog result =
   let want = Diagnostics.errors (Tir.Lint.passes machine prog ~result) in
-  if Tir.Lint.errors machine prog ~result <> want then
+  if Tir.Lint.errors machine ~result <> want then
     Alcotest.failf "%s: Lint.errors differs from the errors of Lint.passes" what;
   List.length want
 

@@ -139,6 +139,79 @@ let test_check_convertible () =
   check_bool "different spaces reported" true
     (Check.errors (Check.convertible ~src:a ~dst:d) <> [])
 
+(* {1 Every LL1xx code fires}
+
+   One minimal layout per code, driven through the public checkers:
+   the exact list of (code, severity) each produces. *)
+
+let codes ds =
+  List.map
+    (fun (d : Diagnostics.t) ->
+      ( d.Diagnostics.code,
+        match d.Diagnostics.severity with Diagnostics.Error -> "error" | Warning -> "warning" ))
+    ds
+
+let check_codes what expected ds =
+  Alcotest.(check (list (pair string string))) what expected (codes ds)
+
+let err code = (code, "error")
+let warn code = (code, "warning")
+
+(* A layout from [in_dim] bits onto [dim0] of [out_bits] bits, with the
+   given column images. *)
+let columns ?(in_dim = Dims.register) ~out_bits cols =
+  Layout.make
+    ~ins:[ (in_dim, List.length cols) ]
+    ~outs:[ (Dims.dim 0, out_bits) ]
+    ~bases:[ (in_dim, List.map (fun c -> [ (Dims.dim 0, c) ]) cols) ]
+
+let test_codes_distributed () =
+  check_codes "LL101 not surjective" [ err "LL101" ]
+    (Check.distributed (columns ~out_bits:2 [ 1 ]));
+  check_codes "LL102 multi-bit column" [ err "LL102" ]
+    (Check.distributed (columns ~out_bits:2 [ 3; 2 ]));
+  let dup =
+    Layout.make
+      ~ins:[ (Dims.register, 1); (Dims.lane, 1) ]
+      ~outs:[ (Dims.dim 0, 1) ]
+      ~bases:[ (Dims.register, [ [ (Dims.dim 0, 1) ] ]); (Dims.lane, [ [ (Dims.dim 0, 1) ] ]) ]
+  in
+  check_codes "LL103 duplicated column" [ err "LL103" ] (Check.distributed dup);
+  check_codes "LL104 broadcast column" [ warn "LL104" ]
+    (Check.distributed (columns ~out_bits:1 [ 1; 0 ]))
+
+let test_codes_memory () =
+  let mem = columns ~in_dim:Dims.offset in
+  check_codes "LL110 not square" [ err "LL110" ] (Check.memory (mem ~out_bits:3 [ 1; 2 ]));
+  check_codes "LL111 not invertible" [ err "LL111" ] (Check.memory (mem ~out_bits:2 [ 1; 1 ]));
+  check_codes "LL112 zero offset column" [ err "LL111"; err "LL112" ]
+    (Check.memory (mem ~out_bits:2 [ 1; 0 ]));
+  check_codes "LL113 beyond the xor-swizzle family" [ warn "LL113" ]
+    (Check.memory (mem ~out_bits:3 [ 7; 2; 4 ]))
+
+let test_codes_convertible () =
+  let blocked ~warps shape =
+    Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:warps shape
+  in
+  let a = blocked ~warps:4 [| 32; 32 |] in
+  check_codes "LL120 different logical spaces" [ err "LL120" ]
+    (Check.convertible ~src:a ~dst:(blocked ~warps:4 [| 32; 64 |]));
+  check_codes "LL121 warp footprint" [ err "LL121" ]
+    (Check.convertible ~src:a ~dst:(blocked ~warps:2 [| 32; 32 |]));
+  (* Same CTA count, different CTA columns. *)
+  let cta cols =
+    Layout.make
+      ~ins:[ (Dims.register, 1); (Dims.block, 1) ]
+      ~outs:[ (Dims.dim 0, 2) ]
+      ~bases:
+        [
+          (Dims.register, [ [ (Dims.dim 0, fst cols) ] ]);
+          (Dims.block, [ [ (Dims.dim 0, snd cols) ] ]);
+        ]
+  in
+  check_codes "LL122 CTA columns differ" [ warn "LL122" ]
+    (Check.convertible ~src:(cta (1, 2)) ~dst:(cta (2, 1)))
+
 (* {1 Parse} *)
 
 let test_parse_roundtrip () =
@@ -195,6 +268,9 @@ let () =
           Alcotest.test_case "not surjective" `Quick test_check_not_surjective;
           Alcotest.test_case "memory layouts" `Quick test_check_memory;
           Alcotest.test_case "convertible" `Quick test_check_convertible;
+          Alcotest.test_case "LL101-LL104 fire" `Quick test_codes_distributed;
+          Alcotest.test_case "LL110-LL113 fire" `Quick test_codes_memory;
+          Alcotest.test_case "LL120-LL122 fire" `Quick test_codes_convertible;
         ] );
       ( "parse",
         [

@@ -395,6 +395,94 @@ let test_deterministic () =
         [ 2; 3; 5 ])
     [ "gemm"; "softmax"; "template_attention" ]
 
+(* {1 Per-plan verdicts}
+
+   The objective's re-price and the lint gate's errors are stored per
+   plan value ({!Analysis.Static_cost.plan_errors}): a repeated search
+   on warm caches computes none of them again and decides the same,
+   the same plan value keeps one verdict per machine, and plans planned
+   again after the plan caches are dropped are fresh keys whose
+   verdicts are computed again with the same outcome. *)
+
+(* The search-tune set-up: beam 2 on MI250. *)
+let search_mi250 kernel =
+  let k = Kernels.find kernel in
+  Assign_search.run Gpusim.Machine.mi250 ~mode:Engine.Linear
+    ~params:{ Assign_search.beam = 2; domains = 1 }
+    (k.Kernels.build ~size:(List.hd k.Kernels.sizes))
+
+let verdict_kernels = [ "addmm"; "embedding"; "cross_entropy"; "template_attention" ]
+
+let check_same_outcome what (a : Assign_search.outcome) (b : Assign_search.outcome) =
+  Alcotest.(check (list int)) (what ^ ": script") a.Assign_search.script b.Assign_search.script;
+  Alcotest.(check bool) (what ^ ": stats") true (a.Assign_search.stats = b.Assign_search.stats)
+
+let test_verdicts_warm_repeat () =
+  List.iter
+    (fun kernel ->
+      let first = search_mi250 kernel in
+      let second, hits, misses =
+        Plan_support.verdict_counts (fun () -> search_mi250 kernel)
+      in
+      Alcotest.(check int) (kernel ^ ": verdict misses on warm caches") 0 misses;
+      Alcotest.(check bool) (kernel ^ ": verdicts read") true (hits > 0);
+      check_same_outcome kernel first second)
+    verdict_kernels
+
+(* A shared-memory plan of the suite, one value priced on several
+   machines: each machine gets its own lowered static cost, on the
+   first demand and on the stored read alike.  The shipped machines
+   share one bank model, so a half-width-bank variant of GH200 makes
+   the prices differ. *)
+let test_verdicts_per_machine () =
+  let k = Kernels.find "gemm" in
+  let result =
+    Engine.run m ~mode:Engine.Linear (k.Kernels.build ~size:(List.hd k.Kernels.sizes))
+  in
+  let plan =
+    List.find_map
+      (fun (c : Engine.conversion_info) ->
+        match c.Engine.plan with
+        | Some
+            ({ Codegen.Conversion.mechanism = Codegen.Conversion.Shared_memory _; _ } as p) ->
+            Some p
+        | _ -> None)
+      result.Engine.conversions
+    |> Option.get
+  in
+  let lowered mach =
+    Analysis.Static_cost.cost mach (fst (Codegen.Lower.conversion mach plan))
+  in
+  let price mach = Option.get (Analysis.Static_cost.reprice_conversion mach plan) in
+  let narrow = { m with Gpusim.Machine.name = "GH200/16 banks"; num_banks = 16 } in
+  let machines = Gpusim.Machine.all_with_extras @ [ narrow ] in
+  let distinct = List.sort_uniq compare (List.map lowered machines) in
+  Alcotest.(check bool)
+    "the machines price the plan differently" true
+    (List.length distinct > 1);
+  for round = 1 to 2 do
+    List.iter
+      (fun (mach : Gpusim.Machine.t) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, round %d: own lowered cost" mach.Gpusim.Machine.name round)
+          true
+          (price mach = lowered mach))
+      machines
+  done
+
+let test_verdicts_after_clear () =
+  List.iter
+    (fun kernel ->
+      let before = search_mi250 kernel in
+      Codegen.Plan_cache.clear ();
+      Codegen.Shared_cache.clear ();
+      let after, _, misses =
+        Plan_support.verdict_counts (fun () -> search_mi250 kernel)
+      in
+      Alcotest.(check bool) (kernel ^ ": verdicts recomputed") true (misses > 0);
+      check_same_outcome kernel before after)
+    verdict_kernels
+
 let () =
   match Sys.getenv_opt "SEARCH_GOLDEN_REGEN" with
   | Some _ -> List.iter print_endline (all_rows ())
@@ -412,4 +500,13 @@ let () =
           ( "determinism",
             [ Alcotest.test_case "identical for any domain count" `Quick test_deterministic ]
           );
+          ( "verdicts",
+            [
+              Alcotest.test_case "warm repeat search: no misses, same outcome" `Quick
+                test_verdicts_warm_repeat;
+              Alcotest.test_case "one plan value, each machine's own price" `Quick
+                test_verdicts_per_machine;
+              Alcotest.test_case "recomputed after the plan caches are cleared" `Quick
+                test_verdicts_after_clear;
+            ] );
         ]

@@ -521,6 +521,58 @@ let test_count_classes () =
   check_int "bins" 1 c.Isa.bins;
   check_int "barriers" 1 c.Isa.barriers
 
+(* {1 Per-plan verdicts}
+
+   [reprice_conversion] stores a plan's price on first demand and reads
+   it afterwards; a raised [Failure] is never stored.  The failing plan
+   is a 32x32 shared-memory plan carrying the swizzle of a column-major
+   64x64 one: its lowered stores address past the 32x32 footprint, so pricing
+   raises the interpreter's fault. *)
+
+let shared_plan ?(order = [| 1; 0 |]) shape =
+  let blocked ~spt ~tpw ~wpc =
+    Blocked.make
+      { shape; size_per_thread = spt; threads_per_warp = tpw; warps_per_cta = wpc; order }
+  in
+  let src = blocked ~spt:[| 1; 4 |] ~tpw:[| 8; 4 |] ~wpc:[| 4; 1 |] in
+  let dst = blocked ~spt:[| 4; 1 |] ~tpw:[| 4; 8 |] ~wpc:[| 1; 4 |] in
+  let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
+  match plan.Codegen.Conversion.mechanism with
+  | Codegen.Conversion.Shared_memory sw -> (plan, sw)
+  | _ -> Alcotest.fail "expected a shared-memory plan"
+
+let test_verdict_price_stored () =
+  let plan, _ = shared_plan [| 64; 64 |] in
+  let reprice () = Static_cost.reprice_conversion m plan in
+  let first, _, misses = Plan_support.verdict_counts reprice in
+  check_int "first demand computes" 1 misses;
+  let second, hits, misses = Plan_support.verdict_counts reprice in
+  check_int "second demand reads" 1 hits;
+  check_int "second demand computes nothing" 0 misses;
+  check_bool "same price" true (first = second && first <> None);
+  (* Each caller owns its copy of the stored price. *)
+  let alu c = (Option.get c).Gpusim.Cost.alu in
+  let stored = alu second in
+  Option.iter (fun c -> c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + 1) first;
+  check_int "stored price untouched" stored (alu (reprice ()))
+
+let test_verdict_failure_not_stored () =
+  let plan, _ = shared_plan [| 32; 32 |] in
+  let _, big = shared_plan ~order:[| 0; 1 |] [| 64; 64 |] in
+  let mechanism = Codegen.Conversion.Shared_memory { big with Codegen.Swizzle_opt.vec = [] } in
+  let bad = { plan with Codegen.Conversion.mechanism } in
+  for call = 1 to 3 do
+    let raised, hits, misses =
+      Plan_support.verdict_counts (fun () ->
+          match Static_cost.reprice_conversion m bad with
+          | exception Failure _ -> true
+          | _ -> false)
+    in
+    check_bool (Printf.sprintf "call %d raises" call) true raised;
+    check_int (Printf.sprintf "call %d computes" call) 1 misses;
+    check_int (Printf.sprintf "call %d reads nothing" call) 0 hits
+  done
+
 let () =
   Alcotest.run "static_cost"
     (Shuffle_support.maybe_shuffle
@@ -560,6 +612,13 @@ let () =
              Alcotest.test_case "errors = error subset of program, fault-injected" `Quick
                test_errors_subset_fault_injected;
              QCheck_alcotest.to_alcotest prop_malformation_parity;
+           ] );
+         ( "verdicts",
+           [
+             Alcotest.test_case "price stored on first demand" `Quick
+               test_verdict_price_stored;
+             Alcotest.test_case "a raised Failure is never stored" `Quick
+               test_verdict_failure_not_stored;
            ] );
          ( "satellites",
            [

@@ -291,6 +291,31 @@ let test_certify_dropped_conversion () =
     ]
     diags
 
+(* A mutant [insert_conversions] that plans the dot's operand
+   conversions but records none of them: the requests survive to the
+   certify pass unmaterialized, one LL623 error each. *)
+let test_certify_unmaterialized_request () =
+  let st, _, d = propagated_dot () in
+  List.iter
+    (fun (module P : Pass.PASS) -> P.run st)
+    [ Passes.simplify; Passes.backward_remat; Passes.insert_conversions ];
+  let dropped = List.filter (fun (c : Pass.conversion_info) -> c.Pass.at = d) st.Pass.convs in
+  check_bool "the dot's operands were converted" true (dropped <> []);
+  st.Pass.convs <- List.filter (fun (c : Pass.conversion_info) -> c.Pass.at <> d) st.Pass.convs;
+  let (module C : Pass.PASS) = Passes.certify in
+  C.run st;
+  let fired =
+    List.map
+      (fun (g : Linear_layout.Diagnostics.t) ->
+        ( g.Linear_layout.Diagnostics.code,
+          g.Linear_layout.Diagnostics.severity = Linear_layout.Diagnostics.Error ))
+      st.Pass.diags
+  in
+  Alcotest.(check (list (pair string bool)))
+    "one LL623 error per dropped conversion"
+    (List.map (fun _ -> ("LL623", true)) dropped)
+    fired
+
 let () =
   Alcotest.run "tir"
     (Shuffle_support.maybe_shuffle
@@ -326,5 +351,7 @@ let () =
             test_certify_dropped_assignment;
           Alcotest.test_case "dropped conversion fires LL622" `Quick
             test_certify_dropped_conversion;
+          Alcotest.test_case "unmaterialized request fires LL623" `Quick
+            test_certify_unmaterialized_request;
         ] );
     ])
