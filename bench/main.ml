@@ -173,7 +173,7 @@ let bench_tests () =
     (* Figure 7: warp-shuffle planning. *)
     Test.make ~name:"figure7/shuffle-plan"
       (Staged.stage (fun () ->
-           ignore (Codegen.Shuffle.plan machine ~src:shuffle_src ~dst:shuffle_dst ~byte_width:4)));
+           ignore (Codegen.Shuffle.plan ~src:shuffle_src ~dst:shuffle_dst ~byte_width:4)));
     (* Figure 8: gather planning. *)
     Test.make ~name:"figure8/gather-plan"
       (Staged.stage (fun () -> ignore (Codegen.Gather.plan src ~axis:1)));
@@ -240,9 +240,10 @@ let bench_tests () =
     Test.make ~name:"obs/engine-gemm-obs-traced"
       (Staged.stage (fun () ->
            let trace = Obs.Trace.create ~capacity:4096 () in
-           ignore
-             (Tir.Engine.run machine ~mode:Tir.Engine.Linear ~trace
-                (gemm.Tir.Kernels.build ~size:512))));
+           Obs.Trace.with_sink trace (fun () ->
+               ignore
+                 (Tir.Engine.run machine ~mode:Tir.Engine.Linear
+                    (gemm.Tir.Kernels.build ~size:512)))));
     (* Static cost analysis vs interpretation over the same lowered
        conversion streams of the gemm pipeline (the streams are
        pre-lowered; the pair measures pricing only).  The two produce

@@ -117,7 +117,7 @@ let show kind shape spt tpw warps order bitwidth =
             masks));
   (match Check.distributed l with
   | [] -> ()
-  | issues -> Format.printf "diagnostics:@.%a@." Check.pp issues);
+  | issues -> Format.printf "diagnostics:@.%a@." Diagnostics.pp_list issues);
   match Render.grid l with
   | g ->
       print_endline "";
@@ -263,7 +263,7 @@ let engine machine kernel_name all autotune strategy beam domains passes_csv dis
     dump_after lint_after timings json metrics =
   with_metrics metrics @@ fun () ->
   let pass_list =
-    match passes_csv with
+    (match passes_csv with
     | None -> Tir.Passes.default
     | Some names ->
         List.map
@@ -272,29 +272,23 @@ let engine machine kernel_name all autotune strategy beam domains passes_csv dis
             | Some p -> p
             | None ->
                 failwith (Printf.sprintf "unknown pass %S (see `layout_tool passes')" n))
-          names
+          names)
+    |> List.filter (fun p -> not (List.mem (Tir.Passes.name p) disabled))
   in
   (* A customized pipeline may legitimately leave layouts unassigned;
      only verify the assignment when running the full default list. *)
   let custom = passes_csv <> None || disabled <> [] in
-  let dump_hook =
-    if dump_after = [] then None
+  let selected names name = List.mem "all" names || List.mem name names in
+  (* After each selected pass: the lint sweep over the mid-pipeline
+     state (per-pass analysis), then the dump of the state. *)
+  let after_pass =
+    if lint_after = [] && dump_after = [] then None
     else
       Some
         (fun name st ->
-          Format.printf "=== after %s ===@.%a@." name Tir.Pass_manager.pp_state st)
-  in
-  let dump_filter name = List.mem "all" dump_after || List.mem name dump_after in
-  (* Per-pass analysis: run the lint sweep over the mid-pipeline state
-     after each selected pass (satisfying satellite analyses that used
-     to be final-program-only). *)
-  let lint_hook =
-    if lint_after = [] then None
-    else
-      Some
-        (fun name st ->
-          if List.mem "all" lint_after || List.mem name lint_after then
-            Tir.Validate.lint_hook name st)
+          if selected lint_after name then Tir.Validate.lint_hook name st;
+          if selected dump_after name then
+            Format.printf "=== after %s ===@.%a@." name Tir.Pass_manager.pp_state st)
   in
   let reports = ref [] (* newest first *) in
   let kernels = if all then Tir.Kernels.all else [ Tir.Kernels.find kernel_name ] in
@@ -337,16 +331,12 @@ let engine machine kernel_name all autotune strategy beam domains passes_csv dis
                 Some o.Tir.Assign_search.stats )
         in
         let st = Tir.Pass.init machine ~mode ?chooser prog in
-        let config =
-          Tir.Pass_manager.config ~disabled ?dump_after:dump_hook ~dump_filter
-            ?after_pass:lint_hook pass_list
-        in
-        let report = Tir.Pass_manager.run config st in
+        let report = Tir.Pass_manager.run (Tir.Pass_manager.config ?after_pass pass_list) st in
         let r = Tir.Pass.result st in
         if lint_after <> [] && st.Tir.Pass.diags <> [] then
           Format.printf "%a@." Diagnostics.pp_list st.Tir.Pass.diags;
         (if (not custom) && mode = Tir.Engine.Linear then
-           match Diagnostics.errors (Tir.Validate.program prog) with
+           match Diagnostics.errors (Tir.Verifier.program prog) with
            | [] -> ()
            | errors -> raise (Tir.Validate.Invalid errors));
         Printf.printf "%-7s converts=%d noop=%d local_load=%d local_store=%d time=%.0f\n" name

@@ -57,7 +57,7 @@ let () =
 
   (* The legacy alternative: padded rows. *)
   let legacy = Legacy.Convert.cost machine ~src ~dst ~byte_width in
-  let linear = Codegen.Swizzle_opt.cost machine s ~src ~dst ~byte_width in
+  let linear = Codegen.Swizzle_opt.cost s ~src ~dst in
   Printf.printf "\nconversion cost: legacy(padded)=%.0f  linear(optimal)=%.0f  speedup %.2fx\n"
     (Gpusim.Cost.estimate machine legacy)
     (Gpusim.Cost.estimate machine linear)

@@ -90,7 +90,7 @@ let transpose_tile_costs machine ~tm ~tn ~byte_width =
   in
   let linear =
     let s = Codegen.Swizzle_opt.optimal machine ~src ~dst ~byte_width in
-    Codegen.Swizzle_opt.cost machine s ~src ~dst ~byte_width
+    Codegen.Swizzle_opt.cost s ~src ~dst
   in
   let legacy = Legacy.Convert.cost machine ~src ~dst ~byte_width in
   Gpusim.Cost.add linear gmem;
@@ -483,7 +483,7 @@ let figure7 () =
           blocked ~spt:[| 1; max 1 (m * n / 128 / (32 / 4)) |] ~tpw:[| 8; 4 |] [| m; n |]
         in
         let dst = lane_register_swap src ~swaps:2 in
-        match Codegen.Shuffle.plan machine ~src ~dst ~byte_width:bw with
+        match Codegen.Shuffle.plan ~src ~dst ~byte_width:bw with
         | Error _ -> None
         | Ok p ->
             let linear = est machine (Codegen.Shuffle.cost p) in
@@ -674,7 +674,7 @@ let ablation_vector_cap () =
       (fun cap ->
         let machine = { gh200 with Gpusim.Machine.max_vec_bits = cap } in
         let s = Codegen.Swizzle_opt.optimal machine ~src ~dst ~byte_width:1 in
-        let c = Codegen.Swizzle_opt.cost machine s ~src ~dst ~byte_width:1 in
+        let c = Codegen.Swizzle_opt.cost s ~src ~dst in
         (Printf.sprintf "max vector %3d bits" cap, est machine c))
       [ 8; 32; 64; 128 ]
   in

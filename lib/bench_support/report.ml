@@ -42,4 +42,3 @@ let minmax vs =
     (fun (lo, hi) v -> (Float.min lo v, Float.max hi v))
     (infinity, neg_infinity) vs
 
-let fmt_speedup v = Printf.sprintf "%.2fx" v

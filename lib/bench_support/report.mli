@@ -14,4 +14,3 @@ val section : string -> unit
 val geomean : float list -> float
 
 val minmax : float list -> float * float
-val fmt_speedup : float -> string

@@ -34,7 +34,7 @@ let plan machine ~src ~dst ~byte_width =
       if same Dims.lane && same Dims.warp && same Dims.block then Register_permute
       else if not (same Dims.block) then Global_roundtrip
       else
-        match Shuffle.plan machine ~src ~dst ~byte_width with
+        match Shuffle.plan ~src ~dst ~byte_width with
         | Ok p -> Warp_shuffle p
         | Error _ -> (
             (* Register-only broadcasting: shuffle the representatives. *)
@@ -43,7 +43,7 @@ let plan machine ~src ~dst ~byte_width =
             if Layout.equal src_c src && Layout.equal dst_c dst then
               Shared_memory (Swizzle_opt.optimal machine ~src ~dst ~byte_width)
             else
-              match Shuffle.plan machine ~src:src_c ~dst:dst_c ~byte_width with
+              match Shuffle.plan ~src:src_c ~dst:dst_c ~byte_width with
               | Ok inner -> Warp_shuffle_compressed inner
               | Error _ -> Shared_memory (Swizzle_opt.optimal machine ~src ~dst ~byte_width))
   in

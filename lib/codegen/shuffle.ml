@@ -15,7 +15,7 @@ let nonzero_cols l d = List.filter (fun c -> c <> 0) (Layout.flat_columns l d)
 let set_diff a b = List.filter (fun x -> not (List.mem x b)) a
 let set_inter a b = List.filter (fun x -> List.mem x b) a
 
-let plan machine ~src ~dst ~byte_width =
+let plan ~src ~dst ~byte_width =
   let a = Layout.flatten_outs src and b = Layout.flatten_outs dst in
   if Layout.logical_space src <> Layout.logical_space dst then
     Error "layouts cover different logical spaces"
@@ -26,7 +26,6 @@ let plan machine ~src ~dst ~byte_width =
   else if not (Layout.Memo.is_invertible a && Layout.Memo.is_invertible b) then
     Error "broadcasting layouts need the shared-memory path"
   else begin
-    ignore machine;
     let d = Layout.total_out_bits a in
     let a_reg = nonzero_cols a Dims.register and b_reg = nonzero_cols b Dims.register in
     let a_thr = nonzero_cols a Dims.lane and b_thr = nonzero_cols b Dims.lane in

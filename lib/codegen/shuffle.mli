@@ -27,10 +27,10 @@ type t = {
   shuffles_per_round : int;  (** payload split into 4-byte shuffles *)
 }
 
-(** [plan machine ~src ~dst ~byte_width] builds the shuffle plan.
+(** [plan ~src ~dst ~byte_width] builds the shuffle plan.
     [Error] when the conversion leaves the warp (warp columns differ)
     or either layout broadcasts. *)
-val plan : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> (t, string) result
+val plan : src:Layout.t -> dst:Layout.t -> byte_width:int -> (t, string) result
 
 (** Total shuffle instructions per warp. *)
 val total_shuffles : t -> int

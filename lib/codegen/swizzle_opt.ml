@@ -203,7 +203,7 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
   done;
   (!total, insts)
 
-let cost machine t ~src ~dst ~byte_width =
+let cost t ~src ~dst =
   let c = Gpusim.Cost.zero () in
   let insts dist =
     let regs = 1 lsl Layout.in_bits dist Dims.register in
@@ -216,5 +216,4 @@ let cost machine t ~src ~dst ~byte_width =
     (store_insts * t.store_wavefronts) + (load_insts * t.load_wavefronts);
   c.Gpusim.Cost.barriers <- 1;
   c.Gpusim.Cost.alu <- 2 * (store_insts + load_insts);
-  ignore (machine, byte_width);
   c

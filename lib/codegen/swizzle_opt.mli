@@ -49,4 +49,4 @@ val simulate_wavefronts :
 (** Cost of a full conversion through shared memory with this plan:
     per-warp stores + barrier + loads, each instruction costing its
     wavefronts. *)
-val cost : Gpusim.Machine.t -> t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> Gpusim.Cost.t
+val cost : t -> src:Layout.t -> dst:Layout.t -> Gpusim.Cost.t

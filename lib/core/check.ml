@@ -113,4 +113,3 @@ let convertible ~src ~dst =
   List.rev !issues
 
 let errors = Diagnostics.errors
-let pp = Diagnostics.pp_list

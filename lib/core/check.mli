@@ -31,6 +31,3 @@ val memory : Layout.t -> Diagnostics.t list
 val convertible : src:Layout.t -> dst:Layout.t -> Diagnostics.t list
 
 val errors : Diagnostics.t list -> Diagnostics.t list
-
-(** Deprecated alias for {!Diagnostics.pp_list}. *)
-val pp : Format.formatter -> Diagnostics.t list -> unit

@@ -67,10 +67,6 @@ let transpose m =
     m.cols;
   { rows = n; cols = (if m.rows = 0 then [||] else Array.sub out 0 m.rows) }
 
-let hconcat a b =
-  if a.rows <> b.rows then invalid_arg "Bitmatrix.hconcat: row mismatch";
-  { rows = a.rows; cols = Array.append a.cols b.cols }
-
 let block_diag a b =
   check_rows "block_diag" (a.rows + b.rows);
   let shifted = Array.map (fun c -> c lsl a.rows) b.cols in
@@ -214,8 +210,6 @@ let is_invertible m = is_invertible_with (factorize m)
 
 let is_identity m =
   m.rows = cols m && Array.for_all Fun.id (Array.mapi (fun j c -> c = Bitvec.unit j) m.cols)
-
-let is_zero m = Array.for_all (fun c -> c = 0) m.cols
 
 let is_permutation m =
   (* Zero columns are allowed by design: they are the broadcasting

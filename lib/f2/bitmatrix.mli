@@ -39,10 +39,6 @@ val mul : t -> t -> t
     {!Bitvec.max_bits}, since the columns become rows. *)
 val transpose : t -> t
 
-(** [hconcat a b] places the columns of [b] after those of [a];
-    requires equal row counts. *)
-val hconcat : t -> t -> t
-
 (** [block_diag a b] is [[a 0; 0 b]], the matrix of the product layout
     (Definition 4.3 of the paper).  Raises [Invalid_argument], as {!make}
     does, when [rows a + rows b] exceeds {!Bitvec.max_bits}. *)
@@ -57,7 +53,6 @@ val is_surjective : t -> bool
 val is_injective : t -> bool
 val is_invertible : t -> bool
 val is_identity : t -> bool
-val is_zero : t -> bool
 
 (** [is_permutation m] holds when every column has {e at most} one set
     bit and no two non-zero columns coincide — the shape of a

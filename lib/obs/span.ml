@@ -24,6 +24,8 @@ let exit ?(attrs = []) s =
   if s.live then
     Trace.emit { Trace.phase = Trace.End; name = s.name; ts = Clock.now (); tid = s.tid; attrs }
 
+let live s = s.live
+
 let instant ?(attrs = []) name =
   if Control.enabled () then
     Trace.emit

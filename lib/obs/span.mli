@@ -15,6 +15,11 @@ val enter : ?attrs:(string * string) list -> string -> t
     {!Export.tree_of_events}. *)
 val exit : ?attrs:(string * string) list -> t -> unit
 
+(** Whether the span records: false for the dummy {!enter} returns
+    while instrumentation is off.  Guard attribute rendering on it so a
+    disabled site builds nothing. *)
+val live : t -> bool
+
 (** A zero-duration marker event. *)
 val instant : ?attrs:(string * string) list -> string -> unit
 

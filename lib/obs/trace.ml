@@ -59,10 +59,6 @@ let install t =
   Atomic.set sink (Some t);
   Control.set_enabled true
 
-let uninstall () =
-  Atomic.set sink None;
-  Control.set_enabled false
-
 let with_sink t f =
   let prev_sink = Atomic.get sink and prev_enabled = Control.enabled () in
   Atomic.set sink (Some t);

@@ -36,9 +36,6 @@ val clear : t -> unit
 (** Install [t] as the global sink and enable instrumentation. *)
 val install : t -> unit
 
-(** Remove the sink and disable instrumentation. *)
-val uninstall : unit -> unit
-
 val current : unit -> t option
 
 (** Run [f] with [t] installed (and instrumentation enabled), restoring

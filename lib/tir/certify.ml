@@ -254,11 +254,11 @@ let status r =
   if cert_errors r <> [] then "refuted"
   else match r.mode with Pass.Legacy_mode -> "skipped" | Pass.Linear -> "proved"
 
-let run machine ~mode ?num_warps ?trace ?chooser prog =
+let run machine ~mode ?num_warps ?chooser prog =
   Obs.Span.with_ "certify"
     ~attrs:[ ("mode", match mode with Pass.Linear -> "linear" | _ -> "legacy") ]
     (fun () ->
-      let st = Pass.init machine ~mode ?num_warps ?trace ?chooser prog in
+      let st = Pass.init machine ~mode ?num_warps ?chooser prog in
       let obs = observer () in
       let (_ : Pass_manager.report) =
         Pass_manager.run

@@ -76,7 +76,6 @@ val run :
   Gpusim.Machine.t ->
   mode:Pass.mode ->
   ?num_warps:int ->
-  ?trace:Obs.Trace.t ->
   ?chooser:Strategy.t ->
   Program.t ->
   report

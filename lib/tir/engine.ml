@@ -26,14 +26,14 @@ let time machine r = Gpusim.Cost.estimate machine r.cost
 
 type strategy = Greedy | Search of Assign_search.params
 
-let run machine ~mode ?num_warps ?trace ?(strategy = Greedy) prog =
+let run machine ~mode ?num_warps ?(strategy = Greedy) prog =
   match strategy with
   | Greedy ->
-      let st = Pass.init machine ~mode ?num_warps ?trace prog in
+      let st = Pass.init machine ~mode ?num_warps prog in
       let (_ : Pass_manager.report) =
         Pass_manager.run (Pass_manager.config Passes.default) st
       in
       Pass.result st
   | Search params ->
-      (Assign_search.run machine ~mode ?num_warps ?trace ~params prog)
+      (Assign_search.run machine ~mode ?num_warps ~params prog)
         .Assign_search.result

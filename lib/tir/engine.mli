@@ -55,15 +55,13 @@ type strategy = Greedy | Search of Assign_search.params
 (** [run machine ~mode program] assigns layouts (mutating the program's
     [layout] fields; any previous assignment is reset first, so reruns
     are idempotent) and returns the accumulated statistics.
-    [num_warps] defaults to 4.  [trace], if given, is installed as the
-    observability sink for the duration of the run, collecting per-pass
-    spans and planner metrics (see {!Obs}).  [strategy] defaults to
-    [Greedy]. *)
+    [num_warps] defaults to 4.  [strategy] defaults to [Greedy].  To
+    collect per-pass spans and planner metrics, run it under
+    {!Obs.Trace.with_sink}. *)
 val run :
   Gpusim.Machine.t ->
   mode:mode ->
   ?num_warps:int ->
-  ?trace:Obs.Trace.t ->
   ?strategy:strategy ->
   Program.t ->
   result

@@ -87,12 +87,10 @@ let pipeline st =
 
 (* Beam exploration: the greedy root, the short-list to re-price (root
    excluded), and the explored/pruned counts. *)
-let explore machine ~mode ?num_warps ?trace ~beam ~domains prog =
+let explore machine ~mode ?num_warps ~beam ~domains prog =
   let eval script =
     let p = Program.copy prog in
-    let st =
-      Pass.init machine ~mode ?num_warps ?trace ~chooser:(chooser_of_script script) p
-    in
+    let st = Pass.init machine ~mode ?num_warps ~chooser:(chooser_of_script script) p in
     pipeline st;
     let r = Pass.result st in
     {
@@ -178,13 +176,13 @@ let shortlist machine ~mode ?num_warps ?(params = default_params) prog =
   in
   List.map (fun (e : entry) -> (e.script, e.prog, e.result)) (root :: shortlist)
 
-let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
+let run machine ~mode ?num_warps ?(params = default_params) prog =
   let beam = max 1 params.beam in
   let span =
     Obs.Span.enter "search/beam" ~attrs:[ ("beam", string_of_int beam) ]
   in
   let root, shortlist, explored, pruned =
-    explore machine ~mode ?num_warps ?trace ~beam ~domains:params.domains prog
+    explore machine ~mode ?num_warps ~beam ~domains:params.domains prog
   in
   let lint_errors e = List.length (Lint.errors machine ~result:e.result) in
   let baseline_lint = lazy (lint_errors root) in
@@ -203,9 +201,7 @@ let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
   (* Replay the winner on the caller's program — the {!Engine.run}
      contract is an in-place assignment — and hand its result back. *)
   let st =
-    Pass.init machine ~mode ?num_warps ?trace
-      ~chooser:(chooser_of_script winner.script)
-      prog
+    Pass.init machine ~mode ?num_warps ~chooser:(chooser_of_script winner.script) prog
   in
   pipeline st;
   let result = Pass.result st in
@@ -222,12 +218,13 @@ let run machine ~mode ?num_warps ?trace ?(params = default_params) prog =
     Obs.Metrics.incr ~by:stats.explored "engine.search.explored";
     Obs.Metrics.incr ~by:stats.pruned "engine.search.pruned"
   end;
-  Obs.Span.exit span
-    ~attrs:
-      [
-        ("explored", string_of_int stats.explored);
-        ("pruned", string_of_int stats.pruned);
-        ("greedy.cost", Printf.sprintf "%.4f" stats.greedy_cost);
-        ("winner.cost", Printf.sprintf "%.4f" stats.best_cost);
-      ];
+  if Obs.Span.live span then
+    Obs.Span.exit span
+      ~attrs:
+        [
+          ("explored", string_of_int stats.explored);
+          ("pruned", string_of_int stats.pruned);
+          ("greedy.cost", Printf.sprintf "%.4f" stats.greedy_cost);
+          ("winner.cost", Printf.sprintf "%.4f" stats.best_cost);
+        ];
   { result; script = winner.script; stats }

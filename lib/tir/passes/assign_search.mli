@@ -67,7 +67,6 @@ val run :
   Gpusim.Machine.t ->
   mode:Pass.mode ->
   ?num_warps:int ->
-  ?trace:Obs.Trace.t ->
   ?params:params ->
   Program.t ->
   outcome

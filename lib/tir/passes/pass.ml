@@ -59,8 +59,6 @@ type state = {
   machine : Gpusim.Machine.t;
   mode : mode;
   num_warps : int;
-  trace : Obs.Trace.t option;
-      (* sink the Pass_manager installs for the duration of the run *)
   chooser : Strategy.t;
       (* commits one candidate per decision site; greedy by default *)
   prog : Program.t;
@@ -89,8 +87,7 @@ end
 
 type t = (module PASS)
 
-let init machine ~mode ?(num_warps = 4) ?trace
-    ?(chooser = Assign_greedy.strategy) prog =
+let init machine ~mode ?(num_warps = 4) ?(chooser = Assign_greedy.strategy) prog =
   (* Engine reruns must be idempotent: the passes mutate the program's
      layout fields in place, so start every run from the unassigned
      state rather than whatever a previous run (possibly in the other
@@ -104,7 +101,6 @@ let init machine ~mode ?(num_warps = 4) ?trace
     machine;
     mode;
     num_warps;
-    trace;
     chooser;
     prog;
     total = Gpusim.Cost.zero ();

@@ -81,9 +81,6 @@ type state = {
   machine : Gpusim.Machine.t;
   mode : mode;
   num_warps : int;
-  trace : Obs.Trace.t option;
-      (** when set, the {!Pass_manager} installs this sink (enabling
-          spans and metrics) for the duration of the run *)
   chooser : Strategy.t;
       (** commits one candidate per layout-assignment decision site
           (see {!Strategy}); {!Assign_greedy.strategy} by default *)
@@ -121,15 +118,12 @@ type t = (module PASS)
 
 (** [init machine ~mode prog] resets the program's layout assignment
     (making engine reruns idempotent) and returns a fresh state.
-    [num_warps] defaults to 4.  [trace], if given, is installed as the
-    observability sink while the {!Pass_manager} runs this state.
-    [chooser] selects the layout-assignment strategy (greedy by
-    default). *)
+    [num_warps] defaults to 4.  [chooser] selects the layout-assignment
+    strategy (greedy by default). *)
 val init :
   Gpusim.Machine.t ->
   mode:mode ->
   ?num_warps:int ->
-  ?trace:Obs.Trace.t ->
   ?chooser:Strategy.t ->
   Program.t ->
   state

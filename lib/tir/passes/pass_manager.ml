@@ -14,91 +14,69 @@ type pass_report = {
 type report = { pass_reports : pass_report list; total_ms : float }
 type hook = string -> Pass.state -> unit
 
-type config = {
-  passes : Pass.t list;
-  disabled : string list;
-  dump_after : hook option;
-  dump_filter : string -> bool;
-  before_pass : hook option;
-  after_pass : hook option;
-}
+type config = { passes : Pass.t list; before_pass : hook option; after_pass : hook option }
 
-let config ?(disabled = []) ?dump_after ?(dump_filter = fun _ -> true) ?before_pass
-    ?after_pass passes =
-  { passes; disabled; dump_after; dump_filter; before_pass; after_pass }
+let config ?before_pass ?after_pass passes = { passes; before_pass; after_pass }
 
-let run_instrumented config (st : Pass.state) =
-  let t0 = Obs.Clock.now () in
-  let pipeline = Obs.Span.enter "pipeline" in
-  let reports =
-    List.filter_map
-      (fun ((module P : Pass.PASS) as _p) ->
-        if List.mem P.name config.disabled then None
-        else begin
-          let d0 = List.length st.Pass.diags in
-          let plan_hits0 = Codegen.Plan_cache.hits ()
-          and plan_misses0 = Codegen.Plan_cache.misses () in
-          let memo_hits0 = Layout.Memo.hits () and memo_misses0 = Layout.Memo.misses () in
-          let cost0 = Gpusim.Cost.estimate st.Pass.machine st.Pass.total in
-          Option.iter (fun hook -> hook P.name st) config.before_pass;
-          let span = Obs.Span.enter ("pass/" ^ P.name) in
-          let p0 = Obs.Clock.now () in
-          P.run st;
-          let wall_ms = 1000. *. (Obs.Clock.now () -. p0) in
-          (* The after hook runs before diagnostic attribution so that
-             anything it appends (e.g. per-pass lints or translation
-             validation refutations) is tagged with this pass's name. *)
-          Option.iter (fun hook -> hook P.name st) config.after_pass;
-          (* Attribute the diagnostics this pass appended to it. *)
-          st.Pass.diags <-
-            List.mapi
-              (fun idx d -> if idx >= d0 then Diagnostics.with_pass P.name d else d)
-              st.Pass.diags;
-          Option.iter
-            (fun hook -> if config.dump_filter P.name then hook P.name st)
-            config.dump_after;
-          let r =
-            {
-              pass = P.name;
-              wall_ms;
-              diagnostics = List.length st.Pass.diags - d0;
-              cost_delta = Gpusim.Cost.estimate st.Pass.machine st.Pass.total -. cost0;
-              plan_cache_hits = Codegen.Plan_cache.hits () - plan_hits0;
-              plan_cache_misses = Codegen.Plan_cache.misses () - plan_misses0;
-              memo_hits = Layout.Memo.hits () - memo_hits0;
-              memo_misses = Layout.Memo.misses () - memo_misses0;
-            }
-          in
-          Obs.Span.exit span
-            ~attrs:
-              [
-                ("diagnostics", string_of_int r.diagnostics);
-                ("cost_delta", Printf.sprintf "%.1f" r.cost_delta);
-                ("plan_cache.hits", string_of_int r.plan_cache_hits);
-                ("plan_cache.misses", string_of_int r.plan_cache_misses);
-                ("memo.hits", string_of_int r.memo_hits);
-                ("memo.misses", string_of_int r.memo_misses);
-              ];
-          Some r
-        end)
-      config.passes
+let run_pass config (st : Pass.state) (module P : Pass.PASS) =
+  let d0 = List.length st.Pass.diags in
+  let plan_hits0 = Codegen.Plan_cache.hits ()
+  and plan_misses0 = Codegen.Plan_cache.misses () in
+  let memo_hits0 = Layout.Memo.hits () and memo_misses0 = Layout.Memo.misses () in
+  let cost0 = Gpusim.Cost.estimate st.Pass.machine st.Pass.total in
+  (match config.before_pass with Some hook -> hook P.name st | None -> ());
+  let span = Obs.Span.enter ("pass/" ^ P.name) in
+  let p0 = Obs.Clock.now () in
+  P.run st;
+  let wall_ms = 1000. *. (Obs.Clock.now () -. p0) in
+  (* The after hook runs before diagnostic attribution so that anything
+     it appends (e.g. per-pass lints or translation validation
+     refutations) is tagged with this pass's name. *)
+  (match config.after_pass with Some hook -> hook P.name st | None -> ());
+  let diagnostics = List.length st.Pass.diags - d0 in
+  if diagnostics > 0 then
+    st.Pass.diags <-
+      List.mapi
+        (fun idx d -> if idx >= d0 then Diagnostics.with_pass P.name d else d)
+        st.Pass.diags;
+  let r =
+    {
+      pass = P.name;
+      wall_ms;
+      diagnostics;
+      cost_delta = Gpusim.Cost.estimate st.Pass.machine st.Pass.total -. cost0;
+      plan_cache_hits = Codegen.Plan_cache.hits () - plan_hits0;
+      plan_cache_misses = Codegen.Plan_cache.misses () - plan_misses0;
+      memo_hits = Layout.Memo.hits () - memo_hits0;
+      memo_misses = Layout.Memo.misses () - memo_misses0;
+    }
   in
-  Obs.Span.exit pipeline
-    ~attrs:
-      [
-        ("passes", string_of_int (List.length reports));
-        ("strategy", st.Pass.chooser.Strategy.name);
-        ("decisions", string_of_int (List.length st.Pass.decisions));
-      ];
-  { pass_reports = reports; total_ms = 1000. *. (Obs.Clock.now () -. t0) }
+  if Obs.Span.live span then
+    Obs.Span.exit span
+      ~attrs:
+        [
+          ("diagnostics", string_of_int r.diagnostics);
+          ("cost_delta", Printf.sprintf "%.1f" r.cost_delta);
+          ("plan_cache.hits", string_of_int r.plan_cache_hits);
+          ("plan_cache.misses", string_of_int r.plan_cache_misses);
+          ("memo.hits", string_of_int r.memo_hits);
+          ("memo.misses", string_of_int r.memo_misses);
+        ];
+  r
 
 let run config (st : Pass.state) =
-  match st.Pass.trace with
-  | None -> run_instrumented config st
-  | Some sink ->
-      (* The caller asked for a trace of this run specifically: install
-         its sink (enabling instrumentation) for the duration. *)
-      Obs.Trace.with_sink sink (fun () -> run_instrumented config st)
+  let t0 = Obs.Clock.now () in
+  let pipeline = Obs.Span.enter "pipeline" in
+  let reports = List.map (run_pass config st) config.passes in
+  if Obs.Span.live pipeline then
+    Obs.Span.exit pipeline
+      ~attrs:
+        [
+          ("passes", string_of_int (List.length reports));
+          ("strategy", st.Pass.chooser.Strategy.name);
+          ("decisions", string_of_int (List.length st.Pass.decisions));
+        ];
+  { pass_reports = reports; total_ms = 1000. *. (Obs.Clock.now () -. t0) }
 
 (* {1 Reporting} *)
 

@@ -1,9 +1,13 @@
-(** The pipeline driver: runs a configured pass list over a
-    {!Pass.state} with per-pass instrumentation — wall-clock timing,
-    diagnostic attribution (each diagnostic a pass emits is tagged with
-    the pass name), {!Codegen.Plan_cache} and
-    {!Linear_layout.Layout.Memo} hit/miss deltas, and an optional
-    dump-after-pass hook. *)
+(** The pipeline driver: runs a pass list over a {!Pass.state} with
+    per-pass instrumentation — wall-clock timing, diagnostic
+    attribution (each diagnostic a pass emits is tagged with the pass
+    name), {!Codegen.Plan_cache} and {!Linear_layout.Layout.Memo}
+    hit/miss deltas — and two hooks around every pass.
+
+    Selecting passes is list surgery on the caller's side (filter,
+    reorder, substitute {!Passes.find} results); dumping or linting
+    after a pass is an [after_pass] hook; tracing a run is wrapping it
+    in {!Obs.Trace.with_sink}. *)
 
 type pass_report = {
   pass : string;
@@ -21,34 +25,26 @@ type pass_report = {
 type report = { pass_reports : pass_report list; total_ms : float }
 
 type hook = string -> Pass.state -> unit
-(** Called as [hook pass_name state] after each (enabled, filtered)
-    pass finishes. *)
+(** Called as [hook pass_name state]. *)
 
 type config = {
   passes : Pass.t list;
-  disabled : string list;  (** pass names to skip *)
-  dump_after : hook option;
-  dump_filter : string -> bool;  (** which passes trigger the hook *)
   before_pass : hook option;
-      (** called before every enabled pass runs (unfiltered) — e.g. the
-          {!Certify} observer snapshotting the pre-pass assignment *)
+      (** called before every pass runs — e.g. the {!Certify} observer
+          snapshotting the pre-pass assignment *)
   after_pass : hook option;
-      (** called after every enabled pass, {e before} diagnostic
-          attribution, so appended diagnostics are tagged with the pass;
-          used for per-pass analysis (lints at any dump-after point,
-          translation validation) *)
+      (** called after every pass, {e before} diagnostic attribution,
+          so appended diagnostics are tagged with the pass; used for
+          per-pass analysis (lints, translation validation) and dumps *)
 }
 
-val config :
-  ?disabled:string list ->
-  ?dump_after:hook ->
-  ?dump_filter:(string -> bool) ->
-  ?before_pass:hook ->
-  ?after_pass:hook ->
-  Pass.t list ->
-  config
+val config : ?before_pass:hook -> ?after_pass:hook -> Pass.t list -> config
 
-(** Run the enabled passes in list order, instrumenting each. *)
+(** Run the passes in list order, instrumenting each.  While a trace
+    sink is installed, the run is a ["pipeline"] span with one
+    ["pass/<name>"] child per pass, whose attributes are rendered from
+    that pass's {!pass_report}; with tracing off no attribute is
+    built. *)
 val run : config -> Pass.state -> report
 
 val pp_report : Format.formatter -> report -> unit

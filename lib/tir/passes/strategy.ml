@@ -54,12 +54,6 @@ let arity = function
   | Elementwise_tie t -> List.length t.tie_choices
   | Remat_or_convert _ | Store_direct_or_anchor _ -> 2
 
-let site_at = function
-  | Anchor a -> a.anchor_at
-  | Elementwise_tie t -> t.tie_at
-  | Remat_or_convert r -> r.remat_site_at
-  | Store_direct_or_anchor s -> s.store_site_at
-
 (* A strategy observes one site at a time, in pipeline order, and
    commits a candidate index in [0, arity site).  It may keep private
    state across sites of one run (the replay chooser does), so a fresh

@@ -54,8 +54,6 @@ type site =
 (** Number of candidates at the site (forces anchor alternatives). *)
 val arity : site -> int
 
-val site_at : site -> Program.id
-
 (** A strategy commits a candidate index in [\[0, arity site)] for each
     site, observed in pipeline order.  It may keep private state across
     the sites of one run, so build a fresh value per engine run. *)

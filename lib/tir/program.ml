@@ -148,11 +148,6 @@ let scan t src ~axis ~reverse =
   if axis < 0 || axis >= Array.length s.shape then invalid_arg "Program.scan: bad axis";
   add t (Scan { src; axis; reverse }) ~shape:s.shape ~dtype:s.dtype
 
-let count t pred =
-  let n = ref 0 in
-  Array.iter (fun i -> if pred i.node then incr n) (instrs t);
-  !n
-
 let node_name = function
   | Load { name } -> "load:" ^ name
   | Iota { axis } -> Printf.sprintf "iota[%d]" axis

@@ -69,7 +69,4 @@ val join : t -> a:id -> b:id -> id
 val split : t -> id -> half:int -> id
 val scan : t -> id -> axis:int -> reverse:bool -> id
 
-(** Counts of IR ops by category, for the Table 6 style statistics. *)
-val count : t -> (node -> bool) -> int
-
 val pp : Format.formatter -> t -> unit

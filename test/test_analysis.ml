@@ -378,10 +378,19 @@ let test_lint_errors_shortlist () =
     (!entries > List.length Tir.Kernels.all);
   check_bool "some candidates trip the gate" true (!errors > 0)
 
-let test_run_and_validate_analyze () =
+(* The pipeline under the pass certificates, then the verifier, the
+   lint sweep and plan certification over its assignment: no
+   error-severity diagnostic from either. *)
+let test_certify_and_analyze () =
   let k = Tir.Kernels.find "softmax" in
   let prog = k.Tir.Kernels.build ~size:(List.hd k.Tir.Kernels.sizes) in
-  ignore (Tir.Validate.run_and_validate m ~mode:Tir.Engine.Linear ~analyze:true prog)
+  let rep = Tir.Certify.run m ~mode:Tir.Engine.Linear prog in
+  Alcotest.(check (list string)) "no certificate errors" []
+    (List.map (fun (d : Diagnostics.t) -> d.Diagnostics.code) (Diagnostics.errors rep.Tir.Certify.diags));
+  Alcotest.(check (list string)) "no analysis errors" []
+    (List.map
+       (fun (d : Diagnostics.t) -> d.Diagnostics.code)
+       (Diagnostics.errors (Tir.Validate.analyze m prog ~result:rep.Tir.Certify.result)))
 
 let test_validate_codes () =
   (* A corrupted transpose assignment gets the dedicated code and the
@@ -392,7 +401,7 @@ let test_validate_codes () =
   ignore (Tir.Program.store p t);
   ignore (Tir.Engine.run m ~mode:Tir.Engine.Linear p);
   (Tir.Program.instr p t).Tir.Program.layout <- (Tir.Program.instr p x).Tir.Program.layout;
-  let ds = Tir.Validate.program p in
+  let ds = Tir.Verifier.program p in
   check_bool "corrupted transpose -> LL605" true (has_code "LL605" ds);
   let rendered = Printexc.to_string (Tir.Validate.Invalid ds) in
   check_bool "rendered exception carries the code" true (contains rendered "LL605");
@@ -445,9 +454,9 @@ let verifier_fires code ~build ~corrupt () =
   let at = build p x in
   ignore (Tir.Program.store p at);
   ignore (Tir.Engine.run m ~mode:Tir.Engine.Linear p);
-  check_bool "the engine's assignment verifies" true (Tir.Validate.program p = []);
+  check_bool "the engine's assignment verifies" true (Tir.Verifier.program p = []);
   corrupt p x at;
-  check_bool (code ^ " at the corrupted instruction") true (fires_at code at (Tir.Validate.program p))
+  check_bool (code ^ " at the corrupted instruction") true (fires_at code at (Tir.Verifier.program p))
 
 let exp_of p x = Tir.Program.elementwise p ~name:"exp" [ x ]
 
@@ -634,7 +643,7 @@ let () =
       ( "tir",
         [
           Alcotest.test_case "all kernels clean" `Quick test_kernels_clean;
-          Alcotest.test_case "run_and_validate ~analyze" `Quick test_run_and_validate_analyze;
+          Alcotest.test_case "certify + analyze clean" `Quick test_certify_and_analyze;
           Alcotest.test_case "validate codes" `Quick test_validate_codes;
           Alcotest.test_case "no layout fires LL601" `Quick test_ll601;
           Alcotest.test_case "wrong shape fires LL602" `Quick test_ll602;

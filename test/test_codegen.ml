@@ -99,7 +99,7 @@ let test_shuffle_small () =
           (Dims.lane, [ [ (Dims.dim 0, 1) ]; [ (Dims.dim 0, 2) ] ]);
         ]
     in
-  let p = unwrap (Codegen.Shuffle.plan m ~src ~dst ~byte_width:4) in
+  let p = unwrap (Codegen.Shuffle.plan ~src ~dst ~byte_width:4) in
   check_bool "rounds is a power of two" true (p.Codegen.Shuffle.rounds > 0);
   let d = Gpusim.Dist.init src ~f:(fun i -> 100 + i) in
   let d' = run_shuffle p d in
@@ -110,7 +110,7 @@ let test_shuffle_mma_to_blocked () =
   (* Convert an mma accumulator to a blocked layout within one warp. *)
   let src = Mma.output ~bitwidth:32 ~warps:[| 1; 1 |] ~shape:[| 16; 16 |] () in
   let dst = blocked ~spt:[| 1; 8 |] ~tpw:[| 16; 2 |] [| 16; 16 |] in
-  let p = unwrap (Codegen.Shuffle.plan m ~src ~dst ~byte_width:4) in
+  let p = unwrap (Codegen.Shuffle.plan ~src ~dst ~byte_width:4) in
   let d = Gpusim.Dist.init src ~f:(fun i -> i * 3) in
   let d' = run_shuffle p d in
   check_bool "converted" true (Gpusim.Dist.consistent_with d' ~f:(fun i -> i * 3));
@@ -119,13 +119,13 @@ let test_shuffle_mma_to_blocked () =
 let test_shuffle_rejects_cross_warp () =
   let src = blocked ~warps:[| 2; 1 |] ~spt:[| 2; 2 |] ~tpw:[| 4; 8 |] [| 16; 16 |] in
   let dst = blocked ~warps:[| 1; 2 |] ~spt:[| 2; 2 |] ~tpw:[| 4; 8 |] [| 16; 16 |] in
-  match Codegen.Shuffle.plan m ~src ~dst ~byte_width:4 with
+  match Codegen.Shuffle.plan ~src ~dst ~byte_width:4 with
   | Ok _ -> Alcotest.fail "cross-warp conversion must be rejected"
   | Error _ -> ()
 
 let test_shuffle_identity_is_trivial () =
   let l = blocked ~spt:[| 2; 2 |] ~tpw:[| 4; 8 |] [| 16; 16 |] in
-  let p = unwrap (Codegen.Shuffle.plan m ~src:l ~dst:l ~byte_width:4) in
+  let p = unwrap (Codegen.Shuffle.plan ~src:l ~dst:l ~byte_width:4) in
   (* All thread bits are common: G is empty, and the vectorized common
      registers keep rounds low. *)
   check_int "no exchanges needed" 0 (List.length p.Codegen.Shuffle.g)
@@ -139,7 +139,7 @@ let transposed_shapes () =
 
 let test_shuffle_rejects_other_shape () =
   let src, dst = transposed_shapes () in
-  match Codegen.Shuffle.plan m ~src ~dst ~byte_width:4 with
+  match Codegen.Shuffle.plan ~src ~dst ~byte_width:4 with
   | Ok _ -> Alcotest.fail "an 8x4 to 4x8 conversion must be rejected"
   | Error e -> Alcotest.(check string) "reason" "layouts cover different logical spaces" e
 
@@ -375,7 +375,7 @@ let arb_layout_pair_same_warp =
 let prop_shuffle_moves_data =
   QCheck.Test.make ~name:"shuffle plans move every element correctly" ~count:100
     arb_layout_pair_same_warp (fun (src, dst) ->
-      match Codegen.Shuffle.plan m ~src ~dst ~byte_width:4 with
+      match Codegen.Shuffle.plan ~src ~dst ~byte_width:4 with
       | Error _ -> QCheck.assume_fail ()
       | Ok p ->
           let d = Gpusim.Dist.init src ~f:(fun i -> i lxor 0x55) in

@@ -103,7 +103,7 @@ let prop_layouts_valid =
   QCheck.Test.make ~name:"the verifier accepts every random assignment" ~count:100 arb_program
     (fun p ->
       ignore (Engine.run m ~mode:Engine.Linear p);
-      Validate.program p = [])
+      Verifier.program p = [])
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in

@@ -114,7 +114,7 @@ let test_shuffle_rejects_cross_cta () =
       (Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:4 [| 128; 32 |])
       ~blocks:[| 1; 2 |] ~shape:[| 128; 64 |]
   in
-  match Codegen.Shuffle.plan m ~src:a ~dst:b ~byte_width:4 with
+  match Codegen.Shuffle.plan ~src:a ~dst:b ~byte_width:4 with
   | Ok _ -> Alcotest.fail "shuffles cannot cross CTAs"
   | Error _ -> ()
 

@@ -88,7 +88,7 @@ let test_legacy_never_beats_optimal_swizzle () =
       let legacy_cost = Gpusim.Cost.estimate m (Legacy.Convert.cost m ~src ~dst ~byte_width:1) in
       let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width:1 in
       let linear_cost =
-        Gpusim.Cost.estimate m (Codegen.Swizzle_opt.cost m s ~src ~dst ~byte_width:1)
+        Gpusim.Cost.estimate m (Codegen.Swizzle_opt.cost s ~src ~dst)
       in
       check_bool
         (Printf.sprintf "optimal (%f) <= legacy (%f)" linear_cost legacy_cost)

@@ -261,7 +261,7 @@ let test_lower_shuffle_two_payloads_per_lane () =
         ]
   in
   let p =
-    match Codegen.Shuffle.plan m ~src ~dst ~byte_width:4 with
+    match Codegen.Shuffle.plan ~src ~dst ~byte_width:4 with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in

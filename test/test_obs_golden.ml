@@ -53,7 +53,7 @@ let trace_kernel (k : Tir.Kernels.kernel) =
   let t = Obs.Trace.create () in
   let prog = k.Tir.Kernels.build ~size:(List.hd k.Tir.Kernels.sizes) in
   let (_ : Tir.Engine.result) =
-    Tir.Engine.run machine ~mode:Tir.Engine.Linear ~trace:t prog
+    Obs.Trace.with_sink t (fun () -> Tir.Engine.run machine ~mode:Tir.Engine.Linear prog)
   in
   t
 

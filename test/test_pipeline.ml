@@ -1,6 +1,7 @@
-(* The pass pipeline itself: manager ordering/disabling/dump hooks,
-   per-pass diagnostic attribution, simplify's cost-invariance, and
-   engine rerun idempotency. *)
+(* The pass pipeline itself: manager ordering, pass selection by list
+   filtering, the after-pass hook, per-pass diagnostic attribution,
+   span attributes built only while tracing, simplify's
+   cost-invariance, and engine rerun idempotency. *)
 
 open Tir
 
@@ -21,12 +22,13 @@ let fake name =
       st.Pass.unsupported <- name :: st.Pass.unsupported
   end : Pass.PASS)
 
-let manager_config ?disabled ?dump_after ?dump_filter passes =
-  Pass_manager.config ?disabled ?dump_after ?dump_filter passes
+(* The pass list without the named passes: how a caller disables one. *)
+let without names passes =
+  List.filter (fun p -> not (List.mem (Passes.name p) names)) passes
 
 let test_ordering () =
   let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
-  let report = Pass_manager.run (manager_config [ fake "p1"; fake "p2"; fake "p3" ]) st in
+  let report = Pass_manager.run (Pass_manager.config [ fake "p1"; fake "p2"; fake "p3" ]) st in
   Alcotest.(check (list string))
     "effects in list order" [ "p1"; "p2"; "p3" ]
     (Pass.result st).Pass.unsupported;
@@ -38,7 +40,7 @@ let test_disabled () =
   let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
   let report =
     Pass_manager.run
-      (manager_config ~disabled:[ "p2" ] [ fake "p1"; fake "p2"; fake "p3" ])
+      (Pass_manager.config (without [ "p2" ] [ fake "p1"; fake "p2"; fake "p3" ]))
       st
   in
   Alcotest.(check (list string))
@@ -52,19 +54,15 @@ let test_dump_hook () =
   let fired = ref [] in
   let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
   let hook name _st = fired := name :: !fired in
-  ignore (Pass_manager.run (manager_config ~dump_after:hook Passes.default) st);
+  ignore (Pass_manager.run (Pass_manager.config ~after_pass:hook Passes.default) st);
   Alcotest.(check (list string))
     "hook fires once per pass, in order"
     (List.map Passes.name Passes.default)
     (List.rev !fired);
   fired := [];
   let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
-  ignore
-    (Pass_manager.run
-       (manager_config ~dump_after:hook
-          ~dump_filter:(fun n -> n = "lower")
-          Passes.default)
-       st);
+  let filtered name st = if name = "lower" then hook name st in
+  ignore (Pass_manager.run (Pass_manager.config ~after_pass:filtered Passes.default) st);
   Alcotest.(check (list string)) "filter restricts the hook" [ "lower" ] !fired
 
 let test_diag_pass_names () =
@@ -77,7 +75,7 @@ let test_diag_pass_names () =
     end : Pass.PASS)
   in
   let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
-  ignore (Pass_manager.run (manager_config [ warner ]) st);
+  ignore (Pass_manager.run (Pass_manager.config [ warner ]) st);
   Alcotest.(check (list (option string)))
     "synthetic diagnostic tagged" [ Some "warner" ]
     (List.map (fun (d : Linear_layout.Diagnostics.t) -> d.Linear_layout.Diagnostics.pass) st.Pass.diags);
@@ -85,7 +83,7 @@ let test_diag_pass_names () =
      reports that, and the manager attributes the diagnostic to it. *)
   let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
   ignore
-    (Pass_manager.run (manager_config ~disabled:[ "backward_remat" ] Passes.default) st);
+    (Pass_manager.run (Pass_manager.config (without [ "backward_remat" ] Passes.default)) st);
   Alcotest.(check bool) "lower warned about the unplanned store" true (st.Pass.diags <> []);
   List.iter
     (fun (d : Linear_layout.Diagnostics.t) ->
@@ -98,12 +96,75 @@ let test_diag_pass_names () =
   let st =
     Pass.init m ~mode:Engine.Linear (k.Kernels.build ~size:(List.hd k.Kernels.sizes))
   in
-  ignore (Pass_manager.run (manager_config Passes.all) st);
+  ignore (Pass_manager.run (Pass_manager.config Passes.all) st);
   List.iter
     (fun (d : Linear_layout.Diagnostics.t) ->
       Alcotest.(check (option string)) "analyze diagnostics tagged" (Some "analyze")
         d.Linear_layout.Diagnostics.pass)
     st.Pass.diags
+
+(* {1 Span attributes}
+
+   A pass span's attributes are rendered from its [pass_report], and only
+   while a trace sink is installed: with tracing off, the per-pass cost
+   of the driver is its report and bookkeeping, with no attribute
+   strings or lists. *)
+
+let noop name =
+  (module struct
+    let name = name
+    let description = "does nothing"
+    let run (_ : Pass.state) = ()
+  end : Pass.PASS)
+
+(* Minor words the driver allocates per added no-op pass, tracing off:
+   the difference between a 32-pass and a 16-pass run of a warm
+   pipeline, over the 16 added passes. *)
+let words_per_pass () =
+  let run n =
+    let config = Pass_manager.config (List.init n (fun i -> noop (Printf.sprintf "noop%02d" i))) in
+    let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
+    ignore (Pass_manager.run config st);
+    let w0 = Gc.minor_words () in
+    ignore (Pass_manager.run config st);
+    Gc.minor_words () -. w0
+  in
+  (run 32 -. run 16) /. 16.
+
+let test_untraced_builds_no_attrs () =
+  Alcotest.(check bool) "tracing is off" false (Obs.enabled ());
+  let w = words_per_pass () in
+  (* The driver's own bookkeeping (report record, boxed floats, span
+     name, list cell) is under 30 words a pass; rendering the six
+     attributes (strings, pairs, list cells and a Printf) adds about
+     110 more, so the bound sits between the two. *)
+  if w > 60. then Alcotest.failf "%.1f minor words per untraced pass (bound 60)" w
+
+let test_traced_attr_keys () =
+  let t = Obs.Trace.create () in
+  let st = Pass.init m ~mode:Engine.Linear (tiny_program ()) in
+  Obs.Trace.with_sink t (fun () ->
+      ignore (Pass_manager.run (Pass_manager.config Passes.default) st));
+  let ends prefix =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+        e.Obs.Trace.phase = Obs.Trace.End && String.starts_with ~prefix e.Obs.Trace.name)
+      (Obs.Trace.events t)
+  in
+  let keys (e : Obs.Trace.event) = List.map fst e.Obs.Trace.attrs in
+  let passes = ends "pass/" in
+  Alcotest.(check (list string)) "one span per pass"
+    (List.map (fun p -> "pass/" ^ Passes.name p) Passes.default)
+    (List.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.name) passes);
+  List.iter
+    (fun e ->
+      Alcotest.(check (list string)) "pass span attribute keys"
+        [ "diagnostics"; "cost_delta"; "plan_cache.hits"; "plan_cache.misses"; "memo.hits"; "memo.misses" ]
+        (keys e))
+    passes;
+  Alcotest.(check (list (list string))) "pipeline span attribute keys"
+    [ [ "passes"; "strategy"; "decisions" ] ]
+    (List.map keys (ends "pipeline"))
 
 (* A compact version of test_engine_fuzz's program generator: random
    2-D f32 op DAGs. *)
@@ -165,13 +226,13 @@ let prop_simplify_cost_invariant =
     arb_program (fun p ->
       let with_simplify =
         let st = Pass.init m ~mode:Engine.Linear p in
-        ignore (Pass_manager.run (manager_config Passes.default) st);
+        ignore (Pass_manager.run (Pass_manager.config Passes.default) st);
         (Pass.result st).Pass.cost
       in
       let without_simplify =
         let st = Pass.init m ~mode:Engine.Linear p in
         ignore
-          (Pass_manager.run (manager_config ~disabled:[ "simplify" ] Passes.default) st);
+          (Pass_manager.run (Pass_manager.config (without [ "simplify" ] Passes.default)) st);
         (Pass.result st).Pass.cost
       in
       cost_sig with_simplify = cost_sig without_simplify)
@@ -221,6 +282,10 @@ let () =
           Alcotest.test_case "dump-after hook" `Quick test_dump_hook;
           Alcotest.test_case "diagnostics carry pass names" `Quick test_diag_pass_names;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "untraced run builds no span attributes" `Quick
+            test_untraced_builds_no_attrs;
+          Alcotest.test_case "traced pass spans keep their attribute keys" `Quick
+            test_traced_attr_keys;
         ] );
       ("simplify", q [ prop_simplify_cost_invariant ]);
       ( "idempotency",
