@@ -193,19 +193,6 @@ let bench_tests () =
            ignore
              (Tir.Engine.run machine ~mode:Tir.Engine.Legacy_mode
                 (gemm.Tir.Kernels.build ~size:512))));
-    (* Same engine run driven through the pass manager with per-pass
-       instrumentation — measures the pipeline's bookkeeping overhead
-       relative to engine-gemm-linear-warm. *)
-    Test.make ~name:"figure9/engine-gemm-pipeline-instrumented"
-      (Staged.stage (fun () ->
-           let st =
-             Tir.Pass.init machine ~mode:Tir.Engine.Linear
-               (gemm.Tir.Kernels.build ~size:512)
-           in
-           let (_ : Tir.Pass_manager.report) =
-             Tir.Pass_manager.run (Tir.Pass_manager.config Tir.Passes.default) st
-           in
-           ignore (Tir.Pass.result st)));
     (* Translation-validation overhead: the same warm engine run under
        full certification (per-pass snapshot/diff + symbolic plan
        certificates), paired against engine-gemm-linear-warm to pin the
@@ -215,28 +202,21 @@ let bench_tests () =
            ignore
              (Tir.Certify.run machine ~mode:Tir.Engine.Linear
                 (gemm.Tir.Kernels.build ~size:512))));
-    (* Layout-assignment strategy overhead: the greedy walk vs beam
-       search (beam 2, single domain) on the same kernel — the price of
-       exploring the decision tree and re-pricing the short-list,
-       relative to committing every choice locally. *)
-    Test.make ~name:"search-vs-greedy-gemm/greedy"
-      (Staged.stage (fun () ->
-           ignore
-             (Tir.Engine.run machine ~mode:Tir.Engine.Linear (gemm.Tir.Kernels.build ~size:512))));
+    (* Layout-assignment strategy overhead: beam search (beam 2, single
+       domain) on the gemm, paired against engine-gemm-linear-warm (the
+       greedy walk) — the price of exploring the decision tree and
+       re-pricing the short-list, relative to committing every choice
+       locally. *)
     Test.make ~name:"search-vs-greedy-gemm/search"
       (Staged.stage (fun () ->
            ignore
              (Tir.Engine.run machine ~mode:Tir.Engine.Linear
                 ~strategy:(Tir.Engine.Search { Tir.Assign_search.beam = 2; domains = 1 })
                 (gemm.Tir.Kernels.build ~size:512))));
-    (* Observability overhead: the same warm engine run with
+    (* Observability overhead: the warm engine run with a live trace
+       sink, paired against engine-gemm-linear-warm, which runs with
        instrumentation disabled (the default — every obs site must cost
-       one load and a branch) and with a live trace sink.  The disabled
-       variant should be within noise of engine-gemm-linear-warm. *)
-    Test.make ~name:"obs/engine-gemm-obs-disabled"
-      (Staged.stage (fun () ->
-           ignore
-             (Tir.Engine.run machine ~mode:Tir.Engine.Linear (gemm.Tir.Kernels.build ~size:512))));
+       one load and a branch). *)
     Test.make ~name:"obs/engine-gemm-obs-traced"
       (Staged.stage (fun () ->
            let trace = Obs.Trace.create ~capacity:4096 () in

@@ -5,7 +5,7 @@
      convert  - plan a conversion between two layouts
      swizzle  - compute the optimal shared-memory swizzle for a pair
      engine   - run the layout-engine pass pipeline on a built-in kernel
-     passes   - list the registered engine passes
+     passes   - list the engine passes
      lint     - run the static analyzers over an assignment
 
    Examples:
@@ -502,17 +502,13 @@ let trace_cmd =
 (* {1 passes} *)
 
 let passes () =
-  let default_names = List.map Tir.Passes.name Tir.Passes.default in
   List.iter
-    (fun p ->
-      let name = Tir.Passes.name p in
-      Printf.printf "%-18s %s%s\n" name (Tir.Passes.description p)
-        (if List.mem name default_names then "" else "  [opt-in: not in the default pipeline]"))
-    Tir.Passes.all
+    (fun p -> Printf.printf "%-18s %s\n" (Tir.Passes.name p) (Tir.Passes.description p))
+    Tir.Passes.default
 
 let passes_cmd =
   Cmd.v
-    (Cmd.info "passes" ~doc:"List the registered layout-engine passes in pipeline order.")
+    (Cmd.info "passes" ~doc:"List the layout-engine passes in pipeline order.")
     Term.(const passes $ const ())
 
 (* {1 lint} *)
@@ -532,10 +528,7 @@ let lint machine kernel_name all conv shape src_kind dst_kind spt tpw warps orde
      let ds =
        if Diagnostics.has_errors ds then ds
        else
-         let plan = Codegen.Conversion.plan machine ~src ~dst ~byte_width in
-         ds
-         @ Analysis.Bank_check.conversion machine plan
-         @ Analysis.Races.check_plan machine plan
+         ds @ Tir.Lint.plan machine (Codegen.Conversion.plan machine ~src ~dst ~byte_width)
      in
      record (Printf.sprintf "%s -> %s" src_kind dst_kind) ds)
    else
@@ -581,9 +574,9 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Run the static analyzers (races, bank certification, coalescing, broadcast \
-          redundancy) over a kernel's layout assignment or a single conversion; exits 1 on \
-          any error-severity diagnostic.")
+         "Run the static analyzers (races, bank certification, resources, coalescing, \
+          broadcast redundancy) over a kernel's layout assignment or a single conversion; \
+          exits 1 on any error-severity diagnostic.")
     Term.(
       const lint $ machine_arg $ kernel_arg $ all_arg $ conv_arg $ shape_arg
       $ kind_arg "src" "blocked" $ kind_arg "dst" "mma" $ spt_arg $ tpw_arg $ warps_arg
@@ -804,25 +797,17 @@ let cost machine kernel_name all attribution json metrics =
                     | None -> ()
                     | Some plan -> (
                         incr plans;
-                        match Analysis.Static_cost.plan m plan with
+                        match Analysis.Static_cost.lower_plan m plan with
                         | None -> ()
-                        | Some low ->
+                        | Some ((program, _) as low) ->
                             incr lowered;
-                            let a = low.Analysis.Static_cost.analysis in
+                            let a = Analysis.Static_cost.analyze m program in
                             static_units :=
                               !static_units +. a.Analysis.Static_cost.estimate;
                             model_units :=
                               !model_units
                               +. Gpusim.Cost.estimate m c.Tir.Engine.conv_cost;
-                            let sm = low.Analysis.Static_cost.slots in
-                            let rep =
-                              Analysis.Resource_check.program m
-                                ~live_in:(List.init sm.Codegen.Lower.src_regs Fun.id)
-                                ~live_out:
-                                  (List.init sm.Codegen.Lower.dst_regs (fun i ->
-                                       sm.Codegen.Lower.dst_base + i))
-                                low.Analysis.Static_cost.program
-                            in
+                            let rep = Analysis.Resource_check.lowered m low in
                             footprint :=
                               max !footprint rep.Analysis.Resource_check.footprint_bytes;
                             peak := max !peak rep.Analysis.Resource_check.peak_live_slots;

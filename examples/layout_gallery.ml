@@ -13,7 +13,7 @@ let show title layout =
   | g -> print_string g
   | exception Invalid_argument _ -> print_endline "(too large to render)");
   let issues = Check.distributed layout in
-  if Check.errors issues <> [] then Format.printf "%a@." Diagnostics.pp_list issues
+  if Diagnostics.errors issues <> [] then Format.printf "%a@." Diagnostics.pp_list issues
 
 let show_memory title layout =
   Printf.printf "\n=== %s ===\n" title;

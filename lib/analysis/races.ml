@@ -185,11 +185,3 @@ let check_lowered (plan : Codegen.Conversion.plan) program =
       let duplicate_stores_benign = Layout.is_invertible sw.Codegen.Swizzle_opt.mem in
       phase_check ~alias program @ check ~duplicate_stores_benign program
   | _ -> check program
-
-(* Plans with no warp-level lowering ({!Static_cost.lower_plan}'s guard:
-   global round trips, CTA-shape mismatches) are executed
-   algebraically, so there is no instruction stream to race-check. *)
-let check_plan machine plan =
-  match Static_cost.lower_plan machine plan with
-  | None -> []
-  | Some (program, _) -> check_lowered plan program

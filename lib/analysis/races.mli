@@ -21,7 +21,12 @@
       the previous one (redundant synchronization).
 
     Diagnostics carry {!Diagnostics.Isa_instr} locations indexing into
-    [program.body]. *)
+    [program.body].
+
+    A conversion plan is checked on its lowering: pair
+    {!Static_cost.lower_plan} with {!check_lowered}, or call
+    [Tir.Lint.plan], which runs this check beside the bank and resource
+    checks on one lowering. *)
 
 open Linear_layout
 
@@ -48,9 +53,3 @@ val alias_dim : mem:Layout.t -> src:Layout.t -> dst:Layout.t -> int
     [plan].  Combines the algebraic phase check ([LL205], from the
     plan's layouts alone) with the exact instruction-level dataflow. *)
 val check_lowered : Codegen.Conversion.plan -> Gpusim.Isa.program -> Diagnostics.t list
-
-(** [check_plan machine plan] lowers the plan through
-    {!Static_cost.lower_plan} and runs {!check_lowered}.  Plans with no
-    warp-level lowering (global round trips, CTA-shape mismatches)
-    yield no diagnostics. *)
-val check_plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> Diagnostics.t list

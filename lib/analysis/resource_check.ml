@@ -352,9 +352,6 @@ let lowered machine (prog, (sm : Codegen.Lower.slot_map)) =
   in
   program machine ~live_in ~live_out prog
 
-let plan machine (pl : Codegen.Conversion.plan) =
-  Option.map (lowered machine) (Static_cost.lower_plan machine pl)
-
 let pp ppf r =
   Format.fprintf ppf "footprint %d B, peak %d live slots" r.footprint_bytes
     r.peak_live_slots;

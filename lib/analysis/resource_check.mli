@@ -40,7 +40,12 @@
 
     Every LL805/LL806 finding is a warning.  Callers that compare only
     error counts (the layout search's lint gate) use {!errors}, which
-    skips the dataflow. *)
+    skips the dataflow.
+
+    A conversion plan is checked on its lowering: pair
+    {!Static_cost.lower_plan} with {!lowered}, or call [Tir.Lint.plan],
+    which runs this check beside the bank and race checks on one
+    lowering. *)
 
 open Linear_layout
 
@@ -87,11 +92,5 @@ val program :
     conversion, with the slot map's source registers as [live_in] and
     destination registers as [live_out]. *)
 val lowered : Gpusim.Machine.t -> Gpusim.Isa.program * Codegen.Lower.slot_map -> report
-
-(** [plan machine p] lowers the conversion plan (guarded exactly as
-    {!Static_cost.lower_plan}; [None] when there is no warp-level
-    lowering) and analyzes it with the slot map's source registers as
-    [live_in] and destination registers as [live_out]. *)
-val plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> report option
 
 val pp : Format.formatter -> report -> unit

@@ -182,12 +182,6 @@ let check_against_interpreter machine ~slots (p : Isa.program) static_total =
 
 let differential machine ~slots p = check_against_interpreter machine ~slots p (cost machine p)
 
-type lowered = {
-  program : Isa.program;
-  slots : Codegen.Lower.slot_map;
-  analysis : t;
-}
-
 (* Plans with no warp-level lowering ({!Codegen.Lower.lowerable}) are
    executed algebraically and have no stream to price. *)
 let lower_plan machine (pl : Codegen.Conversion.plan) =
@@ -196,11 +190,6 @@ let lower_plan machine (pl : Codegen.Conversion.plan) =
     match Codegen.Lower.conversion machine pl with
     | exception Failure _ -> None
     | program, slots -> Some (program, slots)
-
-let plan machine (pl : Codegen.Conversion.plan) =
-  match lower_plan machine pl with
-  | None -> None
-  | Some (program, slots) -> Some { program; slots; analysis = analyze machine program }
 
 (* The layout-search objective hook: the exact cost of the plan's
    lowered instruction stream, with the static≡dynamic differential

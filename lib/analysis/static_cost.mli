@@ -57,25 +57,19 @@ val analyze : Gpusim.Machine.t -> Gpusim.Isa.program -> t
 val differential :
   Gpusim.Machine.t -> slots:int -> Gpusim.Isa.program -> Diagnostics.t list
 
-(** A lowered conversion plan together with its static analysis. *)
-type lowered = {
-  program : Gpusim.Isa.program;
-  slots : Codegen.Lower.slot_map;
-  analysis : t;
-}
-
 (** [lower_plan m plan] is {!Codegen.Lower.conversion} behind
     {!Codegen.Lower.lowerable}, the guard the engine and the certifier
     use: [None] for plans with no warp-level lowering (global round
     trips, CTA-shape mismatches) and for lowering failures — those are
-    executed algebraically and carry only planner costs. *)
+    executed algebraically and carry only planner costs.  It is the one
+    way to lower a plan for analysis: callers pair it with the check
+    they need ({!analyze}, {!Resource_check.lowered},
+    {!Races.check_lowered}); [Tir.Lint.plan] runs every check on one
+    lowering. *)
 val lower_plan :
   Gpusim.Machine.t ->
   Codegen.Conversion.plan ->
   (Gpusim.Isa.program * Codegen.Lower.slot_map) option
-
-(** [plan m p] lowers (guarded as {!lower_plan}) and analyzes. *)
-val plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> lowered option
 
 (** The layout-search objective hook: the exact static cost of the
     plan's lowered instruction stream, [None] when the plan has no

@@ -75,11 +75,7 @@ let cost machine plan =
       let mem_inv = Layout.Memo.invert (Layout.flatten_outs s.Swizzle_opt.mem) in
       let c = Gpusim.Cost.zero () in
       let side ~layout ~predicted ~matrix_cap =
-        let warps = 1 lsl Layout.in_bits layout Dims.warp in
-        let insts =
-          max 1 (1 lsl Layout.in_bits layout Dims.register / (1 lsl s.Swizzle_opt.vec_bits))
-          * warps
-        in
+        let insts = Swizzle_opt.accesses s layout in
         let matrix_ok =
           matrix_cap
           && Simd.can_use_ldmatrix
@@ -91,11 +87,7 @@ let cost machine plan =
           c.Gpusim.Cost.ldmatrix <- c.Gpusim.Cost.ldmatrix + ganged;
           c.Gpusim.Cost.smem_wavefronts <- c.Gpusim.Cost.smem_wavefronts + ganged
         end
-        else begin
-          c.Gpusim.Cost.smem_insts <- c.Gpusim.Cost.smem_insts + insts;
-          c.Gpusim.Cost.smem_wavefronts <- c.Gpusim.Cost.smem_wavefronts + (insts * predicted);
-          c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + (2 * insts)
-        end
+        else Swizzle_opt.add_side c ~insts ~wavefronts:predicted
       in
       side ~layout:plan.src ~predicted:s.Swizzle_opt.store_wavefronts
         ~matrix_cap:machine.Gpusim.Machine.has_stmatrix;

@@ -203,17 +203,18 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
   done;
   (!total, insts)
 
+let accesses t dist =
+  max 1 (1 lsl Layout.in_bits dist Dims.register / (1 lsl t.vec_bits))
+  * (1 lsl Layout.in_bits dist Dims.warp)
+
+let add_side (c : Gpusim.Cost.t) ~insts ~wavefronts =
+  c.Gpusim.Cost.smem_insts <- c.Gpusim.Cost.smem_insts + insts;
+  c.Gpusim.Cost.smem_wavefronts <- c.Gpusim.Cost.smem_wavefronts + (insts * wavefronts);
+  c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + (2 * insts)
+
 let cost t ~src ~dst =
   let c = Gpusim.Cost.zero () in
-  let insts dist =
-    let regs = 1 lsl Layout.in_bits dist Dims.register in
-    max 1 (regs / (1 lsl t.vec_bits))
-  in
-  let warps l = 1 lsl Layout.in_bits l Dims.warp in
-  let store_insts = insts src * warps src and load_insts = insts dst * warps dst in
-  c.Gpusim.Cost.smem_insts <- store_insts + load_insts;
-  c.Gpusim.Cost.smem_wavefronts <-
-    (store_insts * t.store_wavefronts) + (load_insts * t.load_wavefronts);
+  add_side c ~insts:(accesses t src) ~wavefronts:t.store_wavefronts;
+  add_side c ~insts:(accesses t dst) ~wavefronts:t.load_wavefronts;
   c.Gpusim.Cost.barriers <- 1;
-  c.Gpusim.Cost.alu <- 2 * (store_insts + load_insts);
   c

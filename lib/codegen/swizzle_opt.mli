@@ -46,7 +46,19 @@ val simulate_wavefronts :
   vec:int list ->
   int * int
 
+(** [accesses t dist] is the number of vectorized shared-memory
+    instructions the CTA issues to store (or load) [dist] through [t]:
+    its registers in [2^vec_bits]-element chunks, at least one, times
+    its warps. *)
+val accesses : t -> Layout.t -> int
+
+(** [add_side c ~insts ~wavefronts] adds the price of [insts]
+    vectorized accesses of [wavefronts] wavefronts each to [c] in
+    place: the instructions, their wavefronts and two ALU operations
+    (address arithmetic) per instruction. *)
+val add_side : Gpusim.Cost.t -> insts:int -> wavefronts:int -> unit
+
 (** Cost of a full conversion through shared memory with this plan:
-    per-warp stores + barrier + loads, each instruction costing its
-    wavefronts. *)
+    per-warp stores + barrier + loads, each side priced by {!add_side}
+    over its {!accesses}. *)
 val cost : t -> src:Layout.t -> dst:Layout.t -> Gpusim.Cost.t

@@ -1,5 +1,3 @@
-type severity = Diagnostics.severity = Error | Warning
-
 let err ~code fmt = Diagnostics.error ~code fmt
 let warn ~code fmt = Diagnostics.warning ~code fmt
 
@@ -111,5 +109,3 @@ let convertible ~src ~dst =
     add
       (warn ~code:"LL122" "CTA columns differ: the conversion needs distributed (global) memory");
   List.rev !issues
-
-let errors = Diagnostics.errors

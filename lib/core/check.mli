@@ -14,8 +14,6 @@
       characterization of Definition 4.14;
     - [LL120]–[LL122] convertibility within a CTA. *)
 
-type severity = Diagnostics.severity = Error | Warning
-
 (** Check the distributed-layout characterization (Definition 4.10):
     surjective, every column at most one set bit, no repeated non-zero
     columns.  Warnings flag zero (broadcast) columns, which are legal
@@ -29,5 +27,3 @@ val memory : Layout.t -> Diagnostics.t list
 (** Check that two distributed layouts can be converted into each other
     within a CTA: same logical space, same lane/warp footprint. *)
 val convertible : src:Layout.t -> dst:Layout.t -> Diagnostics.t list
-
-val errors : Diagnostics.t list -> Diagnostics.t list

@@ -375,9 +375,6 @@ let select_ins l keep =
     ~ins:(Array.of_list (List.map (fun i -> l.ins.(i)) kept))
     (Array.concat (List.map (fun i -> dim_columns l i ~off:off.(i)) kept))
 
-let remove_in_dim l d =
-  select_ins l (List.filter (fun x -> x <> d) (List.map fst (in_dims l)))
-
 let project_outs l keep =
   let outs = Array.of_list (List.filter (fun (d, _) -> List.mem d keep) (out_dims l)) in
   relabel_outs l outs (move_fields l.outs outs)

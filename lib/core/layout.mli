@@ -143,8 +143,6 @@ val divide_left : t -> t -> t option
 (** Keep only the listed input dimensions. *)
 val select_ins : t -> string list -> t
 
-val remove_in_dim : t -> string -> t
-
 (** Keep only the listed output dimensions, {e projecting away} the
     rest — the slice of Proposition 4.8. *)
 val project_outs : t -> string list -> t

@@ -5,9 +5,4 @@ let log2 n =
   let rec go k n = if n = 1 then k else go (k + 1) (n lsr 1) in
   go 0 n
 
-let ceil_log2 n =
-  if n < 1 then invalid_arg "ceil_log2";
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  go 0
-
 let ceil_div a b = (a + b - 1) / b

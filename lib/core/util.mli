@@ -6,7 +6,4 @@ val is_pow2 : int -> bool
     otherwise. *)
 val log2 : int -> int
 
-(** [ceil_log2 n] is the smallest [k] with [2^k >= n]; requires [n >= 1]. *)
-val ceil_log2 : int -> int
-
 val ceil_div : int -> int -> int

@@ -17,7 +17,6 @@ let unit k =
   else 1 lsl k
 let bit v k = v land (1 lsl k) <> 0
 let add = ( lxor )
-let pointwise_mul = ( land )
 
 (* SWAR popcount on the 63-bit payload: fold pairs, nibbles, then sum
    bytes with a multiply. *)

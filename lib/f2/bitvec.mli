@@ -25,9 +25,6 @@ val bit : t -> int -> bool
 (** Vector addition in [F2], i.e. bitwise XOR. *)
 val add : t -> t -> t
 
-(** Pointwise multiplication in [F2], i.e. bitwise AND. *)
-val pointwise_mul : t -> t -> t
-
 (** [dot a b] is the inner product [sum_k a_k * b_k] in [F2]. *)
 val dot : t -> t -> bool
 

@@ -230,6 +230,64 @@ let after_pass obs : Pass_manager.hook =
       obs.certs <- cert :: obs.certs;
       if diags <> [] then st.Pass.diags <- st.Pass.diags @ diags
 
+(* {1 Plan certification} *)
+
+(* One {!Analysis.Transval} certificate per materialized plan, with
+   refutations rendered as LL65x diagnostics located at the conversion's
+   instruction.  Legacy-mode conversions carry no plan ([plan = None])
+   and are skipped — the padded shared-memory baseline is costed, never
+   lowered. *)
+let conversions machine (convs : Pass.conversion_info list) =
+  let certs =
+    List.filter_map
+      (fun (c : Pass.conversion_info) ->
+        match c.Pass.plan with
+        | None -> None
+        | Some plan -> Some (c.Pass.at, Analysis.Transval.certify_plan machine plan))
+      convs
+  in
+  let diags =
+    List.concat_map
+      (fun (at, cert) -> Analysis.Transval.diagnostics ~loc:(Diagnostics.Tir_instr at) cert)
+      certs
+  in
+  (certs, diags)
+
+(* Coverage: after [insert_conversions] every surviving request that
+   still changes the layout must have been materialized as a conversion
+   whose plan matches the request's snapshot layouts — a silently
+   dropped request would leave the consumer reading data in the wrong
+   distribution with no certificate ever looking at it. *)
+let coverage (st : Pass.state) =
+  List.filter_map
+    (function
+      | Pass.Convert (r : Pass.request) when not (Layout.equal r.Pass.src_layout r.Pass.dst) ->
+          let materialized =
+            List.exists
+              (fun (c : Pass.conversion_info) ->
+                c.Pass.at = r.Pass.at
+                &&
+                match c.Pass.plan with
+                | Some p ->
+                    Layout.equal p.Codegen.Conversion.src r.Pass.src_layout
+                    && Layout.equal p.Codegen.Conversion.dst r.Pass.dst
+                | None -> true)
+              st.Pass.convs
+          in
+          if materialized then None
+          else
+            Some
+              (Diagnostics.error ~code:"LL623" ~loc:(Diagnostics.Tir_instr r.Pass.at)
+                 "conversion request for %%%d was never materialized: the consumer reads \
+                  the value in an unconverted distribution"
+                 r.Pass.src)
+      | _ -> None)
+    st.Pass.pending
+
+let plans (st : Pass.state) =
+  let certs, diags = conversions st.Pass.machine (List.rev st.Pass.convs) in
+  (certs, diags @ coverage st)
+
 (* {1 The driver} *)
 
 type report = {
@@ -266,7 +324,7 @@ let run machine ~mode ?num_warps ?chooser prog =
              ~after_pass:(after_pass obs) Passes.default)
           st
       in
-      let plan_certs, plan_diags = Pass_certify.certs_of st in
+      let plan_certs, plan_diags = plans st in
       {
         mode;
         result = Pass.result st;

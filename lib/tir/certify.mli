@@ -46,6 +46,24 @@ val observer : unit -> observer
 val before_pass : observer -> Pass_manager.hook
 val after_pass : observer -> Pass_manager.hook
 
+(** {2 Plan certificates} *)
+
+(** [conversions machine convs] certifies every plan in [convs] with
+    {!Analysis.Transval.certify_plan}, in list order, and renders each
+    refutation as an [LL65x] diagnostic located at the conversion's
+    instruction.  Conversions without a plan (legacy mode) are
+    skipped.  {!Validate.analyze} uses it. *)
+val conversions :
+  Gpusim.Machine.t ->
+  Pass.conversion_info list ->
+  (Program.id * Analysis.Transval.cert) list * Diagnostics.t list
+
+(** [plans st] is {!conversions} over the conversions [st] has
+    materialized, in materialization order, plus one [LL623] error per
+    surviving layout-changing request that no conversion with matching
+    layouts materialized.  {!run} calls it after the pipeline. *)
+val plans : Pass.state -> (Program.id * Analysis.Transval.cert) list * Diagnostics.t list
+
 type report = {
   mode : Pass.mode;
   result : Pass.result;  (** identical to what {!Engine.run} returns *)

@@ -77,6 +77,10 @@ let plan_checks machine plan ~resource =
   in
   Analysis.Bank_check.conversion machine plan @ races @ resource
 
+let plan machine plan =
+  plan_checks machine plan ~resource:(fun low ->
+      (Analysis.Resource_check.lowered machine low).Analysis.Resource_check.diagnostics)
+
 (* Per materialized conversion: [check]'s diagnostics of its plan,
    located at the conversion's instruction. *)
 let per_conversion (result : Pass.result) check =
@@ -89,10 +93,7 @@ let per_conversion (result : Pass.result) check =
     result.Pass.conversions
 
 let passes machine prog ~result =
-  instruction_passes machine prog
-  @ per_conversion result (fun plan ->
-        plan_checks machine plan ~resource:(fun low ->
-            (Analysis.Resource_check.lowered machine low).Analysis.Resource_check.diagnostics))
+  instruction_passes machine prog @ per_conversion result (plan machine)
 
 (* The LL4xx/LL5xx instruction lints only warn, so the errors of
    [passes] all come from the conversions, and there the resource

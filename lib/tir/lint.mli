@@ -14,9 +14,10 @@
     - the race/barrier checker {!Analysis.Races} ([LL2xx]);
     - the resource checker {!Analysis.Resource_check} ([LL8xx]).
 
-    Each conversion is lowered once ({!Analysis.Static_cost.lower_plan})
-    and the race and resource checks share that program; {!errors}
-    reuses each plan's stored verdict instead.
+    {!plan} runs these three on one plan, lowering it once
+    ({!Analysis.Static_cost.lower_plan}) for the race and resource
+    checks to share; {!errors} reuses each plan's stored verdict
+    instead.
 
     Diagnostics that carry no finer location are attributed to the
     conversion's instruction. *)
@@ -26,6 +27,14 @@ open Linear_layout
 (** The per-instruction half of {!passes}: the [LL4xx] anchor and
     [LL5xx] broadcast lints, in instruction order. *)
 val instruction_passes : Gpusim.Machine.t -> Program.t -> Diagnostics.t list
+
+(** [plan machine p] is every check of one conversion plan: the bank
+    certifier, then the race checker and the full resource report
+    ({!Analysis.Resource_check.lowered}) on the plan's one lowering.
+    Plans with no warp-level lowering (global round trips, CTA-shape
+    mismatches) get the bank check only.  Diagnostics carry no
+    instruction location; {!passes} attributes them to the conversion. *)
+val plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> Diagnostics.t list
 
 (** [passes machine prog ~result] — [prog] must already have layouts
     assigned (i.e. [result = Engine.run ... prog] was called on it). *)

@@ -42,18 +42,11 @@ let convert (st : Pass.state) (r : Pass.request) =
             (* wgmma reads this operand directly from shared memory: only
                the store side of the staging is paid (Section 6.2's
                template_attention observation). *)
-            let warps = 1 lsl Layout.in_bits src_layout Dims.warp in
-            let insts =
-              max 1
-                (1 lsl Layout.in_bits src_layout Dims.register
-                / (1 lsl sw.Codegen.Swizzle_opt.vec_bits))
-              * warps
-            in
             let c' = Gpusim.Cost.zero () in
-            c'.Gpusim.Cost.smem_insts <- insts;
-            c'.Gpusim.Cost.smem_wavefronts <- insts * sw.Codegen.Swizzle_opt.store_wavefronts;
+            Codegen.Swizzle_opt.add_side c'
+              ~insts:(Codegen.Swizzle_opt.accesses sw src_layout)
+              ~wavefronts:sw.Codegen.Swizzle_opt.store_wavefronts;
             c'.Gpusim.Cost.barriers <- 1;
-            c'.Gpusim.Cost.alu <- 2 * insts;
             c'
         | Codegen.Conversion.Shared_memory _ when r.Pass.ldmatrix_ok -> (
             match Codegen.Plan_cache.staging machine ~src:src_layout ~dst ~byte_width with

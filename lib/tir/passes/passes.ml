@@ -4,15 +4,12 @@ let simplify : Pass.t = (module Pass_simplify)
 let backward_remat : Pass.t = (module Pass_remat)
 let insert_conversions : Pass.t = (module Pass_convert)
 let lower : Pass.t = (module Pass_lower)
-let analyze : Pass.t = (module Pass_analyze)
-let certify : Pass.t = (module Pass_certify)
 
 (* [simplify] must precede [backward_remat]: folded requests must never
    be considered for rematerialization (see Pass_simplify). *)
 let default =
   [ anchor; forward_propagate; simplify; backward_remat; insert_conversions; lower ]
 
-let all = default @ [ analyze; certify ]
 let name (module P : Pass.PASS) = P.name
 let description (module P : Pass.PASS) = P.description
-let find n = List.find_opt (fun p -> name p = n) all
+let find n = List.find_opt (fun p -> name p = n) default

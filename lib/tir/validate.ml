@@ -11,7 +11,7 @@ let () =
 let analyze machine prog ~result =
   Verifier.program prog
   @ Lint.passes machine prog ~result
-  @ snd (Pass_certify.certify_conversions machine result.Engine.conversions)
+  @ snd (Certify.conversions machine result.Engine.conversions)
 
 (* A [Pass_manager] hook running the LL2xx–LL5xx lint sweep over the
    state as it stands, for per-pass analysis at any point of the

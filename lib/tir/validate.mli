@@ -1,13 +1,15 @@
 (** Post-engine validation over an assignment: the {!Verifier} (codes
     [LL6xx]; see that module for the full list), the {!Lint} sweep and
-    plan certification, plus the sweep as a per-pass hook. *)
+    {!Certify.conversions}' plan certificates, plus the sweep as a
+    per-pass hook.  Checks observe; only {!Passes} transform. *)
 
 open Linear_layout
 
 (** [analyze machine prog ~result] = {!Verifier.program} plus the full
     {!Lint.passes} sweep (coalescing, broadcast redundancy, bank
-    certification, race checking) plus {!Pass_certify} translation
-    validation of every materialized conversion plan, over the
+    certification, race checking, resource checking) plus
+    {!Certify.conversions}' translation validation of every
+    materialized conversion plan, over the
     assignment recorded by [result = Engine.run ... prog]. *)
 val analyze : Gpusim.Machine.t -> Program.t -> result:Engine.result -> Diagnostics.t list
 

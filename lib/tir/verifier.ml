@@ -36,7 +36,7 @@ let program prog =
           List.iter
             (fun iss ->
               add (Diagnostics.with_loc (Diagnostics.Tir_instr i) iss))
-            (Check.errors (Check.distributed l));
+            (Diagnostics.errors (Check.distributed l));
           match ins.Program.node with
           | Program.Trans { src; perm } -> (
               match layout_of src with

@@ -43,7 +43,7 @@ let smem_plan () =
 
 let test_clean_plan () =
   let plan = smem_plan () in
-  let ds = Analysis.Races.check_plan m plan @ Analysis.Bank_check.conversion m plan in
+  let ds = Tir.Lint.plan m plan in
   check_bool "clean plan has no analysis errors" true (Diagnostics.errors ds = [])
 
 let test_dropped_barrier () =
@@ -539,9 +539,7 @@ let prop_plans_race_clean =
   QCheck.Test.make ~name:"every planned conversion is race- and error-free" ~count:60
     arb_cta_pair (fun (src, dst) ->
       let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
-      Diagnostics.errors
-        (Analysis.Races.check_plan m plan @ Analysis.Bank_check.conversion m plan)
-      = [])
+      Diagnostics.errors (Tir.Lint.plan m plan) = [])
 
 let prop_certifier_agrees =
   (* The certifier re-derives Lemma 9.4 and must agree with the bank

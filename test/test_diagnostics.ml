@@ -71,8 +71,8 @@ let test_check_broadcast_warns () =
   in
   let issues = Check.distributed l in
   check_bool "broadcast warnings" true
-    (List.exists (fun i -> i.Diagnostics.severity = Check.Warning) issues);
-  check_int "no errors" 0 (List.length (Check.errors issues))
+    (List.exists (fun i -> i.Diagnostics.severity = Diagnostics.Warning) issues);
+  check_int "no errors" 0 (List.length (Diagnostics.errors issues))
 
 let test_check_bad_columns () =
   (* A column with two set bits: not a distributed layout. *)
@@ -82,7 +82,7 @@ let test_check_bad_columns () =
       ~outs:[ (Dims.dim 0, 2) ]
       ~bases:[ (Dims.register, [ [ (Dims.dim 0, 3) ]; [ (Dims.dim 0, 2) ] ]) ]
   in
-  let issues = Check.errors (Check.distributed l) in
+  let issues = Diagnostics.errors (Check.distributed l) in
   check_bool "two-bit column reported" true
     (List.exists (fun i -> contains i.Diagnostics.message "2 set bits") issues);
   (* Duplicated columns. *)
@@ -99,7 +99,7 @@ let test_check_bad_columns () =
   check_bool "duplicate reported" true
     (List.exists
        (fun i -> contains i.Diagnostics.message "both map to")
-       (Check.errors (Check.distributed dup)))
+       (Diagnostics.errors (Check.distributed dup)))
 
 let test_check_not_surjective () =
   let l =
@@ -108,16 +108,16 @@ let test_check_not_surjective () =
       ~outs:[ (Dims.dim 0, 2) ]
       ~bases:[ (Dims.register, [ [ (Dims.dim 0, 1) ] ]) ]
   in
-  let issues = Check.errors (Check.distributed l) in
+  let issues = Diagnostics.errors (Check.distributed l) in
   check_bool "missing element named" true
     (List.exists (fun i -> contains i.Diagnostics.message "not surjective") issues)
 
 let test_check_memory () =
   check_int "row major clean" 0
-    (List.length (Check.errors (Check.memory (Shared.row_major ~shape:[| 8; 8 |]))));
+    (List.length (Diagnostics.errors (Check.memory (Shared.row_major ~shape:[| 8; 8 |]))));
   check_int "swizzle clean" 0
     (List.length
-       (Check.errors
+       (Diagnostics.errors
           (Check.memory (Shared.mma_swizzle ~vec:2 ~per_phase:1 ~max_phase:4 ~rows:8 ~cols:8))));
   (* An aliasing map. *)
   let bad =
@@ -126,18 +126,18 @@ let test_check_memory () =
       ~outs:[ (Dims.dim 0, 2) ]
       ~bases:[ (Dims.offset, [ [ (Dims.dim 0, 1) ]; [ (Dims.dim 0, 1) ] ]) ]
   in
-  check_bool "aliasing reported" true (Check.errors (Check.memory bad) <> [])
+  check_bool "aliasing reported" true (Diagnostics.errors (Check.memory bad) <> [])
 
 let test_check_convertible () =
   let a = Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:4 [| 32; 32 |] in
   let b = Blocked.default ~elems_per_thread:2 ~warp_size:32 ~num_warps:4 [| 32; 32 |] in
-  check_int "same CTA fine" 0 (List.length (Check.errors (Check.convertible ~src:a ~dst:b)));
+  check_int "same CTA fine" 0 (List.length (Diagnostics.errors (Check.convertible ~src:a ~dst:b)));
   let c = Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:2 [| 32; 32 |] in
   check_bool "warp count mismatch reported" true
-    (Check.errors (Check.convertible ~src:a ~dst:c) <> []);
+    (Diagnostics.errors (Check.convertible ~src:a ~dst:c) <> []);
   let d = Blocked.default ~elems_per_thread:4 ~warp_size:32 ~num_warps:4 [| 32; 64 |] in
   check_bool "different spaces reported" true
-    (Check.errors (Check.convertible ~src:a ~dst:d) <> [])
+    (Diagnostics.errors (Check.convertible ~src:a ~dst:d) <> [])
 
 (* {1 Every LL1xx code fires}
 

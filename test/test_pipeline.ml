@@ -91,15 +91,25 @@ let test_diag_pass_names () =
         d.Linear_layout.Diagnostics.pass;
       Alcotest.(check string) "code" "LL701" d.Linear_layout.Diagnostics.code)
     st.Pass.diags;
-  (* The analyze pass tags the verifier/lint findings. *)
+  (* An after hook's findings are tagged with the pass it ran after. *)
   let k = Kernels.find "gemm" in
   let st =
     Pass.init m ~mode:Engine.Linear (k.Kernels.build ~size:(List.hd k.Kernels.sizes))
   in
-  ignore (Pass_manager.run (Pass_manager.config Passes.all) st);
+  let found = ref 0 in
+  let lint_after_lower name (st : Pass.state) =
+    if name = "lower" then begin
+      let d0 = List.length st.Pass.diags in
+      Validate.lint_hook name st;
+      found := List.length st.Pass.diags - d0
+    end
+  in
+  ignore
+    (Pass_manager.run (Pass_manager.config ~after_pass:lint_after_lower Passes.default) st);
+  Alcotest.(check bool) "the lint hook found something" true (!found > 0);
   List.iter
     (fun (d : Linear_layout.Diagnostics.t) ->
-      Alcotest.(check (option string)) "analyze diagnostics tagged" (Some "analyze")
+      Alcotest.(check (option string)) "hook diagnostics tagged" (Some "lower")
         d.Linear_layout.Diagnostics.pass)
     st.Pass.diags
 
@@ -254,12 +264,9 @@ let test_rerun_idempotent () =
     Kernels.all
 
 let test_registry () =
-  Alcotest.(check int) "all = default + analyze + certify"
-    (List.length Passes.default + 2)
-    (List.length Passes.all);
-  let names = List.map Passes.name Passes.all in
+  let names = List.map Passes.name Passes.default in
   Alcotest.(check (list string)) "registered names"
-    [ "anchor"; "forward_propagate"; "simplify"; "backward_remat"; "insert_conversions"; "lower"; "analyze"; "certify" ]
+    [ "anchor"; "forward_propagate"; "simplify"; "backward_remat"; "insert_conversions"; "lower" ]
     names;
   List.iter
     (fun n ->
@@ -269,7 +276,8 @@ let test_registry () =
           Alcotest.(check bool) "has description" true (Passes.description p <> "")
       | None -> Alcotest.failf "pass %s not found" n)
     names;
-  Alcotest.(check bool) "unknown pass" true (Passes.find "nonesuch" = None)
+  Alcotest.(check bool) "unknown pass" true (Passes.find "nonesuch" = None);
+  Alcotest.(check bool) "checks are not passes" true (Passes.find "analyze" = None)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in

@@ -44,29 +44,27 @@ let test_golden_differential () =
                   match c.Tir.Engine.plan with
                   | None -> ()
                   | Some plan -> (
-                      match Static_cost.plan machine plan with
+                      match Static_cost.lower_plan machine plan with
                       | None -> ()
-                      | Some low ->
+                      | Some (program, sm) ->
                           incr lowered;
-                          let slots = low.Static_cost.slots.Codegen.Lower.total_slots in
-                          (match
-                             Static_cost.differential machine ~slots
-                               low.Static_cost.program
-                           with
+                          let slots = sm.Codegen.Lower.total_slots in
+                          (match Static_cost.differential machine ~slots program with
                           | [] -> ()
                           | d :: _ ->
                               Alcotest.failf "%s/%s/%s: %s" k.Tir.Kernels.name
                                 machine.Gpusim.Machine.name c.Tir.Engine.mechanism
                                 (Format.asprintf "%a" Diagnostics.pp d));
                           (* The attribution table must sum to the total. *)
+                          let a = Static_cost.analyze machine program in
                           let sum = Gpusim.Cost.zero () in
                           List.iter
                             (fun (a : Static_cost.attribution) ->
                               Gpusim.Cost.add sum a.Static_cost.cost)
-                            low.Static_cost.analysis.Static_cost.per_instr;
+                            a.Static_cost.per_instr;
                           check_cost_eq
                             (Printf.sprintf "%s attribution sum" k.Tir.Kernels.name)
-                            sum low.Static_cost.analysis.Static_cost.total))
+                            sum a.Static_cost.total))
                 r.Tir.Engine.conversions)
             [ Tir.Engine.Linear; Tir.Engine.Legacy_mode ])
         Tir.Kernels.all)
@@ -134,11 +132,10 @@ let test_fuzz_engine_lowered () =
         match c.Tir.Engine.plan with
         | None -> ()
         | Some plan -> (
-            match Static_cost.plan m plan with
+            match Static_cost.lower_plan m plan with
             | None -> ()
-            | Some low -> (
-                let slots = low.Static_cost.slots.Codegen.Lower.total_slots in
-                match Static_cost.differential m ~slots low.Static_cost.program with
+            | Some (program, sm) -> (
+                match Static_cost.differential m ~slots:sm.Codegen.Lower.total_slots program with
                 | [] -> ()
                 | d :: _ ->
                     Alcotest.failf
@@ -404,9 +401,10 @@ let test_plan_analysis_clean () =
   let src = blocked ~spt:[| 1; 4 |] ~tpw:[| 8; 4 |] [| 16; 16 |] in
   let dst = blocked ~spt:[| 4; 1 |] ~tpw:[| 4; 8 |] [| 16; 16 |] in
   let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
-  match Resource_check.plan m plan with
+  match Static_cost.lower_plan m plan with
   | None -> Alcotest.fail "expected a lowerable plan"
-  | Some r ->
+  | Some low ->
+      let r = Resource_check.lowered m low in
       check_bool "no errors" false (Diagnostics.has_errors r.Resource_check.diagnostics)
 
 (* [Resource_check.errors] is the error subset of [program], in order,
