@@ -226,9 +226,9 @@ let bench_tests () =
                     (gemm.Tir.Kernels.build ~size:512)))));
     (* Static cost analysis vs interpretation over the same lowered
        conversion streams of the gemm pipeline (the streams are
-       pre-lowered; the pair measures pricing only).  The two produce
-       identical Cost.t values — the differential guarantee — so the
-       ratio is pure analyzer speedup. *)
+       pre-lowered).  Both fold Isa.price and produce identical Cost.t
+       values, so the ratio measures pricing without execution against
+       execution plus pricing. *)
     (let r =
        Tir.Engine.run machine ~mode:Tir.Engine.Linear (gemm.Tir.Kernels.build ~size:512)
      in

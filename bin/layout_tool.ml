@@ -863,7 +863,7 @@ let cost_cmd =
        ~doc:
          "Static cost and resource analysis: price every materialized conversion's \
           lowered instruction stream without executing it (exactly what the interpreter \
-          would account — see the LL810 differential guarantee), and report \
+          would account: both apply the ISA's one price rule), and report \
           shared-memory footprint, live ranges and register pressure (codes \
           LL800-LL807). Exits 1 on any error-severity LL8xx diagnostic.")
     Term.(

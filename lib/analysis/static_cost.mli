@@ -4,28 +4,25 @@
     precomputed immediate, so the cost the interpreter would account —
     shared-memory wavefronts through {!Gpusim.Banks}, shuffles, ALU
     work, barriers — is a pure function of the instruction stream.
-    This module recomputes it by abstract interpretation, with the
-    contract (enforced by the test suite's 216-row golden table and
-    qcheck differential):
+    This module folds {!Gpusim.Isa.price}, the ISA's one
+    per-instruction price rule, over the stream without moving any
+    data.  {!Gpusim.Isa.run} folds the same rule while it executes, so
 
     {v Static_cost.cost m p = Gpusim.Isa.run m p (make_state p ~slots) v}
 
-    cost-for-cost, for every well-formed program.  Malformation is not
-    re-derived here: an instruction with a {!Gpusim.Isa.fault} (wrong
-    lane-table shape, shuffle source lane or shared-memory address out
-    of range) raises [Failure] with {!Gpusim.Isa.fault_message}, the
-    interpreter's own message, so the equation extends to the failure
-    modes; the graceful LL8xx reporting of the same faults lives in
-    {!Resource_check}.
+    holds by construction for every well-formed program.  The test
+    suite checks both sides against an independent oracle that prices
+    each warp's shared access with {!Gpusim.Banks.wavefronts} on
+    explicit per-lane access records.  Malformation is not re-derived
+    here: an instruction with a {!Gpusim.Isa.fault} (wrong lane-table
+    shape, shuffle source lane or shared-memory address out of range)
+    raises [Failure] with {!Gpusim.Isa.fault_message}, the
+    interpreter's own message, before it is priced, so the equation
+    extends to the failure modes; the graceful LL8xx reporting of the
+    same faults lives in {!Resource_check}.
 
-    Both sides price shared-memory accesses with the one bank model of
-    {!Gpusim.Banks}.  Only this side memoizes wavefront counts (per
-    address row, normalized to the bank period); the interpreter never
-    reads that memo, so the differential compares two independent
-    computations.
-
-    Beside the wavefront memo sits one per-plan verdict table: the
-    layout search's re-price ({!reprice_conversion}) and lint errors
+    One per-plan verdict table sits beside the pricer: the layout
+    search's re-price ({!reprice_conversion}) and lint errors
     ({!plan_errors}) of a conversion plan are computed once per plan,
     machine and domain, and read on every later request. *)
 
@@ -51,9 +48,10 @@ val analyze : Gpusim.Machine.t -> Gpusim.Isa.program -> t
 
 (** [differential m ~slots p] runs the interpreter on a fresh
     [slots]-slot state and compares counter-for-counter against the
-    static cost: an LL810 error on any divergence, [] when they agree
-    (the expected outcome — a non-empty result means either module has
-    a bug, which is exactly what the fault-injection suite simulates). *)
+    static cost: an LL810 error on any divergence, [] when they agree.
+    Both sides fold {!Gpusim.Isa.price}, so a divergence cannot arise
+    from pricing; the check remains for callers that hold the two
+    sides against each other on lowered streams. *)
 val differential :
   Gpusim.Machine.t -> slots:int -> Gpusim.Isa.program -> Diagnostics.t list
 
@@ -71,20 +69,17 @@ val lower_plan :
   Codegen.Conversion.plan ->
   (Gpusim.Isa.program * Codegen.Lower.slot_map) option
 
-(** The layout-search objective hook: the exact static cost of the
-    plan's lowered instruction stream, [None] when the plan has no
-    warp-level lowering (keep the planner cost then).  The static cost
-    is computed once; before it is returned it is held against one
-    {!Gpusim.Isa.run} of the same program on a fresh state — the
-    static≡dynamic differential, asserted per plan ([Failure] with the
-    LL810 diagnostic on any divergence) — so search rankings are
-    backed by the proven pricing.
+(** The layout-search objective hook: the exact static cost
+    ({!cost}) of the plan's lowered instruction stream, [None] when the
+    plan has no warp-level lowering (keep the planner cost then).  It
+    executes nothing: no {!Gpusim.Isa.state} is created.  A malformed
+    lowered stream raises [Failure] ({!Gpusim.Isa.fault_message}).
 
     The price is the plan's verdict: it is computed once per plan,
     machine and domain, and every later call on the same plan value
     (the one the plan caches hand out) returns a fresh copy of it
     without lowering again — see {!plan_errors} for the table.  A
-    [Failure] is never stored, so a diverging plan raises on every
+    [Failure] is never stored, so a malformed plan raises on every
     call. *)
 val reprice_conversion :
   Gpusim.Machine.t -> Codegen.Conversion.plan -> Gpusim.Cost.t option

@@ -194,28 +194,31 @@ let certify_algebraic ~src ~dst ~mechanism =
        their output labels share one factorization. *)
     let ech = Layout.Memo.echelon (Layout.flatten_outs src) in
     (* A surjective source solves every right-hand side, so the
-       per-point scan below cannot refute — prove in O(1) from the
+       unit-vector scan below cannot refute — prove in O(1) from the
        factorization's rank (the verdict is identical by construction). *)
     if F2.Bitmatrix.is_surjective_with ech then
       { mechanism; method_ = Algebraic; points; verdict = Proved }
-    else begin
-      let to_logical = Layout.apply_flat dst in
-      let rec go h =
-        if h >= points then { mechanism; method_ = Algebraic; points; verdict = Proved }
+    else
+      (* The destination points whose logical image the source reaches
+         form a subspace, so the first point outside it is the first
+         unit vector outside it: every smaller point is an XOR of
+         earlier unit vectors. *)
+      let n = Layout.total_in_bits dst in
+      let rec go j =
+        if j >= n then { mechanism; method_ = Algebraic; points; verdict = Proved }
         else
-          let want = to_logical h in
+          let want = Layout.apply_flat dst (1 lsl j) in
           match F2.Bitmatrix.solve_with ech want with
-          | Some _ -> go (h + 1)
+          | Some _ -> go (j + 1)
           | None ->
               {
                 mechanism;
                 method_ = Algebraic;
                 points;
-                verdict = Refuted { counterexample = h; got = None; want };
+                verdict = Refuted { counterexample = 1 lsl j; got = None; want };
               }
       in
       go 0
-    end
 
 let certify_plan machine (plan : Codegen.Conversion.plan) =
   let mechanism = Codegen.Conversion.mechanism_name plan.Codegen.Conversion.mechanism in

@@ -28,16 +28,9 @@ let logical_shape l =
     dims;
   shape
 
-(* Greedily extend [chosen] with candidates independent from
-   [base @ chosen], until [needed] vectors are picked. *)
-let pick ~base ~needed candidates =
-  List.fold_left
-    (fun chosen cand ->
-      if List.length chosen >= needed then chosen
-      else if cand <> 0 && F2.Subspace.independent_from (base @ chosen) cand then
-        chosen @ [ cand ]
-      else chosen)
-    [] candidates
+(* The first [needed] candidates that extend the span of [base] and
+   of the candidates picked before them. *)
+let pick ~base ~needed candidates = take needed (F2.Subspace.extend base candidates)
 
 let banks_per_access ~vec_bits ~byte_width = max 1 ((1 lsl vec_bits) * byte_width / 4)
 
@@ -82,7 +75,7 @@ let optimal machine ~src ~dst ~byte_width =
   let e, f = if List.length e0 <= List.length f0 then (e0, f0) else (f0, e0) in
   let h = List.map2 ( lxor ) e (take (List.length e) f) in
   let p_basis = vec @ a_bank @ b_bank in
-  let c_comp = F2.Subspace.complement ~dim:d p_basis in
+  let c_comp = F2.Subspace.complete_basis ~dim:d p_basis in
   (* Segment basis: prefer H (conflict-free for both sides), then the
      complement C; fall back to A's thread columns (unavoidable
      conflicts), then arbitrary completion. *)

@@ -447,17 +447,13 @@ let is_memory l =
 
 let kernel l = F2.Bitmatrix.kernel l.m
 
+(* A column is free when it depends on the columns before it: exactly
+   the columns that do not become pivots of the elimination. *)
 let free_variable_masks l =
-  let pivots = ref [] and off = offsets l.ins in
+  let free = lnot (F2.Bitmatrix.pivot_columns (F2.Bitmatrix.factorize l.m)) in
+  let off = offsets l.ins in
   Array.to_list l.ins
-  |> List.mapi (fun i (d, bits) ->
-         let mask = ref 0 in
-         for k = 0 to bits - 1 do
-           let v = column l (off.(i) + k) in
-           if F2.Subspace.independent_from !pivots v then pivots := v :: !pivots
-           else mask := !mask lor (1 lsl k)
-         done;
-         (d, !mask))
+  |> List.mapi (fun i (d, bits) -> (d, (free lsr off.(i)) land ((1 lsl bits) - 1)))
 
 let num_consecutive l ~in_dim =
   match find_index l.ins in_dim with

@@ -112,6 +112,7 @@ type echelon = {
 }
 
 let echelon_rank e = e.e_rank
+let pivot_columns e = e.e_pivot_cols
 let is_surjective_with e = e.e_rank = e.e_rows
 let is_injective_with e = e.e_rank = e.e_cols
 let is_invertible_with e = e.e_rows = e.e_cols && e.e_rank = e.e_rows
@@ -142,6 +143,14 @@ let reduce_flat pval pcomb v comb =
     end
   done;
   (!v, !comb)
+
+(* [reduce_flat] with a combination table of zeros tracks nothing. *)
+let no_comb = Array.make Sys.int_size 0
+
+let reduce pval v =
+  if Array.length pval < Sys.int_size then
+    invalid_arg "Bitmatrix.reduce: a pivot table needs Sys.int_size slots";
+  fst (reduce_flat pval no_comb v 0)
 
 (* One left-to-right pass: reduce each column against the pivots of the
    columns before it; a non-zero remainder becomes the pivot of its

@@ -81,6 +81,10 @@ val factorize : t -> echelon
 
 val echelon_rank : echelon -> int
 
+(** The columns that became pivots, as a bitmask: bit [j] is set iff
+    column [j] is independent of the columns before it. *)
+val pivot_columns : echelon -> int
+
 (** Predicate variants on an existing factorization — callers that
     already hold an [echelon] must not pay a fresh elimination per
     predicate (as [is_surjective]/[is_injective]/[is_invertible] each
@@ -95,6 +99,15 @@ val is_invertible_with : echelon -> bool
     most-significant-bit order — exposed for differential tests and
     introspection. *)
 val echelon_pivots : echelon -> (Bitvec.t * Bitvec.t) list
+
+(** [reduce pivots v] is the reduction {!factorize} runs on each
+    column, without combination tracking: while slot [msb v] of the
+    pivot table [pivots] holds a vector, XOR it into [v].  Slot [k] of
+    a pivot table is 0 or a vector whose most significant bit is [k];
+    the table must have [Sys.int_size] slots, one per bit of an [int]
+    ([Invalid_argument] otherwise).  The result is 0 iff [v] lies in
+    the span of the table.  {!Subspace} builds its bases on it. *)
+val reduce : int array -> Bitvec.t -> Bitvec.t
 
 (** [solve_with ech b] solves against a precomputed factorization, with
     the same zero-free-variable convention as {!solve}. *)

@@ -1,59 +1,48 @@
-let echelon_basis vs =
-  let rec insert pivots v =
-    if v = 0 then pivots
-    else
-      match List.find_opt (fun p -> Bitvec.msb p = Bitvec.msb v) pivots with
-      | Some p -> insert pivots (v lxor p)
-      | None -> v :: pivots
-  in
-  List.fold_left insert [] vs
-  |> List.sort (fun a b -> Int.compare (Bitvec.msb b) (Bitvec.msb a))
+(* Every operation reduces with {!Bitmatrix.reduce}, the rule
+   {!Bitmatrix.factorize} runs per column, against one pivot table per
+   loop: slot [k] holds the basis vector whose most significant bit is
+   [k], 0 when none.  No combinations are tracked, so the number of
+   vectors is not limited. *)
 
+(* Reduce [v] against [t] and store a non-zero remainder as the pivot
+   of its most significant bit.  The remainder is returned: [v]
+   enlarged the span iff it is non-zero. *)
+let insert t v =
+  let r = Bitmatrix.reduce t v in
+  if r <> 0 then t.(Bitvec.msb r) <- r;
+  r
+
+let table vs =
+  let t = Array.make Sys.int_size 0 in
+  List.iter (fun v -> ignore (insert t v)) vs;
+  t
+
+(* The pivots of [t], in decreasing most-significant-bit order. *)
+let pivots t =
+  let out = ref [] in
+  Array.iter (fun p -> if p <> 0 then out := p :: !out) t;
+  !out
+
+let echelon_basis vs = pivots (table vs)
 let dim vs = List.length (echelon_basis vs)
-
-let reduce basis v =
-  (* Full reduction to the canonical coset representative: clear the
-     pivot position of every echelon basis vector, in decreasing pivot
-     order. *)
-  let pivots = echelon_basis basis in
-  List.fold_left (fun v p -> if Bitvec.bit v (Bitvec.msb p) then v lxor p else v) v pivots
-
+let reduce basis v = Bitmatrix.reduce (table basis) v
 let mem basis v = reduce basis v = 0
 let independent_from basis v = reduce basis v <> 0
 
-let complete_basis ~dim:d basis =
-  let rec go k acc cur =
-    if k >= d then List.rev acc
-    else
-      let e = Bitvec.unit k in
-      if independent_from cur e then go (k + 1) (e :: acc) (e :: cur)
-      else go (k + 1) acc cur
-  in
-  go 0 [] basis
+let extend basis candidates =
+  let t = table basis in
+  List.filter (fun v -> insert t v <> 0) candidates
 
-let complement = complete_basis
-
-let sum a b = echelon_basis (a @ b)
+let complete_basis ~dim:d basis = extend basis (List.init d Bitvec.unit)
 
 let intersection a b =
   (* Zassenhaus: echelonize rows [(v, v)] for v in a and [(w, 0)] for w in b
-     over F2^(2d); reduced rows whose left block is zero have right blocks
+     over F2^(2d); pivots whose left block is zero have right blocks
      forming a basis of the intersection. *)
-  let d =
-    List.fold_left (fun acc v -> max acc (Bitvec.width v)) 0 (a @ b)
-  in
-  let paired = List.map (fun v -> (v lsl d) lor v) a @ List.map (fun w -> w lsl d) b in
-  let rec insert pivots v =
-    if v = 0 then pivots
-    else
-      match List.find_opt (fun p -> Bitvec.msb p = Bitvec.msb v) pivots with
-      | Some p -> insert pivots (v lxor p)
-      | None -> v :: pivots
-  in
-  let pivots = List.fold_left insert [] paired in
-  List.filter_map
-    (fun p -> if p lsr d = 0 then (if p = 0 then None else Some p) else None)
-    pivots
+  let d = List.fold_left (fun acc v -> max acc (Bitvec.width v)) 0 (a @ b) in
+  table (List.map (fun v -> (v lsl d) lor v) a @ List.map (fun w -> w lsl d) b)
+  |> pivots
+  |> List.filter (fun p -> p lsr d = 0)
 
 let span_elements basis =
   let bs = Array.of_list basis in
@@ -64,4 +53,5 @@ let span_elements basis =
       !acc)
 
 let equal_span a b =
-  List.for_all (mem a) b && List.for_all (mem b) a
+  let spans t = List.for_all (fun v -> Bitmatrix.reduce t v = 0) in
+  spans (table a) b && spans (table b) a

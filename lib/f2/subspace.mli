@@ -1,8 +1,10 @@
 (** Subspaces of [F2^d] given by generating sets of bit-vectors.
 
     These are the set-level operations of Section 5.4 of the paper:
-    spans, basis completion, intersections, and complements, all used by
-    the warp-shuffle planner and the optimal-swizzling search. *)
+    spans, basis extension and completion, and intersections, used by
+    the warp-shuffle planner and the optimal-swizzling search.  They
+    eliminate with {!Bitmatrix.reduce}, the reduction of
+    {!Bitmatrix.factorize}, once per call. *)
 
 (** [echelon_basis vs] is a basis of [span vs] in column-echelon form:
     independent vectors with strictly decreasing most-significant bits. *)
@@ -11,31 +13,27 @@ val echelon_basis : Bitvec.t list -> Bitvec.t list
 (** Dimension of the span. *)
 val dim : Bitvec.t list -> int
 
-(** [reduce basis v] is the residual of [v] after eliminating against
-    [basis] (which need not be echelonized). Zero iff [v] is in the span. *)
-val reduce : Bitvec.t list -> Bitvec.t -> Bitvec.t
-
 val mem : Bitvec.t list -> Bitvec.t -> bool
 
 (** [independent_from basis v] holds iff adding [v] increases the span. *)
 val independent_from : Bitvec.t list -> Bitvec.t -> bool
 
+(** [extend basis candidates] is the candidates, in order, that each
+    enlarge the span of [basis] and of the candidates kept before
+    them. *)
+val extend : Bitvec.t list -> Bitvec.t list -> Bitvec.t list
+
 (** [complete_basis ~dim basis] returns vectors [r_1 ... r_k], drawn from
     the canonical basis, such that [basis @ [r_1; ...; r_k]] spans
-    [F2^dim]. This is the extension [R] of Section 5.4. *)
+    [F2^dim]: {!extend} over [e_0 ... e_(dim-1)]. This is the extension
+    [R] of Section 5.4; its span is a complement of [span basis] when
+    [basis] lies in [F2^dim]. *)
 val complete_basis : dim:int -> Bitvec.t list -> Bitvec.t list
-
-(** [complement ~dim basis] is a basis of a complement of [span basis]
-    inside [F2^dim]: same as {!complete_basis}. *)
-val complement : dim:int -> Bitvec.t list -> Bitvec.t list
 
 (** [intersection a b] is a basis of the intersection of the two spans
     (Zassenhaus
     algorithm). Requires the ambient dimension to satisfy [2*dim <= 62]. *)
 val intersection : Bitvec.t list -> Bitvec.t list -> Bitvec.t list
-
-(** [sum a b] is a basis of [span a + span b]. *)
-val sum : Bitvec.t list -> Bitvec.t list -> Bitvec.t list
 
 (** All [2^k] elements of the span of a [k]-element independent set,
     indexed by the characteristic vector of the chosen combination:

@@ -226,7 +226,6 @@ let exec ~bin p st =
   let published = Array.make p.lanes 0 in
   List.iter (step ~bin p st published) p.body
 
-(* Accumulate one instruction's cost. *)
 let price machine p cost = function
   | Mov _ | Bin _ -> cost.Cost.alu <- cost.Cost.alu + p.warps
   | Sel _ | Scatter _ -> cost.Cost.alu <- cost.Cost.alu + (2 * p.warps)
@@ -260,41 +259,6 @@ let run machine p st =
     Obs.Metrics.observe "isa.cost.estimate"
       (int_of_float (ceil (Cost.estimate machine cost)));
   cost
-
-type class_counts = {
-  movs : int;
-  sels : int;
-  scatters : int;
-  shuffles : int;
-  shared_stores : int;
-  shared_loads : int;
-  bins : int;
-  barriers : int;
-}
-
-let count_classes p =
-  List.fold_left
-    (fun c i ->
-      match i with
-      | Mov _ -> { c with movs = c.movs + 1 }
-      | Sel _ -> { c with sels = c.sels + 1 }
-      | Scatter _ -> { c with scatters = c.scatters + 1 }
-      | Shfl_idx _ -> { c with shuffles = c.shuffles + 1 }
-      | St_shared _ -> { c with shared_stores = c.shared_stores + 1 }
-      | Ld_shared _ -> { c with shared_loads = c.shared_loads + 1 }
-      | Bin _ -> { c with bins = c.bins + 1 }
-      | Bar_sync -> { c with barriers = c.barriers + 1 })
-    {
-      movs = 0;
-      sels = 0;
-      scatters = 0;
-      shuffles = 0;
-      shared_stores = 0;
-      shared_loads = 0;
-      bins = 0;
-      barriers = 0;
-    }
-    p.body
 
 let pp_slots ppf slots =
   Format.fprintf ppf "{%s}" (String.concat "," (List.map (fun s -> "r" ^ string_of_int s) slots))

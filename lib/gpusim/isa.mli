@@ -96,30 +96,28 @@ val fault_message : instr -> fault -> string
     left it. *)
 val exec : bin:([ `Add | `Max ] -> int -> int -> int) -> program -> state -> unit
 
+(** [price machine program cost instr] adds [instr]'s cost to [cost]:
+    one ALU operation per warp for [Mov] and [Bin], two for [Sel] and
+    [Scatter], a shuffle and an ALU operation per warp for [Shfl_idx],
+    one shared-memory instruction per warp plus each warp's
+    {!Banks.wavefronts_row} for [St_shared] and [Ld_shared], and one
+    barrier per [Bar_sync].  This is the one price rule of the ISA: the
+    interpreter ({!run}) and the static pricer ([Analysis.Static_cost])
+    both fold it, so they agree by construction.  It reads only the
+    instruction's immediates and assumes a well-formed instruction
+    (check {!fault} first). *)
+val price : Machine.t -> program -> Cost.t -> instr -> unit
+
 (** [run machine program state] is {!exec} with [Bin] computing [+] or
-    [max], and returns the accumulated costs.  Each warp's
-    shared-memory access is priced by {!Banks.wavefronts_row}.  With
-    observability enabled it counts [isa.instr.<class>] per instruction
-    and observes [isa.cost.estimate]. *)
+    [max], and returns the sum of {!price} over the executed
+    instructions.  With observability enabled it counts
+    [isa.instr.<class>] per instruction and observes
+    [isa.cost.estimate]. *)
 val run : Machine.t -> program -> state -> Cost.t
 
 (** Short class name of an instruction ("mov", "shfl", "st_shared",
     ...), as used for obs counter names and cost attribution. *)
 val instr_class : instr -> string
-
-(** Static per-class instruction counts (Table 6 style reporting). *)
-type class_counts = {
-  movs : int;
-  sels : int;
-  scatters : int;
-  shuffles : int;
-  shared_stores : int;
-  shared_loads : int;
-  bins : int;
-  barriers : int;
-}
-
-val count_classes : program -> class_counts
 
 val pp_instr : Format.formatter -> instr -> unit
 val pp : Format.formatter -> program -> unit

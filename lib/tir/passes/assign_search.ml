@@ -49,7 +49,7 @@ let chooser_of_script script =
 
 (* The search objective: planner model cost with every lowerable
    conversion re-priced by the exact static cost of its instruction
-   stream (LL810-asserted, see {!Analysis.Static_cost.reprice_conversion}).
+   stream (see {!Analysis.Static_cost.reprice_conversion}).
    Conversions with no warp-level lowering — legacy round trips,
    cross-CTA plans — keep their model cost. *)
 let objective machine (r : Pass.result) =

@@ -55,3 +55,21 @@ let cover ~base ~levels ~shape_bits ~order =
       let rem = shape_bits.(d) - Layout.out_bits acc (Dims.dim d) in
       if rem > 0 then mul acc (id rem ~in_dim:Dims.register d) else acc)
     acc order
+
+(* {1 Free variables} *)
+
+(* The former free-variable scan: a column is free when it lies in the
+   span of the columns kept before it, tested against a fresh
+   elimination per column.  The library now reads the free columns off
+   [F2.Bitmatrix.factorize]'s pivot columns. *)
+let free_variable_masks l =
+  let kept = ref [] in
+  List.map
+    (fun (d, bits) ->
+      let mask = ref 0 in
+      for k = 0 to bits - 1 do
+        let v = Layout.basis_flat l d k in
+        if Subspace_oracle.mem !kept v then mask := !mask lor (1 lsl k) else kept := v :: !kept
+      done;
+      (d, !mask))
+    (Layout.in_dims l)

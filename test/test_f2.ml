@@ -305,6 +305,31 @@ let prop_intersection_members =
       Subspace.intersection a b
       |> List.for_all (fun v -> Subspace.mem a v && Subspace.mem b v))
 
+(* {2 Subspace against the list reference} *)
+
+let gen_vectors =
+  QCheck.Gen.(
+    let* bits = int_range 1 31 in
+    list_size (int_range 0 8) (int_bound ((1 lsl bits) - 1)))
+
+let prop_subspace_matches_reference =
+  QCheck.Test.make ~name:"subspace = list reference" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list int) (list int) int)
+       QCheck.Gen.(triple gen_vectors gen_vectors (int_bound ((1 lsl 31) - 1))))
+    (fun (a, b, v) ->
+      let sorted l = List.sort compare l in
+      let span = Array.to_list (Subspace.span_elements (Subspace_oracle.echelon_basis a)) in
+      Subspace.echelon_basis a = Subspace_oracle.echelon_basis a
+      && List.for_all (fun v -> Subspace.mem a v = Subspace_oracle.mem a v) (v :: span)
+      && Subspace.independent_from a v = not (Subspace_oracle.mem a v)
+      && Subspace.extend a b = Subspace_oracle.extend a b
+      && Subspace.complete_basis ~dim:31 a = Subspace_oracle.complete_basis ~dim:31 a
+      && sorted (Subspace.intersection a b) = sorted (Subspace_oracle.intersection a b)
+      && Subspace.equal_span a b
+         = (List.for_all (Subspace_oracle.mem a) b && List.for_all (Subspace_oracle.mem b) a)
+      && Subspace.equal_span a (Subspace_oracle.echelon_basis a))
+
 (* {2 Factorize against the reference}
 
    [factorize] must be bit-identical to the list reference — same rank,
@@ -444,6 +469,7 @@ let () =
             prop_transpose_involution;
             prop_transpose_entries;
             prop_right_inverse_with;
+            prop_subspace_matches_reference;
           ] );
       ( "echelon reference",
         q

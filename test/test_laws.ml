@@ -124,6 +124,23 @@ let prop_slice_then_free_bits =
       in
       freed = Layout.out_bits l (Dims.dim 1))
 
+let prop_free_variable_masks_reference =
+  (* Random register and lane columns over a 4-bit offset, so columns
+     repeat, vanish and depend on each other. *)
+  let gen =
+    QCheck.Gen.(
+      let* r = int_range 0 3 in
+      let* l = int_range 0 3 in
+      let+ cols = list_repeat (r + l) (int_bound 15) in
+      Layout.of_matrix
+        ~ins:[ (Dims.register, r); (Dims.lane, l) ]
+        ~outs:[ (Dims.offset, 4) ]
+        (F2.Bitmatrix.make ~rows:4 (Array.of_list cols)))
+  in
+  QCheck.Test.make ~name:"free_variable_masks = per-column reference" ~count:300
+    (QCheck.make gen ~print:Layout.to_string)
+    (fun l -> Layout.free_variable_masks l = Layout_oracle.free_variable_masks l)
+
 let prop_parse_roundtrip =
   QCheck.Test.make ~name:"Parse.of_string (Parse.to_string l) = l" ~count:200 arb_perm
     (fun l ->
@@ -163,6 +180,7 @@ let () =
             prop_flatten_reshape_roundtrip;
             prop_exchange_involution;
             prop_slice_then_free_bits;
+            prop_free_variable_masks_reference;
             prop_kernel_dimension;
             prop_parse_roundtrip;
           ] );

@@ -1,16 +1,18 @@
-(* The static≡dynamic cost contract (ISSUE 7): Static_cost must price
-   every ISA program exactly as the interpreter accounts it, and
-   Resource_check must flag ill-resourced programs.  Three layers:
+(* The static≡dynamic cost contract: Static_cost must price every ISA
+   program exactly as the interpreter accounts it, and Resource_check
+   must flag ill-resourced programs.  Both sides fold [Isa.price], so
+   each is held against [Cost_oracle], an independent restatement of
+   the price.  Three layers:
 
-   - a 216-row golden sweep (27 kernels x 4 machines x 2 modes) running
-     the differential on every lowered conversion plan;
+   - a 216-row golden sweep (27 kernels x 4 machines x 2 modes) over
+     every lowered conversion plan;
    - randomized programs, both engine-lowered (the interp-fuzz TIR
      motifs: elementwise chains, the reduce/broadcast softmax motif,
      gathers, dots) and raw random ISA streams, seed-replayable with
      STATIC_COST_FUZZ_SEED=N;
    - fault injection: perturbing an address immediate or dropping an
-     instruction must produce a cost the differential machinery
-     distinguishes from the original's. *)
+     instruction must produce a cost distinguishable from the
+     original's. *)
 
 open Linear_layout
 module Isa = Gpusim.Isa
@@ -25,6 +27,17 @@ let cost_pp c = Format.asprintf "%a" Gpusim.Cost.pp c
 
 let check_cost_eq what a b =
   if a <> b then Alcotest.failf "%s: static %s <> interpreted %s" what (cost_pp a) (cost_pp b)
+
+(* [Static_cost.cost] and [Isa.run] on a fresh [slots]-slot state both
+   equal the oracle's price of [p]. *)
+let check_oracle what machine ~slots p =
+  let want = Cost_oracle.cost machine p in
+  let against side got =
+    if got <> want then
+      Alcotest.failf "%s: %s %s <> oracle %s" what side (cost_pp got) (cost_pp want)
+  in
+  against "static" (Static_cost.cost machine p);
+  against "interpreted" (Isa.run machine p (Isa.make_state p ~slots))
 
 (* {1 The 216-row golden differential} *)
 
@@ -48,13 +61,10 @@ let test_golden_differential () =
                       | None -> ()
                       | Some (program, sm) ->
                           incr lowered;
-                          let slots = sm.Codegen.Lower.total_slots in
-                          (match Static_cost.differential machine ~slots program with
-                          | [] -> ()
-                          | d :: _ ->
-                              Alcotest.failf "%s/%s/%s: %s" k.Tir.Kernels.name
-                                machine.Gpusim.Machine.name c.Tir.Engine.mechanism
-                                (Format.asprintf "%a" Diagnostics.pp d));
+                          check_oracle
+                            (Printf.sprintf "%s/%s/%s" k.Tir.Kernels.name
+                               machine.Gpusim.Machine.name c.Tir.Engine.mechanism)
+                            machine ~slots:sm.Codegen.Lower.total_slots program;
                           (* The attribution table must sum to the total. *)
                           let a = Static_cost.analyze machine program in
                           let sum = Gpusim.Cost.zero () in
@@ -134,13 +144,11 @@ let test_fuzz_engine_lowered () =
         | Some plan -> (
             match Static_cost.lower_plan m plan with
             | None -> ()
-            | Some (program, sm) -> (
-                match Static_cost.differential m ~slots:sm.Codegen.Lower.total_slots program with
-                | [] -> ()
-                | d :: _ ->
-                    Alcotest.failf
-                      "fuzz tir #%d (replay with STATIC_COST_FUZZ_SEED=%d): %s" i fuzz_seed
-                      (Format.asprintf "%a" Diagnostics.pp d))))
+            | Some (program, sm) ->
+                check_oracle
+                  (Printf.sprintf "fuzz tir #%d (replay with STATIC_COST_FUZZ_SEED=%d)" i
+                     fuzz_seed)
+                  m ~slots:sm.Codegen.Lower.total_slots program))
       r.Tir.Engine.conversions
   done
 
@@ -153,12 +161,10 @@ let test_fuzz_raw_isa () =
     (fun machine ->
       for i = 1 to 50 do
         let p, slots = fuzz_isa_program st in
-        let static_c = Static_cost.cost machine p in
-        let interp = Isa.run machine p (Isa.make_state p ~slots) in
-        check_cost_eq
+        check_oracle
           (Printf.sprintf "raw isa #%d on %s (replay with STATIC_COST_FUZZ_SEED=%d)" i
              machine.Gpusim.Machine.name fuzz_seed)
-          static_c interp;
+          machine ~slots p;
         check_int
           (Printf.sprintf "differential clean #%d" i)
           0
@@ -202,10 +208,10 @@ let test_perturbed_address_detected () =
   let static_orig = Static_cost.cost m p in
   let interp_perturbed = Isa.run m p' (Isa.make_state p' ~slots:1) in
   check_bool "divergence detected" true (static_orig <> interp_perturbed);
-  (* And the analyzer tracks the perturbation exactly: on the perturbed
-     program itself, static and interpreted still agree. *)
-  check_cost_eq "perturbed program still exact" (Static_cost.cost m p')
-    (Isa.run m p' (Isa.make_state p' ~slots:1))
+  (* And the pricing tracks the perturbation exactly: both programs
+     are priced as the oracle prices them. *)
+  check_oracle "original program" m ~slots:1 p;
+  check_oracle "perturbed program" m ~slots:1 p'
 
 let all_classes_program =
   let lanes = 8 in
@@ -235,7 +241,7 @@ let all_classes_program =
 let test_dropped_instruction_detected () =
   let p = all_classes_program in
   let full = Static_cost.cost m p in
-  check_cost_eq "full program exact" full (Isa.run m p (Isa.make_state p ~slots:8));
+  check_oracle "full program" m ~slots:8 p;
   List.iteri
     (fun i _ ->
       let body' = List.filteri (fun j _ -> j <> i) p.Isa.body in
@@ -244,9 +250,7 @@ let test_dropped_instruction_detected () =
       check_bool
         (Printf.sprintf "dropping instr %d changes the static cost" i)
         true (static' <> full);
-      check_cost_eq
-        (Printf.sprintf "dropped-instr program %d still exact" i)
-        static' (Isa.run m p' (Isa.make_state p' ~slots:8)))
+      check_oracle (Printf.sprintf "dropped-instr program %d" i) m ~slots:8 p')
     p.Isa.body
 
 (* {1 Resource diagnostics (LL8xx)} *)
@@ -508,16 +512,15 @@ let test_gmem_inst_pricing () =
         1.0 mm.Gpusim.Machine.cost_gmem_inst)
     Gpusim.Machine.all_with_extras
 
-let test_count_classes () =
-  let c = Isa.count_classes all_classes_program in
-  check_int "movs" 1 c.Isa.movs;
-  check_int "sels" 1 c.Isa.sels;
-  check_int "scatters" 1 c.Isa.scatters;
-  check_int "shuffles" 1 c.Isa.shuffles;
-  check_int "stores" 1 c.Isa.shared_stores;
-  check_int "loads" 1 c.Isa.shared_loads;
-  check_int "bins" 1 c.Isa.bins;
-  check_int "barriers" 1 c.Isa.barriers
+let class_names = [ "mov"; "sel"; "scatter"; "shfl"; "st_shared"; "ld_shared"; "bin"; "bar" ]
+
+let test_counts_by_instr_class () =
+  List.iter
+    (fun name ->
+      check_int name 1
+        (List.length
+           (List.filter (fun i -> Isa.instr_class i = name) all_classes_program.Isa.body)))
+    class_names
 
 (* {1 Per-plan verdicts}
 
@@ -553,6 +556,25 @@ let test_verdict_price_stored () =
   let stored = alu second in
   Option.iter (fun c -> c.Gpusim.Cost.alu <- c.Gpusim.Cost.alu + 1) first;
   check_int "stored price untouched" stored (alu (reprice ()))
+
+(* A cold re-price prices the lowered stream statically: with metrics
+   on, it counts a verdict miss and moves no [isa.instr.*] counter, the
+   interpreter's per-instruction count. *)
+let test_cold_reprice_runs_no_interpreter () =
+  let plan, _ = shared_plan [| 64; 64 |] in
+  let executed () =
+    List.map (fun name -> Obs.Metrics.counter_value ("isa.instr." ^ name)) class_names
+  in
+  let before = executed () in
+  let price, _, misses =
+    Plan_support.verdict_counts (fun () -> Static_cost.reprice_conversion m plan)
+  in
+  check_int "a cold demand" 1 misses;
+  (match (price, Static_cost.lower_plan m plan) with
+  | Some c, Some (program, _) ->
+      check_bool "the lowered stream's cost" true (c = Static_cost.cost m program)
+  | _ -> Alcotest.fail "expected a lowerable plan");
+  check_bool "no isa.instr counter moved" true (executed () = before)
 
 let test_verdict_failure_not_stored () =
   let plan, _ = shared_plan [| 32; 32 |] in
@@ -617,10 +639,12 @@ let () =
                test_verdict_price_stored;
              Alcotest.test_case "a raised Failure is never stored" `Quick
                test_verdict_failure_not_stored;
+             Alcotest.test_case "a cold re-price runs no interpreter" `Quick
+               test_cold_reprice_runs_no_interpreter;
            ] );
          ( "satellites",
            [
              Alcotest.test_case "gmem_insts pricing" `Quick test_gmem_inst_pricing;
-             Alcotest.test_case "count_classes" `Quick test_count_classes;
+             Alcotest.test_case "counts by instr_class" `Quick test_counts_by_instr_class;
            ] );
        ])

@@ -484,6 +484,31 @@ let test_roundtrip_different_shapes () =
         "message" "layouts cover different logical spaces (dim1:2xdim0:3 vs dim1:3xdim0:2)" msg
   | v -> Alcotest.failf "expected Failed, got %s" (Analysis.Transval.verdict_name v)
 
+(* A global round trip whose source reaches only the low three of five
+   logical bits is refuted at the first destination point outside the
+   source's image, the point a brute-force scan over every destination
+   point and every source point finds. *)
+let test_roundtrip_not_surjective () =
+  let ins = [ (Dims.register, 2); (Dims.lane, 3) ] and outs = [ (Dims.dim 0, 5) ] in
+  let layout cols = Layout.of_matrix ~ins ~outs (F2.Bitmatrix.make ~rows:5 (Array.of_list cols)) in
+  let src = layout [ 0b00001; 0b00010; 0b00100; 0b00011; 0 ]
+  and dst = layout [ 0b00100; 0b00001; 0b01000; 0b00010; 0b10000 ] in
+  let image = List.init 32 (Layout.apply_flat src) in
+  let witness =
+    List.find (fun h -> not (List.mem (Layout.apply_flat dst h) image)) (List.init 32 Fun.id)
+  in
+  let plan =
+    { Codegen.Conversion.src; dst; byte_width = 4; mechanism = Codegen.Conversion.Global_roundtrip }
+  in
+  let cert = Analysis.Transval.certify_plan m plan in
+  Alcotest.(check int) "points" 32 cert.Analysis.Transval.points;
+  match cert.Analysis.Transval.verdict with
+  | Analysis.Transval.Refuted { counterexample; got; want } ->
+      Alcotest.(check int) "counterexample" witness counterexample;
+      check_bool "nothing read" true (got = None);
+      Alcotest.(check int) "want" (Layout.apply_flat dst witness) want
+  | v -> Alcotest.failf "expected Refuted, got %s" (Analysis.Transval.verdict_name v)
+
 (* {1 Gather certificates} *)
 
 (* A gather that stays within each warp: lanes on the feature dim, the
@@ -655,6 +680,8 @@ let () =
             test_flipped_matrix_refuted;
           Alcotest.test_case "round trip between shapes fails" `Quick
             test_roundtrip_different_shapes;
+          Alcotest.test_case "round trip from a non-surjective source refuted" `Quick
+            test_roundtrip_not_surjective;
           Alcotest.test_case "LL650/LL651/LL652 fire" `Quick test_diagnostic_codes;
           Alcotest.test_case "gather proved" `Quick test_gather_proved;
           Alcotest.test_case "clobbered gather scatter refuted" `Quick
