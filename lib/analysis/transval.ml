@@ -37,17 +37,19 @@ type scratch = { mutable regs_buf : int array; mutable smem_buf : int array }
 
 let scratch_key = Domain.DLS.new_key (fun () -> { regs_buf = [||]; smem_buf = [||] })
 
+(* [n] cells holding [bot]: [buf]'s prefix when [reuse] and it is long
+   enough, else a fresh array. *)
+let bot_cells ~reuse buf n =
+  if (not reuse) || n < 0 || Array.length buf < n then Array.make n bot
+  else begin
+    Array.fill buf 0 n bot;
+    buf
+  end
+
 let bot_state ~reuse (p : Gpusim.Isa.program) ~slots =
   let sc = Domain.DLS.get scratch_key in
-  let cells buf n =
-    if (not reuse) || n < 0 || Array.length buf < n then Array.make n bot
-    else begin
-      Array.fill buf 0 n bot;
-      buf
-    end
-  in
-  let regs = cells sc.regs_buf (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots) in
-  let smem = cells sc.smem_buf p.Gpusim.Isa.smem_elems in
+  let regs = bot_cells ~reuse sc.regs_buf (p.Gpusim.Isa.warps * p.Gpusim.Isa.lanes * slots) in
+  let smem = bot_cells ~reuse sc.smem_buf p.Gpusim.Isa.smem_elems in
   if reuse then begin
     sc.regs_buf <- regs;
     sc.smem_buf <- smem
@@ -97,6 +99,12 @@ let image_table m ~lo n =
   done;
   t
 
+(* A map's split tables at [regs] registers (a power of two) and
+   [threads] threads: its value at [r + t * regs] is
+   [reg.(r) lxor thr.(t)]. *)
+let split_tables m ~regs ~threads =
+  (image_table m ~lo:0 regs, image_table m ~lo:(Util.log2 regs) threads)
+
 (* The shared core: require, for every destination hardware point
    [h = r + t * dst_regs] (slot [dst_base + r] of thread [t]), that its
    provenance [p] satisfies [src_flat p = want h].  [want] is the
@@ -128,8 +136,8 @@ let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
   | st ->
       (* Applied for its slot-range check only. *)
       let (_ : int -> int) = Codegen.Lower.read_dst program map st in
-      let m = Layout.to_matrix src and rb = Util.log2 src_regs in
-      let gr = image_table m ~lo:0 src_regs and gt = image_table m ~lo:rb threads in
+      let gr, gt = split_tables (Layout.to_matrix src) ~regs:src_regs ~threads in
+      let rb = Util.log2 src_regs in
       let got p = gr.(p land (src_regs - 1)) lxor gt.(p lsr rb) in
       let slots = st.Gpusim.Isa.slots and regs = st.Gpusim.Isa.regs in
       let unwritten = ref (-1) and wrong = ref (-1) and wrong_p = ref 0 in
@@ -155,14 +163,217 @@ let check_program ~src ~(map : Codegen.Lower.slot_map) ~want ~mechanism
         cert (Refuted { counterexample = !wrong; got = Some (got !wrong_p); want = want !wrong })
       else cert Proved
 
+(* {1 Proof in closed form}
+
+   The two program shapes {!Codegen.Lower.conversion} emits for
+   shared-memory round trips and warp shuffles are proved from their
+   tables, without running them: every immediate is checked against
+   the split tables of the two layouts.  A failed check proves nothing
+   either way — the prover answers [false] and {!certify_isa} runs the
+   scan, the only path that refutes and the only source of witnesses.
+   A [true] answer implies the scan proves the program too; the
+   argument is in DESIGN.md, section Translation validation. *)
+
+exception Unproved
+
+let need b = if not b then raise Unproved
+
+(* [St_shared+ ; Bar_sync* ; Ld_shared+].  The witness [cell] is a
+   linear map from logical element to shared-memory element, solved on
+   a basis: one source point per logical unit vector, whose cell is
+   read off the store that writes it.  [cell] must be injective.  A
+   store of slots [s_0 .. s_(k-1)] then writes every source element to
+   its cell when, with [base = cell_reg s_0], [cell_reg s_i = base lxor
+   i] for every position [i] and, for every thread [t], [addr t] is
+   aligned to [k] and equals [base lxor cell_thr t]: thread [t] writes
+   slot [s_i] to [addr t + i = addr t lxor i = cell (src (s_i, t))].
+   The loads are checked the same way against the destination's
+   tables, so each reads its element's cell.  That cell was written:
+   every unit vector was solved inside the source's points, so the
+   source is surjective, and every source slot is stored by every
+   thread.  Every access then lies in [cell]'s image, whose largest
+   element is found from an echelon basis, so no address is out of
+   range when that element is below [smem_elems]: with the tables'
+   shapes checked here, {!Gpusim.Isa.fault} finds nothing. *)
+let round_trip ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
+  let warps = program.Gpusim.Isa.warps and lanes = program.Gpusim.Isa.lanes in
+  let threads = warps * lanes in
+  let src_regs = map.Codegen.Lower.src_regs in
+  let rec stores acc = function
+    | Gpusim.Isa.St_shared { slots; addr; _ } :: rest ->
+        stores ((Array.of_list slots, addr) :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let rec bars = function Gpusim.Isa.Bar_sync :: rest -> bars rest | rest -> rest in
+  let rec loads acc = function
+    | Gpusim.Isa.Ld_shared { slots; addr; _ } :: rest ->
+        loads ((Array.of_list slots, addr) :: acc) rest
+    | [] -> List.rev acc
+    | _ :: _ -> raise Unproved
+  in
+  let stores, rest = stores [] program.Gpusim.Isa.body in
+  let loads = loads [] (bars rest) in
+  need (stores <> [] && loads <> []);
+  let ms = Layout.to_matrix src and md = Layout.to_matrix dst in
+  let n = F2.Bitmatrix.rows ms in
+  need (F2.Bitmatrix.rows md = n);
+  (* The first store of each source slot: its table and the slot's
+     position in it. *)
+  let first_store = Array.make src_regs None in
+  List.iter
+    (fun (slots, addr) ->
+      Array.iteri
+        (fun i s ->
+          if s >= 0 && s < src_regs && first_store.(s) = None then first_store.(s) <- Some (addr, i))
+        slots)
+    stores;
+  let ech = Layout.Memo.echelon src and rb = Util.log2 src_regs in
+  let cell_of_unit j =
+    match F2.Bitmatrix.solve_with ech (1 lsl j) with
+    | Some x when x < src_regs * threads && F2.Bitmatrix.apply ms x = 1 lsl j -> (
+        match first_store.(x land (src_regs - 1)) with
+        | Some (addr, i) ->
+            let t = x lsr rb in
+            let a = addr.(t / lanes).(t land (lanes - 1)) in
+            need (a >= 0);
+            a + i
+        | None -> raise Unproved)
+    | _ -> raise Unproved
+  in
+  let cols = Array.init n cell_of_unit in
+  (* [cell] is injective iff its columns are independent; the largest
+     element of its image is built greedily over the pivots, in
+     decreasing most-significant-bit order. *)
+  let pivots = F2.Subspace.echelon_basis (Array.to_list cols) in
+  need (List.length pivots = n);
+  need (List.fold_left (fun x b -> max x (x lxor b)) 0 pivots < program.Gpusim.Isa.smem_elems);
+  let cell =
+    F2.Bitmatrix.make ~rows:(Array.fold_left (fun w c -> max w (F2.Bitvec.width c)) 0 cols) cols
+  in
+  (* One side: every slot of [accesses] lies in [first, first + regs),
+     every one of those slots is accessed, and every access is at its
+     element's cell under the layout [m]. *)
+  let side m ~regs ~first accesses =
+    let cell_reg, cell_thr = split_tables (F2.Bitmatrix.mul cell m) ~regs ~threads in
+    let covered = Array.make regs false in
+    List.iter
+      (fun (slots, addr) ->
+        let k = Array.length slots in
+        need (Util.is_pow2 k && Array.length addr = warps);
+        let reg i =
+          let r = slots.(i) - first in
+          need (r >= 0 && r < regs);
+          covered.(r) <- true;
+          r
+        in
+        let base = cell_reg.(reg 0) in
+        for i = 1 to k - 1 do
+          need (cell_reg.(reg i) lxor base = i)
+        done;
+        for w = 0 to warps - 1 do
+          let row = addr.(w) and off = w * lanes in
+          need (Array.length row = lanes);
+          for l = 0 to lanes - 1 do
+            let a = row.(l) in
+            if a land (k - 1) <> 0 || a <> base lxor cell_thr.(off + l) then raise Unproved
+          done
+        done)
+      accesses;
+    need (Array.for_all Fun.id covered)
+  in
+  side ms ~regs:src_regs ~first:0 stores;
+  side md ~regs:map.Codegen.Lower.dst_regs ~first:map.Codegen.Lower.dst_base loads
+
+(* [(Sel ; Shfl_idx ; Scatter)+], each round staging through a slot
+   pair [send <> recv] outside the data slots, which do not overlap.
+   Source slots are then never written.  A lane [l] that scatters to
+   destination slot [r] must be kept by the round's shuffle and read a
+   lane [l'] whose Sel picks a source slot [s] in the same round, so it
+   scatters the provenance [(s, t')] of its source thread [t']; that
+   point holds [r]'s element of thread [t] when
+   [gr s lxor gt t' = wr r lxor wt t].  Every scatter writes a correct
+   element, so the last one to a point does, and a bitmap over the
+   destination points confirms that every point is written. *)
+let shuffle_rounds ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
+  let lanes = program.Gpusim.Isa.lanes in
+  let threads = program.Gpusim.Isa.warps * lanes in
+  let src_regs = map.Codegen.Lower.src_regs and dst_base = map.Codegen.Lower.dst_base in
+  let dst_regs = map.Codegen.Lower.dst_regs and total = map.Codegen.Lower.total_slots in
+  need (dst_base >= src_regs);
+  let stage s = s >= src_regs && s < total && (s < dst_base || s >= dst_base + dst_regs) in
+  let gr, gt = split_tables (Layout.to_matrix src) ~regs:src_regs ~threads in
+  let wr, wt = split_tables (Layout.to_matrix dst) ~regs:dst_regs ~threads in
+  let sc = Domain.DLS.get scratch_key in
+  let written = bot_cells ~reuse:true sc.regs_buf (dst_regs * threads) in
+  sc.regs_buf <- written;
+  let round ~send ~recv ~sel ~src_lane ~keep ~scat =
+    need (stage send && stage recv && send <> recv);
+    for w = 0 to Array.length sel - 1 do
+      let sel = sel.(w) and src_lane = src_lane.(w) and keep = keep.(w) and scat = scat.(w) in
+      for l = 0 to lanes - 1 do
+        need (sel.(l) < src_regs);
+        let d = scat.(l) in
+        if d >= 0 then begin
+          let r = d - dst_base and l' = src_lane.(l) in
+          let s = sel.(l') and t = (w * lanes) + l in
+          need (r >= 0 && r < dst_regs && keep.(l) && s >= 0 && s < src_regs);
+          need (gr.(s) lxor gt.((w * lanes) + l') = wr.(r) lxor wt.(t));
+          written.((t * dst_regs) + r) <- 0
+        end
+      done
+    done
+  in
+  let rec rounds = function
+    | [] -> ()
+    | (Gpusim.Isa.Sel { dst = send; src_slot = sel } as i1)
+      :: (Gpusim.Isa.Shfl_idx { dst = recv; src = send'; src_lane; keep } as i2)
+      :: (Gpusim.Isa.Scatter { src = recv'; dst_slot = scat } as i3)
+      :: rest
+      when send' = send && recv' = recv ->
+        List.iter (fun i -> need (Gpusim.Isa.fault program i = None)) [ i1; i2; i3 ];
+        round ~send ~recv ~sel ~src_lane ~keep ~scat;
+        rounds rest
+    | _ :: _ -> raise Unproved
+  in
+  rounds program.Gpusim.Isa.body;
+  for h = 0 to (dst_regs * threads) - 1 do
+    need (written.(h) <> bot)
+  done
+
+(* The conditions under which the scan's loader and reader raise
+   nothing, then the shape's own checks, which include the
+   interpreter's.  [Invalid_argument] from an array access or a
+   factorization counts as a failed check. *)
+let proves_in_closed_form ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
+  let src_regs = map.Codegen.Lower.src_regs and dst_regs = map.Codegen.Lower.dst_regs in
+  let dst_base = map.Codegen.Lower.dst_base and total = map.Codegen.Lower.total_slots in
+  let pow2 = Util.is_pow2 in
+  match
+    need (pow2 program.Gpusim.Isa.lanes && pow2 program.Gpusim.Isa.warps);
+    need (pow2 src_regs && pow2 dst_regs);
+    need (src_regs <= total && dst_base >= 0 && dst_base + dst_regs <= total);
+    match program.Gpusim.Isa.body with
+    | Gpusim.Isa.St_shared _ :: _ -> round_trip ~src ~dst ~map program
+    | Gpusim.Isa.Sel _ :: _ -> shuffle_rounds ~src ~dst ~map program
+    | _ -> raise Unproved
+  with
+  | () -> true
+  | exception (Unproved | Invalid_argument _) -> false
+
 let certify_isa ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
-  let m = Layout.to_matrix dst and dst_regs = map.Codegen.Lower.dst_regs in
+  let dst_regs = map.Codegen.Lower.dst_regs in
   let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
-  let rb = Util.log2 dst_regs in
-  let wr = image_table m ~lo:0 dst_regs and wt = image_table m ~lo:rb threads in
-  check_program ~src ~map
-    ~want:(fun h -> wr.(h land (dst_regs - 1)) lxor wt.(h lsr rb))
-    ~mechanism:"isa" program
+  let closed = proves_in_closed_form ~src ~dst ~map program in
+  if Obs.enabled () then
+    Obs.Metrics.incr (if closed then "transval.route.closed_form" else "transval.route.scan");
+  if closed then
+    { mechanism = "isa"; method_ = Symbolic; points = dst_regs * threads; verdict = Proved }
+  else
+    let wr, wt = split_tables (Layout.to_matrix dst) ~regs:dst_regs ~threads in
+    let rb = Util.log2 dst_regs in
+    check_program ~src ~map
+      ~want:(fun h -> wr.(h land (dst_regs - 1)) lxor wt.(h lsr rb))
+      ~mechanism:"isa" program
 
 (* Cross-CTA conversions spill through global memory, which the
    warp-level ISA does not model, so the plan itself is the artifact:

@@ -24,6 +24,15 @@
     separate fit is needed, and non-affine realized maps take the same
     path.
 
+    The scan is the refuter.  Before it runs, {!certify_isa} tries
+    {!proves_in_closed_form}, which proves the shared-memory round
+    trips and warp shuffles {!Codegen.Lower.conversion} emits from their
+    instruction tables alone.  A closed-form proof yields the same
+    certificate the scan would give, so certificates do not depend on
+    which route decided them; a failed closed-form check falls through
+    to the scan, the only path that returns [Refuted] and the only
+    source of witnesses.
+
     Soundness: with the injective payload [value(hw) = hw] the concrete
     interpreter computes exactly the provenance function, so a [Proved]
     certificate implies the lowered program moves every logical element
@@ -77,17 +86,52 @@ val provenance : map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> int -> int
     check) — the convention of {!Codegen.Lower.load_state} and
     {!Codegen.Lower.store_dist}.  [map.src_regs] and [map.dst_regs]
     must be powers of two, as every lowering makes them.  A program the
-    interpreter rejects with [Failure msg] is [Failed msg]. *)
+    interpreter rejects with [Failure msg] is [Failed msg].
+
+    {!proves_in_closed_form} decides the program first; only when it
+    answers [false] does the point scan run.  Either way the
+    certificate is the scan's: [Proved] with [method_ = Symbolic],
+    [mechanism = "isa"] and [points = dst_regs * warps * lanes].  With
+    observability enabled each call increments
+    [transval.route.closed_form] or [transval.route.scan]. *)
 val certify_isa :
   src:Layout.t -> dst:Layout.t -> map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> cert
 
+(** [proves_in_closed_form ~src ~dst ~map program] is the proof
+    {!certify_isa} tries before its scan.  It decides the two shapes
+    {!Codegen.Lower.conversion} emits on the serving path from their
+    tables, without running them:
+    - a shared-memory round trip [St_shared+ ; Bar_sync* ; Ld_shared+]:
+      a linear, injective map from logical element to shared-memory
+      cell is solved from the stores on a basis, then every address
+      table entry and every slot position of every store and load is
+      checked against it (aligned to the vector width), every source
+      slot must be stored, every destination slot loaded, and the
+      source must be surjective;
+    - warp-shuffle rounds [(Sel ; Shfl_idx ; Scatter)+]: every lane
+      that scatters must be kept by its round's shuffle, read a lane
+      whose Sel picks a source slot in that round, and receive the
+      element its destination point requires; the staging slots lie
+      outside the data slots, and every destination point is written.
+    Programs with an instruction {!Gpusim.Isa.fault} reports or an
+    operand the interpreter's slot-range rule rejects are never proved.
+    [true] implies that the scan proves [program] (the argument is in
+    DESIGN.md, section Translation validation); [false] says nothing
+    about it — every other shape (register permutes, broadcast-
+    compressed shuffles, gathers, malformed programs) answers
+    [false]. *)
+val proves_in_closed_form :
+  src:Layout.t -> dst:Layout.t -> map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> bool
+
 (** Certify a conversion plan: lowers it with {!Codegen.Lower.conversion}
-    and runs the symbolic checker (register permutes, warp shuffles —
-    plain and broadcast-compressed — and swizzled shared-memory round
-    trips, including their vectorized ld/st addressing); plans that are
-    not {!Codegen.Lower.lowerable} (cross-CTA global round trips,
+    and certifies the program with {!certify_isa} — swizzled
+    shared-memory round trips (with their vectorized ld/st addressing)
+    and plain warp shuffles are proved in closed form, register
+    permutes and broadcast-compressed shuffles by the scan; plans that
+    are not {!Codegen.Lower.lowerable} (cross-CTA global round trips,
     CTA-shape mismatches) are proved algebraically.  Increments the
-    [transval.certificates.*] metrics when observability is enabled. *)
+    [transval.certificates.*] metrics, and through {!certify_isa} the
+    [transval.route.*] ones, when observability is enabled. *)
 val certify_plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> cert
 
 (** Certify a lowered warp-shuffle gather against the index-dependent

@@ -13,7 +13,8 @@ let scatter_bits sel positions =
    with per-warp/lane element addresses computed through the memory
    layout's inverse.  [mem_inv o flat] is linear, so the address of
    (warp, lane, register) is the XOR of the images of its three parts:
-   one lane table and one warp table serve every instruction. *)
+   one lane table and one warp table serve every instruction, and the
+   register parts of the groups are the span of their basis images. *)
 let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_store =
   let rb = Layout.in_bits layout Dims.register in
   let lb = Layout.in_bits layout Dims.lane in
@@ -31,21 +32,29 @@ let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_s
   let other_idx =
     List.filter (fun k -> not (List.mem k vec_pos)) (List.init rb Fun.id)
   in
-  let reg_of ~group ~within = scatter_bits within vec_pos lor scatter_bits group other_idx in
+  (* Register [group g, within c] is [groups.(g) lor within.(c)]: the
+     two index sets are disjoint. *)
+  let units = List.map (fun k -> 1 lsl k) in
+  let within = F2.Subspace.span_elements (units vec_pos)
+  and groups = F2.Subspace.span_elements (units other_idx) in
   let offset_of =
     let to_logical = Layout.apply_flat layout and to_offset = Layout.apply_flat mem_inv in
     fun hw -> to_offset (to_logical hw)
   in
   let lane_img = Array.init lanes (fun l -> offset_of (l lsl rb)) in
   let warp_img = Array.init warps (fun w -> offset_of (w lsl (rb + lb))) in
-  List.init (1 lsl List.length other_idx) (fun g ->
-      let slots = List.init (1 lsl List.length vec_pos) (fun c -> slot_base + reg_of ~group:g ~within:c) in
-      let reg_img = offset_of (reg_of ~group:g ~within:0) in
-      let addr =
-        Array.init warps (fun w ->
-            let rw = reg_img lxor warp_img.(w) in
-            Array.init lanes (fun l -> rw lxor lane_img.(l)))
-      in
+  let group_img = F2.Subspace.span_elements (List.map offset_of (units other_idx)) in
+  List.init (Array.length groups) (fun g ->
+      let slots = List.init (Array.length within) (fun c -> slot_base + (groups.(g) lor within.(c))) in
+      let reg_img = group_img.(g) in
+      let addr = Array.make warps [||] in
+      for w = 0 to warps - 1 do
+        let rw = reg_img lxor warp_img.(w) and row = Array.make lanes 0 in
+        for l = 0 to lanes - 1 do
+          row.(l) <- rw lxor lane_img.(l)
+        done;
+        addr.(w) <- row
+      done;
       if is_store then Gpusim.Isa.St_shared { slots; addr; byte_width }
       else Gpusim.Isa.Ld_shared { slots; addr; byte_width })
 
@@ -61,7 +70,8 @@ let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_s
    [rep lxor vig.(i)] for the [i] congruent to [pv] modulo [2^v], and
    their warp translates; the inverse layouts are linear, so each
    element's source and destination hardware points are the XOR of
-   [rep]'s image and [vig.(i)]'s, each computed once.  A round in which
+   [rep]'s image and [vig.(i)]'s, and the images of the span are the
+   span of the basis images.  A round in which
    two elements claim one lane's Sel, Shfl or Scatter cell is not a warp
    shuffle: it raises [Failure]. *)
 let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~stage_recv ~warps
@@ -73,8 +83,8 @@ let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~st
   and to_dst = Layout.apply_flat (Layout.invert dst) in
   let v = List.length p.Shuffle.vec in
   let vig_basis = p.Shuffle.vec @ p.Shuffle.common_thr @ p.Shuffle.g in
-  let vig = F2.Subspace.span_elements vig_basis in
-  let vig_src = Array.map to_src vig and vig_dst = Array.map to_dst vig in
+  let vig_src = F2.Subspace.span_elements (List.map to_src vig_basis)
+  and vig_dst = F2.Subspace.span_elements (List.map to_dst vig_basis) in
   let warp_cols = List.filter (fun c -> c <> 0) (Layout.flat_columns src Dims.warp) in
   let reps =
     F2.Subspace.span_elements
@@ -88,7 +98,7 @@ let shuffle_instrs (p : Shuffle.t) ~src ~dst ~src_base ~dst_base ~stage_send ~st
         let sel = Array.make lanes (-1) and lane_tbl = Array.make lanes 0 in
         let keep = Array.make lanes false and scat = Array.make lanes (-1) in
         let i = ref pv in
-        while !i < Array.length vig do
+        while !i < Array.length vig_src do
           let hs = rep_src lxor vig_src.(!i) and hd = rep_dst lxor vig_dst.(!i) in
           if hs lsr (rb_s + lb) <> hd lsr (rb_d + lb) then
             failwith "Lower: shuffle plan crosses warps";

@@ -44,13 +44,16 @@ let intersection a b =
   |> pivots
   |> List.filter (fun p -> p lsr d = 0)
 
+(* Element [i] differs from element [i land (i - 1)] (its lowest set
+   bit cleared) by the basis vector that bit selects, so each element
+   costs one XOR. *)
 let span_elements basis =
   let bs = Array.of_list basis in
-  let k = Array.length bs in
-  Array.init (1 lsl k) (fun i ->
-      let acc = ref 0 in
-      Array.iteri (fun j b -> if Bitvec.bit i j then acc := !acc lxor b) bs;
-      !acc)
+  let t = Array.make (1 lsl Array.length bs) 0 in
+  for i = 1 to Array.length t - 1 do
+    t.(i) <- t.(i land (i - 1)) lxor bs.(Bitvec.ntz i)
+  done;
+  t
 
 let equal_span a b =
   let spans t = List.for_all (fun v -> Bitmatrix.reduce t v = 0) in

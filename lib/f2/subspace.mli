@@ -38,7 +38,10 @@ val intersection : Bitvec.t list -> Bitvec.t list -> Bitvec.t list
 (** All [2^k] elements of the span of a [k]-element independent set,
     indexed by the characteristic vector of the chosen combination:
     element [i] XORs together the basis vectors selected by the bits
-    of [i]. *)
+    of [i].  Each element is filled from the one without its lowest
+    set bit, one XOR apiece.  Because the order depends only on [i],
+    a linear map [f] commutes with it: [span_elements (List.map f b)]
+    is [Array.map f (span_elements b)]. *)
 val span_elements : Bitvec.t list -> Bitvec.t array
 
 (** [equal_span a b] holds iff the two generating sets span the same

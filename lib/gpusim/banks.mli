@@ -19,7 +19,9 @@ val wavefronts : Machine.t -> access list -> int
     the accesses [{addr = row.(l) * byte_width; bytes}] for every lane
     [l], without building them: [row] holds one warp's per-lane element
     offsets, as an ISA shared-memory instruction's address table does.
-    Both functions run the same bank model. *)
+    Both functions run the same bank model, whose counters and word
+    array are one per-domain scratch: [wavefronts_row] allocates
+    nothing once that scratch has grown to the domain's largest phase. *)
 val wavefronts_row : Machine.t -> byte_width:int -> bytes:int -> int array -> int
 
 (** [conflict_free machine accesses] holds when each 128-byte phase

@@ -139,6 +139,38 @@ let prop_row_matches_records =
       = Gpusim.Banks.wavefronts machine
           (Array.to_list (Array.map (fun a -> access (a * byte_width) bytes) row)))
 
+(* The bank model runs once per warp per shared-memory instruction in
+   both the interpreter and the static pricer, so a call must not
+   allocate: its counters and word array are a per-domain scratch.
+   Rows of 32 and 64 lanes, scalar and vectorized, conflict-free and
+   conflicting, on every machine, each warmed up once. *)
+let test_row_allocation () =
+  let rows =
+    [ Array.init 32 Fun.id; Array.init 32 (fun l -> l * 32); Array.init 64 (fun l -> (l * 5) land 63) ]
+  in
+  let cases =
+    Array.of_list
+      (List.concat_map
+         (fun machine ->
+           List.concat_map (fun row -> [ (machine, row, 4); (machine, row, 16) ]) rows)
+         Gpusim.Machine.all_with_extras)
+  in
+  (* A plain loop over the cases, so the test itself allocates nothing. *)
+  let run () =
+    for i = 0 to Array.length cases - 1 do
+      let machine, row, bytes = cases.(i) in
+      ignore (Sys.opaque_identity (Gpusim.Banks.wavefronts_row machine ~byte_width:4 ~bytes row))
+    done
+  in
+  run ();
+  let reps = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    run ()
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int (reps * Array.length cases) in
+  if per_call > 1.0 then Alcotest.failf "%.2f minor words per wavefronts_row call" per_call
+
 (* {1 The interpreter against its per-element oracle} *)
 
 module Isa = Gpusim.Isa
@@ -230,6 +262,7 @@ let () =
           Alcotest.test_case "vectorized phases" `Quick test_vectorized_phases;
           Alcotest.test_case "vectorized conflicts" `Quick test_vectorized_conflicting;
           QCheck_alcotest.to_alcotest prop_row_matches_records;
+          Alcotest.test_case "wavefronts_row does not allocate" `Quick test_row_allocation;
         ] );
       ("coalesce", [ Alcotest.test_case "transactions" `Quick test_coalesce ]);
       ( "dist",

@@ -667,6 +667,260 @@ let test_programs_not_mutated () =
     (Suite_plans.rows () @ Suite_plans.pair_rows ());
   check_bool "plans checked" true (!checked > 100)
 
+(* {1 Proof in closed form}
+
+   [certify_isa] first tries {!Analysis.Transval.proves_in_closed_form}
+   and runs the scan only when it answers [false].  The closed form may
+   never prove what the scan does not (soundness, checked against the
+   fit-then-scan oracle under program mutations), must prove every
+   round trip and shuffle the suite lowers (completeness), and must
+   hand a correct program it cannot decide to the scan (fallback). *)
+
+(* The distinct lowerable [Shared_memory] and [Warp_shuffle] plans of
+   the suite, lowered on their own machines. *)
+let closed_form_cases =
+  lazy
+    (let seen = Hashtbl.create 128 in
+     List.concat_map
+       (fun (r : Suite_plans.row) ->
+         List.filter_map
+           (fun (plan : Codegen.Conversion.plan) ->
+             match plan.Codegen.Conversion.mechanism with
+             | (Codegen.Conversion.Shared_memory _ | Codegen.Conversion.Warp_shuffle _)
+               when Suite_plans.lowerable plan && not (Hashtbl.mem seen plan) ->
+                 Hashtbl.add seen plan ();
+                 let program, map = Codegen.Lower.conversion r.Suite_plans.machine plan in
+                 Some (plan, program, map)
+             | _ -> None)
+           r.Suite_plans.plans)
+       (Suite_plans.rows () @ Suite_plans.pair_rows ()))
+
+let test_closed_form_complete () =
+  let smem = ref 0 and shfl = ref 0 in
+  List.iter
+    (fun ((plan : Codegen.Conversion.plan), program, map) ->
+      let src = plan.Codegen.Conversion.src and dst = plan.Codegen.Conversion.dst in
+      if not (Analysis.Transval.proves_in_closed_form ~src ~dst ~map program) then
+        Alcotest.failf "%s plan not proved in closed form:\n%s\n->\n%s"
+          (Codegen.Conversion.mechanism_name plan.Codegen.Conversion.mechanism)
+          (Layout.to_string src) (Layout.to_string dst);
+      match plan.Codegen.Conversion.mechanism with
+      | Codegen.Conversion.Shared_memory _ -> incr smem
+      | _ -> incr shfl)
+    (Lazy.force closed_form_cases);
+  Printf.printf "closed form: %d shared-memory plans, %d shuffle plans\n" !smem !shfl;
+  check_bool "shared-memory plans" true (!smem > 50);
+  check_bool "shuffle plans" true (!shfl > 5)
+
+(* A correct round trip the closed form cannot decide: the smem pair's
+   program with every shared-memory address [c] moved to [pi c], where
+   [pi] adds one to the index of [c]'s vector-sized block modulo the
+   number of blocks.  [pi] is a bijection on cells that keeps each
+   vector access aligned and in one block, so the program still moves
+   every element to its destination, but it is not affine over F2 —
+   [pi 0 <> 0] — so no linear witness fits the tables. *)
+let non_affine_round_trip () =
+  let src, dst = smem_pair () in
+  let program, map = lower_plan (plan_of (src, dst)) in
+  let vec =
+    List.find_map
+      (function Gpusim.Isa.St_shared { slots; _ } -> Some (List.length slots) | _ -> None)
+      program.Gpusim.Isa.body
+    |> Option.get
+  in
+  let blocks = program.Gpusim.Isa.smem_elems / vec in
+  let pi c = ((((c / vec) + 1) mod blocks) * vec) + (c mod vec) in
+  let move addr = Array.map (Array.map pi) addr in
+  let body =
+    List.map
+      (function
+        | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = move s.addr }
+        | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = move s.addr }
+        | i -> i)
+      program.Gpusim.Isa.body
+  in
+  check_bool "blocks to move" true (blocks >= 4);
+  (src, dst, map, program, { program with Gpusim.Isa.body })
+
+let test_closed_form_fallback () =
+  let src, dst, map, _, moved = non_affine_round_trip () in
+  check_bool "concretely correct" true (diff_correct ~src ~dst ~map moved);
+  check_bool "closed form bails" false
+    (Analysis.Transval.proves_in_closed_form ~src ~dst ~map moved);
+  check_bool "scan proves" true
+    ((Analysis.Transval.certify_isa ~src ~dst ~map moved).Analysis.Transval.verdict
+    = Analysis.Transval.Proved)
+
+(* With observability on, each [certify_isa] call counts the route that
+   decided it. *)
+let test_route_counters () =
+  let src, dst, map, intact, moved = non_affine_round_trip () in
+  let count name = Obs.Metrics.counter_value ("transval.route." ^ name) in
+  let moves program =
+    Obs.with_enabled (fun () ->
+        let closed = count "closed_form" and scan = count "scan" in
+        ignore (Analysis.Transval.certify_isa ~src ~dst ~map program);
+        (count "closed_form" - closed, count "scan" - scan))
+  in
+  Alcotest.(check (pair int int)) "intact: closed form" (1, 0) (moves intact);
+  Alcotest.(check (pair int int)) "non-affine cells: scan" (0, 1) (moves moved);
+  Alcotest.(check (pair int int))
+    "off: nothing counted" (0, 0)
+    (let closed = count "closed_form" and scan = count "scan" in
+     ignore (Analysis.Transval.certify_isa ~src ~dst ~map intact);
+     (count "closed_form" - closed, count "scan" - scan))
+
+(* {2 Program mutations for the soundness property}
+
+   Each takes the case's map and a random [k] and rebuilds the program
+   with one fault; tables are copied before they change, since lowered
+   programs may share rows. *)
+
+let body_of (p : Gpusim.Isa.program) = Array.of_list p.Gpusim.Isa.body
+let with_body (p : Gpusim.Isa.program) b = { p with Gpusim.Isa.body = Array.to_list b }
+
+let drop_at k p =
+  let b = body_of p in
+  let i = k mod Array.length b in
+  with_body p (Array.append (Array.sub b 0 i) (Array.sub b (i + 1) (Array.length b - i - 1)))
+
+let duplicate_at k p =
+  let b = body_of p in
+  let i = k mod Array.length b in
+  with_body p (Array.concat [ Array.sub b 0 (i + 1); Array.sub b i (Array.length b - i) ])
+
+let swap_adjacent k p =
+  let b = Array.copy (body_of p) in
+  let n = Array.length b in
+  if n >= 2 then begin
+    let i = k mod (n - 1) in
+    let x = b.(i) in
+    b.(i) <- b.(i + 1);
+    b.(i + 1) <- x
+  end;
+  with_body p b
+
+(* Rebuild instruction [k mod n] with [f]. *)
+let rebuild_at k f p =
+  let b = Array.copy (body_of p) in
+  let i = k mod Array.length b in
+  b.(i) <- f b.(i);
+  with_body p b
+
+(* XOR one entry of an instruction's per-warp/lane table with a low
+   bit, in one warp's row or in a row every warp then shares (as the
+   shuffle lowering shares its rows); instructions without a table are
+   left alone. *)
+let flip_entry k p =
+  let flip t =
+    let l = (k / 11) mod Array.length t.(0) and bit = 1 lsl ((k / 13) mod 6) in
+    if k / 17 mod 2 = 0 then begin
+      let t = Array.map Array.copy t in
+      let row = t.((k / 7) mod Array.length t) in
+      row.(l) <- row.(l) lxor bit;
+      t
+    end
+    else begin
+      let row = Array.copy t.(0) in
+      row.(l) <- row.(l) lxor bit;
+      Array.make (Array.length t) row
+    end
+  in
+  rebuild_at k
+    (function
+      | Gpusim.Isa.Sel s -> Gpusim.Isa.Sel { s with src_slot = flip s.src_slot }
+      | Gpusim.Isa.Scatter s -> Gpusim.Isa.Scatter { s with dst_slot = flip s.dst_slot }
+      | Gpusim.Isa.Shfl_idx s -> Gpusim.Isa.Shfl_idx { s with src_lane = flip s.src_lane }
+      | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = flip s.addr }
+      | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = flip s.addr }
+      | i -> i)
+    p
+
+let flip_keep k p =
+  rebuild_at k
+    (function
+      | Gpusim.Isa.Shfl_idx s ->
+          let keep = Array.map Array.copy s.keep in
+          let row = keep.((k / 7) mod Array.length keep) in
+          let l = (k / 11) mod Array.length row in
+          row.(l) <- not row.(l);
+          Gpusim.Isa.Shfl_idx { s with keep }
+      | i -> i)
+    p
+
+let reverse_slots k p =
+  rebuild_at k
+    (function
+      | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with slots = List.rev s.slots }
+      | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with slots = List.rev s.slots }
+      | i -> i)
+    p
+
+(* Replace one slot operand by another slot of the state, possibly one
+   past its end. *)
+let renumber_slot ~(map : Codegen.Lower.slot_map) k p =
+  let n = map.Codegen.Lower.total_slots in
+  let other s = (s + 1 + ((k / 7) mod n)) mod (n + 1) in
+  let nth_slot sl =
+    let j = (k / 17) mod List.length sl in
+    List.mapi (fun i s -> if i = j then other s else s) sl
+  in
+  rebuild_at k
+    (function
+      | Gpusim.Isa.Mov s -> Gpusim.Isa.Mov { s with dst = other s.dst }
+      | Gpusim.Isa.Sel s -> Gpusim.Isa.Sel { s with dst = other s.dst }
+      | Gpusim.Isa.Scatter s -> Gpusim.Isa.Scatter { s with src = other s.src }
+      | Gpusim.Isa.Shfl_idx s ->
+          if k mod 2 = 0 then Gpusim.Isa.Shfl_idx { s with src = other s.src }
+          else Gpusim.Isa.Shfl_idx { s with dst = other s.dst }
+      | Gpusim.Isa.St_shared s when s.slots <> [] ->
+          Gpusim.Isa.St_shared { s with slots = nth_slot s.slots }
+      | Gpusim.Isa.Ld_shared s when s.slots <> [] ->
+          Gpusim.Isa.Ld_shared { s with slots = nth_slot s.slots }
+      | i -> i)
+    p
+
+let mutations =
+  [|
+    ("drop", fun ~map:_ k p -> drop_at k p);
+    ("duplicate", fun ~map:_ k p -> duplicate_at k p);
+    ("swap adjacent", fun ~map:_ k p -> swap_adjacent k p);
+    ("flip table entry", fun ~map:_ k p -> flip_entry k p);
+    ("flip keep bit", fun ~map:_ k p -> flip_keep k p);
+    ("reverse slot list", fun ~map:_ k p -> reverse_slots k p);
+    ("renumber slot", fun ~map k p -> renumber_slot ~map k p);
+  |]
+
+(* A closed-form proof of a mutated suite program implies that the
+   scan proves it too.  The claimed destination is mutated as well in
+   one case out of four. *)
+let prop_closed_form_sound =
+  QCheck.Test.make ~name:"closed-form proof implies scan proof" ~count:400
+    QCheck.(triple (int_bound 100_000) (int_bound 100_000) small_nat)
+    (fun (c, k, r) ->
+      let cases = Array.of_list (Lazy.force closed_form_cases) in
+      let (plan : Codegen.Conversion.plan), program, map = cases.(c mod Array.length cases) in
+      let src = plan.Codegen.Conversion.src and dst = plan.Codegen.Conversion.dst in
+      let kinds = Array.length mutations in
+      let name, mutate = mutations.(k mod kinds) in
+      let mutated = mutate ~map (k / kinds) program in
+      let dst =
+        if r mod 4 <> 0 then dst
+        else
+          flip_bit dst ~row:(r mod Layout.total_out_bits dst)
+            ~col:(r / 4 mod Layout.total_in_bits dst)
+      in
+      (not (Analysis.Transval.proves_in_closed_form ~src ~dst ~map mutated))
+      ||
+      match (Transval_oracle.certify_isa ~src ~dst ~map mutated).Analysis.Transval.verdict with
+      | Analysis.Transval.Proved -> true
+      | v ->
+          QCheck.Test.fail_reportf "%s: closed form proved, oracle says %s" name
+            (Analysis.Transval.verdict_name v)
+      | exception e ->
+          QCheck.Test.fail_reportf "%s: closed form proved, oracle raised %s" name
+            (Printexc.to_string e))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "transval"
@@ -704,6 +958,15 @@ let () =
                    clobber_scatter ~map k p);
                prop_fault_differential "bin on payload" (fun ~map k p -> bin_on_payload ~map k p);
              ] );
+      ( "closed-form",
+        [
+          Alcotest.test_case "suite round trips and shuffles proved" `Quick
+            test_closed_form_complete;
+          Alcotest.test_case "non-affine cells fall back to the scan" `Quick
+            test_closed_form_fallback;
+          Alcotest.test_case "route counters" `Quick test_route_counters;
+        ]
+        @ q [ prop_closed_form_sound ] );
       ( "immutability",
         [ Alcotest.test_case "consumers leave suite programs intact" `Quick test_programs_not_mutated ]
       );
