@@ -43,10 +43,10 @@ let () =
   Format.printf "predicted store wavefronts/instruction: %d@." s.Codegen.Swizzle_opt.store_wavefronts;
   Format.printf "predicted load  wavefronts/instruction: %d@.@." s.Codegen.Swizzle_opt.load_wavefronts;
 
-  (* Ground truth from the bank simulator (Lemma 9.4 in action). *)
+  (* The exact count, by the bank rule (Lemma 9.4 in action). *)
   let sim dist =
     let wf, insts =
-      Codegen.Swizzle_opt.simulate_wavefronts machine ~mem:s.Codegen.Swizzle_opt.mem ~dist
+      Codegen.Swizzle_opt.wavefronts machine ~mem:s.Codegen.Swizzle_opt.mem ~dist
         ~byte_width ~vec:s.Codegen.Swizzle_opt.vec
     in
     Printf.printf "simulated: %d wavefronts over %d instructions (%d per inst)\n" wf insts

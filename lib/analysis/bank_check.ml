@@ -18,7 +18,7 @@ let swizzle machine ~src ~dst ~byte_width (s : Codegen.Swizzle_opt.t) =
       in
       let side name dist predicted =
         match
-          Codegen.Swizzle_opt.simulate_wavefronts machine ~mem ~dist ~byte_width
+          Codegen.Swizzle_opt.wavefronts machine ~mem ~dist ~byte_width
             ~vec:s.Codegen.Swizzle_opt.vec
         with
         | exception Invalid_argument msg ->

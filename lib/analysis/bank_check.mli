@@ -1,9 +1,10 @@
 (** Bank-conflict certification of shared-memory plans.
 
     The planner {e predicts} wavefronts algebraically (Lemma 9.4:
-    [n * 2^dim(span(V u S) n span(bank-reduced thread columns))]); the
-    {!Gpusim.Banks} simulator {e measures} them by brute force.  The
-    certifier proves the plan's bound by recomputing both sides:
+    [n * 2^dim(span(V u S) n span(bank-reduced thread columns))]);
+    {!Codegen.Swizzle_opt.wavefronts} {e measures} them exactly, by the
+    rank rule of {!Gpusim.Banks.linear_wavefronts}.  The certifier
+    proves the plan's bound by recomputing both sides:
 
     - [LL301] (error): prediction and simulation disagree — by
       construction this is a bug in the planner or the analyzer, not in

@@ -141,6 +141,13 @@ let span_of_map l =
   F2.Subspace.echelon_basis
     (List.concat_map (fun (d, _) -> Layout.flat_columns l d) (Layout.in_dims l))
 
+(* [alias_dim ~mem ~src ~dst] decides algebraically whether the
+   store-side (from [src]) and load-side (into [dst]) shared-memory
+   address sets of a round trip through memory layout [mem] can
+   overlap: both sets are images of linear maps, so they are subspaces
+   of the offset space and always intersect (at least in address 0).
+   Returns the dimension of the intersection — [>= 0] always, i.e. a
+   barrier is always required between the phases. *)
 let alias_dim ~mem ~src ~dst =
   let mem_inv = Layout.Memo.invert (Layout.flatten_outs mem) in
   let addr_span layout =

@@ -40,15 +40,6 @@ open Linear_layout
     logical element. *)
 val check : ?duplicate_stores_benign:bool -> Gpusim.Isa.program -> Diagnostics.t list
 
-(** [may_alias ~mem ~src ~dst] decides algebraically whether the
-    store-side (from [src]) and load-side (into [dst]) shared-memory
-    address sets of a round trip through memory layout [mem] can
-    overlap: both sets are images of linear maps, so they are subspaces
-    of the offset space and always intersect (at least in address 0).
-    Returns the dimension of the intersection — [>= 0] always, i.e. a
-    barrier is always required between the phases. *)
-val alias_dim : mem:Layout.t -> src:Layout.t -> dst:Layout.t -> int
-
 (** [check_lowered plan program] checks [program], the lowering of
     [plan].  Combines the algebraic phase check ([LL205], from the
     plan's layouts alone) with the exact instruction-level dataflow. *)

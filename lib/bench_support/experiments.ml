@@ -620,7 +620,7 @@ let ablation_swizzle () =
     ]
   in
   let measure mem vec dist byte_width =
-    fst (Codegen.Swizzle_opt.simulate_wavefronts machine ~mem ~dist ~byte_width ~vec)
+    fst (Codegen.Swizzle_opt.wavefronts machine ~mem ~dist ~byte_width ~vec)
   in
   let rows =
     List.concat_map

@@ -54,7 +54,6 @@ val table6 : unit -> (string * int * int * int) list
     optimal) and the effect of the vectorization cap. *)
 val ablation_swizzle : unit -> (string * float) list
 
-val ablation_vector_cap : unit -> (string * float) list
 val run_ablations : unit -> unit
 
 (** Supplementary: per-kernel autotuning gains over the 4-warp default. *)

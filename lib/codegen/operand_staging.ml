@@ -16,16 +16,16 @@ let shape_2d l =
       Some (1 lsl rows_bits, 1 lsl cols_bits)
   | _ -> None
 
-(* The vectorization basis used to simulate one side's accesses: the
+(* The vectorization basis used to count one side's accesses: the
    contiguous low register run, clipped to [vec] elements. *)
 let side_vec dist ~vec =
   let consec = Layout.num_consecutive dist ~in_dim:Dims.register in
   let v = min consec vec in
   List.init (Util.log2 v) (fun j -> 1 lsl j)
 
-(* Evaluate one candidate memory layout: store side simulated from
+(* Evaluate one candidate memory layout: store side counted from
    [src], load side either ldmatrix (when the tile divides) or
-   simulated vectorized loads.  [None] when the candidate cannot host
+   counted vectorized loads.  [None] when the candidate cannot host
    [src]'s vectorized stores. *)
 let try_candidate machine ~src ~dst ~byte_width ~vec ~per_phase ~max_phase mem =
   try
@@ -42,10 +42,10 @@ let try_candidate machine ~src ~dst ~byte_width ~vec ~per_phase ~max_phase mem =
       (* Fall back to scalar stores when the candidate memory layout
          breaks the source's contiguous runs. *)
       try
-        Swizzle_opt.simulate_wavefronts machine ~mem ~dist:src ~byte_width
+        Swizzle_opt.wavefronts machine ~mem ~dist:src ~byte_width
           ~vec:(side_vec src ~vec)
       with Invalid_argument _ ->
-        Swizzle_opt.simulate_wavefronts machine ~mem ~dist:src ~byte_width ~vec:[]
+        Swizzle_opt.wavefronts machine ~mem ~dist:src ~byte_width ~vec:[]
     in
     let c = Gpusim.Cost.zero () in
     c.Gpusim.Cost.smem_insts <- store_insts * warps src;
@@ -62,10 +62,10 @@ let try_candidate machine ~src ~dst ~byte_width ~vec ~per_phase ~max_phase mem =
      else
        let load_wf, load_insts =
          try
-           Swizzle_opt.simulate_wavefronts machine ~mem ~dist:dst ~byte_width
+           Swizzle_opt.wavefronts machine ~mem ~dist:dst ~byte_width
              ~vec:(side_vec dst ~vec)
          with Invalid_argument _ ->
-           Swizzle_opt.simulate_wavefronts machine ~mem ~dist:dst ~byte_width ~vec:[]
+           Swizzle_opt.wavefronts machine ~mem ~dist:dst ~byte_width ~vec:[]
        in
        c.Gpusim.Cost.smem_insts <- c.Gpusim.Cost.smem_insts + (load_insts * warps dst);
        c.Gpusim.Cost.smem_wavefronts <- c.Gpusim.Cost.smem_wavefronts + (load_wf * warps dst));

@@ -29,10 +29,6 @@ module Key : sig
   val hash : t -> int
 end
 
-(** Number of stripes (a power of two; see DESIGN.md "Compilation
-    service" for the sizing argument). *)
-val stripe_count : int
-
 (** {2 Lookups and inserts}
 
     [find_*] bumps the stripe's hit or miss counter; an L2 miss is

@@ -125,76 +125,31 @@ let optimal machine ~src ~dst ~byte_width =
     load_wavefronts = load_wf;
   }
 
-let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
+let wavefronts machine ~mem ~dist ~byte_width ~vec =
   let mem_inv = Layout.Memo.invert (Layout.flatten_outs mem) in
   let reg_bits = Layout.in_bits dist Dims.register in
-  let lane_bits = Layout.in_bits dist Dims.lane in
+  (* The offset of (lane, register) is linear in the hardware index
+     [r lor (lane lsl reg_bits)] (§5.4): [image k] is the offset of
+     hardware bit [k]. *)
+  let image k = Layout.apply_flat mem_inv (Layout.apply_flat dist (1 lsl k)) in
   (* One instruction covers the same register slots in every lane
      (SIMT): the vectorized registers are those whose columns lie in the
      vectorization basis, the remaining register bits enumerate the
-     instructions. *)
-  let reg_cols = Array.of_list (Layout.flat_columns dist Dims.register) in
-  let vec_idx =
-    List.filter (fun k -> List.mem reg_cols.(k) vec) (List.init reg_bits Fun.id)
+     instructions.  The vectorized registers must map onto consecutive
+     aligned offsets, i.e. their images span exactly the low offset
+     bits; the planner guarantees this for its own memory layouts. *)
+  let vec_imgs =
+    List.concat
+      (List.mapi
+         (fun k c -> if List.mem c vec then [ image k ] else [])
+         (Layout.flat_columns dist Dims.register))
   in
-  let other_idx =
-    List.filter (fun k -> not (List.mem k vec_idx)) (List.init reg_bits Fun.id)
-  in
-  (* The offset of (lane, register) is linear in the hardware index
-     [r lor (lane lsl reg_bits)] (§5.4), so it is the XOR of a lane
-     image and a register image.  [images bits] tabulates the offset
-     image of every combination of the hardware bits [bits], bit [i] of
-     the table index standing for hardware bit [List.nth bits i]. *)
-  let images bits =
-    let t = Array.make (1 lsl List.length bits) 0 in
-    List.iteri
-      (fun i k ->
-        let img = Layout.apply_flat mem_inv (Layout.apply_flat dist (1 lsl k)) in
-        let h = 1 lsl i in
-        for x = 0 to h - 1 do
-          t.(x lor h) <- t.(x) lxor img
-        done)
-      bits;
-    t
-  in
-  let lane_img = images (List.init lane_bits (fun j -> reg_bits + j)) in
-  let within_img = images vec_idx and group_img = images other_idx in
-  let lanes = Array.length lane_img and vec_elems = Array.length within_img in
-  let insts = Array.length group_img in
-  let reg_img = Array.make vec_elems 0 in
-  let offsets = Array.make vec_elems 0 in
-  let row = Array.make lanes 0 in
-  let total = ref 0 in
-  for g = 0 to insts - 1 do
-    for v = 0 to vec_elems - 1 do
-      reg_img.(v) <- group_img.(g) lxor within_img.(v)
-    done;
-    for lane = 0 to lanes - 1 do
-      (* Insertion-sort the lane's offsets into the reused array. *)
-      let li = lane_img.(lane) in
-      for v = 0 to vec_elems - 1 do
-        let o = li lxor reg_img.(v) in
-        let j = ref (v - 1) in
-        while !j >= 0 && offsets.(!j) > o do
-          offsets.(!j + 1) <- offsets.(!j);
-          decr j
-        done;
-        offsets.(!j + 1) <- o
-      done;
-      (* The vectorized registers must map onto consecutive aligned
-         offsets; the planner guarantees this for its own memory
-         layouts. *)
-      let base = offsets.(0) in
-      for i = 1 to vec_elems - 1 do
-        if offsets.(i) <> base + i then
-          invalid_arg "Swizzle_opt.simulate_wavefronts: access is not contiguous"
-      done;
-      row.(lane) <- base
-    done;
-    total :=
-      !total + Gpusim.Banks.wavefronts_row machine ~byte_width ~bytes:(vec_elems * byte_width) row
-  done;
-  (!total, insts)
+  let k = List.length vec_imgs in
+  if F2.Subspace.dim vec_imgs < k || List.exists (fun o -> o lsr k <> 0) vec_imgs then
+    invalid_arg "Swizzle_opt.wavefronts: access is not contiguous";
+  let lanes = List.init (Layout.in_bits dist Dims.lane) (fun j -> image (reg_bits + j)) in
+  let insts = 1 lsl (reg_bits - k) in
+  (insts * Gpusim.Banks.linear_wavefronts machine ~byte_width ~vec_bits:k lanes, insts)
 
 let accesses t dist =
   max 1 (1 lsl Layout.in_bits dist Dims.register / (1 lsl t.vec_bits))

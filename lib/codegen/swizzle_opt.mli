@@ -32,13 +32,24 @@ val optimal : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int
 val predict_wavefronts :
   Gpusim.Machine.t -> vec:int list -> seg:int list -> dist:Layout.t -> byte_width:int -> int
 
-(** [simulate_wavefronts machine ~mem ~dist ~byte_width ~vec] is the
-    brute-force ground truth: one instruction covers the same register
-    slots in every lane (the registers whose columns lie in the
-    vectorization basis [vec] form the payload), and each instruction
-    is fed to the bank simulator.  Returns the total wavefronts across
-    all instructions of one warp together with the instruction count. *)
-val simulate_wavefronts :
+(** [wavefronts machine ~mem ~dist ~byte_width ~vec] is the exact
+    wavefront count of storing (or loading) [dist] through the memory
+    layout [mem]: one instruction covers the same register slots in
+    every lane, the registers whose columns lie in the vectorization
+    basis [vec] form its payload, and the remaining register bits
+    enumerate the instructions.  Each offset is linear in the hardware
+    index ([mem^-1 o dist], §5.4), so every instruction is counted by
+    the rank rule {!Gpusim.Banks.linear_wavefronts} on the lane
+    images, and all instructions of one warp cost the same.  Returns
+    the total wavefronts across all instructions of one warp together
+    with the instruction count.
+
+    Raises [Invalid_argument "Swizzle_opt.wavefronts: access is not
+    contiguous"] unless the payload registers' offset images span
+    exactly the low offset bits (each lane then reads one aligned run
+    of consecutive offsets), and as {!Gpusim.Banks.linear_wavefronts}
+    does. *)
+val wavefronts :
   Gpusim.Machine.t ->
   mem:Layout.t ->
   dist:Layout.t ->

@@ -55,7 +55,6 @@ val with_loc : loc -> t -> t
     appends). *)
 val with_pass : string -> t -> t
 
-val pp_loc : Format.formatter -> loc -> unit
 val pp : Format.formatter -> t -> unit
 
 (** Renders ["ok"] for the empty list, one diagnostic per line

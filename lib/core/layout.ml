@@ -389,11 +389,6 @@ let rename_outs l target =
   let outs = Array.of_list (Dims.sort renamed) in
   relabel_outs l outs (move_fields ~target l.outs outs)
 
-let rename_out l ~old_name ~new_name =
-  if not (has_out_dim l old_name) then error "rename_out: no dimension %s" old_name;
-  if has_out_dim l new_name then error "rename_out: dimension %s already exists" new_name;
-  rename_outs l (fun d -> if d = old_name then new_name else d)
-
 let exchange_out_names l spec =
   rename_outs l (fun d -> match List.assoc_opt d spec with Some d' -> d' | None -> d)
 

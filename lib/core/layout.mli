@@ -140,15 +140,11 @@ val divide_left : t -> t -> t option
 
 (** {1 Dimension surgery} *)
 
-(** Keep only the listed input dimensions. *)
-val select_ins : t -> string list -> t
-
 (** Keep only the listed output dimensions, {e projecting away} the
     rest — the slice of Proposition 4.8. *)
 val project_outs : t -> string list -> t
 
 val remove_out_dim : t -> string -> t
-val rename_out : t -> old_name:string -> new_name:string -> t
 
 (** [exchange_out_names l spec] relabels output dimensions simultaneously
     (e.g. a transpose swaps ["dim0"] and ["dim1"]). *)

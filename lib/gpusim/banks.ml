@@ -169,3 +169,27 @@ let wavefronts_row machine ~byte_width ~bytes row =
 
 let conflict_free machine accesses =
   accesses = [] || wavefronts machine accesses = List.length (phases machine accesses)
+
+(* The rank rule of banks.mli, for an access whose addresses are linear
+   in the lane index: no lane is visited. *)
+let log2_exact what n =
+  if n <= 0 || n land (n - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Banks.linear_wavefronts: %s = %d is not a power of two" what n);
+  Linear_layout.Util.log2 n
+
+let linear_wavefronts machine ~byte_width ~vec_bits lanes =
+  let word_bits = log2_exact "bank_bytes" machine.Machine.bank_bytes in
+  let bank_bits = log2_exact "num_banks" machine.Machine.num_banks in
+  let access_bits = log2_exact "byte_width" byte_width + vec_bits in
+  let lane_bits = List.length lanes in
+  let p = min lane_bits (max 0 (Linear_layout.Util.log2 transaction_bytes - access_bits)) in
+  let word o = ((o lsr vec_bits) lsl access_bits) lsr word_bits in
+  let s =
+    List.init (max 0 (access_bits - word_bits)) (fun i -> 1 lsl i)
+    @ List.map word (List.filteri (fun i _ -> i < p) lanes)
+  in
+  let bank_mask = (1 lsl bank_bits) - 1 in
+  let conflict_bits =
+    F2.Subspace.dim s - F2.Subspace.dim (List.map (fun w -> w land bank_mask) s)
+  in
+  1 lsl (lane_bits - p + conflict_bits)

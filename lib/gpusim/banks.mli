@@ -1,11 +1,12 @@
 (** Shared-memory bank-conflict simulation.
 
-    This is the brute-force ground truth against which the algebraic
-    wavefront prediction of Lemma 9.4 is checked: a warp access is split
-    into 128-byte phases, and within each phase the number of wavefronts
-    is the maximum, over banks, of the number of distinct 4-byte words
-    requested from that bank (a word requested by many lanes broadcasts
-    and counts once). *)
+    One bank model: a warp access is split into 128-byte phases, and
+    within each phase the number of wavefronts is the maximum, over
+    banks, of the number of distinct bank words requested from that
+    bank (a word requested by many lanes broadcasts and counts once).
+    {!wavefronts} and {!wavefronts_row} run it on explicit addresses;
+    {!linear_wavefronts} counts it by rank when the addresses are
+    linear in the lane index. *)
 
 (** One lane's access: starting byte address and width in bytes. *)
 type access = { addr : int; bytes : int }
@@ -27,3 +28,32 @@ val wavefronts_row : Machine.t -> byte_width:int -> bytes:int -> int array -> in
 (** [conflict_free machine accesses] holds when each 128-byte phase
     completes in a single wavefront. *)
 val conflict_free : Machine.t -> access list -> bool
+
+(** [linear_wavefronts machine ~byte_width ~vec_bits lanes] is the
+    wavefront count of one warp-wide access of [2^k] elements of [w]
+    bytes per lane ([k = vec_bits], [w = byte_width], so
+    [B = 2^k * w] bytes per lane), in which lane [l] reads the aligned
+    block of [2^k] element offsets that holds [c xor A l]: [lanes]
+    lists the columns of [A], the offset images of the [L] lane bits,
+    lowest first, and [c] is the instruction's register image.  The
+    result is {!wavefronts_row} on that access, counted without
+    visiting a lane and independent of [c]:
+
+    - [p = min L (max 0 (7 - log2 B))] lane bits share one 128-byte
+      phase, so there are [2^(L - p)] phases;
+    - [phi o = ((o lsr k) lsl log2 B) lsr log2 b] (the offset with its
+      low [k] bits cleared, in bytes, over [b]) maps an offset to its
+      bank word, for [b]-byte words;
+    - [S] is the span of [phi (A e_i)] for [i < p] together with the
+      [log2 (B / b)] lowest word unit vectors;
+    - the count is [2^(L - p) * 2^(dim S - rank (S mod N))] for [N]
+      banks.
+
+    Within a phase the distinct words are the coset [phi c' xor S]
+    ([phi] is a shift, hence linear), and each bank the coset meets
+    holds [2^dim (S inter ker (mod N))] of them, which is the phase's
+    maximum bank load (docs/THEORY.md, "Bank conflicts by rank").
+
+    Raises [Invalid_argument] when the machine's [bank_bytes] or
+    [num_banks], or [byte_width], is not a power of two. *)
+val linear_wavefronts : Machine.t -> byte_width:int -> vec_bits:int -> int list -> int

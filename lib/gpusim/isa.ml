@@ -29,34 +29,41 @@ type fault = Shape | Address of int | Source_lane of int
 let bad_shape p a =
   Array.length a <> p.warps || Array.exists (fun row -> Array.length row <> p.lanes) a
 
-(* The first out-of-range source lane, in (warp, lane) order. *)
+(* The first out-of-range source lane, in (warp, lane) order: one
+   [while] loop per warp's row. *)
 let first_lane p src_lane =
-  let rec go w l =
+  let rec row w =
     if w >= p.warps then None
-    else if l >= p.lanes then go (w + 1) 0
     else
-      let s = src_lane.(w).(l) in
-      if s < 0 || s >= p.lanes then Some (Source_lane s, (w * p.lanes) + l) else go w (l + 1)
+      let r = src_lane.(w) and l = ref 0 in
+      while !l < p.lanes && r.(!l) >= 0 && r.(!l) < p.lanes do
+        incr l
+      done;
+      if !l = p.lanes then row (w + 1) else Some (Source_lane r.(!l), (w * p.lanes) + !l)
   in
-  go 0 0
+  row 0
 
 (* The first out-of-range element, in (warp, lane, element) order.  A
    lane touches [a0 .. a0 + n - 1]: its first out-of-range element is
    [a0] when negative, otherwise the first one at or past the end. *)
 let first_addr p ~n addr =
   let e = p.smem_elems in
-  let rec go w l =
+  let rec row w =
     if w >= p.warps then None
-    else if l >= p.lanes then go (w + 1) 0
     else
-      let a0 = addr.(w).(l) and t = (w * p.lanes) + l in
-      if a0 < 0 then Some (Address a0, t * n)
-      else if a0 + n > e then
-        let i = max 0 (e - a0) in
-        Some (Address (a0 + i), (t * n) + i)
-      else go w (l + 1)
+      let r = addr.(w) and l = ref 0 in
+      while !l < p.lanes && r.(!l) >= 0 && r.(!l) + n <= e do
+        incr l
+      done;
+      if !l = p.lanes then row (w + 1)
+      else
+        let a0 = r.(!l) and t = (w * p.lanes) + !l in
+        if a0 < 0 then Some (Address a0, t * n)
+        else
+          let i = max 0 (e - a0) in
+          Some (Address (a0 + i), (t * n) + i)
   in
-  go 0 0
+  row 0
 
 (* The first fault of [instr] with its position in the interpreter's
    loop order: a shape fault comes before anything moves, an address at
@@ -103,13 +110,16 @@ let table_max t =
 (* The position of the first kept lane, in (warp, lane) order, or
    [max_int]. *)
 let first_kept p keep =
-  let rec go w l =
+  let rec row w =
     if w >= p.warps then max_int
-    else if l >= p.lanes then go (w + 1) 0
-    else if keep.(w).(l) then (w * p.lanes) + l
-    else go w (l + 1)
+    else
+      let r = keep.(w) and l = ref 0 in
+      while !l < p.lanes && not r.(!l) do
+        incr l
+      done;
+      if !l = p.lanes then row (w + 1) else (w * p.lanes) + !l
   in
-  go 0 0
+  row 0
 
 (* The position of [instr]'s first out-of-range slot operand in the
    interpreter's (warp, lane, element) order, or [max_int] when every

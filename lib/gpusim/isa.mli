@@ -119,5 +119,4 @@ val run : Machine.t -> program -> state -> Cost.t
     ...), as used for obs counter names and cost attribution. *)
 val instr_class : instr -> string
 
-val pp_instr : Format.formatter -> instr -> unit
 val pp : Format.formatter -> program -> unit

@@ -32,7 +32,5 @@ val tree_of_events : Trace.event list -> tree list
     strictly-increasing timestamps. *)
 val events_of_trees : ?tid:int -> tree list -> Trace.event list
 
-(** ["root(child leaf(grand))"] rendering, for golden tests. *)
-val render_tree : tree -> string
-
+(** ["root(child leaf(grand)) root2"] rendering, for golden tests. *)
 val render_forest : tree list -> string

@@ -37,14 +37,6 @@ let incr ?(by = 1) name =
     | None -> Hashtbl.add r.counters name (ref by)
   end
 
-let gauge name v =
-  if Control.enabled () then begin
-    let r = registry () in
-    match Hashtbl.find_opt r.gauges name with
-    | Some g -> g := v
-    | None -> Hashtbl.add r.gauges name (ref v)
-  end
-
 let observe name v =
   if Control.enabled () then begin
     let r = registry () in

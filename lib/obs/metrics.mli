@@ -1,5 +1,6 @@
-(** Named counters, gauges and log₂-bucketed histograms in a
-    global-but-resettable registry.
+(** Named counters and log₂-bucketed histograms in a
+    global-but-resettable registry.  Snapshots also carry gauges
+    (merged by max); no entry point records one.
 
     The registry lives in [Domain.DLS] (the same approach as
     [Codegen.Plan_cache]), so concurrent domains never race on updates:
@@ -17,7 +18,6 @@ val buckets : int
 val bucket : int -> int
 
 val incr : ?by:int -> string -> unit
-val gauge : string -> float -> unit
 
 (** Record one histogram observation. *)
 val observe : string -> int -> unit

@@ -24,9 +24,6 @@ val dequantize : t -> float array
 (** Decode a single element. *)
 val get : t -> int -> float
 
-(** Largest finite magnitude of e2m1 times a unit scale. *)
-val e2m1_max : float
-
 (** [upcast_to t dtype] dequantizes and re-quantizes each element into
     [dtype] — the software-emulation upcast (e.g. to bf16). *)
 val upcast_to : t -> Dtype.t -> float array

@@ -208,7 +208,11 @@ let certify_pass ~pass snap (st : Pass.state) =
   end;
   ({ pass; relayouts; discharged; refuted = List.length diags }, diags)
 
-(* {1 The observer} *)
+(* {1 The observer}
+
+   A stateful observer pairing the two hooks: [before_pass] snapshots,
+   [after_pass] diffs, accumulates certificates and appends refutation
+   diagnostics to the state. *)
 
 type observer = {
   mutable snap : snapshot option;

@@ -14,9 +14,9 @@
       ([LL650]/[LL651]/[LL652]), and every surviving layout-changing
       request must have been materialized ([LL623]).
 
-    The observer plugs into {!Pass_manager.config}'s [before_pass] /
-    [after_pass] hooks, so refutations are attributed to the offending
-    pass. *)
+    {!run}'s observer plugs into {!Pass_manager.config}'s
+    [before_pass] / [after_pass] hooks, so refutations are attributed
+    to the offending pass. *)
 
 open Linear_layout
 
@@ -35,16 +35,6 @@ val take_snapshot : Pass.state -> snapshot
 (** Diff a pre-pass snapshot against the current state; appends nothing,
     returns the certificate and any refutation diagnostics. *)
 val certify_pass : pass:string -> snapshot -> Pass.state -> pass_cert * Diagnostics.t list
-
-(** A stateful observer pairing the two hooks: [before_pass] snapshots,
-    [after_pass] diffs, accumulates certificates and appends refutation
-    diagnostics to the state (inside the manager's attribution window,
-    so they are tagged with the offending pass). *)
-type observer
-
-val observer : unit -> observer
-val before_pass : observer -> Pass_manager.hook
-val after_pass : observer -> Pass_manager.hook
 
 (** {2 Plan certificates} *)
 

@@ -19,9 +19,6 @@
 
 type params = { beam : int; domains : int }
 
-val default_params : params
-(** [{ beam = 4; domains = 1 }] *)
-
 type stats = {
   sites : int;  (** decision sites along the winning path *)
   explored : int;  (** full pipeline evaluations *)

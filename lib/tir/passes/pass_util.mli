@@ -5,9 +5,7 @@
 
 open Linear_layout
 
-val bits_of : Tensor_lib.Dtype.t -> int
 val byte_width_of : Tensor_lib.Dtype.t -> int
-val pow2_floor : int -> int
 
 (** The coalesced blocked anchor layout for a tensor (Section 4.4). *)
 val default_blocked :
@@ -41,11 +39,9 @@ val choose_anchor :
 
 val mma_bitwidth : Tensor_lib.Dtype.t -> int
 
-(** Whether every tensor dimension holds at least one mma tile. *)
-val dot_fits : m:int -> n:int -> k:int -> a_bits:int -> b_bits:int -> bool
-
-(** [(fits, out, a, b)] for a dot of the given problem shape: [fits] is
-    {!dot_fits} for the shape and the operands' mma bitwidths, and the
+(** [(fits, out, a, b)] for a dot of the given problem shape: [fits]
+    holds when every tensor dimension holds at least one mma tile of
+    the operands' mma bitwidths, and the
     layouts are mma layouts when it holds, blocked fallbacks when the
     shape is below one mma tile. *)
 val dot_layouts :
@@ -57,9 +53,6 @@ val dot_layouts :
   a_dtype:Tensor_lib.Dtype.t ->
   b_dtype:Tensor_lib.Dtype.t ->
   bool * Layout.t * Layout.t * Layout.t
-
-val legacy_vec : Layout.t -> int
-val linear_vec : Gpusim.Machine.t -> Layout.t -> byte_width:int -> int
 
 (** Mode-dispatching vectorization width. *)
 val vec_for : Pass.state -> Layout.t -> byte_width:int -> int

@@ -4,6 +4,7 @@
    cross-domain request counters are atomics, while plan data flows
    through the {!Codegen.Shared_cache} mutex stripes. *)
 
+(* Frames larger than this are rejected with [LL910]. *)
 let max_frame = 1 lsl 20
 
 (* {1 Framing} *)

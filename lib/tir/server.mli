@@ -44,12 +44,8 @@
 
 (** {2 Framing} (exposed for clients and tests) *)
 
-(** Frames larger than this are rejected with [LL910]. *)
-val max_frame : int
-
-val send_frame : Unix.file_descr -> string -> unit
-
-(** [None] on clean EOF; raises on a torn read. *)
+(** [None] on clean EOF; raises on a torn read; frames larger than
+    1 MiB are rejected with [LL910]. *)
 val recv_frame : Unix.file_descr -> string option
 
 (** {2 Daemon} *)

@@ -1,11 +1,12 @@
-(* The bank-conflict simulator's former per-element form, kept as a
-   differential oracle for [Codegen.Swizzle_opt.simulate_wavefronts]:
-   every (lane, register) offset is computed by applying the
-   distributed layout and the inverse memory layout to the full
-   hardware index, and each lane's offsets are sorted as a list.  The
-   library now reads the same offsets from a lane-image table XOR a
-   per-instruction register image; test_codegen.ml asserts both give
-   identical results, including the non-contiguity error. *)
+(* The bank-conflict count's per-element form, kept as a differential
+   oracle for [Codegen.Swizzle_opt.wavefronts]: every (lane, register)
+   offset is computed by applying the distributed layout and the
+   inverse memory layout to the full hardware index, each lane's
+   offsets are sorted as a list and checked to be one aligned run, and
+   each instruction's per-lane accesses go to [Gpusim.Banks.wavefronts].
+   The library counts the same accesses by rank
+   ([Gpusim.Banks.linear_wavefronts]); test_codegen.ml asserts both
+   give identical results, including the non-contiguity error. *)
 
 open Linear_layout
 
@@ -53,7 +54,7 @@ let simulate_wavefronts machine ~mem ~dist ~byte_width ~vec =
           List.iteri
             (fun i o ->
               if o <> base + i then
-                invalid_arg "Swizzle_opt.simulate_wavefronts: access is not contiguous")
+                invalid_arg "Swizzle_opt.wavefronts: access is not contiguous")
             offsets;
           { Gpusim.Banks.addr = base * byte_width; bytes = vec_elems * byte_width })
     in

@@ -155,7 +155,7 @@ let test_swizzle_rejects_other_shape () =
 
 let per_inst_check name s ~dist ~byte_width ~expected_free =
   let total, insts =
-    Codegen.Swizzle_opt.simulate_wavefronts m ~mem:s.Codegen.Swizzle_opt.mem ~dist ~byte_width
+    Codegen.Swizzle_opt.wavefronts m ~mem:s.Codegen.Swizzle_opt.mem ~dist ~byte_width
       ~vec:s.Codegen.Swizzle_opt.vec
   in
   if total mod insts <> 0 then
@@ -186,10 +186,10 @@ let test_swizzle_beats_unswizzled () =
   let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width:4 in
   let naive_mem = Shared.row_major ~shape:[| 32; 32 |] in
   let naive, _ =
-    Codegen.Swizzle_opt.simulate_wavefronts m ~mem:naive_mem ~dist:dst ~byte_width:4 ~vec:[]
+    Codegen.Swizzle_opt.wavefronts m ~mem:naive_mem ~dist:dst ~byte_width:4 ~vec:[]
   in
   let opt, _ =
-    Codegen.Swizzle_opt.simulate_wavefronts m ~mem:s.Codegen.Swizzle_opt.mem ~dist:dst
+    Codegen.Swizzle_opt.wavefronts m ~mem:s.Codegen.Swizzle_opt.mem ~dist:dst
       ~byte_width:4 ~vec:s.Codegen.Swizzle_opt.vec
   in
   check_bool
@@ -396,7 +396,7 @@ let prop_swizzle_prediction_matches_simulation =
       let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width in
       let check dist predicted =
         let total, insts =
-          Codegen.Swizzle_opt.simulate_wavefronts m ~mem:s.Codegen.Swizzle_opt.mem ~dist
+          Codegen.Swizzle_opt.wavefronts m ~mem:s.Codegen.Swizzle_opt.mem ~dist
             ~byte_width ~vec:s.Codegen.Swizzle_opt.vec
         in
         total = insts * predicted
@@ -417,10 +417,10 @@ let prop_swizzle_optimality_sampled =
         try
           Some
             (fst
-               (Codegen.Swizzle_opt.simulate_wavefronts m ~mem ~dist:src ~byte_width
+               (Codegen.Swizzle_opt.wavefronts m ~mem ~dist:src ~byte_width
                   ~vec:s.Codegen.Swizzle_opt.vec)
             + fst
-                (Codegen.Swizzle_opt.simulate_wavefronts m ~mem ~dist:dst ~byte_width
+                (Codegen.Swizzle_opt.wavefronts m ~mem ~dist:dst ~byte_width
                    ~vec:s.Codegen.Swizzle_opt.vec))
         with Invalid_argument _ -> None
       in
@@ -461,7 +461,7 @@ let prop_swizzle_never_worse_than_row_major =
       in
       let naive_mem = Shared.row_major ~shape in
       let measure mem vec dist =
-        fst (Codegen.Swizzle_opt.simulate_wavefronts m ~mem ~dist ~byte_width ~vec)
+        fst (Codegen.Swizzle_opt.wavefronts m ~mem ~dist ~byte_width ~vec)
       in
       let opt =
         measure s.Codegen.Swizzle_opt.mem s.Codegen.Swizzle_opt.vec src
@@ -472,17 +472,50 @@ let prop_swizzle_never_worse_than_row_major =
          wavefronts (transaction count already reflects width). *)
       opt <= naive)
 
-(* The table-driven bank simulator equals its per-element oracle
-   (test/swizzle_oracle.ml) on the optimal, the row-major and a
-   column-permuted memory layout, for the optimal's vectorization, none,
-   and every register column (often non-contiguous: both must then
-   raise the same error). *)
-let prop_simulate_matches_oracle =
-  QCheck.Test.make ~name:"table-driven simulate_wavefronts = per-element oracle" ~count:80
-    (QCheck.pair arb_layout_pair_same_warp
-       (QCheck.make QCheck.Gen.(pair (oneofl [ 1; 2; 4 ]) (int_bound 10000))))
-    (fun ((src, dst), (byte_width, seed)) ->
-      let s = Codegen.Swizzle_opt.optimal m ~src ~dst ~byte_width in
+(* Single-warp blocked pairs of 16 or 64 lanes over an 8x8 to 32x32
+   tensor.  A tensor smaller than the lanes' coverage leaves lane
+   columns zero (broadcast). *)
+let gen_pair_16_64_lanes =
+  QCheck.Gen.(
+    let* size = oneofl [ 8; 16; 32 ] in
+    let* tpws = oneofl [ [ [| 4; 4 |]; [| 2; 8 |]; [| 8; 2 |] ]; [ [| 8; 8 |]; [| 4; 16 |]; [| 16; 4 |] ] ] in
+    let layout_gen =
+      let* tpw = oneofl tpws and* spt1 = oneofl [ 1; 2; 4 ] in
+      let* ord = oneofl [ [| 1; 0 |]; [| 0; 1 |] ] in
+      let spt = if ord.(0) = 1 then [| 1; spt1 |] else [| spt1; 1 |] in
+      return
+        (Blocked.make
+           {
+             shape = [| size; size |];
+             size_per_thread = spt;
+             threads_per_warp = tpw;
+             warps_per_cta = [| 1; 1 |];
+             order = ord;
+           })
+    in
+    pair layout_gen layout_gen)
+
+let gh200_16_banks = { m with Gpusim.Machine.name = "GH200/16 banks"; num_banks = 16 }
+
+(* The rank rule ([Swizzle_opt.wavefronts]) equals its per-element
+   oracle (test/swizzle_oracle.ml) on every machine and a 16-bank
+   variant, at 1- to 8-byte elements, over 16-, 32- and 64-lane pairs:
+   on the optimal, the row-major and a column-permuted memory layout,
+   for the optimal's vectorization, none, and every register column
+   (often non-contiguous: both must then raise the same error). *)
+let prop_wavefronts_match_oracle =
+  QCheck.Test.make ~name:"rank-rule wavefronts = per-element oracle" ~count:150
+    (QCheck.make
+       ~print:(fun (machine, byte_width, (a, b), seed) ->
+         Printf.sprintf "%s, %d-byte elements, seed %d\n%s\n->\n%s"
+           machine.Gpusim.Machine.name byte_width seed (Layout.to_string a)
+           (Layout.to_string b))
+       QCheck.Gen.(
+         quad (oneofl (gh200_16_banks :: Gpusim.Machine.all_with_extras)) (oneofl [ 1; 2; 4; 8 ])
+           (oneof [ QCheck.gen arb_layout_pair_same_warp; gen_pair_16_64_lanes ])
+           (int_bound 10000)))
+    (fun (machine, byte_width, (src, dst), seed) ->
+      let s = Codegen.Swizzle_opt.optimal machine ~src ~dst ~byte_width in
       let shape =
         Array.of_list (List.map (fun (_, b) -> 1 lsl b) (List.rev (Layout.out_dims src)))
       in
@@ -494,7 +527,7 @@ let prop_simulate_matches_oracle =
         |> Shared.of_basis_columns ~shape
       in
       let run f ~mem ~dist ~vec =
-        match f m ~mem ~dist ~byte_width ~vec with
+        match f machine ~mem ~dist ~byte_width ~vec with
         | r -> Ok r
         | exception Invalid_argument msg -> Error msg
       in
@@ -504,7 +537,7 @@ let prop_simulate_matches_oracle =
             (fun dist ->
               List.for_all
                 (fun vec ->
-                  run Codegen.Swizzle_opt.simulate_wavefronts ~mem ~dist ~vec
+                  run Codegen.Swizzle_opt.wavefronts ~mem ~dist ~vec
                   = run Swizzle_oracle.simulate_wavefronts ~mem ~dist ~vec)
                 [
                   s.Codegen.Swizzle_opt.vec;
@@ -513,6 +546,53 @@ let prop_simulate_matches_oracle =
                 ])
             [ src; dst ])
         [ s.Codegen.Swizzle_opt.mem; Shared.row_major ~shape; permuted ])
+
+(* Pinned counts of the rank rule where the phase geometry departs from
+   a 32-lane warp, each checked against the oracle as well. *)
+let check_wavefronts ?(vec_regs = max_int) name machine ~src ~byte_width ~expected =
+  let mem =
+    Shared.row_major
+      ~shape:(Array.of_list (List.rev_map (fun (_, b) -> 1 lsl b) (Layout.out_dims src)))
+  in
+  let vec = List.filteri (fun i _ -> i < vec_regs) (Layout.flat_columns src Dims.register) in
+  let rule = Codegen.Swizzle_opt.wavefronts machine ~mem ~dist:src ~byte_width ~vec in
+  Alcotest.(check (pair int int)) (name ^ ": rule") expected rule;
+  Alcotest.(check (pair int int))
+    (name ^ ": oracle") expected
+    (Swizzle_oracle.simulate_wavefronts machine ~mem ~dist:src ~byte_width ~vec)
+
+let test_wavefronts_64_lanes () =
+  (* 64 lanes x 16 bytes = 1024 bytes: eight conflict-free phases. *)
+  let src = blocked ~spt:[| 1; 4 |] ~tpw:[| 2; 32 |] [| 2; 128 |] in
+  check_wavefronts "64-lane 16-byte" Gpusim.Machine.mi250 ~src ~byte_width:4 ~expected:(8, 1)
+
+let test_wavefronts_16_lanes () =
+  (* 16 lanes x 8 bytes = 128 bytes: one phase, one wavefront. *)
+  let src = blocked ~spt:[| 1; 2 |] ~tpw:[| 1; 16 |] [| 1; 32 |] in
+  check_wavefronts "16-lane 8-byte" Gpusim.Machine.pvc ~src ~byte_width:4 ~expected:(1, 1);
+  (* Lane bit 3 moves a row, 32 words: both rows hit the same banks, so
+     each of the two instructions takes two wavefronts. *)
+  let src = blocked ~spt:[| 1; 2 |] ~tpw:[| 2; 8 |] [| 2; 32 |] in
+  check_wavefronts ~vec_regs:1 "16-lane 8-byte, rows a bank period apart" Gpusim.Machine.pvc
+    ~src ~byte_width:4 ~expected:(4, 2)
+
+let test_wavefronts_wider_than_bank_row () =
+  (* On 16 banks of 4 bytes a 128-byte lane access (16 x 8 bytes) is a
+     phase of its own and covers every bank twice: 32 phases of two
+     wavefronts. *)
+  let src = blocked ~spt:[| 1; 16 |] ~tpw:[| 32; 1 |] [| 32; 16 |] in
+  check_wavefronts "128-byte lane access, 16 banks" gh200_16_banks ~src ~byte_width:8
+    ~expected:(64, 1)
+
+let test_wavefronts_rejects_non_pow2_banks () =
+  let machine = { m with Gpusim.Machine.num_banks = 24 } in
+  let src = blocked ~spt:[| 1; 4 |] ~tpw:[| 8; 4 |] [| 32; 32 |] in
+  let mem = Shared.row_major ~shape:[| 32; 32 |] in
+  match Codegen.Swizzle_opt.wavefronts machine ~mem ~dist:src ~byte_width:4 ~vec:[] with
+  | _ -> Alcotest.fail "24 banks must be rejected"
+  | exception Invalid_argument e ->
+      Alcotest.(check string)
+        "reason" "Banks.linear_wavefronts: num_banks = 24 is not a power of two" e
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -540,6 +620,11 @@ let () =
           Alcotest.test_case "beats unswizzled" `Quick test_swizzle_beats_unswizzled;
           Alcotest.test_case "execute correct" `Quick test_swizzle_execute_correct;
           Alcotest.test_case "rejects 8x4 to 4x8" `Quick test_swizzle_rejects_other_shape;
+          Alcotest.test_case "64 lanes, 8 phases" `Quick test_wavefronts_64_lanes;
+          Alcotest.test_case "16 lanes, one phase" `Quick test_wavefronts_16_lanes;
+          Alcotest.test_case "lane access wider than the banks" `Quick
+            test_wavefronts_wider_than_bank_row;
+          Alcotest.test_case "rejects 24 banks" `Quick test_wavefronts_rejects_non_pow2_banks;
         ] );
       ( "staging",
         [
@@ -565,6 +650,6 @@ let () =
             prop_swizzle_prediction_matches_simulation;
             prop_swizzle_never_worse_than_row_major;
             prop_swizzle_optimality_sampled;
-            prop_simulate_matches_oracle;
+            prop_wavefronts_match_oracle;
           ] );
     ])
