@@ -297,10 +297,10 @@ let shapes5 =
 
 (* End-to-end check that the linear-layout dot path computes the right
    answer: distribute both operands in their tensor-core layouts and
-   run the generic mma lowering, which reads each warp's fragments only
-   from that warp's registers and therefore also certifies the
-   warp-ownership condition of Proposition 9.2.  Small shapes fall back
-   to blocked layouts (still linear layouts) with the same check. *)
+   run the generic mma lowering, which first decides the warp-ownership
+   condition of Proposition 9.2 by rank and then multiplies through the
+   output layout.  Small shapes fall back to blocked layouts (still
+   linear layouts) with a layout round trip only. *)
 let verify_linear_dot ~m ~n ~k (da, db) =
   let open Tensor_lib in
   let a_val i kk = ((i + (2 * kk)) mod 7) - 3 in

@@ -1,4 +1,4 @@
-(* Named counters, gauges and log2-bucketed histograms.
+(* Named counters and log2-bucketed histograms.
 
    The registry is global-but-resettable and lives in [Domain.DLS] — the
    same discipline as Codegen.Plan_cache — so concurrent domains (e.g.
@@ -19,12 +19,10 @@ let bucket v =
 
 type registry = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
   histograms : (string, int array) Hashtbl.t;
 }
 
-let fresh () =
-  { counters = Hashtbl.create 64; gauges = Hashtbl.create 16; histograms = Hashtbl.create 32 }
+let fresh () = { counters = Hashtbl.create 64; histograms = Hashtbl.create 32 }
 
 let dls = Domain.DLS.new_key fresh
 let registry () = Domain.DLS.get dls
@@ -58,14 +56,12 @@ let counter_value name =
 let reset () =
   let r = registry () in
   Hashtbl.reset r.counters;
-  Hashtbl.reset r.gauges;
   Hashtbl.reset r.histograms
 
 (* {1 Snapshots} *)
 
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * float) list;
   histograms : (string * int array) list;
 }
 
@@ -77,16 +73,15 @@ let snapshot () =
   let r = registry () in
   {
     counters = sorted_assoc r.counters ~f:( ! );
-    gauges = sorted_assoc r.gauges ~f:( ! );
     histograms = sorted_assoc r.histograms ~f:Array.copy;
   }
 
 let names s =
-  List.map fst s.counters @ List.map fst s.gauges @ List.map fst s.histograms
+  List.map fst s.counters @ List.map fst s.histograms
   |> List.sort_uniq String.compare
 
-(* Merge is associative and commutative: counters add, gauges take the
-   max, histogram buckets add pointwise (ragged lengths are padded). *)
+(* Merge is associative and commutative: counters add, histogram
+   buckets add pointwise (ragged lengths are padded). *)
 let merge_assoc cmp combine a b =
   let rec go a b =
     match (a, b) with
@@ -107,7 +102,6 @@ let merge_histo a b =
 let merge a b =
   {
     counters = merge_assoc String.compare ( + ) a.counters b.counters;
-    gauges = merge_assoc String.compare Float.max a.gauges b.gauges;
     histograms = merge_assoc String.compare merge_histo a.histograms b.histograms;
   }
 
@@ -119,7 +113,7 @@ let trim h =
   Array.sub h 0 !n
 
 let snapshot_equal a b =
-  a.counters = b.counters && a.gauges = b.gauges
+  a.counters = b.counters
   && List.length a.histograms = List.length b.histograms
   && List.for_all2
        (fun (ka, ha) (kb, hb) -> ka = kb && trim ha = trim hb)
@@ -135,12 +129,6 @@ let absorb (s : snapshot) =
       | Some c -> c := !c + v
       | None -> Hashtbl.add r.counters k (ref v))
     s.counters;
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt r.gauges k with
-      | Some g -> g := Float.max !g v
-      | None -> Hashtbl.add r.gauges k (ref v))
-    s.gauges;
   List.iter
     (fun (k, h) ->
       match Hashtbl.find_opt r.histograms k with
@@ -173,8 +161,6 @@ let to_json (s : snapshot) =
     [
       field "counters"
         (obj (List.map (fun (k, v) -> field k (string_of_int v)) s.counters));
-      field "gauges"
-        (obj (List.map (fun (k, v) -> field k (Printf.sprintf "%.6g" v)) s.gauges));
       field "histograms"
         (obj
            (List.map

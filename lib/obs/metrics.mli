@@ -1,6 +1,5 @@
 (** Named counters and log₂-bucketed histograms in a
-    global-but-resettable registry.  Snapshots also carry gauges
-    (merged by max); no entry point records one.
+    global-but-resettable registry.
 
     The registry lives in [Domain.DLS] (the same approach as
     [Codegen.Plan_cache]), so concurrent domains never race on updates:
@@ -30,7 +29,6 @@ val reset : unit -> unit
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)
-  gauges : (string * float) list;
   histograms : (string * int array) list;
 }
 
@@ -39,8 +37,8 @@ val snapshot : unit -> snapshot
 (** All metric names in the snapshot, sorted, deduplicated. *)
 val names : snapshot -> string list
 
-(** Associative and commutative: counters add, gauges max, histogram
-    buckets add pointwise. *)
+(** Associative and commutative: counters add, histogram buckets add
+    pointwise. *)
 val merge : snapshot -> snapshot -> snapshot
 
 (** Structural equality up to trailing zero histogram buckets. *)
@@ -51,7 +49,7 @@ val snapshot_equal : snapshot -> snapshot -> bool
 val absorb : snapshot -> unit
 
 (** Flat metrics JSON:
-    [{"counters":{...},"gauges":{...},"histograms":{"name":[b0,...]}}]. *)
+    [{"counters":{...},"histograms":{"name":[b0,...]}}]. *)
 val to_json : snapshot -> string
 
 (** JSON string-body escaping shared by the exporters. *)

@@ -7,10 +7,10 @@
     - {!through_layouts}: the engine assigns layouts first, then every
       intermediate value is round-tripped through its layout (which
       verifies that all broadcast copies agree and the layout covers
-      the tensor), matrix multiplications execute on the certified
-      per-warp tensor-core path ({!Codegen.Mma_lower}) whenever the
-      ownership condition holds, and gathers run through the
-      layout-aware executor.
+      the tensor), matrix multiplications execute through the output
+      layout ({!Codegen.Mma_lower.execute_dot}) whenever the warp
+      ownership condition of Proposition 9.2, decided by rank, holds,
+      and gathers run through the layout-aware executor.
 
     The two must agree exactly on every program; `test_interp.ml`
     checks this for the whole kernel suite. *)

@@ -1,10 +1,12 @@
 (* Tests for the generic mma lowering: the warp-ownership condition of
-   Proposition 9.2 and dot execution through layouts. *)
+   Proposition 9.2, decided by rank and checked against the point-set
+   oracle [Mma_oracle], and dot execution through layouts. *)
 
 open Linear_layout
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let triple ~warps ~m ~n ~k ~bitwidth =
   ( Mma.output ~bitwidth:32 ~warps ~shape:[| m; n |] (),
@@ -40,6 +42,43 @@ let test_ownership_fails_for_naive_blocked () =
   | Ok () -> Alcotest.fail "naive blocked operands must violate warp ownership"
   | Error _ -> ()
 
+(* [l] with column [b] of input dimension [d] mapped to [v]. *)
+let with_column l d b v =
+  let m = Layout.to_matrix l in
+  let cols = F2.Bitmatrix.columns m in
+  let off =
+    List.fold_left
+      (fun acc (d', bits) -> if Dims.compare d' d < 0 then acc + bits else acc)
+      0 (Layout.in_dims l)
+  in
+  cols.(off + b) <- v;
+  Layout.of_matrix ~ins:(Layout.in_dims l) ~outs:(Layout.out_dims l)
+    (F2.Bitmatrix.make ~rows:(F2.Bitmatrix.rows m) cols)
+
+let expect_violation ~out ~lhs ~rhs ~warp ~missing =
+  (match Codegen.Mma_lower.check_ownership ~out ~lhs ~rhs with
+  | Ok () -> Alcotest.fail "violation not found"
+  | Error v ->
+      check_int "warp" warp v.Codegen.Mma_lower.warp;
+      check_string "missing" missing v.Codegen.Mma_lower.missing;
+      check_bool "oracle confirms the witness" true (Mma_oracle.confirms ~out ~lhs ~rhs v));
+  check_bool "oracle finds a violation" true (Result.is_error (Mma_oracle.check ~out ~lhs ~rhs))
+
+let test_violation_in_nonzero_warp () =
+  (* Broadcasting the lhs across warps leaves every thread span intact
+     and warp 0 whole; only warp 1, which owns output rows 16..31,
+     lacks its lhs rows. *)
+  let out, lhs, rhs = triple ~warps:[| 2; 1 |] ~m:32 ~n:32 ~k:32 ~bitwidth:16 in
+  let lhs = with_column lhs Dims.warp 0 0 in
+  expect_violation ~out ~lhs ~rhs ~warp:1 ~missing:"lhs(16,0)"
+
+let test_violation_in_thread_span () =
+  (* Dropping the lhs register bit that walks k leaves k = 1 outside
+     every warp's span, warp 0's included. *)
+  let out, lhs, rhs = triple ~warps:[| 1; 1 |] ~m:16 ~n:16 ~k:16 ~bitwidth:16 in
+  let lhs = with_column lhs Dims.register 0 0 in
+  expect_violation ~out ~lhs ~rhs ~warp:0 ~missing:"lhs(0,1)"
+
 let test_execute_dot_matches_reference () =
   let m, n, k = (32, 32, 32) in
   let out, lhs, rhs = triple ~warps:[| 2; 1 |] ~m ~n ~k ~bitwidth:16 in
@@ -69,13 +108,6 @@ let test_execute_dot_rejects_bad_layouts () =
   match Codegen.Mma_lower.execute_dot ~out a b ~mul:( * ) ~add:( + ) ~zero:0 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "must reject layouts violating warp ownership"
-
-let test_instruction_count () =
-  let out, lhs, _ = triple ~warps:[| 2; 1 |] ~m:32 ~n:32 ~k:32 ~bitwidth:16 in
-  (* 2 warps, each owning a 16x32 slab = 4 m16n8 tiles, k covered in
-     two 16-deep steps. *)
-  check_int "mma count" (2 * 4 * 2)
-    (Codegen.Mma_lower.mma_instructions ~out ~lhs ~bitwidth:16)
 
 let prop_operand_triples_always_own =
   let gen =
@@ -119,6 +151,78 @@ let prop_dot_correct =
           done;
           !acc))
 
+(* Warp grids of 1 to 8 warps, and warp orders. *)
+let grids =
+  [ [| 1; 1 |]; [| 2; 1 |]; [| 1; 2 |]; [| 4; 1 |]; [| 2; 2 |]; [| 1; 4 |]; [| 8; 1 |]; [| 4; 2 |];
+    [| 2; 4 |]; [| 1; 8 |] ]
+
+let orders = [ [| 0; 1 |]; [| 1; 0 |] ]
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+(* A layout for [shape] from one of the dot constructors, half the
+   time [Mma.operand], on the triple's warp grid or, one time in
+   sixteen, a grid of its own.  Parameters a constructor rejects, or
+   for which it covers another shape, are drawn again. *)
+let rec random_layout ~grid ~idx shape st =
+  let warps, warp_order =
+    if Random.State.int st 16 = 0 then (pick st grids, pick st orders) else grid
+  in
+  let bitwidth = pick st [ 8; 16; 32 ] in
+  let dims =
+    Printf.sprintf "[%d,%d] warps=[%d,%d] order=[%d,%d]" shape.(0) shape.(1) warps.(0) warps.(1)
+      warp_order.(0) warp_order.(1)
+  in
+  let desc, build =
+    match Random.State.int st 6 with
+    | 0 ->
+        let e = pick st [ 1; 2; 4; 8 ] in
+        ( Printf.sprintf "Blocked.default epT=%d %s" e dims,
+          fun () ->
+            Blocked.default ~order:warp_order ~elems_per_thread:e ~warp_size:32
+              ~num_warps:(warps.(0) * warps.(1)) shape )
+    | 1 ->
+        ( Printf.sprintf "Mma.output bw=%d %s" bitwidth dims,
+          fun () -> Mma.output ~warp_order ~bitwidth ~warps ~shape () )
+    | 2 ->
+        let m = pick st [ 16; 32 ] in
+        ( Printf.sprintf "Mma.mfma_output m=%d %s" m dims,
+          fun () -> Mma.mfma_output ~warp_order ~m ~warps ~shape () )
+    | _ ->
+        ( Printf.sprintf "Mma.operand idx=%d bw=%d %s" idx bitwidth dims,
+          fun () -> Mma.operand ~warp_order ~idx ~bitwidth ~warps ~shape () )
+  in
+  match build () with
+  | l when Layout.out_size l (Dims.dim 0) = shape.(0) && Layout.out_size l (Dims.dim 1) = shape.(1)
+    ->
+      (desc, l)
+  | _ | (exception (Invalid_argument _ | Failure _ | Layout.Error _)) ->
+      random_layout ~grid ~idx shape st
+
+let gen_triple st =
+  let m = pick st [ 16; 32; 64 ] and n = pick st [ 16; 32; 64 ] and k = pick st [ 16; 32; 64 ] in
+  let grid = (pick st grids, pick st orders) in
+  ( random_layout ~grid ~idx:(Random.State.int st 2) [| m; n |] st,
+    random_layout ~grid ~idx:0 [| m; k |] st,
+    random_layout ~grid ~idx:1 [| k; n |] st )
+
+let prop_rank_check_matches_oracle =
+  let verdict f = match f () with r -> Ok r | exception Invalid_argument e -> Error e in
+  QCheck.Test.make ~count:100 ~name:"rank check = point-set oracle"
+    (QCheck.make gen_triple ~print:(fun ((o, _), (a, _), (b, _)) ->
+         Printf.sprintf "out %s; lhs %s; rhs %s" o a b))
+    (fun ((_, out), (_, lhs), (_, rhs)) ->
+      match
+        ( verdict (fun () -> Codegen.Mma_lower.check_ownership ~out ~lhs ~rhs),
+          verdict (fun () -> Mma_oracle.check ~out ~lhs ~rhs) )
+      with
+      | Ok (Ok ()), Ok (Ok ()) -> true
+      | Ok (Error v), Ok (Error _) ->
+          Mma_oracle.confirms ~out ~lhs ~rhs v
+          || QCheck.Test.fail_reportf "witness warp %d %s not confirmed" v.Codegen.Mma_lower.warp
+               v.Codegen.Mma_lower.missing
+      | Error a, Error b -> a = b || QCheck.Test.fail_reportf "%S <> %S" a b
+      | _ -> QCheck.Test.fail_report "verdicts differ")
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mma_lower"
@@ -128,12 +232,15 @@ let () =
           Alcotest.test_case "operand layouts own their fragments" `Quick
             test_ownership_holds_for_operand_layouts;
           Alcotest.test_case "naive blocked violates" `Quick test_ownership_fails_for_naive_blocked;
+          Alcotest.test_case "violation in a nonzero warp" `Quick test_violation_in_nonzero_warp;
+          Alcotest.test_case "violation in warp 0's thread span" `Quick
+            test_violation_in_thread_span;
         ] );
       ( "execution",
         [
           Alcotest.test_case "matches reference" `Quick test_execute_dot_matches_reference;
           Alcotest.test_case "rejects bad layouts" `Quick test_execute_dot_rejects_bad_layouts;
-          Alcotest.test_case "instruction count" `Quick test_instruction_count;
         ] );
-      ("properties", q [ prop_operand_triples_always_own; prop_dot_correct ]);
+      ( "properties",
+        q [ prop_operand_triples_always_own; prop_dot_correct; prop_rank_check_matches_oracle ] );
     ]

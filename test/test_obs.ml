@@ -75,10 +75,9 @@ let assoc_gen vgen =
 
 let snapshot_gen =
   QCheck.Gen.(
-    map3
-      (fun counters gauges histograms -> { Obs.Metrics.counters; gauges; histograms })
+    map2
+      (fun counters histograms -> { Obs.Metrics.counters; histograms })
       (assoc_gen (int_bound 1000))
-      (assoc_gen (map float_of_int (int_bound 100)))
       (assoc_gen (map Array.of_list (list_size (int_bound 6) (int_bound 5)))))
 
 let snapshot_arb = QCheck.make ~print:Obs.Metrics.to_json snapshot_gen
