@@ -9,11 +9,9 @@ let addr_window (p : Gpusim.Isa.program) =
     (function
       | Gpusim.Isa.St_shared { slots; addr; _ } | Gpusim.Isa.Ld_shared { slots; addr; _ } ->
           let n = List.length slots in
-          Array.iter
-            (Array.iter (fun a ->
-                 lo := min !lo a;
-                 hi := max !hi (a + n)))
-            addr
+          Gpusim.Isa.iter_addresses p addr (fun _ a ->
+              lo := min !lo a;
+              hi := max !hi (a + n))
       | _ -> ())
     p.Gpusim.Isa.body;
   (!lo, !hi)
@@ -62,11 +60,11 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
           smem_since_bar := false
       | Gpusim.Isa.St_shared { slots; addr; byte_width = _ } ->
           smem_since_bar := true;
-          let width = List.length slots in
-          for warp = 0 to p.Gpusim.Isa.warps - 1 do
-            for lane = 0 to p.Gpusim.Isa.lanes - 1 do
+          let width = List.length slots and lanes = p.Gpusim.Isa.lanes in
+          Gpusim.Isa.iter_addresses p addr (fun t a0 ->
+              let warp = t / lanes and lane = t mod lanes in
               for i = 0 to width - 1 do
-                let a = addr.(warp).(lane) + i in
+                let a = a0 + i in
                 let c = a - lo in
                 let idx' = w_idx.(c) in
                 if idx' >= 0 && not duplicate_stores_benign then begin
@@ -101,16 +99,14 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
                 w_idx.(c) <- idx;
                 w_warp.(c) <- warp;
                 w_lane.(c) <- lane
-              done
-            done
-          done
+              done)
       | Gpusim.Isa.Ld_shared { slots; addr; byte_width = _ } ->
           smem_since_bar := true;
-          let width = List.length slots in
-          for warp = 0 to p.Gpusim.Isa.warps - 1 do
-            for lane = 0 to p.Gpusim.Isa.lanes - 1 do
+          let width = List.length slots and lanes = p.Gpusim.Isa.lanes in
+          Gpusim.Isa.iter_addresses p addr (fun t a0 ->
+              let warp = t / lanes in
               for i = 0 to width - 1 do
-                let a = addr.(warp).(lane) + i in
+                let a = a0 + i in
                 let c = a - lo in
                 let idx' = w_idx.(c) in
                 if idx' >= 0 && w_warp.(c) <> warp then begin
@@ -128,9 +124,7 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
                   r_idx.(c) <- idx;
                   r_warp.(c) <- warp
                 end
-              done
-            done
-          done
+              done)
       | Gpusim.Isa.Mov _ | Gpusim.Isa.Sel _ | Gpusim.Isa.Scatter _ | Gpusim.Isa.Shfl_idx _
       | Gpusim.Isa.Bin _ ->
           ())

@@ -31,7 +31,8 @@
 open Linear_layout
 
 (** Check a concrete lowered program.  Addresses are read off the
-    instruction stream (the lowering precomputes them), so the analysis
+    instruction stream's address maps, expanded point by point with
+    {!Gpusim.Isa.iter_addresses}, so the analysis
     is exact: a reported race really is two unordered accesses to one
     address.  [duplicate_stores_benign] (default [false]) suppresses
     [LL202]/[LL203] when the caller has {e proved} that colliding stores

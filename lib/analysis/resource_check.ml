@@ -19,13 +19,10 @@ type report = {
    store/load, warp by warp, lane by lane, slot by slot. *)
 let iter_elems (p : Isa.program) ~slots ~addr f =
   let n = List.length slots in
-  for w = 0 to p.Isa.warps - 1 do
-    for l = 0 to p.Isa.lanes - 1 do
+  Isa.iter_addresses p addr (fun _ a0 ->
       for i = 0 to n - 1 do
-        f (addr.(w).(l) + i)
-      done
-    done
-  done
+        f (a0 + i)
+      done)
 
 (* The error-severity checks: each instruction's {!Isa.fault}, the
    interpreter's own malformation rule, run once.  [skip] marks

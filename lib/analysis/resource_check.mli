@@ -9,7 +9,8 @@
     below are precise dataflow, not approximations.
 
     Codes:
-    - [LL800] (error): per-warp/lane immediate table has the wrong shape
+    - [LL800] (error): per-warp/lane immediate table or shared-memory
+      address map has the wrong shape ({!Gpusim.Isa.fault})
     - [LL801] (error): shared-memory address out of range
     - [LL802] (warning): shared-memory footprint exceeds
       [machine.smem_bytes] — the simulated lowering still runs (the

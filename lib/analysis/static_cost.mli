@@ -2,7 +2,8 @@
 
     Every address and lane-selection operand of {!Gpusim.Isa} is a
     precomputed immediate, so the cost the interpreter would account —
-    shared-memory wavefronts through {!Gpusim.Banks}, shuffles, ALU
+    shared-memory wavefronts, counted by rank on each access's affine
+    address map ({!Gpusim.Banks.linear_wavefronts}), shuffles, ALU
     work, barriers — is a pure function of the instruction stream.
     This module folds {!Gpusim.Isa.price}, the ISA's one
     per-instruction price rule, over the stream without moving any
@@ -11,11 +12,12 @@
     {v Static_cost.cost m p = Gpusim.Isa.run m p (make_state p ~slots) v}
 
     holds by construction for every well-formed program.  The test
-    suite checks both sides against an independent oracle that prices
-    each warp's shared access with {!Gpusim.Banks.wavefronts} on
-    explicit per-lane access records.  Malformation is not re-derived
-    here: an instruction with a {!Gpusim.Isa.fault} (wrong lane-table
-    shape, shuffle source lane or shared-memory address out of range)
+    suite checks both sides against an independent oracle that expands
+    each address map and prices every warp's shared access with the
+    point model {!Gpusim.Banks.wavefronts} on explicit per-lane access
+    records.  Malformation is not re-derived here: an instruction with
+    a {!Gpusim.Isa.fault} (wrong lane-table or address-map shape,
+    shuffle source lane or shared-memory address out of range)
     raises [Failure] with {!Gpusim.Isa.fault_message}, the
     interpreter's own message, before it is priced, so the equation
     extends to the failure modes; the graceful LL8xx reporting of the

@@ -184,20 +184,23 @@ let need b = if not b then raise Unproved
    read off the store that writes it.  [cell] must be injective.  A
    store of slots [s_0 .. s_(k-1)] then writes every source element to
    its cell when, with [base = cell_reg s_0], [cell_reg s_i = base lxor
-   i] for every position [i] and, for every thread [t], [addr t] is
-   aligned to [k] and equals [base lxor cell_thr t]: thread [t] writes
-   slot [s_i] to [addr t + i = addr t lxor i = cell (src (s_i, t))].
-   The loads are checked the same way against the destination's
-   tables, so each reads its element's cell.  That cell was written:
-   every unit vector was solved inside the source's points, so the
-   source is surjective, and every source slot is stored by every
-   thread.  Every access then lies in [cell]'s image, whose largest
-   element is found from an echelon basis, so no address is out of
-   range when that element is below [smem_elems]: with the tables'
-   shapes checked here, {!Gpusim.Isa.fault} finds nothing. *)
+   i] for every position [i] and its address map is [base] plus, for
+   every thread bit [j], the column [cell_thr e_j], all aligned to [k]:
+   thread [t] then writes slot [s_i] to [addr t + i = addr t lxor i =
+   cell (src (s_i, t))], since both sides are affine in [t] and agree
+   on a basis.  The loads are checked the same way against the
+   destination's tables, so each reads its element's cell.  That cell
+   was written: every unit vector was solved inside the source's
+   points, so the source is surjective, and every source slot is
+   stored by every thread.  Every access then lies in [cell]'s image,
+   whose largest element is found from an echelon basis, so no address
+   is out of range when that element is below [smem_elems]: with the
+   maps' shapes checked here, {!Gpusim.Isa.fault} finds nothing.  The
+   checks cost one comparison per slot and per thread bit, none per
+   thread. *)
 let round_trip ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.program) =
-  let warps = program.Gpusim.Isa.warps and lanes = program.Gpusim.Isa.lanes in
-  let threads = warps * lanes in
+  let threads = program.Gpusim.Isa.warps * program.Gpusim.Isa.lanes in
+  let tb = Util.log2 threads in
   let src_regs = map.Codegen.Lower.src_regs in
   let rec stores acc = function
     | Gpusim.Isa.St_shared { slots; addr; _ } :: rest ->
@@ -217,8 +220,8 @@ let round_trip ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.p
   let ms = Layout.to_matrix src and md = Layout.to_matrix dst in
   let n = F2.Bitmatrix.rows ms in
   need (F2.Bitmatrix.rows md = n);
-  (* The first store of each source slot: its table and the slot's
-     position in it. *)
+  (* The first store of each source slot: its address map and the
+     slot's position in it. *)
   let first_store = Array.make src_regs None in
   List.iter
     (fun (slots, addr) ->
@@ -232,9 +235,8 @@ let round_trip ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.p
     match F2.Bitmatrix.solve_with ech (1 lsl j) with
     | Some x when x < src_regs * threads && F2.Bitmatrix.apply ms x = 1 lsl j -> (
         match first_store.(x land (src_regs - 1)) with
-        | Some (addr, i) ->
-            let t = x lsr rb in
-            let a = addr.(t / lanes).(t land (lanes - 1)) in
+        | Some ({ Gpusim.Isa.base; cols }, i) ->
+            let a = base lxor F2.Bitmatrix.apply cols (x lsr rb) in
             need (a >= 0);
             a + i
         | None -> raise Unproved)
@@ -254,29 +256,26 @@ let round_trip ~src ~dst ~(map : Codegen.Lower.slot_map) (program : Gpusim.Isa.p
      every one of those slots is accessed, and every access is at its
      element's cell under the layout [m]. *)
   let side m ~regs ~first accesses =
-    let cell_reg, cell_thr = split_tables (F2.Bitmatrix.mul cell m) ~regs ~threads in
+    let cm = F2.Bitmatrix.mul cell m and rb = Util.log2 regs in
     let covered = Array.make regs false in
     List.iter
-      (fun (slots, addr) ->
+      (fun (slots, { Gpusim.Isa.base; cols }) ->
         let k = Array.length slots in
-        need (Util.is_pow2 k && Array.length addr = warps);
-        let reg i =
+        let aligned v = v land (k - 1) = 0 in
+        need (Util.is_pow2 k && F2.Bitmatrix.cols cols = tb);
+        let cell_reg i =
           let r = slots.(i) - first in
           need (r >= 0 && r < regs);
           covered.(r) <- true;
-          r
+          F2.Bitmatrix.apply cm r
         in
-        let base = cell_reg.(reg 0) in
+        need (aligned base && cell_reg 0 = base);
         for i = 1 to k - 1 do
-          need (cell_reg.(reg i) lxor base = i)
+          need (cell_reg i lxor base = i)
         done;
-        for w = 0 to warps - 1 do
-          let row = addr.(w) and off = w * lanes in
-          need (Array.length row = lanes);
-          for l = 0 to lanes - 1 do
-            let a = row.(l) in
-            if a land (k - 1) <> 0 || a <> base lxor cell_thr.(off + l) then raise Unproved
-          done
+        for j = 0 to tb - 1 do
+          let c = F2.Bitmatrix.column cols j in
+          need (aligned c && c = F2.Bitmatrix.apply cm (1 lsl (rb + j)))
         done)
       accesses;
     need (Array.for_all Fun.id covered)

@@ -103,9 +103,10 @@ val certify_isa :
     tables, without running them:
     - a shared-memory round trip [St_shared+ ; Bar_sync* ; Ld_shared+]:
       a linear, injective map from logical element to shared-memory
-      cell is solved from the stores on a basis, then every address
-      table entry and every slot position of every store and load is
-      checked against it (aligned to the vector width), every source
+      cell is solved from the stores on a basis, then the base and
+      every column of each store's and load's address map, and every
+      slot position, are checked against it (aligned to the vector
+      width) — O(bits) work per instruction, none per thread — every source
       slot must be stored, every destination slot loaded, and the
       source must be surjective;
     - warp-shuffle rounds [(Sel ; Shfl_idx ; Scatter)+]: every lane

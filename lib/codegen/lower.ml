@@ -9,15 +9,15 @@ let scatter_bits sel positions =
   |> fst
 
 (* Emit the stores or loads of one side of a shared-memory round trip:
-   one vectorized instruction per non-vectorized register combination,
-   with per-warp/lane element addresses computed through the memory
-   layout's inverse.  [mem_inv o flat] is linear, so the address of
-   (warp, lane, register) is the XOR of the images of its three parts:
-   one lane table and one warp table serve every instruction, and the
-   register parts of the groups are the span of their basis images. *)
-let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_store =
+   one vectorized instruction per non-vectorized register combination.
+   [mem_inv o flat] is linear, so the address of (warp, lane, register)
+   is the XOR of the images of its parts: the instructions share one
+   address map, whose columns are the images of the lane and warp bits,
+   and differ in its base, the image of their register group — the
+   span of the group basis images. *)
+let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~is_store =
   let rb = Layout.in_bits layout Dims.register in
-  let lb = Layout.in_bits layout Dims.lane in
+  let tb = Layout.in_bits layout Dims.lane + Layout.in_bits layout Dims.warp in
   let reg_cols = Array.of_list (Layout.flat_columns layout Dims.register) in
   let vec_pos =
     List.map
@@ -41,20 +41,14 @@ let shared_side ~mem_inv ~layout ~slot_base ~vec ~byte_width ~warps ~lanes ~is_s
     let to_logical = Layout.apply_flat layout and to_offset = Layout.apply_flat mem_inv in
     fun hw -> to_offset (to_logical hw)
   in
-  let lane_img = Array.init lanes (fun l -> offset_of (l lsl rb)) in
-  let warp_img = Array.init warps (fun w -> offset_of (w lsl (rb + lb))) in
+  let cols =
+    F2.Bitmatrix.make ~rows:(Layout.total_out_bits mem_inv)
+      (Array.init tb (fun j -> offset_of (1 lsl (rb + j))))
+  in
   let group_img = F2.Subspace.span_elements (List.map offset_of (units other_idx)) in
   List.init (Array.length groups) (fun g ->
       let slots = List.init (Array.length within) (fun c -> slot_base + (groups.(g) lor within.(c))) in
-      let reg_img = group_img.(g) in
-      let addr = Array.make warps [||] in
-      for w = 0 to warps - 1 do
-        let rw = reg_img lxor warp_img.(w) and row = Array.make lanes 0 in
-        for l = 0 to lanes - 1 do
-          row.(l) <- rw lxor lane_img.(l)
-        done;
-        addr.(w) <- row
-      done;
+      let addr = { Gpusim.Isa.base = group_img.(g); cols } in
       if is_store then Gpusim.Isa.St_shared { slots; addr; byte_width }
       else Gpusim.Isa.Ld_shared { slots; addr; byte_width })
 
@@ -233,11 +227,10 @@ let conversion _machine (plan : Conversion.plan) =
     | Conversion.Shared_memory sw ->
         let mem_inv = Layout.invert sw.Swizzle_opt.mem in
         shared_side ~mem_inv ~layout:src ~slot_base:0 ~vec:sw.Swizzle_opt.vec
-          ~byte_width:plan.Conversion.byte_width ~warps ~lanes ~is_store:true
+          ~byte_width:plan.Conversion.byte_width ~is_store:true
         @ [ Gpusim.Isa.Bar_sync ]
         @ shared_side ~mem_inv ~layout:dst ~slot_base:map.dst_base
-            ~vec:sw.Swizzle_opt.vec ~byte_width:plan.Conversion.byte_width ~warps ~lanes
-            ~is_store:false
+            ~vec:sw.Swizzle_opt.vec ~byte_width:plan.Conversion.byte_width ~is_store:false
   in
   let extra =
     match plan.Conversion.mechanism with
@@ -436,19 +429,22 @@ let reduce ?(op = `Add) machine ~src ~axis =
      partials; after the barrier everyone accumulates the other warps'
      copies of its own (lane, register) cell. *)
   if warp_axis <> [] then begin
-    let cell w lane r = (((w * lanes) + lane) * regs) + r in
+    (* Cell [(w * lanes + lane) * regs + r] is [r lxor ((lane lor (w lsl
+       lb)) lsl rb)]: register [r]'s cells are one address map with base
+       [r], and warp [w lxor 2^bit]'s copy adds that bit's column to the
+       base. *)
+    let cols =
+      F2.Bitmatrix.make ~rows:(rb + lb + wb) (Array.init (lb + wb) (fun j -> 1 lsl (rb + j)))
+    in
+    let at base = { Gpusim.Isa.base; cols } in
     for r = 0 to regs - 1 do
-      let addr = Array.init warps (fun w -> Array.init lanes (fun lane -> cell w lane r)) in
-      emit (Gpusim.Isa.St_shared { slots = [ r ]; addr; byte_width = 4 })
+      emit (Gpusim.Isa.St_shared { slots = [ r ]; addr = at r; byte_width = 4 })
     done;
     emit Gpusim.Isa.Bar_sync;
     List.iter
       (fun bit ->
         for r = 0 to regs - 1 do
-          let addr =
-            Array.init warps (fun w ->
-                Array.init lanes (fun lane -> cell (w lxor (1 lsl bit)) lane r))
-          in
+          let addr = at (r lxor (1 lsl (rb + lb + bit))) in
           emit (Gpusim.Isa.Ld_shared { slots = [ stage ]; addr; byte_width = 4 });
           emit (Gpusim.Isa.Bin { op; dst = r; a = r; b = stage })
         done;
@@ -456,10 +452,7 @@ let reduce ?(op = `Add) machine ~src ~axis =
         if List.length warp_axis > 1 then begin
           emit Gpusim.Isa.Bar_sync;
           for r = 0 to regs - 1 do
-            let addr =
-              Array.init warps (fun w -> Array.init lanes (fun lane -> cell w lane r))
-            in
-            emit (Gpusim.Isa.St_shared { slots = [ r ]; addr; byte_width = 4 })
+            emit (Gpusim.Isa.St_shared { slots = [ r ]; addr = at r; byte_width = 4 })
           done;
           emit Gpusim.Isa.Bar_sync
         end)

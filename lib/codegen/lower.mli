@@ -20,7 +20,14 @@
     element, where R' completes V u I u G u W to a basis, and all warps
     run it: each per-warp table of a round holds one row that every
     warp shares.  This relies on {!Gpusim.Isa} programs never being
-    mutated. *)
+    mutated.
+
+    Shared-memory round trips store through the plan's memory layout:
+    [mem_inv o dist] is linear, so each store or load carries one
+    {!Gpusim.Isa.addr} — its base is the image of the instruction's
+    register group, its columns the images of the lane and warp bits,
+    shared by every instruction of the side.  {!reduce}'s cross-warp
+    exchange addresses its cells the same way. *)
 
 open Linear_layout
 

@@ -13,159 +13,33 @@ let phases machine accesses =
   in
   go [] 0 [] accesses
 
-(* One warp-wide instruction's wavefront count, as a single greedy pass:
-   accesses are packed into 128-byte phases exactly as {!phases} does,
-   and each phase contributes the maximum, over banks, of the number of
-   distinct words it requests from that bank.
-
-   [start machine] readies the bank model both entry points share;
-   [feed sc addr bytes] adds one active lane's access, in lane order,
-   and [finish sc] returns the count.  {!wavefronts} feeds it access
-   records, {!wavefronts_row} a warp's element-offset row without
-   building records.
-
-   This is the hot inner loop of both the interpreter and the static
-   cost analyzer (one call per warp per shared-memory instruction), so
-   it avoids the obvious implementations' costs: no hash table, no
-   closure-driven sort (touched words land in a flat scratch array and
-   are insertion-sorted — lane-ordered addresses are nearly sorted
-   already, so the sort is close to linear), no allocation per call
-   (the counters and the word array are one per-domain scratch, reset
-   as they are used), and the divisions by [bank_bytes] / [num_banks]
-   collapse to shifts and masks when the machine's values are powers of
-   two (they always are in practice).  A call runs to completion before
-   the next starts on the same domain, so one scratch serves them all.
-
-   Negative word ids (out-of-range programs) keep the historical
-   behaviour of occupying their own banks: bank ids are offset into the
-   upper half of a [2 * num_banks] counter array, so [w mod num_banks]
-   of either sign indexes without clamping. *)
-type scratch = {
-  mutable counts : int array;  (** all zero between phases *)
-  mutable words : int array;
-  mutable nwords : int;
-  mutable total : int;
-  mutable cur_bytes : int;
-  mutable in_phase : bool;
-  mutable word_bytes : int;
-  mutable word_shift : int;  (** [log2 word_bytes], or [-1] *)
-  mutable num_banks : int;
-  mutable bank_mask : int;  (** [num_banks - 1], or [-1] *)
-}
-
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        counts = [||];
-        words = Array.make 128 0;
-        nwords = 0;
-        total = 0;
-        cur_bytes = 0;
-        in_phase = false;
-        word_bytes = 1;
-        word_shift = 0;
-        num_banks = 1;
-        bank_mask = 0;
-      })
-
-let start machine =
-  let sc = Domain.DLS.get scratch_key in
-  let word_bytes = machine.Machine.bank_bytes and num_banks = machine.Machine.num_banks in
-  sc.word_bytes <- word_bytes;
-  sc.word_shift <-
-    (if word_bytes > 0 && word_bytes land (word_bytes - 1) = 0 then begin
-       let s = ref 0 and v = ref word_bytes in
-       while !v > 1 do
-         incr s;
-         v := !v lsr 1
-       done;
-       !s
-     end
-     else -1);
-  sc.num_banks <- num_banks;
-  sc.bank_mask <- (if num_banks > 0 && num_banks land (num_banks - 1) = 0 then num_banks - 1 else -1);
-  if Array.length sc.counts < 2 * num_banks then sc.counts <- Array.make (2 * num_banks) 0;
-  sc.nwords <- 0;
-  sc.total <- 0;
-  sc.cur_bytes <- 0;
-  sc.in_phase <- false;
-  sc
-
-let push sc w =
-  let n = sc.nwords in
-  if n = Array.length sc.words then begin
-    let grown = Array.make (2 * n) 0 in
-    Array.blit sc.words 0 grown 0 n;
-    sc.words <- grown
-  end;
-  sc.words.(n) <- w;
-  sc.nwords <- n + 1
-
-(* Close a phase: sort its words, count distinct words per bank, and
-   leave the counters zeroed for the next phase. *)
-let flush sc =
-  let ws = sc.words and n = sc.nwords and counts = sc.counts in
-  let num_banks = sc.num_banks and bank_mask = sc.bank_mask in
-  for i = 1 to n - 1 do
-    let v = ws.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && ws.(!j) > v do
-      ws.(!j + 1) <- ws.(!j);
-      decr j
-    done;
-    ws.(!j + 1) <- v
-  done;
-  let best = ref 1 and prev = ref min_int in
-  for k = 0 to n - 1 do
-    let w = ws.(k) in
-    if w <> !prev then begin
-      prev := w;
-      let b =
-        if w >= 0 && bank_mask >= 0 then (w land bank_mask) + num_banks
-        else (w mod num_banks) + num_banks
-      in
-      counts.(b) <- counts.(b) + 1;
-      if counts.(b) > !best then best := counts.(b)
-    end
-  done;
-  Array.fill counts 0 (2 * num_banks) 0;
-  sc.nwords <- 0;
-  sc.total <- sc.total + !best
-
-let word_of sc x = if x >= 0 && sc.word_shift >= 0 then x lsr sc.word_shift else x / sc.word_bytes
-
-let feed sc addr bytes =
-  if sc.in_phase && sc.cur_bytes + bytes > transaction_bytes then begin
-    flush sc;
-    sc.cur_bytes <- 0
-  end;
-  sc.in_phase <- true;
-  sc.cur_bytes <- sc.cur_bytes + bytes;
-  for w = word_of sc addr to word_of sc (addr + bytes - 1) do
-    push sc w
-  done
-
-let finish sc =
-  if sc.in_phase then flush sc;
-  sc.total
-
+(* Each phase costs the largest number of distinct words it requests
+   from one bank, and at least one wavefront.  Word and bank ids are
+   OCaml's truncating [/] and [mod], for the negative addresses of an
+   out-of-range access too. *)
 let wavefronts machine accesses =
-  match accesses with
-  | [] -> 0
-  | _ ->
-      let sc = start machine in
-      List.iter (fun a -> feed sc a.addr a.bytes) accesses;
-      finish sc
-
-let wavefronts_row machine ~byte_width ~bytes row =
-  if Array.length row = 0 then 0
-  else begin
-    let sc = start machine in
-    for l = 0 to Array.length row - 1 do
-      feed sc (row.(l) * byte_width) bytes
-    done;
-    finish sc
-  end
+  let word_bytes = machine.Machine.bank_bytes and num_banks = machine.Machine.num_banks in
+  (* [w mod num_banks] lies in [(-num_banks, num_banks)]. *)
+  let load = Array.make (2 * num_banks) 0 in
+  let phase accesses =
+    let words =
+      List.concat_map
+        (fun a ->
+          let first = a.addr / word_bytes in
+          List.init
+            (max 0 (((a.addr + a.bytes - 1) / word_bytes) - first + 1))
+            (fun i -> first + i))
+        accesses
+    in
+    Array.fill load 0 (2 * num_banks) 0;
+    List.fold_left
+      (fun best w ->
+        let b = (w mod num_banks) + num_banks in
+        load.(b) <- load.(b) + 1;
+        max best load.(b))
+      1 (List.sort_uniq Int.compare words)
+  in
+  List.fold_left (fun total p -> total + phase p) 0 (phases machine accesses)
 
 let conflict_free machine accesses =
   accesses = [] || wavefronts machine accesses = List.length (phases machine accesses)

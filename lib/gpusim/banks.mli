@@ -4,9 +4,10 @@
     within each phase the number of wavefronts is the maximum, over
     banks, of the number of distinct bank words requested from that
     bank (a word requested by many lanes broadcasts and counts once).
-    {!wavefronts} and {!wavefronts_row} run it on explicit addresses;
+    {!wavefronts} runs it on explicit addresses, for the legacy
+    planner's padded (non-linear) accesses and as a test oracle;
     {!linear_wavefronts} counts it by rank when the addresses are
-    linear in the lane index. *)
+    linear in the lane index, as every ISA shared-memory access is. *)
 
 (** One lane's access: starting byte address and width in bytes. *)
 type access = { addr : int; bytes : int }
@@ -15,15 +16,6 @@ type access = { addr : int; bytes : int }
     instruction.  The list gives the active lanes' accesses in lane
     order. *)
 val wavefronts : Machine.t -> access list -> int
-
-(** [wavefronts_row machine ~byte_width ~bytes row] is {!wavefronts} on
-    the accesses [{addr = row.(l) * byte_width; bytes}] for every lane
-    [l], without building them: [row] holds one warp's per-lane element
-    offsets, as an ISA shared-memory instruction's address table does.
-    Both functions run the same bank model, whose counters and word
-    array are one per-domain scratch: [wavefronts_row] allocates
-    nothing once that scratch has grown to the domain's largest phase. *)
-val wavefronts_row : Machine.t -> byte_width:int -> bytes:int -> int array -> int
 
 (** [conflict_free machine accesses] holds when each 128-byte phase
     completes in a single wavefront. *)
@@ -36,8 +28,9 @@ val conflict_free : Machine.t -> access list -> bool
     block of [2^k] element offsets that holds [c xor A l]: [lanes]
     lists the columns of [A], the offset images of the [L] lane bits,
     lowest first, and [c] is the instruction's register image.  The
-    result is {!wavefronts_row} on that access, counted without
-    visiting a lane and independent of [c]:
+    result is {!wavefronts} on the accesses [{addr = o_l * w; bytes =
+    B}] with [o_l] the first offset of lane [l]'s block, counted without
+    visiting a lane and independent of [c] (for non-negative offsets):
 
     - [p = min L (max 0 (7 - log2 B))] lane bits share one 128-byte
       phase, so there are [2^(L - p)] phases;

@@ -13,12 +13,16 @@ let set d hw v = d.data.(hw) <- v
 
 let to_logical d =
   let to_logical = Layout.apply_flat d.layout in
-  let out = Array.make (1 lsl Layout.total_out_bits d.layout) min_int in
+  let n = 1 lsl Layout.total_out_bits d.layout in
+  let out = Array.make n 0 and seen = Array.make n false in
   let err = ref None in
   Array.iteri
     (fun hw v ->
       let logical = to_logical hw in
-      if out.(logical) = min_int then out.(logical) <- v
+      if not seen.(logical) then begin
+        seen.(logical) <- true;
+        out.(logical) <- v
+      end
       else if out.(logical) <> v && !err = None then
         err :=
           Some
@@ -27,7 +31,7 @@ let to_logical d =
   match !err with
   | Some e -> Error e
   | None ->
-      if Array.exists (fun v -> v = min_int) out then Error "layout is not surjective"
+      if Array.exists not seen then Error "layout is not surjective"
       else Ok out
 
 let consistent_with d ~f =

@@ -20,8 +20,10 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 
 (** [to_logical d] reads the tensor back: [Error] if two hardware points
-    mapping to the same logical element disagree (a broken broadcast),
-    otherwise the flattened tensor contents. *)
+    mapping to the same logical element disagree (a broken broadcast)
+    or some logical element has no point (the layout is not
+    surjective), otherwise the flattened tensor contents.  Any payload
+    value, [min_int] included, is read back as it is. *)
 val to_logical : t -> (int array, string) result
 
 (** [consistent_with d ~f] checks every hardware point holds

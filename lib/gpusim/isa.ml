@@ -1,10 +1,12 @@
+type addr = { base : int; cols : F2.Bitmatrix.t }
+
 type instr =
   | Mov of { dst : int; src : int }
   | Sel of { dst : int; src_slot : int array array }
   | Scatter of { src : int; dst_slot : int array array }
   | Shfl_idx of { dst : int; src : int; src_lane : int array array; keep : bool array array }
-  | St_shared of { slots : int list; addr : int array array; byte_width : int }
-  | Ld_shared of { slots : int list; addr : int array array; byte_width : int }
+  | St_shared of { slots : int list; addr : addr; byte_width : int }
+  | Ld_shared of { slots : int list; addr : addr; byte_width : int }
   | Bin of { op : [ `Add | `Max ]; dst : int; a : int; b : int }
   | Bar_sync
 
@@ -43,27 +45,51 @@ let first_lane p src_lane =
   in
   row 0
 
+(* The bits that index [n] values: [log2 n] for a power of two, 0 for
+   0 or 1. *)
+let index_bits n = if n <= 1 then 0 else F2.Bitvec.width (n - 1)
+
+(* Thread [t = w * lanes + l] is [l lor (w lsl lane_bits)] when [lanes]
+   is a power of two, so its offset is [base lxor M t].  Threads [t] and
+   [t + 1] differ in the bits of [t lxor (t + 1)]: [next cols t a] turns
+   thread [t]'s offset [a] into thread [t + 1]'s. *)
+let next cols t a = a lxor F2.Bitmatrix.apply cols (t lxor (t + 1))
+
+let iter_addresses p { base; cols } f =
+  let a = ref base in
+  for t = 0 to (p.warps * p.lanes) - 1 do
+    f t !a;
+    a := next cols t !a
+  done
+
+(* The shape rule that makes {!price} exact: one column per lane and
+   warp bit, a power-of-two lane count, and a base and columns aligned
+   to a power-of-two vector. *)
+let bad_addr p ~n { base; cols } =
+  let aligned v = v land (n - 1) = 0 in
+  F2.Bitmatrix.cols cols <> index_bits p.lanes + index_bits p.warps
+  || (p.lanes <> 0 && not (Linear_layout.Util.is_pow2 p.lanes))
+  || (not (Linear_layout.Util.is_pow2 n))
+  || not (aligned base && Array.for_all aligned (F2.Bitmatrix.columns cols))
+
 (* The first out-of-range element, in (warp, lane, element) order.  A
    lane touches [a0 .. a0 + n - 1]: its first out-of-range element is
-   [a0] when negative, otherwise the first one at or past the end. *)
-let first_addr p ~n addr =
-  let e = p.smem_elems in
-  let rec row w =
-    if w >= p.warps then None
-    else
-      let r = addr.(w) and l = ref 0 in
-      while !l < p.lanes && r.(!l) >= 0 && r.(!l) + n <= e do
-        incr l
-      done;
-      if !l = p.lanes then row (w + 1)
-      else
-        let a0 = r.(!l) and t = (w * p.lanes) + !l in
-        if a0 < 0 then Some (Address a0, t * n)
-        else
-          let i = max 0 (e - a0) in
-          Some (Address (a0 + i), (t * n) + i)
+   [a0] when negative, otherwise the first one at or past the end.  No
+   lane needs a visit when the base is not negative and the OR of the
+   base and the columns, which bounds every XOR of them, leaves room
+   for [n] elements. *)
+let first_addr p ~n { base; cols } =
+  let e = p.smem_elems and threads = p.warps * p.lanes in
+  let rec go t a0 =
+    if t >= threads then None
+    else if a0 < 0 then Some (Address a0, t * n)
+    else if a0 + n > e then
+      let i = max 0 (e - a0) in
+      Some (Address (a0 + i), (t * n) + i)
+    else go (t + 1) (next cols t a0)
   in
-  row 0
+  let bound = Array.fold_left ( lor ) base (F2.Bitmatrix.columns cols) in
+  if base >= 0 && bound + n <= e then None else go 0 base
 
 (* The first fault of [instr] with its position in the interpreter's
    loop order: a shape fault comes before anything moves, an address at
@@ -76,10 +102,8 @@ let locate p = function
       if bad_shape p src_lane || bad_shape p keep then Some (Shape, 0)
       else first_lane p src_lane
   | St_shared { slots; addr; _ } | Ld_shared { slots; addr; _ } ->
-      if bad_shape p addr then Some (Shape, 0)
-      else
-        let n = List.length slots in
-        if n = 0 then None else first_addr p ~n addr
+      let n = List.length slots in
+      if bad_addr p ~n addr then Some (Shape, 0) else first_addr p ~n addr
   | Mov _ | Bin _ | Bar_sync -> None
 
 let fault p instr = Option.map fst (locate p instr)
@@ -159,18 +183,14 @@ let check p st instr =
 
 (* The data movement of a shared-memory store or load. *)
 let shared p st ~slots:sl ~addr ~store =
-  let lanes = p.lanes and slots = st.slots and regs = st.regs and smem = st.smem in
+  let slots = st.slots and regs = st.regs and smem = st.smem in
   let sl = Array.of_list sl in
-  for w = 0 to p.warps - 1 do
-    let row = addr.(w) in
-    for l = 0 to lanes - 1 do
-      let base = ((w * lanes) + l) * slots and a0 = row.(l) in
+  iter_addresses p addr (fun t a0 ->
+      let base = t * slots in
       for i = 0 to Array.length sl - 1 do
         let r = base + sl.(i) in
         if store then smem.(a0 + i) <- regs.(r) else regs.(r) <- smem.(a0 + i)
-      done
-    done
-  done
+      done)
 
 (* Execute one instruction: {!check} it, then move data with no
    per-element check.  A failing instruction moves nothing.
@@ -243,11 +263,16 @@ let price machine p cost = function
       cost.Cost.shuffles <- cost.Cost.shuffles + p.warps;
       cost.Cost.alu <- cost.Cost.alu + p.warps
   | St_shared { slots; addr; byte_width } | Ld_shared { slots; addr; byte_width } ->
-      let bytes = List.length slots * byte_width in
-      for w = 0 to p.warps - 1 do
+      (* Warp [w] accesses warp 0's offsets XOR [M (w lsl lane_bits)], a
+         translate that permutes the words within each bank: every warp
+         costs warp 0's count, which depends only on the lane columns. *)
+      if p.lanes > 0 then begin
+        let lane_cols = List.init (index_bits p.lanes) (F2.Bitmatrix.column addr.cols) in
+        let vec_bits = index_bits (List.length slots) in
         cost.Cost.smem_wavefronts <-
-          cost.Cost.smem_wavefronts + Banks.wavefronts_row machine ~byte_width ~bytes addr.(w)
-      done;
+          cost.Cost.smem_wavefronts
+          + (p.warps * Banks.linear_wavefronts machine ~byte_width ~vec_bits lane_cols)
+      end;
       cost.Cost.smem_insts <- cost.Cost.smem_insts + p.warps
   | Bar_sync -> cost.Cost.barriers <- cost.Cost.barriers + 1
 
@@ -290,11 +315,11 @@ let pp_instr ppf = function
   | St_shared { slots; addr; byte_width } ->
       Format.fprintf ppf "st.shared%s.b%d [base + lane offsets, e.g. %d], %a"
         (vec_suffix (List.length slots))
-        (byte_width * 8) addr.(0).(0) pp_slots slots
+        (byte_width * 8) addr.base pp_slots slots
   | Ld_shared { slots; addr; byte_width } ->
       Format.fprintf ppf "ld.shared%s.b%d %a, [base + lane offsets, e.g. %d]"
         (vec_suffix (List.length slots))
-        (byte_width * 8) pp_slots slots addr.(0).(0)
+        (byte_width * 8) pp_slots slots addr.base
   | Bin { op; dst; a; b } ->
       Format.fprintf ppf "%s.s32 r%d, r%d, r%d"
         (match op with `Add -> "add" | `Max -> "max")

@@ -4,9 +4,10 @@
     (PTX-flavoured), and the interpreter executes them on concrete
     CTA state — register files per lane and a shared-memory array —
     while accounting costs with the same bank and shuffle models used
-    by the planners.  Per-lane address and lane-selection immediates
-    are precomputed by the lowering (they stand for the address
-    arithmetic real code performs from [%laneid]).
+    by the planners.  Per-lane lane-selection immediates and
+    shared-memory address maps are precomputed by the lowering (they
+    stand for the address arithmetic real code performs from
+    [%laneid]).
 
     Register files are indexed by {e slot}: slot [r] of lane [l] of
     warp [w].  Memory operands are element offsets scaled by the
@@ -17,6 +18,15 @@
     the certifier only read them, so a lowering may share one row
     between warps, tables or instructions.  Code that derives a faulty
     program from a lowered one copies the tables it changes first. *)
+
+(** A shared-memory address map, affine over [F2]: lane [l] of warp [w]
+    accesses element offset [base lxor M (l lor (w lsl lane_bits))],
+    where [lane_bits] indexes the program's lanes and column [j] of
+    [M = cols] is the offset image of bit [j] of that thread index —
+    the lane bits first, then the warp bits.  A distributed layout
+    stored through an invertible memory layout has exactly this form
+    (paper §5.4). *)
+type addr = { base : int; cols : F2.Bitmatrix.t }
 
 type instr =
   | Mov of { dst : int; src : int }
@@ -39,11 +49,10 @@ type instr =
           [keep.(w).(l)] *)
   | St_shared of {
       slots : int list;  (** consecutive payload slots (vectorized) *)
-      addr : int array array;
-          (** [warp].[lane]: element offset of the first slot *)
+      addr : addr;  (** each lane's element offset of the first slot *)
       byte_width : int;
     }
-  | Ld_shared of { slots : int list; addr : int array array; byte_width : int }
+  | Ld_shared of { slots : int list; addr : addr; byte_width : int }
   | Bin of { op : [ `Add | `Max ]; dst : int; a : int; b : int }
       (** per-lane ALU: [dst <- a op b] in every lane *)
   | Bar_sync  (** CTA-wide barrier *)
@@ -66,9 +75,18 @@ type state = {
 val make_state : program -> slots:int -> state
 
 (** How an instruction is malformed: a per-warp/lane table that is not
-    [warps x lanes], the first out-of-range shared-memory element
-    offset in (warp, lane, element) order, or the first out-of-range
-    shuffle source lane in (warp, lane) order. *)
+    [warps x lanes] or a shared-memory address map of the wrong shape,
+    the first out-of-range shared-memory element offset in (warp, lane,
+    element) order, or the first out-of-range shuffle source lane in
+    (warp, lane) order.
+
+    A shared-memory instruction of [n] slots has the right shape when
+    its map has one column per lane bit and warp bit ([log2 lanes] and
+    [ceil (log2 warps)] of them), [lanes] is 0 or a power of two, [n]
+    is a power of two (at least 1), and the base and every column are
+    multiples of [n]: each lane then touches one aligned block
+    [a0 .. a0 + n - 1 = a0 lxor (n - 1)], which is what makes
+    {!price}'s rank rule exact. *)
 type fault = Shape | Address of int | Source_lane of int
 
 (** [fault program instr] is [instr]'s first fault, or [None] when the
@@ -76,6 +94,14 @@ type fault = Shape | Address of int | Source_lane of int
     definition of a malformed instruction: {!exec} raises on it, and
     the static pricer and the LL800/LL801/LL807 checks report it. *)
 val fault : program -> instr -> fault option
+
+(** [iter_addresses program a f] calls [f t o] for every thread
+    [t = w * lanes + l] of [program] in increasing order, where [o] is
+    the element offset lane [l] of warp [w] accesses under [a].  It is
+    the one expansion of an address map to points: the interpreter, the
+    race check and the resource check read addresses through it.
+    Requires [a] to have {!fault}'s shape. *)
+val iter_addresses : program -> addr -> (int -> int -> unit) -> unit
 
 (** The [Failure] message {!exec} raises for a fault of [instr]. *)
 val fault_message : instr -> fault -> string
@@ -99,9 +125,12 @@ val exec : bin:([ `Add | `Max ] -> int -> int -> int) -> program -> state -> uni
 (** [price machine program cost instr] adds [instr]'s cost to [cost]:
     one ALU operation per warp for [Mov] and [Bin], two for [Sel] and
     [Scatter], a shuffle and an ALU operation per warp for [Shfl_idx],
-    one shared-memory instruction per warp plus each warp's
-    {!Banks.wavefronts_row} for [St_shared] and [Ld_shared], and one
-    barrier per [Bar_sync].  This is the one price rule of the ISA: the
+    one shared-memory instruction per warp plus
+    [warps * ]{!Banks.linear_wavefronts} of the map's lane columns for
+    [St_shared] and [Ld_shared], and one barrier per [Bar_sync].  No
+    lane is visited: warp [w]'s offsets are warp 0's XOR a constant,
+    which permutes the words within each bank, so every warp costs what
+    warp 0 does.  The byte width must be a power of two.  This is the one price rule of the ISA: the
     interpreter ({!run}) and the static pricer ([Analysis.Static_cost])
     both fold it, so they agree by construction.  It reads only the
     instruction's immediates and assumes a well-formed instruction

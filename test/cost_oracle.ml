@@ -2,16 +2,17 @@
    static-cost tests.  [Gpusim.Isa.price] is the one price rule that
    both [Analysis.Static_cost] and [Gpusim.Isa.run] fold, so comparing
    those two checks nothing about the rule itself; this restatement
-   does.  It prices each warp's shared-memory access with
-   [Gpusim.Banks.wavefronts] on explicit per-lane [{addr; bytes}]
-   records, where the library prices a warp's address row in place
-   with [Banks.wavefronts_row]. *)
+   does.  It expands each shared-memory address map to its per-warp,
+   per-lane offsets and prices every warp's access with
+   [Gpusim.Banks.wavefronts] on explicit [{addr; bytes}] records, a
+   point model, where the library prices warp 0's lane columns by rank
+   with [Banks.linear_wavefronts] and multiplies by the warp count. *)
 
 module Isa = Gpusim.Isa
 module Cost = Gpusim.Cost
 
 let shared_wavefronts machine (p : Isa.program) ~addr ~bytes ~byte_width =
-  let total = ref 0 in
+  let total = ref 0 and addr = Isa_fuzz.rows p addr in
   for w = 0 to p.Isa.warps - 1 do
     let accesses =
       List.init p.Isa.lanes (fun l -> { Gpusim.Banks.addr = addr.(w).(l) * byte_width; bytes })

@@ -4,6 +4,46 @@
 
 module Isa = Gpusim.Isa
 
+(* {1 Affine addresses} *)
+
+(* The address map with base [base] and columns [cols]: the lane bits'
+   images, then the warp bits'. *)
+let affine base cols =
+  let cols = Array.of_list cols in
+  { Isa.base; cols = F2.Bitmatrix.make ~rows:(Array.fold_left (fun w c -> max w (F2.Bitvec.width c)) 0 cols) cols }
+
+(* The bits that index [n] values. *)
+let index_bits n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  go 0
+
+(* The map expanded to its per-warp, per-lane offsets, thread bit by
+   thread bit: the point model the oracles price and run. *)
+let rows (p : Isa.program) (a : Isa.addr) =
+  let lane_bits = index_bits p.Isa.lanes in
+  Array.init p.Isa.warps (fun w ->
+      Array.init p.Isa.lanes (fun l ->
+          let t = l lor (w lsl lane_bits) and o = ref a.Isa.base in
+          for j = 0 to F2.Bitmatrix.cols a.Isa.cols - 1 do
+            if t land (1 lsl j) <> 0 then o := !o lxor F2.Bitmatrix.column a.Isa.cols j
+          done;
+          !o))
+
+let columns (a : Isa.addr) = Array.to_list (F2.Bitmatrix.columns a.Isa.cols)
+
+(* A random map for [warps x lanes] accesses of [nvec] elements that
+   stays below [smem_elems]: base and columns are multiples of [nvec]
+   under the largest power of two [top <= smem_elems], so every XOR of
+   them is too, and so is each lane's last element.  Zero and repeated
+   columns make broadcasts, large strides bank conflicts. *)
+let random_addr st ~warps ~lanes ~nvec ~smem_elems =
+  let top =
+    let rec go t = if 2 * t <= smem_elems then go (2 * t) else t in
+    go 1
+  in
+  let draw () = nvec * Random.State.int st (max 1 (top / nvec)) in
+  affine (draw ()) (List.init (index_bits lanes + index_bits warps) (fun _ -> draw ()))
+
 (* Raw random ISA programs exercising every instruction class with
    valid immediates. *)
 let tbl warps lanes f = Array.init warps (fun w -> Array.init lanes (fun l -> f w l))
@@ -47,9 +87,7 @@ let fuzz_isa_program st =
             let nvec = 1 lsl Random.State.int st 2 in
             let base = slot () in
             let slots_l = List.init nvec (fun i -> (base + i) mod slots) in
-            let addr =
-              tbl warps lanes (fun _ _ -> Random.State.int st (smem_elems - nvec + 1))
-            in
+            let addr = random_addr st ~warps ~lanes ~nvec ~smem_elems in
             let byte_width = [| 1; 2; 4 |].(Random.State.int st 3) in
             if Random.State.bool st then
               Isa.St_shared { slots = slots_l; addr; byte_width }
@@ -70,18 +108,33 @@ let inject st (p : Isa.program) =
   let body = Array.of_list p.Isa.body in
   let n = Array.length body in
   let lanes = p.Isa.lanes and warps = p.Isa.warps in
+  (* One column with a bit at or past the end: the threads that set its
+     thread bit are out of range. *)
+  let beyond slots (a : Isa.addr) =
+    let bit = 1 lsl index_bits (max p.Isa.smem_elems (List.length slots)) in
+    let j = Random.State.int st (max 1 (F2.Bitmatrix.cols a.Isa.cols)) in
+    affine a.Isa.base (List.mapi (fun k c -> if k = j then c lor bit else c) (columns a))
+  in
   let fault i =
     match (Random.State.int st 3, body.(i)) with
     | 0, Isa.Sel { dst; src_slot } ->
         Isa.Sel { dst; src_slot = Array.sub src_slot 0 (warps - 1) }
     | 0, Isa.Scatter { src; dst_slot } ->
         Isa.Scatter { src; dst_slot = Array.map (fun r -> Array.sub r 0 (lanes / 2)) dst_slot }
-    | 1, Isa.St_shared { slots; addr; byte_width } ->
-        let past_end w l = if l = lanes - 1 then p.Isa.smem_elems else addr.(w).(l) in
-        Isa.St_shared { slots; byte_width; addr = tbl warps lanes past_end }
-    | 1, Isa.Ld_shared { slots; addr; byte_width } ->
-        let negative w l = if l = 0 then -1 - w else addr.(w).(l) in
-        Isa.Ld_shared { slots; byte_width; addr = tbl warps lanes negative }
+    | 0, Isa.St_shared ({ addr; _ } as s) ->
+        Isa.St_shared { s with addr = affine addr.Isa.base (List.tl (columns addr)) }
+    | 0, Isa.Ld_shared ({ slots; addr; _ } as s) when List.length slots > 1 ->
+        (* A base off the vector's alignment. *)
+        Isa.Ld_shared { s with addr = { addr with Isa.base = addr.Isa.base + 1 } }
+    | 1, Isa.St_shared ({ slots; addr; _ } as s) ->
+        (* Past the end from lane 0 of warp 0 on. *)
+        let n = List.length slots in
+        Isa.St_shared { s with addr = { addr with Isa.base = (p.Isa.smem_elems + n - 1) / n * n } }
+    | 1, Isa.Ld_shared ({ slots; addr; _ } as s) ->
+        let n = List.length slots in
+        Isa.Ld_shared { s with addr = { addr with Isa.base = -n * (1 + Random.State.int st 4) } }
+    | 2, Isa.St_shared s -> Isa.St_shared { s with addr = beyond s.slots s.addr }
+    | 2, Isa.Ld_shared s -> Isa.Ld_shared { s with addr = beyond s.slots s.addr }
     | _, Isa.Shfl_idx { dst; src; src_lane; keep } ->
         let beyond w l = if l = 1 then lanes + w else src_lane.(w).(l) in
         Isa.Shfl_idx { dst; src; keep; src_lane = tbl warps lanes beyond }
@@ -157,8 +210,10 @@ let bad_registers st ~slots (p : Isa.program) =
 
 (* A fault at the very first positions of one shuffle or shared-memory
    instruction, where it races the first out-of-range slot operand: a
-   source lane out of range on lane 0 of warp 0, or lane 0's last
-   element one past the end of shared memory. *)
+   source lane out of range on lane 0 of warp 0, or lane 0's block at
+   the first multiple of the vector width whose block does not fit, so
+   its first out-of-range element is its first one, or a later one when
+   [smem_elems] is not a multiple of that width. *)
 let early_fault st (p : Isa.program) =
   let body = Array.of_list p.Isa.body in
   let n = Array.length body in
@@ -167,17 +222,17 @@ let early_fault st (p : Isa.program) =
     if Array.length t > 0 && Array.length t.(0) > 0 then t.(0).(0) <- v;
     t
   in
+  let first_past slots (a : Isa.addr) =
+    let n = List.length slots in
+    { a with Isa.base = p.Isa.smem_elems / n * n }
+  in
   (if n > 0 then
      let i = Random.State.int st n in
      body.(i) <-
        (match body.(i) with
        | Isa.Shfl_idx s -> Isa.Shfl_idx { s with src_lane = first_cell s.src_lane p.Isa.lanes }
-       | Isa.St_shared s ->
-           let past = p.Isa.smem_elems - List.length s.slots + 1 in
-           Isa.St_shared { s with addr = first_cell s.addr past }
-       | Isa.Ld_shared s ->
-           let past = p.Isa.smem_elems - List.length s.slots + 1 in
-           Isa.Ld_shared { s with addr = first_cell s.addr past }
+       | Isa.St_shared s -> Isa.St_shared { s with addr = first_past s.slots s.addr }
+       | Isa.Ld_shared s -> Isa.Ld_shared { s with addr = first_past s.slots s.addr }
        | instr -> instr));
   { p with Isa.body = Array.to_list body }
 
@@ -187,12 +242,18 @@ let early_fault st (p : Isa.program) =
 let empty_cta st (p : Isa.program) =
   let warps, lanes = if Random.State.bool st then (0, p.Isa.lanes) else (p.Isa.warps, 0) in
   let re _ = Array.make warps [||] in
+  (* Keep the columns of the thread bits that remain. *)
+  let lane_bits = index_bits p.Isa.lanes in
+  let cols (a : Isa.addr) =
+    affine a.Isa.base
+      (List.filteri (fun j _ -> if warps = 0 then j < lane_bits else j >= lane_bits) (columns a))
+  in
   let instr = function
     | Isa.Sel s -> Isa.Sel { s with src_slot = re s.src_slot }
     | Isa.Scatter s -> Isa.Scatter { s with dst_slot = re s.dst_slot }
     | Isa.Shfl_idx s -> Isa.Shfl_idx { s with src_lane = re s.src_lane; keep = re s.keep }
-    | Isa.St_shared s -> Isa.St_shared { s with addr = re s.addr }
-    | Isa.Ld_shared s -> Isa.Ld_shared { s with addr = re s.addr }
+    | Isa.St_shared s -> Isa.St_shared { s with addr = cols s.addr }
+    | Isa.Ld_shared s -> Isa.Ld_shared { s with addr = cols s.addr }
     | (Isa.Mov _ | Isa.Bin _ | Isa.Bar_sync) as i -> i
   in
   { p with Isa.warps; lanes; body = List.map instr p.Isa.body }

@@ -22,8 +22,19 @@ let first_lane (p : Isa.program) src_lane =
   in
   go 0 0
 
+(* The shape rule of shared-memory address maps, restated: one column
+   per thread bit, a power-of-two lane count (or none), a power-of-two
+   vector, and a base and columns that are multiples of it. *)
+let bad_addr (p : Isa.program) ~n (a : Isa.addr) =
+  let pow2 k = k > 0 && k land (k - 1) = 0 in
+  let aligned v = v mod n = 0 in
+  F2.Bitmatrix.cols a.Isa.cols <> Isa_fuzz.index_bits p.Isa.lanes + Isa_fuzz.index_bits p.Isa.warps
+  || (p.Isa.lanes <> 0 && not (pow2 p.Isa.lanes))
+  || (not (pow2 n))
+  || not (List.for_all aligned (a.Isa.base :: Isa_fuzz.columns a))
+
 let first_addr (p : Isa.program) ~n addr =
-  let e = p.Isa.smem_elems in
+  let e = p.Isa.smem_elems and addr = Isa_fuzz.rows p addr in
   let rec go w l =
     if w >= p.Isa.warps then None
     else if l >= p.Isa.lanes then go (w + 1) 0
@@ -44,10 +55,8 @@ let locate p = function
       if bad_shape p src_lane || bad_shape p keep then Some (Isa.Shape, 0)
       else first_lane p src_lane
   | Isa.St_shared { slots; addr; _ } | Isa.Ld_shared { slots; addr; _ } ->
-      if bad_shape p addr then Some (Isa.Shape, 0)
-      else
-        let n = List.length slots in
-        if n = 0 then None else first_addr p ~n addr
+      let n = List.length slots in
+      if bad_addr p ~n addr then Some (Isa.Shape, 0) else first_addr p ~n addr
   | Isa.Mov _ | Isa.Bin _ | Isa.Bar_sync -> None
 
 let slot (st : Isa.state) s =
@@ -55,7 +64,7 @@ let slot (st : Isa.state) s =
 
 let shared (p : Isa.program) (st : Isa.state) ~stop ~msg ~slots:sl ~addr ~store =
   let lanes = p.Isa.lanes and slots = st.Isa.slots and regs = st.Isa.regs and smem = st.Isa.smem in
-  let sl = Array.of_list sl in
+  let sl = Array.of_list sl and addr = Isa_fuzz.rows p addr in
   let n = Array.length sl in
   for w = 0 to p.Isa.warps - 1 do
     let row = addr.(w) in

@@ -67,7 +67,7 @@ let test_waw_flagged_and_suppressed () =
   (* Two warps store to the same address: a race in general, benign
      when the caller proves both write the same value. *)
   let st =
-    Gpusim.Isa.St_shared { slots = [ 0 ]; addr = [| [| 0 |]; [| 0 |] |]; byte_width = 4 }
+    Gpusim.Isa.St_shared { slots = [ 0 ]; addr = Isa_fuzz.affine 0 [ 0 ]; byte_width = 4 }
   in
   let p = { Gpusim.Isa.warps = 2; lanes = 1; smem_elems = 4; body = [ st ] } in
   check_bool "cross-warp WAW flagged" true (has_code "LL202" (Analysis.Races.check p));
@@ -76,7 +76,7 @@ let test_waw_flagged_and_suppressed () =
 
 let test_same_instr_lane_overlap () =
   let st =
-    Gpusim.Isa.St_shared { slots = [ 0 ]; addr = [| [| 3; 3 |] |]; byte_width = 4 }
+    Gpusim.Isa.St_shared { slots = [ 0 ]; addr = Isa_fuzz.affine 3 [ 0 ]; byte_width = 4 }
   in
   let p = { Gpusim.Isa.warps = 1; lanes = 2; smem_elems = 4; body = [ st ] } in
   check_bool "two lanes, one address, one instruction -> LL203" true
@@ -86,9 +86,9 @@ let test_war_flagged () =
   (* Warp 1 loads smem[1], then warp 0 stores over it with no barrier
      in between. *)
   let ld =
-    Gpusim.Isa.Ld_shared { slots = [ 0 ]; addr = [| [| 0 |]; [| 1 |] |]; byte_width = 4 }
+    Gpusim.Isa.Ld_shared { slots = [ 0 ]; addr = Isa_fuzz.affine 0 [ 1 ]; byte_width = 4 }
   and st =
-    Gpusim.Isa.St_shared { slots = [ 1 ]; addr = [| [| 1 |]; [| 2 |] |]; byte_width = 4 }
+    Gpusim.Isa.St_shared { slots = [ 1 ]; addr = Isa_fuzz.affine 1 [ 3 ]; byte_width = 4 }
   in
   let check body =
     Analysis.Races.check { Gpusim.Isa.warps = 2; lanes = 1; smem_elems = 4; body }
@@ -562,6 +562,7 @@ let raw_exists (p : Gpusim.Isa.program) =
       match i with
       | Gpusim.Isa.Bar_sync -> Hashtbl.reset writer
       | Gpusim.Isa.St_shared { slots; addr; _ } ->
+          let addr = Isa_fuzz.rows p addr in
           Array.iteri
             (fun w lanes ->
               Array.iter
@@ -569,6 +570,7 @@ let raw_exists (p : Gpusim.Isa.program) =
                 lanes)
             addr
       | Gpusim.Isa.Ld_shared { slots; addr; _ } ->
+          let addr = Isa_fuzz.rows p addr in
           Array.iteri
             (fun w lanes ->
               Array.iter

@@ -91,6 +91,15 @@ let test_dist_broadcast_mismatch () =
   | Error _ -> ());
   check_bool "inconsistent" false (Gpusim.Dist.consistent_with d ~f:Fun.id)
 
+(* A payload equal to [min_int] is a value like any other: the layout
+   is surjective and the tensor reads back. *)
+let test_dist_min_int_payload () =
+  let l = Blocked.default ~warp_size:32 ~num_warps:1 [| 4; 8 |] in
+  let f x = if x = 3 then min_int else x in
+  match Gpusim.Dist.to_logical (Gpusim.Dist.init l ~f) with
+  | Ok t -> Array.iteri (fun i v -> check_int (Printf.sprintf "t.(%d)" i) (f i) v) t
+  | Error e -> Alcotest.fail e
+
 let test_cost_model () =
   let c = Gpusim.Cost.zero () in
   c.Gpusim.Cost.shuffles <- 10;
@@ -109,67 +118,6 @@ let test_machines () =
   check_bool "4090 no wgmma" false Gpusim.Machine.rtx4090.has_wgmma;
   check_bool "mi250 no ldmatrix" false Gpusim.Machine.mi250.has_ldmatrix;
   check_int "three platforms" 3 (List.length Gpusim.Machine.all)
-
-(* [wavefronts_row] reads a per-lane element-offset row; on the access
-   records that row stands for, it must agree with [wavefronts] — the
-   same bank model behind both.  Rows include repeats (broadcasts),
-   strided conflicts and negative offsets. *)
-let prop_row_matches_records =
-  let gen =
-    QCheck.Gen.(
-      let* machine = oneofl Gpusim.Machine.all_with_extras in
-      let* byte_width = oneofl [ 1; 2; 4; 8; 16 ] in
-      let* vec = oneofl [ 1; 2; 4 ] in
-      let* lanes = int_range 0 64 in
-      let* stride = oneofl [ 0; 1; 2; 8; 32; 33; 64 ] in
-      let* row =
-        array_repeat lanes
-          (oneof [ int_range (-64) 4096; map (fun k -> k * stride) (int_bound 64) ])
-      in
-      return (machine, byte_width, vec * byte_width, row))
-  in
-  let print (machine, byte_width, bytes, row) =
-    Printf.sprintf "%s byte_width=%d bytes=%d row=[%s]" machine.Gpusim.Machine.name byte_width
-      bytes
-      (String.concat ";" (Array.to_list (Array.map string_of_int row)))
-  in
-  QCheck.Test.make ~name:"wavefronts_row = wavefronts on the same accesses" ~count:500
-    (QCheck.make gen ~print) (fun (machine, byte_width, bytes, row) ->
-      Gpusim.Banks.wavefronts_row machine ~byte_width ~bytes row
-      = Gpusim.Banks.wavefronts machine
-          (Array.to_list (Array.map (fun a -> access (a * byte_width) bytes) row)))
-
-(* The bank model runs once per warp per shared-memory instruction in
-   both the interpreter and the static pricer, so a call must not
-   allocate: its counters and word array are a per-domain scratch.
-   Rows of 32 and 64 lanes, scalar and vectorized, conflict-free and
-   conflicting, on every machine, each warmed up once. *)
-let test_row_allocation () =
-  let rows =
-    [ Array.init 32 Fun.id; Array.init 32 (fun l -> l * 32); Array.init 64 (fun l -> (l * 5) land 63) ]
-  in
-  let cases =
-    Array.of_list
-      (List.concat_map
-         (fun machine ->
-           List.concat_map (fun row -> [ (machine, row, 4); (machine, row, 16) ]) rows)
-         Gpusim.Machine.all_with_extras)
-  in
-  (* A plain loop over the cases, so the test itself allocates nothing. *)
-  let run () =
-    for i = 0 to Array.length cases - 1 do
-      let machine, row, bytes = cases.(i) in
-      ignore (Sys.opaque_identity (Gpusim.Banks.wavefronts_row machine ~byte_width:4 ~bytes row))
-    done
-  in
-  run ();
-  let reps = 100 in
-  let before = Gc.minor_words () in
-  for _ = 1 to reps do
-    run ()
-  done;
-  let per_call = (Gc.minor_words () -. before) /. float_of_int (reps * Array.length cases) in
-  if per_call > 1.0 then Alcotest.failf "%.2f minor words per wavefronts_row call" per_call
 
 (* {1 The interpreter against its per-element oracle} *)
 
@@ -229,13 +177,16 @@ let test_exec_outcomes_covered () =
    never uses, because it touches no lane: the run completes. *)
 let test_unused_bad_operand () =
   let tbl warps lanes v = Array.make_matrix warps lanes v in
+  let zeros warps lanes =
+    Isa_fuzz.affine 0 (List.init (Isa_fuzz.index_bits warps + Isa_fuzz.index_bits lanes) (fun _ -> 0))
+  in
   let program ~warps ~lanes instr = { Isa.warps; lanes; smem_elems = 8; body = [ instr ] } in
   let no_threads instr = [ program ~warps:0 ~lanes:4 (instr 0 4); program ~warps:2 ~lanes:0 (instr 2 0) ] in
   let cases =
     no_threads (fun _ _ -> Isa.Mov { dst = 9; src = 0 })
     @ no_threads (fun _ _ -> Isa.Bin { op = `Add; dst = 0; a = -1; b = 0 })
-    @ no_threads (fun w l -> Isa.St_shared { slots = [ 9 ]; addr = tbl w l 0; byte_width = 4 })
-    @ no_threads (fun w l -> Isa.Ld_shared { slots = [ -2 ]; addr = tbl w l 0; byte_width = 4 })
+    @ no_threads (fun w l -> Isa.St_shared { slots = [ 9 ]; addr = zeros w l; byte_width = 4 })
+    @ no_threads (fun w l -> Isa.Ld_shared { slots = [ -2 ]; addr = zeros w l; byte_width = 4 })
     @ [
         program ~warps:2 ~lanes:4 (Isa.Sel { dst = 9; src_slot = tbl 2 4 (-1) });
         program ~warps:2 ~lanes:4 (Isa.Scatter { src = -3; dst_slot = tbl 2 4 (-1) });
@@ -261,14 +212,13 @@ let () =
           Alcotest.test_case "two-way conflict" `Quick test_two_way_conflict;
           Alcotest.test_case "vectorized phases" `Quick test_vectorized_phases;
           Alcotest.test_case "vectorized conflicts" `Quick test_vectorized_conflicting;
-          QCheck_alcotest.to_alcotest prop_row_matches_records;
-          Alcotest.test_case "wavefronts_row does not allocate" `Quick test_row_allocation;
         ] );
       ("coalesce", [ Alcotest.test_case "transactions" `Quick test_coalesce ]);
       ( "dist",
         [
           Alcotest.test_case "roundtrip" `Quick test_dist_roundtrip;
           Alcotest.test_case "broadcast mismatch" `Quick test_dist_broadcast_mismatch;
+          Alcotest.test_case "min_int payload" `Quick test_dist_min_int_payload;
         ] );
       ( "machine",
         [

@@ -58,7 +58,7 @@ let test_isa_sel_scatter () =
   check_int "lane2 scatter skipped" (-1) (reg st 2 1)
 
 let test_isa_smem_roundtrip () =
-  let addr = [| [| 0; 2; 4; 6 |] |] in
+  let addr = Isa_fuzz.affine 0 [ 2; 4 ] in
   let p =
     tiny_program
       [
@@ -80,7 +80,7 @@ let test_isa_smem_roundtrip () =
   check_bool "conflict-free" true (cost.Gpusim.Cost.smem_wavefronts = 2)
 
 let test_isa_bounds () =
-  let addr = [| [| 100; 0; 0; 0 |] |] in
+  let addr = Isa_fuzz.affine 100 [ 0; 0 ] in
   let p = tiny_program [ Gpusim.Isa.St_shared { slots = [ 0 ]; addr; byte_width = 4 } ] in
   let st = Gpusim.Isa.make_state p ~slots:1 in
   match Gpusim.Isa.run m p st with
@@ -98,7 +98,7 @@ let test_isa_first_error () =
     | exception Failure msg -> msg
     | exception Invalid_argument _ -> "slot"
   in
-  let store slots addr = Gpusim.Isa.St_shared { slots; addr = [| addr |]; byte_width = 4 } in
+  let store slots base cols = Gpusim.Isa.St_shared { slots; addr = Isa_fuzz.affine base cols; byte_width = 4 } in
   let shfl ~dst lane keep_lane =
     Gpusim.Isa.Shfl_idx
       {
@@ -109,15 +109,21 @@ let test_isa_first_error () =
       }
   in
   let check what want body = Alcotest.(check string) what want (raised body) in
-  check "slot at lane 0 before address at lane 1" "slot" [ store [ 5 ] [| 0; 100; 0; 0 |] ];
-  check "address of element 1 before its slot" "st.shared: address out of range"
-    [ store [ 0; 5 ] [| 15; 0; 0; 0 |] ];
+  check "slot at lane 0 before address at lane 1" "slot" [ store [ 5 ] 0 [ 100; 0 ] ];
+  (* 15 elements: lane 0's aligned pair [14; 15] ends past the last. *)
+  Alcotest.(check string)
+    "address of element 1 before its slot" "st.shared: address out of range"
+    (let p = { (tiny_program [ store [ 0; 5 ] 14 [ 0; 0 ] ]) with Gpusim.Isa.smem_elems = 15 } in
+     match Gpusim.Isa.run m p (Gpusim.Isa.make_state p ~slots:2) with
+     | _ -> "none"
+     | exception Failure msg -> msg
+     | exception Invalid_argument _ -> "slot");
   check "bad source lane 1 before the kept lane 2" "shfl: source lane out of range"
     [ shfl ~dst:7 1 2 ];
   check "kept lane 2 before bad source lane 3" "slot" [ shfl ~dst:7 3 2 ];
   check "unkept lanes never check the destination slot" "none" [ shfl ~dst:7 (-1) (-1) ];
   check "wrong shape before any slot" "ld.shared: per-warp/lane table has wrong shape"
-    [ Gpusim.Isa.Ld_shared { slots = [ 5 ]; addr = [| [| 0 |] |]; byte_width = 4 } ]
+    [ Gpusim.Isa.Ld_shared { slots = [ 5 ]; addr = Isa_fuzz.affine 0 [ 1 ]; byte_width = 4 } ]
 
 (* {1 Lowering} *)
 

@@ -48,12 +48,12 @@ let render (p : Gpusim.Isa.program) =
       | Gpusim.Isa.St_shared { slots; addr; byte_width } ->
           tag "st ";
           List.iter int slots;
-          table addr;
+          table (Isa_fuzz.rows p addr);
           int byte_width
       | Gpusim.Isa.Ld_shared { slots; addr; byte_width } ->
           tag "ld ";
           List.iter int slots;
-          table addr;
+          table (Isa_fuzz.rows p addr);
           int byte_width
       | Gpusim.Isa.Bin { op; dst; a; b } ->
           tag (match op with `Add -> "add " | `Max -> "max ");

@@ -153,6 +153,11 @@ let test_fuzz_engine_lowered () =
   done
 
 let tbl = Isa_fuzz.tbl
+
+(* The address map of thread [t]'s element [base + t], for [threads]
+   threads (a power of two). *)
+let ids ?(base = 0) threads =
+  Isa_fuzz.affine base (List.init (Isa_fuzz.index_bits threads) (fun j -> 1 lsl j))
 let fuzz_isa_program = Isa_fuzz.fuzz_isa_program
 
 let test_fuzz_raw_isa () =
@@ -183,14 +188,16 @@ let store_program ~lanes ~smem_elems =
     body =
       [
         Isa.St_shared
-          { slots = [ 0 ]; addr = tbl 1 lanes (fun _ l -> l); byte_width = 4 };
+          { slots = [ 0 ]; addr = ids lanes; byte_width = 4 };
       ];
   }
 
 let test_perturbed_address_detected () =
   let p = store_program ~lanes:32 ~smem_elems:64 in
-  (* Collide lane 1 with lane 0's bank: word 32 lands in bank 0 next to
-     word 0, so the interpreter now measures an extra wavefront. *)
+  (* Move lane bit 0's image from word 1 to word 32: lane 1 collides
+     with lane 0's bank (word 32 lands in bank 0 next to word 0), and so
+     does every odd lane with its even neighbour, so the interpreter now
+     measures an extra wavefront. *)
   let p' =
     {
       p with
@@ -199,7 +206,7 @@ let test_perturbed_address_detected () =
           Isa.St_shared
             {
               slots = [ 0 ];
-              addr = tbl 1 32 (fun _ l -> if l = 1 then 32 else l);
+              addr = Isa_fuzz.affine 0 [ 32; 2; 4; 8; 16 ];
               byte_width = 4;
             };
         ];
@@ -232,9 +239,9 @@ let all_classes_program =
             src_lane = tbl 2 lanes (fun _ l -> (l + 1) mod lanes);
             keep = tbl 2 lanes (fun _ _ -> true);
           };
-        Isa.St_shared { slots = [ 5 ]; addr = tbl 2 lanes (fun w l -> (w * lanes) + l); byte_width = 4 };
+        Isa.St_shared { slots = [ 5 ]; addr = ids (2 * lanes); byte_width = 4 };
         Isa.Bar_sync;
-        Isa.Ld_shared { slots = [ 6 ]; addr = tbl 2 lanes (fun w l -> (w * lanes) + l); byte_width = 4 };
+        Isa.Ld_shared { slots = [ 6 ]; addr = ids (2 * lanes); byte_width = 4 };
       ];
   }
 
@@ -279,7 +286,7 @@ let single ~smem_elems body = { Isa.warps = 1; lanes = 4; smem_elems; body }
 let test_smem_out_of_range () =
   let p =
     single ~smem_elems:4
-      [ Isa.Ld_shared { slots = [ 0 ]; addr = tbl 1 4 (fun _ l -> l + 2); byte_width = 4 } ]
+      [ Isa.Ld_shared { slots = [ 0 ]; addr = Isa_fuzz.affine 2 [ 1; 4 ]; byte_width = 4 } ]
   in
   let r = Resource_check.program m p in
   check_bool "LL801" true (has_code "LL801" r);
@@ -293,7 +300,7 @@ let test_smem_overflow () =
     single ~smem_elems:elems
       [
         Isa.St_shared
-          { slots = [ 0 ]; addr = tbl 1 4 (fun _ l -> elems - 4 + l); byte_width = 4 };
+          { slots = [ 0 ]; addr = ids ~base:(elems - 4) 4; byte_width = 4 };
       ]
   in
   let r = Resource_check.program m p in
@@ -303,7 +310,7 @@ let test_smem_overflow () =
 let test_read_before_store () =
   let p =
     single ~smem_elems:16
-      [ Isa.Ld_shared { slots = [ 0 ]; addr = tbl 1 4 (fun _ l -> l); byte_width = 4 } ]
+      [ Isa.Ld_shared { slots = [ 0 ]; addr = ids 4; byte_width = 4 } ]
   in
   check_bool "LL803" true (has_code "LL803" (Resource_check.program m p))
 
@@ -311,9 +318,9 @@ let test_dead_store () =
   let p =
     single ~smem_elems:16
       [
-        Isa.St_shared { slots = [ 0 ]; addr = tbl 1 4 (fun _ l -> l); byte_width = 4 };
-        Isa.St_shared { slots = [ 0 ]; addr = tbl 1 4 (fun _ l -> l); byte_width = 4 };
-        Isa.Ld_shared { slots = [ 1 ]; addr = tbl 1 4 (fun _ l -> l); byte_width = 4 };
+        Isa.St_shared { slots = [ 0 ]; addr = ids 4; byte_width = 4 };
+        Isa.St_shared { slots = [ 0 ]; addr = ids 4; byte_width = 4 };
+        Isa.Ld_shared { slots = [ 1 ]; addr = ids 4; byte_width = 4 };
       ]
   in
   let r = Resource_check.program m ~live_in:[ 0 ] ~live_out:[ 1 ] p in
@@ -366,6 +373,67 @@ let test_shape_and_lane_errors () =
       ]
   in
   check_bool "LL807" true (has_code "LL807" (Resource_check.program m ~live_in:[ 0 ] bad_lane))
+
+(* One LL800 per shape rule of a shared-memory address map, each on a
+   map that is well-formed but for that rule; the well-formed map
+   itself raises nothing. *)
+let test_address_shape_errors () =
+  let program ?(lanes = 4) ?(slots = [ 0; 1 ]) addr =
+    { Isa.warps = 2; lanes; smem_elems = 64; body = [ Isa.St_shared { slots; addr; byte_width = 4 } ] }
+  in
+  let ll800 p = has_code "LL800" (Resource_check.program m ~live_in:[ 0; 1; 2 ] p) in
+  let ok = Isa_fuzz.affine 8 [ 2; 4; 16 ] in
+  check_bool "well-formed" false (ll800 (program ok));
+  check_bool "a column short" true (ll800 (program (Isa_fuzz.affine 8 [ 2; 4 ])));
+  check_bool "a column too many" true (ll800 (program (Isa_fuzz.affine 8 [ 2; 4; 16; 32 ])));
+  check_bool "three lanes" true (ll800 (program ~lanes:3 ok));
+  check_bool "no slots" true (ll800 (program ~slots:[] ok));
+  check_bool "three slots" true (ll800 (program ~slots:[ 0; 1; 2 ] ok));
+  check_bool "odd base" true (ll800 (program (Isa_fuzz.affine 9 [ 2; 4; 16 ])));
+  check_bool "odd column" true (ll800 (program (Isa_fuzz.affine 8 [ 2; 5; 16 ])))
+
+(* [Isa.price] counts a shared-memory access by rank on warp 0's lane
+   columns, times the warp count; [Cost_oracle] expands the map and
+   runs the point model on every warp.  Random aligned maps on every
+   machine and a 16-bank GH200, with bases whose high bits are set. *)
+let prop_rank_price_matches_points =
+  let machines =
+    Gpusim.Machine.all_with_extras @ [ { Gpusim.Machine.gh200 with num_banks = 16 } ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* machine = oneofl machines in
+      let* byte_width = oneofl [ 1; 2; 4; 8 ] in
+      let* vec_bits = int_bound 2 in
+      let* lane_bits = int_range 3 6 in
+      let* warps = int_range 1 4 in
+      let nvec = 1 lsl vec_bits in
+      let* cols =
+        list_repeat
+          (lane_bits + Isa_fuzz.index_bits warps)
+          (oneof [ return 0; map (fun k -> nvec lsl k) (int_bound 9); map (fun x -> nvec * x) (int_bound 511) ])
+      in
+      let* high = int_bound 3 in
+      let* low = int_bound 511 in
+      return (machine, byte_width, nvec, 1 lsl lane_bits, warps, ((high lsl 20) lor low) * nvec, cols))
+  in
+  let print (machine, byte_width, nvec, lanes, warps, base, cols) =
+    Printf.sprintf "%s byte_width=%d nvec=%d lanes=%d warps=%d base=%d cols=[%s]"
+      machine.Gpusim.Machine.name byte_width nvec lanes warps base
+      (String.concat ";" (List.map string_of_int cols))
+  in
+  QCheck.Test.make ~name:"rank price = point oracle on affine accesses" ~count:1000
+    (QCheck.make gen ~print) (fun (machine, byte_width, nvec, lanes, warps, base, cols) ->
+      let addr = Isa_fuzz.affine base cols in
+      let p =
+        {
+          Isa.warps;
+          lanes;
+          smem_elems = (4 lsl 20) * nvec;
+          body = [ Isa.Ld_shared { slots = List.init nvec Fun.id; addr; byte_width } ];
+        }
+      in
+      Isa.fault p (List.hd p.Isa.body) = None && Static_cost.cost machine p = Cost_oracle.cost machine p)
 
 let test_predicated_lanes_no_false_positives () =
   (* A value staged only in serving lanes (Sel with -1 elsewhere), then
@@ -607,6 +675,7 @@ let () =
              Alcotest.test_case "engine-lowered fuzz programs" `Quick
                test_fuzz_engine_lowered;
              Alcotest.test_case "raw ISA fuzz programs" `Quick test_fuzz_raw_isa;
+             QCheck_alcotest.to_alcotest prop_rank_price_matches_points;
            ] );
          ( "fault injection",
            [
@@ -624,6 +693,7 @@ let () =
              Alcotest.test_case "LL804 dead store" `Quick test_dead_store;
              Alcotest.test_case "LL805 use before def" `Quick test_use_before_def;
              Alcotest.test_case "LL806 dead write" `Quick test_dead_write;
+             Alcotest.test_case "LL800 address shape rules" `Quick test_address_shape_errors;
              Alcotest.test_case "LL800/LL807 structural errors" `Quick
                test_shape_and_lane_errors;
              Alcotest.test_case "predicated lanes, no false positives" `Quick

@@ -301,20 +301,20 @@ let is_scatter = function Gpusim.Isa.Scatter _ -> true | _ -> false
 
 let drop_store k p = mutate_nth ~select:is_store ~f:(fun _ -> []) k p
 
-(* Swap the addresses of two lanes of one store: an address permutation
-   that keeps every address in range. *)
+(* Swap two columns of one store's address map, the images of two
+   thread bits: an address permutation that keeps every address in
+   range. *)
 let permute_store_addr k p =
   mutate_nth ~select:is_store
     ~f:(function
       | Gpusim.Isa.St_shared s ->
-          let addr = Array.map Array.copy s.addr in
-          let w = k mod Array.length addr in
-          let row = addr.(w) in
-          let l1 = k mod Array.length row and l2 = (k / 7) mod Array.length row in
-          let a = row.(l1) in
-          row.(l1) <- row.(l2);
-          row.(l2) <- a;
-          [ Gpusim.Isa.St_shared { s with addr } ]
+          let cols = Array.of_list (Isa_fuzz.columns s.addr) in
+          let n = Array.length cols in
+          let j1 = k mod n and j2 = (k / 7) mod n in
+          let c = cols.(j1) in
+          cols.(j1) <- cols.(j2);
+          cols.(j2) <- c;
+          [ Gpusim.Isa.St_shared { s with addr = Isa_fuzz.affine s.addr.Gpusim.Isa.base (Array.to_list cols) } ]
       | i -> [ i ])
     k p
 
@@ -634,9 +634,10 @@ let copy_program (p : Gpusim.Isa.program) =
     | Gpusim.Isa.Sel s -> Gpusim.Isa.Sel { s with src_slot = t s.src_slot }
     | Gpusim.Isa.Scatter s -> Gpusim.Isa.Scatter { s with dst_slot = t s.dst_slot }
     | Gpusim.Isa.Shfl_idx s -> Gpusim.Isa.Shfl_idx { s with src_lane = t s.src_lane; keep = t s.keep }
-    | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = t s.addr }
-    | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = t s.addr }
-    | (Gpusim.Isa.Mov _ | Gpusim.Isa.Bin _ | Gpusim.Isa.Bar_sync) as i -> i
+    | (Gpusim.Isa.St_shared _ | Gpusim.Isa.Ld_shared _ | Gpusim.Isa.Mov _ | Gpusim.Isa.Bin _
+      | Gpusim.Isa.Bar_sync) as i ->
+        (* Address maps are immutable values. *)
+        i
   in
   { p with Gpusim.Isa.body = List.map instr p.Gpusim.Isa.body }
 
@@ -713,48 +714,33 @@ let test_closed_form_complete () =
   check_bool "shuffle plans" true (!shfl > 5)
 
 (* A correct round trip the closed form cannot decide: the smem pair's
-   program with every shared-memory address [c] moved to [pi c], where
-   [pi] adds one to the index of [c]'s vector-sized block modulo the
-   number of blocks.  [pi] is a bijection on cells that keeps each
-   vector access aligned and in one block, so the program still moves
-   every element to its destination, but it is not affine over F2 —
-   [pi 0 <> 0] — so no linear witness fits the tables. *)
-let non_affine_round_trip () =
+   program with a barrier after its first store.  Stores write disjoint
+   cells, so the barrier changes nothing the program computes, but the
+   program is no longer [St_shared+ ; Bar_sync* ; Ld_shared+]. *)
+let barrier_between_stores () =
   let src, dst = smem_pair () in
   let program, map = lower_plan (plan_of (src, dst)) in
-  let vec =
-    List.find_map
-      (function Gpusim.Isa.St_shared { slots; _ } -> Some (List.length slots) | _ -> None)
-      program.Gpusim.Isa.body
-    |> Option.get
-  in
-  let blocks = program.Gpusim.Isa.smem_elems / vec in
-  let pi c = ((((c / vec) + 1) mod blocks) * vec) + (c mod vec) in
-  let move addr = Array.map (Array.map pi) addr in
   let body =
-    List.map
-      (function
-        | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = move s.addr }
-        | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = move s.addr }
-        | i -> i)
-      program.Gpusim.Isa.body
+    match program.Gpusim.Isa.body with
+    | (Gpusim.Isa.St_shared _ as first) :: (Gpusim.Isa.St_shared _ :: _ as rest) ->
+        first :: Gpusim.Isa.Bar_sync :: rest
+    | _ -> Alcotest.fail "expected two leading stores"
   in
-  check_bool "blocks to move" true (blocks >= 4);
   (src, dst, map, program, { program with Gpusim.Isa.body })
 
 let test_closed_form_fallback () =
-  let src, dst, map, _, moved = non_affine_round_trip () in
-  check_bool "concretely correct" true (diff_correct ~src ~dst ~map moved);
+  let src, dst, map, _, split = barrier_between_stores () in
+  check_bool "concretely correct" true (diff_correct ~src ~dst ~map split);
   check_bool "closed form bails" false
-    (Analysis.Transval.proves_in_closed_form ~src ~dst ~map moved);
+    (Analysis.Transval.proves_in_closed_form ~src ~dst ~map split);
   check_bool "scan proves" true
-    ((Analysis.Transval.certify_isa ~src ~dst ~map moved).Analysis.Transval.verdict
+    ((Analysis.Transval.certify_isa ~src ~dst ~map split).Analysis.Transval.verdict
     = Analysis.Transval.Proved)
 
 (* With observability on, each [certify_isa] call counts the route that
    decided it. *)
 let test_route_counters () =
-  let src, dst, map, intact, moved = non_affine_round_trip () in
+  let src, dst, map, intact, split = barrier_between_stores () in
   let count name = Obs.Metrics.counter_value ("transval.route." ^ name) in
   let moves program =
     Obs.with_enabled (fun () ->
@@ -763,7 +749,7 @@ let test_route_counters () =
         (count "closed_form" - closed, count "scan" - scan))
   in
   Alcotest.(check (pair int int)) "intact: closed form" (1, 0) (moves intact);
-  Alcotest.(check (pair int int)) "non-affine cells: scan" (0, 1) (moves moved);
+  Alcotest.(check (pair int int)) "barrier between stores: scan" (0, 1) (moves split);
   Alcotest.(check (pair int int))
     "off: nothing counted" (0, 0)
     (let closed = count "closed_form" and scan = count "scan" in
@@ -809,11 +795,13 @@ let rebuild_at k f p =
 
 (* XOR one entry of an instruction's per-warp/lane table with a low
    bit, in one warp's row or in a row every warp then shares (as the
-   shuffle lowering shares its rows); instructions without a table are
-   left alone. *)
+   shuffle lowering shares its rows), or one bit of an address map's
+   base or of one of its columns; instructions without a table are left
+   alone. *)
 let flip_entry k p =
+  let bit = 1 lsl ((k / 13) mod 6) in
   let flip t =
-    let l = (k / 11) mod Array.length t.(0) and bit = 1 lsl ((k / 13) mod 6) in
+    let l = (k / 11) mod Array.length t.(0) in
     if k / 17 mod 2 = 0 then begin
       let t = Array.map Array.copy t in
       let row = t.((k / 7) mod Array.length t) in
@@ -826,13 +814,19 @@ let flip_entry k p =
       Array.make (Array.length t) row
     end
   in
+  let flip_addr (a : Gpusim.Isa.addr) =
+    let cols = Isa_fuzz.columns a in
+    let j = (k / 11) mod (List.length cols + 1) in
+    if j = List.length cols then { a with Gpusim.Isa.base = a.Gpusim.Isa.base lxor bit }
+    else Isa_fuzz.affine a.Gpusim.Isa.base (List.mapi (fun i c -> if i = j then c lxor bit else c) cols)
+  in
   rebuild_at k
     (function
       | Gpusim.Isa.Sel s -> Gpusim.Isa.Sel { s with src_slot = flip s.src_slot }
       | Gpusim.Isa.Scatter s -> Gpusim.Isa.Scatter { s with dst_slot = flip s.dst_slot }
       | Gpusim.Isa.Shfl_idx s -> Gpusim.Isa.Shfl_idx { s with src_lane = flip s.src_lane }
-      | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = flip s.addr }
-      | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = flip s.addr }
+      | Gpusim.Isa.St_shared s -> Gpusim.Isa.St_shared { s with addr = flip_addr s.addr }
+      | Gpusim.Isa.Ld_shared s -> Gpusim.Isa.Ld_shared { s with addr = flip_addr s.addr }
       | i -> i)
     p
 
@@ -962,7 +956,7 @@ let () =
         [
           Alcotest.test_case "suite round trips and shuffles proved" `Quick
             test_closed_form_complete;
-          Alcotest.test_case "non-affine cells fall back to the scan" `Quick
+          Alcotest.test_case "a barrier between stores falls back to the scan" `Quick
             test_closed_form_fallback;
           Alcotest.test_case "route counters" `Quick test_route_counters;
         ]
