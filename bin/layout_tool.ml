@@ -95,8 +95,22 @@ let order_arg = Arg.(value & opt dims_conv [| 1; 0 |] & info [ "order" ] ~doc:"D
 let bitwidth_arg =
   Arg.(value & opt int 16 & info [ "bitwidth" ] ~doc:"Element bit width for mma layouts.")
 
+(* The byte width, checked against the machine: a width the planners
+   cannot lay out is a usage error, not an exception out of the
+   swizzle search. *)
 let byte_width_arg =
-  Arg.(value & opt int 4 & info [ "byte-width" ] ~doc:"Element byte width.")
+  let check (machine : Gpusim.Machine.t) w =
+    if Codegen.Conversion.valid_byte_width machine w then `Ok w
+    else
+      `Error
+        ( true,
+          Printf.sprintf "--byte-width %d: must be a power of two from 1 to %d on %s" w
+            (machine.max_vec_bits / 8) machine.name )
+  in
+  Term.(
+    ret
+      (const check $ machine_arg
+      $ Arg.(value & opt int 4 & info [ "byte-width" ] ~doc:"Element byte width.")))
 
 (* {1 show} *)
 

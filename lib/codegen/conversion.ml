@@ -26,6 +26,9 @@ let mechanism_slug = function
   | Shared_memory _ -> "shared_memory"
   | Global_roundtrip -> "global_roundtrip"
 
+let valid_byte_width machine w =
+  w >= 1 && w land (w - 1) = 0 && 8 * w <= machine.Gpusim.Machine.max_vec_bits
+
 let plan machine ~src ~dst ~byte_width =
   let mech =
     if Layout.equal src dst then No_op

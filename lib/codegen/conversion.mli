@@ -34,6 +34,14 @@ type plan = { src : Layout.t; dst : Layout.t; byte_width : int; mechanism : mech
 
 val plan : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> plan
 
+(** The element widths {!plan} accepts on a machine: a power of two
+    from 1 byte up to one vector access ([max_vec_bits / 8]).  The
+    swizzle search takes the logarithm of the elements per vector and
+    per bank row, so with any other width {!plan} raises whenever the
+    conversion goes through shared memory; front ends check this
+    first. *)
+val valid_byte_width : Gpusim.Machine.t -> int -> bool
+
 val mechanism_name : mechanism -> string
 
 (** Stable snake_case identifier, used in metric names

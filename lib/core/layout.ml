@@ -535,13 +535,19 @@ module Memo = struct
     s.hits <- 0;
     s.misses <- 0
 
+  (* Tables made by [table] (below) for constructors defined outside
+     this module: one reset per table, each emptying the calling
+     domain's instance, run by [clear]. *)
+  let table_resets : (unit -> unit) list Atomic.t = Atomic.make []
+
   let clear () =
     let tb = tables () in
     H1.reset tb.interned;
     H2.reset tb.compose_t;
     H1.reset tb.invert_t;
     H1.reset tb.free_masks_t;
-    H1.reset tb.echelon_t
+    H1.reset tb.echelon_t;
+    List.iter (fun reset -> reset ()) (Atomic.get table_resets)
 
   (* Canonical representative without touching the counters — used to
      hash-cons the results stored in the memo tables. *)
@@ -592,6 +598,21 @@ module Memo = struct
         miss tb;
         add (tbl tb) k r;
         r
+
+  type ('k, 'v) table = ('k, 'v) Hashtbl.t Domain.DLS.key
+
+  let table () =
+    let key = Domain.DLS.new_key (fun () -> Hashtbl.create 64) in
+    let reset () = Hashtbl.reset (Domain.DLS.get key) in
+    let rec register () =
+      let old = Atomic.get table_resets in
+      if not (Atomic.compare_and_set table_resets old (reset :: old)) then register ()
+    in
+    register ();
+    key
+
+  let find_or_add key k compute =
+    memo_value Hashtbl.find_opt Hashtbl.add (fun _ -> Domain.DLS.get key) k compute
 
   let compose l2 l1 =
     memo_layout H2.find_opt H2.add (fun tb -> tb.compose_t) (l2, l1) (fun () -> compose l2 l1)

@@ -246,13 +246,33 @@ module Memo : sig
       instead of a fresh elimination per call. *)
   val is_invertible : t -> bool
 
+  (** {2 Tables for other pure constructors}
+
+      A layout constructor outside this module whose result is a pure
+      function of plain data (ints, arrays of ints, constant
+      constructors) memoizes through a [table]: per-domain like the
+      tables above, emptied by {!clear}, its lookups counted in
+      {!hits}/{!misses}.  Keys are hashed and compared structurally,
+      so a key must hold exactly the inputs the constructor reads and
+      must own its arrays (copy a caller's array before keying on it). *)
+
+  type ('k, 'v) table
+
+  (** A fresh table; create it once, at module initialisation. *)
+  val table : unit -> ('k, 'v) table
+
+  (** [find_or_add t k compute] is the calling domain's entry for [k],
+      computed by [compute ()] on a miss. *)
+  val find_or_add : ('k, 'v) table -> 'k -> (unit -> 'v) -> 'v
+
   (** {2 Cache introspection} *)
 
   val hits : unit -> int
   val misses : unit -> int
   val reset_stats : unit -> unit
 
-  (** Drop all memo tables of the calling domain (counters are kept). *)
+  (** Drop all memo tables of the calling domain, those made by {!table}
+      included (counters are kept). *)
   val clear : unit -> unit
 end
 

@@ -14,14 +14,12 @@ let description =
    into instruction/transaction counts — and their chain costs seed the
    backward pass's rematerialization table. *)
 let run (st : Pass.state) =
-  let machine = st.Pass.machine and num_warps = st.Pass.num_warps in
   Array.iteri
     (fun i (ins : Program.instr) ->
       let shape = ins.Program.shape and dtype = ins.Program.dtype in
       match ins.Program.node with
       | Program.Load _ ->
-          let default = Pass_util.default_blocked machine ~num_warps ~shape ~dtype in
-          let l = Pass_util.choose_anchor st ~at:i ~shape ~dtype ~default in
+          let l = Pass_util.choose_anchor st ~at:i ~shape ~dtype in
           Pass.set st i l Legacy.Support.Blocked;
           let byte_width = Pass_util.byte_width_of dtype in
           st.Pass.accesses <-
@@ -39,8 +37,7 @@ let run (st : Pass.state) =
           c.Gpusim.Cost.gmem_transactions <- tx;
           Hashtbl.replace st.Pass.chain_cost i c
       | Program.Iota _ | Program.Full _ ->
-          let default = Pass_util.default_blocked machine ~num_warps ~shape ~dtype in
-          let l = Pass_util.choose_anchor st ~at:i ~shape ~dtype ~default in
+          let l = Pass_util.choose_anchor st ~at:i ~shape ~dtype in
           Pass.set st i l Legacy.Support.Blocked;
           st.Pass.accesses <-
             {

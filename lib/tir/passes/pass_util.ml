@@ -9,12 +9,27 @@ let pow2_floor n =
   let rec go k = if 1 lsl (k + 1) > n then 1 lsl k else go (k + 1) in
   if n < 1 then 1 else go 0
 
-let default_blocked machine ~num_warps ~shape ~dtype =
+(* The anchor and dot layouts below are pure functions of the machine's
+   warp size (and vendor, for dot layouts), the warp count, the shape
+   and the dtype(s), so each is built once per key and domain in a
+   [Layout.Memo] table.  Keys hold exactly those inputs — never the
+   machine name, which ad-hoc machines reuse — and a copy of the
+   caller's shape array. *)
+let blocked_t = Layout.Memo.table ()
+let candidates_t = Layout.Memo.table ()
+let dot_t = Layout.Memo.table ()
+
+(* Elements per thread of a full 128-bit run, capped by the tensor's
+   share per thread. *)
+let vector_ept ~warp_size ~num_warps ~shape ~dtype =
   let numel = Array.fold_left ( * ) 1 shape in
-  let threads = machine.Gpusim.Machine.warp_size * num_warps in
-  let ept = pow2_floor (max 1 (min (128 / bits_of dtype) (numel / threads))) in
-  Blocked.default ~elems_per_thread:ept ~warp_size:machine.Gpusim.Machine.warp_size ~num_warps
-    shape
+  pow2_floor (max 1 (min (128 / bits_of dtype) (numel / (warp_size * num_warps))))
+
+let default_blocked machine ~num_warps ~shape ~dtype =
+  let warp_size = machine.Gpusim.Machine.warp_size in
+  Layout.Memo.find_or_add blocked_t (warp_size, num_warps, Array.copy shape, dtype) (fun () ->
+      let ept = vector_ept ~warp_size ~num_warps ~shape ~dtype in
+      Blocked.default ~elems_per_thread:ept ~warp_size ~num_warps shape)
 
 (* The anchor candidate set explored by search strategies: a small
    neighborhood around the greedy pick — scalar, half-vector and
@@ -23,49 +38,50 @@ let default_blocked machine ~num_warps ~shape ~dtype =
    costing when inexpressible as a distributed linear layout
    (Definition 4.10) or when they duplicate the default/each other;
    the returned count records how many were cut. *)
-let anchor_candidates machine ~num_warps ~shape ~dtype ~default =
+let anchor_candidates machine ~num_warps ~shape ~dtype =
   let warp_size = machine.Gpusim.Machine.warp_size in
-  let numel = Array.fold_left ( * ) 1 shape in
-  let threads = warp_size * num_warps in
-  let cap = pow2_floor (max 1 (min (128 / bits_of dtype) (numel / threads))) in
-  let n = Array.length shape in
-  let fwd_order = Array.init n (fun i -> n - 1 - i) in
-  let rev_order = Array.init n (fun i -> i) in
-  let bl ~order ~ept = Blocked.default ~order ~elems_per_thread:ept ~warp_size ~num_warps shape in
-  let raw =
-    [
-      bl ~order:fwd_order ~ept:1;
-      bl ~order:fwd_order ~ept:(max 1 (cap / 2));
-      bl ~order:fwd_order ~ept:cap;
-      bl ~order:rev_order ~ept:cap;
-    ]
-  in
-  let pruned = ref 0 in
-  let keep =
-    List.fold_left
-      (fun acc l ->
-        if
-          Layout.is_distributed l
-          && (not (Layout.equal l default))
-          && not (List.exists (Layout.equal l) acc)
-        then l :: acc
-        else begin
-          incr pruned;
-          acc
-        end)
-      [] raw
-  in
-  (List.rev keep, !pruned)
+  Layout.Memo.find_or_add candidates_t (warp_size, num_warps, Array.copy shape, dtype)
+    (fun () ->
+      let default = default_blocked machine ~num_warps ~shape ~dtype in
+      let cap = vector_ept ~warp_size ~num_warps ~shape ~dtype in
+      let n = Array.length shape in
+      let fwd_order = Array.init n (fun i -> n - 1 - i) in
+      let rev_order = Array.init n (fun i -> i) in
+      let bl ~order ~ept =
+        Blocked.default ~order ~elems_per_thread:ept ~warp_size ~num_warps shape
+      in
+      let raw =
+        [
+          bl ~order:fwd_order ~ept:1;
+          bl ~order:fwd_order ~ept:(max 1 (cap / 2));
+          bl ~order:fwd_order ~ept:cap;
+          bl ~order:rev_order ~ept:cap;
+        ]
+      in
+      let pruned = ref 0 in
+      let keep =
+        List.fold_left
+          (fun acc l ->
+            if
+              Layout.is_distributed l
+              && (not (Layout.equal l default))
+              && not (List.exists (Layout.equal l) acc)
+            then l :: acc
+            else begin
+              incr pruned;
+              acc
+            end)
+          [] raw
+      in
+      (List.rev keep, !pruned))
 
 (* Reify the anchor choice as a decision site and commit the strategy's
    pick.  The alternatives stay an unforced lazy under the greedy
    strategy (choice [0] without inspecting the arity). *)
-let choose_anchor (st : Pass.state) ~at ~shape ~dtype ~default =
-  let alternatives =
-    lazy
-      (anchor_candidates st.Pass.machine ~num_warps:st.Pass.num_warps ~shape ~dtype
-         ~default)
-  in
+let choose_anchor (st : Pass.state) ~at ~shape ~dtype =
+  let machine = st.Pass.machine and num_warps = st.Pass.num_warps in
+  let default = default_blocked machine ~num_warps ~shape ~dtype in
+  let alternatives = lazy (anchor_candidates machine ~num_warps ~shape ~dtype) in
   let c =
     Pass.decide st
       (Strategy.Anchor
@@ -92,30 +108,34 @@ let dot_fits ~m ~n ~k ~a_bits ~b_bits =
   && k >= max (size lhs 1) (size rhs 0)
 
 let dot_layouts machine ~num_warps ~m ~n ~k ~a_dtype ~b_dtype =
-  let warps = [| num_warps; 1 |] in
-  let a_bits = mma_bitwidth a_dtype and b_bits = mma_bitwidth b_dtype in
-  if not (dot_fits ~m ~n ~k ~a_bits ~b_bits) then
-    (* Small shapes: linear layouts still provide a valid distributed
-       layout via blocked encodings (Section 6.1's point is that legacy
-       cannot). *)
-    let bl shape dt = default_blocked machine ~num_warps ~shape ~dtype:dt in
-    (false, bl [| m; n |] a_dtype, bl [| m; k |] a_dtype, bl [| k; n |] b_dtype)
-  else
-    let out_tile =
-      match machine.Gpusim.Machine.vendor with
-      | Gpusim.Machine.Amd -> Mma.mfma_output_tile ~m:16
-      | Gpusim.Machine.Intel -> Mma.xmx_output_tile ()
-      | Gpusim.Machine.Nvidia -> Mma.output_tile ~bitwidth:32
-    in
-    let out =
-      match machine.Gpusim.Machine.vendor with
-      | Gpusim.Machine.Amd -> Mma.mfma_output ~m:16 ~warps ~shape:[| m; n |] ()
-      | Gpusim.Machine.Intel -> Mma.xmx_output ~warps ~shape:[| m; n |] ()
-      | Gpusim.Machine.Nvidia -> Mma.output ~bitwidth:32 ~warps ~shape:[| m; n |] ()
-    in
-    let a = Mma.operand ~out_tile ~idx:0 ~bitwidth:a_bits ~warps ~shape:[| m; k |] () in
-    let b = Mma.operand ~out_tile ~idx:1 ~bitwidth:b_bits ~warps ~shape:[| k; n |] () in
-    (true, out, a, b)
+  let vendor = machine.Gpusim.Machine.vendor in
+  Layout.Memo.find_or_add dot_t
+    (machine.Gpusim.Machine.warp_size, vendor, num_warps, m, n, k, a_dtype, b_dtype)
+    (fun () ->
+      let warps = [| num_warps; 1 |] in
+      let a_bits = mma_bitwidth a_dtype and b_bits = mma_bitwidth b_dtype in
+      if not (dot_fits ~m ~n ~k ~a_bits ~b_bits) then
+        (* Small shapes: linear layouts still provide a valid distributed
+           layout via blocked encodings (Section 6.1's point is that legacy
+           cannot). *)
+        let bl shape dt = default_blocked machine ~num_warps ~shape ~dtype:dt in
+        (false, bl [| m; n |] a_dtype, bl [| m; k |] a_dtype, bl [| k; n |] b_dtype)
+      else
+        let out_tile =
+          match vendor with
+          | Gpusim.Machine.Amd -> Mma.mfma_output_tile ~m:16
+          | Gpusim.Machine.Intel -> Mma.xmx_output_tile ()
+          | Gpusim.Machine.Nvidia -> Mma.output_tile ~bitwidth:32
+        in
+        let out =
+          match vendor with
+          | Gpusim.Machine.Amd -> Mma.mfma_output ~m:16 ~warps ~shape:[| m; n |] ()
+          | Gpusim.Machine.Intel -> Mma.xmx_output ~warps ~shape:[| m; n |] ()
+          | Gpusim.Machine.Nvidia -> Mma.output ~bitwidth:32 ~warps ~shape:[| m; n |] ()
+        in
+        let a = Mma.operand ~out_tile ~idx:0 ~bitwidth:a_bits ~warps ~shape:[| m; k |] () in
+        let b = Mma.operand ~out_tile ~idx:1 ~bitwidth:b_bits ~warps ~shape:[| k; n |] () in
+        (true, out, a, b))
 
 (* Legacy vectorization: contiguity is only recognized within the
    fastest dimension (Section 5.1). *)

@@ -7,6 +7,17 @@ open Linear_layout
 
 val byte_width_of : Tensor_lib.Dtype.t -> int
 
+(** {1 Memoized target layouts}
+
+    {!default_blocked}, {!anchor_candidates} and {!dot_layouts} are pure
+    functions of the machine's [warp_size] (and [vendor], for
+    {!dot_layouts}), [num_warps], the shape and the dtype(s).  Each is
+    built once per key in a per-domain {!Linear_layout.Layout.Memo.table}
+    keyed by exactly those inputs and a copy of the shape array (not the
+    machine name); the entries live until {!Linear_layout.Layout.Memo.clear}
+    empties them, and every lookup counts in [Layout.Memo.hits]/[misses].
+    Returned layouts are shared between callers. *)
+
 (** The coalesced blocked anchor layout for a tensor (Section 4.4). *)
 val default_blocked :
   Gpusim.Machine.t ->
@@ -15,26 +26,26 @@ val default_blocked :
   dtype:Tensor_lib.Dtype.t ->
   Layout.t
 
-(** Alternative anchor candidates around the greedy default (scalar,
-    half- and full-vector runs plus the order-flipped variant),
-    feasibility-pruned and deduplicated, paired with the number of
-    candidates cut. *)
+(** Alternative anchor candidates around the greedy default
+    ({!default_blocked}): scalar, half- and full-vector runs plus the
+    order-flipped variant, feasibility-pruned and deduplicated against
+    the default and each other, paired with the number of candidates
+    cut. *)
 val anchor_candidates :
   Gpusim.Machine.t ->
   num_warps:int ->
   shape:int array ->
   dtype:Tensor_lib.Dtype.t ->
-  default:Layout.t ->
   Layout.t list * int
 
-(** Reify the anchor choice as a {!Strategy.Anchor} site (alternatives
+(** Reify the anchor choice between {!default_blocked} and its
+    {!anchor_candidates} as a {!Strategy.Anchor} site (alternatives
     lazily enumerated) and return the committed layout. *)
 val choose_anchor :
   Pass.state ->
   at:Program.id ->
   shape:int array ->
   dtype:Tensor_lib.Dtype.t ->
-  default:Layout.t ->
   Layout.t
 
 val mma_bitwidth : Tensor_lib.Dtype.t -> int

@@ -149,6 +149,8 @@ let handle srv payload =
             in
             let src = layout "src" and dst = layout "dst" in
             let byte_width = get_int ~default:4 "byte_width" in
+            if not (Codegen.Conversion.valid_byte_width m byte_width) then
+              err "LL911" "bad byte_width %d" byte_width;
             let plan = Codegen.Plan_cache.conversion m ~src ~dst ~byte_width in
             let cert = Analysis.Transval.certify_plan m plan in
             Printf.sprintf "OK mechanism=%s cert=%s points=%d"

@@ -58,7 +58,7 @@ let kernel_line (machine : Gpusim.Machine.t) (k : Tir.Kernels.kernel) =
                 let default = Tir.Pass_util.default_blocked machine ~num_warps ~shape ~dtype in
                 emit (render default);
                 let cands, pruned =
-                  Tir.Pass_util.anchor_candidates machine ~num_warps ~shape ~dtype ~default
+                  Tir.Pass_util.anchor_candidates machine ~num_warps ~shape ~dtype
                 in
                 List.iter (fun l -> emit (render l)) cands;
                 emit (string_of_int pruned)

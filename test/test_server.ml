@@ -152,6 +152,24 @@ let test_protocol_goldens () =
   Tir.Server.Client.close c2;
   Tir.Server.wait srv
 
+(* {1 PLAN with an element width the planners cannot lay out} *)
+
+let test_bad_byte_width () =
+  let sock = socket_path "bytewidth" in
+  let srv = Tir.Server.start ~domains:1 ~socket:sock () in
+  let c = Tir.Server.Client.connect sock in
+  let src, dst = List.nth (Plan_support.cta_pairs ()) 1 in
+  let plan byte_width =
+    Tir.Server.Client.rpc c
+      (Printf.sprintf "PLAN\nmachine=%s\nsrc=%s\ndst=%s\nbyte_width=%d" m.Gpusim.Machine.name
+         (Parse.to_string src) (Parse.to_string dst) byte_width)
+  in
+  check_string "non-power-of-two width" "ERR LL911 bad byte_width 3" (plan 3);
+  check_string "width beyond one vector" "ERR LL911 bad byte_width 32" (plan 32);
+  check_string "shutdown" "OK bye" (Tir.Server.Client.rpc c "SHUTDOWN");
+  Tir.Server.Client.close c;
+  Tir.Server.wait srv
+
 (* {1 Concurrent clients} *)
 
 let test_concurrent_clients () =
@@ -188,6 +206,7 @@ let () =
                test_cold_warm_restart;
              Alcotest.test_case "golden protocol and error replies" `Quick
                test_protocol_goldens;
+             Alcotest.test_case "PLAN rejects a bad byte_width" `Quick test_bad_byte_width;
              Alcotest.test_case "concurrent clients get identical replies" `Quick
                test_concurrent_clients;
            ] );
