@@ -29,7 +29,15 @@ let mechanism_slug = function
 let valid_byte_width machine w =
   w >= 1 && w land (w - 1) = 0 && 8 * w <= machine.Gpusim.Machine.max_vec_bits
 
+let check_byte_width who machine w =
+  if not (valid_byte_width machine w) then
+    invalid_arg
+      (Printf.sprintf
+         "%s: byte width %d is not valid on %s (a power of two from 1 to %d bytes)" who w
+         machine.Gpusim.Machine.name (machine.Gpusim.Machine.max_vec_bits / 8))
+
 let plan machine ~src ~dst ~byte_width =
+  check_byte_width "Conversion.plan" machine byte_width;
   let mech =
     if Layout.equal src dst then No_op
     else

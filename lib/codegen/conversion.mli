@@ -32,6 +32,8 @@ type mechanism =
 
 type plan = { src : Layout.t; dst : Layout.t; byte_width : int; mechanism : mechanism }
 
+(** Raises [Invalid_argument], naming the width and the machine, when
+    [byte_width] fails {!valid_byte_width}. *)
 val plan : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> plan
 
 (** The element widths {!plan} accepts on a machine: a power of two
@@ -41,6 +43,10 @@ val plan : Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int ->
     conversion goes through shared memory; front ends check this
     first. *)
 val valid_byte_width : Gpusim.Machine.t -> int -> bool
+
+(** [check_byte_width who machine w] raises [Invalid_argument] naming
+    [who], [w] and the machine unless [valid_byte_width machine w]. *)
+val check_byte_width : string -> Gpusim.Machine.t -> int -> unit
 
 val mechanism_name : mechanism -> string
 

@@ -30,9 +30,23 @@
 
 open Linear_layout
 
-(** Cached {!Conversion.plan}. *)
+(** Cached {!Conversion.plan}.  Raises [Invalid_argument], naming the
+    width and the machine, when [byte_width] fails
+    {!Conversion.valid_byte_width}; nothing is planned or cached then.
+    {!staging} checks the same way. *)
 val conversion :
   Gpusim.Machine.t -> src:Layout.t -> dst:Layout.t -> byte_width:int -> Conversion.plan
+
+(** The cached plan and its model price {!Conversion.cost}, from one
+    lookup.  The price is computed once per plan and domain and kept in
+    the L1 entry; each call returns a fresh copy, so the caller may
+    mutate it. *)
+val priced :
+  Gpusim.Machine.t ->
+  src:Layout.t ->
+  dst:Layout.t ->
+  byte_width:int ->
+  Conversion.plan * Gpusim.Cost.t
 
 (** Cached {!Operand_staging.plan}. *)
 val staging :

@@ -6,10 +6,44 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
    - [ins] and [outs] are sorted by [Dims.compare] and duplicate-free;
    - [m] is the layout's matrix under the canonical flattening: one
      column per input bit and one row per output bit, the first
-     dimension in canonical order occupying the low bits. *)
-type t = { ins : (string * int) array; outs : (string * int) array; m : F2.Bitmatrix.t }
+     dimension in canonical order occupying the low bits;
+   - [h] is [hash_of ins outs m], stored by [mk] when the record is
+     built: a pure function of the other fields, so polymorphic
+     equality, comparison and hashing of values holding layouts agree
+     with {!equal}. *)
+type t = { ins : (string * int) array; outs : (string * int) array; m : F2.Bitmatrix.t; h : int }
 
 (* {1 Internal helpers} *)
+
+(* FNV-style mixing step (wrapping; [hash_of] clears the sign bit once). *)
+let fnv h x = (h lxor x) * 0x01000193
+
+(* One mix per dimension, every layout construction pays for it: a label
+   enters through its length and its first and last characters (the
+   built-in labels [register], [lane], [dim0], [dim1], ... differ
+   there, and a collision only costs one structural comparison). *)
+let hash_dims h dims =
+  Array.fold_left
+    (fun h (d, bits) ->
+      let n = String.length d in
+      let ends = if n = 0 then 0 else Char.code d.[0] lor (Char.code d.[n - 1] lsl 8) in
+      fnv h (bits lor (n lsl 8) lor (ends lsl 16)))
+    h dims
+
+(* The structural hash of a layout, over every dimension and every raw
+   column int (layouts are small: tens of ints).  Polymorphic
+   [Hashtbl.hash] stops after a bounded number of nodes, which collides
+   badly on layouts differing only in late columns. *)
+let hash_of ins outs m =
+  let h = ref (hash_dims (hash_dims 0x811c9dc5 ins) outs) in
+  for j = 0 to F2.Bitmatrix.cols m - 1 do
+    h := fnv !h (F2.Bitmatrix.column m j)
+  done;
+  !h land max_int
+
+(* The one constructor of [t]: every layout is built here and carries
+   its hash from birth. *)
+let mk ins outs m = { ins; outs; m; h = hash_of ins outs m }
 
 let check_dims what dims =
   let rec go = function
@@ -72,7 +106,7 @@ let column l j = F2.Bitmatrix.column l.m j
 
 (* The columns of input dimension [i], which starts at bit [off]. *)
 let dim_columns l i ~off = Array.init (snd l.ins.(i)) (fun k -> column l (off + k))
-let with_columns l ~ins cols = { l with ins; m = F2.Bitmatrix.make ~rows:(total_bits l.outs) cols }
+let with_columns l ~ins cols = mk ins l.outs (F2.Bitmatrix.make ~rows:(total_bits l.outs) cols)
 
 (* ORs each [(pos, len, dst_pos)] field of [c], moved to [dst_pos],
    into [acc]. *)
@@ -109,10 +143,10 @@ let move_fields ?(target = Fun.id) ?(shift = fun _ -> 0) src dst =
    [move] (see {!move_fields}). *)
 let relabel_outs l outs move =
   match move with
-  | None -> { l with outs }
+  | None -> mk l.ins outs l.m
   | Some f ->
       let cols = Array.init (F2.Bitmatrix.cols l.m) (fun j -> f (column l j)) in
-      { l with outs; m = F2.Bitmatrix.make ~rows:(total_bits outs) cols }
+      mk l.ins outs (F2.Bitmatrix.make ~rows:(total_bits outs) cols)
 
 (* {1 Observation} *)
 
@@ -174,7 +208,7 @@ let unflatten_value dims v =
 
 (* {1 Construction} *)
 
-let empty = { ins = [||]; outs = [||]; m = F2.Bitmatrix.zero ~rows:0 ~cols:0 }
+let empty = mk [||] [||] (F2.Bitmatrix.zero ~rows:0 ~cols:0)
 
 let make ~ins ~outs ~bases =
   check_dims "input" ins;
@@ -196,7 +230,7 @@ let make ~ins ~outs ~bases =
     (fun (d, _) ->
       if find_dim ins d = None then error "make: bases given for unknown input dimension %s" d)
     bases;
-  { ins; outs; m = F2.Bitmatrix.make ~rows:(total_bits outs) cols }
+  mk ins outs (F2.Bitmatrix.make ~rows:(total_bits outs) cols)
 
 let identity1d bits ~in_dim ~out_dim =
   make ~ins:[ (in_dim, bits) ] ~outs:[ (out_dim, bits) ]
@@ -212,7 +246,7 @@ let of_matrix ~ins ~outs m =
   let ins = Array.of_list (Dims.sort ins) and outs = Array.of_list (Dims.sort outs) in
   if F2.Bitmatrix.cols m <> total_bits ins then error "of_matrix: column count mismatch";
   if F2.Bitmatrix.rows m <> total_bits outs then error "of_matrix: row count mismatch";
-  { ins; outs; m }
+  mk ins outs m
 
 (* {1 Algebra} *)
 
@@ -279,7 +313,7 @@ let mul a b =
         take a lift_a d;
         take b lift_b d)
       ins;
-    { ins; outs; m = F2.Bitmatrix.make ~rows:(total_bits outs) cols }
+    mk ins outs (F2.Bitmatrix.make ~rows:(total_bits outs) cols)
 
 let compose l2 l1 =
   Array.iter
@@ -291,7 +325,7 @@ let compose l2 l1 =
     l1.outs;
   let lift = Option.value ~default:Fun.id (move_fields l1.outs l2.ins) in
   let cols = Array.init (F2.Bitmatrix.cols l1.m) (fun j -> apply_flat l2 (lift (column l1 j))) in
-  { ins = l1.ins; outs = l2.outs; m = F2.Bitmatrix.make ~rows:(total_bits l2.outs) cols }
+  mk l1.ins l2.outs (F2.Bitmatrix.make ~rows:(total_bits l2.outs) cols)
 
 let is_surjective l = F2.Bitmatrix.is_surjective l.m
 let is_injective l = F2.Bitmatrix.is_injective l.m
@@ -357,11 +391,8 @@ let divide_left l t =
              Array.init (bits - skip) (fun k -> strip (column l (off + skip + k))))
     in
     Some
-      {
-        ins = Array.of_list q_ins;
-        outs = q_outs;
-        m = F2.Bitmatrix.make ~rows:(total_bits q_outs) (Array.concat q_cols);
-      }
+      (mk (Array.of_list q_ins) q_outs
+         (F2.Bitmatrix.make ~rows:(total_bits q_outs) (Array.concat q_cols)))
   with No -> None
 
 (* {1 Dimension surgery} *)
@@ -392,14 +423,14 @@ let rename_outs l target =
 let exchange_out_names l spec =
   rename_outs l (fun d -> match List.assoc_opt d spec with Some d' -> d' | None -> d)
 
-let flatten_outs ?(name = Dims.flat) l = { l with outs = [| (name, total_bits l.outs) |] }
-let flatten_ins ?(name = Dims.flat) l = { l with ins = [| (name, total_bits l.ins) |] }
+let flatten_outs ?(name = Dims.flat) l = mk l.ins [| (name, total_bits l.outs) |] l.m
+let flatten_ins ?(name = Dims.flat) l = mk [| (name, total_bits l.ins) |] l.outs l.m
 
 let reshape_outs l outs =
   check_dims "reshape_outs" outs;
   if total_bits (Array.of_list outs) <> total_bits l.outs then
     error "reshape_outs: total bits mismatch";
-  { l with outs = Array.of_list (Dims.sort outs) }
+  mk l.ins (Array.of_list (Dims.sort outs)) l.m
 
 let resize_in l d bits =
   match find_dim l.ins d with
@@ -432,7 +463,8 @@ let drop_trivial_dims l =
 
 (* {1 Predicates and analyses} *)
 
-let equal a b = a == b || a.ins = b.ins && a.outs = b.outs && F2.Bitmatrix.equal a.m b.m
+let equal a b =
+  a == b || (a.h = b.h && a.ins = b.ins && a.outs = b.outs && F2.Bitmatrix.equal a.m b.m)
 let equivalent a b = equal (drop_trivial_dims a) (drop_trivial_dims b)
 let is_distributed l = is_surjective l && F2.Bitmatrix.is_permutation l.m
 
@@ -465,30 +497,8 @@ let num_consecutive l ~in_dim =
    domain-local (via [Domain.DLS]) so OCaml 5 domains — e.g. the
    parallel autotuner — each own a private cache and never contend. *)
 module Memo = struct
-  (* A cheap structural hash: FNV-style fold over the dimension lists
-     and every output coordinate of every column.  Polymorphic
-     [Hashtbl.hash] stops after a bounded number of nodes, which
-     collides badly on layouts differing only in late columns; this
-     visits all of them (layouts are small: tens of ints). *)
-  let hash l =
-    let h = ref 0x811c9dc5 in
-    let mix x = h := (!h lxor x) * 0x01000193 land max_int in
-    let mix_dims =
-      Array.iter (fun (d, b) ->
-          mix (Hashtbl.hash (d : string));
-          mix b)
-    in
-    mix_dims l.ins;
-    mix_dims l.outs;
-    for j = 0 to F2.Bitmatrix.cols l.m - 1 do
-      let c = column l j and pos = ref 0 in
-      for o = 0 to Array.length l.outs - 1 do
-        let bits = snd l.outs.(o) in
-        mix (F2.Bitvec.extract c ~pos:!pos ~len:bits);
-        pos := !pos + bits
-      done
-    done;
-    !h
+  (* The hash stored at construction: O(1). *)
+  let hash l = l.h
 
   module H1 = Hashtbl.Make (struct
     type nonrec t = t
@@ -504,6 +514,18 @@ module Memo = struct
     let hash (a, b) = (hash a * 0x01000193) lxor hash b
   end)
 
+  (* Keys of {!derive}: a tag, the sources and integer arguments. *)
+  module HD = Hashtbl.Make (struct
+    type nonrec t = string * t list * int array
+
+    let equal (o1, s1, a1) (o2, s2, a2) =
+      String.equal o1 o2 && List.equal equal s1 s2 && a1 = a2
+
+    let hash (o, srcs, args) =
+      Array.fold_left fnv (List.fold_left (fun h l -> fnv h l.h) (Hashtbl.hash o) srcs) args
+      land max_int
+  end)
+
   type stats = { mutable hits : int; mutable misses : int }
 
   type tables = {
@@ -513,6 +535,7 @@ module Memo = struct
     invert_t : t H1.t;
     free_masks_t : (string * int) list H1.t;
     echelon_t : F2.Bitmatrix.echelon H1.t;
+    derived_t : t HD.t;
   }
 
   let fresh () =
@@ -523,6 +546,7 @@ module Memo = struct
       invert_t = H1.create 64;
       free_masks_t = H1.create 64;
       echelon_t = H1.create 128;
+      derived_t = HD.create 256;
     }
 
   let key = Domain.DLS.new_key fresh
@@ -547,6 +571,7 @@ module Memo = struct
     H1.reset tb.invert_t;
     H1.reset tb.free_masks_t;
     H1.reset tb.echelon_t;
+    HD.reset tb.derived_t;
     List.iter (fun reset -> reset ()) (Atomic.get table_resets)
 
   (* Canonical representative without touching the counters — used to
@@ -597,6 +622,21 @@ module Memo = struct
         let r = compute () in
         miss tb;
         add (tbl tb) k r;
+        r
+
+  (* The lookup key holds the caller's sources; a stored key holds
+     their interned representatives, so a warm probe with interned
+     sources compares by [==]. *)
+  let derive op srcs args compute =
+    let tb = tables () in
+    match HD.find_opt tb.derived_t (op, srcs, args) with
+    | Some r ->
+        hit tb;
+        r
+    | None ->
+        let r = intern_quiet tb (compute ()) in
+        miss tb;
+        HD.add tb.derived_t (op, List.map (intern_quiet tb) srcs, args) r;
         r
 
   type ('k, 'v) table = ('k, 'v) Hashtbl.t Domain.DLS.key

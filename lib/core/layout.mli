@@ -209,9 +209,11 @@ val num_consecutive : t -> in_dim:string -> int
     the operations that eliminate or compose — {!Memo.compose},
     {!Memo.invert}, {!Memo.echelon} and
     {!Memo.free_variable_masks} — behind per-domain ([Domain.DLS]) hash
-    tables keyed by a cheap structural hash: two structurally equal
-    layouts built independently (as the engine does per instruction)
-    share one cache entry.  Reading the matrix needs no cache: use the
+    tables keyed by the structural hash every layout stores when it is
+    built ({!Memo.hash}, O(1)): two structurally equal layouts built
+    independently (as the engine does per instruction) share one cache
+    entry, and a probe with an interned layout costs a hash read and a
+    [==].  Reading the matrix needs no cache: use the
     plain {!to_matrix}, {!flat_columns} and {!num_consecutive}.
     Layout-valued results are hash-consed through {!Memo.intern}'s
     table.
@@ -220,9 +222,11 @@ val num_consecutive : t -> in_dim:string -> int
     autotuner's worker domains warm their own caches and never contend
     — so counters and [clear] act on the calling domain only. *)
 module Memo : sig
-  (** Cheap structural hash visiting every dimension and every output
-      coordinate of every column (unlike polymorphic [Hashtbl.hash],
-      which truncates). *)
+  (** The structural hash, O(1): computed once, when the layout is
+      built, over every dimension and every raw column (unlike
+      polymorphic [Hashtbl.hash], which truncates).  Equal layouts have
+      equal hashes, and {!equal} compares the hashes before the
+      structure. *)
   val hash : t -> int
 
   (** Canonical representative: structurally equal layouts intern to
@@ -245,6 +249,16 @@ module Memo : sig
   (** Invertibility answered from {!echelon}'s cached factorization
       instead of a fresh elimination per call. *)
   val is_invertible : t -> bool
+
+  (** [derive op srcs args compute] is [compute ()], interned, for a
+      layout derived from [srcs] by the operation tagged [op] with the
+      integer arguments [args]: one computation per key and domain,
+      emptied by {!clear}, counted in {!hits}/{!misses}.  The key is
+      [op], the interned [srcs] and [args], so [compute] must read
+      nothing else, and the caller must not mutate [args] afterwards
+      (pass a fresh array).  Layout identity decides a warm lookup:
+      sources that are interned results compare by [==]. *)
+  val derive : string -> t list -> int array -> (unit -> t) -> t
 
   (** {2 Tables for other pure constructors}
 

@@ -23,6 +23,8 @@ let zero () =
     barriers = 0;
   }
 
+let copy x = { x with alu = x.alu }
+
 let add acc x =
   acc.smem_wavefronts <- acc.smem_wavefronts + x.smem_wavefronts;
   acc.smem_insts <- acc.smem_insts + x.smem_insts;

@@ -23,6 +23,9 @@ val zero : unit -> t
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
+val copy : t -> t
+(** [copy x] is a fresh record with [x]'s counts. *)
+
 val scale : t -> int -> t
 (** [scale t k] multiplies every counter by [k] (e.g. loop trip count). *)
 

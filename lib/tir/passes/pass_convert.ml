@@ -22,8 +22,7 @@ let convert (st : Pass.state) (r : Pass.request) =
   let byte_width = Pass_util.byte_width_of s.Program.dtype in
   match st.Pass.mode with
   | Pass.Linear ->
-      let plan = Codegen.Plan_cache.conversion machine ~src:src_layout ~dst ~byte_width in
-      let c = Codegen.Conversion.cost machine plan in
+      let plan, c = Codegen.Plan_cache.priced machine ~src:src_layout ~dst ~byte_width in
       (match plan.Codegen.Conversion.mechanism with
       | Codegen.Conversion.No_op -> st.Pass.noops <- st.Pass.noops + 1
       | Codegen.Conversion.Register_permute | Codegen.Conversion.Warp_shuffle _

@@ -168,8 +168,9 @@ let run (st : Pass.state) =
                 (Legacy.Support.kind_name (kind_of src))
               :: st.Pass.unsupported;
           let res =
-            Pass_util.rename_dims_above (Sliced.reduction_result parent ~dim:axis) ~axis
-              ~delta:(-1)
+            Pass_util.transfer "reduce" [ parent ] ~args:[| axis |] ~shape (fun () ->
+                Pass_util.rename_dims_above (Sliced.reduction_result parent ~dim:axis) ~axis
+                  ~delta:(-1))
           in
           set i res (Pass_util.sliced_kind (kind_of src));
           (* In-thread accumulation. *)
@@ -211,29 +212,41 @@ let run (st : Pass.state) =
               st.Pass.total.Gpusim.Cost.barriers <- st.Pass.total.Gpusim.Cost.barriers + 1)
       | Program.Expand_dims { src; axis } ->
           legacy_normalize src;
-          let l = Pass_util.rename_dims_above (layout_of src) ~axis ~delta:1 in
+          let src_l = layout_of src in
           let l =
-            Layout.mul l (Layout.zeros1d 0 ~in_dim:Dims.register ~out_dim:(Dims.dim axis))
+            Pass_util.transfer "expand_dims" [ src_l ] ~args:[| axis |] ~shape (fun () ->
+                Layout.mul
+                  (Pass_util.rename_dims_above src_l ~axis ~delta:1)
+                  (Layout.zeros1d 0 ~in_dim:Dims.register ~out_dim:(Dims.dim axis)))
           in
           set i l (kind_of src)
       | Program.Broadcast { src } ->
           legacy_normalize src;
           let l = layout_of src in
-          set i (Pass_util.broadcast_layout l ~shape) (kind_of src)
+          set i
+            (Pass_util.transfer "broadcast" [ l ] ~args:[||] ~shape (fun () ->
+                 Pass_util.broadcast_layout l ~shape))
+            (kind_of src)
       | Program.Trans { src; perm } ->
           legacy_normalize src;
           let l = layout_of src in
-          let spec =
-            Array.to_list perm
-            |> List.mapi (fun out_d in_d -> (Dims.dim in_d, Dims.dim out_d))
-            |> List.filter (fun (a, b) -> a <> b)
+          let trans () =
+            let spec =
+              Array.to_list perm
+              |> List.mapi (fun out_d in_d -> (Dims.dim in_d, Dims.dim out_d))
+              |> List.filter (fun (a, b) -> a <> b)
+            in
+            if spec = [] then l else Layout.exchange_out_names l spec
           in
-          set i (if spec = [] then l else Layout.exchange_out_names l spec) (kind_of src)
+          set i (Pass_util.transfer "trans" [ l ] ~args:perm ~shape trans) (kind_of src)
       | Program.Reshape { src } ->
           legacy_normalize src;
           let l = layout_of src in
-          let outs = Array.to_list (Array.mapi (fun d s -> (Dims.dim d, Util.log2 s)) shape) in
-          set i (Layout.reshape_outs l outs) (kind_of src)
+          let reshape () =
+            Layout.reshape_outs l
+              (Array.to_list (Array.mapi (fun d s -> (Dims.dim d, Util.log2 s)) shape))
+          in
+          set i (Pass_util.transfer "reshape" [ l ] ~args:[||] ~shape reshape) (kind_of src)
       | Program.Gather { src; index; axis } ->
           let l = layout_of src in
           request ~at:i ~src:index ~dst:l ~dst_kind:(kind_of src) ();
@@ -257,7 +270,7 @@ let run (st : Pass.state) =
              lowest register bit, so the joined pair sits in consecutive
              registers. *)
           let new_dim = Array.length shape - 1 in
-          let joined =
+          let joined () =
             Layout.make
               ~ins:
                 (List.map
@@ -276,15 +289,15 @@ let run (st : Pass.state) =
                    (if Layout.has_in_dim la Dims.register then Layout.in_dims la
                     else (Dims.register, 0) :: Layout.in_dims la))
           in
-          set i joined (kind_of a)
+          set i (Pass_util.transfer "join" [ la ] ~args:[||] ~shape joined) (kind_of a)
       | Program.Split { src; half = _ } ->
           legacy_normalize src;
           let l = layout_of src in
           let last = Array.length shape in
-          let reduced =
+          let split () =
             Sliced.compress (Layout.remove_out_dim l (Dims.dim last)) ~in_dim:Dims.register
           in
-          set i reduced (kind_of src)
+          set i (Pass_util.transfer "split" [ l ] ~args:[||] ~shape split) (kind_of src)
       | Program.Scan { src; axis; reverse } ->
           legacy_normalize src;
           let l = layout_of src in

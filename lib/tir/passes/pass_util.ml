@@ -12,9 +12,9 @@ let pow2_floor n =
 (* The anchor and dot layouts below are pure functions of the machine's
    warp size (and vendor, for dot layouts), the warp count, the shape
    and the dtype(s), so each is built once per key and domain in a
-   [Layout.Memo] table.  Keys hold exactly those inputs — never the
-   machine name, which ad-hoc machines reuse — and a copy of the
-   caller's shape array. *)
+   [Layout.Memo] table, and stored interned.  Keys hold exactly those
+   inputs — never the machine name, which ad-hoc machines reuse — and a
+   copy of the caller's shape array. *)
 let blocked_t = Layout.Memo.table ()
 let candidates_t = Layout.Memo.table ()
 let dot_t = Layout.Memo.table ()
@@ -29,7 +29,7 @@ let default_blocked machine ~num_warps ~shape ~dtype =
   let warp_size = machine.Gpusim.Machine.warp_size in
   Layout.Memo.find_or_add blocked_t (warp_size, num_warps, Array.copy shape, dtype) (fun () ->
       let ept = vector_ept ~warp_size ~num_warps ~shape ~dtype in
-      Blocked.default ~elems_per_thread:ept ~warp_size ~num_warps shape)
+      Layout.Memo.intern (Blocked.default ~elems_per_thread:ept ~warp_size ~num_warps shape))
 
 (* The anchor candidate set explored by search strategies: a small
    neighborhood around the greedy pick — scalar, half-vector and
@@ -48,7 +48,8 @@ let anchor_candidates machine ~num_warps ~shape ~dtype =
       let fwd_order = Array.init n (fun i -> n - 1 - i) in
       let rev_order = Array.init n (fun i -> i) in
       let bl ~order ~ept =
-        Blocked.default ~order ~elems_per_thread:ept ~warp_size ~num_warps shape
+        Layout.Memo.intern
+          (Blocked.default ~order ~elems_per_thread:ept ~warp_size ~num_warps shape)
       in
       let raw =
         [
@@ -135,7 +136,7 @@ let dot_layouts machine ~num_warps ~m ~n ~k ~a_dtype ~b_dtype =
         in
         let a = Mma.operand ~out_tile ~idx:0 ~bitwidth:a_bits ~warps ~shape:[| m; k |] () in
         let b = Mma.operand ~out_tile ~idx:1 ~bitwidth:b_bits ~warps ~shape:[| k; n |] () in
-        (true, out, a, b))
+        Layout.Memo.(true, intern out, intern a, intern b))
 
 (* Legacy vectorization: contiguity is only recognized within the
    fastest dimension (Section 5.1). *)
@@ -170,10 +171,15 @@ let convert_estimate (st : Pass.state) ~src ~dst ~byte_width =
   match st.Pass.mode with
   | Pass.Linear ->
       Gpusim.Cost.estimate machine
-        (Codegen.Conversion.cost machine
-           (Codegen.Plan_cache.conversion machine ~src ~dst ~byte_width))
+        (snd (Codegen.Plan_cache.priced machine ~src ~dst ~byte_width))
   | Pass.Legacy_mode ->
       Gpusim.Cost.estimate machine (Legacy.Convert.cost machine ~src ~dst ~byte_width)
+
+(* A forward transfer is a pure function of its sources, the op's
+   integer arguments and the result shape: [Array.append] copies both
+   arrays into the key. *)
+let transfer op srcs ~args ~shape compute =
+  Layout.Memo.derive op srcs (Array.append args shape) compute
 
 let sliced_kind = function
   | Legacy.Support.Blocked -> Legacy.Support.Sliced_blocked

@@ -16,7 +16,8 @@ val byte_width_of : Tensor_lib.Dtype.t -> int
     keyed by exactly those inputs and a copy of the shape array (not the
     machine name); the entries live until {!Linear_layout.Layout.Memo.clear}
     empties them, and every lookup counts in [Layout.Memo.hits]/[misses].
-    Returned layouts are shared between callers. *)
+    Returned layouts are interned ({!Linear_layout.Layout.Memo.intern})
+    and shared between callers. *)
 
 (** The coalesced blocked anchor layout for a tensor (Section 4.4). *)
 val default_blocked :
@@ -76,9 +77,21 @@ val vec_for : Pass.state -> Layout.t -> byte_width:int -> int
 val global_access_counts : Layout.t -> byte_width:int -> vec:int -> int * int
 
 (** Abstract time of a [src] -> [dst] conversion in the state's mode,
-    for the backward pass's remat / direct-store comparisons. *)
+    for the backward pass's remat / direct-store comparisons.  In linear
+    mode the price is the plan cache's ({!Codegen.Plan_cache.priced}). *)
 val convert_estimate :
   Pass.state -> src:Layout.t -> dst:Layout.t -> byte_width:int -> float
+
+(** [transfer op srcs ~args ~shape compute] is the forward pass's
+    layout transfer [compute ()] from the source layouts [srcs] by the
+    op tagged [op], with the op's integer arguments [args] and the
+    result [shape]: computed once per key and domain through
+    {!Linear_layout.Layout.Memo.derive} and returned interned, so a
+    re-run of a program sees physically the layouts of its first run.
+    The key holds copies of [args] and [shape]; [compute] must read
+    nothing but these and [srcs]. *)
+val transfer :
+  string -> Layout.t list -> args:int array -> shape:int array -> (unit -> Layout.t) -> Layout.t
 
 val sliced_kind : Legacy.Support.layout_kind -> Legacy.Support.layout_kind
 

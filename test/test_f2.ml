@@ -35,6 +35,26 @@ let test_bitvec_ntz () =
   check_int "ntz = lsb" (Bitvec.lsb 0b101100) (Bitvec.ntz 0b101100);
   check_int "ntz top bit" 62 (Bitvec.ntz (1 lsl 62))
 
+(* Per-bit reference for [Bitvec.msb]: the highest [k] with bit [k] set,
+   reading the word as unsigned (a negative int has bit 62 set). *)
+let msb_reference v =
+  let rec go k = if k < 0 then -1 else if (v lsr k) land 1 = 1 then k else go (k - 1) in
+  go (Sys.int_size - 1)
+
+let test_bitvec_msb_edges () =
+  let check v = check_int (Printf.sprintf "msb %d" v) (msb_reference v) (Bitvec.msb v) in
+  List.iter check [ 0; -1; min_int; max_int; -2; min_int + 1 ];
+  for k = 0 to 62 do
+    let p = 1 lsl k in
+    List.iter check [ p; p - 1; p + 1; -p ]
+  done
+
+let prop_msb_reference =
+  QCheck.Test.make ~name:"msb = per-bit reference" ~count:2000 QCheck.int (fun v ->
+      (* Also at every width: shift by the value's low six bits. *)
+      let w = v lsr ((v land 63) mod 63) in
+      Bitvec.msb v = msb_reference v && Bitvec.msb w = msb_reference w)
+
 (* {1 Bitmatrix} *)
 
 let m rows cols = Bitmatrix.make ~rows (Array.of_list cols)
@@ -433,6 +453,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_bitvec_basics;
           Alcotest.test_case "fields" `Quick test_bitvec_fields;
           Alcotest.test_case "ntz" `Quick test_bitvec_ntz;
+          Alcotest.test_case "msb on 0, negatives and 2^k, 2^k-1, 2^k+1" `Quick
+            test_bitvec_msb_edges;
         ] );
       ( "bitmatrix",
         [
@@ -455,6 +477,7 @@ let () =
       ( "properties",
         q
           [
+            prop_msb_reference;
             prop_apply_reference;
             prop_solve_consistent;
             prop_right_inverse;

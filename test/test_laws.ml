@@ -154,6 +154,78 @@ let prop_kernel_dimension =
       let m = Layout.to_matrix l in
       List.length (Layout.kernel l) + F2.Bitmatrix.rank m = Layout.total_in_bits l)
 
+(* {1 The stored hash}
+
+   Every layout carries the hash computed when it is built.  Whatever
+   built it, that hash must be the one [of_matrix] computes from the same
+   dimensions and a fresh copy of the columns. *)
+
+let rebuilt l =
+  let m = Layout.to_matrix l in
+  Layout.of_matrix ~ins:(Layout.in_dims l) ~outs:(Layout.out_dims l)
+    (F2.Bitmatrix.make ~rows:(F2.Bitmatrix.rows m) (F2.Bitmatrix.columns m))
+
+(* Layouts made from [l] (over [space] -> [out_space]) and [g] (an
+   endomorphism of [space]) by every constructor and operation. *)
+let built_every_way l g =
+  let bases l = List.map (fun (d, bits) -> (d, List.init bits (Layout.basis l d))) (Layout.in_dims l) in
+  let tile = Layout.identity1d 1 ~in_dim:Dims.register ~out_dim:(Dims.dim 0) in
+  let trivial = Layout.zeros1d 0 ~in_dim:Dims.block ~out_dim:(Dims.dim 2) in
+  let swap = [ (Dims.dim 0, Dims.dim 1); (Dims.dim 1, Dims.dim 0) ] in
+  let sliced = Sliced.make l ~dim:1 in
+  [
+    ("of_matrix", l);
+    ("make", Layout.make ~ins:(Layout.in_dims l) ~outs:(Layout.out_dims l) ~bases:(bases l));
+    ("empty", Layout.empty);
+    ("identity1d", Layout.identity1d 3 ~in_dim:Dims.lane ~out_dim:(Dims.dim 0));
+    ("zeros1d", Layout.zeros1d 2 ~in_dim:Dims.warp ~out_dim:(Dims.dim 1));
+    ("mul", Layout.mul l (Layout.identity1d 2 ~in_dim:Dims.block ~out_dim:(Dims.dim 2)));
+    ("mul on shared labels", Layout.mul tile l);
+    ("compose", Layout.compose l g);
+    ("Memo.compose", Layout.Memo.compose l g);
+    ("invert", Layout.invert l);
+    ("Memo.invert", Layout.Memo.invert l);
+    ("invert twice", Layout.invert (Layout.invert l));
+    ("pseudo_invert", Layout.pseudo_invert (Layout.resize_in l Dims.register 3));
+    ("flatten_outs", Layout.flatten_outs l);
+    ("flatten_ins", Layout.flatten_ins l);
+    ("reshape_outs", Layout.reshape_outs (Layout.flatten_outs l) (Layout.out_dims l));
+    ("exchange_out_names", Layout.exchange_out_names l swap);
+    ("project_outs", Layout.project_outs l [ Dims.dim 0 ]);
+    ("remove_out_dim", sliced);
+    ("resize_in (grow)", Layout.resize_in l Dims.warp 3);
+    ("resize_in (shrink)", Layout.resize_in l Dims.lane 1);
+    ("resize_in (new dim)", Layout.resize_in l Dims.block 2);
+    ("drop_trivial_dims", Layout.drop_trivial_dims (Layout.mul l trivial));
+    ("divide_left", Option.get (Layout.divide_left (Layout.mul tile l) tile));
+    ("Sliced.compress", Sliced.compress sliced ~in_dim:Dims.register);
+  ]
+
+let prop_stored_hash =
+  QCheck.Test.make ~name:"stored hash = hash of the rebuilt layout, for every constructor"
+    ~count:200 (QCheck.pair arb_perm arb_endo) (fun (l, g) ->
+      List.for_all
+        (fun (what, x) ->
+          let r = rebuilt x in
+          Layout.equal x r && Layout.Memo.hash x = Layout.Memo.hash r
+          || QCheck.Test.fail_reportf "%s: stored hash %d, rebuilt %d" what (Layout.Memo.hash x)
+               (Layout.Memo.hash r))
+        (built_every_way l g))
+
+let prop_equal_implies_hash =
+  QCheck.Test.make ~name:"equal a b => hash a = hash b" ~count:200 (QCheck.pair arb_perm arb_endo)
+    (fun (l, g) ->
+      let xs = List.map snd (built_every_way l g) in
+      (* Equal layouts built different ways. *)
+      Layout.equal (Layout.invert (Layout.invert l)) l
+      && Layout.equal (Layout.drop_trivial_dims (Layout.mul l (Layout.zeros1d 0 ~in_dim:Dims.block ~out_dim:(Dims.dim 2)))) l
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b -> (not (Layout.equal a b)) || Layout.Memo.hash a = Layout.Memo.hash b)
+               xs)
+           xs)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "laws"
@@ -184,4 +256,5 @@ let () =
             prop_kernel_dimension;
             prop_parse_roundtrip;
           ] );
+      ("hash", q [ prop_stored_hash; prop_equal_implies_hash ]);
     ]

@@ -231,6 +231,196 @@ let test_search_domain_invariant () =
         o2.Tir.Assign_search.stats.Tir.Assign_search.best_cost)
     [ "gemm"; "attention_bwd"; "swiglu" ]
 
+(* {1 Interned transfers}
+
+   The forward pass's layout transfers go through [Pass_util.transfer]:
+   one computation per key and domain, stored interned. *)
+
+let suite_triples () =
+  List.concat_map
+    (fun machine ->
+      List.concat_map
+        (fun (k : Tir.Kernels.kernel) ->
+          List.map (fun size -> (machine, k, size)) k.Tir.Kernels.sizes)
+        Tir.Kernels.all)
+    Gpusim.Machine.all
+
+(* Every instruction's layout after the anchor and forward passes, which
+   make every transfer. *)
+let forward_layouts (machine, (k : Tir.Kernels.kernel), size) =
+  let prog = k.Tir.Kernels.build ~size in
+  let st = Tir.Pass.init machine ~mode:Tir.Engine.Linear prog in
+  ignore
+    (Tir.Pass_manager.run
+       (Tir.Pass_manager.config [ Tir.Passes.anchor; Tir.Passes.forward_propagate ])
+       st);
+  Array.map (fun (ins : Tir.Program.instr) -> ins.Tir.Program.layout) (Tir.Program.instrs prog)
+
+let triple_name (machine, (k : Tir.Kernels.kernel), size) =
+  Printf.sprintf "%s %s %d" machine.Gpusim.Machine.name k.Tir.Kernels.name size
+
+(* With the tables filled by the whole suite, each program's warm
+   layouts equal the ones computed afresh after [Layout.Memo.clear]. *)
+let test_transfers_warm_equal_fresh () =
+  let triples = suite_triples () in
+  Layout.Memo.clear ();
+  List.iter (fun t -> ignore (forward_layouts t)) triples;
+  let warm = List.map forward_layouts triples in
+  List.iter2
+    (fun t warm ->
+      Layout.Memo.clear ();
+      let fresh = forward_layouts t in
+      Array.iteri
+        (fun i w ->
+          match (w, fresh.(i)) with
+          | Some w, Some f ->
+              if not (Layout.equal w f) then
+                Alcotest.failf "%s: instruction %d: warm layout differs from fresh"
+                  (triple_name t) i
+          | None, None -> ()
+          | _ -> Alcotest.failf "%s: instruction %d: layout presence differs" (triple_name t) i)
+        warm)
+    triples warm
+
+(* Ops on one square tensor whose results share a shape and differ only
+   in their integer arguments: the keys must tell them apart. *)
+let test_transfers_keyed_by_arguments () =
+  List.iter
+    (fun machine ->
+      let p = Tir.Program.create () in
+      let x = Tir.Program.load p ~name:"x" ~shape:[| 64; 64 |] ~dtype:Tensor_lib.Dtype.F32 () in
+      let r0 = Tir.Program.reduce p x ~axis:0 and r1 = Tir.Program.reduce p x ~axis:1 in
+      let t = Tir.Program.trans p x ~perm:[| 1; 0 |] in
+      List.iter (fun i -> ignore (Tir.Program.store p i)) [ r0; r1; t ];
+      let st = Tir.Pass.init machine ~mode:Tir.Engine.Linear p in
+      ignore
+        (Tir.Pass_manager.run
+           (Tir.Pass_manager.config [ Tir.Passes.anchor; Tir.Passes.forward_propagate ])
+           st);
+      let layout i = Option.get (Tir.Program.instr p i).Tir.Program.layout in
+      let what = machine.Gpusim.Machine.name in
+      Alcotest.(check bool) (what ^ ": reduce axis 0 <> axis 1") false
+        (Layout.equal (layout r0) (layout r1));
+      Alcotest.(check bool) (what ^ ": trans <> source") false
+        (Layout.equal (layout t) (layout x)))
+    Gpusim.Machine.all
+
+(* A second [Engine.run] of a program assigns physically the layouts of
+   the first. *)
+let test_rerun_same_layouts () =
+  List.iter
+    (fun ((machine, (k : Tir.Kernels.kernel), size) as t) ->
+      let prog = k.Tir.Kernels.build ~size in
+      let layouts () =
+        Array.map (fun (ins : Tir.Program.instr) -> ins.Tir.Program.layout) (Tir.Program.instrs prog)
+      in
+      ignore (Tir.Engine.run machine ~mode:Tir.Engine.Linear prog);
+      let first = layouts () in
+      ignore (Tir.Engine.run machine ~mode:Tir.Engine.Linear prog);
+      Array.iteri
+        (fun i l ->
+          match (first.(i), l) with
+          | Some a, Some b when a == b -> ()
+          | None, None -> ()
+          | _ -> Alcotest.failf "%s: instruction %d: not the first run's layout" (triple_name t) i)
+        (layouts ()))
+    (suite_triples ())
+
+(* Transfer lookups count in [Layout.Memo.hits]/[misses]; the first
+   lookup after [Layout.Memo.clear] is a miss. *)
+let test_transfer_counted () =
+  let src = Layout.Memo.intern (bench_src ()) in
+  let calls = ref 0 in
+  let lookup () =
+    Tir.Pass_util.transfer "reduce" [ src ] ~args:[| 1 |] ~shape:[| 128 |] (fun () ->
+        incr calls;
+        Tir.Pass_util.rename_dims_above (Sliced.reduction_result src ~dim:1) ~axis:1 ~delta:(-1))
+  in
+  Layout.Memo.clear ();
+  Layout.Memo.reset_stats ();
+  let first = lookup () in
+  Alcotest.(check int) "cold lookup is one miss" 1 (Layout.Memo.misses ());
+  Layout.Memo.reset_stats ();
+  let again = lookup () in
+  Alcotest.(check int) "warm lookup is one hit" 1 (Layout.Memo.hits ());
+  Alcotest.(check int) "warm lookup misses nothing" 0 (Layout.Memo.misses ());
+  Alcotest.(check bool) "warm lookup returns the stored layout" true (first == again);
+  Alcotest.(check bool) "the stored layout is interned" true (Layout.Memo.intern first == first);
+  (* A structurally equal source built afresh finds the same entry. *)
+  let fresh_src = Layout.invert (Layout.invert src) in
+  Alcotest.(check bool) "equal source, same entry" true
+    (Tir.Pass_util.transfer "reduce" [ fresh_src ] ~args:[| 1 |] ~shape:[| 128 |] (fun () ->
+         Alcotest.fail "recomputed")
+    == first);
+  Alcotest.(check bool) "another op misses" false
+    (Tir.Pass_util.transfer "split" [ src ] ~args:[| 1 |] ~shape:[| 128 |] (fun () -> src)
+    == first);
+  Layout.Memo.clear ();
+  Layout.Memo.reset_stats ();
+  ignore (lookup ());
+  Alcotest.(check int) "lookup after clear is a miss" 1 (Layout.Memo.misses ());
+  Alcotest.(check int) "computed once per fill" 2 !calls
+
+(* {1 Price once} *)
+
+let same_cost what (a : Gpusim.Cost.t) (b : Gpusim.Cost.t) =
+  Alcotest.(check bool) what true (a = b)
+
+(* The price comes from the plan's cache entry; each caller gets its
+   own copy, so mutating one leaves the next lookup's price alone. *)
+let test_priced_copies () =
+  let src = bench_src () and dst = bench_dst () in
+  Codegen.Plan_cache.clear ();
+  let plan, c = Codegen.Plan_cache.priced machine ~src ~dst ~byte_width:2 in
+  let model = Codegen.Conversion.cost machine plan in
+  same_cost "price is Conversion.cost" model c;
+  Alcotest.(check bool) "the plan is the cached one" true
+    (plan == Codegen.Plan_cache.conversion machine ~src ~dst ~byte_width:2);
+  c.Gpusim.Cost.smem_wavefronts <- c.Gpusim.Cost.smem_wavefronts + 1000;
+  c.Gpusim.Cost.barriers <- 77;
+  let _, c' = Codegen.Plan_cache.priced machine ~src ~dst ~byte_width:2 in
+  same_cost "next price unchanged" model c';
+  Alcotest.(check bool) "a fresh copy each time" false (c == c')
+
+(* {1 Byte widths} *)
+
+(* A width the planners cannot use is refused by name, before any
+   planning or caching, through both entry points. *)
+let test_bad_byte_width () =
+  let src = bench_src () and dst = bench_dst () in
+  Codegen.Plan_cache.clear ();
+  Codegen.Plan_cache.reset_stats ();
+  let stored = Codegen.Shared_cache.length () in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun byte_width ->
+      List.iter
+        (fun (entry, f) ->
+          match f () with
+          | _ -> Alcotest.failf "%s accepted byte width %d" entry byte_width
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, width %d: message names the width and machine (%s)" entry
+                   byte_width msg)
+                true
+                (contains msg (Printf.sprintf "byte width %d " byte_width)
+                && contains msg machine.Gpusim.Machine.name))
+        [
+          ( "Conversion.plan",
+            fun () -> ignore (Codegen.Conversion.plan machine ~src ~dst ~byte_width) );
+          ( "Plan_cache.conversion",
+            fun () -> ignore (Codegen.Plan_cache.conversion machine ~src ~dst ~byte_width) );
+          ( "Plan_cache.priced",
+            fun () -> ignore (Codegen.Plan_cache.priced machine ~src ~dst ~byte_width) );
+        ])
+    [ 0; 3; 32 ];
+  Alcotest.(check int) "no L1 lookup" 0 (Codegen.Plan_cache.misses () + Codegen.Plan_cache.hits ());
+  Alcotest.(check int) "nothing cached" stored (Codegen.Shared_cache.length ())
+
 (* {1 Autotune determinism across domain counts} *)
 
 let test_autotune_deterministic () =
@@ -262,6 +452,18 @@ let () =
       ( "plan-cache",
         [
           Alcotest.test_case "conversion agrees with direct plan" `Quick test_plan_cache_agrees;
+          Alcotest.test_case "each price is a fresh copy" `Quick test_priced_copies;
+          Alcotest.test_case "bad byte widths are refused by name" `Quick test_bad_byte_width;
+        ] );
+      ( "transfers",
+        [
+          Alcotest.test_case "warm transfers equal fresh ones, all machines" `Quick
+            test_transfers_warm_equal_fresh;
+          Alcotest.test_case "keys tell integer arguments apart" `Quick
+            test_transfers_keyed_by_arguments;
+          Alcotest.test_case "a re-run assigns the same physical layouts" `Quick
+            test_rerun_same_layouts;
+          Alcotest.test_case "lookups count; after clear a miss" `Quick test_transfer_counted;
         ] );
       ( "targets",
         [
