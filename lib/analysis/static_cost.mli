@@ -23,10 +23,10 @@
     extends to the failure modes; the graceful LL8xx reporting of the
     same faults lives in {!Resource_check}.
 
-    One per-plan verdict table sits beside the pricer: the layout
-    search's re-price ({!reprice_conversion}) and lint errors
-    ({!plan_errors}) of a conversion plan are computed once per plan,
-    machine and domain, and read on every later request. *)
+    The layout search's re-price ({!reprice_conversion}) of a
+    conversion plan is computed once per plan, machine and domain, and
+    read on every later request from the per-plan verdict table
+    ({!Plan_verdict}). *)
 
 open Linear_layout
 
@@ -77,35 +77,12 @@ val lower_plan :
     executes nothing: no {!Gpusim.Isa.state} is created.  A malformed
     lowered stream raises [Failure] ({!Gpusim.Isa.fault_message}).
 
-    The price is the plan's verdict: it is computed once per plan,
-    machine and domain, and every later call on the same plan value
-    (the one the plan caches hand out) returns a fresh copy of it
-    without lowering again — see {!plan_errors} for the table.  A
-    [Failure] is never stored, so a malformed plan raises on every
-    call. *)
+    The price is the plan's verdict ({!Plan_verdict.price}): it is
+    computed once per plan, machine and domain, and every later call on
+    the same plan value (the one the plan caches hand out) returns a
+    fresh copy of it without lowering again.  A [Failure] is never
+    stored, so a malformed plan raises on every call. *)
 val reprice_conversion :
   Gpusim.Machine.t -> Codegen.Conversion.plan -> Gpusim.Cost.t option
-
-(** {2 Per-plan verdicts}
-
-    A per-domain ephemeron table keyed by the physical identity ([==])
-    of a plan and of a machine holds two verdicts per plan, each filled
-    on first demand: the {!reprice_conversion} price and the plan's
-    location-free error diagnostics.  An entry lives as long as its
-    plan, so it is freed once the plan caches drop the plan; a plan
-    built outside the caches is a fresh key and misses.  No lowered
-    program is stored.  Every read of a stored field counts
-    [analysis.plan_verdicts.hits], every computation
-    [analysis.plan_verdicts.misses] (when {!Obs.enabled}).
-
-    [plan_errors m plan compute] is the stored error verdict of [plan]
-    on [m], [compute ()] on the first demand.  [compute] must be a pure
-    function of the plan and the machine: the lint gate passes the
-    plan's bank, race and resource errors. *)
-val plan_errors :
-  Gpusim.Machine.t ->
-  Codegen.Conversion.plan ->
-  (unit -> Diagnostics.t list) ->
-  Diagnostics.t list
 
 val pp : Format.formatter -> t -> unit

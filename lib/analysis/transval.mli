@@ -124,8 +124,13 @@ val certify_isa :
 val proves_in_closed_form :
   src:Layout.t -> dst:Layout.t -> map:Codegen.Lower.slot_map -> Gpusim.Isa.program -> bool
 
-(** Certify a conversion plan: lowers it with {!Codegen.Lower.conversion}
-    and certifies the program with {!certify_isa} — swizzled
+(** Certify a conversion plan — the uncached prover: every call lowers
+    and proves again.  The daemon and [Tir.Certify] read the stored
+    certificate {!Plan_verdict.cert} instead, which calls this once per
+    plan value, machine and domain; tests and benchmark oracles call
+    this directly to check the stored value.  It lowers the plan with
+    {!Codegen.Lower.conversion} and certifies the program with
+    {!certify_isa} — swizzled
     shared-memory round trips (with their vectorized ld/st addressing)
     and plain warp shuffles are proved in closed form, register
     permutes and broadcast-compressed shuffles by the scan; plans that

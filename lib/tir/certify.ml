@@ -236,7 +236,8 @@ let after_pass obs : Pass_manager.hook =
 
 (* {1 Plan certification} *)
 
-(* One {!Analysis.Transval} certificate per materialized plan, with
+(* One {!Analysis.Transval} certificate per materialized plan, read
+   from the plan's verdict ({!Analysis.Plan_verdict.cert}), with
    refutations rendered as LL65x diagnostics located at the conversion's
    instruction.  Legacy-mode conversions carry no plan ([plan = None])
    and are skipped — the padded shared-memory baseline is costed, never
@@ -247,7 +248,7 @@ let conversions machine (convs : Pass.conversion_info list) =
       (fun (c : Pass.conversion_info) ->
         match c.Pass.plan with
         | None -> None
-        | Some plan -> Some (c.Pass.at, Analysis.Transval.certify_plan machine plan))
+        | Some plan -> Some (c.Pass.at, Analysis.Plan_verdict.cert machine plan))
       convs
   in
   let diags =

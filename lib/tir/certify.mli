@@ -38,8 +38,10 @@ val certify_pass : pass:string -> snapshot -> Pass.state -> pass_cert * Diagnost
 
 (** {2 Plan certificates} *)
 
-(** [conversions machine convs] certifies every plan in [convs] with
-    {!Analysis.Transval.certify_plan}, in list order, and renders each
+(** [conversions machine convs] reads the certificate of every plan in
+    [convs] from its verdict ({!Analysis.Plan_verdict.cert}, which runs
+    {!Analysis.Transval.certify_plan} once per plan value, machine and
+    domain), in list order, and renders each
     refutation as an [LL65x] diagnostic located at the conversion's
     instruction.  Conversions without a plan (legacy mode) are
     skipped.  {!Validate.analyze} uses it. *)

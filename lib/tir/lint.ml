@@ -101,7 +101,7 @@ let passes machine prog ~result =
    stored verdict after the first demand. *)
 let errors machine ~result =
   per_conversion result (fun plan ->
-      Analysis.Static_cost.plan_errors machine plan (fun () ->
+      Analysis.Plan_verdict.errors machine plan (fun () ->
           plan_checks machine plan ~resource:(fun (program, _) ->
               Analysis.Resource_check.errors program)
           |> Diagnostics.errors))

@@ -49,7 +49,7 @@ val passes : Gpusim.Machine.t -> Program.t -> result:Pass.result -> Diagnostics.
     bank certification, races and the resource errors — on one lowering
     per plan.  A plan's errors carry no location and depend only on the
     plan and the machine, so they are its verdict
-    ({!Analysis.Static_cost.plan_errors}): computed once per plan per
+    ({!Analysis.Plan_verdict.errors}): computed once per plan per
     domain, then read on every later call and relocated to each
     conversion.  The layout search's lint gate uses it. *)
 val errors : Gpusim.Machine.t -> result:Pass.result -> Diagnostics.t list

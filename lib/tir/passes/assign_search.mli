@@ -13,7 +13,7 @@
     never trades analyzer cleanliness for cost.
 
     Both the re-price and the lint gate read per-plan verdicts (see
-    {!Analysis.Static_cost.plan_errors}): each conversion plan the
+    {!Analysis.Plan_verdict}): each conversion plan the
     plan caches hand out is priced and checked once per domain, and a
     repeated search over warm caches computes no check again. *)
 

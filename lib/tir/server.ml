@@ -90,16 +90,22 @@ let cert_of (c : Analysis.Transval.cert) =
     verdict = Analysis.Transval.verdict_name c.Analysis.Transval.verdict;
   }
 
+(* The plan store's callbacks read the plan's certificate verdict
+   ({!Analysis.Plan_verdict.cert}).  A loaded plan is a fresh value, so
+   the warm start's [verify] runs the prover.  The save at shutdown runs
+   in [wait]; on the domain that started the server it reads what
+   [verify] stored, and proves only the plans first planned while
+   serving. *)
 let certify ~machine plan =
   match find_machine machine with
   | None -> None
-  | Some m -> Some (cert_of (Analysis.Transval.certify_plan m plan))
+  | Some m -> Some (cert_of (Analysis.Plan_verdict.cert m plan))
 
 let verify ~machine plan (_ : Codegen.Plan_store.cert) =
   match find_machine machine with
   | None -> false
   | Some m -> (
-      match (Analysis.Transval.certify_plan m plan).Analysis.Transval.verdict with
+      match (Analysis.Plan_verdict.cert m plan).Analysis.Transval.verdict with
       | Analysis.Transval.Proved -> true
       | Analysis.Transval.Refuted _ | Analysis.Transval.Failed _ -> false)
 
@@ -152,7 +158,7 @@ let handle srv payload =
             if not (Codegen.Conversion.valid_byte_width m byte_width) then
               err "LL911" "bad byte_width %d" byte_width;
             let plan = Codegen.Plan_cache.conversion m ~src ~dst ~byte_width in
-            let cert = Analysis.Transval.certify_plan m plan in
+            let cert = Analysis.Plan_verdict.cert m plan in
             Printf.sprintf "OK mechanism=%s cert=%s points=%d"
               (Codegen.Conversion.mechanism_slug plan.Codegen.Conversion.mechanism)
               (Analysis.Transval.verdict_name cert.Analysis.Transval.verdict)

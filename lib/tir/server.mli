@@ -17,9 +17,12 @@
     - [PLAN] with [machine], [src], [dst] (layout literals in the
       {!Linear_layout.Parse} grammar) and optional [byte_width]
       (default 4): plans the conversion through the cache and replies
-      [OK mechanism=<slug> cert=<verdict> points=<n>] — the plan is
-      certified by {!Analysis.Transval} before the reply, so every
-      served plan carries a verified F2 certificate.
+      [OK mechanism=<slug> cert=<verdict> points=<n>] — every served
+      plan carries a verified F2 certificate.  The certificate is the
+      plan's verdict ({!Analysis.Plan_verdict.cert}): the plan caches
+      hand out one shared value per key, so {!Analysis.Transval} proves
+      it on the first request for the plan on each worker domain, and
+      every later request reads it from a table.
     - [ENGINE] with [kernel], [machine], optional [mode]
       ([linear]/[legacy], default linear) and [size] (default: the
       kernel's smallest): runs the layout engine on the kernel tile and
@@ -33,7 +36,10 @@
       nothing shows a delta of zero.
     - [SHUTDOWN]: replies [OK bye] and begins a graceful stop:
       the listener closes, in-flight requests drain, and the store (if
-      configured) is saved with fresh certificates.
+      configured) is saved with each plan's certificate.  A certificate
+      is computed once per plan per domain: the save reads the ones the
+      warm start's verification stored, and proves only plans this
+      domain has not certified yet.
 
     Errors are single-line replies [ERR <code> <message>] with the
     LL91x codes: [LL910] malformed/empty/oversized frame, [LL911] bad
@@ -55,8 +61,9 @@ type t
 (** [start ~socket ()] binds [socket] (replacing a stale file) and
     serves until {!stop}.  [domains] sizes the worker pool (default 1).
     [store] names a {!Codegen.Plan_store} file: it is loaded — with
-    {!Analysis.Transval} re-verification — before serving, and saved
-    back on shutdown.  [reset] (default false) clears the in-process
+    {!Analysis.Transval} re-verification of every loaded plan, a fresh
+    value the prover runs on — before serving, and saved back on
+    shutdown.  [reset] (default false) clears the in-process
     shared cache and its counters first, simulating a fresh process in
     tests and benchmarks that restart the server in one binary. *)
 val start : ?domains:int -> ?store:string -> ?reset:bool -> socket:string -> unit -> t

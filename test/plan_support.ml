@@ -139,7 +139,7 @@ let mechanism_pairs () =
 
 (* [verdict_counts f] runs [f] with metrics on and returns its result
    with the per-plan verdict hits and misses it counted
-   ({!Analysis.Static_cost.plan_errors}); shared by the search and
+   ({!Analysis.Plan_verdict}); shared by the search and
    static-cost suites. *)
 let verdict_counts f =
   let count name = Obs.Metrics.counter_value ("analysis.plan_verdicts." ^ name) in

@@ -42,6 +42,44 @@ let test_vectorized_conflicting () =
   let accesses = List.init 32 (fun l -> access (l * 512) 16) in
   check_int "wavefronts" 32 (Gpusim.Banks.wavefronts m accesses)
 
+(* The scratch-array phase count against the list-based oracle
+   ({!Banks_oracle}), on the shipped machines and a 16-bank, 8-byte-word
+   variant: lane-strided access lists at the access widths the planners
+   use, and arbitrary ones — negative addresses, empty and oversized
+   accesses, lists longer than a warp. *)
+let arb_accesses =
+  let open QCheck.Gen in
+  let strided =
+    map4
+      (fun lanes base stride bytes -> List.init lanes (fun l -> access (base + (l * stride)) bytes))
+      (int_range 0 64) (int_range (-256) 4096)
+      (oneofl [ 0; 1; 2; 4; 8; 16; 128; 132; 512 ])
+      (oneofl [ 1; 2; 4; 8; 16 ])
+  in
+  let arbitrary =
+    list_size (int_range 0 70)
+      (map2 access (int_range (-1024) 8192) (oneof [ int_range 0 20; int_range 0 300 ]))
+  in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat "; "
+        (List.map (fun a -> Printf.sprintf "%d+%d" a.Gpusim.Banks.addr a.Gpusim.Banks.bytes) l))
+    (oneof [ strided; arbitrary ])
+
+let prop_wavefronts_match_oracle =
+  let machines =
+    Gpusim.Machine.all_with_extras
+    @ [ { m with Gpusim.Machine.name = "GH200/16x8"; num_banks = 16; bank_bytes = 8 } ]
+  in
+  QCheck.Test.make ~name:"wavefronts and conflict_free = list oracle" ~count:1000 arb_accesses
+    (fun accesses ->
+      List.for_all
+        (fun machine ->
+          Gpusim.Banks.wavefronts machine accesses = Banks_oracle.wavefronts machine accesses
+          && Gpusim.Banks.conflict_free machine accesses
+             = Banks_oracle.conflict_free machine accesses)
+        machines)
+
 let test_coalesce () =
   let tx = Gpusim.Coalesce.transactions (List.init 32 (fun l -> (l * 4, 4))) in
   check_int "coalesced f32 row" 4 tx;
@@ -212,6 +250,7 @@ let () =
           Alcotest.test_case "two-way conflict" `Quick test_two_way_conflict;
           Alcotest.test_case "vectorized phases" `Quick test_vectorized_phases;
           Alcotest.test_case "vectorized conflicts" `Quick test_vectorized_conflicting;
+          QCheck_alcotest.to_alcotest prop_wavefronts_match_oracle;
         ] );
       ("coalesce", [ Alcotest.test_case "transactions" `Quick test_coalesce ]);
       ( "dist",

@@ -271,6 +271,39 @@ let test_transval_roundtrip_admits_good_plans () =
       check_int "all entries re-proved and admitted" 2 r.Codegen.Plan_store.loaded;
       check_int "none rejected" 0 r.Codegen.Plan_store.rejected)
 
+(* A daemon warm-started from a certified store and stopped at once:
+   the warm start proves every loaded plan (each is a fresh value), the
+   save at shutdown reads those certificates and proves nothing, and
+   the rewritten store is the loaded one, byte for byte. *)
+let test_save_after_warm_start () =
+  fresh_start ();
+  List.iter (fun pr -> ignore (populate pr 4)) [ List.nth pairs 0; List.nth pairs 2; List.nth pairs 5 ];
+  let path = tmpfile () in
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ll_test_plan_store_%d.sock" (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let (_ : int) = Codegen.Plan_store.save ~certify:transval_certify path in
+      let loaded = read_file path in
+      let checked () = Obs.Metrics.counter_value "transval.certificates.checked" in
+      let at_load, at_save =
+        Obs.with_enabled (fun () ->
+            let before = checked () in
+            let srv = Tir.Server.start ~domains:1 ~store:path ~reset:true ~socket:sock () in
+            let at_load = checked () - before in
+            check_int "warm start admits every entry" 0
+              (Tir.Server.store_report srv).Codegen.Plan_store.rejected;
+            let before = checked () in
+            Tir.Server.stop srv;
+            (at_load, checked () - before))
+      in
+      check_int "the warm start proves each conversion plan" 3 at_load;
+      check_int "the save proves nothing" 0 at_save;
+      Alcotest.(check string) "the rewritten store is the loaded one" loaded (read_file path))
+
 let test_atomic_save_leaves_no_temp () =
   let path = saved_store () in
   Fun.protect
@@ -319,5 +352,7 @@ let () =
                test_transval_rejects_tampered_plan;
              Alcotest.test_case "good plans re-prove and round-trip" `Quick
                test_transval_roundtrip_admits_good_plans;
+             Alcotest.test_case "save after a warm start proves nothing" `Quick
+               test_save_after_warm_start;
            ] );
        ])

@@ -398,7 +398,7 @@ let test_deterministic () =
 (* {1 Per-plan verdicts}
 
    The objective's re-price and the lint gate's errors are stored per
-   plan value ({!Analysis.Static_cost.plan_errors}): a repeated search
+   plan value ({!Analysis.Plan_verdict}): a repeated search
    on warm caches computes none of them again and decides the same,
    the same plan value keeps one verdict per machine, and plans planned
    again after the plan caches are dropped are fresh keys whose

@@ -152,6 +152,42 @@ let test_protocol_goldens () =
   Tir.Server.Client.close c2;
   Tir.Server.wait srv
 
+(* {1 A served plan is certified once}
+
+   Three identical PLAN requests on one connection: every reply is the
+   locally computed golden, and the worker domain proves the plan once
+   and reads its stored certificate twice.  The pool absorbs the
+   worker's counters when the server stops. *)
+
+let test_plan_certified_once () =
+  let src, dst = List.nth (Plan_support.cta_pairs ()) 2 in
+  let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
+  let cert = Analysis.Transval.certify_plan m plan in
+  let golden =
+    Printf.sprintf "OK mechanism=%s cert=%s points=%d"
+      (Codegen.Conversion.mechanism_slug plan.Codegen.Conversion.mechanism)
+      (Analysis.Transval.verdict_name cert.Analysis.Transval.verdict)
+      cert.Analysis.Transval.points
+  in
+  let request =
+    Printf.sprintf "PLAN\nmachine=%s\nsrc=%s\ndst=%s" m.Gpusim.Machine.name
+      (Parse.to_string src) (Parse.to_string dst)
+  in
+  let checked () = Obs.Metrics.counter_value "transval.certificates.checked" in
+  let sock = socket_path "certonce" in
+  let replies, proofs =
+    Obs.with_enabled (fun () ->
+        let before = checked () in
+        let srv = Tir.Server.start ~domains:1 ~reset:true ~socket:sock () in
+        let c = Tir.Server.Client.connect sock in
+        let replies = List.init 3 (fun _ -> Tir.Server.Client.rpc c request) in
+        Tir.Server.Client.close c;
+        Tir.Server.stop srv;
+        (replies, checked () - before))
+  in
+  List.iteri (fun i got -> check_string (Printf.sprintf "reply %d" i) golden got) replies;
+  check_int "one certificate for three requests" 1 proofs
+
 (* {1 PLAN with an element width the planners cannot lay out} *)
 
 let test_bad_byte_width () =
@@ -207,6 +243,8 @@ let () =
              Alcotest.test_case "golden protocol and error replies" `Quick
                test_protocol_goldens;
              Alcotest.test_case "PLAN rejects a bad byte_width" `Quick test_bad_byte_width;
+             Alcotest.test_case "three identical PLANs certify once" `Quick
+               test_plan_certified_once;
              Alcotest.test_case "concurrent clients get identical replies" `Quick
                test_concurrent_clients;
            ] );

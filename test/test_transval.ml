@@ -11,6 +11,7 @@ open Linear_layout
 
 let m = Gpusim.Machine.gh200
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 (* Nonzero everywhere, injective: an unwritten slot (0) never matches,
    and equal payloads imply equal logical elements. *)
@@ -156,6 +157,13 @@ let test_flipped_matrix_refuted () =
       Alcotest.failf "expected a refutation, got %s"
         (Analysis.Transval.verdict_name v))
 
+(* The shared-memory plan forced to a register permutation: its
+   lowering fails, so its certificate is [Failed]. *)
+let forced_register_permute () =
+  let src, dst = smem_pair () in
+  let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
+  { plan with Codegen.Conversion.mechanism = Codegen.Conversion.Register_permute }
+
 (* Each LL6xx code fires from one fault: a flipped claimed matrix entry
    (a wrong element, LL650), a dropped store or a [Bin] on the
    destination (a point never written, LL651) and a plan whose lowering
@@ -185,8 +193,7 @@ let test_diagnostic_codes () =
          Gpusim.Isa.body =
            program.Gpusim.Isa.body @ [ Gpusim.Isa.Bin { op = `Add; dst = d; a = d; b = d } ];
        });
-  let forced = { plan with Codegen.Conversion.mechanism = Codegen.Conversion.Register_permute } in
-  let cert = Analysis.Transval.certify_plan m forced in
+  let cert = Analysis.Transval.certify_plan m (forced_register_permute ()) in
   check_codes "failed lowering" [ "LL652" ] cert;
   Alcotest.(check string)
     "LL652 message"
@@ -488,17 +495,19 @@ let test_roundtrip_different_shapes () =
    logical bits is refuted at the first destination point outside the
    source's image, the point a brute-force scan over every destination
    point and every source point finds. *)
-let test_roundtrip_not_surjective () =
+let not_surjective () =
   let ins = [ (Dims.register, 2); (Dims.lane, 3) ] and outs = [ (Dims.dim 0, 5) ] in
   let layout cols = Layout.of_matrix ~ins ~outs (F2.Bitmatrix.make ~rows:5 (Array.of_list cols)) in
   let src = layout [ 0b00001; 0b00010; 0b00100; 0b00011; 0 ]
   and dst = layout [ 0b00100; 0b00001; 0b01000; 0b00010; 0b10000 ] in
+  { Codegen.Conversion.src; dst; byte_width = 4; mechanism = Codegen.Conversion.Global_roundtrip }
+
+let test_roundtrip_not_surjective () =
+  let plan = not_surjective () in
+  let src = plan.Codegen.Conversion.src and dst = plan.Codegen.Conversion.dst in
   let image = List.init 32 (Layout.apply_flat src) in
   let witness =
     List.find (fun h -> not (List.mem (Layout.apply_flat dst h) image)) (List.init 32 Fun.id)
-  in
-  let plan =
-    { Codegen.Conversion.src; dst; byte_width = 4; mechanism = Codegen.Conversion.Global_roundtrip }
   in
   let cert = Analysis.Transval.certify_plan m plan in
   Alcotest.(check int) "points" 32 cert.Analysis.Transval.points;
@@ -508,6 +517,68 @@ let test_roundtrip_not_surjective () =
       check_bool "nothing read" true (got = None);
       Alcotest.(check int) "want" (Layout.apply_flat dst witness) want
   | v -> Alcotest.failf "expected Refuted, got %s" (Analysis.Transval.verdict_name v)
+
+(* {1 The stored certificate}
+
+   [Plan_verdict.cert] stores a plan's certificate per plan value,
+   machine and domain; [certify_plan] proves afresh on every call, so
+   it is the oracle the stored value is held against. *)
+
+let stored_is_proved what machine plan =
+  let stored = Analysis.Plan_verdict.cert machine plan in
+  check_bool what true (stored = Analysis.Transval.certify_plan machine plan)
+
+(* Every suite and pair plan, on every machine: a certificate stored
+   for another machine, or for another plan, differs from the
+   prover's on some of them. *)
+let test_stored_cert_suite () =
+  let plans =
+    List.concat_map
+      (fun (r : Suite_plans.row) -> r.Suite_plans.plans)
+      (Suite_plans.rows () @ Suite_plans.pair_rows ())
+  in
+  List.iter
+    (fun (machine : Gpusim.Machine.t) ->
+      List.iteri
+        (fun i plan ->
+          stored_is_proved (Printf.sprintf "%s, plan %d" machine.Gpusim.Machine.name i) machine
+            plan)
+        plans)
+    Gpusim.Machine.all_with_extras
+
+(* The first demand proves, the second reads the stored certificate
+   and proves nothing, whatever the verdict; a structurally equal but
+   physically fresh plan is a fresh key. *)
+let test_stored_cert_demands () =
+  let checked () = Obs.Metrics.counter_value "transval.certificates.checked" in
+  let src, dst = smem_pair () in
+  List.iter
+    (fun (what, plan, verdict) ->
+      stored_is_proved (what ^ ": stored = proved") m plan;
+      let cert, hits, misses =
+        Plan_support.verdict_counts (fun () ->
+            let before = checked () in
+            let c = Analysis.Plan_verdict.cert m plan in
+            check_int (what ^ ": second demand proves nothing") 0 (checked () - before);
+            c)
+      in
+      check_int (what ^ ": second demand is a hit") 1 hits;
+      check_int (what ^ ": second demand computes nothing") 0 misses;
+      Alcotest.(check string)
+        (what ^ ": verdict") verdict
+        (Analysis.Transval.verdict_name cert.Analysis.Transval.verdict);
+      let fresh = { plan with Codegen.Conversion.byte_width = plan.Codegen.Conversion.byte_width } in
+      let again, hits, misses =
+        Plan_support.verdict_counts (fun () -> Analysis.Plan_verdict.cert m fresh)
+      in
+      check_int (what ^ ": a fresh value misses") 1 misses;
+      check_int (what ^ ": a fresh value reads nothing") 0 hits;
+      check_bool (what ^ ": same certificate") true (again = cert))
+    [
+      ("proved", Codegen.Conversion.plan m ~src ~dst ~byte_width:4, "proved");
+      ("refuted", not_surjective (), "refuted");
+      ("failed", forced_register_permute (), "failed");
+    ]
 
 (* {1 Gather certificates} *)
 
@@ -970,4 +1041,11 @@ let () =
           Alcotest.test_case "kernel suite on 2 domains = 1 domain" `Quick test_suite_two_domains;
         ]
         @ q [ prop_large_then_small ] );
+      ( "stored-certificate",
+        [
+          Alcotest.test_case "suite and pair plans, all machines: stored = proved" `Quick
+            test_stored_cert_suite;
+          Alcotest.test_case "proved, refuted and failed: one proof, then reads" `Quick
+            test_stored_cert_demands;
+        ] );
     ]
