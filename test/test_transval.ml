@@ -1041,7 +1041,7 @@ let () =
           Alcotest.test_case "kernel suite on 2 domains = 1 domain" `Quick test_suite_two_domains;
         ]
         @ q [ prop_large_then_small ] );
-      ( "stored-certificate",
+      ( "stored-cert",
         [
           Alcotest.test_case "suite and pair plans, all machines: stored = proved" `Quick
             test_stored_cert_suite;
