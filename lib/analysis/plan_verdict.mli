@@ -44,5 +44,13 @@ val errors :
 (** [cert m plan] is the stored certificate of [plan] on [m]:
     {!Transval.certify_plan} on the first demand, the same certificate
     on every later one.  The PLAN verb, the daemon's plan-store
-    callbacks and [Tir.Certify.conversions] read it. *)
+    callbacks and [Tir.Certify.conversions] read it.
+
+    Today the certificate does not depend on [m]: the lowering
+    ({!Codegen.Lower.conversion}) ignores its machine, so a plan's
+    certificate is the same on every machine, and a certificate stored
+    under the wrong machine cannot be told from the right one.
+    test_transval asserts this equality over the suite and pair plans,
+    so a lowering that comes to depend on the machine breaks that test
+    and brings the machine key back under test. *)
 val cert : Gpusim.Machine.t -> Codegen.Conversion.plan -> Transval.cert

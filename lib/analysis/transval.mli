@@ -137,7 +137,12 @@ val proves_in_closed_form :
     are not {!Codegen.Lower.lowerable} (cross-CTA global round trips,
     CTA-shape mismatches) are proved algebraically.  Increments the
     [transval.certificates.*] metrics, and through {!certify_isa} the
-    [transval.route.*] ones, when observability is enabled. *)
+    [transval.route.*] ones, when observability is enabled.
+
+    The certificate is machine-independent today, because
+    {!Codegen.Lower.conversion} ignores its machine: the same plan gets
+    the same certificate on every machine (asserted in test_transval
+    over the suite and pair plans on all four machines). *)
 val certify_plan : Gpusim.Machine.t -> Codegen.Conversion.plan -> cert
 
 (** Certify a lowered warp-shuffle gather against the index-dependent

@@ -323,12 +323,10 @@ let run machine ~mode ?num_warps ?chooser prog =
     (fun () ->
       let st = Pass.init machine ~mode ?num_warps ?chooser prog in
       let obs = observer () in
-      let (_ : Pass_manager.report) =
-        Pass_manager.run
-          (Pass_manager.config ~before_pass:(before_pass obs)
-             ~after_pass:(after_pass obs) Passes.default)
-          st
-      in
+      Pass_manager.exec
+        (Pass_manager.config ~before_pass:(before_pass obs) ~after_pass:(after_pass obs)
+           Passes.default)
+        st;
       let plan_certs, plan_diags = plans st in
       {
         mode;

@@ -79,11 +79,7 @@ let rec take k = function
   | [] -> []
   | x :: tl -> if k <= 0 then [] else x :: take (k - 1) tl
 
-let pipeline st =
-  let (_ : Pass_manager.report) =
-    Pass_manager.run (Pass_manager.config Passes.default) st
-  in
-  ()
+let pipeline = Pass_manager.exec (Pass_manager.config Passes.default)
 
 (* Beam exploration: the greedy root, the short-list to re-price (root
    excluded), and the explored/pruned counts. *)

@@ -92,11 +92,11 @@ let init machine ~mode ?(num_warps = 4) ?(chooser = Assign_greedy.strategy) prog
      layout fields in place, so start every run from the unassigned
      state rather than whatever a previous run (possibly in the other
      mode) left behind. *)
-  Array.iter
-    (fun (ins : Program.instr) ->
-      ins.Program.layout <- None;
-      ins.Program.kind <- Legacy.Support.Blocked)
-    (Program.instrs prog);
+  for i = 0 to Program.length prog - 1 do
+    let ins = Program.instr prog i in
+    ins.Program.layout <- None;
+    ins.Program.kind <- Legacy.Support.Blocked
+  done;
   {
     machine;
     mode;

@@ -14,7 +14,7 @@ let description =
    into instruction/transaction counts — and their chain costs seed the
    backward pass's rematerialization table. *)
 let run (st : Pass.state) =
-  Array.iteri
+  Program.iteri
     (fun i (ins : Program.instr) ->
       let shape = ins.Program.shape and dtype = ins.Program.dtype in
       match ins.Program.node with
@@ -52,4 +52,4 @@ let run (st : Pass.state) =
           c.Gpusim.Cost.alu <- regs;
           Hashtbl.replace st.Pass.chain_cost i c
       | _ -> ())
-    (Program.instrs st.Pass.prog)
+    st.Pass.prog

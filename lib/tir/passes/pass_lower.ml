@@ -35,7 +35,7 @@ let run (st : Pass.state) =
     (List.rev st.Pass.accesses);
   (* A store with no layout means no access was planned for it — the
      backward pass was skipped.  The cost model is then incomplete. *)
-  Array.iteri
+  Program.iteri
     (fun i (ins : Program.instr) ->
       match (ins.Program.node, ins.Program.layout) with
       | Program.Store _, None ->
@@ -43,4 +43,4 @@ let run (st : Pass.state) =
             "store has no layout: no global access lowered (was backward_remat \
              disabled?)"
       | _ -> ())
-    (Program.instrs st.Pass.prog)
+    st.Pass.prog

@@ -18,17 +18,26 @@ type config = { passes : Pass.t list; before_pass : hook option; after_pass : ho
 
 let config ?before_pass ?after_pass passes = { passes; before_pass; after_pass }
 
-let run_pass config (st : Pass.state) (module P : Pass.PASS) =
+(* One pass under the driver.  Diagnostic attribution and the hooks
+   always run; the measurements behind a {!pass_report} (cost, wall
+   clock, cache deltas) are taken only when [measured], and a pass run
+   unmeasured allocates nothing of the driver's own.  A pass's span
+   records exactly when instrumentation is on, and its attributes are
+   rendered from the report, so the caller measures whenever
+   [Obs.enabled ()]. *)
+let run_pass config ~measured (st : Pass.state) (module P : Pass.PASS) =
   let d0 = List.length st.Pass.diags in
-  let plan_hits0 = Codegen.Plan_cache.hits ()
-  and plan_misses0 = Codegen.Plan_cache.misses () in
-  let memo_hits0 = Layout.Memo.hits () and memo_misses0 = Layout.Memo.misses () in
-  let cost0 = Gpusim.Cost.estimate st.Pass.machine st.Pass.total in
+  let plan_hits0 = if measured then Codegen.Plan_cache.hits () else 0
+  and plan_misses0 = if measured then Codegen.Plan_cache.misses () else 0 in
+  let memo_hits0 = if measured then Layout.Memo.hits () else 0
+  and memo_misses0 = if measured then Layout.Memo.misses () else 0 in
+  let cost0 = if measured then Gpusim.Cost.estimate st.Pass.machine st.Pass.total else 0. in
   (match config.before_pass with Some hook -> hook P.name st | None -> ());
-  let span = Obs.Span.enter ("pass/" ^ P.name) in
-  let p0 = Obs.Clock.now () in
+  (* The span's name is built only for a span that records. *)
+  let span = Obs.Span.enter (if Obs.enabled () then "pass/" ^ P.name else P.name) in
+  let p0 = if measured then Obs.Clock.now () else 0. in
   P.run st;
-  let wall_ms = 1000. *. (Obs.Clock.now () -. p0) in
+  let wall_ms = if measured then 1000. *. (Obs.Clock.now () -. p0) else 0. in
   (* The after hook runs before diagnostic attribution so that anything
      it appends (e.g. per-pass lints or translation validation
      refutations) is tagged with this pass's name. *)
@@ -39,44 +48,64 @@ let run_pass config (st : Pass.state) (module P : Pass.PASS) =
       List.mapi
         (fun idx d -> if idx >= d0 then Diagnostics.with_pass P.name d else d)
         st.Pass.diags;
-  let r =
-    {
-      pass = P.name;
-      wall_ms;
-      diagnostics;
-      cost_delta = Gpusim.Cost.estimate st.Pass.machine st.Pass.total -. cost0;
-      plan_cache_hits = Codegen.Plan_cache.hits () - plan_hits0;
-      plan_cache_misses = Codegen.Plan_cache.misses () - plan_misses0;
-      memo_hits = Layout.Memo.hits () - memo_hits0;
-      memo_misses = Layout.Memo.misses () - memo_misses0;
-    }
-  in
-  if Obs.Span.live span then
-    Obs.Span.exit span
-      ~attrs:
-        [
-          ("diagnostics", string_of_int r.diagnostics);
-          ("cost_delta", Printf.sprintf "%.1f" r.cost_delta);
-          ("plan_cache.hits", string_of_int r.plan_cache_hits);
-          ("plan_cache.misses", string_of_int r.plan_cache_misses);
-          ("memo.hits", string_of_int r.memo_hits);
-          ("memo.misses", string_of_int r.memo_misses);
-        ];
-  r
+  if not measured then begin
+    Obs.Span.exit span;
+    None
+  end
+  else begin
+    let r =
+      {
+        pass = P.name;
+        wall_ms;
+        diagnostics;
+        cost_delta = Gpusim.Cost.estimate st.Pass.machine st.Pass.total -. cost0;
+        plan_cache_hits = Codegen.Plan_cache.hits () - plan_hits0;
+        plan_cache_misses = Codegen.Plan_cache.misses () - plan_misses0;
+        memo_hits = Layout.Memo.hits () - memo_hits0;
+        memo_misses = Layout.Memo.misses () - memo_misses0;
+      }
+    in
+    if Obs.Span.live span then
+      Obs.Span.exit span
+        ~attrs:
+          [
+            ("diagnostics", string_of_int r.diagnostics);
+            ("cost_delta", Printf.sprintf "%.1f" r.cost_delta);
+            ("plan_cache.hits", string_of_int r.plan_cache_hits);
+            ("plan_cache.misses", string_of_int r.plan_cache_misses);
+            ("memo.hits", string_of_int r.memo_hits);
+            ("memo.misses", string_of_int r.memo_misses);
+          ];
+    Some r
+  end
 
-let run config (st : Pass.state) =
-  let t0 = Obs.Clock.now () in
-  let pipeline = Obs.Span.enter "pipeline" in
-  let reports = List.map (run_pass config st) config.passes in
+let exit_pipeline config (st : Pass.state) pipeline =
   if Obs.Span.live pipeline then
     Obs.Span.exit pipeline
       ~attrs:
         [
-          ("passes", string_of_int (List.length reports));
+          ("passes", string_of_int (List.length config.passes));
           ("strategy", st.Pass.chooser.Strategy.name);
           ("decisions", string_of_int (List.length st.Pass.decisions));
-        ];
+        ]
+
+let run config (st : Pass.state) =
+  let t0 = Obs.Clock.now () in
+  let pipeline = Obs.Span.enter "pipeline" in
+  let reports = List.filter_map (run_pass config ~measured:true st) config.passes in
+  exit_pipeline config st pipeline;
   { pass_reports = reports; total_ms = 1000. *. (Obs.Clock.now () -. t0) }
+
+let rec exec_passes config ~measured st = function
+  | [] -> ()
+  | p :: rest ->
+      ignore (run_pass config ~measured st p : pass_report option);
+      exec_passes config ~measured st rest
+
+let exec config (st : Pass.state) =
+  let pipeline = Obs.Span.enter "pipeline" in
+  exec_passes config ~measured:(Obs.enabled ()) st config.passes;
+  exit_pipeline config st pipeline
 
 (* {1 Reporting} *)
 
@@ -105,14 +134,14 @@ let to_json r =
 (* Default dump-after printer: the per-instruction layout assignment as
    it stands, plus the running totals. *)
 let pp_state ppf (st : Pass.state) =
-  Array.iteri
+  Program.iteri
     (fun i (ins : Program.instr) ->
       Format.fprintf ppf "%%%d %s : %s@." i
         (Legacy.Support.kind_name ins.Program.kind)
         (match ins.Program.layout with
         | None -> "(no layout)"
         | Some l -> Layout.to_string l))
-    (Program.instrs st.Pass.prog);
+    st.Pass.prog;
   Format.fprintf ppf
     "cost so far: %a@.pending %d, conversions %d, converts %d, noops %d, folded %d, \
      remats %d@."

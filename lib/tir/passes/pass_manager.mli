@@ -47,6 +47,14 @@ val config : ?before_pass:hook -> ?after_pass:hook -> Pass.t list -> config
     built. *)
 val run : config -> Pass.state -> report
 
+(** [exec config st] runs the passes as {!run} does — hooks,
+    diagnostic attribution, the same spans and, while tracing, the same
+    span attributes — but builds no report.  With tracing off it
+    measures nothing and allocates nothing of its own per pass: the
+    entry point for callers that drop the report ({!Engine.run}, the
+    search, {!Certify.run}). *)
+val exec : config -> Pass.state -> unit
+
 val pp_report : Format.formatter -> report -> unit
 
 (** The report as a JSON object:

@@ -23,7 +23,7 @@ let description =
 let run (st : Pass.state) =
   let machine = st.Pass.machine and num_warps = st.Pass.num_warps in
   let prog = st.Pass.prog in
-  Array.iteri
+  Program.iteri
     (fun i (ins : Program.instr) ->
       match ins.Program.node with
       | Program.Elementwise { srcs; _ } -> (
@@ -50,7 +50,7 @@ let run (st : Pass.state) =
               Hashtbl.replace st.Pass.chain_cost i chain
           | None -> ())
       | _ -> ())
-    (Program.instrs prog);
+    prog;
   st.Pass.pending <-
     List.filter_map
       (function

@@ -52,6 +52,11 @@ let length t = t.len
 let instr t i = Option.get t.buf.(i)
 let instrs t = Array.init t.len (instr t)
 
+let iteri f t =
+  for i = 0 to t.len - 1 do
+    f i (instr t i)
+  done
+
 let add t node ~shape ~dtype =
   if t.len = Array.length t.buf then begin
     let bigger = Array.make (2 * t.len) None in

@@ -47,6 +47,10 @@ val create : unit -> t
 val copy : t -> t
 
 val instrs : t -> instr array
+
+(** [iteri f t] calls [f id instr] on every instruction in order,
+    without copying them out as {!instrs} does. *)
+val iteri : (id -> instr -> unit) -> t -> unit
 val instr : t -> id -> instr
 val length : t -> int
 

@@ -148,6 +148,42 @@ let prop_parse_roundtrip =
       | Ok l' -> Layout.equal l' l
       | Error _ -> false)
 
+(* The canonical dimension order against its former definition: a
+   polymorphic comparison of (group, numeric subkey, name) keys built
+   with [String.sub] and [int_of_string_opt].  The labels include the
+   forms [int_of_string_opt] reads in its own way (leading zeros,
+   underscores, a hex prefix, a sign, overflow). *)
+let index_oracle name =
+  if String.length name > 3 && String.sub name 0 3 = "dim" then
+    int_of_string_opt (String.sub name 3 (String.length name - 3))
+  else None
+
+let key_oracle name =
+  match name with
+  | "register" -> (0, 0, name)
+  | "lane" -> (1, 0, name)
+  | "warp" -> (2, 0, name)
+  | "block" -> (3, 0, name)
+  | "offset" -> (4, 0, name)
+  | "vec" -> (5, 0, name)
+  | "bank" -> (6, 0, name)
+  | "seg" -> (7, 0, name)
+  | "flat" -> (8, 0, name)
+  | _ -> ( match index_oracle name with Some k -> (9, -k, name) | None -> (10, 0, name))
+
+let labels =
+  [ "register"; "lane"; "warp"; "block"; "offset"; "vec"; "bank"; "seg"; "flat"; "dim0";
+    "dim1"; "dim2"; "dim10"; "dim007"; "dim"; "dimx"; "dim_1"; "dim1_0"; "dim0x1f"; "dim-3";
+    "dim+3"; "dim999999999999999999"; "dim4611686018427387903"; "dim99999999999999999999";
+    "di"; "Dim1"; "a"; ""; "zeta"; "registers" ]
+
+let prop_dims_compare =
+  QCheck.Test.make ~name:"Dims.compare = (group, subkey, name) key order" ~count:500
+    QCheck.(pair (oneofl labels) (oneofl labels))
+    (fun (a, b) ->
+      Int.compare (Dims.compare a b) 0 = Int.compare (Stdlib.compare (key_oracle a) (key_oracle b)) 0
+      && Dims.dim_index a = index_oracle a)
+
 let prop_kernel_dimension =
   QCheck.Test.make ~name:"dim ker + rank = total in bits" ~count:200 arb_perm (fun l ->
       let l = Layout.resize_in l Dims.warp 3 (* add broadcast bits *) in
@@ -255,6 +291,7 @@ let () =
             prop_free_variable_masks_reference;
             prop_kernel_dimension;
             prop_parse_roundtrip;
+            prop_dims_compare;
           ] );
       ("hash", q [ prop_stored_hash; prop_equal_implies_hash ]);
     ]
