@@ -9,10 +9,9 @@ let check_rows name rows =
 
 let make ~rows cols =
   check_rows "make" rows;
-  Array.iter
-    (fun c ->
-      if c lsr rows <> 0 then invalid_arg "Bitmatrix.make: column exceeds row count")
-    cols;
+  for j = 0 to Array.length cols - 1 do
+    if cols.(j) lsr rows <> 0 then invalid_arg "Bitmatrix.make: column exceeds row count"
+  done;
   { rows; cols }
 
 let rows m = m.rows
@@ -212,7 +211,20 @@ let kernel_with e =
 
 let kernel m = kernel_with (factorize m)
 
-let rank m = (factorize m).e_rank
+(* [factorize]'s pass without combinations: only the count of non-zero
+   remainders is kept, so no echelon is built and no column limit
+   applies. *)
+let rank m =
+  let pivot_val = Array.make (max 1 m.rows) 0 in
+  let rank = ref 0 in
+  for j = 0 to cols m - 1 do
+    let v = fst (reduce_flat pivot_val no_comb (Array.unsafe_get m.cols j) 0) in
+    if v <> 0 then begin
+      pivot_val.(Bitvec.msb v) <- v;
+      incr rank
+    end
+  done;
+  !rank
 let is_surjective m = is_surjective_with (factorize m)
 let is_injective m = is_injective_with (factorize m)
 let is_invertible m = is_invertible_with (factorize m)
