@@ -85,6 +85,10 @@ val basis : t -> string -> int -> (string * int) list
 (** [basis_flat l d k] is the same image, flattened canonically. *)
 val basis_flat : t -> string -> int -> int
 
+(** [out_mask l d] is the flat mask of output dimension [d]'s bits in
+    {!basis_flat}'s encoding; [0] when [l] has no output [d]. *)
+val out_mask : t -> string -> int
+
 (** Flattened images of all basis vectors of an input dimension —
     the column sets [L_Reg], [L_Thr], ... of Section 5.4. *)
 val flat_columns : t -> string -> int list

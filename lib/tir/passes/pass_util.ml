@@ -164,6 +164,17 @@ let global_access_counts layout ~byte_width ~vec =
   let warps = Layout.in_size layout Dims.warp in
   (insts * warps, insts * Gpusim.Coalesce.warp_sectors layout ~byte_width ~vec * warps)
 
+(* The [in_dim] bits of [l] whose basis vector moves along output
+   dimension [axis]: the rounds of a warp or cross-warp reduction or
+   scan over that axis. *)
+let axis_bits l in_dim ~axis =
+  let mask = Layout.out_mask l (Dims.dim axis) in
+  let n = ref 0 in
+  for k = 0 to Layout.in_bits l in_dim - 1 do
+    if Layout.basis_flat l in_dim k land mask <> 0 then incr n
+  done;
+  !n
+
 (* Abstract time of converting [src] to [dst], used by the backward
    pass's remat-vs-convert and direct-store-vs-anchor comparisons. *)
 let convert_estimate (st : Pass.state) ~src ~dst ~byte_width =

@@ -76,6 +76,12 @@ val vec_for : Pass.state -> Layout.t -> byte_width:int -> int
     [Invalid_argument] on a non-aligned access (see there). *)
 val global_access_counts : Layout.t -> byte_width:int -> vec:int -> int * int
 
+(** [axis_bits l in_dim ~axis] counts the bits of input dimension
+    [in_dim] whose basis vector moves along logical dimension [axis]:
+    the shuffle (lane) or shared-memory (warp) rounds of a reduction or
+    scan over [axis]. *)
+val axis_bits : Layout.t -> string -> axis:int -> int
+
 (** Abstract time of a [src] -> [dst] conversion in the state's mode,
     for the backward pass's remat / direct-store comparisons.  In linear
     mode the price is the plan cache's ({!Codegen.Plan_cache.priced}). *)
