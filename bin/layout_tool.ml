@@ -884,7 +884,7 @@ let cost_cmd =
       const cost $ machine_arg $ kernel_arg $ all_arg $ attribution_arg $ json_arg
       $ metrics_arg)
 
-(* {1 serve / bench-serve} *)
+(* {1 serve} *)
 
 let socket_arg =
   Arg.(
@@ -927,175 +927,6 @@ let serve_cmd =
           restarts.")
     Term.(const serve $ socket_arg $ store_arg $ serve_domains_arg $ metrics_arg)
 
-(* The kernel-suite replay trace: every (machine, kernel) pair the
-   experiment harness would run, as ENGINE request payloads. *)
-let serve_trace () =
-  List.concat_map
-    (fun (m : Gpusim.Machine.t) ->
-      List.filter_map
-        (fun (k : Tir.Kernels.kernel) ->
-          if not (Tir.Kernels.runs_on m k) then None
-          else
-            Some
-              (Printf.sprintf "ENGINE\nkernel=%s\nmachine=%s\nmode=linear"
-                 k.Tir.Kernels.name m.name))
-        Tir.Kernels.all)
-    Gpusim.Machine.all_with_extras
-
-let stats_assoc reply =
-  (* "OK k=v k=v ..." *)
-  String.split_on_char ' ' reply
-  |> List.filter_map (fun tok ->
-         match String.index_opt tok '=' with
-         | None -> None
-         | Some i ->
-             Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1)))
-
-let stat reply k =
-  match List.assoc_opt k (stats_assoc reply) with
-  | Some v -> int_of_string v
-  | None -> failwith (Printf.sprintf "bench-serve: STATS reply lacks %s: %s" k reply)
-
-let percentile lats p =
-  let n = Array.length lats in
-  if n = 0 then 0.0 else lats.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
-(* One cold or warm pass: start a fresh server on [socket] (reset
-   simulates a new process sharing this binary), replay [requests]
-   paced at [qps], and return (client-side latencies in us, planner
-   invocations, wall seconds). *)
-let bench_pass ~socket ~store ~domains ~qps ~requests trace =
-  let srv = Tir.Server.start ~domains ~store ~reset:true ~socket () in
-  let c = Tir.Server.Client.connect socket in
-  let ntrace = Array.length trace in
-  let lats = Array.make requests 0.0 in
-  let interval = if qps <= 0.0 then 0.0 else 1.0 /. qps in
-  let t_start = Unix.gettimeofday () in
-  for i = 0 to requests - 1 do
-    (if interval > 0.0 then
-       let target = t_start +. (float_of_int i *. interval) in
-       let now = Unix.gettimeofday () in
-       if target > now then Unix.sleepf (target -. now));
-    let t0 = Unix.gettimeofday () in
-    let reply = Tir.Server.Client.rpc c trace.(i mod ntrace) in
-    lats.(i) <- (Unix.gettimeofday () -. t0) *. 1e6;
-    if not (String.length reply >= 2 && String.sub reply 0 2 = "OK") then
-      failwith ("bench-serve: error reply: " ^ reply)
-  done;
-  let wall = Unix.gettimeofday () -. t_start in
-  let planner_invocations = stat (Tir.Server.Client.rpc c "STATS") "shared_misses" in
-  let (_ : string) = Tir.Server.Client.rpc c "SHUTDOWN" in
-  Tir.Server.Client.close c;
-  Tir.Server.wait srv;
-  Array.sort compare lats;
-  (lats, planner_invocations, wall)
-
-let hist_json label lats =
-  let buckets = Hashtbl.create 16 in
-  Array.iter
-    (fun us ->
-      let b = Obs.Metrics.bucket (int_of_float us) in
-      Hashtbl.replace buckets b (1 + Option.value ~default:0 (Hashtbl.find_opt buckets b)))
-    lats;
-  let rows =
-    Hashtbl.fold (fun b n acc -> (b, n) :: acc) buckets []
-    |> List.sort compare
-    |> List.map (fun (b, n) -> Printf.sprintf "[%d,%d]" b n)
-  in
-  Printf.sprintf
-    "{\"label\":\"%s\",\"requests\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f,\"max_us\":%.1f,\"log2_us_buckets\":[%s]}"
-    label (Array.length lats) (percentile lats 0.50) (percentile lats 0.95)
-    (percentile lats 0.99)
-    (percentile lats 1.0)
-    (String.concat "," rows)
-
-let qps_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "qps" ] ~docv:"N"
-        ~doc:"Pace requests at $(docv) per second (0 = as fast as the server replies).")
-
-let requests_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "requests" ] ~docv:"N"
-        ~doc:"Total requests per pass (default: one sweep of the kernel-suite trace).")
-
-let hist_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "hist" ] ~docv:"FILE" ~doc:"Write the latency histogram JSON to $(docv).")
-
-let bench_serve socket store domains qps requests json hist metrics =
-  let failed =
-    with_metrics metrics @@ fun () ->
-    let trace = Array.of_list (serve_trace ()) in
-    let requests = Option.value ~default:(Array.length trace) requests in
-    let store =
-      match store with
-      | Some s -> s
-      | None -> Filename.concat (Filename.get_temp_dir_name ()) "ll_bench_serve.store"
-    in
-    if Sys.file_exists store then Sys.remove store;
-    Printf.printf "trace: %d distinct requests, %d per pass, %d domains\n%!"
-      (Array.length trace) requests domains;
-    let cold, cold_plans, cold_wall = bench_pass ~socket ~store ~domains ~qps ~requests trace in
-    let warm, warm_plans, warm_wall = bench_pass ~socket ~store ~domains ~qps ~requests trace in
-    let report label lats plans wall =
-      Printf.printf
-        "%-5s planner_invocations=%d qps=%.1f p50=%.0fus p95=%.0fus p99=%.0fus max=%.0fus\n%!"
-        label plans
-        (float_of_int requests /. wall)
-        (percentile lats 0.50) (percentile lats 0.95) (percentile lats 0.99)
-        (percentile lats 1.0)
-    in
-    report "cold" cold cold_plans cold_wall;
-    report "warm" warm warm_plans warm_wall;
-    (match hist with
-    | None -> ()
-    | Some path ->
-        write_file path (Printf.sprintf "[%s,\n%s]" (hist_json "cold" cold) (hist_json "warm" warm)));
-    (match json with
-    | None -> ()
-    | Some path ->
-        (* Trajectory-format rows (see bench/trajectory.ml): append-able
-           to the committed BENCH_*.json snapshots. *)
-        let row name v = Printf.sprintf "  {\"name\": \"%s\", \"ns_per_run\": %.1f}" name v in
-        write_file path
-          (Printf.sprintf "[\n%s\n]"
-             (String.concat ",\n"
-                [
-                  row "ll/serve/cold-p50-request" (percentile cold 0.50 *. 1e3);
-                  row "ll/serve/warm-p50-request" (percentile warm 0.50 *. 1e3);
-                  row "ll/serve/warm-p99-request" (percentile warm 0.99 *. 1e3);
-                  row "ll/serve/cold-planner-invocations" (float_of_int cold_plans);
-                  row "ll/serve/warm-planner-invocations" (float_of_int warm_plans);
-                ])));
-    (* The warm-start guarantee this service exists for: a restarted
-       server re-plans at least 10x less than a cold one. *)
-    if warm_plans * 10 > cold_plans then begin
-      Printf.printf "FAIL: warm planner invocations %d not 10x below cold %d\n" warm_plans
-        cold_plans;
-      true
-    end
-    else false
-  in
-  if failed then exit 1
-
-let bench_serve_cmd =
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Load-generate against the layout-compilation daemon: replay the kernel-suite \
-          trace at a configurable QPS against a cold server and a warm-started one \
-          (plan store persisted between the passes), report throughput and tail \
-          latency, and fail unless the warm pass invokes the planner at least 10x less \
-          than the cold pass.")
-    Term.(
-      const bench_serve $ socket_arg $ store_arg $ serve_domains_arg $ qps_arg
-      $ requests_arg $ engine_json_arg $ hist_arg $ metrics_arg)
-
 let () =
   let info =
     Cmd.info "layout_tool" ~doc:"Explore linear layouts over F2 (ASPLOS'26 reproduction)."
@@ -1116,5 +947,4 @@ let () =
             certify_cmd;
             cost_cmd;
             serve_cmd;
-            bench_serve_cmd;
           ]))

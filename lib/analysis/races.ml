@@ -18,13 +18,18 @@ let addr_window (p : Gpusim.Isa.program) =
 
 let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
   (* Per-address access history since the last barrier, as flat arrays
-     indexed by [addr - lo]: the last writer (instruction, warp, lane)
-     and the first reader (instruction, warp); instruction [-1] = none.
-     A barrier clears only the cells touched since the previous one. *)
+     indexed by [addr - lo]: the last writer (instruction, warp, lane),
+     the first reader (instruction, warp) and the first reader from
+     another warp than that one; instruction [-1] = none.  A store
+     races with a read of the cell unless every reader is its own warp,
+     and the two readers name a reader of another warp whenever there is
+     one.  A barrier clears only the cells touched since the previous
+     one. *)
   let lo, hi = addr_window p in
   let n = hi - lo in
   let w_idx = Array.make n (-1) and w_warp = Array.make n 0 and w_lane = Array.make n 0 in
   let r_idx = Array.make n (-1) and r_warp = Array.make n 0 in
+  let r2_idx = Array.make n (-1) and r2_warp = Array.make n 0 in
   let touched = Array.make n 0 and n_touched = ref 0 in
   let touch c =
     if w_idx.(c) < 0 && r_idx.(c) < 0 then begin
@@ -54,7 +59,8 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
                    synchronization point");
           for i = 0 to !n_touched - 1 do
             w_idx.(touched.(i)) <- -1;
-            r_idx.(touched.(i)) <- -1
+            r_idx.(touched.(i)) <- -1;
+            r2_idx.(touched.(i)) <- -1
           done;
           n_touched := 0;
           smem_since_bar := false
@@ -84,9 +90,10 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
                            instruction: the committed value is undefined"
                           lane' lane warp a)
                 end;
-                let ridx = r_idx.(c) in
-                if ridx >= 0 && r_warp.(c) <> warp then begin
-                  let warp' = r_warp.(c) in
+                let first = r_warp.(c) <> warp in
+                let ridx = if first then r_idx.(c) else r2_idx.(c) in
+                if ridx >= 0 then begin
+                  let warp' = if first then r_warp.(c) else r2_warp.(c) in
                   add
                     (`War (ridx, idx))
                     (fun () ->
@@ -123,6 +130,10 @@ let check ?(duplicate_stores_benign = false) (p : Gpusim.Isa.program) =
                   touch c;
                   r_idx.(c) <- idx;
                   r_warp.(c) <- warp
+                end
+                else if r2_idx.(c) < 0 && r_warp.(c) <> warp then begin
+                  r2_idx.(c) <- idx;
+                  r2_warp.(c) <- warp
                 end
               done)
       | Gpusim.Isa.Mov _ | Gpusim.Isa.Sel _ | Gpusim.Isa.Scatter _ | Gpusim.Isa.Shfl_idx _

@@ -79,7 +79,19 @@ let run_pass config ~measured (st : Pass.state) (module P : Pass.PASS) =
     Some r
   end
 
-let exit_pipeline config (st : Pass.state) pipeline =
+(* The one loop over the passes: conses the measured reports onto
+   [acc], newest first.  Unmeasured, every [run_pass] is [None] and the
+   loop allocates nothing. *)
+let rec run_passes config ~measured st acc = function
+  | [] -> acc
+  | p :: rest -> (
+      match run_pass config ~measured st p with
+      | None -> run_passes config ~measured st acc rest
+      | Some r -> run_passes config ~measured st (r :: acc) rest)
+
+let drive config ~measured (st : Pass.state) =
+  let pipeline = Obs.Span.enter "pipeline" in
+  let reports = run_passes config ~measured st [] config.passes in
   if Obs.Span.live pipeline then
     Obs.Span.exit pipeline
       ~attrs:
@@ -87,25 +99,15 @@ let exit_pipeline config (st : Pass.state) pipeline =
           ("passes", string_of_int (List.length config.passes));
           ("strategy", st.Pass.chooser.Strategy.name);
           ("decisions", string_of_int (List.length st.Pass.decisions));
-        ]
+        ];
+  reports
 
-let run config (st : Pass.state) =
+let run config st =
   let t0 = Obs.Clock.now () in
-  let pipeline = Obs.Span.enter "pipeline" in
-  let reports = List.filter_map (run_pass config ~measured:true st) config.passes in
-  exit_pipeline config st pipeline;
-  { pass_reports = reports; total_ms = 1000. *. (Obs.Clock.now () -. t0) }
+  let reports = drive config ~measured:true st in
+  { pass_reports = List.rev reports; total_ms = 1000. *. (Obs.Clock.now () -. t0) }
 
-let rec exec_passes config ~measured st = function
-  | [] -> ()
-  | p :: rest ->
-      ignore (run_pass config ~measured st p : pass_report option);
-      exec_passes config ~measured st rest
-
-let exec config (st : Pass.state) =
-  let pipeline = Obs.Span.enter "pipeline" in
-  exec_passes config ~measured:(Obs.enabled ()) st config.passes;
-  exit_pipeline config st pipeline
+let exec config st = ignore (drive config ~measured:(Obs.enabled ()) st : pass_report list)
 
 (* {1 Reporting} *)
 

@@ -47,9 +47,9 @@ val config : ?before_pass:hook -> ?after_pass:hook -> Pass.t list -> config
     built. *)
 val run : config -> Pass.state -> report
 
-(** [exec config st] runs the passes as {!run} does — hooks,
+(** [exec config st] runs the passes through {!run}'s loop — hooks,
     diagnostic attribution, the same spans and, while tracing, the same
-    span attributes — but builds no report.  With tracing off it
+    span attributes — but returns no report.  With tracing off it
     measures nothing and allocates nothing of its own per pass: the
     entry point for callers that drop the report ({!Engine.run}, the
     search, {!Certify.run}). *)

@@ -98,6 +98,32 @@ let test_war_flagged () =
   Alcotest.(check (list string))
     "with a barrier, no race" [] (check [ ld; Gpusim.Isa.Bar_sync; st ])
 
+let test_war_second_reader () =
+  (* Both warps load smem[0], then one warp stores over it: a race with
+     the other warp's load, whichever warp loaded first. *)
+  let ld =
+    Gpusim.Isa.Ld_shared { slots = [ 0 ]; addr = Isa_fuzz.affine 0 [ 0 ]; byte_width = 4 }
+  in
+  let store_by warp =
+    Gpusim.Isa.St_shared { slots = [ 1 ]; addr = Isa_fuzz.affine warp [ 1 ]; byte_width = 4 }
+  in
+  List.iter
+    (fun (warp, other) ->
+      match
+        Analysis.Races.check
+          { Gpusim.Isa.warps = 2; lanes = 1; smem_elems = 4; body = [ ld; store_by warp ] }
+      with
+      | [ d ] ->
+          Alcotest.(check string) "LL204" "LL204" d.Diagnostics.code;
+          check_bool
+            (Printf.sprintf "names reader warp %d: %s" other d.Diagnostics.message)
+            true
+            (contains d.Diagnostics.message (Printf.sprintf "warp %d loaded at instr 0" other))
+      | ds ->
+          Alcotest.failf "warp %d stores over a shared read: %d diagnostics, want one LL204"
+            warp (List.length ds))
+    [ (0, 1); (1, 0) ]
+
 let test_phase_check () =
   (* The plan-level check sees a store phase followed by a load phase
      with the barrier between them deleted. *)
@@ -553,45 +579,46 @@ let prop_certifier_agrees =
           not (has_code "LL301" (Analysis.Bank_check.conversion m plan))
       | _ -> QCheck.assume_fail ())
 
-(* Ground truth for the RAW checker, recomputed naively. *)
-let raw_exists (p : Gpusim.Isa.program) =
-  let writer = Hashtbl.create 64 in
-  let found = ref false in
-  List.iter
-    (fun i ->
+(* Ground truth for the race checker, recomputed pair by pair: within
+   each barrier phase, two accesses to one element race when they come
+   from different warps and at least one is a store, or when two
+   threads store it in the same instruction.  Accesses are grouped by
+   element, so every pair that shares one is compared. *)
+let race_exists (p : Gpusim.Isa.program) =
+  let phase = Hashtbl.create 64 and found = ref false in
+  let racy (idx, store, w, l) (idx', store', w', l') =
+    if idx = idx' then store && (w, l) <> (w', l') else (store || store') && w <> w'
+  in
+  List.iteri
+    (fun idx i ->
       match i with
-      | Gpusim.Isa.Bar_sync -> Hashtbl.reset writer
-      | Gpusim.Isa.St_shared { slots; addr; _ } ->
-          let addr = Isa_fuzz.rows p addr in
+      | Gpusim.Isa.Bar_sync -> Hashtbl.reset phase
+      | Gpusim.Isa.St_shared { slots; addr; _ } | Gpusim.Isa.Ld_shared { slots; addr; _ } ->
+          let store = match i with Gpusim.Isa.St_shared _ -> true | _ -> false in
           Array.iteri
             (fun w lanes ->
-              Array.iter
-                (fun a0 -> List.iteri (fun k _ -> Hashtbl.replace writer (a0 + k) w) slots)
-                lanes)
-            addr
-      | Gpusim.Isa.Ld_shared { slots; addr; _ } ->
-          let addr = Isa_fuzz.rows p addr in
-          Array.iteri
-            (fun w lanes ->
-              Array.iter
-                (fun a0 ->
+              Array.iteri
+                (fun l a0 ->
                   List.iteri
                     (fun k _ ->
-                      match Hashtbl.find_opt writer (a0 + k) with
-                      | Some w' when w' <> w -> found := true
-                      | _ -> ())
+                      let access = (idx, store, w, l) in
+                      let prev = Option.value ~default:[] (Hashtbl.find_opt phase (a0 + k)) in
+                      found := !found || List.exists (racy access) prev;
+                      Hashtbl.replace phase (a0 + k) (access :: prev))
                     slots)
                 lanes)
-            addr
+            (Isa_fuzz.rows p addr)
       | _ -> ())
     p.Gpusim.Isa.body;
   !found
 
-let prop_raw_checker_exact =
+let race_free p = Diagnostics.errors (Analysis.Races.check p) = []
+
+let prop_stripped_plans_match_oracle =
   (* Differential test: strip the barriers from a lowered plan and the
-     checker must report LL201 exactly when a naive replay finds a
-     cross-warp store->load edge. *)
-  QCheck.Test.make ~name:"RAW checker matches naive replay on stripped programs" ~count:40
+     checker must report an error exactly when the pair oracle finds a
+     race. *)
+  QCheck.Test.make ~name:"race checker matches pair oracle on stripped plans" ~count:40
     arb_cta_pair (fun (src, dst) ->
       let plan = Codegen.Conversion.plan m ~src ~dst ~byte_width:4 in
       match plan.Codegen.Conversion.mechanism with
@@ -604,9 +631,33 @@ let prop_raw_checker_exact =
                 List.filter (fun i -> i <> Gpusim.Isa.Bar_sync) program.Gpusim.Isa.body;
             }
           in
-          Bool.equal (raw_exists stripped)
-            (has_code "LL201" (Analysis.Races.check stripped))
+          Bool.equal (race_exists stripped) (not (race_free stripped))
       | _ -> QCheck.assume_fail ())
+
+(* The two-instruction programs of a body's shared-memory accesses, in
+   program order. *)
+let access_pairs body =
+  let rec pairs = function [] -> [] | a :: rest -> List.map (fun b -> [ a; b ]) rest @ pairs rest in
+  pairs
+    (List.filter
+       (function Gpusim.Isa.St_shared _ | Gpusim.Isa.Ld_shared _ -> true | _ -> false)
+       body)
+
+let prop_fuzzed_programs_match_oracle =
+  (* The same differential on random well-formed ISA programs with
+     their barriers kept, and on every two-access program taken from
+     one, where no other race can hide a missed one. *)
+  QCheck.Test.make ~name:"race checker matches pair oracle on fuzzed ISA" ~count:5000
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let p, _ = Isa_fuzz.fuzz_isa_program (Random.State.make [| seed |]) in
+      let agrees body =
+        let q = { p with Gpusim.Isa.body } in
+        Bool.equal (race_exists q) (not (race_free q))
+      in
+      if List.exists (fun i -> Gpusim.Isa.fault p i <> None) p.Gpusim.Isa.body then
+        QCheck.assume_fail ()
+      else agrees p.Gpusim.Isa.body && List.for_all agrees (access_pairs p.Gpusim.Isa.body))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -619,6 +670,7 @@ let () =
           Alcotest.test_case "waw flagged and suppressed" `Quick test_waw_flagged_and_suppressed;
           Alcotest.test_case "same-instr lane overlap" `Quick test_same_instr_lane_overlap;
           Alcotest.test_case "cross-warp WAR -> LL204" `Quick test_war_flagged;
+          Alcotest.test_case "WAR after a shared read -> LL204" `Quick test_war_second_reader;
           Alcotest.test_case "deleted phase barrier -> LL205" `Quick test_phase_check;
           Alcotest.test_case "redundant barrier" `Quick test_redundant_barrier;
         ] );
@@ -658,5 +710,10 @@ let () =
             test_lint_errors_shortlist;
         ] );
       ( "properties",
-        [ q prop_plans_race_clean; q prop_certifier_agrees; q prop_raw_checker_exact ] );
+        [
+          q prop_plans_race_clean;
+          q prop_certifier_agrees;
+          q prop_stripped_plans_match_oracle;
+          q prop_fuzzed_programs_match_oracle;
+        ] );
     ]

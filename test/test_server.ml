@@ -1,11 +1,11 @@
 (* The layout-compilation daemon (Tir.Server): golden request/reply
    table over the whole kernel suite (including error replies for
    malformed frames, bad requests and unknown machines/kernels), a
-   cold -> restart -> warm-start scripted session asserting the warm
-   server serves every request from the persisted store with zero
-   planner invocations, and concurrent clients receiving identical
-   replies.  Every case spins up its own daemon on its own socket, so
-   the suite survives order shuffling. *)
+   cold -> restart -> warm-start replay of every runnable (machine,
+   kernel) pair asserting the warm server serves every request from
+   the persisted store with zero planner invocations, and concurrent
+   clients receiving identical replies.  Every case spins up its own
+   daemon on its own socket, so the suite survives order shuffling. *)
 
 open Linear_layout
 
@@ -18,11 +18,11 @@ let socket_path tag =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "ll_test_server_%s_%d.sock" tag (Unix.getpid ()))
 
-let engine_request (k : Tir.Kernels.kernel) =
+let engine_request ?(m = m) (k : Tir.Kernels.kernel) =
   Printf.sprintf "ENGINE\nkernel=%s\nmachine=%s" k.Tir.Kernels.name m.Gpusim.Machine.name
 
 (* The server's reply, recomputed locally: same engine, same format. *)
-let expected_engine_reply (k : Tir.Kernels.kernel) =
+let expected_engine_reply ?(m = m) (k : Tir.Kernels.kernel) =
   let prog = k.Tir.Kernels.build ~size:(List.hd k.Tir.Kernels.sizes) in
   let r = Tir.Engine.run m ~mode:Tir.Engine.Linear prog in
   Printf.sprintf "OK time=%.0f converts=%d noops=%d loads=%d stores=%d remats=%d unsupported=%d"
@@ -43,13 +43,33 @@ let stat reply k =
 
 (* {1 Cold suite -> restart -> warm-start from the store} *)
 
+(* The kernel-suite replay: every kernel on every machine it runs on,
+   as (label, request, locally computed reply). *)
+let suite_trace () =
+  List.concat_map
+    (fun (m : Gpusim.Machine.t) ->
+      List.filter_map
+        (fun (k : Tir.Kernels.kernel) ->
+          if Tir.Kernels.runs_on m k then
+            Some
+              ( m.Gpusim.Machine.name ^ "/" ^ k.Tir.Kernels.name,
+                engine_request ~m k,
+                expected_engine_reply ~m k )
+          else None)
+        Tir.Kernels.all)
+    Gpusim.Machine.all_with_extras
+
 let test_cold_warm_restart () =
-  let expected =
-    List.map (fun k -> (k.Tir.Kernels.name, expected_engine_reply k)) Tir.Kernels.all
-  in
+  let trace = suite_trace () in
   let sock = socket_path "coldwarm" in
   let store = Filename.temp_file "ll_server_store" ".tsv" in
   Sys.remove store;
+  let replay pass c =
+    List.iter
+      (fun (label, req, expected) ->
+        check_string (pass ^ " " ^ label) expected (Tir.Server.Client.rpc c req))
+      trace
+  in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists store then Sys.remove store)
     (fun () ->
@@ -58,13 +78,7 @@ let test_cold_warm_restart () =
       check_int "no store to load yet" 0
         (Tir.Server.store_report srv).Codegen.Plan_store.loaded;
       let c = Tir.Server.Client.connect sock in
-      List.iter
-        (fun (k : Tir.Kernels.kernel) ->
-          let got = Tir.Server.Client.rpc c (engine_request k) in
-          check_string ("cold " ^ k.Tir.Kernels.name)
-            (List.assoc k.Tir.Kernels.name expected)
-            got)
-        Tir.Kernels.all;
+      replay "cold" c;
       let cold_planner = stat (Tir.Server.Client.rpc c "STATS") "shared_misses" in
       check_bool "cold pass planned" true (cold_planner > 0);
       check_string "shutdown" "OK bye" (Tir.Server.Client.rpc c "SHUTDOWN");
@@ -82,13 +96,7 @@ let test_cold_warm_restart () =
       let c2 = Tir.Server.Client.connect sock in
       check_int "nothing planned before traffic" 0
         (stat (Tir.Server.Client.rpc c2 "STATS") "shared_misses");
-      List.iter
-        (fun (k : Tir.Kernels.kernel) ->
-          let got = Tir.Server.Client.rpc c2 (engine_request k) in
-          check_string ("warm " ^ k.Tir.Kernels.name)
-            (List.assoc k.Tir.Kernels.name expected)
-            got)
-        Tir.Kernels.all;
+      replay "warm" c2;
       check_int "warm suite served with zero planner invocations" 0
         (stat (Tir.Server.Client.rpc c2 "STATS") "shared_misses");
       check_string "shutdown" "OK bye" (Tir.Server.Client.rpc c2 "SHUTDOWN");
